@@ -17,7 +17,7 @@ import random
 import sys
 
 from . import __version__, betti, binary, clifford, graded, knorrer, mf
-from .fields import DEFAULT_PRIME, NotASquare, field_from_name
+from .fields import DEFAULT_PRIME, NotASquare, PrimeField, field_from_name
 from .pencil import (
     HyperellipticData,
     PencilError,
@@ -406,7 +406,7 @@ def run_suite(name: str, field, seed: int, params: dict):
                 size = rng.randrange(0, h.nbranch + 1)
                 subset = frozenset(rng.sample(universe, size))
                 coeff = binary.linear_form(
-                    field, rng.randrange(field.p), rng.randrange(field.p)
+                    field, _random_scalar(field, rng), _random_scalar(field, rng)
                 )
                 if not coeff.is_zero():
                     prev = terms.get(subset, Poly.zero(field, binary.ST))
@@ -530,19 +530,25 @@ def run_suite(name: str, field, seed: int, params: dict):
     return lines, payload, ok
 
 
+def _random_scalar(field, rng, lo=0):
+    """A seeded scalar: uniform on [lo, p) in F_p, an integer in [lo, 100) over Q."""
+    hi = field.p if isinstance(field, PrimeField) else 100
+    return field.of(rng.randrange(lo, hi))
+
+
 def _random_targets(field, rng, count):
     """Distinct nonzero targets; the first half (rounded up) are squares."""
     n_squares = (count + 1) // 2
     picked = []
     seen = set()
     while len(picked) < n_squares:
-        r = rng.randrange(2, field.p)
+        r = _random_scalar(field, rng, 2)
         v = field.mul(r, r)
         if v not in seen and not field.is_zero(v):
             seen.add(v)
             picked.append(v)
     while len(picked) < count:
-        v = field.of(rng.randrange(1, field.p))
+        v = _random_scalar(field, rng, 1)
         if v not in seen:
             seen.add(v)
             picked.append(v)

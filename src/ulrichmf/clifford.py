@@ -12,9 +12,13 @@ certificate.
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 from . import mf as mf_mod
 from .binary import ST
-from .fields import NotASquare
+from .fields import NotASquare, PrimeField
 from .pencil import HyperellipticData
 from .poly import Poly
 from .polymatrix import PolyMatrix
@@ -255,73 +259,65 @@ class CliffordModuleWindow:
         return sorted(self.bases)
 
     def verify_relations(self) -> None:
-        """Check e_i e_j + e_j e_i = delta_ij f_i on every applicable window degree."""
+        """Check e_i^2 = f_i and e_i e_j + e_j e_i = 0 (i != j) on the window.
+
+        A degree k is checked when N_k is nonzero and the window holds N_{k+2},
+        the s and t actions on N_k and every e_i action on N_k and N_{k+1}.
+        One exact product does the work per degree: H stacks the r actions
+        N_{k+1} -> N_{k+2} as row blocks, L puts the r actions N_k -> N_{k+1}
+        side by side, and block (j, i) of H @ L is n -> n e_i e_j.  The error
+        names the first failing pair (i <= j, ascending) at the lowest degree.
+        """
         h = self.h
         field = h.field
         r = h.nbranch
+        gens = range(1, r + 1)
+        f_coeffs = [(f.coefficient((1, 0)), f.coefficient((0, 1))) for f in map(h.factor, gens)]
         for k in self.degrees():
-            if k + 2 not in self.bases or (1, k) not in self.t_action:
+            if k + 2 not in self.bases or (1, k) not in self.t_action or self.dim(k) == 0:
                 continue
-            if self.dim(k) == 0:
+            if any((i, k) not in self.e_action or (i, k + 1) not in self.e_action for i in gens):
                 continue
-            ts = self.t_action[(1, k)]
-            tt = self.t_action[(2, k)]
-            for i in range(1, r + 1):
-                for j in range(i, r + 1):
-                    if (i, k) not in self.e_action or (j, k + 1) not in self.e_action:
-                        continue
-                    if i == j:
-                        # e_i^2 = f_i: the square of the action equals the
-                        # (a_i s + b_i t)-multiplication
-                        total = _mat_mul_scalar(
-                            field, self.e_action[(i, k + 1)], self.e_action[(i, k)]
-                        )
-                        f_i = h.factor(i)
-                        ai = f_i.coefficient((1, 0))
-                        bi = f_i.coefficient((0, 1))
-                        want = _mat_add(
-                            field,
-                            _mat_scale(field, ts, ai),
-                            _mat_scale(field, tt, bi),
-                        )
-                    else:
-                        left = _mat_mul_scalar(
-                            field, self.e_action[(j, k + 1)], self.e_action[(i, k)]
-                        )
-                        right = _mat_mul_scalar(
-                            field, self.e_action[(i, k + 1)], self.e_action[(j, k)]
-                        )
-                        total = _mat_add(field, left, right)
-                        want = [[field.zero] * self.dim(k) for _ in range(self.dim(k + 2))]
-                    if total != want:
-                        raise CliffordError(
-                            f"action rule fails for (e_{i}, e_{j}) at degree {k}"
-                        )
+            d0, d2 = self.dim(k), self.dim(k + 2)
+            stack_h = [row for i in gens for row in self.e_action[(i, k + 1)]]
+            stack_l = [list(chain(*rows)) for rows in zip(*(self.e_action[(i, k)] for i in gens))]
+            prod = _mat_mul_scalar(field, stack_h, stack_l)
+            blocks = prod.reshape(r, d2, r, d0)
+            # f_i = a_i s + b_i t acts as a_i T1 + b_i T2; on int64 each entry
+            # is at most 2 (p - 1)^2, within the bound _mat_mul_scalar checked
+            ts = np.array([self.t_action[(1, k)], self.t_action[(2, k)]], dtype=prod.dtype)
+            ts = _reduced(field, ts.reshape(2, d2, d0))
+            want = np.tensordot(np.array(f_coeffs, dtype=prod.dtype), ts, axes=1)
+            diag = np.arange(r)
+            bad = (_reduced(field, blocks + blocks.transpose(2, 1, 0, 3)) != 0).any(axis=(1, 3))
+            bad[diag, diag] = (_reduced(field, blocks[diag, :, diag, :] - want) != 0).any(axis=(1, 2))
+            failing = np.argwhere(np.triu(bad))
+            if len(failing):
+                i, j = (int(v) + 1 for v in failing[0])
+                raise CliffordError(f"action rule fails for (e_{i}, e_{j}) at degree {k}")
 
 
 def _mat_mul_scalar(field, a, b):
-    if not b or not a:
-        return []
-    bt = list(zip(*b))
-    return [
-        [sum_field(field, (field.mul(x, y) for x, y in zip(row, col))) for col in bt]
-        for row in a
-    ]
+    """The exact product of two scalar matrices given as lists of rows.
+
+    Over F_p with 2 * len(b) * (p - 1)^2 < 2^63 the operands are reduced
+    into [0, p) and multiplied as int64 arrays, so no entry of the product,
+    a sum of len(b) products of residues, overflows before its one final
+    reduction mod p (the delayed reduction of FLINT's nmod_mat).  Past that
+    bound, and over Q, the product is an object array of Python ints or
+    Fractions.  A product with no inner dimension has no columns.
+    """
+    inner, ncols = len(b), len(b[0]) if b else 0
+    small = isinstance(field, PrimeField) and 2 * inner * (field.p - 1) ** 2 < 2**63
+    dtype = np.int64 if small else object
+    left = _reduced(field, np.array(a, dtype=dtype).reshape(len(a), inner))
+    right = _reduced(field, np.array(b, dtype=dtype).reshape(inner, ncols))
+    return _reduced(field, left @ right)
 
 
-def sum_field(field, items):
-    acc = field.zero
-    for v in items:
-        acc = field.add(acc, v)
-    return acc
-
-
-def _mat_add(field, a, b):
-    return [[field.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _mat_scale(field, a, c):
-    return [[field.mul(x, c) for x in row] for row in a]
+def _reduced(field, x):
+    """x mod p over F_p; x itself over Q."""
+    return x % field.p if isinstance(field, PrimeField) else x
 
 
 def regular_module_window(h: HyperellipticData, k_lo: int, k_hi: int) -> CliffordModuleWindow:

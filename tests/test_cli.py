@@ -218,6 +218,32 @@ def test_suite_ulrich_e2e_transcript_deterministic(capsys):
     assert out1 == out2
 
 
+def test_suite_ulrich_e2e_prime_field_draws_unchanged(capsys):
+    # targets drawn from the seed over F_p, pinned to their first recorded values
+    code, out, _ = run(capsys, "suite", "ulrich-e2e", "--n", "2", "--seed", "9")
+    assert code == 0
+    assert "discriminant-roots: PASS - 2270,3050,6273,810,9658" in out
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("suite", "clifford", "--g", "1", "--triples", "20"), 0),
+        (("suite", "ulrich-e2e", "--n", "2"), 0),
+        # y needs sqrt(-1) at even genus, which Q lacks: bad input
+        (("suite", "clifford", "--g", "2", "--triples", "1"), 2),
+    ],
+)
+def test_suites_over_q_run_or_exit_2(capsys, argv, want):
+    code, out, err = run(capsys, "--field", "Q", *argv)
+    assert code == want
+    assert "Traceback" not in out + err
+    if want == 0:
+        assert "# field: Q" in out and "result: PASS" in out
+    else:
+        assert err.startswith("error: ") and "sqrt(-1)" in err
+
+
 def test_mf_tensor_command(capsys):
     code, out, _ = run(capsys, "mf", "tensor", "--g", "1", "--i", "1", "--j", "2")
     assert code == 0

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ulrichmf import binary, clifford, mf
-from ulrichmf.fields import NotASquare, PrimeField
+from ulrichmf.fields import QQ, NotASquare, PrimeField
 from ulrichmf.pencil import HyperellipticData
 from ulrichmf.poly import Poly
 
@@ -229,3 +231,92 @@ def test_bgg_broken_sign_rejected():
     window.e_action[(1, 1)] = mat
     with pytest.raises(clifford.CliffordError):
         clifford.bgg_complex(window, 0, 2)
+
+
+def test_bgg_complex_genus3_window():
+    h = curve(3)
+    window = clifford.regular_module_window(h, 0, 6)
+    result = clifford.bgg_complex(window, 0, 3)
+    assert result["certificates"] == {0: True, 1: True, 2: True}
+    assert result["dims"] == {k: clifford.clifford_dimension(h, k) for k in range(7)}
+    assert [result["matrices"][k].ncols for k in range(4)] == [1, 8, 30, 72]
+
+
+def test_relations_reject_broken_square():
+    window = clifford.regular_module_window(H1, 0, 4)
+    ts = [row[:] for row in window.t_action[(1, 1)]]
+    ts[0][0] = F.add(ts[0][0], F.one)
+    window.t_action[(1, 1)] = ts
+    # T1 enters only the squares e_i^2 = a_i T1 + b_i T2, degree 0 does not
+    # see it, and a_1 = 1 for f_1 = s - t: the first failing rule is e_1^2
+    with pytest.raises(clifford.CliffordError, match=r"\(e_1, e_1\) at degree 1$"):
+        window.verify_relations()
+
+
+def test_relations_reject_broken_anticommutator_at_top_degree():
+    window = clifford.regular_module_window(H1, 0, 4)
+    # degrees 0..2 are checked; the e_4 action on N_3 enters only degree 2,
+    # as the left factor of every e_i e_4
+    mat = [row[:] for row in window.e_action[(4, 3)]]
+    col = window.bases[3].index(((1, 2, 3), (0, 0)))
+    mat[0][col] = F.add(mat[0][col], F.one)
+    window.e_action[(4, 3)] = mat
+    # e_{1,2,3} is n e_i for n = e_{{1,2,3} - i} when i <= 3 and never for
+    # i = 4, so e_4^2 holds and e_1 e_4 + e_4 e_1 is the first rule to fail
+    with pytest.raises(clifford.CliffordError, match=r"\(e_1, e_4\) at degree 2$"):
+        window.verify_relations()
+
+
+def naive_product(field, a, b):
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(ncols):
+            acc = field.zero
+            for x, b_row in zip(row, b):
+                acc = field.add(acc, field.mul(x, b_row[j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def random_scalar(field, rng):
+    if field == QQ:
+        return Fraction(rng.randrange(-50, 51), rng.randrange(1, 20))
+    return rng.randrange(field.p)
+
+
+def random_matrix(field, rng, nrows, ncols):
+    return [[random_scalar(field, rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2**31 - 1), PrimeField(2**61 - 1), QQ], ids=str)
+@pytest.mark.parametrize("shape", [(4, 7, 5), (1, 1, 1), (9, 2, 3), (0, 3, 4), (3, 0, 2), (3, 4, 0)])
+def test_mat_mul_scalar_matches_triple_loop(field, shape):
+    m, k, n = shape
+    rng = random.Random(100 * m + 10 * k + n)
+    for _ in range(3):
+        a = random_matrix(field, rng, m, k)
+        b = random_matrix(field, rng, k, n)
+        got = clifford._mat_mul_scalar(field, a, b)
+        assert got.shape == (m, n if k else 0)
+        assert got.tolist() == naive_product(field, a, b)
+
+
+def test_mat_mul_scalar_int64_boundary():
+    field = PrimeField(2**31 - 1)
+    p = field.p
+    top = [[p - 1] * 4 for _ in range(4)]
+    # 4 (p - 1)^2 overflows int64, so naive int64 arithmetic is wrong here
+    naive = (np.array(top, dtype=np.int64) @ np.array(top, dtype=np.int64)) % p
+    assert naive[0, 0] != 4
+    got = clifford._mat_mul_scalar(field, top, top)
+    assert got.dtype == object
+    assert got.tolist() == [[4] * 4] * 4  # (p - 1)^2 = 1 mod p
+    # one term: 2 (p - 1)^2 < 2^63 still holds, and int64 is exact
+    one = clifford._mat_mul_scalar(field, [[p - 1]], [[p - 1]])
+    assert one.dtype == np.int64 and one.tolist() == [[1]]
+    small = clifford._mat_mul_scalar(F, top, top)
+    assert small.dtype == np.int64
+    assert small.tolist() == naive_product(F, top, top)
