@@ -240,9 +240,3 @@ def homogenize(field: Field, coeffs: list, degree: int) -> Poly:
         raise PolyError("too many coefficients for the stated degree")
     pairs = [((i, degree - i), c) for i, c in enumerate(coeffs)]
     return Poly.from_pairs(field, ST, pairs)
-
-
-def dehomogenize(f: Poly) -> Poly:
-    """Set t = 1, producing a Poly in the single variable s."""
-    check_binary(f)
-    return Poly.from_pairs(f.field, ("s",), (((e[0],), c) for e, c in f.terms.items()))

@@ -1,9 +1,9 @@
 """Command line interface: constructions, verification suites, table printers.
 
-Global flags --field/--seed/--format/--degree-cap have environment overrides
-ULRICHMF_FIELD, ULRICHMF_SEED, ULRICHMF_FORMAT, ULRICHMF_DEGREE_CAP.  All
-output is deterministic for a fixed configuration: transcripts embed the
-field, the seed and the certificate versions, never timings.
+Global flags --field/--seed/--format have environment overrides
+ULRICHMF_FIELD, ULRICHMF_SEED, ULRICHMF_FORMAT.  All output is deterministic
+for a fixed configuration: transcripts embed the field, the seed and the
+certificate versions, never timings.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input.
 """
@@ -77,13 +77,16 @@ def load_json(path: str):
         return json.load(fh)
 
 
-def curve_from_args(field, args) -> HyperellipticData:
-    if getattr(args, "roots", None):
-        roots = parse_values(args.roots)
-    else:
-        roots = list(range(1, 2 * args.g + 3))
+def curve_from_roots(field, roots) -> HyperellipticData:
+    """y^2 = prod (s - r t) over the given branch roots."""
     factors = [binary.root_factor(field, field.of(r)) for r in roots]
     return HyperellipticData.from_factors(field, factors)
+
+
+def curve_from_args(field, args) -> HyperellipticData:
+    if getattr(args, "roots", None):
+        return curve_from_roots(field, parse_values(args.roots))
+    return curve_from_roots(field, range(1, 2 * args.g + 3))
 
 
 def pencil_from_descriptor(field, data) -> QuadricPencil:
@@ -367,9 +370,7 @@ def run_suite(name: str, field, seed: int, params: dict):
 
     if name == "grouplaw":
         g = params.get("g", 1)
-        h = HyperellipticData.from_factors(
-            field, [binary.root_factor(field, field.of(r)) for r in range(1, 2 * g + 3)]
-        )
+        h = curve_from_roots(field, range(1, 2 * g + 3))
         classes = mf.canonical_classes(h)
         if g == 1:
             for key_i in classes:
@@ -393,9 +394,7 @@ def run_suite(name: str, field, seed: int, params: dict):
                 )
     elif name == "clifford":
         g = params.get("g", 2)
-        h = HyperellipticData.from_factors(
-            field, [binary.root_factor(field, field.of(r)) for r in range(1, 2 * g + 3)]
-        )
+        h = curve_from_roots(field, range(1, 2 * g + 3))
         rng = random.Random(seed)
         triples = params.get("triples", 200)
 
@@ -603,34 +602,38 @@ def cmd_export(args, field, seed) -> int:
 # -- main --------------------------------------------------------------------------
 
 
+FORMATS = ("text", "json")
+
+
 def _add_global_flags(parser, suppress: bool):
-    d = lambda value: argparse.SUPPRESS if suppress else value
+    # the root defaults are None: main fills them from the environment
+    d = argparse.SUPPRESS if suppress else None
+    parser.add_argument("--field", default=d, help="odd prime p or Q")
     parser.add_argument(
-        "--field",
-        default=d(os.environ.get("ULRICHMF_FIELD", str(DEFAULT_PRIME))),
-        help="odd prime p or Q",
+        "--seed", type=int, default=d, help="seed for every randomized check"
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=d(int(os.environ.get("ULRICHMF_SEED", "0"))),
-        help="seed for every randomized check",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=d(os.environ.get("ULRICHMF_FORMAT", "text")),
-    )
-    parser.add_argument(
-        "--degree-cap",
-        type=int,
-        default=d(
-            int(os.environ["ULRICHMF_DEGREE_CAP"])
-            if "ULRICHMF_DEGREE_CAP" in os.environ
-            else None
-        ),
-        help="override the default syzygy degree cap",
-    )
+    parser.add_argument("--format", choices=FORMATS, default=d)
+
+
+def _apply_environment(args) -> None:
+    """Fill unset global flags from ULRICHMF_* or the built-in defaults.
+
+    argparse never type-checks a default, so the values are checked here.
+    """
+    if args.field is None:
+        args.field = os.environ.get("ULRICHMF_FIELD", str(DEFAULT_PRIME))
+    if args.seed is None:
+        text = os.environ.get("ULRICHMF_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise ValueError(f"ULRICHMF_SEED must be an integer, got {text!r}") from None
+    if args.format is None:
+        args.format = os.environ.get("ULRICHMF_FORMAT", "text")
+        if args.format not in FORMATS:
+            raise ValueError(
+                f"ULRICHMF_FORMAT must be one of {', '.join(FORMATS)}, got {args.format!r}"
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -714,19 +717,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_environment(args)
         field = field_from_name(args.field)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.degree_cap is not None:
-        graded.set_degree_cap(args.degree_cap)
-    try:
         return args.handler(args, field, args.seed)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        graded.set_degree_cap(None)
 
 
 if __name__ == "__main__":

@@ -22,15 +22,6 @@ class GradedError(ValueError):
     pass
 
 
-# optional global override for the default kernel degree cap (CLI --degree-cap)
-_DEGREE_CAP_OVERRIDE: int | None = None
-
-
-def set_degree_cap(value: int | None):
-    global _DEGREE_CAP_OVERRIDE
-    _DEGREE_CAP_OVERRIDE = value
-
-
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, in a fixed sorted order."""
     if degree < 0:
@@ -209,9 +200,7 @@ def graded_kernel(m: PolyMatrix, degree_cap: int | None = None) -> PolyMatrix:
             row_degrees=m.col_degrees,
             col_degrees=(),
         )
-    if _DEGREE_CAP_OVERRIDE is not None:
-        degree_cap = _DEGREE_CAP_OVERRIDE  # explicit user override wins
-    elif degree_cap is None:
+    if degree_cap is None:
         degree_cap = sum(m.col_degrees) + 2
     gens: list[tuple[int, list[Poly]]] = []
     confirmed = 0

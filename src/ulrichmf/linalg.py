@@ -1,8 +1,9 @@
 """Field-generic exact dense linear algebra.
 
 Matrices at this level are lists of lists of field scalars.  Prime-field
-input is routed through the numpy/numba kernels in :mod:`ulrichmf.modp`;
-rational input is eliminated directly on Fractions.
+input is routed through the numpy kernel in :mod:`ulrichmf.modp`, on arrays
+of the element type that module picks for p; rational input is eliminated
+directly on Fractions.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from . import modp
 from .fields import Field, PrimeField
 
 
-def _to_array(rows, ncols):
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+def _to_array(rows, ncols, p):
+    return np.array(rows, dtype=modp._dtype(p)).reshape(len(rows), ncols)
 
 
 def _rref_fraction(rows, ncols):
@@ -49,7 +48,7 @@ def rref(field: Field, rows, ncols=None):
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if isinstance(field, PrimeField):
-        m, piv = modp.rref(_to_array(rows, ncols), field.p)
+        m, piv = modp.rref(_to_array(rows, ncols, field.p), field.p)
         return [[int(x) for x in row] for row in m], [int(c) for c in piv]
     return _rref_fraction(rows, ncols)
 
@@ -60,7 +59,7 @@ def rank(field: Field, rows, ncols=None) -> int:
     if not rows or ncols == 0:
         return 0
     if isinstance(field, PrimeField):
-        return modp.rank(_to_array(rows, ncols), field.p)
+        return modp.rank(_to_array(rows, ncols, field.p), field.p)
     return len(_rref_fraction(rows, ncols)[1])
 
 
@@ -76,7 +75,7 @@ def nullspace(field: Field, rows, ncols):
             eye.append(v)
         return eye
     if isinstance(field, PrimeField):
-        basis = modp.nullspace(_to_array(rows, ncols), field.p)
+        basis = modp.nullspace(_to_array(rows, ncols, field.p), field.p)
         return [[int(x) for x in row] for row in basis]
     r, piv = _rref_fraction(rows, ncols)
     free = [c for c in range(ncols) if c not in piv]
@@ -97,7 +96,8 @@ def solve(field: Field, rows, rhs, ncols=None):
     if not rows:
         return [field.zero] * ncols
     if isinstance(field, PrimeField):
-        x = modp.solve(_to_array(rows, ncols), np.array(rhs, dtype=np.int64), field.p)
+        b = np.array(rhs, dtype=modp._dtype(field.p))
+        x = modp.solve(_to_array(rows, ncols, field.p), b, field.p)
         return None if x is None else [int(v) for v in x]
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     r, piv = _rref_fraction(aug, ncols + 1)
@@ -117,7 +117,7 @@ def det(field: Field, rows) -> object:
     if n == 0:
         return field.one
     if isinstance(field, PrimeField):
-        return int(modp.det(_to_array(rows, n), field.p))
+        return int(modp.det(_to_array(rows, n, field.p), field.p))
     m = [[Fraction(x) for x in row] for row in rows]
     result = Fraction(1)
     for c in range(n):

@@ -1,41 +1,25 @@
-"""Dense linear algebra mod p on int64 numpy arrays.
+"""Dense linear algebra mod p on numpy arrays.
 
-This is the hot kernel of the package: every graded computation (syzygy
-kernels, Hom spaces, Macaulay-matrix ranks, determinant interpolation)
-reduces to row echelon forms of scalar matrices over F_p.
+Every graded computation (syzygy kernels, Hom spaces, Macaulay-matrix ranks,
+determinant interpolation) reduces to row echelon forms of scalar matrices
+over F_p, computed here by one kernel: a Python loop over pivots with
+vectorized row updates.
 
-Two interchangeable implementations are provided:
-
-  * a numba ``@njit`` version (default when numba imports cleanly), and
-  * a pure-numpy fallback (python loop over pivots, vectorized row updates).
-
-Both produce the same canonical reduced row echelon form.  Selection is by
-the environment variable ``ULRICHMF_BACKEND``: ``numba``, ``numpy`` or
-``auto`` (the default).
-
-Entries must satisfy p < 2**31 so that products fit in int64.
+The element type is chosen from p by :func:`_dtype` and nowhere else.  The
+kernel only ever multiplies two residues in [0, p) and subtracts the product
+from a residue, so it is exact on int64 while (p - 1)^2 < 2^63, that is for
+every prime up to 3037000493.  Past that bound the same code runs on object
+arrays of Python ints.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+def _dtype(p: int):
+    """int64 when (p - 1)^2 fits, else object (Python ints)."""
+    return np.int64 if (p - 1) ** 2 < 2**63 else object
 
 
 def _rref_numpy(a: np.ndarray, p: int):
@@ -65,95 +49,16 @@ def _rref_numpy(a: np.ndarray, p: int):
     return m, np.array(pivots, dtype=np.int64)
 
 
-@njit(cache=True)
-def _rref_numba(a, p):  # pragma: no cover - compiled
-    m = a % p
-    rows, cols = m.shape
-    pivots = np.empty(min(rows, cols), dtype=np.int64)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = -1
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                piv = i
-                break
-        if piv == -1:
-            continue
-        if piv != r:
-            for j in range(cols):
-                tmp = m[r, j]
-                m[r, j] = m[piv, j]
-                m[piv, j] = tmp
-        # modular inverse via Fermat: m[r, c]^(p-2)
-        base = m[r, c] % p
-        e = p - 2
-        inv = 1
-        while e > 0:
-            if e & 1:
-                inv = inv * base % p
-            base = base * base % p
-            e >>= 1
-        for j in range(cols):
-            m[r, j] = m[r, j] * inv % p
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                f = m[i, c]
-                for j in range(cols):
-                    m[i, j] = (m[i, j] - f * m[r, j]) % p
-        pivots[r] = c
-        r += 1
-    return m, pivots[:r]
-
-
-def _pick_backend() -> str:
-    choice = os.environ.get("ULRICHMF_BACKEND", "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"ULRICHMF_BACKEND must be auto|numba|numpy, got {choice!r}")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("ULRICHMF_BACKEND=numba but numba is not importable")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return choice
-
-
-_backend_name = None
-
-
-def backend() -> str:
-    global _backend_name
-    if _backend_name is None:
-        _backend_name = _pick_backend()
-    return _backend_name
-
-
-def set_backend(name: str | None):
-    """Force a backend ('numba'/'numpy'), or None to re-read the environment."""
-    global _backend_name
-    if name is None:
-        _backend_name = None
-        return
-    if name not in ("numba", "numpy"):
-        raise ValueError(name)
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend_name = name
-
-
 def rref(a: np.ndarray, p: int):
     """Canonical reduced row echelon form of ``a`` mod p.
 
     Returns (rref matrix, pivot columns).  ``a`` is not modified.
     """
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.int64))
+    a = np.asarray(a, dtype=_dtype(p))
     if a.ndim != 2:
         raise ValueError("rref expects a 2-d array")
     if a.size == 0:
         return a.copy(), np.empty(0, dtype=np.int64)
-    if backend() == "numba":
-        m, piv = _rref_numba(a.copy(), p)
-        return m, piv
     return _rref_numpy(a, p)
 
 
@@ -164,14 +69,15 @@ def rank(a: np.ndarray, p: int) -> int:
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel mod p, rows = basis vectors (canonical order)."""
-    a = np.asarray(a, dtype=np.int64)
+    dtype = _dtype(p)
+    a = np.asarray(a, dtype=dtype)
     rows, cols = a.shape
     if rows == 0:
-        return np.eye(cols, dtype=np.int64)
+        return np.eye(cols, dtype=dtype)
     r, piv = rref(a, p)
     piv = list(piv)
     free = [c for c in range(cols) if c not in piv]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis = np.zeros((len(free), cols), dtype=dtype)
     for k, c in enumerate(free):
         basis[k, c] = 1
         for i, pc in enumerate(piv):
@@ -181,8 +87,9 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
 
 def solve(a: np.ndarray, b: np.ndarray, p: int):
     """One solution of a @ x = b mod p (b a vector or matrix), or None."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64) % p
+    dtype = _dtype(p)
+    a = np.asarray(a, dtype=dtype)
+    b = np.asarray(b, dtype=dtype) % p
     vector = b.ndim == 1
     if vector:
         b = b[:, None]
@@ -191,7 +98,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     ncols = a.shape[1]
     if any(c >= ncols for c in piv):
         return None
-    x = np.zeros((ncols, b.shape[1]), dtype=np.int64)
+    x = np.zeros((ncols, b.shape[1]), dtype=dtype)
     for i, c in enumerate(piv):
         x[c] = r[i, ncols:]
     return x[:, 0] if vector else x
@@ -199,7 +106,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
 
 def det(a: np.ndarray, p: int) -> int:
     """Determinant mod p by forward elimination."""
-    m = np.asarray(a, dtype=np.int64).copy() % p
+    m = np.asarray(a, dtype=_dtype(p)) % p
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("det expects a square matrix")
@@ -220,9 +127,3 @@ def det(a: np.ndarray, p: int) -> int:
             factors = m[c + 1 :, c][below] * inv % p
             m[c + 1 :][below] = (m[c + 1 :][below] - np.outer(factors, m[c])) % p
     return result % p
-
-
-def warm_up():
-    """Trigger JIT compilation of the numba kernels (no-op on numpy backend)."""
-    if backend() == "numba":
-        _rref_numba(np.array([[1, 2], [3, 4]], dtype=np.int64), 7)

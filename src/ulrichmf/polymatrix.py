@@ -159,10 +159,6 @@ class PolyMatrix:
         rows = [[p.scale(scalar) for p in row] for row in self.entries]
         return PolyMatrix(self.field, self.vars, rows, self.row_degrees, self.col_degrees)
 
-    def scale_poly(self, f: Poly) -> "PolyMatrix":
-        rows = [[p * f for p in row] for row in self.entries]
-        return PolyMatrix(self.field, self.vars, rows)
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self.mul(other)
 

@@ -14,7 +14,7 @@ import random
 import time
 from itertools import combinations
 
-from ulrichmf import betti, binary, clifford, knorrer, mf, modp
+from ulrichmf import betti, binary, clifford, knorrer, mf
 from ulrichmf.fields import DEFAULT_PRIME, PrimeField
 from ulrichmf.pencil import HyperellipticData
 from ulrichmf.polymatrix import PolyMatrix
@@ -185,7 +185,6 @@ def test_criterion_08_fu_numerics_and_parity():
 
 
 def test_criterion_09_ulrich_end_to_end():
-    modp.warm_up()
     elapsed = {}
     for n, seed in ((2, 901), (3, 902)):
         rng = random.Random(seed)

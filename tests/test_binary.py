@@ -80,10 +80,3 @@ def test_interpolation_round_trip():
     vals = [binary.evaluate(f, lam, 1) for lam in pts]
     coeffs = binary.interpolate_univariate(f13, pts, vals)
     assert binary.homogenize(f13, coeffs, 3) == f
-
-
-def test_dehomogenize():
-    f = binary.binary_form(QQ, [1, 2, 3])
-    g = binary.dehomogenize(f)
-    assert g.vars == ("s",)
-    assert g.coefficient((2,)) == 1 and g.coefficient((0,)) == 3

@@ -185,6 +185,18 @@ def test_env_overrides(capsys, monkeypatch):
     assert data["field"] == "13"
 
 
+@pytest.mark.parametrize(
+    "var, value", [("ULRICHMF_SEED", "abc"), ("ULRICHMF_FORMAT", "xml"), ("ULRICHMF_FIELD", "15")]
+)
+def test_malformed_env_override_exits_2(capsys, monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, "suite", "betti")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert value in err
+
+
 def test_bad_field_exits_2(capsys):
     code, _, err = run(capsys, "--field", "15", "suite", "betti")
     assert code == 2
@@ -198,6 +210,13 @@ def test_bad_subset_exits_2(capsys):
 
 def test_grouplaw_suite_g1(capsys):
     code, out, _ = run(capsys, "suite", "grouplaw", "--g", "1")
+    assert code == 0
+    assert "result: PASS (64 checks)" in out
+
+
+def test_grouplaw_suite_past_int64_bound(capsys):
+    # (p - 1)^2 >= 2^63: the kernel runs on Python ints, not wrapped int64
+    code, out, _ = run(capsys, "--field", "2305843009213693951", "suite", "grouplaw", "--g", "1")
     assert code == 0
     assert "result: PASS (64 checks)" in out
 
@@ -251,17 +270,11 @@ def test_mf_tensor_command(capsys):
 
 
 def test_degree_cap_flag(capsys):
-    # an absurdly small cap breaks the tensor kernel sweep: bad input, exit 2
-    code, _, err = run(
-        capsys, "mf", "tensor", "--g", "1", "--i", "1", "--j", "2", "--degree-cap", "-5"
-    )
-    assert code == 2
-    assert "error" in err
-    # a generous cap works
-    code, out, _ = run(
-        capsys, "mf", "tensor", "--g", "1", "--i", "1", "--j", "2", "--degree-cap", "30"
-    )
-    assert code == 0
+    # no such flag: mf tensor passes graded_kernel a provable cap, argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mf", "tensor", "--g", "1", "--i", "1", "--j", "2", "--degree-cap", "30"])
+    assert exc.value.code == 2
+    assert "--degree-cap" in capsys.readouterr().err
 
 
 def test_ulrich_verify_rejects_corrupted_candidate(tmp_path, capsys):

@@ -53,6 +53,11 @@ def test_graded_kernel_koszul():
         assert ratio[0] * s == ratio[1] * t
 
 
+def test_graded_kernel_cap_too_small_fails():
+    with pytest.raises(graded.GradedError, match="degree cap -5"):
+        graded.graded_kernel(koszul_matrix(PrimeField(10009)), degree_cap=-5)
+
+
 def test_graded_kernel_invertible_is_empty():
     field = PrimeField(13)
     s = Poly.variable(field, ST, "s")

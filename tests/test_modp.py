@@ -1,4 +1,8 @@
-"""The mod-p kernels: numba and numpy backends must agree exactly."""
+"""The mod-p kernel against a pure-Python reference, on both element types.
+
+The kernel runs on int64 while (p - 1)^2 < 2^63 and on object arrays of
+Python ints past that bound; the primes below sit on either side of it.
+"""
 
 import itertools
 import random
@@ -6,7 +10,8 @@ import random
 import numpy as np
 import pytest
 
-from ulrichmf import modp
+from ulrichmf import linalg, modp
+from ulrichmf.fields import PrimeField
 
 
 def random_matrix(rng, rows, cols, p):
@@ -40,41 +45,14 @@ def perm_det(a, p):
     return total % p
 
 
-BACKENDS = ["numpy"] + (["numba"] if modp.HAVE_NUMBA else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    modp.set_backend(request.param)
-    yield request.param
-    modp.set_backend(None)
-
-
-def test_rref_known(backend):
+def test_rref_known():
     a = np.array([[2, 4, 6], [1, 2, 4]], dtype=np.int64)
     r, piv = modp.rref(a, 7)
     assert list(piv) == [0, 2]
     assert r.tolist() == [[1, 2, 0], [0, 0, 1]]
 
 
-def test_backends_agree():
-    if not modp.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = random.Random(20240301)
-    for trial in range(40):
-        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
-        p = rng.choice([3, 7, 13, 10009])
-        a = random_matrix(rng, rows, cols, p)
-        modp.set_backend("numba")
-        r1, p1 = modp.rref(a, p)
-        modp.set_backend("numpy")
-        r2, p2 = modp.rref(a, p)
-        modp.set_backend(None)
-        assert r1.tolist() == r2.tolist()
-        assert list(p1) == list(p2)
-
-
-def test_nullspace_property(backend):
+def test_nullspace_property():
     rng = random.Random(7)
     for _ in range(25):
         p = rng.choice([7, 13, 10009])
@@ -85,7 +63,7 @@ def test_nullspace_property(backend):
             assert np.all(a @ v % p == 0)
 
 
-def test_solve(backend):
+def test_solve():
     rng = random.Random(99)
     p = 10009
     for _ in range(20):
@@ -98,13 +76,13 @@ def test_solve(backend):
         assert np.all(a @ got % p == b)
 
 
-def test_solve_inconsistent(backend):
+def test_solve_inconsistent():
     a = np.array([[1, 1], [1, 1]], dtype=np.int64)
     b = np.array([0, 1], dtype=np.int64)
     assert modp.solve(a, b, 7) is None
 
 
-def test_det_against_permanent_oracle(backend):
+def test_det_against_permanent_oracle():
     rng = random.Random(5)
     for n in range(1, 5):
         for _ in range(8):
@@ -113,17 +91,7 @@ def test_det_against_permanent_oracle(backend):
             assert modp.det(a, p) == perm_det(a, p)
 
 
-def test_env_flag_selects_backend(monkeypatch):
-    modp.set_backend(None)
-    monkeypatch.setenv("ULRICHMF_BACKEND", "numpy")
-    assert modp._pick_backend() == "numpy"
-    monkeypatch.setenv("ULRICHMF_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        modp._pick_backend()
-    modp.set_backend(None)
-
-
-def test_solve_matrix_rhs(backend):
+def test_solve_matrix_rhs():
     rng = random.Random(3)
     p = 101
     a = random_matrix(rng, 4, 4, p)
@@ -132,3 +100,146 @@ def test_solve_matrix_rhs(backend):
     got = modp.solve(a, b, p)
     assert got is not None
     assert np.all(a @ got % p == b)
+
+
+# -- differential tests against a pure-Python reference -------------------------
+
+PRIMES = [3, 10009, 3037000493, 3037000507, 2**61 - 1, 18446744073709551629]
+
+
+def ref_rref(rows, ncols, p):
+    """Reduced row echelon form mod p on lists of Python ints."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def ref_nullspace(rows, ncols, p):
+    r, piv = ref_rref(rows, ncols, p)
+    basis = []
+    for c in (c for c in range(ncols) if c not in piv):
+        v = [0] * ncols
+        v[c] = 1
+        for i, pc in enumerate(piv):
+            v[pc] = -r[i][c] % p
+        basis.append(v)
+    return basis
+
+
+def ref_matvec(rows, v, p):
+    return [sum(x * y for x, y in zip(row, v)) % p for row in rows]
+
+
+def input_dtype(p):
+    """The arrays a caller holds: int64 where residues fit, else Python ints."""
+    return np.int64 if p < 2**63 else object
+
+
+def as_input(rows, ncols, p):
+    return np.array(rows, dtype=input_dtype(p)).reshape(len(rows), ncols)
+
+
+def as_lists(a):
+    return [[int(x) for x in row] for row in a]
+
+
+def cases(p, seed):
+    """(rows, ncols) pairs: empty, zero-row, zero-column and zero matrices,
+    entries at or near p - 1, rank-deficient products, then random ones."""
+    rng = random.Random(seed)
+
+    def rand(nrows, ncols):
+        return [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+
+    def low_rank(nrows, ncols, k):
+        left, right = rand(nrows, k), rand(k, ncols)
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
+                for row in left]
+
+    out = [([], 0), ([], 4), ([[], [], []], 0), ([[0] * 3] * 2, 3),
+           ([[p - 1] * 4 for _ in range(3)], 4),
+           ([[p - 1 - rng.randrange(3) for _ in range(5)] for _ in range(5)], 5)]
+    for nrows, ncols, k in ((4, 4, 2), (5, 3, 1), (3, 6, 2), (6, 6, 5)):
+        out.append((low_rank(nrows, ncols, k), ncols))
+    for _ in range(6):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+        out.append((rand(nrows, ncols), ncols))
+    return out
+
+
+def test_element_type_boundary():
+    assert (3037000493 - 1) ** 2 < 2**63 <= (3037000507 - 1) ** 2
+    assert modp._dtype(3037000493) is np.int64
+    assert modp._dtype(3037000507) is object
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_matches_reference(p):
+    for rows, ncols in cases(p, 1):
+        r, piv = modp.rref(as_input(rows, ncols, p), p)
+        want_r, want_piv = ref_rref(rows, ncols, p)
+        assert as_lists(r) == want_r
+        assert [int(c) for c in piv] == want_piv
+        assert modp.rank(as_input(rows, ncols, p), p) == len(want_piv)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_nullspace_matches_reference(p):
+    for rows, ncols in cases(p, 2):
+        basis = as_lists(modp.nullspace(as_input(rows, ncols, p), p))
+        assert basis == ref_nullspace(rows, ncols, p)
+        for v in basis:
+            assert ref_matvec(rows, v, p) == [0] * len(rows)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_solve_matches_reference(p):
+    rng = random.Random(3)
+    for rows, ncols in cases(p, 3):
+        if not rows:
+            continue
+        for b in (ref_matvec(rows, [rng.randrange(p) for _ in range(ncols)], p),
+                  [rng.randrange(p) for _ in rows]):
+            x = modp.solve(as_input(rows, ncols, p), np.array(b, dtype=input_dtype(p)), p)
+            aug = [row + [v] for row, v in zip(rows, b)]
+            r, piv = ref_rref(aug, ncols + 1, p)
+            if ncols in piv:
+                assert x is None
+                continue
+            want = [0] * ncols
+            for i, c in enumerate(piv):
+                want[c] = r[i][ncols]
+            assert [int(v) for v in x] == want
+            assert ref_matvec(rows, want, p) == b
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_det_matches_permutation_oracle(p):
+    for rows, ncols in cases(p, 4):
+        if len(rows) != ncols:
+            continue
+        a = as_input(rows, ncols, p)
+        assert modp.det(a, p) == perm_det(a, p)
+
+
+def test_linalg_det_past_int64_bound():
+    # int64 elimination returned 2305843009213693928 here
+    p = 2**61 - 1
+    rows = [[p - 1, p - 2], [p - 3, p - 5]]
+    assert linalg.det(PrimeField(p), rows) == 2305843009213693950
+    x = linalg.solve(PrimeField(p), rows, [1, 2])
+    assert ref_matvec(rows, x, p) == [1, 2]
