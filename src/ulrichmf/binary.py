@@ -7,6 +7,7 @@ t itself is the root at infinity and is tracked separately.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .fields import Field, PrimeField, RationalField
@@ -112,10 +113,69 @@ def _root_sort_key(item):
 
 def _root_candidates(field: Field, g: Poly):
     if isinstance(field, PrimeField):
-        return range(field.p)
+        return _roots_mod_p(field, coeff_list(g))
     if isinstance(field, RationalField):
         return _rational_candidates(g)
     raise PolyError("root search supports F_p and Q only")
+
+
+def _roots_mod_p(field: PrimeField, coeffs: list) -> list:
+    """Distinct roots in F_p of an ascending coefficient list, unsorted.
+
+    h = gcd(g, x^p - x) is the product of the distinct linear factors of g;
+    x^p mod g comes from repeated squaring, so the cost is polynomial in
+    log p.  h is then split by Cantor-Zassenhaus, with the random shifts
+    drawn from a fixed-seed generator owned by this call.
+    """
+    g = _trim(field, list(coeffs))
+    if len(g) < 2:
+        return []
+    xp = _pow_mod(field, [field.zero, field.one], field.p, g) + [field.zero] * 2
+    xp[1] = field.sub(xp[1], field.one)
+    h = _gcd_univ(field, g, xp)
+    found: list = []
+    _split_linear(field, h, random.Random(0), found)
+    return found
+
+
+def _split_linear(field: PrimeField, h: list, rng: random.Random, out: list) -> None:
+    """Append the roots of h, monic and a product of distinct linear factors.
+
+    A shift a separates the roots r with (r + a)^((p-1)/2) = 1, the factors
+    of gcd(h, (x + a)^((p-1)/2) - 1), from the rest.
+    """
+    while len(h) > 2:
+        a = rng.randrange(field.p)
+        w = _pow_mod(field, [a, field.one], (field.p - 1) // 2, h)
+        w[0] = field.sub(w[0], field.one)
+        part = _gcd_univ(field, h, w)
+        if 1 < len(part) < len(h):
+            _split_linear(field, part, rng, out)
+            h = _poly_divmod(field, h, part)[0]
+    if len(h) == 2:
+        out.append(field.neg(h[0]))
+
+
+def _pow_mod(field: Field, base: list, e: int, m: list) -> list:
+    """base^e mod m for ascending coefficient lists, m of degree >= 1."""
+    result = [field.one]
+    base = _poly_mod(field, base, m)
+    while e:
+        if e & 1:
+            result = _mul_mod(field, result, base, m)
+        e >>= 1
+        if e:
+            base = _mul_mod(field, base, base, m)
+    return result
+
+
+def _mul_mod(field: Field, a: list, b: list, m: list) -> list:
+    """a*b mod m for ascending coefficient lists."""
+    out = [field.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return _poly_mod(field, out, m)
 
 
 def _rational_candidates(g: Poly):
@@ -180,17 +240,24 @@ def _trim(field: Field, c: list) -> list:
     return c
 
 
-def _poly_mod(field: Field, a: list, b: list) -> list:
-    """Remainder of a mod b for ascending coefficient lists, b nonzero."""
+def _poly_divmod(field: Field, a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b for ascending coefficient lists, b trimmed and nonzero."""
     r = _trim(field, list(a))
+    quo = [field.zero] * max(len(r) - len(b) + 1, 0)
     inv = field.inv(b[-1])
     while len(r) >= len(b):
         shift = len(r) - len(b)
         q = field.mul(r[-1], inv)
+        quo[shift] = q
         for i, c in enumerate(b):
             r[shift + i] = field.sub(r[shift + i], field.mul(q, c))
         _trim(field, r)
-    return r
+    return quo, r
+
+
+def _poly_mod(field: Field, a: list, b: list) -> list:
+    """Remainder of a mod b for ascending coefficient lists, b trimmed and nonzero."""
+    return _poly_divmod(field, a, b)[1]
 
 
 def _gcd_univ(field: Field, a: list, b: list) -> list:

@@ -169,14 +169,6 @@ def line_bundle_mf(h: HyperellipticData, indices) -> MatrixFactorization:
     return MatrixFactorization(h, degrees, phi, label=label)
 
 
-def _phi_as_graded(m: MatrixFactorization) -> PolyMatrix:
-    g = m.genus
-    degs = m.module.degrees
-    return m.phi.relabel(
-        row_degrees=[a - (g + 1) for a in degs], col_degrees=list(degs)
-    )
-
-
 def tensor_mf(m1: MatrixFactorization, m2: MatrixFactorization) -> MatrixFactorization:
     """Tensor product of bundles, computed as a graded syzygy kernel.
 

@@ -104,17 +104,6 @@ class QuadricPencil:
             field, binary.ST, rows, row_degrees=[0] * self.dim, col_degrees=[1] * self.dim
         )
 
-    def member(self, s_val, t_val):
-        """The scalar matrix s_val*B1 + t_val*B2."""
-        f = self.field
-        return [
-            [
-                f.add(f.mul(f.of(s_val), self.b1[i][j]), f.mul(f.of(t_val), self.b2[i][j]))
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
-
     def discriminant(self) -> Poly:
         """det(s*B1 + t*B2), normalized so its first nonzero coefficient is 1.
 

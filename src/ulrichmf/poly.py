@@ -189,13 +189,19 @@ class Poly:
     def evaluate(self, values: dict):
         """Evaluate at scalars, one per variable name."""
         f = self.field
-        point = [f.of(values[v]) for v in self.vars]
+        powers = []
+        for i, v in enumerate(self.vars):
+            val = f.of(values[v])
+            row = [f.one]
+            for _ in range(max((exp[i] for exp in self.terms), default=0)):
+                row.append(f.mul(row[-1], val))
+            powers.append(row)
         acc = f.zero
         for exp, coeff in self.terms.items():
             term = coeff
-            for val, e in zip(point, exp):
-                for _ in range(e):
-                    term = f.mul(term, val)
+            for row, e in zip(powers, exp):
+                if e:
+                    term = f.mul(term, row[e])
             acc = f.add(acc, term)
         return acc
 

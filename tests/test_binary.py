@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -80,3 +81,99 @@ def test_interpolation_round_trip():
     vals = [binary.evaluate(f, lam, 1) for lam in pts]
     coeffs = binary.interpolate_univariate(f13, pts, vals)
     assert binary.homogenize(f13, coeffs, 3) == f
+
+
+# -- the F_p root finder against a brute-force scan ---------------------------
+
+
+def scan_roots(field, f):
+    """Reference: try every lam in F_p on the dense dehomogenized form."""
+    p = field.p
+    d = f.homogeneous_degree()
+    inf = min(e[1] for e in f.terms)
+    coeffs = [f.coefficient((i, d - i)) for i in range(d - inf + 1)]  # ascending in s
+    found = []
+    for lam in range(p):
+        mult = 0
+        while len(coeffs) > 1:
+            quo = [0] * (len(coeffs) - 1)  # synthetic division by (s - lam)
+            acc = 0
+            for i in range(len(coeffs) - 1, 0, -1):
+                acc = (acc * lam + coeffs[i]) % p
+                quo[i - 1] = acc
+            if (acc * lam + coeffs[0]) % p:
+                break
+            coeffs, mult = quo, mult + 1
+        if mult:
+            found.append((lam, mult))
+    return found, inf, len(coeffs) == 1
+
+
+def planted_form(field, scale, roots_with_mult, inf_mult=0, cofactor=None):
+    f = Poly.const(field, binary.ST, scale) * Poly.variable(field, binary.ST, "t") ** inf_mult
+    for lam, mult in roots_with_mult:
+        f = f * binary.root_factor(field, lam) ** mult
+    return f if cofactor is None else f * cofactor
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_roots_every_product_of_distinct_factors(p):
+    # every nonempty set of points of P^1(F_p); the full set has degree p + 1,
+    # and the sets containing all of F_p make gcd(g, s^p - s) = g itself
+    field = PrimeField(p)
+    points = list(range(p)) + [None]
+    for mask in range(1, 2 ** (p + 1)):
+        chosen = [pt for k, pt in enumerate(points) if mask >> k & 1]
+        finite = [lam for lam in chosen if lam is not None]
+        f = planted_form(field, 2, [(lam, 1) for lam in finite], inf_mult=len(chosen) - len(finite))
+        got = binary.roots(f)
+        assert got == scan_roots(field, f)
+        assert got == ([(lam, 1) for lam in finite], int(None in chosen), True)
+
+
+def test_roots_random_forms_match_scan():
+    field = PrimeField(10009)
+    rng = random.Random(11)
+    kinds = set()
+    for trial in range(24):
+        planted = [(rng.randrange(field.p), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+        cofactor = binary.binary_form(field, [rng.randrange(1, field.p) for _ in range(rng.randint(1, 6))])
+        f = planted_form(field, rng.randrange(1, field.p), planted, rng.randint(0, 2), cofactor)
+        got = binary.roots(f)
+        assert got == scan_roots(field, f), trial
+        for lam, _ in planted:
+            assert lam in [r for r, _ in got[0]]
+        kinds.add(got[2])
+    assert kinds == {True, False}
+
+
+def test_roots_only_at_infinity():
+    for field in (PrimeField(3), PrimeField(10009), PrimeField(2**61 - 1)):
+        for d in (1, 2, 5):
+            f = Poly.from_pairs(field, binary.ST, [((0, d), 7)])
+            assert binary.roots(f) == ([], d, True)
+
+
+def test_roots_past_int64_bound():
+    field = PrimeField(2**61 - 1)
+    rng = random.Random(5)
+    planted = {rng.randrange(field.p): m for m in (1, 2, 3)}
+    planted[0] = 2
+    f = planted_form(field, 3, planted.items(), inf_mult=1)
+    assert binary.roots(f) == (sorted(planted.items()), 1, True)
+    # times an irreducible quadratic s^2 - n t^2, n a non-residue
+    n = next(k for k in range(2, 100) if field.legendre(k) == -1)
+    quad = binary.binary_form(field, [1, 0, field.neg(n)])
+    assert binary.roots(f * quad) == (sorted(planted.items()), 1, False)
+
+
+def test_roots_skip_irreducible_quadratic():
+    # negative control: the quadratic has no root in F_p, so only the linear
+    # factors are found and the form does not split
+    field = PrimeField(10009)
+    n = next(k for k in range(2, 100) if field.legendre(k) == -1)
+    quad = binary.binary_form(field, [1, 0, field.neg(n)])
+    f = planted_form(field, 1, [(3, 1), (77, 2), (10008, 1)], cofactor=quad)
+    got = binary.roots(f)
+    assert got == ([(3, 1), (77, 2), (10008, 1)], 0, False)
+    assert got == scan_roots(field, f)

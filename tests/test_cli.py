@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ulrichmf
 from ulrichmf import cli
 from ulrichmf.fields import PrimeField
 from ulrichmf.poly import Poly
@@ -306,3 +310,29 @@ def test_ulrich_verify_transcript_stable_across_export(tmp_path, capsys):
     code, out2, _ = run(capsys, "ulrich", "verify", round_path, "--seed", "11")
     assert code == 0
     assert out1 == out2
+
+
+def run_subprocess(*argv, timeout=60):
+    """Run the CLI in a fresh interpreter, so a hang fails after the timeout."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ULRICHMF_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ulrichmf.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "ulrichmf", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+def test_ulrich_for_roots_at_large_prime():
+    # p = 2^31 - 1: the root search must not scan F_p
+    proc = run_subprocess(
+        "--field", "2147483647", "--format", "json", "ulrich", "for-roots", "--roots", "1,4,9,16,2,3"
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["verification"]["discriminant_roots"] == ["1", "2", "3", "4", "9", "16"]
+
+
+def test_suite_ulrich_e2e_at_large_prime():
+    proc = run_subprocess("--field", "2147483647", "suite", "ulrich-e2e", "--n", "2", "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -134,3 +135,30 @@ def test_product_helper():
     assert product([s, t, s + t]) == s * t * (s + t)
     one = Poly.const(QQ, ST, 1)
     assert product([], one) == one
+
+
+def evaluate_by_repeated_multiply(f, values):
+    """Reference: one field multiply per unit of exponent."""
+    field = f.field
+    point = [field.of(values[v]) for v in f.vars]
+    acc = field.zero
+    for exp, coeff in f.terms.items():
+        term = coeff
+        for val, e in zip(point, exp):
+            for _ in range(e):
+                term = field.mul(term, val)
+        acc = field.add(acc, term)
+    return acc
+
+
+def test_evaluate_matches_repeated_multiply():
+    rng = random.Random(21)
+    names = ("x", "y", "z")
+    for field in (QQ, PrimeField(10009), PrimeField(2**61 - 1)):
+        for _ in range(30):
+            f = random_poly(rng, field, names, max_deg=7, terms=rng.randint(0, 6))
+            point = {v: rng.randrange(-40, 40) for v in names}
+            if field is QQ:
+                point["y"] = Fraction(rng.randrange(-9, 9), rng.randrange(1, 9))
+            assert f.evaluate(point) == evaluate_by_repeated_multiply(f, point)
+    assert Poly.zero(QQ, ST).evaluate({"s": 2, "t": 3}) == 0
