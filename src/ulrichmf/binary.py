@@ -99,13 +99,13 @@ def roots(f: Poly):
             g, mult = g2, mult + 1
         if mult:
             found.append((lam, mult))
-    found.sort(key=_root_sort_key)
+    found.sort(key=lambda item: root_sort_key(item[0]))
     splits = k + sum(m for _, m in found) == d
     return found, k, splits
 
 
-def _root_sort_key(item):
-    lam = item[0]
+def root_sort_key(lam):
+    """Sort key of a scalar: its integer in F_p, (numerator, denominator) over Q."""
     if isinstance(lam, Fraction):
         return (lam.numerator, lam.denominator)
     return (int(lam), 1)

@@ -67,7 +67,7 @@ def parse_subset(text: str):
 
 
 def parse_values(text: str):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    return [int(v) for v in (text or "").split(",") if v.strip() != ""]
 
 
 def load_json(path: str):
@@ -258,7 +258,8 @@ def cmd_clifford(args, field, seed) -> int:
         emit(args, lines, payload)
         return 0 if report["pass"] else 1
     k0, k1 = (int(v) for v in args.window.split(":"))
-    window = clifford.regular_module_window(h, k0, k1 + 3)
+    # the printed dims and certificates read degrees k0 .. k1 + 1 only
+    window = clifford.regular_module_window(h, k0, k1 + 1)
     result = clifford.bgg_complex(window, k0, k1)
     dims = [window.dim(k) for k in range(k0, k1 + 2)]
     lines = [
@@ -314,6 +315,17 @@ def _candidate_report(cand) -> list[str]:
 
 
 def cmd_ulrich(args, field, seed) -> int:
+    if args.action == "verify":
+        data = load_json(args.file)
+        try:
+            cand = knorrer.UlrichCandidate.from_json(data)
+        except knorrer.UlrichError as exc:
+            emit(args, [f"verification failed: {exc}"], {"pass": False, "error": str(exc)})
+            return 1
+        ok, transcript = knorrer.artinian_hilbert_check(cand, trials=3, seed=seed)
+        lines = _candidate_report(cand) + [f"hilbert: {transcript}", f"pass: {ok}"]
+        emit(args, lines, {"pass": ok, "hilbert": transcript})
+        return 0 if ok else 1
     if args.action == "construct":
         dvals = [field.of(v) for v in parse_values(args.d)]
         lam = knorrer.diagonal_lambda(field, dvals)
@@ -323,39 +335,15 @@ def cmd_ulrich(args, field, seed) -> int:
         if not ok:
             emit(args, ["jacobian check failed: " + note], {"error": note})
             return 1
-        data = cand.to_json()
-        data["seed"] = seed
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(canonical_json(data))
-        emit(args, _candidate_report(cand), data)
-        return 0
-    if args.action == "for-roots":
-        targets = [field.of(v) for v in parse_values(args.roots)]
-        if len(targets) % 2 == 1:
-            n = (len(targets) - 1) // 2
-            cand = knorrer.ulrich_for_roots_odd_ambient(
-                field, targets[: n + 1], targets[n + 1 :], seed=seed
-            )
-        else:
-            cand = knorrer.ulrich_for_roots_even_ambient(field, targets, seed=seed)
-        data = cand.to_json()
-        data["seed"] = seed
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(canonical_json(data))
-        emit(args, _candidate_report(cand), data)
-        return 0
-    data = load_json(args.file)
-    try:
-        cand = knorrer.UlrichCandidate.from_json(data)
-    except knorrer.UlrichError as exc:
-        emit(args, [f"verification failed: {exc}"], {"pass": False, "error": str(exc)})
-        return 1
-    ok, transcript = knorrer.artinian_hilbert_check(cand, trials=3, seed=seed)
-    lines = _candidate_report(cand) + [f"hilbert: {transcript}", f"pass: {ok}"]
-    emit(args, lines, {"pass": ok, "hilbert": transcript})
-    return 0 if ok else 1
+    else:
+        cand = knorrer.ulrich_for_roots(field, parse_values(args.roots), seed=seed)
+    data = cand.to_json()
+    data["seed"] = seed
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(canonical_json(data))
+    emit(args, _candidate_report(cand), data)
+    return 0
 
 
 # -- suites ----------------------------------------------------------------------
@@ -482,13 +470,7 @@ def run_suite(name: str, field, seed: int, params: dict):
             roots = _random_targets(field, rng, 2 * n + 1)
         targets = [field.of(v) for v in roots]
         try:
-            if len(targets) % 2 == 1:
-                k = (len(targets) - 1) // 2
-                cand = knorrer.ulrich_for_roots_odd_ambient(
-                    field, targets[: k + 1], targets[k + 1 :], seed=seed
-                )
-            else:
-                cand = knorrer.ulrich_for_roots_even_ambient(field, targets, seed=seed)
+            cand = knorrer.ulrich_for_roots(field, targets, seed=seed)
         except (knorrer.UlrichError, NotASquare, PencilError) as exc:
             record("pipeline", False, str(exc))
         else:

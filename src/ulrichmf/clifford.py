@@ -402,6 +402,11 @@ def bgg_complex(window: CliffordModuleWindow, k_lo: int, k_hi: int) -> dict:
     and verifies D_{k+1} D_k = q1 * T1 + q2 * T2 exactly wherever both
     factors fit in the window.  Raises CliffordError when the module's
     action matrices violate the Clifford relations.
+
+    A window on degrees k_lo .. k_hi + 1 is enough: D_k reads the e_i
+    actions N_k -> N_{k+1}, and the certificate at degree k < k_hi reads
+    D_k, D_{k+1} and T1, T2 on N_k.  On that window verify_relations checks
+    degrees k_lo .. k_hi - 1, every relation those certificates rely on.
     """
     window.verify_relations()
     h = window.h

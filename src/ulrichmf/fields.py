@@ -10,6 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 DEFAULT_PRIME = 10009  # smallest 5-digit prime congruent to 1 mod 4
+# Miller-Rabin on the primes up to 41 is proven deterministic below
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017);
+# psi_13 itself is a composite that passes every one of those bases
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
 
 
 class FieldError(ValueError):
@@ -71,6 +76,11 @@ class PrimeField(Field):
     """F_p for an odd prime p.  Scalars are ints reduced into [0, p)."""
 
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise FieldError(
+                f"field characteristic {p} is too large: primality is proven "
+                f"only for p < {PRIME_BOUND}"
+            )
         if p < 3 or p % 2 == 0 or not _is_prime(p):
             raise FieldError(f"field characteristic must be an odd prime, got {p}")
         self.p = p
@@ -222,15 +232,15 @@ def field_from_name(name) -> Field:
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in MR_BASES:
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin for 64-bit range
+    # deterministic for n < PRIME_BOUND
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

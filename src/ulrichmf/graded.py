@@ -81,28 +81,46 @@ def coords_to_vector(field: Field, coords, basis, ncomponents: int, variables):
     return vec
 
 
+def multiples_coords(field: Field, gens, target_degrees, d: int, nvars: int = 2):
+    """Coordinate rows of every degree-d multiple x^m * g of the generators.
+
+    ``gens`` holds (degree, vector) pairs, each vector a list of Polys with
+    entry j homogeneous of degree e_g - a_j (or zero).  Rows come generator
+    by generator, monomials in :func:`monomials` order, in the basis
+    ``degree_basis(target_degrees, d, nvars)``.  Exponents are shifted and
+    looked up; no Poly is built or multiplied.
+    """
+    basis = degree_basis(target_degrees, d, nvars)
+    index = {key: i for i, key in enumerate(basis)}
+    zero = field.zero
+    out = []
+    for e_g, vec in gens:
+        for mono in monomials(nvars, d - e_g):
+            coords = [zero] * len(basis)
+            for j, p in enumerate(vec):
+                for exp, c in p.terms.items():
+                    i = index.get((j, tuple(a + b for a, b in zip(exp, mono))))
+                    if i is None:
+                        raise GradedError(f"entry {j} has a term of the wrong degree")
+                    coords[i] = c
+            out.append(coords)
+    return out
+
+
 def degree_map_matrix(m: PolyMatrix, d: int):
     """Scalar matrix of the degree-d piece of a homogeneous map.
 
     Returns (rows, src_basis, tgt_basis); rows are indexed by tgt_basis and
-    columns by src_basis.  Entry coefficients are read off directly: the
-    coefficient of x^e_t in entry * x^e_s is the entry's coefficient at
-    e_t - e_s.
+    columns by src_basis.  Column (j, x^e) holds the coordinates of x^e times
+    column j of m, so the matrix is the transpose of the multiples of m's
+    columns.
     """
     nvars = len(m.vars)
     src = degree_basis(m.col_degrees, d, nvars)
     tgt = degree_basis(m.row_degrees, d, nvars)
-    field = m.field
-    rows = []
-    for i_t, exp_t in tgt:
-        row = []
-        for j_s, exp_s in src:
-            diff = tuple(a - b for a, b in zip(exp_t, exp_s))
-            if any(x < 0 for x in diff):
-                row.append(field.zero)
-            else:
-                row.append(m.entry(i_t, j_s).coefficient(diff))
-        rows.append(row)
+    gens = [(c, m.column(j)) for j, c in enumerate(m.col_degrees)]
+    cols = multiples_coords(m.field, gens, m.row_degrees, d, nvars)
+    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in tgt]
     return rows, src, tgt
 
 
@@ -211,11 +229,8 @@ def graded_kernel(m: PolyMatrix, degree_cap: int | None = None) -> PolyMatrix:
             continue
         ker_basis = linalg.nullspace(field, rows, len(src))
         span = IncrementalEchelon(field, len(src))
-        for e_g, gvec in gens:
-            for mono in monomials(nvars, d - e_g):
-                mono_poly = Poly(field, m.vars, {mono: field.one})
-                shifted = [p * mono_poly for p in gvec]
-                span.add(vector_coords(field, shifted, m.col_degrees, d, src, nvars))
+        for row in multiples_coords(field, gens, m.col_degrees, d, nvars):
+            span.add(row)
         if len(gens) < kappa:
             for vec in ker_basis:
                 if span.add(vec):
@@ -283,22 +298,19 @@ def express_in_module(
     when the element is not in the span.
     """
     basis = degree_basis(module_degrees, target_degree, nvars)
-    columns = []
-    unknown_slots = []
-    for g, (e_g, vec) in enumerate(zip(gen_degrees, gen_vectors)):
-        for mono in monomials(nvars, target_degree - e_g):
-            mono_poly = Poly(field, variables, {mono: field.one})
-            shifted = [p * mono_poly for p in vec]
-            columns.append(
-                vector_coords(field, shifted, module_degrees, target_degree, basis, nvars)
-            )
-            unknown_slots.append((g, mono))
+    gens = list(zip(gen_degrees, gen_vectors))
+    columns = multiples_coords(field, gens, module_degrees, target_degree, nvars)
+    unknown_slots = [
+        (g, mono)
+        for g, (e_g, _) in enumerate(gens)
+        for mono in monomials(nvars, target_degree - e_g)
+    ]
     rhs = vector_coords(field, target_vec, module_degrees, target_degree, basis, nvars)
     if not columns:
         return None if any(not field.is_zero(c) for c in rhs) else [
             Poly.zero(field, variables) for _ in gen_vectors
         ]
-    rows = [[col[i] for col in columns] for i in range(len(basis))]
+    rows = [list(row) for row in zip(*columns)]
     solution = linalg.solve(field, rows, rhs, len(columns))
     if solution is None:
         return None
@@ -332,18 +344,9 @@ def graded_quotient_dims(field: Field, variables, generators, degrees, rank: int
         gens.append((degs.pop(), vec))
     out = []
     for d in degrees:
-        mono_list = monomials(nvars, d)
-        index = {exp: i for i, exp in enumerate(mono_list)}
-        width = rank * len(mono_list)
+        width = rank * dim_poly_ring(nvars, d)
         ech = IncrementalEchelon(field, width)
-        for e_g, vec in gens:
-            for mono in monomials(nvars, d - e_g):
-                mono_poly = Poly(field, variables, {mono: field.one})
-                coords = [field.zero] * width
-                for comp, p in enumerate(vec):
-                    shifted = p * mono_poly
-                    for exp, c in shifted.terms.items():
-                        coords[comp * len(mono_list) + index[exp]] = c
-                ech.add(coords)
-        out.append(rank * dim_poly_ring(nvars, d) - ech.rank)
+        for row in multiples_coords(field, gens, [0] * rank, d, nvars):
+            ech.add(row)
+        out.append(width - ech.rank)
     return out

@@ -586,6 +586,19 @@ def restriction_images(field, b, z_names=None):
     return images, z_names
 
 
+def ulrich_for_roots(field, targets, seed: int = 0) -> UlrichCandidate:
+    """Ulrich candidate whose pencil has exactly the given discriminant roots.
+
+    2n+1 targets run the odd-ambient pipeline with the first n+1 as chart
+    roots (they must be squares); an even number runs the even-ambient one.
+    """
+    targets = [field.of(v) for v in targets]
+    if len(targets) % 2 == 1:
+        n = (len(targets) - 1) // 2
+        return ulrich_for_roots_odd_ambient(field, targets[: n + 1], targets[n + 1 :], seed=seed)
+    return ulrich_for_roots_even_ambient(field, targets, seed=seed)
+
+
 def ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed: int = 0) -> UlrichCandidate:
     """Ulrich candidate on a 2n-dimensional projective space with chosen roots.
 
@@ -629,8 +642,10 @@ def _verify_restricted(candidate: UlrichCandidate, targets, seed) -> None:
     p = candidate.pencil()
     disc = p.discriminant()
     found, inf_mult, splits = binary.roots(disc)
-    root_multiset = sorted((lam for lam, mult in found for _ in range(mult)), key=_skey)
-    want = sorted((field.of(t) for t in targets), key=_skey)
+    root_multiset = sorted(
+        (lam for lam, mult in found for _ in range(mult)), key=binary.root_sort_key
+    )
+    want = sorted((field.of(t) for t in targets), key=binary.root_sort_key)
     if inf_mult or not splits or root_multiset != want:
         raise UlrichError(
             f"discriminant roots {root_multiset} differ from targets {want}"
@@ -649,14 +664,6 @@ def _verify_restricted(candidate: UlrichCandidate, targets, seed) -> None:
             "seed": seed,
         }
     )
-
-
-def _skey(v):
-    from fractions import Fraction
-
-    if isinstance(v, Fraction):
-        return (v.numerator, v.denominator)
-    return (int(v), 1)
 
 
 def fresh_root_for(field, targets, needed_squares: int):

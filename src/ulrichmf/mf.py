@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from . import graded
+from . import graded, linalg
 from .binary import ST, check_binary
 from .fields import Field
 from .pencil import HyperellipticData
@@ -287,6 +287,9 @@ def cohomology_table(m: MatrixFactorization, n0: int, n1: int) -> CohomologyTabl
 def hom_space(m1: MatrixFactorization, m2: MatrixFactorization, twist: int = 0):
     """Basis of degree-``twist`` maps T: B1 -> B2(twist) with T phi1 = phi2 T.
 
+    vec(T) -> vec(T phi1 - phi2 T) is the graded matrix
+    1 (x) phi1^T - phi2 (x) 1, from degrees b_i - a_j to b_i - a_j - (g+1);
+    Hom is the kernel of its degree-``twist`` piece.
     Returns (dimension, list of PolyMatrix witnesses).
     """
     if m1.h.f != m2.h.f:
@@ -296,61 +299,33 @@ def hom_space(m1: MatrixFactorization, m2: MatrixFactorization, twist: int = 0):
     a = m1.module.degrees
     b = m2.module.degrees
     n1, n2 = len(a), len(b)
-    slots = []
-    slot_index = {}
-    for i in range(n2):
-        for j in range(n1):
-            d = a[j] - b[i] + twist
-            for mono in graded.monomials(2, d):
-                slot_index[(i, j, mono)] = len(slots)
-                slots.append((i, j, mono))
+    zero = Poly.zero(field, ST)
+    slot_degrees = [bi - aj for bi in b for aj in a]
+    # row (i, j), column (k, l): the coefficient of T[k][l] in (T phi1 - phi2 T)[i][j]
+    equations = PolyMatrix(
+        field,
+        ST,
+        [
+            [
+                (m1.phi.entry(l, j) if k == i else zero) - (m2.phi.entry(i, k) if l == j else zero)
+                for k in range(n2)
+                for l in range(n1)
+            ]
+            for i in range(n2)
+            for j in range(n1)
+        ],
+        row_degrees=[c - (g + 1) for c in slot_degrees],
+        col_degrees=slot_degrees,
+    )
+    rows, slots, _ = graded.degree_map_matrix(equations, twist)
     if not slots:
         return 0, []
-    equations = {}
-
-    def accumulate(i, j, factor: Poly, ti, tj, sign):
-        # contribution of factor * T[ti][tj] to result entry (i, j)
-        d_t = a[tj] - b[ti] + twist
-        for mono in graded.monomials(2, d_t):
-            col = slot_index[(ti, tj, mono)]
-            for exp, c in factor.terms.items():
-                key = (i, j, tuple(x + y for x, y in zip(exp, mono)))
-                row = equations.setdefault(key, {})
-                val = field.add(row.get(col, field.zero), c if sign > 0 else field.neg(c))
-                if field.is_zero(val):
-                    row.pop(col, None)
-                else:
-                    row[col] = val
-
-    for i in range(n2):
-        for j in range(n1):
-            # (T phi1)[i][j] = sum_k T[i][k] phi1[k][j]
-            for k in range(n1):
-                p = m1.phi.entry(k, j)
-                if not p.is_zero():
-                    accumulate(i, j, p, i, k, +1)
-            # (phi2 T)[i][j] = sum_k phi2[i][k] T[k][j]
-            for k in range(n2):
-                q = m2.phi.entry(i, k)
-                if not q.is_zero():
-                    accumulate(i, j, q, k, j, -1)
-    rows = []
-    for key in sorted(equations):
-        row = equations[key]
-        rows.append([row.get(c, field.zero) for c in range(len(slots))])
-    from . import linalg
-
-    basis = linalg.nullspace(field, rows, len(slots)) if rows else [
-        [field.one if i == k else field.zero for i in range(len(slots))]
-        for k in range(len(slots))
-    ]
     witnesses = []
-    for vec in basis:
-        entries = [
-            [Poly.zero(field, ST) for _ in range(n1)] for _ in range(n2)
-        ]
-        for (i, j, mono), c in zip(slots, vec):
+    for vec in linalg.nullspace(field, rows, len(slots)):
+        entries = [[Poly.zero(field, ST) for _ in range(n1)] for _ in range(n2)]
+        for (k, mono), c in zip(slots, vec):
             if not field.is_zero(c):
+                i, j = divmod(k, n1)
                 entries[i][j] = entries[i][j] + Poly(field, ST, {mono: c})
         witnesses.append(PolyMatrix(field, ST, entries))
     return len(witnesses), witnesses

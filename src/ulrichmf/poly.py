@@ -169,8 +169,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -224,12 +225,18 @@ class Poly:
                 imgs.append(img)
             else:
                 imgs.append(Poly.variable(f, target_vars, v))
+        powers = []
+        for i, img in enumerate(imgs):
+            row = [None, img]  # row[e] = img**e for e >= 1
+            for _ in range(max((exp[i] for exp in self.terms), default=0) - 1):
+                row.append(row[-1] * img)
+            powers.append(row)
         acc = Poly.zero(f, target_vars)
         for exp, coeff in self.terms.items():
             term = Poly.const(f, target_vars, coeff)
-            for img, e in zip(imgs, exp):
+            for row, e in zip(powers, exp):
                 if e:
-                    term = term * img**e
+                    term = term * row[e]
             acc = acc + term
         return acc
 

@@ -212,6 +212,12 @@ def test_bad_subset_exits_2(capsys):
     assert code == 2
 
 
+def test_ulrich_for_roots_without_roots_exits_2(capsys):
+    code, out, err = run(capsys, "ulrich", "for-roots")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_grouplaw_suite_g1(capsys):
     code, out, _ = run(capsys, "suite", "grouplaw", "--g", "1")
     assert code == 0
@@ -336,3 +342,33 @@ def test_suite_ulrich_e2e_at_large_prime():
     proc = run_subprocess("--field", "2147483647", "suite", "ulrich-e2e", "--n", "2", "--seed", "3")
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        # the printed phi comes from graded_kernel and express_in_module
+        ("mf_tensor_g2", ["mf", "tensor", "--g", "2", "--i", "1,2", "--j", "2,3"]),
+        ("mf_cohomology_g2", ["mf", "cohomology", "--g", "2", "--i", "1,2", "--range", "0:3"]),
+        ("mf_grouplaw_g2_q",
+         ["--field", "Q", "mf", "grouplaw", "--g", "2", "--i", "1,2", "--j", "2,3,4"]),
+    ],
+)
+def test_mf_json_matches_golden(capsys, name, argv):
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert code == 0 and err == ""
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("modulus", ["318665857834031151167461", "3317044064679887385961981"])
+def test_composite_past_miller_rabin_bound_exits_2(capsys, modulus):
+    # psi_12 = 399165290221 * 798330580441 passed the old bases 2..37
+    code, out, err = run(
+        capsys, "--field", modulus, "mf", "grouplaw", "--g", "1", "--i", "1", "--j", "2"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

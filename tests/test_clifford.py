@@ -320,3 +320,22 @@ def test_mat_mul_scalar_int64_boundary():
     small = clifford._mat_mul_scalar(F, top, top)
     assert small.dtype == np.int64
     assert small.tolist() == naive_product(F, top, top)
+
+
+@pytest.mark.parametrize("k0, k1", [(0, 2), (1, 3)])
+def test_bgg_window_to_k1_plus_one(k0, k1):
+    # the CLI builds degrees k0 .. k1 + 1 only: the same output as a wider window
+    small = clifford.bgg_complex(clifford.regular_module_window(H1, k0, k1 + 1), k0, k1)
+    wide = clifford.bgg_complex(clifford.regular_module_window(H1, k0, k1 + 3), k0, k1)
+    assert small["certificates"] == wide["certificates"]
+    assert all(small["certificates"].values()) and len(small["certificates"]) == k1 - k0
+    assert small["matrices"] == wide["matrices"]
+    # a one-entry break of any e_i action at degree k1 - 1 is still caught, at
+    # the lowest checked degree whose relations read it
+    for i in range(1, H1.nbranch + 1):
+        window = clifford.regular_module_window(H1, k0, k1 + 1)
+        mat = [row[:] for row in window.e_action[(i, k1 - 1)]]
+        mat[0][0] = F.add(mat[0][0], F.one)
+        window.e_action[(i, k1 - 1)] = mat
+        with pytest.raises(clifford.CliffordError, match=f"at degree {max(k0, k1 - 2)}$"):
+            clifford.bgg_complex(window, k0, k1)

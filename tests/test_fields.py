@@ -75,3 +75,24 @@ def test_field_from_name():
     assert field_from_name("Q") == QQ
     assert field_from_name("10009") == PrimeField(10009)
     assert field_from_name(PrimeField(7)) == PrimeField(7)
+
+
+def test_prime_field_rejects_strong_pseudoprimes():
+    psi12 = 318665857834031151167461
+    psi13 = 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441
+    assert psi13 % 1287836182261 == 0
+    with pytest.raises(FieldError, match="odd prime"):
+        PrimeField(psi12)
+    with pytest.raises(FieldError, match=f"p < {psi13}"):
+        PrimeField(psi13)
+    with pytest.raises(FieldError, match=f"p < {psi13}"):
+        PrimeField(psi13 + 2)
+
+
+def test_prime_field_accepts_kernel_test_primes():
+    from test_modp import PRIMES
+
+    assert max(PRIMES) == 2**64 + 13
+    for p in PRIMES:
+        assert PrimeField(p).p == p

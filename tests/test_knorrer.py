@@ -197,6 +197,19 @@ def test_odd_ambient_pipeline_known_roots():
     assert "pass" in cand.verification["hilbert"]
 
 
+def test_ulrich_for_roots_dispatches_on_parity():
+    odd = knorrer.ulrich_for_roots(F, [1, 4, 9, 2, 3], seed=7)
+    assert odd.to_json() == knorrer.ulrich_for_roots_odd_ambient(
+        F, [1, 4, 9], [2, 3], seed=7
+    ).to_json()
+    even = knorrer.ulrich_for_roots(F, [1, 4, 2, 3], seed=11)
+    assert even.to_json() == knorrer.ulrich_for_roots_even_ambient(
+        F, [1, 4, 2, 3], seed=11
+    ).to_json()
+    with pytest.raises(knorrer.UlrichError, match="at least 4 targets"):
+        knorrer.ulrich_for_roots(F, [1, 4], seed=0)
+
+
 def test_odd_ambient_rejects_non_squares():
     # 5 is not a square mod 10007 (10007 = 2 mod 5)
     field = PrimeField(10007)

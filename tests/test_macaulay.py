@@ -1,0 +1,199 @@
+"""The one Macaulay-matrix builder, `graded.multiples_coords`, against the
+per-entry and equation-dictionary builders it replaced, kept here as
+independent references."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ulrichmf import binary, graded, linalg, mf
+from ulrichmf.fields import QQ, PrimeField
+from ulrichmf.pencil import HyperellipticData
+from ulrichmf.poly import Poly
+from ulrichmf.polymatrix import PolyMatrix
+
+ST = binary.ST
+FIELDS = [PrimeField(10009), QQ]
+
+
+def ref_degree_map_matrix(m, d):
+    """Reference: entry (t, s) is the coefficient of m's entry at e_t - e_s."""
+    nvars = len(m.vars)
+    src = graded.degree_basis(m.col_degrees, d, nvars)
+    tgt = graded.degree_basis(m.row_degrees, d, nvars)
+    rows = []
+    for i_t, exp_t in tgt:
+        row = []
+        for j_s, exp_s in src:
+            diff = tuple(a - b for a, b in zip(exp_t, exp_s))
+            if any(x < 0 for x in diff):
+                row.append(m.field.zero)
+            else:
+                row.append(m.entry(i_t, j_s).coefficient(diff))
+        rows.append(row)
+    return rows, src, tgt
+
+
+def ref_hom_space(m1, m2, twist=0):
+    """Reference: one equation per (i, j, monomial) of T phi1 - phi2 T."""
+    field = m1.field
+    a = m1.module.degrees
+    b = m2.module.degrees
+    n1, n2 = len(a), len(b)
+    slots = []
+    slot_index = {}
+    for i in range(n2):
+        for j in range(n1):
+            for mono in graded.monomials(2, a[j] - b[i] + twist):
+                slot_index[(i, j, mono)] = len(slots)
+                slots.append((i, j, mono))
+    if not slots:
+        return 0, []
+    equations = {}
+
+    def accumulate(i, j, factor, ti, tj, sign):
+        for mono in graded.monomials(2, a[tj] - b[ti] + twist):
+            col = slot_index[(ti, tj, mono)]
+            for exp, c in factor.terms.items():
+                key = (i, j, tuple(x + y for x, y in zip(exp, mono)))
+                row = equations.setdefault(key, {})
+                val = field.add(row.get(col, field.zero), c if sign > 0 else field.neg(c))
+                if field.is_zero(val):
+                    row.pop(col, None)
+                else:
+                    row[col] = val
+
+    for i in range(n2):
+        for j in range(n1):
+            for k in range(n1):
+                if not m1.phi.entry(k, j).is_zero():
+                    accumulate(i, j, m1.phi.entry(k, j), i, k, +1)
+            for k in range(n2):
+                if not m2.phi.entry(i, k).is_zero():
+                    accumulate(i, j, m2.phi.entry(i, k), k, j, -1)
+    rows = [[equations[key].get(c, field.zero) for c in range(len(slots))]
+            for key in sorted(equations)]
+    basis = linalg.nullspace(field, rows, len(slots)) if rows else [
+        [field.one if i == k else field.zero for i in range(len(slots))]
+        for k in range(len(slots))
+    ]
+    witnesses = []
+    for vec in basis:
+        entries = [[Poly.zero(field, ST) for _ in range(n1)] for _ in range(n2)]
+        for (i, j, mono), c in zip(slots, vec):
+            if not field.is_zero(c):
+                entries[i][j] = entries[i][j] + Poly(field, ST, {mono: c})
+        witnesses.append(PolyMatrix(field, ST, entries))
+    return len(witnesses), witnesses
+
+
+def random_scalar(rng, field):
+    if field is QQ:
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+    return rng.randrange(field.p)
+
+
+def random_form(rng, field, variables, degree):
+    """A homogeneous form of the given degree, zero a third of the time."""
+    if degree < 0 or rng.random() < 0.3:
+        return Poly.zero(field, variables)
+    pairs = [(exp, random_scalar(rng, field))
+             for exp in graded.monomials(len(variables), degree) if rng.random() < 0.7]
+    return Poly.from_pairs(field, variables, pairs)
+
+
+def random_graded_matrix(rng, field, variables):
+    row_deg = [rng.randrange(-2, 2) for _ in range(rng.randrange(1, 4))]
+    col_deg = [rng.randrange(-1, 3) for _ in range(rng.randrange(0, 4))]
+    rows = [[random_form(rng, field, variables, c - r) for c in col_deg] for r in row_deg]
+    return PolyMatrix(field, variables, rows, row_degrees=row_deg, col_degrees=col_deg)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_degree_map_matrix_matches_per_entry_reference(field):
+    rng = random.Random(11)
+    seen_empty_src = seen_empty_tgt = 0
+    for variables in (ST, ("x", "y", "z")):
+        for _ in range(40):
+            m = random_graded_matrix(rng, field, variables)
+            for d in range(-3, 5):
+                got = graded.degree_map_matrix(m, d)
+                assert got == ref_degree_map_matrix(m, d)
+                seen_empty_src += not got[1]
+                seen_empty_tgt += not got[2]
+    assert seen_empty_src and seen_empty_tgt
+
+
+def test_degree_map_matrix_empty_bases():
+    field = PrimeField(10009)
+    s = Poly.variable(field, ST, "s")
+    m = PolyMatrix(field, ST, [[s]], row_degrees=[0], col_degrees=[1])
+    assert graded.degree_map_matrix(m, 0) == ([[]], [], [(0, (0, 0))])
+    assert graded.degree_map_matrix(m, -1) == ([], [], [])
+    t_and_s = [(0, (0, 1)), (0, (1, 0))]
+    assert graded.degree_map_matrix(m, 1) == ([[0], [1]], [(0, (0, 0))], t_and_s)
+    no_cols = PolyMatrix(field, ST, [[]], row_degrees=[0], col_degrees=[])
+    assert graded.degree_map_matrix(no_cols, 1) == ([[], []], [], t_and_s)
+
+
+def test_multiples_coords_matches_multiply_then_read():
+    rng = random.Random(3)
+    for field in FIELDS:
+        for _ in range(20):
+            targets = [rng.randrange(-1, 2) for _ in range(rng.randrange(1, 4))]
+            gens = []
+            for _ in range(rng.randrange(0, 4)):
+                e = rng.randrange(-1, 3)
+                gens.append((e, [random_form(rng, field, ST, e - a) for a in targets]))
+            for d in range(-2, 5):
+                basis = graded.degree_basis(targets, d)
+                want = []
+                for e, vec in gens:
+                    for mono in graded.monomials(2, d - e):
+                        x = Poly(field, ST, {mono: field.one})
+                        want.append(graded.vector_coords(
+                            field, [p * x for p in vec], targets, d, basis))
+                assert graded.multiples_coords(field, gens, targets, d, 2) == want
+
+
+def test_multiples_coords_rejects_wrong_degree_term():
+    field = PrimeField(10009)
+    s = Poly.variable(field, ST, "s")
+    t = Poly.variable(field, ST, "t")
+    # entry 1 should have degree 1 - 0 = 1; s*t lands in degree 3 at d = 2
+    gens = [(1, [s, s * t])]
+    assert graded.multiples_coords(field, [(1, [s, t])], [0, 0], 2, 2)
+    with pytest.raises(graded.GradedError, match="entry 1 has a term of the wrong degree"):
+        graded.multiples_coords(field, gens, [0, 0], 2, 2)
+    inhomogeneous = PolyMatrix(field, ST, [[s + s * t]], row_degrees=[0], col_degrees=[1])
+    with pytest.raises(graded.GradedError):
+        graded.degree_map_matrix(inhomogeneous, 1)
+
+
+def random_curve(rng, field, genus):
+    roots = rng.sample(range(1, 60), 2 * genus + 2)
+    return HyperellipticData.from_factors(
+        field, [binary.root_factor(field, field.of(r)) for r in roots]
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_hom_space_matches_equation_reference(field):
+    rng = random.Random(17)
+    nonzero = 0
+    for genus in (1, 2):
+        h = random_curve(rng, field, genus)
+        classes = mf.canonical_classes(h)
+        bundles = [mf.line_bundle_mf(h, k) for k in rng.sample(classes, 4)]
+        bundles.append(mf.tensor_mf(bundles[0], bundles[1]))
+        bundles.append(bundles[2].twist_h(rng.choice((-1, 1))))
+        for _ in range(12):
+            m1, m2 = rng.choice(bundles), rng.choice(bundles)
+            twist = rng.randrange(-2, 3)
+            dim, basis = mf.hom_space(m1, m2, twist)
+            want_dim, want_basis = ref_hom_space(m1, m2, twist)
+            assert dim == want_dim
+            assert [t.to_json() for t in basis] == [t.to_json() for t in want_basis]
+            nonzero += dim > 0
+    assert nonzero

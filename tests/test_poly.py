@@ -162,3 +162,46 @@ def test_evaluate_matches_repeated_multiply():
                 point["y"] = Fraction(rng.randrange(-9, 9), rng.randrange(1, 9))
             assert f.evaluate(point) == evaluate_by_repeated_multiply(f, point)
     assert Poly.zero(QQ, ST).evaluate({"s": 2, "t": 3}) == 0
+
+
+def substitute_by_repeated_multiply(f, images, target_vars):
+    """Reference: the image of every term rebuilt by repeated multiplication."""
+    field = f.field
+    acc = Poly.zero(field, target_vars)
+    for exp, coeff in f.terms.items():
+        term = Poly.const(field, target_vars, coeff)
+        for v, e in zip(f.vars, exp):
+            for _ in range(e):
+                term = term * images[v]
+        acc = acc + term
+    return acc
+
+
+def test_pow_and_substitute_match_repeated_multiply(monkeypatch):
+    rng = random.Random(5)
+    xyz = ("x", "y", "z")
+    for field in (QQ, PrimeField(10009)):
+        s, t = st_gens(field)
+        for _ in range(20):
+            f = random_poly(rng, field, xyz, max_deg=5, terms=rng.randint(0, 6))
+            images = {v: random_poly(rng, field, ST, max_deg=2, terms=3) for v in xyz}
+            want = substitute_by_repeated_multiply(f, images, ST)
+            assert f.substitute(images) == want
+            base = images["x"]
+            n = rng.randrange(0, 9)
+            power = Poly.const(field, ST, 1)
+            for _ in range(n):
+                power = power * base
+            assert base**n == power
+        # unmapped variables keep their name
+        u = Poly.variable(field, ("s", "t"), "s")
+        assert (u**3).substitute({"t": s + t}) == s * s * s
+    # a power costs one product per set bit plus one squaring per further bit
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    s, _ = st_gens(QQ)
+    for n, products in ((0, 0), (1, 1), (2, 2), (3, 3), (8, 4), (13, 6)):
+        calls.clear()
+        s**n
+        assert len(calls) == products, n
