@@ -90,6 +90,11 @@ def curve_from_args(field, args) -> HyperellipticData:
 
 
 def pencil_from_descriptor(field, data) -> QuadricPencil:
+    if not isinstance(data, dict):
+        raise ValueError(f"pencil descriptor must be a JSON object, not {type(data).__name__}")
+    for key in ("vars", "q1", "q2"):
+        if key not in data:
+            raise ValueError(f"pencil descriptor has no {key!r} key")
     r = int(data["vars"])
     names = tuple(f"x{i}" for i in range(r))
     q1 = Poly.from_json(field, names, data["q1"])
@@ -258,6 +263,8 @@ def cmd_clifford(args, field, seed) -> int:
         emit(args, lines, payload)
         return 0 if report["pass"] else 1
     k0, k1 = (int(v) for v in args.window.split(":"))
+    if k0 > k1:
+        raise ValueError(f"--window k0:k1 needs k0 <= k1, got {args.window}")
     # the printed dims and certificates read degrees k0 .. k1 + 1 only
     window = clifford.regular_module_window(h, k0, k1 + 1)
     result = clifford.bgg_complex(window, k0, k1)
@@ -316,6 +323,8 @@ def _candidate_report(cand) -> list[str]:
 
 def cmd_ulrich(args, field, seed) -> int:
     if args.action == "verify":
+        if args.file is None:
+            raise ValueError("ulrich verify needs a candidate JSON file")
         data = load_json(args.file)
         try:
             cand = knorrer.UlrichCandidate.from_json(data)

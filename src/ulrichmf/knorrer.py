@@ -9,8 +9,9 @@ the Artinian Hilbert-function certificate of the Ulrich property.
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
 discriminant roots are exactly the requested targets.  The ambient diagonal
 construction needs square roots d_i with d_i^2 = a_i for the targets fed to
-the x_i y_i blocks.  ``restricted_hessian`` and ``solve_b_for_roots`` work
-with factors (s + a), so the pipeline hands them negated values.
+the x_i y_i blocks.  ``solve_b_for_roots`` works with factors (s + a), so the
+pipeline hands it negated values; ``restricted_hessian``, with the same
+convention, is a derivation check that only the tests run.
 """
 
 from __future__ import annotations
@@ -73,13 +74,11 @@ def mixed_identity_check(field: Field, n: int) -> bool:
         + [f"v{i}" for i in range(n + 1)]
         + [f"w{i}" for i in range(n + 1)]
     )
-    lift = {v: Poly.variable(field, names, v) for v in xy_variables(n)}
-    to_vw = {
-        f"x{i}": Poly.variable(field, names, f"v{i}") for i in range(n + 1)
-    }
-    to_vw.update(
-        {f"y{i}": Poly.variable(field, names, f"w{i}") for i in range(n + 1)}
-    )
+    # (x|y) -> (x|y) and (x|y) -> (v|w) in the ring of all four blocks
+    xy = xy_variables(n)
+    eye = [[int(i == k) for k in range(len(names))] for i in range(len(names))]
+    lift = _linear_images(field, eye[: len(xy)], xy, names)
+    to_vw = _linear_images(field, eye[len(xy) :], xy, names)
     a_xy = phi.substitute(lift, names)
     b_xy = psi.substitute(lift, names)
     a_vw = phi.substitute(to_vw, names)
@@ -117,16 +116,13 @@ def g_lambda(field: Field, lam) -> list:
         raise UlrichError("skew matrix must have even size 2(n+1)")
     half = size // 2
     g = [list(lam[half + i]) if i < half else list(lam[i - half]) for i in range(size)]
-    n = half - 1
-    names = xy_variables(n)
-    zvars = [Poly.variable(field, names, v) for v in names]
-    yx = zvars[half:] + zvars[:half]
+    names = xy_variables(half - 1)
+    # ell_k, the k-th entry of (x|y) G, has row k of G^T as coefficients
+    ells = _linear_images(field, list(zip(*g)), names, names)
+    yx = names[half:] + names[:half]
     acc = Poly.zero(field, names)
-    for k in range(size):
-        ell_k = Poly.zero(field, names)
-        for j in range(size):
-            ell_k = ell_k + zvars[j].scale(g[j][k])
-        acc = acc + ell_k * yx[k]
+    for ell, v in zip(ells.values(), yx):
+        acc = acc + ell * Poly.variable(field, names, v)
     if not acc.is_zero():
         raise UlrichError("isotropy certificate failed: (x|y)G(y|x) != 0")
     return g
@@ -143,16 +139,18 @@ def diagonal_lambda(field: Field, dvals) -> list:
     return lam
 
 
-def _substitution_images(field, g, names):
-    """Images of the variables under (x|y) -> (x|y) G, in the same ring."""
-    zvars = [Poly.variable(field, names, v) for v in names]
-    images = {}
-    for k, v in enumerate(names):
-        acc = Poly.zero(field, names)
-        for j in range(len(names)):
-            acc = acc + zvars[j].scale(g[j][k])
-        images[v] = acc
-    return images
+def _linear_images(field, m, variables, new_variables) -> dict:
+    """Images of the variables under the linear change of variables x = M z.
+
+    Row j of the scalar matrix M holds the coefficients of the image of
+    variables[j] in new_variables: x_j -> sum_k M[j][k] z_k.
+    """
+    width = len(new_variables)
+    units = [tuple(int(i == k) for i in range(width)) for k in range(width)]
+    return {
+        v: Poly.from_pairs(field, new_variables, zip(units, row, strict=True))
+        for v, row in zip(variables, m, strict=True)
+    }
 
 
 class UlrichCandidate:
@@ -260,11 +258,18 @@ class UlrichCandidate:
     def from_json(data: dict) -> "UlrichCandidate":
         from .fields import field_from_name
 
+        # a plain ValueError: malformed input is not a failed verification
+        if not isinstance(data, dict):
+            raise ValueError(f"candidate must be a JSON object, not {type(data).__name__}")
+        for key in ("field", "variables", "n", "q1", "q2", "presentation", "second_map",
+                    "cert_q1", "cert_q2"):
+            if key not in data:
+                raise ValueError(f"candidate has no {key!r} key")
         field = field_from_name(data["field"])
         variables = tuple(data["variables"])
         load = lambda key: Poly.from_json(field, variables, data[key])
         mat = lambda key: PolyMatrix.from_json(field, variables, data[key])
-        cand = UlrichCandidate(
+        return UlrichCandidate(
             field,
             variables,
             data["n"],
@@ -277,7 +282,6 @@ class UlrichCandidate:
             dvals=data.get("d_values"),
             provenance=data.get("provenance", ""),
         )
-        return cand
 
 
 def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
@@ -293,7 +297,8 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
     g = g_lambda(field, lam)
     if len(lam) != 2 * (n + 1):
         raise UlrichError(f"skew matrix must have size {2 * (n + 1)}")
-    images = _substitution_images(field, g, names)
+    # (x|y) -> (x|y) G: variable k maps to column k of G
+    images = _linear_images(field, list(zip(*g)), names, names)
     a2 = phi.substitute(images, names)
     b2 = psi.substitute(images, names)
     q2 = q1.substitute(images, names)
@@ -345,21 +350,9 @@ def _diagonal_of(field, lam):
 
 
 def _proportional_quadrics(field, q1, q2) -> bool:
-    ref = None
-    keys = set(q1.terms) | set(q2.terms)
-    for exp in keys:
-        c1 = q1.terms.get(exp, field.zero)
-        c2 = q2.terms.get(exp, field.zero)
-        if field.is_zero(c1) != field.is_zero(c2):
-            return False
-        if field.is_zero(c1):
-            continue
-        ratio = field.div(c2, c1)
-        if ref is None:
-            ref = ratio
-        elif ref != ratio:
-            return False
-    return True
+    """q2 = c q1 for some scalar c, for nonzero q1 and q2."""
+    exp, c1 = next(iter(q1.terms.items()))
+    return q2 == q1.scale(field.div(q2.coefficient(exp), c1))
 
 
 def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
@@ -380,7 +373,12 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
     rng = random.Random(seed)
     names = candidate.variables
     m = len(candidate.dvals)
-    gradients = _gradients(candidate.q1), _gradients(candidate.q2)
+    # the gradient of q = x^T B x is 2 B x, with B from pencil.bilinear_matrix
+    pencil = candidate.pencil()
+    gradients = [
+        _linear_images(field, [[field.add(c, c) for c in row] for row in b], names, names)
+        for b in (pencil.b1, pencil.b2)
+    ]
     found = 0
     attempts = 0
     while found < samples and attempts < 40 * samples:
@@ -402,8 +400,8 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
             candidate.q2.evaluate(point)
         ):
             continue
-        row1 = [p.evaluate(point) for p in gradients[0]]
-        row2 = [p.evaluate(point) for p in gradients[1]]
+        row1 = [p.evaluate(point) for p in gradients[0].values()]
+        row2 = [p.evaluate(point) for p in gradients[1].values()]
         minor_found = False
         for i in range(len(row1)):
             for j in range(i + 1, len(row1)):
@@ -421,22 +419,6 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
     if found < samples:
         return False, f"could only sample {found} of {samples} points"
     return True, f"d_i^2 pairwise distinct; {found} sampled points pass the minor test"
-
-
-def _gradients(q: Poly):
-    out = []
-    field = q.field
-    for idx, name in enumerate(q.vars):
-        terms = {}
-        for exp, c in q.terms.items():
-            if exp[idx]:
-                new = list(exp)
-                new[idx] -= 1
-                key = tuple(new)
-                add = field.mul(c, field.of(exp[idx]))
-                terms[key] = field.add(terms.get(key, field.zero), add)
-        out.append(Poly(field, q.vars, terms))
-    return out
 
 
 def _field_size(field) -> int:
@@ -573,16 +555,7 @@ def restriction_images(field, b, z_names=None):
     n = (len(b) - 1) // 2
     if z_names is None:
         z_names = tuple(f"z{k}" for k in range(2 * n + 1))
-    zs = [Poly.variable(field, z_names, v) for v in z_names]
-    images = {}
-    for i in range(n + 1):
-        images[f"x{i}"] = zs[i]
-    for i in range(n):
-        images[f"y{i}"] = zs[n + 1 + i]
-    last = Poly.zero(field, z_names)
-    for coeff, z in zip(b, zs):
-        last = last + z.scale(coeff)
-    images[f"y{n}"] = last
+    images = _linear_images(field, restriction_matrix(field, b), xy_variables(n), z_names)
     return images, z_names
 
 
@@ -719,25 +692,14 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
     odd_candidate = ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed)
     diag = simultaneous_diagonalize(odd_candidate.pencil())
     # locate the diagonal coordinate carrying the fresh root
-    idx_fresh = None
-    for idx, factor in enumerate(diag.factors):
-        lam_root = _factor_root(field, factor)
-        if lam_root == fresh:
-            idx_fresh = idx
-            break
-    if idx_fresh is None:
+    roots = [_factor_root(field, factor) for factor in diag.factors]
+    if fresh not in roots:
         raise UlrichError("fresh root not found among diagonal factors")
-    m = diag.basis
-    size = len(diag.factors)
-    new_names = tuple(f"w{k}" for k in range(size - 1))
-    keep = [idx for idx in range(size) if idx != idx_fresh]
-    ws = [Poly.variable(field, new_names, v) for v in new_names]
-    images = {}
-    for j in range(size):
-        acc = Poly.zero(field, new_names)
-        for slot, idx in enumerate(keep):
-            acc = acc + ws[slot].scale(m[j][idx])
-        images[odd_candidate.variables[j]] = acc
+    idx_fresh = roots.index(fresh)
+    # x = M w with M the diagonalizing basis less the fresh root's column
+    m = [row[:idx_fresh] + row[idx_fresh + 1 :] for row in diag.basis]
+    new_names = tuple(f"w{k}" for k in range(len(m[0])))
+    images = _linear_images(field, m, odd_candidate.variables, new_names)
     candidate = odd_candidate.substitute(
         images, new_names, provenance=f"ulrich_for_roots_even_ambient(g={g})"
     )
@@ -766,19 +728,14 @@ def artinian_hilbert_check(candidate: UlrichCandidate, trials: int = 3, seed: in
     rng = random.Random(seed)
     r = candidate.generators
     uv = ("u", "v")
-    u, v = (Poly.variable(field, uv, w) for w in uv)
     lines = []
     size = _field_size(field)
     for trial in range(trials):
         ring_ok = False
         for attempt in range(25):
-            images = {}
-            for name in candidate.variables[:-2]:
-                images[name] = u.scale(field.of(rng.randrange(size))) + v.scale(
-                    field.of(rng.randrange(size))
-                )
-            images[candidate.variables[-2]] = u
-            images[candidate.variables[-1]] = v
+            # random u, v coefficients for all but the last two variables
+            m = [[rng.randrange(size), rng.randrange(size)] for _ in candidate.variables[:-2]]
+            images = _linear_images(field, m + [[1, 0], [0, 1]], candidate.variables, uv)
             q1 = candidate.q1.substitute(images, uv)
             q2 = candidate.q2.substitute(images, uv)
             if q1.is_zero() or q2.is_zero():

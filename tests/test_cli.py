@@ -218,6 +218,35 @@ def test_ulrich_for_roots_without_roots_exits_2(capsys):
     assert err.startswith("error: ")
 
 
+def test_ulrich_verify_without_file_exits_2(capsys):
+    code, out, err = run(capsys, "ulrich", "verify")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "candidate JSON file" in err
+
+
+def test_clifford_bgg_reversed_window_exits_2(capsys):
+    code, out, err = run(capsys, "clifford", "bgg", "--g", "1", "--window", "3:1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "3:1" in err
+    code, out, _ = run(capsys, "clifford", "bgg", "--g", "1", "--window", "1:1")
+    assert code == 0
+    assert out.startswith("dims N_1..N_2: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pencil", "disc"], ["pencil", "diag"], ["pencil", "smooth"], ["ulrich", "verify"],
+])
+@pytest.mark.parametrize("payload, named", [
+    ({}, "has no '"), ([1, 2], "not list"), ({"vars": 2, "q1": []}, "has no '"),
+])
+def test_malformed_descriptor_exits_2(tmp_path, capsys, argv, payload, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
 def test_grouplaw_suite_g1(capsys):
     code, out, _ = run(capsys, "suite", "grouplaw", "--g", "1")
     assert code == 0
@@ -355,6 +384,11 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         ("mf_cohomology_g2", ["mf", "cohomology", "--g", "2", "--i", "1,2", "--range", "0:3"]),
         ("mf_grouplaw_g2_q",
          ["--field", "Q", "mf", "grouplaw", "--g", "2", "--i", "1,2", "--j", "2,3,4"]),
+        # the even-ambient run passes through every linear substitution of knorrer
+        ("ulrich_for_roots_even", ["ulrich", "for-roots", "--roots", "1,4,9,16,2,3"]),
+        ("ulrich_for_roots_q", ["--field", "Q", "ulrich", "for-roots", "--roots", "1,4,9,2,3"]),
+        # its output carries the Jacobian note
+        ("ulrich_construct_n3", ["ulrich", "construct", "--n", "3", "--d", "1,2,3,5"]),
     ],
 )
 def test_mf_json_matches_golden(capsys, name, argv):

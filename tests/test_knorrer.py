@@ -280,3 +280,219 @@ def test_even_ambient_negative_targets_genus2():
     assert cand.generators // 4 == 2  # rank 2^{g-1} at genus 2
     got = sorted(int(v) for v in cand.verification["discriminant_roots"])
     assert got == sorted(int(t) for t in targets)
+
+
+# -- references: the hand-written image builders that _linear_images replaced --
+
+
+def ref_substitution_images(field, g, names):
+    """Images of the variables under (x|y) -> (x|y) G, in the same ring."""
+    zvars = [Poly.variable(field, names, v) for v in names]
+    images = {}
+    for k, v in enumerate(names):
+        acc = Poly.zero(field, names)
+        for j in range(len(names)):
+            acc = acc + zvars[j].scale(g[j][k])
+        images[v] = acc
+    return images
+
+
+def ref_restriction_images(field, b, z_names=None):
+    n = (len(b) - 1) // 2
+    if z_names is None:
+        z_names = tuple(f"z{k}" for k in range(2 * n + 1))
+    zs = [Poly.variable(field, z_names, v) for v in z_names]
+    images = {}
+    for i in range(n + 1):
+        images[f"x{i}"] = zs[i]
+    for i in range(n):
+        images[f"y{i}"] = zs[n + 1 + i]
+    last = Poly.zero(field, z_names)
+    for coeff, z in zip(b, zs):
+        last = last + z.scale(coeff)
+    images[f"y{n}"] = last
+    return images, z_names
+
+
+def ref_gradients(q):
+    out = []
+    field = q.field
+    for idx, name in enumerate(q.vars):
+        terms = {}
+        for exp, c in q.terms.items():
+            if exp[idx]:
+                new = list(exp)
+                new[idx] -= 1
+                key = tuple(new)
+                add = field.mul(c, field.of(exp[idx]))
+                terms[key] = field.add(terms.get(key, field.zero), add)
+        out.append(Poly(field, q.vars, terms))
+    return out
+
+
+def ref_proportional_quadrics(field, q1, q2):
+    ref = None
+    keys = set(q1.terms) | set(q2.terms)
+    for exp in keys:
+        c1 = q1.terms.get(exp, field.zero)
+        c2 = q2.terms.get(exp, field.zero)
+        if field.is_zero(c1) != field.is_zero(c2):
+            return False
+        if field.is_zero(c1):
+            continue
+        ratio = field.div(c2, c1)
+        if ref is None:
+            ref = ratio
+        elif ref != ratio:
+            return False
+    return True
+
+
+def random_scalar(field, rng, zero_share=0.3):
+    if rng.random() < zero_share:
+        return field.zero
+    return field.of(rng.randrange(-50, 50) if field is QQ else rng.randrange(F.p))
+
+
+def random_quadric(field, names, rng):
+    """A nonzero homogeneous quadric with some zero coefficients."""
+    while True:
+        pairs = []
+        for i in range(len(names)):
+            for j in range(i, len(names)):
+                exp = [0] * len(names)
+                exp[i] += 1
+                exp[j] += 1
+                pairs.append((tuple(exp), random_scalar(field, rng)))
+        q = Poly.from_pairs(field, names, pairs)
+        if not q.is_zero():
+            return q
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
+def test_linear_images_match_substitution_reference(field):
+    rng = random.Random(31)
+    for n in range(0, 4):
+        names = knorrer.xy_variables(n)
+        size = len(names)
+        for _ in range(4):
+            g = [[random_scalar(field, rng) for _ in range(size)] for _ in range(size)]
+            assert knorrer._linear_images(field, list(zip(*g)), names, names) == (
+                ref_substitution_images(field, g, names)
+            )
+    # the G of a random skew Lambda, as build_candidate uses it
+    lam = [[field.zero] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i + 1, 6):
+            lam[i][j] = random_scalar(field, rng, zero_share=0)
+            lam[j][i] = field.neg(lam[i][j])
+    g = knorrer.g_lambda(field, lam)
+    names = knorrer.xy_variables(2)
+    images = ref_substitution_images(field, g, names)
+    assert knorrer._linear_images(field, list(zip(*g)), names, names) == images
+    cand = knorrer.build_candidate(field, 2, lam)
+    phi, _, q1 = knorrer.knorrer_pair(field, 2)
+    assert cand.q2 == q1.substitute(images, names)
+    assert cand.presentation == phi.hstack(phi.substitute(images, names))
+
+
+def test_linear_images_need_the_transpose():
+    # negative control: for a non-symmetric G, rows of G give other images
+    names = knorrer.xy_variables(1)
+    g = [[F.of(i * 4 + j + 1) for j in range(4)] for i in range(4)]
+    want = ref_substitution_images(F, g, names)
+    assert knorrer._linear_images(F, list(zip(*g)), names, names) == want
+    assert knorrer._linear_images(F, g, names, names) != want
+
+
+def test_linear_images_reject_wrong_shape():
+    names = knorrer.xy_variables(0)
+    with pytest.raises(ValueError):
+        knorrer._linear_images(F, [[1, 0]], names, names)
+    with pytest.raises(ValueError):
+        knorrer._linear_images(F, [[1, 0, 0], [0, 1, 0]], names, names)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
+def test_restriction_images_match_reference(field):
+    rng = random.Random(37)
+    for n in range(1, 5):
+        for z_names in (None, tuple(f"w{k}" for k in range(2 * n + 1))):
+            b = [random_scalar(field, rng) for _ in range(2 * n + 1)]
+            assert knorrer.restriction_images(field, b, z_names) == (
+                ref_restriction_images(field, b, z_names)
+            )
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
+def test_gradient_is_twice_bilinear_matrix(field):
+    from ulrichmf.pencil import bilinear_matrix
+
+    rng = random.Random(41)
+    for nvars in range(1, 7):
+        names = tuple(f"x{i}" for i in range(nvars))
+        for _ in range(4):
+            q = random_quadric(field, names, rng)
+            twice = [[field.add(c, c) for c in row] for row in bilinear_matrix(q)]
+            got = knorrer._linear_images(field, twice, names, names)
+            assert list(got.values()) == ref_gradients(q)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
+def test_proportional_quadrics_match_reference(field):
+    rng = random.Random(43)
+    names = knorrer.xy_variables(2)
+    for _ in range(40):
+        q1 = random_quadric(field, names, rng)
+        c = random_scalar(field, rng, zero_share=0)
+        if field.is_zero(c):
+            continue
+        others = [
+            q1.scale(c),  # proportional
+            q1.scale(c) + random_quadric(field, names, rng),  # usually not
+            random_quadric(field, names, rng),  # usually another support
+        ]
+        for q2 in others:
+            if q2.is_zero():
+                continue
+            assert knorrer._proportional_quadrics(field, q1, q2) == (
+                ref_proportional_quadrics(field, q1, q2)
+            )
+    # one coefficient off breaks proportionality
+    q1 = random_quadric(field, names, rng)
+    exp = next(iter(q1.terms))
+    q2 = q1.scale(3) + Poly(field, names, {exp: field.one})
+    assert not knorrer._proportional_quadrics(field, q1, q2)
+    assert knorrer._proportional_quadrics(field, q1, q1.scale(3))
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
+def test_hilbert_specializations_keep_draw_order(field, monkeypatch):
+    # replay the old loop: per variable, the u coefficient, then the v one
+    from ulrichmf import graded
+
+    cand = knorrer.ulrich_for_roots_odd_ambient(field, [1, 4, 9], [2, 3], seed=3)
+    seen = []
+    real = graded.graded_quotient_dims
+
+    def spy(f, variables, gens, degrees, rank=1):
+        if rank == 1:
+            seen.append(list(gens))
+        return real(f, variables, gens, degrees, rank=rank)
+
+    monkeypatch.setattr(graded, "graded_quotient_dims", spy)
+    ok, _ = knorrer.artinian_hilbert_check(cand, trials=3, seed=17)
+    assert ok and len(seen) >= 3
+    rng = random.Random(17)
+    uv = ("u", "v")
+    u, v = (Poly.variable(field, uv, w) for w in uv)
+    size = knorrer._field_size(field)
+    for gens in seen:
+        images = {}
+        for name in cand.variables[:-2]:
+            images[name] = u.scale(field.of(rng.randrange(size))) + v.scale(
+                field.of(rng.randrange(size))
+            )
+        images[cand.variables[-2]] = u
+        images[cand.variables[-1]] = v
+        assert gens == [cand.q1.substitute(images, uv), cand.q2.substitute(images, uv)]
