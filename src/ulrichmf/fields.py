@@ -29,6 +29,9 @@ class Field:
     """Common interface for exact fields."""
 
     name: str
+    # canonical scalars, constant per field
+    zero: object
+    one: object
 
     def of(self, value):
         """Coerce an int (or Fraction, over Q) into a canonical scalar."""
@@ -52,14 +55,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
-
     def is_zero(self, a) -> bool:
         return a == self.zero
 
@@ -74,6 +69,9 @@ class Field:
 
 class PrimeField(Field):
     """F_p for an odd prime p.  Scalars are ints reduced into [0, p)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if p >= PRIME_BOUND:
@@ -90,7 +88,7 @@ class PrimeField(Field):
         return f"PrimeField({self.p})"
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return other is self or (isinstance(other, PrimeField) and other.p == self.p)
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
@@ -168,12 +166,14 @@ class RationalField(Field):
     """The rationals; scalars are Fraction instances."""
 
     name = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __repr__(self):
         return "RationalField()"
 
     def __eq__(self, other):
-        return isinstance(other, RationalField)
+        return other is self or isinstance(other, RationalField)
 
     def __hash__(self):
         return hash("RationalField")

@@ -202,12 +202,15 @@ class UlrichCandidate:
         if a.ncols != 2 * r:
             return False, f"presentation is {a.nrows}x{a.ncols}, expected r x 2r"
         prod = a @ self.second_map
-        if not prod.is_zero():
-            return False, "A @ B' != 0"
+        zero = PolyMatrix.zero(self.field, self.variables, prod.nrows, prod.ncols)
+        where = prod.first_mismatch(zero)
+        if where is not None:
+            return False, f"A @ B' != 0 at entry {where}"
         for q, cert, name in ((self.q1, self.cert1, "q1"), (self.q2, self.cert2, "q2")):
             want = PolyMatrix.scalar_matrix(self.field, self.variables, q, r)
-            if a @ cert != want:
-                return False, f"A @ C != {name} * id"
+            where = (a @ cert).first_mismatch(want)
+            if where is not None:
+                return False, f"A @ C != {name} * id at entry {where}"
         for i in range(a.nrows):
             for j in range(a.ncols):
                 p = a.entry(i, j)

@@ -52,23 +52,13 @@ def verify_mf_data(h: HyperellipticData, degrees, phi: PolyMatrix, psi: PolyMatr
                         f"{name}[{i}][{j}] is not homogeneous of degree {want}"
                     )
     fid = PolyMatrix.scalar_matrix(h.field, ST, f, n)
-    prod = phi @ psi
-    if prod != fid:
-        where = _first_mismatch(prod, fid)
+    where = (phi @ psi).first_mismatch(fid)
+    if where is not None:
         return False, f"phi @ psi != f*id at entry {where}"
-    prod = psi @ phi
-    if prod != fid:
-        where = _first_mismatch(prod, fid)
+    where = (psi @ phi).first_mismatch(fid)
+    if where is not None:
         return False, f"psi @ phi != f*id at entry {where}"
     return True, "ok"
-
-
-def _first_mismatch(a: PolyMatrix, b: PolyMatrix):
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            if a.entry(i, j) != b.entry(i, j):
-                return (i, j)
-    return None
 
 
 class MatrixFactorization:

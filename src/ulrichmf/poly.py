@@ -3,12 +3,14 @@
 A polynomial stores an ordered variable tuple and a dict mapping exponent
 tuples to nonzero scalars.  All arithmetic is exact; zero terms are pruned
 eagerly so equality is plain dict comparison.  Polynomials are immutable by
-convention: no method mutates self.
+convention: no method mutates self.  ``Poly(...)`` validates outside input;
+results of internal arithmetic, already clean, go through ``Poly._make``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add_ints
 from typing import Iterable
 
 from .fields import Field
@@ -34,6 +36,14 @@ class Poly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _make(field: Field, variables: tuple, terms: dict) -> "Poly":
+        """Trusted constructor for internal results: variables is a tuple, and every
+        exponent is a tuple of ints of its width with a nonzero coefficient."""
+        p = Poly.__new__(Poly)
+        p.field, p.vars, p.terms = field, variables, terms
+        return p
 
     @staticmethod
     def zero(field: Field, variables) -> "Poly":
@@ -90,12 +100,6 @@ class Poly:
             raise PolyError("polynomial is zero or not homogeneous")
         return degs.pop()
 
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
-
     def coefficient(self, exp) -> object:
         return self.terms.get(tuple(exp), self.field.zero)
 
@@ -113,7 +117,7 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.field != other.field:
+        if other.field is not self.field and other.field != self.field:
             raise PolyError("mixed coefficient fields")
         if self.vars != other.vars:
             raise PolyError(f"mixed variable lists {self.vars} vs {other.vars}")
@@ -128,43 +132,31 @@ class Poly:
                 out.pop(exp, None)
             else:
                 out[exp] = s
-        return Poly(f, self.vars, out)
+        return Poly._make(f, self.vars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
         f = self.field
-        return Poly(f, self.vars, {e: f.neg(c) for e, c in self.terms.items()})
+        return Poly._make(f, self.vars, {e: f.neg(c) for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         f = self.field
-        if not self.terms or not other.terms:
-            return Poly.zero(f, self.vars)
-        out: dict = {}
-        zero = f.zero
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = f.add(out.get(exp, zero), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return Poly(f, self.vars, out)
+        return Poly._make(f, self.vars, _nonzero(f, _mul_into(f, self.terms, other.terms, {})))
 
     def scale(self, scalar) -> "Poly":
         f = self.field
         scalar = f.of(scalar)
-        if f.is_zero(scalar):
-            return Poly.zero(f, self.vars)
-        return Poly(f, self.vars, {e: f.mul(c, scalar) for e, c in self.terms.items()})
+        if not self.terms or f.is_zero(scalar):
+            return Poly._make(f, self.vars, {})
+        return Poly._make(f, self.vars, {e: f.mul(c, scalar) for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise PolyError("negative power")
-        result = Poly.const(self.field, self.vars, 1)
+        result = Poly._make(self.field, self.vars, {(0,) * len(self.vars): self.field.one})
         base = self
         while n:
             if n & 1:
@@ -211,37 +203,7 @@ class Poly:
 
         All images must live in one ring, which also hosts the result.
         """
-        f = self.field
-        if target_vars is None:
-            sample = next((p for p in images.values()), None)
-            target_vars = sample.vars if sample is not None else self.vars
-        target_vars = tuple(target_vars)
-        imgs = []
-        for v in self.vars:
-            if v in images:
-                img = images[v]
-                if img.vars != target_vars or img.field != f:
-                    raise PolyError("substitution images must share one target ring")
-                imgs.append(img)
-            else:
-                imgs.append(Poly.variable(f, target_vars, v))
-        powers = []
-        for i, img in enumerate(imgs):
-            row = [None, img]  # row[e] = img**e for e >= 1
-            for _ in range(max((exp[i] for exp in self.terms), default=0) - 1):
-                row.append(row[-1] * img)
-            powers.append(row)
-        acc = Poly.zero(f, target_vars)
-        for exp, coeff in self.terms.items():
-            term = Poly.const(f, target_vars, coeff)
-            for row, e in zip(powers, exp):
-                if e:
-                    term = term * row[e]
-            acc = acc + term
-        return acc
-
-    def graded_part(self, d: int) -> "Poly":
-        return Poly(self.field, self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return _substitution(self.field, self.vars, images, target_vars, [self])(self)
 
     # -- exact division ------------------------------------------------------
 
@@ -269,7 +231,7 @@ class Poly:
                     rem.pop(tgt, None)
                 else:
                     rem[tgt] = s
-        return Poly(f, self.vars, quo)
+        return Poly._make(f, self.vars, quo)
 
     # -- rendering and JSON ---------------------------------------------------
 
@@ -306,20 +268,73 @@ class Poly:
 
     @staticmethod
     def from_json(field: Field, variables, data) -> "Poly":
+        if not isinstance(data, list):
+            raise PolyError(f"polynomial JSON must be a list of terms, not {type(data).__name__}")
         pairs = []
-        for exp, num, den in data:
+        for term in data:
+            if not (
+                isinstance(term, list) and len(term) == 3 and isinstance(term[0], list)
+                and all(type(x) is int for x in (*term[0], term[1], term[2])) and term[2]
+            ):
+                raise PolyError("polynomial term must be [[exponents], numerator, "
+                                f"nonzero denominator] of integers, not {term!r}")
+            exp, num, den = term
             value = Fraction(num, den) if den != 1 else num
             pairs.append((tuple(exp), value))
         return Poly.from_pairs(field, variables, pairs)
 
 
-def product(polys, one: Poly | None = None) -> Poly:
-    polys = list(polys)
-    if not polys:
-        if one is None:
-            raise PolyError("empty product needs an explicit unit")
-        return one
-    acc = polys[0]
-    for p in polys[1:]:
-        acc = acc * p
-    return acc
+def _mul_into(field: Field, t1: dict, t2: dict, out: dict) -> dict:
+    """Add every product of a term of t1 and a term of t2 into out; sums that
+    cancel stay in out as zeros."""
+    add, mul, zero = field.add, field.mul, field.zero
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            exp = tuple(map(_add_ints, e1, e2))
+            out[exp] = add(out.get(exp, zero), mul(c1, c2))
+    return out
+
+
+def _nonzero(field: Field, terms: dict) -> dict:
+    is_zero = field.is_zero
+    return {e: c for e, c in terms.items() if not is_zero(c)}
+
+
+def _substitution(field: Field, variables, images: dict, target_vars, polys):
+    """The map p -> p(images) for polynomials in variables, with the power
+    lists of the images built once, up to the highest exponent in polys."""
+    if target_vars is None:
+        sample = next((p for p in images.values()), None)
+        target_vars = sample.vars if sample is not None else variables
+    target_vars = tuple(target_vars)
+    tops = [0] * len(variables)
+    for p in polys:
+        for exp in p.terms:
+            tops = list(map(max, tops, exp))
+    powers = []
+    for v, top in zip(variables, tops):
+        if v in images:
+            img = images[v]
+            if img.vars != target_vars or img.field != field:
+                raise PolyError("substitution images must share one target ring")
+        else:
+            img = Poly.variable(field, target_vars, v)
+        row = [None, img.terms]  # row[e] = terms of img**e for e >= 1
+        for _ in range(top - 1):
+            row.append(_nonzero(field, _mul_into(field, row[-1], img.terms, {})))
+        powers.append(row)
+    unit = (0,) * len(target_vars)
+    one = {unit: field.one}
+
+    def apply(p: Poly) -> Poly:
+        acc: dict = {}
+        for exp, coeff in p.terms.items():
+            # coeff times the image powers, the last product summed straight into acc
+            factors = [row[e] for row, e in zip(powers, exp) if e] or [one]
+            term = {unit: coeff}
+            for t in factors[:-1]:
+                term = _mul_into(field, term, t, {})
+            _mul_into(field, term, factors[-1], acc)
+        return Poly._make(field, target_vars, _nonzero(field, acc))
+
+    return apply

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import binary, linalg
 from .fields import Field, PrimeField
-from .poly import Poly
+from .poly import Poly, _mul_into, _nonzero, _substitution
 
 
 class MatrixError(ValueError):
@@ -74,6 +74,18 @@ class PolyMatrix:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
+    def _make(field, variables: tuple, rows, row_degrees=None, col_degrees=None):
+        """Trusted constructor for internal results: rows of equal length whose
+        entries are Polys in the ring (field, variables), and degree labels that
+        are None or tuples of ints of the matching length."""
+        m = PolyMatrix.__new__(PolyMatrix)
+        m.field, m.vars, m.entries = field, variables, tuple(map(tuple, rows))
+        m.nrows = len(m.entries)
+        m.ncols = len(m.entries[0]) if m.entries else 0
+        m.row_degrees, m.col_degrees = row_degrees, col_degrees
+        return m
+
+    @staticmethod
     def zero(field, variables, nrows, ncols, row_degrees=None, col_degrees=None):
         z = Poly.zero(field, variables)
         return PolyMatrix(
@@ -117,7 +129,7 @@ class PolyMatrix:
 
     def transpose(self) -> "PolyMatrix":
         rows = [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return PolyMatrix(self.field, self.vars, rows, self.col_degrees, self.row_degrees)
+        return PolyMatrix._make(self.field, self.vars, rows, self.col_degrees, self.row_degrees)
 
     def relabel(self, row_degrees=None, col_degrees=None) -> "PolyMatrix":
         return PolyMatrix(self.field, self.vars, self.entries, row_degrees, col_degrees)
@@ -128,6 +140,16 @@ class PolyMatrix:
             and self.vars == other.vars
             and self.entries == other.entries
         )
+
+    def first_mismatch(self, other: "PolyMatrix"):
+        """The first (i, j), row by row, where the entries differ, or None; an
+        entry that only one of the two matrices has differs."""
+        at = lambda m, i, j: m.entries[i][j] if i < m.nrows and j < m.ncols else None
+        for i in range(max(self.nrows, other.nrows)):
+            for j in range(max(self.ncols, other.ncols)):
+                if at(self, i, j) != at(other, i, j):
+                    return (i, j)
+        return None
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols} over {self.vars})"
@@ -150,39 +172,44 @@ class PolyMatrix:
         rows = [
             [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)
         ]
-        return PolyMatrix(self.field, self.vars, rows, self.row_degrees, self.col_degrees)
+        return PolyMatrix._make(self.field, self.vars, rows, self.row_degrees, self.col_degrees)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self + other.scale_scalar(self.field.of(-1))
 
     def scale_scalar(self, scalar) -> "PolyMatrix":
         rows = [[p.scale(scalar) for p in row] for row in self.entries]
-        return PolyMatrix(self.field, self.vars, rows, self.row_degrees, self.col_degrees)
+        return PolyMatrix._make(self.field, self.vars, rows, self.row_degrees, self.col_degrees)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self.mul(other)
 
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Exact product, skipping zero entries (matrices here are often sparse)."""
+        """Exact product, skipping zero entries (matrices here are often sparse).
+
+        Each output entry is summed in one term dict and pruned of zeros once.
+        """
         self._check(other)
         if self.ncols != other.nrows:
             raise MatrixError(
                 f"dimension mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        zero = Poly.zero(self.field, self.vars)
-        out = [[zero for _ in range(other.ncols)] for _ in range(self.nrows)]
-        bcols_by_row = [
-            [(j, p) for j, p in enumerate(other.entries[k]) if not p.is_zero()]
-            for k in range(other.nrows)
+        f = self.field
+        bterms_by_row = [
+            [(j, p.terms) for j, p in enumerate(row) if p.terms] for row in other.entries
         ]
-        for i in range(self.nrows):
-            arow = self.entries[i]
-            for k in range(self.ncols):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                for j, b in bcols_by_row[k]:
-                    out[i][j] = out[i][j] + a * b
+        zero = Poly._make(f, self.vars, {})
+        out = []
+        for arow in self.entries:
+            sums: dict = {}  # column -> term dict, for the entries some product reaches
+            for a, brow in zip(arow, bterms_by_row):
+                if a.terms:
+                    for j, b in brow:
+                        _mul_into(f, a.terms, b, sums.setdefault(j, {}))
+            row = [zero] * other.ncols
+            for j, t in sums.items():
+                row[j] = Poly._make(f, self.vars, _nonzero(f, t))
+            out.append(row)
         if (
             self.col_degrees is not None
             and other.row_degrees is not None
@@ -191,7 +218,7 @@ class PolyMatrix:
             row_deg, col_deg = self.row_degrees, other.col_degrees
         else:
             row_deg = col_deg = None
-        return PolyMatrix(self.field, self.vars, out, row_deg, col_deg)
+        return PolyMatrix._make(f, self.vars, out, row_deg, col_deg)
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product (self tensor other)."""
@@ -205,25 +232,28 @@ class PolyMatrix:
                     for l in range(other.ncols):
                         row.append(a * other.entries[k][l])
                 rows.append(row)
-        return PolyMatrix(self.field, self.vars, rows)
+        return PolyMatrix._make(self.field, self.vars, rows)
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check(other)
         if self.nrows != other.nrows:
             raise MatrixError("row count mismatch in hstack")
-        rows = [list(r1) + list(r2) for r1, r2 in zip(self.entries, other.entries)]
-        return PolyMatrix(self.field, self.vars, rows)
+        rows = [r1 + r2 for r1, r2 in zip(self.entries, other.entries)]
+        return PolyMatrix._make(self.field, self.vars, rows)
 
     def vstack(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check(other)
         if self.ncols != other.ncols:
             raise MatrixError("column count mismatch in vstack")
-        return PolyMatrix(self.field, self.vars, list(self.entries) + list(other.entries))
+        return PolyMatrix._make(self.field, self.vars, self.entries + other.entries)
 
     def substitute(self, images: dict, target_vars=None) -> "PolyMatrix":
-        rows = [[p.substitute(images, target_vars) for p in row] for row in self.entries]
-        sample_vars = rows[0][0].vars if rows and rows[0] else (target_vars or self.vars)
-        return PolyMatrix(self.field, sample_vars, rows)
+        """Poly.substitute on every entry, with the image powers built once."""
+        polys = [p for row in self.entries for p in row]
+        apply = _substitution(self.field, self.vars, images, target_vars, polys)
+        rows = [[apply(p) for p in row] for row in self.entries]
+        sample_vars = rows[0][0].vars if rows and rows[0] else tuple(target_vars or self.vars)
+        return PolyMatrix._make(self.field, sample_vars, rows)
 
     def evaluate(self, values: dict):
         """Evaluate every entry at scalars; returns a list-of-lists scalar matrix."""
@@ -334,8 +364,18 @@ class PolyMatrix:
 
     @staticmethod
     def from_json(field, variables, data) -> "PolyMatrix":
-        nrows, ncols = data["rows"], data["cols"]
-        flat = [Poly.from_json(field, variables, t) for t in data["entries"]]
+        if not isinstance(data, dict):
+            raise MatrixError(f"matrix JSON must be an object, not {type(data).__name__}")
+        nrows, ncols, entries = data.get("rows"), data.get("cols"), data.get("entries")
+        if not (type(nrows) is int and type(ncols) is int and min(nrows, ncols) >= 0
+                and isinstance(entries, list)):
+            raise MatrixError("matrix JSON needs 'rows' and 'cols' counts and an 'entries' list")
+        for key in ("row_degrees", "col_degrees"):
+            labels = data.get(key)
+            if not (labels is None
+                    or isinstance(labels, list) and all(type(d) is int for d in labels)):
+                raise MatrixError(f"matrix JSON {key!r} must be a list of integers")
+        flat = [Poly.from_json(field, variables, t) for t in entries]
         if len(flat) != nrows * ncols:
             raise MatrixError("entry count mismatch in matrix JSON")
         rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]

@@ -233,18 +233,56 @@ def test_clifford_bgg_reversed_window_exits_2(capsys):
     assert out.startswith("dims N_1..N_2: ")
 
 
+class WrongShape:
+    """A polynomial of the wrong shape, placed in a pencil descriptor as q1 or in
+    a stored candidate as the first presentation entry."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return f"WrongShape({self.value!r})"
+
+    def inside(self, argv):
+        if argv[0] == "pencil":
+            return {"vars": 2, "q1": self.value, "q2": [[[2, 0], 1, 1]]}
+        with open(os.path.join(GOLDEN, "ulrich_for_roots_q.json")) as fh:
+            data = json.load(fh)
+        data["presentation"]["entries"][0] = self.value
+        return data
+
+
 @pytest.mark.parametrize("argv", [
     ["pencil", "disc"], ["pencil", "diag"], ["pencil", "smooth"], ["ulrich", "verify"],
 ])
 @pytest.mark.parametrize("payload, named", [
     ({}, "has no '"), ([1, 2], "not list"), ({"vars": 2, "q1": []}, "has no '"),
+    # a wrong shape under a present key: a number, a list of numbers, a term
+    # with two fields
+    (WrongShape(5), "must be a list of terms"),
+    (WrongShape([1, 2]), "term must be"),
+    (WrongShape([[[1, 0], 1]]), "term must be"),
 ])
 def test_malformed_descriptor_exits_2(tmp_path, capsys, argv, payload, named):
+    if isinstance(payload, WrongShape):
+        payload = payload.inside(argv)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("presentation", [5, [1, 2], {"rows": 8, "cols": 16}])
+def test_ulrich_verify_wrong_shape_matrix_exits_2(tmp_path, capsys, presentation):
+    with open(os.path.join(GOLDEN, "ulrich_for_roots_q.json")) as fh:
+        data = json.load(fh)
+    data["presentation"] = presentation
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "ulrich", "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: matrix JSON") and "Traceback" not in err
 
 
 def test_grouplaw_suite_g1(capsys):
@@ -395,6 +433,13 @@ def test_mf_json_matches_golden(capsys, name, argv):
     code, out, err = run(capsys, "--format", "json", *argv)
     assert code == 0 and err == ""
     with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        assert out == fh.read()
+
+
+def test_suite_knorrer_text_matches_golden(capsys):
+    code, out, err = run(capsys, "suite", "knorrer", "--max-n", "7")
+    assert code == 0 and err == ""
+    with open(os.path.join(GOLDEN, "suite_knorrer_n7.txt")) as fh:
         assert out == fh.read()
 
 

@@ -255,6 +255,33 @@ def test_negative_controls():
     assert "coker dims [4, 1" in note
 
 
+def restricted_candidate():
+    lam = knorrer.diagonal_lambda(F, [F.of(d) for d in (1, 2, 3)])
+    cand = knorrer.build_candidate(F, 2, lam)
+    b = knorrer.solve_b_for_roots(
+        F, [F.neg(F.of(a)) for a in (1, 4, 9)], [F.neg(F.of(c)) for c in (2, 3)]
+    )
+    images, z_names = knorrer.restriction_images(F, b)
+    return cand.substitute(images, z_names)
+
+
+@pytest.mark.parametrize("attr, k, j, message", [
+    ("second_map", 1, 3, "A @ B' != 0"),
+    ("cert1", 5, 2, "A @ C != q1 * id"),
+    ("cert2", 6, 1, "A @ C != q2 * id"),
+])
+def test_certificates_name_the_perturbed_entry(attr, k, j, message):
+    cand = restricted_candidate()
+    assert cand.verify_certificates() == (True, "ok")
+    a, good = cand.presentation, getattr(cand, attr)
+    # adding z0 at (k, j) changes column j of A @ M in every row i with A[i][k] != 0
+    rows = [list(r) for r in good.entries]
+    rows[k][j] = rows[k][j] + Poly.variable(F, cand.variables, "z0")
+    setattr(cand, attr, PolyMatrix(F, cand.variables, rows))
+    i = min(i for i in range(a.nrows) if not a.entry(i, k).is_zero())
+    assert cand.verify_certificates() == (False, f"{message} at entry ({i}, {j})")
+
+
 def test_candidate_json_round_trip():
     lam = knorrer.diagonal_lambda(F, [F.of(d) for d in (1, 2, 3)])
     cand = knorrer.build_candidate(F, 2, lam)

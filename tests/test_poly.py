@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulrichmf.fields import QQ, PrimeField
-from ulrichmf.poly import Poly, PolyError, product
+from ulrichmf.poly import Poly, PolyError
 
 
 ST = ("s", "t")
@@ -115,11 +117,8 @@ def test_substitute():
 def test_graded_part_and_degrees():
     s, t = st_gens(QQ)
     f = s * s + t
-    assert f.graded_part(2) == s * s
-    assert f.graded_part(1) == t
     assert f.total_degree() == 2
     assert Poly.zero(QQ, ST).total_degree() == -1
-    assert f.degree_in("s") == 2
 
 
 def test_json_round_trip():
@@ -128,13 +127,6 @@ def test_json_round_trip():
         for _ in range(10):
             f = random_poly(rng, field, ("x", "y"))
             assert Poly.from_json(field, ("x", "y"), f.to_json()) == f
-
-
-def test_product_helper():
-    s, t = st_gens(QQ)
-    assert product([s, t, s + t]) == s * t * (s + t)
-    one = Poly.const(QQ, ST, 1)
-    assert product([], one) == one
 
 
 def evaluate_by_repeated_multiply(f, values):
@@ -205,3 +197,112 @@ def test_pow_and_substitute_match_repeated_multiply(monkeypatch):
         calls.clear()
         s**n
         assert len(calls) == products, n
+
+
+# -- differential tests against the replaced substitution ----------------------
+
+FIELDS = (PrimeField(10009), QQ, PrimeField(2**61 - 1))
+
+
+def substitute_reference(f, images, target_vars=None):
+    """The substitution loop that the shared helper replaced: a power list per
+    call, then one Poly.const per term, multiplied and added as Polys."""
+    field = f.field
+    if target_vars is None:
+        sample = next((p for p in images.values()), None)
+        target_vars = sample.vars if sample is not None else f.vars
+    target_vars = tuple(target_vars)
+    imgs = []
+    for v in f.vars:
+        if v in images:
+            img = images[v]
+            if img.vars != target_vars or img.field != field:
+                raise PolyError("substitution images must share one target ring")
+            imgs.append(img)
+        else:
+            imgs.append(Poly.variable(field, target_vars, v))
+    powers = []
+    for i, img in enumerate(imgs):
+        row = [None, img]
+        for _ in range(max((exp[i] for exp in f.terms), default=0) - 1):
+            row.append(row[-1] * img)
+        powers.append(row)
+    acc = Poly.zero(field, target_vars)
+    for exp, coeff in f.terms.items():
+        term = Poly.const(field, target_vars, coeff)
+        for row, e in zip(powers, exp):
+            if e:
+                term = term * row[e]
+        acc = acc + term
+    return acc
+
+
+def assert_clean(p):
+    """What the trusted constructor relies on: a variable tuple, exponents of
+    its width made of ints, and no zero coefficient."""
+    assert type(p.vars) is tuple
+    for exp, c in p.terms.items():
+        assert type(exp) is tuple and len(exp) == len(p.vars)
+        assert all(type(e) is int for e in exp)
+        assert not p.field.is_zero(c)
+
+
+def scalars(field):
+    # small values and their negatives make cancellations common
+    small = st.sampled_from([1, 2, -1, -2]).map(field.of)
+    if field is QQ:
+        return small | st.fractions(min_value=-30, max_value=30, max_denominator=9)
+    return small | st.integers(0, field.p - 1)
+
+
+def polys(field, variables, max_deg=3, max_terms=5):
+    exps = st.tuples(*[st.integers(0, max_deg)] * len(variables))
+    pairs = st.lists(st.tuples(exps, scalars(field)), max_size=max_terms)
+    return pairs.map(lambda ps: Poly.from_pairs(field, variables, ps))
+
+
+XYS = ("x", "y", "s")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_substitute_matches_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    f = data.draw(polys(field, XYS))
+    # non-linear images; s is sometimes left unmapped and keeps its name
+    images = {v: data.draw(polys(field, ST, max_deg=2, max_terms=3)) for v in ("x", "y")}
+    if data.draw(st.booleans()):
+        images["s"] = data.draw(polys(field, ST, max_deg=2, max_terms=3))
+    got = f.substitute(images, ST)
+    assert got == substitute_reference(f, images, ST)
+    assert got.vars == ST
+    assert_clean(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_arithmetic_results_are_clean(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    a, b = data.draw(polys(field, ST)), data.draw(polys(field, ST))
+    c = data.draw(scalars(field))
+    results = [a + b, a - b, a - a, -a, a * b, a.scale(c), a.scale(0), a ** 3, a ** 0]
+    if not b.is_zero():
+        results.append((a * b).divexact(b))
+    for r in results:
+        assert_clean(r)
+        # the validating constructor keeps every term of a trusted result
+        assert Poly(field, r.vars, r.terms).terms == r.terms
+
+
+def test_substitute_cancels_to_zero():
+    for field in FIELDS:
+        x, y = (Poly.variable(field, ("x", "y"), v) for v in ("x", "y"))
+        s, t = st_gens(field)
+        got = (x * x - y * y).substitute({"x": s + t, "y": s + t})
+        assert got == Poly.zero(field, ST) and got.terms == {}
+
+
+@pytest.mark.parametrize("data", [5, [1, 2], [[[1, 0], 1]], [[[1, 0], 1, 0]], [[1, 1, 1]]])
+def test_from_json_rejects_wrong_shape(data):
+    with pytest.raises(PolyError, match="must be"):
+        Poly.from_json(QQ, ST, data)

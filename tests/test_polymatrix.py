@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulrichmf import binary
 from ulrichmf.fields import QQ, PrimeField
-from ulrichmf.poly import Poly
+from ulrichmf.poly import Poly, PolyError
 from ulrichmf.polymatrix import GradedFreeModule, MatrixError, PolyMatrix
 
 ST = binary.ST
@@ -192,3 +194,128 @@ def test_substitute():
     sub = m.substitute({"x": s, "y": t})
     assert sub.entry(0, 0) == s + t
     assert sub.entry(0, 1) == s
+
+
+# -- differential tests against the replaced product and substitution ----------
+
+FIELDS = (PrimeField(10009), QQ, PrimeField(2**61 - 1))
+
+
+def mul_reference(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The product that summing in place replaced: out[i][j] + a*b per contribution."""
+    zero = Poly.zero(a.field, a.vars)
+    out = [[zero for _ in range(b.ncols)] for _ in range(a.nrows)]
+    for i in range(a.nrows):
+        for k in range(a.ncols):
+            if a.entry(i, k).is_zero():
+                continue
+            for j in range(b.ncols):
+                if not b.entry(k, j).is_zero():
+                    out[i][j] = out[i][j] + a.entry(i, k) * b.entry(k, j)
+    if a.col_degrees is not None and a.col_degrees == b.row_degrees:
+        return PolyMatrix(a.field, a.vars, out, a.row_degrees, b.col_degrees)
+    return PolyMatrix(a.field, a.vars, out)
+
+
+def substitute_reference(m: PolyMatrix, images, target_vars=None) -> PolyMatrix:
+    """The matrix substitution that the shared helper replaced: Poly.substitute
+    on every entry."""
+    rows = [[p.substitute(images, target_vars) for p in row] for row in m.entries]
+    sample_vars = rows[0][0].vars if rows and rows[0] else (target_vars or m.vars)
+    return PolyMatrix(m.field, sample_vars, rows)
+
+
+def assert_clean(m: PolyMatrix):
+    assert type(m.vars) is tuple and len(m.entries) == m.nrows
+    for row in m.entries:
+        assert len(row) == m.ncols
+        for p in row:
+            assert p.vars == m.vars and p.field == m.field
+            for exp, c in p.terms.items():
+                assert type(exp) is tuple and len(exp) == len(m.vars)
+                assert all(type(e) is int for e in exp) and not m.field.is_zero(c)
+
+
+def scalars(field):
+    small = st.sampled_from([1, 2, -1, -2]).map(field.of)
+    if field is QQ:
+        return small | st.fractions(min_value=-30, max_value=30, max_denominator=9)
+    return small | st.integers(0, field.p - 1)
+
+
+def polys(field, variables, max_deg=2, max_terms=3):
+    exps = st.tuples(*[st.integers(0, max_deg)] * len(variables))
+    pairs = st.lists(st.tuples(exps, scalars(field)), max_size=max_terms)
+    return pairs.map(lambda ps: Poly.from_pairs(field, variables, ps))
+
+
+def matrices(data, field, variables, nrows, ncols):
+    rows = [[data.draw(polys(field, variables)) for _ in range(ncols)] for _ in range(nrows)]
+    return PolyMatrix(field, variables, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mul_matches_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    # zero sizes included; a matrix without rows has no columns either
+    n, k, m = (data.draw(st.integers(0, 3)) for _ in range(3))
+    a = matrices(data, field, ST, n, k)
+    b = matrices(data, field, ST, a.ncols, m)
+    if data.draw(st.booleans()):
+        a = a.relabel(range(a.nrows), [1] * a.ncols)
+        b = b.relabel([1] * b.nrows, range(b.ncols))
+    got = a @ b
+    want = mul_reference(a, b)
+    assert got == want
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    assert (got.row_degrees, got.col_degrees) == (want.row_degrees, want.col_degrees)
+    assert_clean(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_matches_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    xys = ("x", "y", "s")
+    m = matrices(data, field, xys, data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+    # non-linear images; s is sometimes left unmapped and keeps its name
+    images = {v: data.draw(polys(field, ST)) for v in ("x", "y")}
+    if data.draw(st.booleans()):
+        images["s"] = data.draw(polys(field, ST))
+    target = data.draw(st.sampled_from([None, ST]))
+    got = m.substitute(images, target)
+    want = substitute_reference(m, images, target)
+    assert got == want and (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    assert_clean(got)
+
+
+def test_mul_cancels_to_zero():
+    for field in FIELDS:
+        s = Poly.variable(field, ST, "s")
+        t = Poly.variable(field, ST, "t")
+        # s*t + t*(-s): both contributions land on one entry and cancel
+        got = PolyMatrix(field, ST, [[s, t]]) @ PolyMatrix(field, ST, [[t], [-s]])
+        assert got.entry(0, 0) == Poly.zero(field, ST) and got.entry(0, 0).terms == {}
+
+
+def test_first_mismatch():
+    s = Poly.variable(QQ, ST, "s")
+    zero = Poly.zero(QQ, ST)
+    a = PolyMatrix(QQ, ST, [[s, zero], [zero, s]])
+    assert a.first_mismatch(a) is None
+    b = PolyMatrix(QQ, ST, [[s, zero], [s, s]])
+    assert a.first_mismatch(b) == (1, 0)
+    # an entry only one side has is a mismatch
+    assert a.first_mismatch(a.hstack(PolyMatrix.zero(QQ, ST, 2, 1))) == (0, 2)
+    assert a.vstack(a).first_mismatch(a) == (2, 0)
+
+
+@pytest.mark.parametrize("data", [
+    5, [1, 2], {"rows": 1, "cols": 1}, {"rows": "1", "cols": 1, "entries": [[]]},
+    {"rows": 1, "cols": 1, "entries": [5]}, {"rows": 1, "cols": 1, "entries": [[[[1, 0], 1]]]},
+    {"rows": 1, "cols": 1, "entries": [[]], "row_degrees": 5},
+])
+def test_from_json_rejects_wrong_shape(data):
+    with pytest.raises((MatrixError, PolyError), match="must be|needs"):
+        PolyMatrix.from_json(QQ, ST, data)
