@@ -95,7 +95,11 @@ def pencil_from_descriptor(field, data) -> QuadricPencil:
     for key in ("vars", "q1", "q2"):
         if key not in data:
             raise ValueError(f"pencil descriptor has no {key!r} key")
-    r = int(data["vars"])
+    r = data["vars"]
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(
+            f"pencil descriptor key 'vars' must be an integer, not {type(r).__name__}"
+        )
     names = tuple(f"x{i}" for i in range(r))
     q1 = Poly.from_json(field, names, data["q1"])
     q2 = Poly.from_json(field, names, data["q2"])

@@ -228,6 +228,8 @@ def graded_kernel(m: PolyMatrix, degree_cap: int | None = None) -> PolyMatrix:
         if not src:
             continue
         ker_basis = linalg.nullspace(field, rows, len(src))
+        # few vectors per degree, each kernel vector tested against the span
+        # built so far: one add per vector beats a rank of the whole stack
         span = IncrementalEchelon(field, len(src))
         for row in multiples_coords(field, gens, m.col_degrees, d, nvars):
             span.add(row)
@@ -345,8 +347,6 @@ def graded_quotient_dims(field: Field, variables, generators, degrees, rank: int
     out = []
     for d in degrees:
         width = rank * dim_poly_ring(nvars, d)
-        ech = IncrementalEchelon(field, width)
-        for row in multiples_coords(field, gens, [0] * rank, d, nvars):
-            ech.add(row)
-        out.append(width - ech.rank)
+        rows = multiples_coords(field, gens, [0] * rank, d, nvars)
+        out.append(width - linalg.rank(field, rows, width))
     return out

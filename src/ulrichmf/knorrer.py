@@ -269,7 +269,13 @@ class UlrichCandidate:
             if key not in data:
                 raise ValueError(f"candidate has no {key!r} key")
         field = field_from_name(data["field"])
-        variables = tuple(data["variables"])
+        variables = data["variables"]
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise ValueError(
+                "candidate key 'variables' must be a list of variable names, "
+                f"not {type(variables).__name__}"
+            )
+        variables = tuple(variables)
         load = lambda key: Poly.from_json(field, variables, data[key])
         mat = lambda key: PolyMatrix.from_json(field, variables, data[key])
         return UlrichCandidate(

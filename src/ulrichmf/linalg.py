@@ -20,10 +20,16 @@ def _to_array(rows, ncols, p):
     return np.array(rows, dtype=modp._dtype(p)).reshape(len(rows), ncols)
 
 
-def _rref_fraction(rows, ncols):
-    m = [[Fraction(x) for x in row] for row in rows]
+def _forward_fraction(m, ncols):
+    """Forward elimination over Q, in place on a list of Fraction rows.
+
+    Leaves ``m`` in row echelon form: each pivot keeps its value and the rows
+    below it are cleared, from the pivot column on.  Returns (pivot columns,
+    number of row swaps).
+    """
     nrows = len(m)
     pivots = []
+    swaps = 0
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -31,15 +37,33 @@ def _rref_fraction(rows, ncols):
         piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        top = m[r][c:]
+        inv = 1 / top[0]
+        for i in range(r + 1, nrows):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i][c:] = [x - f * y for x, y in zip(m[i][c:], top)]
         pivots.append(c)
         r += 1
+    return pivots, swaps
+
+
+def _rref_fraction(rows, ncols):
+    """Reduced row echelon form over Q: the forward pass, then back substitution."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, _ = _forward_fraction(m, ncols)
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        inv = 1 / m[k][c]
+        top = [x * inv for x in m[k][c:]]
+        m[k][c:] = top
+        for i in range(k):
+            if m[i][c] != 0:
+                f = m[i][c]
+                m[i][c:] = [x - f * y for x, y in zip(m[i][c:], top)]
     return m, pivots
 
 
@@ -60,7 +84,8 @@ def rank(field: Field, rows, ncols=None) -> int:
         return 0
     if isinstance(field, PrimeField):
         return modp.rank(_to_array(rows, ncols, field.p), field.p)
-    return len(_rref_fraction(rows, ncols)[1])
+    m = [[Fraction(x) for x in row] for row in rows]
+    return len(_forward_fraction(m, ncols)[0])
 
 
 def nullspace(field: Field, rows, ncols):
@@ -119,20 +144,10 @@ def det(field: Field, rows) -> object:
     if isinstance(field, PrimeField):
         return int(modp.det(_to_array(rows, n, field.p), field.p))
     m = [[Fraction(x) for x in row] for row in rows]
-    result = Fraction(1)
+    _, swaps = _forward_fraction(m, n)  # upper triangular, as in modp.det
+    result = Fraction(-1 if swaps % 2 else 1)
     for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            result = -result
         result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return result
 
 

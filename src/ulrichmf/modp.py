@@ -2,8 +2,10 @@
 
 Every graded computation (syzygy kernels, Hom spaces, Macaulay-matrix ranks,
 determinant interpolation) reduces to row echelon forms of scalar matrices
-over F_p, computed here by one kernel: a Python loop over pivots with
-vectorized row updates.
+over F_p, computed here by Python loops over pivots with vectorized row
+updates: the Gauss-Jordan loop behind :func:`rref`, :func:`nullspace` and
+:func:`solve`, and one forward-only loop shared by :func:`rank` and
+:func:`det`.
 
 The element type is chosen from p by :func:`_dtype` and nowhere else.  The
 kernel only ever multiplies two residues in [0, p) and subtracts the product
@@ -62,9 +64,43 @@ def rref(a: np.ndarray, p: int):
     return _rref_numpy(a, p)
 
 
+def _forward(m: np.ndarray, p: int):
+    """Forward elimination mod p, in place, on residues in [0, p).
+
+    Leaves ``m`` in row echelon form: each pivot keeps its value and the rows
+    below it are cleared, from the pivot column on.  Nothing above a pivot is
+    touched.  Returns (pivot columns, number of row swaps).
+    """
+    rows, cols = m.shape
+    pivots = []
+    swaps = 0
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+            swaps += 1
+        below = m[r + 1 :, c:]
+        hit = np.nonzero(below[:, 0])[0]
+        if hit.size:
+            factors = below[hit, 0] * pow(int(m[r, c]), p - 2, p) % p
+            below[hit] = (below[hit] - np.outer(factors, m[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return pivots, swaps
+
+
 def rank(a: np.ndarray, p: int) -> int:
-    _, piv = rref(a, p)
-    return len(piv)
+    """Rank of ``a`` mod p, by forward elimination only.  ``a`` is not modified."""
+    m = np.asarray(a, dtype=_dtype(p)) % p
+    if m.ndim != 2:
+        raise ValueError("rank expects a 2-d array")
+    return len(_forward(m, p)[0])
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
@@ -110,20 +146,10 @@ def det(a: np.ndarray, p: int) -> int:
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("det expects a square matrix")
-    result = 1
+    # the row echelon form is upper triangular, with a zero on the diagonal
+    # exactly when a is singular
+    _, swaps = _forward(m, p)
+    result = -1 if swaps % 2 else 1
     for c in range(n):
-        nz = np.nonzero(m[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            m[[c, i]] = m[[i, c]]
-            result = -result % p
-        pivot = int(m[c, c])
-        result = result * pivot % p
-        inv = pow(pivot, p - 2, p)
-        below = m[c + 1 :, c] != 0
-        if below.any():
-            factors = m[c + 1 :, c][below] * inv % p
-            m[c + 1 :][below] = (m[c + 1 :][below] - np.outer(factors, m[c])) % p
-    return result % p
+        result = result * int(m[c, c]) % p
+    return result

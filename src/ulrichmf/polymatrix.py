@@ -94,17 +94,18 @@ class PolyMatrix:
 
     @staticmethod
     def identity(field, variables, n, scalar=None):
-        z = Poly.zero(field, variables)
         diag = Poly.const(field, variables, 1 if scalar is None else scalar)
-        rows = [[diag if i == j else z for j in range(n)] for i in range(n)]
-        return PolyMatrix(field, variables, rows)
+        return PolyMatrix.scalar_matrix(field, variables, diag, n)
 
     @staticmethod
     def scalar_matrix(field, variables, f: Poly, n: int):
-        """f times the n x n identity."""
+        """f times the n x n identity; f is checked once, not per entry."""
+        variables = tuple(variables)
+        if not isinstance(f, Poly) or f.vars != variables or f.field != field:
+            raise MatrixError("entries must be Polys in the matrix ring")
         z = Poly.zero(field, variables)
         rows = [[f if i == j else z for j in range(n)] for i in range(n)]
-        return PolyMatrix(field, variables, rows)
+        return PolyMatrix._make(field, variables, rows)
 
     @staticmethod
     def from_scalars(field, variables, rows, row_degrees=None, col_degrees=None):

@@ -252,6 +252,22 @@ class WrongShape:
         return data
 
 
+class WrongKey:
+    """A top-level key of the wrong type: the pencil descriptor's 'vars' as a
+    list, or the stored candidate's 'variables' as a number."""
+
+    def __repr__(self):
+        return "WrongKey()"
+
+    def inside(self, argv):
+        if argv[0] == "pencil":
+            return {"vars": [2], "q1": [], "q2": []}
+        with open(os.path.join(GOLDEN, "ulrich_for_roots_q.json")) as fh:
+            data = json.load(fh)
+        data["variables"] = 5
+        return data
+
+
 @pytest.mark.parametrize("argv", [
     ["pencil", "disc"], ["pencil", "diag"], ["pencil", "smooth"], ["ulrich", "verify"],
 ])
@@ -262,9 +278,11 @@ class WrongShape:
     (WrongShape(5), "must be a list of terms"),
     (WrongShape([1, 2]), "term must be"),
     (WrongShape([[[1, 0], 1]]), "term must be"),
+    # the error names the key: 'vars' or 'variables'
+    (WrongKey(), "key 'va"),
 ])
 def test_malformed_descriptor_exits_2(tmp_path, capsys, argv, payload, named):
-    if isinstance(payload, WrongShape):
+    if isinstance(payload, (WrongShape, WrongKey)):
         payload = payload.inside(argv)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -427,6 +445,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         ("ulrich_for_roots_q", ["--field", "Q", "ulrich", "for-roots", "--roots", "1,4,9,2,3"]),
         # its output carries the Jacobian note
         ("ulrich_construct_n3", ["ulrich", "construct", "--n", "3", "--d", "1,2,3,5"]),
+        # g = 4: the Hilbert certificate runs on a 32 x 64 presentation
+        ("ulrich_for_roots_g4",
+         ["ulrich", "for-roots", "--roots", "1,4,9,16,25,2,3,5,6,7"]),
     ],
 )
 def test_mf_json_matches_golden(capsys, name, argv):

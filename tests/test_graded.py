@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulrichmf import binary, graded
 from ulrichmf.fields import QQ, PrimeField
@@ -196,3 +199,93 @@ def test_quotient_dims_module_presentation():
     cols = [[u, zero], [v, zero]]
     dims = graded.graded_quotient_dims(field, uv, cols, range(3), rank=2)
     assert dims == [1 + 1, 0 + 2, 0 + 3]
+
+
+# -- graded_quotient_dims against the row-at-a-time echelon ---------------------
+
+
+def quotient_dims_reference(field, variables, generators, degrees, rank=1):
+    """The replaced loop: one IncrementalEchelon.add per Macaulay row."""
+    nvars = len(variables)
+    gens = []
+    for g in generators:
+        vec = [g] if isinstance(g, Poly) else list(g)
+        nonzero = [p for p in vec if not p.is_zero()]
+        if nonzero:
+            gens.append((nonzero[0].homogeneous_degree(), vec))
+    out = []
+    for d in degrees:
+        width = rank * graded.dim_poly_ring(nvars, d)
+        ech = graded.IncrementalEchelon(field, width)
+        for row in graded.multiples_coords(field, gens, [0] * rank, d, nvars):
+            ech.add(row)
+        out.append(width - ech.rank)
+    return out
+
+
+QUOTIENT_FIELDS = [PrimeField(10009), PrimeField(2**61 - 1), QQ]
+
+
+def quotient_scalars(field):
+    # mostly zero or small, so that dependent rows and cancellations are common
+    small = st.sampled_from([0, 0, 1, -1, 2]).map(field.of)
+    if field is QQ:
+        return small | st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    return small | st.integers(0, field.p - 1).map(field.of)
+
+
+@st.composite
+def presentations(draw):
+    """(field, variables, generators, rank): homogeneous generators, some zero,
+    some duplicated or scaled, as bare Polys (the ideal case) or vectors."""
+    field = draw(st.sampled_from(QUOTIENT_FIELDS))
+    variables = ("u", "v", "w")[: draw(st.integers(2, 3))]
+    ideal = draw(st.booleans())
+    rank = 1 if ideal else draw(st.integers(1, 3))
+    coeff = quotient_scalars(field)
+
+    def form(e):
+        pairs = [(m, draw(coeff)) for m in graded.monomials(len(variables), e)]
+        return Poly.from_pairs(field, variables, pairs)
+
+    gens = []
+    for _ in range(draw(st.integers(0, 7))):
+        e = draw(st.integers(0, 3))
+        gens.append(form(e) if ideal else [form(e) for _ in range(rank)])
+    for _ in range(draw(st.integers(0, 2))):
+        if gens:  # a copy, or a scalar multiple, of an earlier generator
+            g = gens[draw(st.integers(0, len(gens) - 1))]
+            c = draw(coeff)
+            gens.append(g.scale(c) if ideal else [p.scale(c) for p in g])
+    if draw(st.booleans()):
+        zero = Poly.zero(field, variables)
+        gens.insert(draw(st.integers(0, len(gens))), zero if ideal else [zero] * rank)
+    return field, variables, gens, rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations())
+def test_quotient_dims_match_echelon_reference(case):
+    field, variables, gens, rank = case
+    degrees = range(5)
+    got = graded.graded_quotient_dims(field, variables, gens, degrees, rank=rank)
+    assert got == quotient_dims_reference(field, variables, gens, degrees, rank)
+
+
+def test_quotient_dims_reference_on_both_shapes():
+    # many low-degree generators: more Macaulay rows than columns; one
+    # generator: fewer rows than columns
+    uv = ("u", "v")
+    for field in QUOTIENT_FIELDS:
+        u, v = (Poly.variable(field, uv, w) for w in uv)
+        half = field.of(Fraction(1, 2)) if field is QQ else field.inv(2)
+        many = [u, v, u + v, u.scale(half), v, u * u + v * v]
+        one = [[u * v, v * v]]
+        for gens, rank, d, taller in ((many, 1, 3, True), (one, 2, 3, False)):
+            basis = graded.degree_basis([0] * rank, d, 2)
+            gen_list = [(g.homogeneous_degree(), [g]) if isinstance(g, Poly)
+                        else (g[0].homogeneous_degree(), g) for g in gens]
+            rows = graded.multiples_coords(field, gen_list, [0] * rank, d, 2)
+            assert (len(rows) > len(basis)) == taller
+            want = quotient_dims_reference(field, uv, gens, range(5), rank)
+            assert graded.graded_quotient_dims(field, uv, gens, range(5), rank=rank) == want

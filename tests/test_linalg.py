@@ -1,0 +1,98 @@
+"""Elimination over Q: the forward pass and the reduced form built on it.
+
+``linalg`` eliminates rational matrices on lists of Fractions.  ``rank`` and
+``det`` read the forward pass alone; ``_rref_fraction`` adds back
+substitution.  Both are checked against the Gauss-Jordan loop that
+``_rref_fraction`` used before, and ``det`` against permutation expansion.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ulrichmf import linalg
+from ulrichmf.fields import QQ
+
+
+def gauss_jordan_reference(rows, ncols):
+    """Reduced row echelon form: each pivot row is normalized and then cleared
+    from every other row, above and below."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def perm_det(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+# small values make dependent rows and zero pivots common
+ENTRIES = st.sampled_from([0, 0, 1, -1, 2]).map(Fraction) | st.fractions(
+    min_value=-20, max_value=20, max_denominator=7)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """A matrix of up to 6 x 6, with some rows replaced by combinations of
+    earlier ones."""
+    nrows = draw(st.integers(0, 6))
+    ncols = nrows if square else draw(st.integers(0, 6))
+    rows = [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(2, nrows):
+        if draw(st.booleans()):
+            a, b = draw(ENTRIES), draw(ENTRIES)
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rref_and_rank_match_gauss_jordan(case):
+    rows, ncols = case
+    copy = [row[:] for row in rows]
+    want, want_piv = gauss_jordan_reference(rows, ncols)
+    got, piv = linalg._rref_fraction(rows, ncols)
+    assert (got, piv) == (want, want_piv)
+    assert linalg.rank(QQ, rows, ncols) == len(piv)
+    assert rows == copy
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(square=True))
+def test_det_matches_permutation_expansion(case):
+    rows, n = case
+    got = linalg.det(QQ, rows)
+    assert got == perm_det(rows)
+    assert (got == 0) == (linalg.rank(QQ, rows, n) < n)
+
+
+def test_det_row_swaps():
+    # every pivot needs a swap: the anti-diagonal of size n has sign (-1)^(n(n-1)/2)
+    for n in range(1, 6):
+        rows = [[Fraction(3 if i + j == n - 1 else 0) for j in range(n)] for i in range(n)]
+        assert linalg.det(QQ, rows) == (-1) ** (n * (n - 1) // 2) * 3**n

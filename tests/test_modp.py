@@ -243,3 +243,56 @@ def test_linalg_det_past_int64_bound():
     assert linalg.det(PrimeField(p), rows) == 2305843009213693950
     x = linalg.solve(PrimeField(p), rows, [1, 2])
     assert ref_matvec(rows, x, p) == [1, 2]
+
+
+def deficient_cases(p, seed):
+    """Square and non-square products of rank k below full, plus square
+    matrices whose pivots need row swaps or skip a column."""
+    rng = random.Random(seed)
+
+    def product(nrows, ncols, k):
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
+                for row in left]
+
+    out = []
+    for nrows, ncols, k in ((4, 4, 2), (5, 5, 4), (3, 3, 0), (6, 4, 3), (4, 6, 3),
+                            (7, 7, 6), (2, 5, 1), (5, 2, 1), (8, 8, 8)):
+        out.append(product(nrows, ncols, k))
+    # zero leading column; a zero first entry under a nonzero one (a swap);
+    # a pivot-free middle column
+    n = 5
+    upper = [[0] + [rng.randrange(1, p) if j >= i else 0 for j in range(1, n)] for i in range(n)]
+    out.append(upper)
+    swapped = [row[:] for row in product(n, n, n)]
+    swapped[0][0] = 0
+    out.append(swapped)
+    mid = product(n, n, n)
+    for row in mid:
+        row[2] = 2 * row[1] % p
+    out.append(mid)
+    out.append([[p - 1] * n for _ in range(n)])
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_matches_rref_pivots_on_deficient(p):
+    for rows in deficient_cases(p, 5):
+        a = as_input(rows, len(rows[0]), p)
+        before = a.copy()
+        want = len(modp.rref(a, p)[1])
+        assert want == len(ref_rref(rows, len(rows[0]), p)[1])
+        assert modp.rank(a, p) == want
+        assert np.array_equal(a, before)  # rank leaves its input alone
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_det_matches_permutation_oracle_on_deficient(p):
+    for rows in deficient_cases(p, 6):
+        if len(rows) != len(rows[0]) or len(rows) > 7:
+            continue
+        a = as_input(rows, len(rows), p)
+        got = modp.det(a, p)
+        assert got == perm_det(a, p)
+        assert (got == 0) == (modp.rank(a, p) < len(rows))

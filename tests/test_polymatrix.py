@@ -65,6 +65,33 @@ def test_identity_product():
     assert a @ PolyMatrix.identity(PrimeField(13), ST, 3) == a
 
 
+def test_scalar_matrix_matches_checked_constructor():
+    f = binary.binary_form(PrimeField(13), [1, 2, 3])
+    z = Poly.zero(PrimeField(13), ST)
+    for n in range(4):
+        want = PolyMatrix(PrimeField(13), ST, [[f if i == j else z for j in range(n)]
+                                              for i in range(n)])
+        got = PolyMatrix.scalar_matrix(PrimeField(13), list(ST), f, n)
+        assert got == want and got.vars == ST and (got.nrows, got.ncols) == (n, n)
+        assert got.row_degrees is None and got.col_degrees is None
+    assert PolyMatrix.identity(QQ, ST, 2, scalar=3) == PolyMatrix.scalar_matrix(
+        QQ, ST, Poly.const(QQ, ST, 3), 2)
+
+
+@pytest.mark.parametrize("bad", [
+    5,                                                    # not a Poly
+    Poly.const(PrimeField(13), ("u", "v"), 1),            # another ring
+    Poly.const(PrimeField(13), ("t", "s"), 1),            # the same names, reordered
+    Poly.const(PrimeField(17), ST, 1),                    # another field
+    Poly.const(QQ, ST, 1),
+])
+def test_scalar_matrix_rejects_bad_entry(bad):
+    with pytest.raises(MatrixError, match="matrix ring"):
+        PolyMatrix.scalar_matrix(PrimeField(13), ST, bad, 3)
+    with pytest.raises(MatrixError, match="matrix ring"):
+        PolyMatrix.scalar_matrix(PrimeField(13), ST, bad, 0)
+
+
 def test_dimension_mismatch():
     a = PolyMatrix.zero(QQ, ST, 2, 3)
     b = PolyMatrix.zero(QQ, ST, 2, 2)
