@@ -457,6 +457,24 @@ def test_mf_json_matches_golden(capsys, name, argv):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("clifford_bgg_g3.txt", ["clifford", "bgg", "--g", "3", "--window", "0:3"]),
+        ("clifford_bgg_g1_q.json",
+         ["--field", "Q", "--format", "json", "clifford", "bgg", "--g", "1", "--window", "0:3"]),
+        # degrees -2 and -1 have dimension 0 and still print ok
+        ("clifford_bgg_g2_negative.txt",
+         ["--field", "2147483647", "clifford", "bgg", "--g", "2", "--window=-2:2"]),
+    ],
+)
+def test_clifford_bgg_matches_golden(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    with open(os.path.join(GOLDEN, name)) as fh:
+        assert out == fh.read()
+
+
 def test_suite_knorrer_text_matches_golden(capsys):
     code, out, err = run(capsys, "suite", "knorrer", "--max-n", "7")
     assert code == 0 and err == ""
