@@ -8,6 +8,7 @@ from ulrichmf import binary, clifford, mf
 from ulrichmf.fields import QQ, NotASquare, PrimeField
 from ulrichmf.pencil import HyperellipticData
 from ulrichmf.poly import Poly
+from ulrichmf.polymatrix import PolyMatrix
 
 ST = binary.ST
 F = PrimeField(10009)
@@ -208,20 +209,97 @@ def test_regular_module_satisfies_relations():
         window.verify_relations()
 
 
+def diagonal_quadrics(h):
+    """q1 = sum a_i x_i^2 and q2 = sum b_i x_i^2 with f_i = a_i s + b_i t."""
+    r = h.nbranch
+    names = tuple(f"x{i}" for i in range(1, r + 1))
+    pairs1, pairs2 = [], []
+    for i in range(1, r + 1):
+        exp = tuple(2 if j == i else 0 for j in range(1, r + 1))
+        f_i = h.factor(i)
+        pairs1.append((exp, f_i.coefficient((1, 0))))
+        pairs2.append((exp, f_i.coefficient((0, 1))))
+    return Poly.from_pairs(h.field, names, pairs1), Poly.from_pairs(h.field, names, pairs2)
+
+
+def differentials(window, k_lo, k_hi):
+    """The independent reference: D_k = sum_i x_i E_{i,k} as PolyMatrix over
+    k[x_1..x_r], for k_lo <= k <= k_hi, built entry by entry from e_action."""
+    h = window.h
+    field = h.field
+    q1, _ = diagonal_quadrics(h)
+    names = q1.vars
+    xs = [Poly.variable(field, names, v) for v in names]
+    matrices = {}
+    for k in range(k_lo, k_hi + 1):
+        nrows, ncols = window.dim(k + 1), window.dim(k)
+        entries = [[Poly.zero(field, names) for _ in range(ncols)] for _ in range(nrows)]
+        for i, x in enumerate(xs, start=1):
+            mat = window.e_action[(i, k)]
+            for a in range(nrows):
+                for b in range(ncols):
+                    if not field.is_zero(mat[a][b]):
+                        entries[a][b] = entries[a][b] + x.scale(mat[a][b])
+        matrices[k] = PolyMatrix(field, names, entries)
+    return matrices
+
+
+def d2_failures(window, k_lo, k_hi):
+    """Degrees k_lo <= k < k_hi where D_{k+1} D_k != q1 T1 + q2 T2, by the
+    PolyMatrix product of the reference differentials."""
+    q1, q2 = diagonal_quadrics(window.h)
+    matrices = differentials(window, k_lo, k_hi)
+    failures = []
+    for k in range(k_lo, k_hi):
+        t1, t2 = window.t_action[(1, k)], window.t_action[(2, k)]
+        rhs = PolyMatrix(window.h.field, q1.vars, [
+            [q1.scale(t1[a][b]) + q2.scale(t2[a][b]) for b in range(window.dim(k))]
+            for a in range(window.dim(k + 2))
+        ])
+        if matrices[k + 1] @ matrices[k] != rhs:
+            failures.append(k)
+    return failures
+
+
 def test_bgg_complex_regular_module():
     window = clifford.regular_module_window(H1, 0, 5)
     result = clifford.bgg_complex(window, 0, 3)
     assert all(result["certificates"].values())
-    assert [result["matrices"][k].ncols for k in range(4)] == [1, 4, 8, 12]
-    d0 = result["matrices"][0]
+    matrices = differentials(window, 0, 3)
+    assert [matrices[k].ncols for k in range(4)] == [1, 4, 8, 12]
+    d0 = matrices[0]
     # first differential is the column of the x variables, up to sign
     entries = {d0.entry(i, 0) for i in range(4)}
     names = d0.vars
-    from ulrichmf.poly import Poly as P
-
     for i, v in enumerate(names):
-        x = P.variable(F, names, v)
+        x = Poly.variable(F, names, v)
         assert x in entries or -x in entries
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=str)
+@pytest.mark.parametrize("genus, k_hi", [(1, 3), (2, 3), (3, 2)])
+def test_reference_d2_holds_on_regular_windows(field, genus, k_hi):
+    window = clifford.regular_module_window(curve(genus, field), 0, k_hi + 1)
+    assert d2_failures(window, 0, k_hi) == []
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+def test_perturbed_action_fails_reference_at_reported_degree(field):
+    # d^2 at degree k is the relations at degree k coefficient by coefficient,
+    # so the PolyMatrix reference and bgg_complex name the same lowest degree
+    h = curve(1, field)
+    rng = random.Random(5)
+    for i in range(1, h.nbranch + 1):
+        for k in range(0, 4):
+            window = clifford.regular_module_window(h, 0, 4)
+            mat = [row[:] for row in window.e_action[(i, k)]]
+            a, b = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+            mat[a][b] = field.add(mat[a][b], field.one)
+            window.e_action[(i, k)] = mat
+            failures = d2_failures(window, 0, 3)
+            assert failures, (i, k, a, b)
+            with pytest.raises(clifford.CliffordError, match=f"at degree {failures[0]}$"):
+                clifford.bgg_complex(window, 0, 3)
 
 
 def test_bgg_broken_sign_rejected():
@@ -233,13 +311,28 @@ def test_bgg_broken_sign_rejected():
         clifford.bgg_complex(window, 0, 2)
 
 
+def test_bgg_missing_action_rejected():
+    window = clifford.regular_module_window(H1, 0, 3)
+    del window.e_action[(2, 1)]
+    with pytest.raises(clifford.CliffordError, match="degree 1$"):
+        clifford.bgg_complex(window, 0, 2)
+
+
+def test_bgg_unchecked_degree_rejected():
+    # the t action on N_1 is there but N_3 is not: degree 1 cannot be checked
+    window = clifford.regular_module_window(H1, 0, 3)
+    del window.bases[3]
+    with pytest.raises(clifford.CliffordError, match="not checked at degree 1$"):
+        clifford.bgg_complex(window, 0, 2)
+
+
 def test_bgg_complex_genus3_window():
     h = curve(3)
     window = clifford.regular_module_window(h, 0, 6)
     result = clifford.bgg_complex(window, 0, 3)
     assert result["certificates"] == {0: True, 1: True, 2: True}
     assert result["dims"] == {k: clifford.clifford_dimension(h, k) for k in range(7)}
-    assert [result["matrices"][k].ncols for k in range(4)] == [1, 8, 30, 72]
+    assert [differentials(window, 0, 3)[k].ncols for k in range(4)] == [1, 8, 30, 72]
 
 
 def test_relations_reject_broken_square():
@@ -325,11 +418,13 @@ def test_mat_mul_scalar_int64_boundary():
 @pytest.mark.parametrize("k0, k1", [(0, 2), (1, 3)])
 def test_bgg_window_to_k1_plus_one(k0, k1):
     # the CLI builds degrees k0 .. k1 + 1 only: the same output as a wider window
-    small = clifford.bgg_complex(clifford.regular_module_window(H1, k0, k1 + 1), k0, k1)
-    wide = clifford.bgg_complex(clifford.regular_module_window(H1, k0, k1 + 3), k0, k1)
+    small_window = clifford.regular_module_window(H1, k0, k1 + 1)
+    wide_window = clifford.regular_module_window(H1, k0, k1 + 3)
+    small = clifford.bgg_complex(small_window, k0, k1)
+    wide = clifford.bgg_complex(wide_window, k0, k1)
     assert small["certificates"] == wide["certificates"]
     assert all(small["certificates"].values()) and len(small["certificates"]) == k1 - k0
-    assert small["matrices"] == wide["matrices"]
+    assert differentials(small_window, k0, k1) == differentials(wide_window, k0, k1)
     # a one-entry break of any e_i action at degree k1 - 1 is still caught, at
     # the lowest checked degree whose relations read it
     for i in range(1, H1.nbranch + 1):
