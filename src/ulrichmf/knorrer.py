@@ -21,7 +21,7 @@ import random
 from . import binary, graded, linalg
 from .fields import Field, NotASquare
 from .pencil import QuadricPencil, simultaneous_diagonalize, smoothness_check
-from .poly import Poly
+from .poly import Poly, PolyError
 from .polymatrix import PolyMatrix
 
 
@@ -199,6 +199,8 @@ class UlrichCandidate:
         """A @ B' = 0 and A @ C_l = q_l id, recomputed exactly."""
         a = self.presentation
         r = a.nrows
+        if not (r > 0 and r.bit_length() == self.n + 1 and r == 1 << self.n):
+            return False, f"presentation has {r} rows, expected 2^n for n = {self.n}"
         if a.ncols != 2 * r:
             return False, f"presentation is {a.nrows}x{a.ncols}, expected r x 2r"
         prod = a @ self.second_map
@@ -276,19 +278,32 @@ class UlrichCandidate:
                 f"not {type(variables).__name__}"
             )
         variables = tuple(variables)
-        load = lambda key: Poly.from_json(field, variables, data[key])
-        mat = lambda key: PolyMatrix.from_json(field, variables, data[key])
+        n, dvals = data["n"], data.get("d_values")
+        if type(n) is not int:
+            raise ValueError(f"candidate key 'n' must be an integer, not {type(n).__name__}")
+        if dvals is not None and not (
+            isinstance(dvals, list) and len(dvals) == n + 1 and all(type(d) is int for d in dvals)
+        ):
+            raise ValueError(f"candidate key 'd_values' must be null or a list of n + 1 = "
+                             f"{n + 1} integers")
+
+        def load(key, kind):
+            try:
+                return kind.from_json(field, variables, data[key])
+            except PolyError as exc:
+                raise PolyError(f"candidate key {key!r}: {exc}") from None
+
         return UlrichCandidate(
             field,
             variables,
-            data["n"],
-            load("q1"),
-            load("q2"),
-            mat("presentation"),
-            mat("second_map"),
-            mat("cert_q1"),
-            mat("cert_q2"),
-            dvals=data.get("d_values"),
+            n,
+            load("q1", Poly),
+            load("q2", Poly),
+            load("presentation", PolyMatrix),
+            load("second_map", PolyMatrix),
+            load("cert_q1", PolyMatrix),
+            load("cert_q2", PolyMatrix),
+            dvals=dvals,
             provenance=data.get("provenance", ""),
         )
 

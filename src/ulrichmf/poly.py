@@ -279,7 +279,14 @@ class Poly:
                 raise PolyError("polynomial term must be [[exponents], numerator, "
                                 f"nonzero denominator] of integers, not {term!r}")
             exp, num, den = term
-            value = Fraction(num, den) if den != 1 else num
+            value = num
+            if den != 1:
+                try:
+                    value = field.of(Fraction(num, den))
+                except ZeroDivisionError:
+                    raise PolyError(
+                        f"coefficient {num}/{den} has no value in F_{field.name}"
+                    ) from None
             pairs.append((tuple(exp), value))
         return Poly.from_pairs(field, variables, pairs)
 

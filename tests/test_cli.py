@@ -303,6 +303,52 @@ def test_ulrich_verify_wrong_shape_matrix_exits_2(tmp_path, capsys, presentation
     assert err.startswith("error: matrix JSON") and "Traceback" not in err
 
 
+def verify_modified_golden(tmp_path, capsys, **changes):
+    """ulrich verify on the Q golden candidate with some top-level keys replaced."""
+    with open(os.path.join(GOLDEN, "ulrich_for_roots_q.json")) as fh:
+        data = json.load(fh)
+    data.update(changes)
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "ulrich", "verify", str(path))
+
+
+def test_ulrich_verify_coefficient_outside_field_exits_2(tmp_path, capsys):
+    # the Q golden has coefficients with denominator 20, which vanishes in F_5
+    code, out, err = verify_modified_golden(tmp_path, capsys, field="5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: candidate key 'q1': coefficient -21/20 ")
+    assert "F_5" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"d_values": 5}, "'d_values'"),
+    ({"d_values": [1, 2]}, "'d_values'"),
+    ({"d_values": [1, True, 3]}, "'d_values'"),
+    ({"n": [1]}, "'n'"),
+    ({"n": True}, "'n'"),
+])
+def test_ulrich_verify_malformed_n_or_d_values_exits_2(tmp_path, capsys, changes, named):
+    code, out, err = verify_modified_golden(tmp_path, capsys, **changes)
+    assert code == 2 and out == ""
+    assert err.startswith("error: candidate key " + named) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [3, 1, -1, 10**12])
+def test_ulrich_verify_n_not_matching_rows_fails(tmp_path, capsys, n):
+    # the golden presentation has 4 = 2^2 rows
+    code, out, _ = verify_modified_golden(tmp_path, capsys, n=n, d_values=None)
+    assert code == 1
+    assert "verification failed" in out and "presentation has 4 rows" in out
+
+
+def test_golden_candidates_keep_n_consistent(capsys):
+    for name in ("ulrich_construct_n3", "ulrich_for_roots_even", "ulrich_for_roots_g4",
+                 "ulrich_for_roots_q"):
+        code, out, _ = run(capsys, "ulrich", "verify", os.path.join(GOLDEN, name + ".json"))
+        assert code == 0 and out.endswith("pass: True\n"), name
+
+
 def test_grouplaw_suite_g1(capsys):
     code, out, _ = run(capsys, "suite", "grouplaw", "--g", "1")
     assert code == 0
