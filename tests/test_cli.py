@@ -6,9 +6,10 @@ import sys
 import pytest
 
 import ulrichmf
-from ulrichmf import cli
+from ulrichmf import cli, knorrer
 from ulrichmf.fields import PrimeField
 from ulrichmf.poly import Poly
+from ulrichmf.polymatrix import PolyMatrix
 
 
 def run(capsys, *argv):
@@ -172,6 +173,23 @@ def test_suite_transcripts_deterministic(capsys):
     assert "# field: 10009" in out1
     assert "# seed: 0" in out1
     assert "# certificates:" in out1
+
+
+def test_suite_knorrer_fails_on_broken_phi(capsys, monkeypatch):
+    real = knorrer.knorrer_pair
+
+    def broken(field, n, verify=True):
+        # one entry of phi gains x0: still linear, no longer a factorization
+        phi, psi, q = real(field, n, verify)
+        rows = [list(row) for row in phi.entries]
+        rows[-1][-1] = rows[-1][-1] + Poly.variable(field, phi.vars, "x0")
+        return PolyMatrix(field, phi.vars, rows), psi, q
+
+    monkeypatch.setattr(knorrer, "knorrer_pair", broken)
+    code, out, _ = run(capsys, "suite", "knorrer", "--max-n", "3")
+    assert code == 1
+    for n in range(4):
+        assert f"knorrer-identity n={n}: FAIL" in out
 
 
 def test_suite_seed_in_transcript(capsys):

@@ -225,10 +225,8 @@ def diagonal_quadrics(h):
 def differentials(window, k_lo, k_hi):
     """The independent reference: D_k = sum_i x_i E_{i,k} as PolyMatrix over
     k[x_1..x_r], for k_lo <= k <= k_hi, built entry by entry from e_action."""
-    h = window.h
-    field = h.field
-    q1, _ = diagonal_quadrics(h)
-    names = q1.vars
+    field = window.h.field
+    names = tuple(f"x{i}" for i in range(1, window.h.nbranch + 1))
     xs = [Poly.variable(field, names, v) for v in names]
     matrices = {}
     for k in range(k_lo, k_hi + 1):

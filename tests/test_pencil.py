@@ -158,6 +158,23 @@ def test_diagonalize_f13_example():
     assert binary.normalize(diag.product()) == p.discriminant()
 
 
+def test_verify_diagonalization_rejects_perturbed_basis():
+    field = PrimeField(13)
+    q1 = Poly.from_pairs(field, ("x", "y"), [((1, 1), 2)])
+    q2 = Poly.from_pairs(field, ("x", "y"), [((2, 0), 1), ((0, 2), -1)])
+    p = pencil.QuadricPencil.from_quadrics(q1, q2)
+    diag = pencil.simultaneous_diagonalize(p)
+    good = [row[:] for row in diag.basis]
+    for i in range(2):
+        for j in range(2):
+            diag.basis = [row[:] for row in good]
+            diag.basis[i][j] = field.add(diag.basis[i][j], field.one)
+            with pytest.raises(pencil.PencilError, match="diagonalization verification failed"):
+                pencil._verify_diagonalization(p, diag)
+    diag.basis = good
+    pencil._verify_diagonalization(p, diag)
+
+
 def test_diagonalize_rejects_square_discriminant():
     field = QQ
     b1 = [[field.of(1), field.of(0)], [field.of(0), field.of(1)]]
