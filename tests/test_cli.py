@@ -546,6 +546,29 @@ def test_suite_knorrer_text_matches_golden(capsys):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        # g = 1 runs every pair of classes, g >= 2 draws seeded pairs
+        ("suite_grouplaw_g1.txt", ["suite", "grouplaw", "--g", "1"]),
+        ("suite_grouplaw_g2_pairs6.txt",
+         ["suite", "grouplaw", "--g", "2", "--pairs", "6", "--seed", "5"]),
+        ("suite_clifford_g1.txt", ["suite", "clifford", "--g", "1", "--triples", "30", "--seed", "4"]),
+        ("suite_betti_g3.txt", ["suite", "betti", "--g", "3"]),
+        ("suite_ulrich_e2e_n2.txt", ["suite", "ulrich-e2e", "--n", "2", "--seed", "9"]),
+        ("suite_ulrich_e2e_q.json",
+         ["--field", "Q", "--format", "json", "suite", "ulrich-e2e", "--n", "2"]),
+        ("suite_clifford_g1_q.json",
+         ["--field", "Q", "--format", "json", "suite", "clifford", "--g", "1", "--triples", "20"]),
+    ],
+)
+def test_suite_matches_golden(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    with open(os.path.join(GOLDEN, name)) as fh:
+        assert out == fh.read()
+
+
 @pytest.mark.parametrize("modulus", ["318665857834031151167461", "3317044064679887385961981"])
 def test_composite_past_miller_rabin_bound_exits_2(capsys, modulus):
     # psi_12 = 399165290221 * 798330580441 passed the old bases 2..37
