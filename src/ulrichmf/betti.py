@@ -100,6 +100,10 @@ class BettiTable:
         self.lower = list(lower)
         self.upper = list(upper)
         self.overlap = overlap
+        if len(self.upper) < overlap:
+            raise ValueError(
+                f"upper strand has {len(self.upper)} entries, fewer than the overlap {overlap}"
+            )
         for k in range(min(self.overlap, len(self.lower), len(self.upper))):
             if self.upper[-1 - k] != self.lower[k]:
                 raise ValueError("strand duality violated on the overlap")
@@ -134,6 +138,8 @@ class BettiTable:
 
 def tate_shape(g: int, n_terms: int | None = None) -> BettiTable:
     """Tate-resolution shape of the isotropic-plane module: overlap g."""
+    if g < 1:
+        raise ValueError("genus must be at least 1")
     if n_terms is None:
         n_terms = 2 * g
     lower = betti_numbers(g, n_terms)

@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from itertools import combinations
 
 from . import __version__, betti, binary, clifford, graded, knorrer, mf
 from .fields import DEFAULT_PRIME, NotASquare, PrimeField, field_from_name
@@ -203,6 +204,8 @@ def cmd_mf(args, field, seed) -> int:
     if args.action == "cohomology":
         m = mf.line_bundle_mf(h, parse_subset(args.i))
         n0, n1 = (int(v) for v in args.range.split(":"))
+        if n0 > n1:
+            raise ValueError(f"--range n0:n1 needs n0 <= n1, got {args.range}")
         table = mf.cohomology_table(m, n0, n1)
         lines = [
             "twists: " + " ".join(str(n) for n in table.twists),
@@ -363,166 +366,120 @@ def cmd_ulrich(args, field, seed) -> int:
 # -- suites ----------------------------------------------------------------------
 
 
-def run_suite(name: str, field, seed: int, params: dict):
-    """Run a named verification suite; returns (lines, payload, ok)."""
-    checks = []
-
-    def record(check: str, ok: bool, detail: str = ""):
-        checks.append((check, bool(ok), detail))
-
-    if name == "grouplaw":
-        g = params.get("g", 1)
-        h = curve_from_roots(field, range(1, 2 * g + 3))
-        classes = mf.canonical_classes(h)
-        if g == 1:
-            for key_i in classes:
-                for key_j in classes:
-                    rep = mf.verify_group_law(h, key_i, key_j)
-                    record(
-                        f"grouplaw I={sorted(key_i)} J={sorted(key_j)}",
-                        rep["pass"],
-                        f"delta={rep['delta']} twist={rep['h_twist']}",
-                    )
-        else:
-            rng = random.Random(seed)
-            pairs = params.get("pairs", 50)
-            for _ in range(pairs):
-                key_i, key_j = rng.sample(classes, 2)
-                rep = mf.verify_group_law(h, key_i, key_j)
-                record(
-                    f"grouplaw I={sorted(key_i)} J={sorted(key_j)}",
-                    rep["pass"],
-                    f"delta={rep['delta']} twist={rep['h_twist']}",
-                )
-    elif name == "clifford":
-        g = params.get("g", 2)
-        h = curve_from_roots(field, range(1, 2 * g + 3))
-        rng = random.Random(seed)
-        triples = params.get("triples", 200)
-
-        def random_element():
-            terms = {}
-            universe = list(range(1, h.nbranch + 1))
-            for _ in range(3):
-                size = rng.randrange(0, h.nbranch + 1)
-                subset = frozenset(rng.sample(universe, size))
-                coeff = binary.linear_form(
-                    field, _random_scalar(field, rng), _random_scalar(field, rng)
-                )
-                if not coeff.is_zero():
-                    prev = terms.get(subset, Poly.zero(field, binary.ST))
-                    terms[subset] = prev + coeff
-            return clifford.CliffordElement(h, terms)
-
-        bad = 0
-        for _ in range(triples):
-            a, b, c = random_element(), random_element(), random_element()
-            if (a * b) * c != a * (b * c):
-                bad += 1
-        record("associativity", bad == 0, f"{triples} random triples, {bad} failures")
-        y = clifford.central_element_y(h)
-        f_elem = clifford.CliffordElement.basis(h, frozenset(), h.f)
-        record("y-squared", y * y == f_elem, "y^2 = f")
-        from itertools import combinations
-
-        comm_ok = True
-        for size in range(h.nbranch + 1):
-            for combo in combinations(range(1, h.nbranch + 1), size):
-                w = clifford.CliffordElement.basis(h, combo)
-                if size % 2 == 0:
-                    comm_ok = comm_ok and (y * w == w * y)
-                else:
-                    comm_ok = comm_ok and (y * w + w * y).is_zero()
-        record(
-            "y-centrality",
-            comm_ok,
-            "central on even words, anticommutes with odd words",
-        )
-        for rep in mf.canonical_classes(h, parity=0):
-            report = clifford.even_decomposition_check(h, rep)
-            record(
-                f"decomposition I={sorted(rep)}",
-                report["pass"],
-                report.get("detail", ""),
-            )
-    elif name == "betti":
-        g = params.get("g", 3)
-        if g == 3:
-            table = betti.tate_shape(3)
-            record(
-                "betti-table-g3",
-                table.lower == [1, 5, 12, 20, 28, 36]
-                and table.upper == [28, 20, 12, 5, 1]
-                and table.overlap == 3,
-                f"lower={table.lower} upper={table.upper} overlap={table.overlap}",
-            )
-        module, rank, degree = betti.fu_module(g)
-        record(
-            "fu-numerics",
-            rank == 2**g and degree == g * 2 ** (g - 1),
-            f"rank={rank} degree={degree}",
-        )
-        dual_ok = True
-        t = betti.tate_shape(g)
-        for k in range(t.overlap):
-            dual_ok = dual_ok and t.upper[-1 - k] == t.lower[k]
-        record("strand-duality", dual_ok, f"overlap={t.overlap}")
-    elif name == "knorrer":
-        max_n = params.get("max_n", 8)
-        for n in range(max_n + 1):
-            phi, psi, q = knorrer.knorrer_pair(field, n, verify=False)
-            qid = PolyMatrix.scalar_matrix(field, knorrer.xy_variables(n), q, 2**n)
-            ok = (phi @ psi) == qid and (psi @ phi) == qid
-            record(f"knorrer-identity n={n}", ok, f"size {2 ** n}")
-        for n in range(min(max_n, 6) + 1):
-            record(f"mixed-identity n={n}", knorrer.mixed_identity_check(field, n))
-    elif name == "ulrich-e2e":
-        roots = params.get("roots")
-        n = params.get("n", 2)
-        if roots is None:
-            rng = random.Random(seed)
-            roots = _random_targets(field, rng, 2 * n + 1)
-        targets = [field.of(v) for v in roots]
-        try:
-            cand = knorrer.ulrich_for_roots(field, targets, seed=seed)
-        except (knorrer.UlrichError, NotASquare, PencilError) as exc:
-            record("pipeline", False, str(exc))
-        else:
-            record(
-                "certificates",
-                cand.verify_certificates()[0],
-                f"A@B'=0, A@C1=q1*id, A@C2=q2*id on {cand.presentation.nrows}x"
-                f"{cand.presentation.ncols}",
-            )
-            got = sorted(cand.verification["discriminant_roots"])
-            want = sorted(str(v) for v in targets)
-            record("discriminant-roots", got == want, ",".join(got))
-            record(
-                "artinian-hilbert",
-                "pass" in cand.verification["hilbert"],
-                cand.verification["hilbert"],
-            )
+def suite_grouplaw(field, seed, args):
+    g = 1 if args.g is None else args.g
+    h = curve_from_roots(field, range(1, 2 * g + 3))
+    classes = mf.canonical_classes(h)
+    if g == 1:
+        pairs = [(key_i, key_j) for key_i in classes for key_j in classes]
     else:
-        raise ValueError(f"unknown suite {name!r}")
+        rng = random.Random(seed)
+        pairs = [rng.sample(classes, 2) for _ in range(50 if args.pairs is None else args.pairs)]
+    for key_i, key_j in pairs:
+        rep = mf.verify_group_law(h, key_i, key_j)
+        yield (
+            f"grouplaw I={sorted(key_i)} J={sorted(key_j)}",
+            rep["pass"],
+            f"delta={rep['delta']} twist={rep['h_twist']}",
+        )
 
-    ok = all(c[1] for c in checks)
-    lines = transcript_header("suite", name, field, seed)
-    for check, passed, detail in checks:
-        status = "PASS" if passed else "FAIL"
-        lines.append(f"{check}: {status}" + (f" - {detail}" if detail else ""))
-    lines.append(f"result: {'PASS' if ok else 'FAIL'} ({len(checks)} checks)")
-    payload = {
-        "suite": name,
-        "field": field.name,
-        "seed": seed,
-        "version": __version__,
-        "certificates": CERTIFICATES,
-        "checks": [
-            {"name": c, "pass": p, "detail": d} for c, p, d in checks
-        ],
-        "pass": ok,
-    }
-    return lines, payload, ok
+
+def suite_clifford(field, seed, args):
+    g = 2 if args.g is None else args.g
+    h = curve_from_roots(field, range(1, 2 * g + 3))
+    rng = random.Random(seed)
+    triples = 200 if args.triples is None else args.triples
+
+    def random_element():
+        terms = {}
+        universe = list(range(1, h.nbranch + 1))
+        for _ in range(3):
+            size = rng.randrange(0, h.nbranch + 1)
+            subset = frozenset(rng.sample(universe, size))
+            coeff = binary.linear_form(
+                field, _random_scalar(field, rng), _random_scalar(field, rng)
+            )
+            if not coeff.is_zero():
+                prev = terms.get(subset, Poly.zero(field, binary.ST))
+                terms[subset] = prev + coeff
+        return clifford.CliffordElement(h, terms)
+
+    bad = 0
+    for _ in range(triples):
+        a, b, c = random_element(), random_element(), random_element()
+        if (a * b) * c != a * (b * c):
+            bad += 1
+    yield "associativity", bad == 0, f"{triples} random triples, {bad} failures"
+    y = clifford.central_element_y(h)
+    f_elem = clifford.CliffordElement.basis(h, frozenset(), h.f)
+    yield "y-squared", y * y == f_elem, "y^2 = f"
+    comm_ok = True
+    for size in range(h.nbranch + 1):
+        for combo in combinations(range(1, h.nbranch + 1), size):
+            w = clifford.CliffordElement.basis(h, combo)
+            if size % 2 == 0:
+                comm_ok = comm_ok and (y * w == w * y)
+            else:
+                comm_ok = comm_ok and (y * w + w * y).is_zero()
+    yield "y-centrality", comm_ok, "central on even words, anticommutes with odd words"
+    for rep in mf.canonical_classes(h, parity=0):
+        report = clifford.even_decomposition_check(h, rep)
+        yield f"decomposition I={sorted(rep)}", report["pass"], report.get("detail", "")
+
+
+def suite_betti(field, seed, args):
+    g = 3 if args.g is None else args.g
+    if g == 3:
+        table = betti.tate_shape(3)
+        yield (
+            "betti-table-g3",
+            table.lower == [1, 5, 12, 20, 28, 36]
+            and table.upper == [28, 20, 12, 5, 1]
+            and table.overlap == 3,
+            f"lower={table.lower} upper={table.upper} overlap={table.overlap}",
+        )
+    _, rank, degree = betti.fu_module(g)
+    yield "fu-numerics", rank == 2**g and degree == g * 2 ** (g - 1), f"rank={rank} degree={degree}"
+    t = betti.tate_shape(g)
+    dual_ok = all(t.upper[-1 - k] == t.lower[k] for k in range(t.overlap))
+    yield "strand-duality", dual_ok, f"overlap={t.overlap}"
+
+
+def suite_knorrer(field, seed, args):
+    max_n = 8 if args.max_n is None else args.max_n
+    for n in range(max_n + 1):
+        phi, psi, q = knorrer.knorrer_pair(field, n, verify=False)
+        qid = PolyMatrix.scalar_matrix(field, knorrer.xy_variables(n), q, 2**n)
+        ok = (phi @ psi) == qid and (psi @ phi) == qid
+        yield f"knorrer-identity n={n}", ok, f"size {2 ** n}"
+    for n in range(min(max_n, 6) + 1):
+        yield f"mixed-identity n={n}", knorrer.mixed_identity_check(field, n), ""
+
+
+def suite_ulrich_e2e(field, seed, args):
+    if args.roots:
+        roots = parse_values(args.roots)
+    else:
+        n = 2 if args.n is None else args.n
+        roots = _random_targets(field, random.Random(seed), 2 * n + 1)
+    targets = [field.of(v) for v in roots]
+    try:
+        cand = knorrer.ulrich_for_roots(field, targets, seed=seed)
+    except (knorrer.UlrichError, NotASquare, PencilError) as exc:
+        yield "pipeline", False, str(exc)
+        return
+    # the constructor verified the certificates and recorded the verdict
+    yield (
+        "certificates",
+        cand.verification["certificates"] == "pass",
+        f"A@B'=0, A@C1=q1*id, A@C2=q2*id on {cand.presentation.nrows}x"
+        f"{cand.presentation.ncols}",
+    )
+    got = sorted(cand.verification["discriminant_roots"])
+    want = sorted(str(v) for v in targets)
+    yield "discriminant-roots", got == want, ",".join(got)
+    hilbert = cand.verification["hilbert"]
+    yield "artinian-hilbert", "pass" in hilbert, hilbert
 
 
 def _random_scalar(field, rng, lo=0):
@@ -550,21 +507,33 @@ def _random_targets(field, rng, count):
     return picked
 
 
+# each suite yields (check, ok, detail) and reads its flags from args
+SUITES = {
+    "grouplaw": suite_grouplaw,
+    "clifford": suite_clifford,
+    "betti": suite_betti,
+    "knorrer": suite_knorrer,
+    "ulrich-e2e": suite_ulrich_e2e,
+}
+
+
 def cmd_suite(args, field, seed) -> int:
-    params = {}
-    if args.g is not None:
-        params["g"] = args.g
-    if args.n is not None:
-        params["n"] = args.n
-    if args.pairs is not None:
-        params["pairs"] = args.pairs
-    if args.triples is not None:
-        params["triples"] = args.triples
-    if args.max_n is not None:
-        params["max_n"] = args.max_n
-    if args.roots:
-        params["roots"] = parse_values(args.roots)
-    lines, payload, ok = run_suite(args.name, field, seed, params)
+    checks = [(c, bool(p), d) for c, p, d in SUITES[args.name](field, seed, args)]
+    ok = all(p for _, p, _ in checks)
+    lines = transcript_header("suite", args.name, field, seed)
+    for check, passed, detail in checks:
+        status = "PASS" if passed else "FAIL"
+        lines.append(f"{check}: {status}" + (f" - {detail}" if detail else ""))
+    lines.append(f"result: {'PASS' if ok else 'FAIL'} ({len(checks)} checks)")
+    payload = {
+        "suite": args.name,
+        "field": field.name,
+        "seed": seed,
+        "version": __version__,
+        "certificates": CERTIFICATES,
+        "checks": [{"name": c, "pass": p, "detail": d} for c, p, d in checks],
+        "pass": ok,
+    }
     emit(args, lines, payload)
     return 0 if ok else 1
 
@@ -632,6 +601,18 @@ def _apply_environment(args) -> None:
             )
 
 
+def _at_least(lo):
+    """An argparse int type that rejects values below lo."""
+
+    def count(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ulrichmf",
@@ -690,14 +671,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ulrich)
 
     p = sub.add_parser("suite", help="verification suites with transcripts", parents=[common])
-    p.add_argument(
-        "name", choices=("grouplaw", "clifford", "betti", "knorrer", "ulrich-e2e")
-    )
+    p.add_argument("name", choices=tuple(SUITES))
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--triples", type=int, default=None)
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
+    p.add_argument("--pairs", type=_at_least(1), default=None)
+    p.add_argument("--triples", type=_at_least(1), default=None)
+    p.add_argument("--max-n", dest="max_n", type=_at_least(0), default=None)
     p.add_argument("--roots")
     p.set_defaults(handler=cmd_suite)
 

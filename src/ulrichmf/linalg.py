@@ -150,16 +150,3 @@ def det(field: Field, rows) -> object:
         result *= m[c][c]
     return result
 
-
-def inverse(field: Field, rows):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = []
-    for i, row in enumerate(rows):
-        e = [field.zero] * n
-        e[i] = field.one
-        aug.append(list(row) + e)
-    r, piv = rref(field, aug, 2 * n)
-    if len(piv) < n or any(c >= n for c in piv[:n]):
-        return None
-    return [row[n:] for row in r[:n]]

@@ -259,19 +259,15 @@ def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
         )
     if any(mult > 1 for _, mult in found):
         raise PencilError("discriminant is not squarefree")
-    # no root at infinity means disc(1, 0) = det B1 != 0, so B1 is invertible
-    inv_b1 = linalg.inverse(field, pencil.b1)
-    if inv_b1 is None:
-        raise PencilError("internal error: B1 singular despite disc(1,0) != 0")
-    w = _mat_mul(field, inv_b1, pencil.b2)
     basis_cols = []
     factors = []
     for lam_root, _ in found:
-        # eigenvalue of B1^-1 B2 attached to the discriminant factor (s - lam*t)
+        # mu is the eigenvalue of B1^-1 B2 attached to the factor (s - lam*t);
+        # B1 is invertible, so its eigenvectors are the kernel of B2 - mu B1
         mu = field.neg(lam_root)
         shifted = [
-            [field.sub(w[i][j], mu if i == j else field.zero) for j in range(pencil.dim)]
-            for i in range(pencil.dim)
+            [field.sub(b2, field.mul(mu, b1)) for b1, b2 in zip(row1, row2)]
+            for row1, row2 in zip(pencil.b1, pencil.b2)
         ]
         ns = linalg.nullspace(field, shifted, pencil.dim)
         if len(ns) != 1:

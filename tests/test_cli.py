@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import ulrichmf
-from ulrichmf import cli, knorrer
+from ulrichmf import cli, knorrer, mf
 from ulrichmf.fields import PrimeField
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
@@ -64,6 +64,16 @@ def test_mf_build_and_grouplaw(capsys):
     assert "pass: True" in out
 
 
+def test_mf_grouplaw_exits_1_on_wrong_product(capsys, monkeypatch):
+    # negative control: L_{1,2} (x) L_{2,3} replaced by L_{1,4}, not L_{1,3}
+    monkeypatch.setattr(
+        mf, "tensor_mf", lambda li, lj: mf.line_bundle_mf(li.h, {1, 4})
+    )
+    code, out, _ = run(capsys, "mf", "grouplaw", "--g", "2", "--i", "1,2", "--j", "2,3")
+    assert code == 1
+    assert "pass: False" in out
+
+
 def test_mf_cohomology_and_raynaud(capsys):
     code, out, _ = run(
         capsys, "mf", "cohomology", "--g", "2", "--i", "", "--range", "0:2"
@@ -89,6 +99,30 @@ def test_betti_table_golden(capsys):
     code, out, _ = run(capsys, "betti", "table", "--g", "3")
     assert code == 0
     assert out == "... 28 20 12  5  1\n           1  5 12 20 28 36 ...\n"
+
+
+@pytest.mark.parametrize("terms", ["0", "1", "2", "3"])
+def test_betti_table_too_few_terms_exits_2(capsys, terms):
+    # the upper strand has terms - 1 entries, fewer than the overlap g = 3;
+    # the lower row used to start at a negative index and lose a_0
+    code, out, err = run(capsys, "betti", "table", "--g", "3", "--terms", terms)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"upper strand has {max(int(terms) - 1, 0)} entries" in err and "overlap 3" in err
+
+
+def test_betti_table_genus_0_exits_2(capsys):
+    code, out, err = run(capsys, "betti", "table", "--g", "0")
+    assert code == 2 and out == ""
+    assert err == "error: genus must be at least 1\n"
+
+
+def test_export_betti_short_upper_strand_exits_2(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"lower": [1, 5, 12], "upper": [5, 1], "overlap": 3}))
+    code, out, err = run(capsys, "export", str(path), "--format", "text")
+    assert code == 2 and out == ""
+    assert err == "error: upper strand has 2 entries, fewer than the overlap 3\n"
 
 
 def test_betti_chi_json(capsys):
@@ -249,6 +283,31 @@ def test_clifford_bgg_reversed_window_exits_2(capsys):
     code, out, _ = run(capsys, "clifford", "bgg", "--g", "1", "--window", "1:1")
     assert code == 0
     assert out.startswith("dims N_1..N_2: ")
+
+
+def test_mf_cohomology_reversed_range_exits_2(capsys):
+    code, out, err = run(capsys, "mf", "cohomology", "--g", "1", "--range", "3:1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "3:1" in err
+    code, out, _ = run(capsys, "mf", "cohomology", "--g", "1", "--range", "3:3")
+    assert code == 0
+    assert out.startswith("twists: 3\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["grouplaw", "--g", "2", "--pairs", "-3"], "--pairs"),
+    (["grouplaw", "--g", "2", "--pairs", "0"], "--pairs"),
+    (["clifford", "--g", "1", "--triples", "0"], "--triples"),
+    (["knorrer", "--max-n", "-1"], "--max-n"),
+])
+def test_suite_count_below_bound_exits_2(capsys, argv, flag):
+    # a suite used to run no check at all and print result: PASS (0 checks)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["suite", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least" in captured.err
 
 
 class WrongShape:

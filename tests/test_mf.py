@@ -300,3 +300,30 @@ def test_group_law_small_prime():
     h13 = curve(1, PrimeField(13))
     for pair in (({1, 2}, {2, 3}), ({1}, {2}), ({1, 2, 3}, {4})):
         assert mf.verify_group_law(h13, *pair)["pass"]
+
+
+def test_group_law_fails_on_wrong_product(monkeypatch):
+    # negative control: the product L_{1,2} (x) L_{2,3} replaced by L_{1,4}
+    monkeypatch.setattr(mf, "tensor_mf", lambda li, lj: mf.line_bundle_mf(H2, {1, 4}))
+    report = mf.verify_group_law(H2, {1, 2}, {2, 3})
+    assert report["delta"] == [1, 3] and report["pass"] is False
+
+
+def test_graded_kernel_rejects_perturbed_generator(monkeypatch):
+    # negative control: the first kernel generator found gains 1 in one
+    # coefficient, so it leaves the kernel and the sweep must notice
+    real = graded.coords_to_vector
+    calls = []
+
+    def perturbed(field, coords, basis, ncomponents, variables):
+        if not calls:
+            k = next(i for i, c in enumerate(coords) if not field.is_zero(c))
+            coords = list(coords)
+            coords[k] = field.add(coords[k], field.one)
+        calls.append(coords)
+        return real(field, coords, basis, ncomponents, variables)
+
+    monkeypatch.setattr(graded, "coords_to_vector", perturbed)
+    with pytest.raises(graded.GradedError, match="more kernel generators"):
+        mf.tensor_mf(mf.line_bundle_mf(H2, {1, 2}), mf.line_bundle_mf(H2, {2, 3}))
+    assert calls

@@ -115,7 +115,7 @@ def test_discriminant_invariance_under_congruence():
         s = [[rng.randrange(field.p) for _ in range(r)] for _ in range(r)]
         from ulrichmf import linalg
 
-        if linalg.inverse(field, s) is not None:
+        if linalg.det(field, s) != 0:
             break
     st_ = [list(row) for row in zip(*s)]
     b1 = pencil._mat_mul(field, st_, pencil._mat_mul(field, p.b1, s))
