@@ -97,13 +97,18 @@ class BettiTable:
     """
 
     def __init__(self, lower, upper, overlap: int):
-        self.lower = list(lower)
-        self.upper = list(upper)
-        self.overlap = overlap
+        for key, strand in (("lower", lower), ("upper", upper)):
+            if not (isinstance(strand, list) and all(type(v) is int and v >= 0 for v in strand)):
+                raise ValueError(f"Betti table {key!r} must be a list of non-negative integers")
+        if type(overlap) is not int or overlap < 0:
+            raise ValueError("Betti table 'overlap' must be a non-negative integer")
+        self.lower, self.upper, self.overlap = list(lower), list(upper), overlap
         if len(self.upper) < overlap:
             raise ValueError(
                 f"upper strand has {len(self.upper)} entries, fewer than the overlap {overlap}"
             )
+        if not lower and not upper:
+            raise ValueError("Betti table 'lower' and 'upper' are both empty")
         for k in range(min(self.overlap, len(self.lower), len(self.upper))):
             if self.upper[-1 - k] != self.lower[k]:
                 raise ValueError("strand duality violated on the overlap")
@@ -175,9 +180,7 @@ def fu_cohomology_table(g: int, n0: int, n1: int) -> CohomologyTable:
     _, rank, degree = fu_module(g)
     twists = list(range(n0, n1 + 1))
     h0 = [fu_h0(g, n) for n in twists]
-    chi = lambda n: degree + n * rank + rank * (1 - g)
-    h1 = [a - chi(n) for a, n in zip(h0, twists)]
-    return CohomologyTable(twists, h0, h1, rank, degree, g)
+    return CohomologyTable(twists, h0, rank, degree, g)
 
 
 def sum_with_shift_table(g: int, n0: int, n1: int, shift: int | None = None) -> CohomologyTable:
@@ -193,9 +196,7 @@ def sum_with_shift_table(g: int, n0: int, n1: int, shift: int | None = None) -> 
     h0 = [fu_h0(g, n) + fu_h0(g, n + shift) for n in twists]
     rank2 = 2 * rank
     degree2 = degree + (degree + shift * rank)
-    chi = lambda n: degree2 + n * rank2 + rank2 * (1 - g)
-    h1 = [a - chi(n) for a, n in zip(h0, twists)]
-    return CohomologyTable(twists, h0, h1, rank2, degree2, g)
+    return CohomologyTable(twists, h0, rank2, degree2, g)
 
 
 def format_tate_style(table: CohomologyTable) -> str:

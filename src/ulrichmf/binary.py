@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
+from . import linalg
 from .fields import Field, PrimeField, RationalField
 from .poly import Poly, PolyError
 
@@ -183,7 +185,7 @@ def _rational_candidates(g: Poly):
     coeffs = coeff_list(g)
     lcm = 1
     for c in coeffs:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
     while ints and ints[0] == 0:
         ints = ints[1:]
@@ -195,12 +197,6 @@ def _rational_candidates(g: Poly):
         for q in _divisors(an):
             yield Fraction(r, q)
             yield Fraction(-r, q)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int):
@@ -272,33 +268,17 @@ def _gcd_univ(field: Field, a: list, b: list) -> list:
 
 
 def interpolate_univariate(field: Field, points, values) -> list:
-    """Lagrange interpolation; returns ascending coefficients, length len(points)."""
-    n = len(points)
-    if len(values) != n:
+    """Ascending coefficients c, length len(points), with sum_k c_k x^k = value
+    at each point: the solution of the Vandermonde system."""
+    if len(values) != len(points):
         raise PolyError("points/values length mismatch")
-    coeffs = [field.zero] * n
-    for i in range(n):
-        # numerator polynomial prod_{j != i} (x - points[j]), built incrementally
-        num = [field.one]
-        denom = field.one
-        for j in range(n):
-            if j == i:
-                continue
-            num = _mul_linear(field, num, field.neg(points[j]))
-            denom = field.mul(denom, field.sub(points[i], points[j]))
-        scale = field.div(values[i], denom)
-        for k, c in enumerate(num):
-            coeffs[k] = field.add(coeffs[k], field.mul(scale, c))
-    return coeffs
-
-
-def _mul_linear(field: Field, coeffs: list, const) -> list:
-    """Multiply an ascending coefficient list by (x + const)."""
-    out = [field.zero] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] = field.add(out[i], field.mul(c, const))
-        out[i + 1] = field.add(out[i + 1], c)
-    return out
+    rows = []
+    for x in points:
+        row = [field.one]
+        for _ in range(len(points) - 1):
+            row.append(field.mul(row[-1], x))
+        rows.append(row)
+    return linalg.solve(field, rows, list(values), len(points))
 
 
 def homogenize(field: Field, coeffs: list, degree: int) -> Poly:

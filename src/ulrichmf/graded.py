@@ -124,41 +124,6 @@ def degree_map_matrix(m: PolyMatrix, d: int):
     return rows, src, tgt
 
 
-def poly_matrix_rank(m: PolyMatrix) -> int:
-    """Rank over the fraction field, by fraction-free elimination with full pivoting."""
-    field = m.field
-    work = [[p for p in row] for row in m.entries]
-    nrows, ncols = m.nrows, m.ncols
-    prev = Poly.const(field, m.vars, 1)
-    r = 0
-    while True:
-        pivot = None
-        for i in range(r, nrows):
-            for j in range(r, ncols):
-                if not work[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            return r
-        pi, pj = pivot
-        if pi != r:
-            work[pi], work[r] = work[r], work[pi]
-        if pj != r:
-            for row in work:
-                row[pj], row[r] = row[r], row[pj]
-        for i in range(r + 1, nrows):
-            for j in range(r + 1, ncols):
-                num = work[r][r] * work[i][j] - work[i][r] * work[r][j]
-                work[i][j] = num.divexact(prev)
-            work[i][r] = Poly.zero(field, m.vars)
-        prev = work[r][r]
-        r += 1
-        if r == min(nrows, ncols):
-            return r
-
-
 class IncrementalEchelon:
     """Row echelon accumulator over an exact field; tests independence."""
 
@@ -209,7 +174,7 @@ def graded_kernel(m: PolyMatrix, degree_cap: int | None = None) -> PolyMatrix:
         raise GradedError("matrix is not homogeneous for its degree labels")
     field = m.field
     nvars = len(m.vars)
-    kappa = m.ncols - poly_matrix_rank(m)
+    kappa = m.ncols - m.rank()
     if kappa == 0:
         return PolyMatrix(
             field,

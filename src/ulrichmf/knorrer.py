@@ -424,21 +424,9 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
             candidate.q2.evaluate(point)
         ):
             continue
-        row1 = [p.evaluate(point) for p in gradients[0].values()]
-        row2 = [p.evaluate(point) for p in gradients[1].values()]
-        minor_found = False
-        for i in range(len(row1)):
-            for j in range(i + 1, len(row1)):
-                det = field.sub(
-                    field.mul(row1[i], row2[j]), field.mul(row1[j], row2[i])
-                )
-                if not field.is_zero(det):
-                    minor_found = True
-                    break
-            if minor_found:
-                break
-        if not minor_found:
-            return False, f"all 2x2 Jacobian minors vanish at a sampled smooth point"
+        jac = [[p.evaluate(point) for p in grad.values()] for grad in gradients]
+        if linalg.rank(field, jac) < 2:
+            return False, "all 2x2 Jacobian minors vanish at a sampled smooth point"
         found += 1
     if found < samples:
         return False, f"could only sample {found} of {samples} points"

@@ -6,8 +6,8 @@ row_degrees = (b_i); entry (i, j) must be zero or homogeneous of degree
 a_j - b_i.
 
 Determinants use evaluation/interpolation on P^1 when the matrix is a graded
-matrix of binary forms (degree of det is then known), and fraction-free
-Bareiss elimination otherwise.
+matrix of binary forms whose degree labels fix the degree of det.  Otherwise
+one fraction-free Bareiss elimination gives both the rank and the determinant.
 """
 
 from __future__ import annotations
@@ -51,12 +51,14 @@ class GradedFreeModule:
 class PolyMatrix:
     __slots__ = ("field", "vars", "nrows", "ncols", "entries", "row_degrees", "col_degrees")
 
-    def __init__(self, field: Field, variables, entries, row_degrees=None, col_degrees=None):
+    def __init__(self, field: Field, variables, entries, row_degrees=None, col_degrees=None,
+                 ncols=0):
+        """``ncols`` counts the columns only when there are no rows."""
         self.field = field
         self.vars = tuple(variables)
         rows = [tuple(row) for row in entries]
         self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
+        self.ncols = len(rows[0]) if rows else ncols
         for row in rows:
             if len(row) != self.ncols:
                 raise MatrixError("ragged rows")
@@ -74,14 +76,14 @@ class PolyMatrix:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def _make(field, variables: tuple, rows, row_degrees=None, col_degrees=None):
+    def _make(field, variables: tuple, rows, row_degrees=None, col_degrees=None, ncols=0):
         """Trusted constructor for internal results: rows of equal length whose
         entries are Polys in the ring (field, variables), and degree labels that
         are None or tuples of ints of the matching length."""
         m = PolyMatrix.__new__(PolyMatrix)
         m.field, m.vars, m.entries = field, variables, tuple(map(tuple, rows))
         m.nrows = len(m.entries)
-        m.ncols = len(m.entries[0]) if m.entries else 0
+        m.ncols = len(m.entries[0]) if m.entries else ncols
         m.row_degrees, m.col_degrees = row_degrees, col_degrees
         return m
 
@@ -89,7 +91,7 @@ class PolyMatrix:
     def zero(field, variables, nrows, ncols, row_degrees=None, col_degrees=None):
         z = Poly.zero(field, variables)
         return PolyMatrix(
-            field, variables, [[z] * ncols for _ in range(nrows)], row_degrees, col_degrees
+            field, variables, [[z] * ncols for _ in range(nrows)], row_degrees, col_degrees, ncols
         )
 
     @staticmethod
@@ -130,15 +132,20 @@ class PolyMatrix:
 
     def transpose(self) -> "PolyMatrix":
         rows = [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return PolyMatrix._make(self.field, self.vars, rows, self.col_degrees, self.row_degrees)
+        return PolyMatrix._make(
+            self.field, self.vars, rows, self.col_degrees, self.row_degrees, self.nrows
+        )
 
     def relabel(self, row_degrees=None, col_degrees=None) -> "PolyMatrix":
-        return PolyMatrix(self.field, self.vars, self.entries, row_degrees, col_degrees)
+        return PolyMatrix(
+            self.field, self.vars, self.entries, row_degrees, col_degrees, self.ncols
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
             and self.vars == other.vars
+            and self.ncols == other.ncols
             and self.entries == other.entries
         )
 
@@ -219,7 +226,7 @@ class PolyMatrix:
             row_deg, col_deg = self.row_degrees, other.col_degrees
         else:
             row_deg = col_deg = None
-        return PolyMatrix._make(f, self.vars, out, row_deg, col_deg)
+        return PolyMatrix._make(f, self.vars, out, row_deg, col_deg, other.ncols)
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product (self tensor other)."""
@@ -291,63 +298,61 @@ class PolyMatrix:
         return self._det_bareiss()
 
     def _graded_det_degree(self):
-        """Degree of det for a graded matrix; None when grading is unavailable."""
-        row_deg, col_deg = self.row_degrees, self.col_degrees
-        if row_deg is None or col_deg is None:
-            # infer: zero row labels, column-constant entry degrees
-            col_deg = []
-            for j in range(self.ncols):
-                degs = set()
-                for i in range(self.nrows):
-                    p = self.entries[i][j]
-                    if p.is_zero():
-                        continue
-                    if not p.is_homogeneous():
-                        return None
-                    degs.add(p.homogeneous_degree())
-                if len(degs) > 1:
-                    return None
-                col_deg.append(degs.pop() if degs else 0)
-            return sum(col_deg)
-        if not self.check_homogeneous():
+        """Degree of det read from the degree labels; None without labels or
+        when the entries do not match them."""
+        if self.row_degrees is None or self.col_degrees is None or not self.check_homogeneous():
             return None
-        return sum(col_deg) - sum(row_deg)
+        return sum(self.col_degrees) - sum(self.row_degrees)
 
     def _det_interpolate(self, deg: int) -> Poly:
         field = self.field
-        points = []
-        for x in field.elements(deg + 1):
-            points.append(field.of(x))
-        values = []
-        for lam in points:
-            scalar = self.evaluate({"s": lam, "t": field.one})
-            values.append(linalg.det(field, scalar))
-        coeffs = binary.interpolate_univariate(field, points, values)
-        return binary.homogenize(field, coeffs, deg)
+        points = [field.of(x) for x in field.elements(deg + 1)]
+        values = [linalg.det(field, self.evaluate({"s": x, "t": field.one})) for x in points]
+        return binary.homogenize(field, binary.interpolate_univariate(field, points, values), deg)
 
     def _det_bareiss(self) -> Poly:
-        """Fraction-free elimination; every division is exact."""
-        field = self.field
-        n = self.nrows
-        m = [[p for p in row] for row in self.entries]
+        rank, sign, pivot = self._bareiss()
+        if rank < self.nrows:
+            return Poly.zero(self.field, self.vars)
+        return pivot.scale(self.field.of(sign))
+
+    def rank(self) -> int:
+        """Rank over the fraction field of k[vars]."""
+        return self._bareiss()[0]
+
+    def _bareiss(self):
+        """Fraction-free elimination with full pivoting; every division is exact.
+
+        Returns (rank r, sign of the row and column swaps, last pivot).  The last
+        pivot is the r x r minor on the pivot rows and columns, 1 when r = 0.
+        """
+        work = [list(row) for row in self.entries]
+        nrows, ncols = self.nrows, self.ncols
+        zero = Poly.zero(self.field, self.vars)
+        prev = Poly.const(self.field, self.vars, 1)
         sign = 1
-        prev = Poly.const(field, self.vars, 1)
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-                if pivot_row is None:
-                    return Poly.zero(field, self.vars)
-                m[k], m[pivot_row] = m[pivot_row], m[k]
+        for r in range(min(nrows, ncols)):
+            pivot = next(
+                ((i, j) for i in range(r, nrows) for j in range(r, ncols) if work[i][j].terms),
+                None,
+            )
+            if pivot is None:
+                return r, sign, prev
+            pi, pj = pivot
+            if pi != r:
+                work[pi], work[r] = work[r], work[pi]
                 sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                    m[i][j] = num.divexact(prev)
-            for i in range(k + 1, n):
-                m[i][k] = Poly.zero(field, self.vars)
-            prev = m[k][k]
-        det = m[n - 1][n - 1]
-        return det.scale(field.of(sign))
+            if pj != r:
+                for row in work[r:]:
+                    row[pj], row[r] = row[r], row[pj]
+                sign = -sign
+            top = work[r]
+            for row in work[r + 1 :]:
+                for j in range(r + 1, ncols):
+                    row[j] = (top[r] * row[j] - row[r] * top[j]).divexact(prev)
+                row[r] = zero
+            prev = top[r]
+        return min(nrows, ncols), sign, prev
 
     # -- JSON ---------------------------------------------------------------------
 
@@ -381,5 +386,5 @@ class PolyMatrix:
             raise MatrixError("entry count mismatch in matrix JSON")
         rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
         return PolyMatrix(
-            field, variables, rows, data.get("row_degrees"), data.get("col_degrees")
+            field, variables, rows, data.get("row_degrees"), data.get("col_degrees"), ncols
         )

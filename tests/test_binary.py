@@ -75,12 +75,15 @@ def test_normalize():
 
 
 def test_interpolation_round_trip():
-    f13 = PrimeField(13)
-    f = binary.binary_form(f13, [3, 1, 4, 1])
-    pts = [f13.of(k) for k in range(4)]
-    vals = [binary.evaluate(f, lam, 1) for lam in pts]
-    coeffs = binary.interpolate_univariate(f13, pts, vals)
-    assert binary.homogenize(f13, coeffs, 3) == f
+    rng = random.Random(3)
+    for field in (PrimeField(13), PrimeField(10009), QQ):
+        for deg in range(9):
+            f = binary.binary_form(field, [rng.randrange(-20, 20) for _ in range(deg + 1)])
+            pts = [field.of(k) for k in rng.sample(range(-6, 7), deg + 1)]
+            vals = [binary.evaluate(f, lam, 1) for lam in pts]
+            coeffs = binary.interpolate_univariate(field, pts, vals)
+            assert len(coeffs) == deg + 1
+            assert binary.homogenize(field, coeffs, deg) == f
 
 
 # -- the F_p root finder against a brute-force scan ---------------------------

@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ulrichmf
 from ulrichmf import cli, knorrer, mf
@@ -636,3 +642,69 @@ def test_composite_past_miller_rabin_bound_exits_2(capsys, modulus):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- fuzzing: a malformed document exits 0, 1 or 2, never with a traceback -----
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(-(10**30), 10**30),
+    st.floats(), st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_documents():
+    """(document, commands) for a valid pencil, Ulrich candidate and Betti table."""
+    field = PrimeField(10009)
+    names = ("x0", "x1", "x2")
+    q1 = Poly.from_pairs(field, names, [((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 1)])
+    q2 = Poly.from_pairs(field, names, [((2, 0, 0), 1), ((0, 2, 0), 2), ((0, 0, 2), 3)])
+    pencil = {"vars": 3, "q1": q1.to_json(), "q2": q2.to_json()}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["--format", "json", "ulrich", "construct", "--n", "2", "--d", "1,2,3"])
+    candidate = json.loads(out.getvalue())
+    betti_table = {"lower": [1, 5, 12], "upper": [12, 5, 1], "overlap": 3}
+    export = ["export", "{}", "--format", "text"]
+    return (
+        (pencil, (["pencil", "diag", "{}"],)),
+        (candidate, (["ulrich", "verify", "{}"], export)),
+        (betti_table, (export,)),
+    )
+
+
+def mutate(data, doc):
+    """A deep copy of doc with the value at a random JSON path replaced or deleted."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 4)):
+        parent, key = node, data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                                      else range(len(node))))
+        node = node[key]
+    if parent is None:
+        return data.draw(JSON_VALUES)
+    if data.draw(st.integers(0, 4)) == 0:
+        del parent[key]
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_documents_exit_cleanly(tmp_path_factory, data):
+    doc, commands = data.draw(st.sampled_from(fuzz_documents()))
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(mutate(data, doc)))
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(path) if a == "{}" else a for a in argv])
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()

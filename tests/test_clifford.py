@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulrichmf import binary, clifford, mf
 from ulrichmf.fields import QQ, NotASquare, PrimeField
@@ -114,6 +116,19 @@ def test_associativity_random():
         for _ in range(25):
             a, b, c = (random_element(rng, h) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_associativity(data):
+    h = data.draw(st.sampled_from([H1, H2, curve(1, QQ), curve(2, QQ)]))
+    subsets = st.frozensets(st.integers(1, h.nbranch))
+    coeffs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda ab: binary.linear_form(h.field, *ab))
+    elements = st.dictionaries(subsets, coeffs, max_size=3).map(
+        lambda terms: clifford.CliffordElement(h, terms))
+    a, b, c = (data.draw(elements) for _ in range(3))
+    assert (a * b) * c == a * (b * c)
 
 
 def test_grading_additivity():

@@ -123,6 +123,15 @@ def test_jacobian_check():
     assert "collide" in note
 
 
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+def test_jacobian_check_fails_on_proportional_quadrics(field):
+    lam = knorrer.diagonal_lambda(field, [field.of(d) for d in (1, 2, 3)])
+    cand = knorrer.build_candidate(field, 2, lam)
+    cand.q2 = cand.q1.scale(3)  # the gradients are then parallel everywhere
+    assert knorrer.jacobian_check(cand, seed=5) == (
+        False, "all 2x2 Jacobian minors vanish at a sampled smooth point")
+
+
 def test_elementary_symmetric():
     vals = [QQ.of(v) for v in (1, 2, 3)]
     assert knorrer.elementary_symmetric(QQ, vals, 0) == 1

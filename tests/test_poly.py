@@ -306,3 +306,16 @@ def test_substitute_cancels_to_zero():
 def test_from_json_rejects_wrong_shape(data):
     with pytest.raises(PolyError, match="must be"):
         Poly.from_json(QQ, ST, data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ring_axioms(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    a, b, c = (data.draw(polys(field, ST)) for _ in range(3))
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero()
+    if not b.is_zero():
+        assert (a * b).divexact(b) == a

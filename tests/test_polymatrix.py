@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,34 @@ def test_det_interpolation_matches_bareiss():
         assert m._det_interpolate(n) == m._det_bareiss()
 
 
+def largest_nonzero_minor(m: PolyMatrix) -> int:
+    """Rank oracle: the size of the largest minor whose cofactor_det is nonzero."""
+    for k in range(min(m.nrows, m.ncols), 0, -1):
+        for rows in combinations(range(m.nrows), k):
+            for cols in combinations(range(m.ncols), k):
+                minor = [[m.entry(i, j) for j in cols] for i in rows]
+                if not cofactor_det(PolyMatrix(m.field, m.vars, minor)).is_zero():
+                    return k
+    return 0
+
+
+def test_rank_matches_largest_nonzero_minor():
+    rng = random.Random(13)
+    for field in (PrimeField(13), PrimeField(10009), QQ):
+        for _ in range(40):
+            nrows, ncols = rng.randrange(5), rng.randrange(5)
+            rows = [list(r) for r in random_binary_matrix(rng, field, max(nrows, ncols)).entries]
+            rows = [r[:ncols] for r in rows[:nrows]]
+            if nrows > 1 and rng.random() < 0.4:
+                rows[rng.randrange(nrows)] = list(rows[0])  # a duplicate row
+            if ncols and rng.random() < 0.4:
+                j = rng.randrange(ncols)  # a zero column
+                rows = [r[:j] + [Poly.zero(field, ST)] + r[j + 1 :] for r in rows]
+            m = PolyMatrix(field, ST, rows, ncols=ncols)
+            assert (m.nrows, m.ncols) == (nrows, ncols)
+            assert m.rank() == largest_nonzero_minor(m)
+
+
 def test_det_small_field_falls_back():
     # F_3 has too few points to interpolate a degree-4 determinant
     f3 = PrimeField(3)
@@ -211,6 +240,17 @@ def test_json_round_trip():
     assert back.col_degrees == m.col_degrees
 
 
+def test_matrix_without_rows_keeps_its_columns():
+    shape = lambda m: (m.nrows, m.ncols)
+    a = PolyMatrix.from_json(QQ, ST, {"rows": 0, "cols": 3, "entries": []})
+    assert shape(a) == (0, 3) and shape(PolyMatrix.zero(QQ, ST, 0, 4)) == (0, 4)
+    assert shape(a.transpose()) == (3, 0) and shape(a.transpose().transpose()) == (0, 3)
+    assert shape(a.relabel([], [0, 1, 2])) == (0, 3)
+    assert shape(a @ PolyMatrix.zero(QQ, ST, 3, 2)) == (0, 2)
+    assert shape(PolyMatrix.from_json(QQ, ST, a.to_json())) == (0, 3)
+    assert a != PolyMatrix.zero(QQ, ST, 0, 2)
+
+
 def test_substitute():
     f13 = PrimeField(13)
     xy = ("x", "y")
@@ -240,8 +280,8 @@ def mul_reference(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                 if not b.entry(k, j).is_zero():
                     out[i][j] = out[i][j] + a.entry(i, k) * b.entry(k, j)
     if a.col_degrees is not None and a.col_degrees == b.row_degrees:
-        return PolyMatrix(a.field, a.vars, out, a.row_degrees, b.col_degrees)
-    return PolyMatrix(a.field, a.vars, out)
+        return PolyMatrix(a.field, a.vars, out, a.row_degrees, b.col_degrees, b.ncols)
+    return PolyMatrix(a.field, a.vars, out, ncols=b.ncols)
 
 
 def substitute_reference(m: PolyMatrix, images, target_vars=None) -> PolyMatrix:
@@ -278,17 +318,17 @@ def polys(field, variables, max_deg=2, max_terms=3):
 
 def matrices(data, field, variables, nrows, ncols):
     rows = [[data.draw(polys(field, variables)) for _ in range(ncols)] for _ in range(nrows)]
-    return PolyMatrix(field, variables, rows)
+    return PolyMatrix(field, variables, rows, ncols=ncols)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_mul_matches_reference(data):
     field = data.draw(st.sampled_from(FIELDS))
-    # zero sizes included; a matrix without rows has no columns either
+    # zero sizes included
     n, k, m = (data.draw(st.integers(0, 3)) for _ in range(3))
     a = matrices(data, field, ST, n, k)
-    b = matrices(data, field, ST, a.ncols, m)
+    b = matrices(data, field, ST, k, m)
     if data.draw(st.booleans()):
         a = a.relabel(range(a.nrows), [1] * a.ncols)
         b = b.relabel([1] * b.nrows, range(b.ncols))
