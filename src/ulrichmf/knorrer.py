@@ -59,10 +59,20 @@ def knorrer_pair(field: Field, n: int, verify: bool = True):
     for x, y in zip(xs, ys):
         q = q + x * y
     if verify:
-        qid = PolyMatrix.scalar_matrix(field, names, q, 2**n)
-        if phi @ psi != qid or psi @ phi != qid:
-            raise UlrichError("internal error: Knorrer identity failed")
+        failure = knorrer_identity_failure(n, phi, psi, q)
+        if failure is not None:
+            raise UlrichError(f"internal error: Knorrer identity failed: {failure}")
     return phi, psi, q
+
+
+def knorrer_identity_failure(n: int, phi: PolyMatrix, psi: PolyMatrix, q: Poly):
+    """None if phi @ psi = psi @ phi = q * id of size 2^n, else the first failing entry."""
+    qid = PolyMatrix.scalar_matrix(q.field, q.vars, q, 2**n)
+    for name, prod in (("phi @ psi", phi @ psi), ("psi @ phi", psi @ phi)):
+        where = prod.first_mismatch(qid)
+        if where is not None:
+            return f"{name} != q*id at entry {where}"
+    return None
 
 
 def mixed_identity_check(field: Field, n: int) -> bool:
@@ -187,6 +197,7 @@ class UlrichCandidate:
         self.dvals = list(dvals) if dvals is not None else None
         self.provenance = provenance
         self.verification: dict = {}
+        self._pencil = None
         ok, detail = self.verify_certificates()
         if not ok:
             raise UlrichError(f"candidate certificates failed: {detail}")
@@ -222,7 +233,10 @@ class UlrichCandidate:
         return True, "ok"
 
     def pencil(self) -> QuadricPencil:
-        return QuadricPencil.from_quadrics(self.q1, self.q2)
+        """The pencil of (q1, q2), built once so its discriminant is split once."""
+        if self._pencil is None:
+            self._pencil = QuadricPencil.from_quadrics(self.q1, self.q2)
+        return self._pencil
 
     def substitute(self, images: dict, new_variables, provenance="") -> "UlrichCandidate":
         """Apply a linear change of variables to every matrix and quadric."""
@@ -316,11 +330,12 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
     """
     if n < 2:
         raise UlrichError("n must be at least 2: the module rank 2^(n-2) is not integral")
-    phi, psi, q1 = knorrer_pair(field, n)
-    names = xy_variables(n)
+    # lam is checked before the 2^n x 2^n pair is built
     g = g_lambda(field, lam)
     if len(lam) != 2 * (n + 1):
         raise UlrichError(f"skew matrix must have size {2 * (n + 1)}")
+    phi, psi, q1 = knorrer_pair(field, n)
+    names = xy_variables(n)
     # (x|y) -> (x|y) G: variable k maps to column k of G
     images = _linear_images(field, list(zip(*g)), names, names)
     a2 = phi.substitute(images, names)
@@ -625,8 +640,7 @@ def ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed: int = 0) -> 
 def _verify_restricted(candidate: UlrichCandidate, targets, seed) -> None:
     field = candidate.field
     p = candidate.pencil()
-    disc = p.discriminant()
-    found, inf_mult, splits = binary.roots(disc)
+    found, inf_mult, splits = p.roots()
     root_multiset = sorted(
         (lam for lam, mult in found for _ in range(mult)), key=binary.root_sort_key
     )

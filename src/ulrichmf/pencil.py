@@ -41,29 +41,6 @@ def bilinear_matrix(q: Poly):
     return b
 
 
-def _mat_vec(field, m, v):
-    return [
-        _dot(field, row, v)
-        for row in m
-    ]
-
-
-def _dot(field, u, v):
-    acc = field.zero
-    for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
-def _mat_mul(field, a, b):
-    bt = list(zip(*b))
-    return [[_dot(field, row, col) for col in bt] for row in a]
-
-
-def _quad_value(field, b, v):
-    return _dot(field, v, _mat_vec(field, b, v))
-
-
 class QuadricPencil:
     """A pair of symmetric scalar matrices (B1, B2) for the pencil s*q1 + t*q2."""
 
@@ -82,6 +59,7 @@ class QuadricPencil:
         self.dim = r
         self.variables = tuple(variables) if variables else tuple(f"x{i}" for i in range(r))
         self._disc = None
+        self._roots = None
 
     @staticmethod
     def from_quadrics(q1: Poly, q2: Poly) -> "QuadricPencil":
@@ -118,6 +96,17 @@ class QuadricPencil:
             self._disc = binary.normalize(det)
         return self._disc
 
+    def roots(self):
+        """binary.roots of the discriminant, split once per pencil."""
+        if self._roots is None:
+            self._roots = binary.roots(self.discriminant())
+        return self._roots
+
+    def congruence(self, m) -> PolyMatrix:
+        """M^T (s*B1 + t*B2) M for a square scalar matrix M."""
+        mp = PolyMatrix.from_scalars(self.field, binary.ST, m)
+        return mp.transpose() @ self.matrix_poly() @ mp
+
     def to_json(self) -> dict:
         return {
             "vars": self.dim,
@@ -148,7 +137,7 @@ def smoothness_check(pencil: QuadricPencil):
     issues = []
     if binary.t_valuation(disc) > 0:
         issues.append("root at infinity")
-    found, inf_mult, splits = binary.roots(disc)
+    found, inf_mult, splits = pencil.roots()
     repeated = [lam for lam, mult in found if mult > 1]
     if inf_mult > 1:
         issues.append("double root at infinity")
@@ -203,6 +192,8 @@ class HyperellipticData(Diagonalization):
 
     def __init__(self, field, factors, basis=None, pencil=None):
         super().__init__(field, factors, basis, pencil)
+        if not self.factors:
+            raise PencilError("hyperelliptic data needs at least 2 branch points (genus >= 0)")
         if len(self.factors) % 2:
             raise PencilError("hyperelliptic data needs an even number of factors")
         self.genus = len(self.factors) // 2 - 1
@@ -249,8 +240,7 @@ def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
     roots are taken, so the diagonal entries need not be monic.
     """
     field = pencil.field
-    disc = pencil.discriminant()
-    found, inf_mult, splits = binary.roots(disc)
+    found, inf_mult, splits = pencil.roots()
     if inf_mult:
         raise PencilError("discriminant has a root at infinity; renormalize the pencil")
     if not splits:
@@ -260,7 +250,6 @@ def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
     if any(mult > 1 for _, mult in found):
         raise PencilError("discriminant is not squarefree")
     basis_cols = []
-    factors = []
     for lam_root, _ in found:
         # mu is the eigenvalue of B1^-1 B2 attached to the factor (s - lam*t);
         # B1 is invertible, so its eigenvectors are the kernel of B2 - mu B1
@@ -272,15 +261,13 @@ def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
         ns = linalg.nullspace(field, shifted, pencil.dim)
         if len(ns) != 1:
             raise PencilError("unexpected eigenspace dimension (repeated eigenvalue?)")
-        v = ns[0]
-        c1 = _quad_value(field, pencil.b1, v)
-        c2 = _quad_value(field, pencil.b2, v)
-        f_i = binary.linear_form(field, c1, c2)
-        if f_i.is_zero():
-            raise PencilError("isotropic eigenvector encountered; pencil is degenerate")
-        factors.append(f_i)
-        basis_cols.append(v)
+        basis_cols.append(ns[0])
     basis = [[basis_cols[j][i] for j in range(pencil.dim)] for i in range(pencil.dim)]
+    # f_i = v_i^T (s B1 + t B2) v_i, the diagonal of the congruence
+    conj = pencil.congruence(basis)
+    factors = [conj.entry(i, i) for i in range(pencil.dim)]
+    if any(f_i.is_zero() for f_i in factors):
+        raise PencilError("isotropic eigenvector encountered; pencil is degenerate")
     result = (
         HyperellipticData(field, factors, basis, pencil)
         if pencil.dim % 2 == 0
@@ -292,20 +279,13 @@ def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
 
 def _verify_diagonalization(pencil: QuadricPencil, diag: Diagonalization):
     """Exact check: M^T (s B1 + t B2) M = diag(f_1, ..., f_r)."""
-    field = pencil.field
-    m = diag.basis
-    mt = [list(row) for row in zip(*m)]
-    for which, b in ((0, pencil.b1), (1, pencil.b2)):
-        conj = _mat_mul(field, mt, _mat_mul(field, b, m))
-        for i in range(pencil.dim):
-            for j in range(pencil.dim):
-                expect = field.zero
-                if i == j:
-                    exp = (1, 0) if which == 0 else (0, 1)
-                    expect = diag.factors[i].coefficient(exp)
-                if conj[i][j] != expect:
-                    raise PencilError("diagonalization verification failed")
-    prod = diag.product()
-    disc = pencil.discriminant()
-    if binary.normalize(prod) != disc:
+    zero = Poly.zero(pencil.field, binary.ST)
+    want = PolyMatrix(
+        pencil.field,
+        binary.ST,
+        [[f if i == j else zero for j in range(diag.size)] for i, f in enumerate(diag.factors)],
+    )
+    if pencil.congruence(diag.basis) != want:
+        raise PencilError("diagonalization verification failed")
+    if binary.normalize(diag.product()) != pencil.discriminant():
         raise PencilError("product of diagonal factors does not match the discriminant")

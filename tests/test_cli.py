@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ulrichmf
-from ulrichmf import cli, knorrer, mf
+from ulrichmf import binary, cli, knorrer, mf
 from ulrichmf.fields import PrimeField
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
@@ -229,7 +229,8 @@ def test_suite_knorrer_fails_on_broken_phi(capsys, monkeypatch):
     code, out, _ = run(capsys, "suite", "knorrer", "--max-n", "3")
     assert code == 1
     for n in range(4):
-        assert f"knorrer-identity n={n}: FAIL" in out
+        # row 2^n - 1 of phi gained x0; its product with column 0 of psi is off
+        assert f"knorrer-identity n={n}: FAIL - phi @ psi != q*id at entry ({2**n - 1}, 0)" in out
 
 
 def test_suite_seed_in_transcript(capsys):
@@ -289,6 +290,21 @@ def test_clifford_bgg_reversed_window_exits_2(capsys):
     code, out, _ = run(capsys, "clifford", "bgg", "--g", "1", "--window", "1:1")
     assert code == 0
     assert out.startswith("dims N_1..N_2: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mf", "build-li"],
+    ["mf", "grouplaw"],
+    ["clifford", "center"],
+    ["clifford", "bgg"],
+    ["suite", "clifford"],
+    ["suite", "grouplaw"],
+])
+def test_curve_without_branch_points_exits_2(capsys, argv):
+    # g = -1 gives 2g + 2 = 0 branch points
+    code, out, err = run(capsys, *argv, "--g", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "branch points" in err and "Traceback" not in err
 
 
 def test_mf_cohomology_reversed_range_exits_2(capsys):
@@ -632,6 +648,48 @@ def test_suite_matches_golden(capsys, name, argv):
     assert code == 0 and err == ""
     with open(os.path.join(GOLDEN, name)) as fh:
         assert out == fh.read()
+
+
+PENCILS = {"5_p": "10009", "5_q": "Q", "6_p": "10009", "6_q": "Q"}
+
+
+# the pencils of ulrich for-roots on 1,4,9,2,3 and 1,4,9,16,2,3 over F_10009 and Q
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("action", ["diag", "smooth"])
+@pytest.mark.parametrize("pencil", sorted(PENCILS))
+def test_pencil_matches_golden(capsys, pencil, action, fmt):
+    code, out, err = run(
+        capsys, "--field", PENCILS[pencil], "--format", "text" if fmt == "txt" else "json",
+        "pencil", action, os.path.join(GOLDEN, f"pencil_for_roots_{pencil}.json"),
+    )
+    assert code == 0 and err == ""
+    with open(os.path.join(GOLDEN, f"pencil_{action}_{pencil}.{fmt}")) as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("roots, splits, determinants", [
+    ("1,4,9,2,3", 1, 1),
+    # the odd-ambient pencil is split once and then diagonalized from its cache
+    ("1,4,9,16,2,3", 2, 2),
+])
+def test_for_roots_splits_each_discriminant_once(capsys, monkeypatch, roots, splits,
+                                                 determinants):
+    calls = {"roots": 0, "det": 0}
+    real_roots, real_det = binary.roots, PolyMatrix.determinant
+
+    def counted_roots(f):
+        calls["roots"] += 1
+        return real_roots(f)
+
+    def counted_det(m):
+        calls["det"] += 1
+        return real_det(m)
+
+    monkeypatch.setattr(binary, "roots", counted_roots)
+    monkeypatch.setattr(PolyMatrix, "determinant", counted_det)
+    code, _, err = run(capsys, "ulrich", "for-roots", "--roots", roots)
+    assert code == 0, err
+    assert calls == {"roots": splits, "det": determinants}
 
 
 @pytest.mark.parametrize("modulus", ["318665857834031151167461", "3317044064679887385961981"])

@@ -36,6 +36,20 @@ def test_knorrer_products_small_n():
         assert psi @ phi == qid
 
 
+def test_knorrer_identity_failure_names_entry():
+    phi, psi, q = knorrer.knorrer_pair(F, 2)
+    assert knorrer.knorrer_identity_failure(2, phi, psi, q) is None
+    rows = [list(row) for row in psi.entries]
+    rows[1][2] = rows[1][2] + Poly.variable(F, psi.vars, "y0")
+    broken = PolyMatrix(F, psi.vars, rows)
+    # column 2 of the product moves by y0 * (column 1 of phi), first nonzero in row 1
+    assert knorrer.knorrer_identity_failure(2, phi, broken, q) == (
+        "phi @ psi != q*id at entry (1, 2)"
+    )
+    # a 4 x 4 product is not q times the 2 x 2 identity
+    assert knorrer.knorrer_identity_failure(1, phi, psi, q) == "phi @ psi != q*id at entry (0, 2)"
+
+
 def test_mixed_identity():
     assert knorrer.mixed_identity_check(QQ, 0)
     assert knorrer.mixed_identity_check(F, 2)
@@ -98,6 +112,20 @@ def test_build_candidate_rejects_small_n():
     lam = knorrer.diagonal_lambda(F, [F.of(d) for d in (1, 2)])
     with pytest.raises(knorrer.UlrichError):
         knorrer.build_candidate(F, 1, lam)
+
+
+@pytest.mark.parametrize("n, dvals", [(10, [1]), (3, [1, 2, 3])])
+def test_build_candidate_checks_lambda_before_the_pair(monkeypatch, n, dvals):
+    def pair_not_expected(field, n, verify=True):
+        raise AssertionError("knorrer_pair built before lambda was checked")
+
+    monkeypatch.setattr(knorrer, "knorrer_pair", pair_not_expected)
+    lam = knorrer.diagonal_lambda(F, [F.of(d) for d in dvals])
+    with pytest.raises(knorrer.UlrichError, match=f"skew matrix must have size {2 * (n + 1)}"):
+        knorrer.build_candidate(F, n, lam)
+    lam[0][0] = F.one
+    with pytest.raises(knorrer.UlrichError, match="zero diagonal"):
+        knorrer.build_candidate(F, n, lam)
 
 
 def test_build_candidate_rejects_degenerate():

@@ -87,6 +87,60 @@ def test_discriminant_two_squares():
     assert disc == expect
 
 
+def _dot(field, u, v):
+    acc = field.zero
+    for a, b in zip(u, v):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+def _mat_mul(field, a, b):
+    """Scalar matrix product by row-column dot products: the congruence oracle."""
+    bt = list(zip(*b))
+    return [[_dot(field, row, col) for col in bt] for row in a]
+
+
+def random_scalar(field, rng):
+    if isinstance(field, PrimeField):
+        return field.of(rng.randrange(field.p))
+    return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+
+
+def random_invertible(field, rng, r):
+    from ulrichmf import linalg
+
+    while True:
+        m = [[random_scalar(field, rng) for _ in range(r)] for _ in range(r)]
+        if not field.is_zero(linalg.det(field, m)):
+            return m
+
+
+@pytest.mark.parametrize("field", [PrimeField(10009), PrimeField(2**61 - 1), QQ],
+                         ids=["p10009", "p2^61-1", "Q"])
+@pytest.mark.parametrize("seed", range(3))
+def test_congruence_matches_scalar_products(field, seed):
+    import random
+
+    rng = random.Random(seed)
+    r = 2 + seed
+    sym = []
+    for _ in range(2):
+        b = [[field.zero] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                b[i][j] = b[j][i] = random_scalar(field, rng)
+        sym.append(b)
+    p = pencil.QuadricPencil(field, *sym)
+    m = random_invertible(field, rng, r)
+    mt = [list(row) for row in zip(*m)]
+    c1, c2 = (_mat_mul(field, mt, _mat_mul(field, b, m)) for b in sym)
+    conj = p.congruence(m)
+    assert (conj.nrows, conj.ncols) == (r, r)
+    for i in range(r):
+        for j in range(r):
+            assert conj.entry(i, j) == binary.linear_form(field, c1[i][j], c2[i][j])
+
+
 def cofactor_det_scalarized(p):
     """Independent full-expansion discriminant oracle via the cofactor rule."""
     from tests.test_polymatrix import cofactor_det
@@ -118,8 +172,8 @@ def test_discriminant_invariance_under_congruence():
         if linalg.det(field, s) != 0:
             break
     st_ = [list(row) for row in zip(*s)]
-    b1 = pencil._mat_mul(field, st_, pencil._mat_mul(field, p.b1, s))
-    b2 = pencil._mat_mul(field, st_, pencil._mat_mul(field, p.b2, s))
+    b1 = _mat_mul(field, st_, _mat_mul(field, p.b1, s))
+    b2 = _mat_mul(field, st_, _mat_mul(field, p.b2, s))
     q = pencil.QuadricPencil(field, b1, b2)
     assert q.discriminant() == p.discriminant()
 
