@@ -159,6 +159,8 @@ def chi_and_parity(g: int, r: int, d: int):
     rank-r bundle has rank r 2^(g-2); chi can vanish for an integer twist d
     exactly when r*g is even.
     """
+    if g < 1:
+        raise ValueError("genus must be at least 1")
     if r < 1:
         raise ValueError("bundle rank must be positive")
     chi = d * 2**g + r * g * 2 ** (g - 1) + r * 2**g * (1 - g)

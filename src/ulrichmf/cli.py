@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="verification suites with transcripts", parents=[common])
     p.add_argument("name", choices=tuple(SUITES))
     p.add_argument("--g", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_at_least(2), default=None)
     p.add_argument("--pairs", type=_at_least(1), default=None)
     p.add_argument("--triples", type=_at_least(1), default=None)
     p.add_argument("--max-n", dest="max_n", type=_at_least(0), default=None)

@@ -74,11 +74,13 @@ def vector_coords(field: Field, vec, gen_degrees, d: int, basis=None, nvars: int
 
 
 def coords_to_vector(field: Field, coords, basis, ncomponents: int, variables):
-    vec = [Poly.zero(field, variables) for _ in range(ncomponents)]
+    """The module element with these coordinates in ``basis``: one Poly per component."""
+    variables = tuple(variables)
+    terms = [{} for _ in range(ncomponents)]
     for (j, exp), c in zip(basis, coords):
         if not field.is_zero(c):
-            vec[j] = vec[j] + Poly(field, variables, {exp: c})
-    return vec
+            terms[j][exp] = c
+    return [Poly._make(field, variables, t) for t in terms]
 
 
 def multiples_coords(field: Field, gens, target_degrees, d: int, nvars: int = 2):
@@ -267,11 +269,6 @@ def express_in_module(
     basis = degree_basis(module_degrees, target_degree, nvars)
     gens = list(zip(gen_degrees, gen_vectors))
     columns = multiples_coords(field, gens, module_degrees, target_degree, nvars)
-    unknown_slots = [
-        (g, mono)
-        for g, (e_g, _) in enumerate(gens)
-        for mono in monomials(nvars, target_degree - e_g)
-    ]
     rhs = vector_coords(field, target_vec, module_degrees, target_degree, basis, nvars)
     if not columns:
         return None if any(not field.is_zero(c) for c in rhs) else [
@@ -281,11 +278,9 @@ def express_in_module(
     solution = linalg.solve(field, rows, rhs, len(columns))
     if solution is None:
         return None
-    out = [Poly.zero(field, variables) for _ in gen_vectors]
-    for (g, mono), c in zip(unknown_slots, solution):
-        if not field.is_zero(c):
-            out[g] = out[g] + Poly(field, variables, {mono: c})
-    return out
+    # the unknowns are the multiples x^m * g, in the order multiples_coords made them
+    unknowns = degree_basis(gen_degrees, target_degree, nvars)
+    return coords_to_vector(field, solution, unknowns, len(gen_vectors), variables)
 
 
 def graded_quotient_dims(field: Field, variables, generators, degrees, rank: int = 1):

@@ -1,9 +1,12 @@
 """Field-generic exact dense linear algebra.
 
-Matrices at this level are lists of lists of field scalars.  Prime-field
-input is routed through the numpy kernel in :mod:`ulrichmf.modp`, on arrays
-of the element type that module picks for p; rational input is eliminated
-directly on Fractions.
+Matrices at this level are lists of lists of field scalars.  Two echelon
+forms are the only field-specific code: the reduced form of :func:`rref` and
+the forward-only form of :func:`_echelon`.  Over a prime field both come from
+the numpy loops of :mod:`ulrichmf.modp`, on arrays of the element type that
+module picks for p; over Q both are eliminated directly on Fractions.  Rank
+and determinant are read off the forward form, kernel and solutions off the
+reduced form, once for both fields.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ def _to_array(rows, ncols, p):
     return np.array(rows, dtype=modp._dtype(p)).reshape(len(rows), ncols)
 
 
-def _forward_fraction(m, ncols):
-    """Forward elimination over Q, in place on a list of Fraction rows.
+def _forward_fraction(rows, ncols):
+    """Forward elimination over Q, on a copy of ``rows`` as Fractions.
 
-    Leaves ``m`` in row echelon form: each pivot keeps its value and the rows
-    below it are cleared, from the pivot column on.  Returns (pivot columns,
-    number of row swaps).
+    Each pivot keeps its value and the rows below it are cleared, from the
+    pivot column on.  Returns (echelon rows, pivot columns, row swaps).
     """
+    m = [[Fraction(x) for x in row] for row in rows]
     nrows = len(m)
     pivots = []
     swaps = 0
@@ -48,13 +51,12 @@ def _forward_fraction(m, ncols):
                 m[i][c:] = [x - f * y for x, y in zip(m[i][c:], top)]
         pivots.append(c)
         r += 1
-    return pivots, swaps
+    return m, pivots, swaps
 
 
 def _rref_fraction(rows, ncols):
     """Reduced row echelon form over Q: the forward pass, then back substitution."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots, _ = _forward_fraction(m, ncols)
+    m, pivots, _ = _forward_fraction(rows, ncols)
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         inv = 1 / m[k][c]
@@ -73,8 +75,21 @@ def rref(field: Field, rows, ncols=None):
         ncols = len(rows[0]) if rows else 0
     if isinstance(field, PrimeField):
         m, piv = modp.rref(_to_array(rows, ncols, field.p), field.p)
-        return [[int(x) for x in row] for row in m], [int(c) for c in piv]
+        return m.tolist(), piv.tolist()
     return _rref_fraction(rows, ncols)
+
+
+def _echelon(field: Field, rows, ncols):
+    """Forward-only row echelon form; returns (rows, pivot columns, row swaps).
+
+    Below each pivot the column is cleared; the rows are not normalized, so
+    the form of a square matrix is upper triangular with its determinant, up
+    to the sign of the swaps, on the diagonal.
+    """
+    if isinstance(field, PrimeField):
+        m, pivots, swaps = modp.echelon(_to_array(rows, ncols, field.p), field.p)
+        return m.tolist(), pivots, swaps
+    return _forward_fraction(rows, ncols)
 
 
 def rank(field: Field, rows, ncols=None) -> int:
@@ -82,34 +97,21 @@ def rank(field: Field, rows, ncols=None) -> int:
         ncols = len(rows[0]) if rows else 0
     if not rows or ncols == 0:
         return 0
-    if isinstance(field, PrimeField):
-        return modp.rank(_to_array(rows, ncols, field.p), field.p)
-    m = [[Fraction(x) for x in row] for row in rows]
-    return len(_forward_fraction(m, ncols)[0])
+    return len(_echelon(field, rows, ncols)[1])
 
 
 def nullspace(field: Field, rows, ncols):
     """Canonical basis of the right kernel, as a list of vectors."""
-    if ncols == 0:
-        return []
-    if not rows:
-        eye = []
-        for c in range(ncols):
-            v = [field.zero] * ncols
-            v[c] = field.one
-            eye.append(v)
-        return eye
-    if isinstance(field, PrimeField):
-        basis = modp.nullspace(_to_array(rows, ncols, field.p), field.p)
-        return [[int(x) for x in row] for row in basis]
-    r, piv = _rref_fraction(rows, ncols)
-    free = [c for c in range(ncols) if c not in piv]
+    r, piv = rref(field, rows, ncols) if rows else ([], [])
+    pivot_set = set(piv)
     basis = []
-    for c in free:
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
+    for c in range(ncols):
+        if c in pivot_set:
+            continue
+        v = [field.zero] * ncols
+        v[c] = field.one
         for i, pc in enumerate(piv):
-            v[pc] = -r[i][c]
+            v[pc] = field.neg(r[i][c])
         basis.append(v)
     return basis
 
@@ -120,15 +122,11 @@ def solve(field: Field, rows, rhs, ncols=None):
         ncols = len(rows[0]) if rows else 0
     if not rows:
         return [field.zero] * ncols
-    if isinstance(field, PrimeField):
-        b = np.array(rhs, dtype=modp._dtype(field.p))
-        x = modp.solve(_to_array(rows, ncols, field.p), b, field.p)
-        return None if x is None else [int(v) for v in x]
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    r, piv = _rref_fraction(aug, ncols + 1)
+    r, piv = rref(field, aug, ncols + 1)
     if ncols in piv:
         return None
-    x = [Fraction(0)] * ncols
+    x = [field.zero] * ncols
     for i, c in enumerate(piv):
         x[c] = r[i][ncols]
     return x
@@ -139,14 +137,8 @@ def det(field: Field, rows) -> object:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("det expects a square matrix")
-    if n == 0:
-        return field.one
-    if isinstance(field, PrimeField):
-        return int(modp.det(_to_array(rows, n, field.p), field.p))
-    m = [[Fraction(x) for x in row] for row in rows]
-    _, swaps = _forward_fraction(m, n)  # upper triangular, as in modp.det
-    result = Fraction(-1 if swaps % 2 else 1)
+    m, _, swaps = _echelon(field, rows, n)
+    result = field.neg(field.one) if swaps % 2 else field.one
     for c in range(n):
-        result *= m[c][c]
+        result = field.mul(result, m[c][c])
     return result
-

@@ -307,12 +307,8 @@ def hom_space(m1: MatrixFactorization, m2: MatrixFactorization, twist: int = 0):
         return 0, []
     witnesses = []
     for vec in linalg.nullspace(field, rows, len(slots)):
-        entries = [[Poly.zero(field, ST) for _ in range(n1)] for _ in range(n2)]
-        for (k, mono), c in zip(slots, vec):
-            if not field.is_zero(c):
-                i, j = divmod(k, n1)
-                entries[i][j] = entries[i][j] + Poly(field, ST, {mono: c})
-        witnesses.append(PolyMatrix(field, ST, entries))
+        flat = graded.coords_to_vector(field, vec, slots, n2 * n1, ST)
+        witnesses.append(PolyMatrix(field, ST, [flat[i * n1:(i + 1) * n1] for i in range(n2)]))
     return len(witnesses), witnesses
 
 

@@ -1,11 +1,11 @@
-"""Dense linear algebra mod p on numpy arrays.
+"""The two row echelon loops mod p on numpy arrays.
 
 Every graded computation (syzygy kernels, Hom spaces, Macaulay-matrix ranks,
 determinant interpolation) reduces to row echelon forms of scalar matrices
 over F_p, computed here by Python loops over pivots with vectorized row
-updates: the Gauss-Jordan loop behind :func:`rref`, :func:`nullspace` and
-:func:`solve`, and one forward-only loop shared by :func:`rank` and
-:func:`det`.
+updates: the Gauss-Jordan loop of :func:`rref` and the forward-only loop of
+:func:`echelon`.  Rank, kernel, solve and determinant are read off these two
+forms once for every field, in :mod:`ulrichmf.linalg`.
 
 The element type is chosen from p by :func:`_dtype` and nowhere else.  The
 kernel only ever multiplies two residues in [0, p) and subtracts the product
@@ -24,9 +24,14 @@ def _dtype(p: int):
     return np.int64 if (p - 1) ** 2 < 2**63 else object
 
 
-def _rref_numpy(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (rref, pivot column array)."""
-    m = a.copy() % p
+def rref(a: np.ndarray, p: int):
+    """Canonical reduced row echelon form of ``a`` mod p, by Gauss-Jordan.
+
+    Returns (rref matrix, pivot column array).  ``a`` is not modified.
+    """
+    m = np.asarray(a, dtype=_dtype(p)) % p
+    if m.ndim != 2:
+        raise ValueError("rref expects a 2-d array")
     rows, cols = m.shape
     pivots = []
     r = 0
@@ -51,26 +56,16 @@ def _rref_numpy(a: np.ndarray, p: int):
     return m, np.array(pivots, dtype=np.int64)
 
 
-def rref(a: np.ndarray, p: int):
-    """Canonical reduced row echelon form of ``a`` mod p.
+def echelon(a: np.ndarray, p: int):
+    """Row echelon form of ``a`` mod p by forward elimination only.
 
-    Returns (rref matrix, pivot columns).  ``a`` is not modified.
+    Each pivot keeps its value and the rows below it are cleared, from the
+    pivot column on; nothing above a pivot is touched.  Returns (echelon
+    matrix, pivot columns, number of row swaps).  ``a`` is not modified.
     """
-    a = np.asarray(a, dtype=_dtype(p))
-    if a.ndim != 2:
-        raise ValueError("rref expects a 2-d array")
-    if a.size == 0:
-        return a.copy(), np.empty(0, dtype=np.int64)
-    return _rref_numpy(a, p)
-
-
-def _forward(m: np.ndarray, p: int):
-    """Forward elimination mod p, in place, on residues in [0, p).
-
-    Leaves ``m`` in row echelon form: each pivot keeps its value and the rows
-    below it are cleared, from the pivot column on.  Nothing above a pivot is
-    touched.  Returns (pivot columns, number of row swaps).
-    """
+    m = np.asarray(a, dtype=_dtype(p)) % p
+    if m.ndim != 2:
+        raise ValueError("echelon expects a 2-d array")
     rows, cols = m.shape
     pivots = []
     swaps = 0
@@ -92,64 +87,4 @@ def _forward(m: np.ndarray, p: int):
             below[hit] = (below[hit] - np.outer(factors, m[r, c:])) % p
         pivots.append(c)
         r += 1
-    return pivots, swaps
-
-
-def rank(a: np.ndarray, p: int) -> int:
-    """Rank of ``a`` mod p, by forward elimination only.  ``a`` is not modified."""
-    m = np.asarray(a, dtype=_dtype(p)) % p
-    if m.ndim != 2:
-        raise ValueError("rank expects a 2-d array")
-    return len(_forward(m, p)[0])
-
-
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel mod p, rows = basis vectors (canonical order)."""
-    dtype = _dtype(p)
-    a = np.asarray(a, dtype=dtype)
-    rows, cols = a.shape
-    if rows == 0:
-        return np.eye(cols, dtype=dtype)
-    r, piv = rref(a, p)
-    piv = list(piv)
-    free = [c for c in range(cols) if c not in piv]
-    basis = np.zeros((len(free), cols), dtype=dtype)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(piv):
-            basis[k, pc] = (-int(r[i, c])) % p
-    return basis
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution of a @ x = b mod p (b a vector or matrix), or None."""
-    dtype = _dtype(p)
-    a = np.asarray(a, dtype=dtype)
-    b = np.asarray(b, dtype=dtype) % p
-    vector = b.ndim == 1
-    if vector:
-        b = b[:, None]
-    aug = np.hstack([a % p, b])
-    r, piv = rref(aug, p)
-    ncols = a.shape[1]
-    if any(c >= ncols for c in piv):
-        return None
-    x = np.zeros((ncols, b.shape[1]), dtype=dtype)
-    for i, c in enumerate(piv):
-        x[c] = r[i, ncols:]
-    return x[:, 0] if vector else x
-
-
-def det(a: np.ndarray, p: int) -> int:
-    """Determinant mod p by forward elimination."""
-    m = np.asarray(a, dtype=_dtype(p)) % p
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("det expects a square matrix")
-    # the row echelon form is upper triangular, with a zero on the diagonal
-    # exactly when a is singular
-    _, swaps = _forward(m, p)
-    result = -1 if swaps % 2 else 1
-    for c in range(n):
-        result = result * int(m[c, c]) % p
-    return result
+    return m, pivots, swaps

@@ -285,7 +285,8 @@ def _verify_diagonalization(pencil: QuadricPencil, diag: Diagonalization):
         binary.ST,
         [[f if i == j else zero for j in range(diag.size)] for i, f in enumerate(diag.factors)],
     )
-    if pencil.congruence(diag.basis) != want:
-        raise PencilError("diagonalization verification failed")
+    where = pencil.congruence(diag.basis).first_mismatch(want)
+    if where is not None:
+        raise PencilError(f"diagonalization verification failed at entry {where}")
     if binary.normalize(diag.product()) != pencil.discriminant():
         raise PencilError("product of diagonal factors does not match the discriminant")

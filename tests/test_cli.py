@@ -140,6 +140,14 @@ def test_betti_chi_json(capsys):
     assert data == {"admissible": False, "chi": -4, "rank": "2"}
 
 
+@pytest.mark.parametrize("g", ["-1", "0"])
+def test_betti_chi_genus_below_1_exits_2(capsys, g):
+    # g = -1 ended in a TypeError traceback, g = 0 printed the float chi = 1.0
+    code, out, err = run(capsys, "betti", "chi", "--g", g)
+    assert code == 2 and out == ""
+    assert err == "error: genus must be at least 1\n"
+
+
 def test_ulrich_construct_verify_round_trip(tmp_path, capsys):
     out_path = str(tmp_path / "candidate.json")
     code, out, _ = run(
@@ -321,9 +329,13 @@ def test_mf_cohomology_reversed_range_exits_2(capsys):
     (["grouplaw", "--g", "2", "--pairs", "0"], "--pairs"),
     (["clifford", "--g", "1", "--triples", "0"], "--triples"),
     (["knorrer", "--max-n", "-1"], "--max-n"),
+    (["ulrich-e2e", "--n", "0"], "--n"),
+    (["ulrich-e2e", "--n", "1"], "--n"),
+    (["ulrich-e2e", "--n", "-1"], "--n"),
 ])
 def test_suite_count_below_bound_exits_2(capsys, argv, flag):
-    # a suite used to run no check at all and print result: PASS (0 checks)
+    # a suite used to run no check at all and print result: PASS (0 checks);
+    # ulrich-e2e below n = 2 exited 1 with a failed pipeline check
     with pytest.raises(SystemExit) as exc:
         cli.main(["suite", *argv])
     assert exc.value.code == 2

@@ -4,16 +4,19 @@
 ``det`` read the forward pass alone; ``_rref_fraction`` adds back
 substitution.  Both are checked against the Gauss-Jordan loop that
 ``_rref_fraction`` used before, and ``det`` against permutation expansion.
+On integer matrices the answers over Q and over F_p are checked against each
+other.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrichmf import linalg
-from ulrichmf.fields import QQ
+from ulrichmf.fields import QQ, PrimeField
 
 
 def gauss_jordan_reference(rows, ncols):
@@ -96,3 +99,36 @@ def test_det_row_swaps():
     for n in range(1, 6):
         rows = [[Fraction(3 if i + j == n - 1 else 0) for j in range(n)] for i in range(n)]
         assert linalg.det(QQ, rows) == (-1) ** (n * (n - 1) // 2) * 3**n
+
+
+@st.composite
+def integer_matrices(draw):
+    """An integer matrix of up to 5 x 5 with small entries, so that its rank
+    often drops mod a small prime."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        ncols = nrows
+    entries = st.integers(-6, 6)
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices(), st.sampled_from([3, 5, 7, 10009, 2**61 - 1]))
+def test_prime_field_agrees_with_rationals(case, p):
+    rows, ncols = case
+    field = PrimeField(p)
+    residues = [[x % p for x in row] for row in rows]
+    rank_q = linalg.rank(QQ, rows, ncols)
+    rank_p = linalg.rank(field, residues, ncols)
+    assert rank_p <= rank_q
+    if len(rows) == ncols:
+        assert linalg.det(field, residues) == linalg.det(QQ, rows) % p
+    kernel_p = linalg.nullspace(field, residues, ncols)
+    assert len(kernel_p) == ncols - rank_p
+    for v in linalg.nullspace(QQ, rows, ncols):
+        # clearing denominators keeps v in the kernel over Q; reduce it mod p
+        scale = math.lcm(*(x.denominator for x in v))
+        w = [int(x * scale) % p for x in v]
+        assert all(sum(a * b for a, b in zip(row, w)) % p == 0 for row in rows)
+        assert linalg.rank(field, kernel_p + [w], ncols) == len(kernel_p)

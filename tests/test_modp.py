@@ -1,7 +1,10 @@
-"""The mod-p kernel against a pure-Python reference, on both element types.
+"""Linear algebra over F_p against a pure-Python reference, on both element types.
 
-The kernel runs on int64 while (p - 1)^2 < 2^63 and on object arrays of
-Python ints past that bound; the primes below sit on either side of it.
+``modp`` holds the two echelon loops, ``linalg`` reads rank, kernel, solve and
+determinant off them; both are tested here through ``linalg`` over
+``PrimeField(p)``, and the forward form through ``modp.echelon`` directly.
+The loops run on int64 while (p - 1)^2 < 2^63 and on object arrays of Python
+ints past that bound; the primes below sit on either side of it.
 """
 
 import itertools
@@ -57,10 +60,11 @@ def test_nullspace_property():
     for _ in range(25):
         p = rng.choice([7, 13, 10009])
         a = random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7), p)
-        ns = modp.nullspace(a, p)
-        assert len(ns) == a.shape[1] - modp.rank(a, p)
+        field, ncols = PrimeField(p), a.shape[1]
+        ns = linalg.nullspace(field, a.tolist(), ncols)
+        assert len(ns) == ncols - linalg.rank(field, a.tolist(), ncols)
         for v in ns:
-            assert np.all(a @ v % p == 0)
+            assert np.all(a @ np.array(v, dtype=np.int64) % p == 0)
 
 
 def test_solve():
@@ -71,15 +75,13 @@ def test_solve():
         a = random_matrix(rng, n, n, p)
         x = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
         b = a @ x % p
-        got = modp.solve(a, b, p)
+        got = linalg.solve(PrimeField(p), a.tolist(), b.tolist())
         assert got is not None
-        assert np.all(a @ got % p == b)
+        assert np.all(a @ np.array(got, dtype=np.int64) % p == b)
 
 
 def test_solve_inconsistent():
-    a = np.array([[1, 1], [1, 1]], dtype=np.int64)
-    b = np.array([0, 1], dtype=np.int64)
-    assert modp.solve(a, b, 7) is None
+    assert linalg.solve(PrimeField(7), [[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_det_against_permanent_oracle():
@@ -88,18 +90,7 @@ def test_det_against_permanent_oracle():
         for _ in range(8):
             p = rng.choice([7, 13, 101])
             a = random_matrix(rng, n, n, p)
-            assert modp.det(a, p) == perm_det(a, p)
-
-
-def test_solve_matrix_rhs():
-    rng = random.Random(3)
-    p = 101
-    a = random_matrix(rng, 4, 4, p)
-    x = random_matrix(rng, 4, 3, p)
-    b = a @ x % p
-    got = modp.solve(a, b, p)
-    assert got is not None
-    assert np.all(a @ got % p == b)
+            assert linalg.det(PrimeField(p), a.tolist()) == perm_det(a, p)
 
 
 # -- differential tests against a pure-Python reference -------------------------
@@ -189,18 +180,19 @@ def test_element_type_boundary():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_rref_matches_reference(p):
+    field = PrimeField(p)
     for rows, ncols in cases(p, 1):
-        r, piv = modp.rref(as_input(rows, ncols, p), p)
+        r, piv = linalg.rref(field, rows, ncols)
         want_r, want_piv = ref_rref(rows, ncols, p)
-        assert as_lists(r) == want_r
-        assert [int(c) for c in piv] == want_piv
-        assert modp.rank(as_input(rows, ncols, p), p) == len(want_piv)
+        assert (r, piv) == (want_r, want_piv)
+        assert as_lists(modp.rref(as_input(rows, ncols, p), p)[0]) == want_r
+        assert linalg.rank(field, rows, ncols) == len(want_piv)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_nullspace_matches_reference(p):
     for rows, ncols in cases(p, 2):
-        basis = as_lists(modp.nullspace(as_input(rows, ncols, p), p))
+        basis = linalg.nullspace(PrimeField(p), rows, ncols)
         assert basis == ref_nullspace(rows, ncols, p)
         for v in basis:
             assert ref_matvec(rows, v, p) == [0] * len(rows)
@@ -214,7 +206,7 @@ def test_solve_matches_reference(p):
             continue
         for b in (ref_matvec(rows, [rng.randrange(p) for _ in range(ncols)], p),
                   [rng.randrange(p) for _ in rows]):
-            x = modp.solve(as_input(rows, ncols, p), np.array(b, dtype=input_dtype(p)), p)
+            x = linalg.solve(PrimeField(p), rows, b, ncols)
             aug = [row + [v] for row, v in zip(rows, b)]
             r, piv = ref_rref(aug, ncols + 1, p)
             if ncols in piv:
@@ -223,7 +215,7 @@ def test_solve_matches_reference(p):
             want = [0] * ncols
             for i, c in enumerate(piv):
                 want[c] = r[i][ncols]
-            assert [int(v) for v in x] == want
+            assert x == want
             assert ref_matvec(rows, want, p) == b
 
 
@@ -232,8 +224,7 @@ def test_det_matches_permutation_oracle(p):
     for rows, ncols in cases(p, 4):
         if len(rows) != ncols:
             continue
-        a = as_input(rows, ncols, p)
-        assert modp.det(a, p) == perm_det(a, p)
+        assert linalg.det(PrimeField(p), rows) == perm_det(as_input(rows, ncols, p), p)
 
 
 def test_linalg_det_past_int64_bound():
@@ -276,15 +267,28 @@ def deficient_cases(p, seed):
     return out
 
 
+def assert_row_echelon(m, pivots):
+    """Each pivot is nonzero with zeros to its left and below it; rows past
+    the last pivot are zero."""
+    for i, c in enumerate(pivots):
+        assert m[i][c] != 0
+        assert all(x == 0 for x in m[i][:c])
+        assert all(row[c] == 0 for row in m[i + 1:])
+    assert all(x == 0 for row in m[len(pivots):] for x in row)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_rank_matches_rref_pivots_on_deficient(p):
     for rows in deficient_cases(p, 5):
-        a = as_input(rows, len(rows[0]), p)
+        ncols = len(rows[0])
+        a = as_input(rows, ncols, p)
         before = a.copy()
-        want = len(modp.rref(a, p)[1])
-        assert want == len(ref_rref(rows, len(rows[0]), p)[1])
-        assert modp.rank(a, p) == want
-        assert np.array_equal(a, before)  # rank leaves its input alone
+        want = len(ref_rref(rows, ncols, p)[1])
+        m, piv, _ = modp.echelon(a, p)
+        assert np.array_equal(a, before)  # echelon leaves its input alone
+        assert_row_echelon(as_lists(m), piv)
+        assert len(piv) == want
+        assert linalg.rank(PrimeField(p), rows, ncols) == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -292,7 +296,7 @@ def test_det_matches_permutation_oracle_on_deficient(p):
     for rows in deficient_cases(p, 6):
         if len(rows) != len(rows[0]) or len(rows) > 7:
             continue
-        a = as_input(rows, len(rows), p)
-        got = modp.det(a, p)
-        assert got == perm_det(a, p)
-        assert (got == 0) == (modp.rank(a, p) < len(rows))
+        field = PrimeField(p)
+        got = linalg.det(field, rows)
+        assert got == perm_det(as_input(rows, len(rows), p), p)
+        assert (got == 0) == (linalg.rank(field, rows) < len(rows))

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from ulrichmf import binary, pencil
 from ulrichmf.fields import QQ, PrimeField
 from ulrichmf.poly import Poly
+from ulrichmf.polymatrix import PolyMatrix
 
 ST = binary.ST
 
@@ -219,11 +221,19 @@ def test_verify_diagonalization_rejects_perturbed_basis():
     p = pencil.QuadricPencil.from_quadrics(q1, q2)
     diag = pencil.simultaneous_diagonalize(p)
     good = [row[:] for row in diag.basis]
+    zero = Poly.zero(field, ST)
+    want = PolyMatrix(field, ST, [[diag.factors[0], zero], [zero, diag.factors[1]]])
     for i in range(2):
         for j in range(2):
             diag.basis = [row[:] for row in good]
             diag.basis[i][j] = field.add(diag.basis[i][j], field.one)
-            with pytest.raises(pencil.PencilError, match="diagonalization verification failed"):
+            # perturbing basis vector j moves only row j and column j of M^T B M
+            conj = p.congruence(diag.basis)
+            where = next((a, b) for a in range(2) for b in range(2)
+                         if conj.entry(a, b) != want.entry(a, b))
+            assert j in where
+            message = f"diagonalization verification failed at entry {where}"
+            with pytest.raises(pencil.PencilError, match=re.escape(message) + "$"):
                 pencil._verify_diagonalization(p, diag)
     diag.basis = good
     pencil._verify_diagonalization(p, diag)
