@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -687,13 +688,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(argv) -> list:
+    """``--range -1:4`` as ``--range=-1:4``: argparse takes a lone "-1:4" for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--range", "--window") and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         _apply_environment(args)
         field = field_from_name(args.field)
-        return args.handler(args, field, args.seed)
+        code = args.handler(args, field, args.seed)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader went away: not bad input, and quiet at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

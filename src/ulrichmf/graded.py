@@ -237,19 +237,6 @@ def graded_kernel(m: PolyMatrix, degree_cap: int | None = None) -> PolyMatrix:
     return result
 
 
-def module_span_rank(field: Field, gen_vectors, gen_degrees, target_degrees, d: int, nvars=2):
-    """Rank of the degree-d span of module elements inside (+)k[vars](-a_j)."""
-    basis = degree_basis(target_degrees, d, nvars)
-    ech = IncrementalEchelon(field, len(basis))
-    variables = gen_vectors[0][0].vars if gen_vectors else None
-    for e_g, vec in zip(gen_degrees, gen_vectors):
-        for mono in monomials(nvars, d - e_g):
-            mono_poly = Poly(field, variables, {mono: field.one})
-            shifted = [p * mono_poly for p in vec]
-            ech.add(vector_coords(field, shifted, target_degrees, d, basis, nvars))
-    return ech.rank
-
-
 def express_in_module(
     field: Field,
     gen_vectors,

@@ -102,6 +102,21 @@ class QuadricPencil:
             self._roots = binary.roots(self.discriminant())
         return self._roots
 
+    def confirm_roots(self, roots) -> bool:
+        """Fill the roots() cache from known distinct roots if the normalized
+        discriminant is exactly prod (s - lam_i t); else roots() still splits it."""
+        field = self.field
+        roots = sorted((field.of(lam) for lam in roots), key=binary.root_sort_key)
+        if len(set(roots)) != len(roots):
+            return False
+        product = Poly.const(field, binary.ST, 1)
+        for lam in roots:
+            product = product * binary.root_factor(field, lam)
+        if self.discriminant() != product:
+            return False
+        self._roots = ([(lam, 1) for lam in roots], 0, True)
+        return True
+
     def congruence(self, m) -> PolyMatrix:
         """M^T (s*B1 + t*B2) M for a square scalar matrix M."""
         mp = PolyMatrix.from_scalars(self.field, binary.ST, m)

@@ -324,6 +324,25 @@ def test_mf_cohomology_reversed_range_exits_2(capsys):
     assert out.startswith("twists: 3\n")
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["mf", "cohomology", "--g", "1", "--i", "1"], "--range", "-1:4"),
+    (["mf", "cohomology", "--g", "1", "--i", "1"], "--range", "-3:-1"),
+    (["clifford", "bgg", "--g", "1"], "--window", "-1:0"),
+])
+def test_value_starting_with_minus_may_follow_its_flag(capsys, argv, flag, value):
+    # argparse alone reads "-1:4" as an option: "expected one argument"
+    joined = run(capsys, *argv, f"{flag}={value}")
+    assert joined[0] == 0 and joined[2] == ""
+    assert run(capsys, *argv, flag, value) == joined
+
+
+def test_option_after_range_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mf", "cohomology", "--range", "--g", "1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["grouplaw", "--g", "2", "--pairs", "-3"], "--pairs"),
     (["grouplaw", "--g", "2", "--pairs", "0"], "--pairs"),
@@ -560,14 +579,32 @@ def test_ulrich_verify_transcript_stable_across_export(tmp_path, capsys):
     assert out1 == out2
 
 
-def run_subprocess(*argv, timeout=60):
-    """Run the CLI in a fresh interpreter, so a hang fails after the timeout."""
+def subprocess_env():
     env = {k: v for k, v in os.environ.items() if not k.startswith("ULRICHMF_")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ulrichmf.__file__))
+    return env
+
+
+def run_subprocess(*argv, timeout=60):
+    """Run the CLI in a fresh interpreter, so a hang fails after the timeout."""
     return subprocess.run(
         [sys.executable, "-m", "ulrichmf", *argv],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        capture_output=True, text=True, timeout=timeout, env=subprocess_env(),
     )
+
+
+def test_closed_stdout_is_not_bad_input():
+    # as in "... | head -1": the reader of the pipe is gone before the output is
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ulrichmf", "mf", "cohomology", "--g", "1", "--i", "1",
+         "--range=-1:400"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_ulrich_for_roots_at_large_prime():
@@ -680,9 +717,10 @@ def test_pencil_matches_golden(capsys, pencil, action, fmt):
 
 
 @pytest.mark.parametrize("roots, splits, determinants", [
-    ("1,4,9,2,3", 1, 1),
-    # the odd-ambient pencil is split once and then diagonalized from its cache
-    ("1,4,9,16,2,3", 2, 2),
+    # each discriminant is checked against the product of its known roots,
+    # so no pencil splits one
+    ("1,4,9,2,3", 0, 1),
+    ("1,4,9,16,2,3", 0, 2),
 ])
 def test_for_roots_splits_each_discriminant_once(capsys, monkeypatch, roots, splits,
                                                  determinants):

@@ -50,6 +50,55 @@ def test_knorrer_identity_failure_names_entry():
     assert knorrer.knorrer_identity_failure(1, phi, psi, q) == "phi @ psi != q*id at entry (0, 2)"
 
 
+def two_sided_identity_failure(n, phi, psi, q):
+    """The reference: both phi @ psi and psi @ phi against q * id."""
+    qid = PolyMatrix.scalar_matrix(q.field, q.vars, q, 2**n)
+    for name, prod in (("phi @ psi", phi @ psi), ("psi @ phi", psi @ phi)):
+        where = prod.first_mismatch(qid)
+        if where is not None:
+            return f"{name} != q*id at entry {where}"
+    return None
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
+def test_one_sided_identity_agrees_with_two_sided(field):
+    for n in range(5):
+        phi, psi, q = knorrer.knorrer_pair(field, n, verify=False)
+        assert knorrer.knorrer_identity_failure(n, phi, psi, q) is None
+        assert two_sided_identity_failure(n, phi, psi, q) is None
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (3, 3)])
+def test_one_changed_entry_of_phi_is_caught_by_phi_psi(i, j):
+    phi, psi, q = knorrer.knorrer_pair(F, 2)
+    rows = [list(row) for row in phi.entries]
+    rows[i][j] = rows[i][j] + Poly.variable(F, phi.vars, "x0")
+    broken = PolyMatrix(F, phi.vars, rows)
+    # row i of phi @ psi moves by x0 * (row j of psi), whose first nonzero entry is
+    # where the failure is named
+    col = min(c for c in range(psi.ncols) if not psi.entry(j, c).is_zero())
+    assert knorrer.knorrer_identity_failure(2, broken, psi, q) == (
+        f"phi @ psi != q*id at entry ({i}, {col})"
+    )
+    assert two_sided_identity_failure(2, broken, psi, q) == (
+        f"phi @ psi != q*id at entry ({i}, {col})"
+    )
+
+
+def test_identity_needs_a_square_phi_and_nonzero_q():
+    phi, psi, q = knorrer.knorrer_pair(F, 1)
+    # a 2 x 3 phi with psi 3 x 2 can give phi @ psi = q * id while psi @ phi is 3 x 3
+    wide = PolyMatrix(F, phi.vars, [list(row) + [Poly.zero(F, phi.vars)] for row in phi.entries])
+    tall = PolyMatrix(F, psi.vars, [list(row) for row in psi.entries]
+                      + [[Poly.zero(F, psi.vars)] * 2])
+    assert wide @ tall == PolyMatrix.scalar_matrix(F, phi.vars, q, 2)
+    assert knorrer.knorrer_identity_failure(1, wide, tall, q).startswith("phi is 2x3")
+    # with q = 0 a singular phi can have phi @ psi = 0 and psi @ phi != 0
+    assert knorrer.knorrer_identity_failure(1, phi, psi, Poly.zero(F, phi.vars)).endswith(
+        "need a square phi and q != 0"
+    )
+
+
 def test_mixed_identity():
     assert knorrer.mixed_identity_check(QQ, 0)
     assert knorrer.mixed_identity_check(F, 2)
@@ -194,9 +243,58 @@ def test_solve_b_rejects_duplicates():
         knorrer.solve_b_for_roots(QQ, [QQ.of(0), QQ.of(1)], [QQ.of(3)])
 
 
+def restricted_hessian(field, a_vals, b):
+    """B^T H B for H = [[0, D'], [D', 0]], D' = diag(s + a_i t), and its factorization.
+
+    Returns (matrix, det, h) with det = (-1)^(n+1) 2 h prod(s + a_i t)
+    verified by exact division; a division failure raises.  (The sign
+    exponent is n+1, pinned by expanding the n = 1 case by hand: the
+    determinant there is +2 h l_0 l_1.)  The closed symmetric-function form
+    of h is asserted as well.  The root convention is that of
+    ``knorrer.solve_b_for_roots``: factors (s + a).
+    """
+    n = len(a_vals) - 1
+    assert len(b) == 2 * n + 1, "b must have length 2n+1"
+    ells = [binary.linear_form(field, 1, field.of(a)) for a in a_vals]
+    zero = Poly.zero(field, binary.ST)
+    size = 2 * (n + 1)
+    h_entries = [[zero] * size for _ in range(size)]
+    for i in range(n + 1):
+        h_entries[i][n + 1 + i] = ells[i]
+        h_entries[n + 1 + i][i] = ells[i]
+    h_mat = PolyMatrix(field, binary.ST, h_entries)
+    b_mat = PolyMatrix.from_scalars(field, binary.ST, knorrer.restriction_matrix(field, b))
+    restricted = b_mat.transpose() @ h_mat @ b_mat
+    restricted = restricted.relabel(
+        row_degrees=[0] * (2 * n + 1), col_degrees=[1] * (2 * n + 1)
+    )
+    det = restricted.determinant()
+    ell_prod = Poly.const(field, binary.ST, 1)
+    for ell in ells:
+        ell_prod = ell_prod * ell
+    scale = field.mul(field.of((-1) ** (n + 1)), field.of(2))
+    if det.is_zero():
+        h = Poly.zero(field, binary.ST)
+    else:
+        h = det.divexact(ell_prod.scale(scale))
+    h_formula = Poly.zero(field, binary.ST)
+    for i in range(n):
+        partial = Poly.const(field, binary.ST, field.mul(b[i], b[i + n + 1]))
+        for j in range(n + 1):
+            if j != i:
+                partial = partial * ells[j]
+        h_formula = h_formula + partial
+    partial = Poly.const(field, binary.ST, field.neg(b[n]))
+    for j in range(n):
+        partial = partial * ells[j]
+    h_formula = h_formula + partial
+    assert h == h_formula, "extracted h disagrees with the closed formula"
+    return restricted, det, h
+
+
 def test_restricted_hessian_example():
     b = [QQ.of(2), QQ.of(1), QQ.of(1)]
-    matrix, det, h = knorrer.restricted_hessian(QQ, [QQ.of(1), QQ.of(2)], b)
+    matrix, det, h = restricted_hessian(QQ, [QQ.of(1), QQ.of(2)], b)
     assert matrix.nrows == 3
     # det is proportional to (s+t)(s+2t)(s+3t)
     found, inf_mult, splits = binary.roots(det)
@@ -210,7 +308,7 @@ def test_restricted_hessian_example():
 
 def test_restricted_hessian_zero_row():
     b = [QQ.zero] * 3
-    _, det, h = knorrer.restricted_hessian(QQ, [QQ.of(1), QQ.of(2)], b)
+    _, det, h = restricted_hessian(QQ, [QQ.of(1), QQ.of(2)], b)
     assert det.is_zero() and h.is_zero()
 
 
@@ -220,7 +318,7 @@ def test_restricted_hessian_h_formula_random():
         a = [F.of(v) for v in rng.sample(range(1, 100), 3)]
         b = [F.of(rng.randrange(F.p)) for _ in range(5)]
         # the closed-formula comparison runs inside; reaching here is the pass
-        knorrer.restricted_hessian(F, a, b)
+        restricted_hessian(F, a, b)
 
 
 def test_odd_ambient_pipeline_known_roots():
@@ -317,6 +415,106 @@ def test_certificates_name_the_perturbed_entry(attr, k, j, message):
     setattr(cand, attr, PolyMatrix(F, cand.variables, rows))
     i = min(i for i in range(a.nrows) if not a.entry(i, k).is_zero())
     assert cand.verify_certificates() == (False, f"{message} at entry ({i}, {j})")
+
+
+def spy_module_dims(monkeypatch):
+    """Record (degrees, four-degree dims) of every module call of graded_quotient_dims."""
+    from ulrichmf import graded
+
+    seen = []
+    real = graded.graded_quotient_dims
+
+    def spy(f, variables, gens, degrees, rank=1):
+        if rank > 1:
+            seen.append((list(degrees), real(f, variables, gens, range(4), rank=rank)))
+        return real(f, variables, gens, degrees, rank=rank)
+
+    monkeypatch.setattr(graded, "graded_quotient_dims", spy)
+    return seen
+
+
+def test_hilbert_from_degree_one_agrees_with_four_degrees(monkeypatch):
+    seen = spy_module_dims(monkeypatch)
+    cand = restricted_candidate()
+    ok, note = knorrer.artinian_hilbert_check(cand, trials=3, seed=3)
+    assert ok and note.count("coker dims [4, 0, 0, 0]") == 3
+    # a passing trial computes degrees 0 and 1 only; the reference sees all four
+    assert seen == [([0, 1], [4, 0, 0, 0])] * 3
+
+
+def test_hilbert_failure_lists_all_four_degrees(monkeypatch):
+    cand = restricted_candidate()
+    rows = [list(r) for r in cand.presentation.entries]
+    for row in rows:
+        row[1] = row[0]  # column 1 repeats column 0: the degree-1 rank drops
+    cand.presentation = PolyMatrix(F, cand.variables, rows)
+    seen = spy_module_dims(monkeypatch)
+    ok, note = knorrer.artinian_hilbert_check(cand, trials=3, seed=3)
+    assert not ok
+    (degrees, dims), (fallback, _) = seen
+    assert degrees == [0, 1] and fallback == [0, 1, 2, 3]
+    assert dims[0] == 4 and dims[1] > 0
+    assert note == f"trial 0: coker dims {dims}; expected [4, 0, 0, 0]"
+
+
+def test_emitted_candidate_catches_a_corrupted_intermediate(monkeypatch):
+    real = knorrer._odd_restriction
+
+    def corrupted(*args):
+        cand, targets = real(*args)
+        rows = [list(r) for r in cand.cert1.entries]
+        rows[5][2] = rows[5][2] + Poly.variable(cand.field, cand.variables, "z0")
+        cand.cert1 = PolyMatrix(cand.field, cand.variables, rows)
+        return cand, targets
+
+    monkeypatch.setattr(knorrer, "_odd_restriction", corrupted)
+    with pytest.raises(knorrer.UlrichError, match=r"^candidate certificates failed: "
+                                                  r"A @ C != q1 \* id at entry"):
+        knorrer.ulrich_for_roots_even_ambient(F, [1, 4, 2, 3], seed=11)
+    with pytest.raises(knorrer.UlrichError, match=r"^candidate certificates failed: "
+                                                  r"A @ C != q1 \* id at entry"):
+        knorrer.ulrich_for_roots_odd_ambient(F, [1, 4, 9], [2, 3], seed=7)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
+def test_unemitted_intermediate_passes_every_check(field):
+    # the differential check on substitute: the even-ambient pipeline's odd
+    # restriction, left unverified there, passes every check the emitted one does
+    targets = [field.of(v) for v in (1, 4, 9, 16, 2, 3)]
+    fresh = knorrer.fresh_root_for(field, targets, needed_squares=4)
+    pool = targets + [fresh]
+    squares = [t for t in pool if knorrer._is_square(field, t)]
+    a_targets = squares[:4]
+    c_targets = squares[4:] + [t for t in pool if not knorrer._is_square(field, t)]
+    cand, odd_targets = knorrer._odd_restriction(field, a_targets, c_targets)
+    assert cand.verification == {}
+    assert cand.verify_certificates() == (True, "ok")
+    knorrer._verify_restricted(cand, odd_targets, seed=0)
+    assert "pass" in cand.verification["hilbert"]
+    assert sorted(cand.verification["discriminant_roots"]) == sorted(
+        str(v) for v in odd_targets
+    )
+    checked = knorrer.ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed=0)
+    assert checked.to_json() == cand.to_json()
+
+
+@pytest.mark.parametrize("field, message", [
+    (F, "discriminant roots [1, 2, 3, 4, 9] differ from targets [1, 2, 4, 5, 9]"),
+    (QQ, "discriminant roots [Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1), "
+         "Fraction(9, 1)] differ from targets [Fraction(1, 1), Fraction(2, 1), Fraction(4, 1), "
+         "Fraction(5, 1), Fraction(9, 1)]"),
+], ids=["F10009", "Q"])
+def test_wrong_targets_fall_back_to_the_split(field, message, monkeypatch):
+    cand = knorrer.ulrich_for_roots_odd_ambient(field, [1, 4, 9], [2, 3], seed=7)
+    cand._pencil = None
+    splits = []
+    real = binary.roots
+    monkeypatch.setattr(binary, "roots", lambda f: splits.append(f) or real(f))
+    # the message is the one the split path gave before the product check existed
+    with pytest.raises(knorrer.UlrichError) as err:
+        knorrer._verify_restricted(cand, [1, 4, 9, 2, 5], seed=7)
+    assert str(err.value) == message
+    assert len(splits) == 1
 
 
 def test_candidate_json_round_trip():

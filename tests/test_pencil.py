@@ -259,6 +259,52 @@ def test_diagonalize_rejects_root_at_infinity():
     assert "infinity" in str(err.value)
 
 
+def diagonal_pencil(field, lams):
+    """q1 = sum x_i^2, q2 = -sum lam_i x_i^2: discriminant prod (s - lam_i t)."""
+    size = len(lams)
+    b1 = [[field.of(int(i == j)) for j in range(size)] for i in range(size)]
+    b2 = [[field.neg(field.of(lams[i])) if i == j else field.zero for j in range(size)]
+          for i in range(size)]
+    return pencil.QuadricPencil(field, b1, b2)
+
+
+@pytest.mark.parametrize("field", [PrimeField(10009), PrimeField(2**61 - 1), QQ],
+                         ids=["F10009", "F2^61-1", "Q"])
+def test_confirm_roots_fills_what_the_split_gives(field, monkeypatch):
+    lams = [5, 1, 7, 3]
+    reference = binary.roots(diagonal_pencil(field, lams).discriminant())
+    p = diagonal_pencil(field, lams)
+    monkeypatch.setattr(binary, "roots", lambda f: pytest.fail("split despite known roots"))
+    assert p.confirm_roots(lams)
+    assert p.roots() == reference
+    assert pencil.smoothness_check(p) == (True, "smooth: discriminant squarefree of full degree")
+
+
+@pytest.mark.parametrize("claimed", [
+    [5, 1, 7, 4],      # one root wrong
+    [5, 1, 7],         # one root missing: the degree differs
+    [5, 1, 7, 3, 2],   # one root too many
+    [5, 1, 7, 7],      # not distinct
+])
+def test_confirm_roots_fills_nothing_when_the_product_differs(claimed):
+    field = PrimeField(10009)
+    p = diagonal_pencil(field, [5, 1, 7, 3])
+    assert not p.confirm_roots(claimed)
+    assert p._roots is None
+    assert p.roots() == binary.roots(p.discriminant())
+
+
+def test_confirm_roots_rejects_a_root_at_infinity():
+    # B1 singular: the normalized discriminant is t * (s - 2t), not monic in s
+    field = PrimeField(10009)
+    b1 = [[field.of(0), field.of(0)], [field.of(0), field.of(1)]]
+    b2 = [[field.of(1), field.of(0)], [field.of(0), field.of(-2)]]
+    p = pencil.QuadricPencil(field, b1, b2)
+    assert not p.confirm_roots([2])
+    assert not p.confirm_roots([0, 2])
+    assert p._roots is None
+
+
 def test_smoothness_check():
     field = QQ
     # diag(s+t, s-t, s+2t, s-2t): smooth genus-1 case
