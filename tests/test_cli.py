@@ -669,6 +669,22 @@ def test_clifford_bgg_matches_golden(capsys, name, argv):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("tag, prime", [
+    # 2^31 - 1 keeps residues in int64; 2^61 - 1 needs Python ints throughout
+    ("p31", "2147483647"),
+    ("p61", "2305843009213693951"),
+])
+def test_ulrich_for_roots_at_large_primes_matches_golden(capsys, tag, prime, fmt):
+    code, out, err = run(
+        capsys, "--field", prime, "--format", "text" if fmt == "txt" else "json",
+        "ulrich", "for-roots", "--roots", "1,4,9,16,2,3",
+    )
+    assert code == 0 and err == ""
+    with open(os.path.join(GOLDEN, f"ulrich_for_roots_{tag}.{fmt}")) as fh:
+        assert out == fh.read()
+
+
 def test_suite_knorrer_text_matches_golden(capsys):
     code, out, err = run(capsys, "suite", "knorrer", "--max-n", "7")
     assert code == 0 and err == ""
