@@ -319,9 +319,10 @@ def cmd_betti(args, field, seed) -> int:
 
 
 def _candidate_report(cand) -> list[str]:
+    # a candidate is verified on construction, so its presentation is r x 2r
     lines = [
         f"variables: {', '.join(cand.variables)}",
-        f"presentation: {cand.presentation.nrows} x {cand.presentation.ncols} linear",
+        f"presentation: {cand.generators} x {2 * cand.generators} linear",
         f"generators: {cand.generators}, module rank: {cand.generators // 4}",
         "certificates: A@B' = 0, A@C1 = q1*id, A@C2 = q2*id verified",
     ]
@@ -472,8 +473,7 @@ def suite_ulrich_e2e(field, seed, args):
     yield (
         "certificates",
         cand.verification["certificates"] == "pass",
-        f"A@B'=0, A@C1=q1*id, A@C2=q2*id on {cand.presentation.nrows}x"
-        f"{cand.presentation.ncols}",
+        f"A@B'=0, A@C1=q1*id, A@C2=q2*id on {cand.generators}x{2 * cand.generators}",
     )
     got = sorted(cand.verification["discriminant_roots"])
     want = sorted(str(v) for v in targets)

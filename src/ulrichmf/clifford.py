@@ -17,9 +17,10 @@ from math import comb
 
 import numpy as np
 
+from . import linalg
 from . import mf as mf_mod
 from .binary import ST
-from .fields import NotASquare, PrimeField
+from .fields import NotASquare
 from .pencil import HyperellipticData
 from .poly import Poly
 from .polymatrix import PolyMatrix
@@ -282,13 +283,15 @@ class CliffordModuleWindow:
             prod = _mat_mul_scalar(field, stack_h, stack_l)
             blocks = prod.reshape(r, d2, r, d0)
             # f_i = a_i s + b_i t acts as a_i T1 + b_i T2; on int64 each entry
-            # is at most 2 (p - 1)^2, within the bound _mat_mul_scalar checked
+            # is at most 2 (p - 1)^2, within the bound linalg.matmul checked
             ts = np.array([self.t_action[(1, k)], self.t_action[(2, k)]], dtype=prod.dtype)
-            ts = _reduced(field, ts.reshape(2, d2, d0))
+            ts = linalg.reduced(field, ts.reshape(2, d2, d0))
             want = np.tensordot(np.array(f_coeffs, dtype=prod.dtype), ts, axes=1)
             diag = np.arange(r)
-            bad = (_reduced(field, blocks + blocks.transpose(2, 1, 0, 3)) != 0).any(axis=(1, 3))
-            bad[diag, diag] = (_reduced(field, blocks[diag, :, diag, :] - want) != 0).any(axis=(1, 2))
+            sums = linalg.reduced(field, blocks + blocks.transpose(2, 1, 0, 3))
+            bad = (sums != 0).any(axis=(1, 3))
+            squares = linalg.reduced(field, blocks[diag, :, diag, :] - want)
+            bad[diag, diag] = (squares != 0).any(axis=(1, 2))
             failing = np.argwhere(np.triu(bad))
             if len(failing):
                 i, j = (int(v) + 1 for v in failing[0])
@@ -298,26 +301,8 @@ class CliffordModuleWindow:
 
 
 def _mat_mul_scalar(field, a, b):
-    """The exact product of two scalar matrices given as lists of rows.
-
-    Over F_p with 2 * len(b) * (p - 1)^2 < 2^63 the operands are reduced
-    into [0, p) and multiplied as int64 arrays, so no entry of the product,
-    a sum of len(b) products of residues, overflows before its one final
-    reduction mod p (the delayed reduction of FLINT's nmod_mat).  Past that
-    bound, and over Q, the product is an object array of Python ints or
-    Fractions.  A product with no inner dimension has no columns.
-    """
-    inner, ncols = len(b), len(b[0]) if b else 0
-    small = isinstance(field, PrimeField) and 2 * inner * (field.p - 1) ** 2 < 2**63
-    dtype = np.int64 if small else object
-    left = _reduced(field, np.array(a, dtype=dtype).reshape(len(a), inner))
-    right = _reduced(field, np.array(b, dtype=dtype).reshape(inner, ncols))
-    return _reduced(field, left @ right)
-
-
-def _reduced(field, x):
-    """x mod p over F_p; x itself over Q."""
-    return x % field.p if isinstance(field, PrimeField) else x
+    """The exact product of two scalar matrices: :func:`linalg.matmul`."""
+    return linalg.matmul(field, a, b)
 
 
 def regular_module_window(h: HyperellipticData, k_lo: int, k_hi: int) -> CliffordModuleWindow:

@@ -288,19 +288,24 @@ def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
         if pencil.dim % 2 == 0
         else Diagonalization(field, factors, basis, pencil)
     )
-    _verify_diagonalization(pencil, result)
+    _check_diagonalization(pencil, result, conj)
     return result
 
 
 def _verify_diagonalization(pencil: QuadricPencil, diag: Diagonalization):
     """Exact check: M^T (s B1 + t B2) M = diag(f_1, ..., f_r)."""
+    _check_diagonalization(pencil, diag, pencil.congruence(diag.basis))
+
+
+def _check_diagonalization(pencil: QuadricPencil, diag: Diagonalization, conj: PolyMatrix):
+    """Exact check of diag against conj, its basis's congruence M^T (s B1 + t B2) M."""
     zero = Poly.zero(pencil.field, binary.ST)
     want = PolyMatrix(
         pencil.field,
         binary.ST,
         [[f if i == j else zero for j in range(diag.size)] for i, f in enumerate(diag.factors)],
     )
-    where = pencil.congruence(diag.basis).first_mismatch(want)
+    where = conj.first_mismatch(want)
     if where is not None:
         raise PencilError(f"diagonalization verification failed at entry {where}")
     if binary.normalize(diag.product()) != pencil.discriminant():

@@ -8,9 +8,19 @@ a_j - b_i.
 Determinants use evaluation/interpolation on P^1 when the matrix is a graded
 matrix of binary forms whose degree labels fix the degree of det.  Otherwise
 one fraction-free Bareiss elimination gives both the rank and the determinant.
+
+A matrix of linear forms in variables x_0 .. x_{V-1} can also be stored as
+its coefficient tensor T of shape (V, rows, cols), T[k] the scalar matrix of
+x_k, with scalars of the type ``linalg.scalar_dtype`` picks.  A linear change
+of variables and the product identities of such matrices are then scalar
+products (:func:`substitute_tensors`, :func:`tensor_mismatch`).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
 
 from . import binary, linalg
 from .fields import Field, PrimeField
@@ -120,9 +130,6 @@ class PolyMatrix:
 
     def entry(self, i, j) -> Poly:
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.nrows))
@@ -388,3 +395,112 @@ class PolyMatrix:
         return PolyMatrix(
             field, variables, rows, data.get("row_degrees"), data.get("col_degrees"), ncols
         )
+
+
+# -- linear matrices as coefficient tensors ------------------------------------------
+
+
+def linear_tensor(matrix: PolyMatrix, name="matrix"):
+    """The coefficient tensor of a matrix of linear forms.
+
+    Raises MatrixError naming the first entry, row by row, with a term of
+    degree other than 1.
+    """
+    field = matrix.field
+    t = np.full((len(matrix.vars), matrix.nrows, matrix.ncols), field.zero,
+                dtype=linalg.scalar_dtype(field))
+    for i, row in enumerate(matrix.entries):
+        for j, entry in enumerate(row):
+            for exp, c in entry.terms.items():
+                if sum(exp) != 1:
+                    raise MatrixError(f"{name} entry ({i},{j}) is not linear")
+                t[exp.index(1), i, j] = c
+    return t
+
+
+def substitute_tensors(field, m, tensors):
+    """The tensors after the change of variables x = M z, by one product:
+    T'[k] = sum_j M[j][k] T[j].  Row j of M holds the coefficients of the
+    image of variable j."""
+    flat = np.concatenate([t.reshape(len(t), -1) for t in tensors], axis=1)
+    image = linalg.matmul(field, [list(col) for col in zip(*m)], flat)
+    out, at = [], 0
+    for t in tensors:
+        _, rows, cols = t.shape
+        out.append(image[:, at : at + rows * cols].reshape(len(image), rows, cols))
+        at += rows * cols
+    return out
+
+
+def tensor_mismatch(field, a, b, q=None):
+    """The first (i, j), row by row, where A @ B differs from q * id (from 0
+    when q is None), or None; an entry only one of the two has differs.
+
+    A = sum_k A_k x_k and B = sum_l B_l x_l are linear, so entry (i, j) of
+    A @ B is the quadratic form with coefficient (A_k B_l + A_l B_k)[i][j] on
+    x_k x_l for k < l and (A_k B_k)[i][j] on x_k^2.  q = x^T S x has 2 S[k][l]
+    on x_k x_l and S[k][k] on x_k^2.  p is odd, so A @ B = q * id exactly
+    when A_k B_l + A_l B_k = 2 S[k][l] * id for all k <= l.  One product of A
+    stacked by rows with B stacked by columns gives every A_k B_l.
+    """
+    v, r, inner = a.shape
+    _, b_rows, c = b.shape
+    if inner != b_rows:
+        raise MatrixError(f"dimension mismatch: {r}x{inner} @ {b_rows}x{c}")
+    # over Q the product is taken on integers, prod = d (A_k B_l), and q * id is scaled by d
+    blocks, scale = linalg.scaled_matmul(field, a.reshape(v * r, inner),
+                                         b.transpose(1, 0, 2).reshape(inner, v * c))
+    blocks = blocks.reshape(v, r, v, c)
+    # sym[k, i, l, j] = (A_k B_l + A_l B_k)[i][j]; the V^2 r c products are the
+    # largest arrays of the check, so the blocks are let go once summed
+    sym = blocks + blocks.transpose(2, 1, 0, 3)
+    del blocks
+    if q is None:
+        bad = (linalg.reduced(field, sym) != 0).any(axis=(0, 2))
+    else:
+        # q * id is r x r: the columns past min(r, c) are in one matrix only
+        square, (two_s, other) = min(r, c), _doubled_form(q)
+        diag = np.arange(square)
+        sym = sym[:, :, :, :square]
+        scale = field.of(scale)
+        sym[:, diag, :, diag] -= np.array([[field.mul(w, scale) for w in row] for row in two_s],
+                                          dtype=sym.dtype)
+        bad = np.ones((r, max(r, c)), dtype=bool)
+        bad[:, :square] = (linalg.reduced(field, sym) != 0).any(axis=(0, 2))
+        if other:  # q * id has a term of another degree on its diagonal
+            bad[diag, diag] = True
+    hits = np.argwhere(bad)
+    return None if len(hits) == 0 else tuple(int(x) for x in hits[0])
+
+
+def _doubled_form(q: Poly):
+    """(W, other): W[k][l] is the coefficient of 2 q on x_k x_l as a symmetric
+    form, so W = 2 S with q = x^T S x on q's quadratic terms; other says
+    whether q has a term of another degree."""
+    field = q.field
+    w = [[field.zero] * len(q.vars) for _ in q.vars]
+    other = False
+    for exp, c in q.terms.items():
+        support = [k for k, e in enumerate(exp) if e]
+        if sum(exp) != 2:
+            other = True
+        elif len(support) == 1:
+            w[support[0]][support[0]] = field.add(c, c)
+        else:
+            k, l = support
+            w[k][l] = w[l][k] = c
+    return w, other
+
+
+def tensor_json(t) -> dict:
+    """``PolyMatrix.to_json`` of sum_k T[k] x_k, read off the tensor."""
+    v, nrows, ncols = t.shape
+    units = [[int(i == k) for i in range(v)] for k in range(v)]
+    entries = [[] for _ in range(nrows * ncols)]
+    # the variables last to first: Poly.to_json sorts the exponents ascending
+    ordered = t[::-1].transpose(1, 2, 0)
+    nonzero = ordered != 0
+    for (i, j, k), c in zip(np.argwhere(nonzero).tolist(), ordered[nonzero].tolist()):
+        num, den = (c.numerator, c.denominator) if isinstance(c, Fraction) else (int(c), 1)
+        entries[i * ncols + j].append([units[v - 1 - k], num, den])
+    return {"rows": nrows, "cols": ncols, "entries": entries}

@@ -228,29 +228,22 @@ def test_criterion_10_even_ambient_g2():
     targets = [1, 2, 3, 4, 5, 6]
     cand = knorrer.ulrich_for_roots_even_ambient(F, targets, seed=1010)
     assert len(cand.variables) == 6
-    assert cand.presentation.nrows == 8
-    assert cand.presentation.ncols == 16
+    # the presentation is stored as its coefficient tensor (variables, rows, cols)
+    assert cand.presentation.shape == (6, 8, 16)
     # degree of the module is 2^n = 8 on a degree-4 variety: rank 2 = 2^{g-1}
     assert cand.generators // 4 == 2
     got = sorted(int(v) for v in cand.verification["discriminant_roots"])
     assert got == targets
-    # negative control: one corrupted entry breaks the exact certificates
-    from ulrichmf.poly import Poly
-
+    # negative control: one corrupted entry (+ w0 at (0, 0)) breaks the exact certificates
     good = cand.presentation
-    rows = [list(r) for r in good.entries]
-    rows[0] = [rows[0][0] + Poly.variable(F, cand.variables, cand.variables[0])] + list(
-        rows[0][1:]
-    )
-    cand.presentation = PolyMatrix(F, cand.variables, rows)
+    cand.presentation = good.copy()
+    cand.presentation[0, 0, 0] = F.add(int(good[0, 0, 0]), 1)
     ok, detail = cand.verify_certificates()
     assert not ok, "corrupted entry must break a certificate"
     # negative control: a destroyed relation leaves degree-1 cokernel the
     # Hilbert check reports
-    rows = [list(r) for r in good.entries]
-    for i in range(len(rows)):
-        rows[i] = [Poly.zero(F, cand.variables)] + list(rows[i][1:])
-    cand.presentation = PolyMatrix(F, cand.variables, rows)
+    cand.presentation = good.copy()
+    cand.presentation[:, :, 0] = F.zero
     ok, note = knorrer.artinian_hilbert_check(cand, trials=2, seed=7)
     assert not ok and "coker dims [8, 1" in note, note
     cand.presentation = good

@@ -443,6 +443,27 @@ def verify_modified_golden(tmp_path, capsys, **changes):
     return run(capsys, "ulrich", "verify", str(path))
 
 
+@pytest.mark.parametrize("key, where", [
+    ("presentation", 0), ("second_map", 5), ("cert_q1", 3), ("cert_q2", 7),
+])
+def test_ulrich_verify_non_linear_entry_fails(tmp_path, capsys, key, where):
+    # a stored candidate is read into coefficient tensors, which hold linear
+    # forms only: a quadratic term fails verification (exit 1, as before)
+    with open(os.path.join(GOLDEN, "ulrich_for_roots_q.json")) as fh:
+        data = json.load(fh)
+    matrix = data[key]
+    k = next(k for k in range(where, len(matrix["entries"])) if matrix["entries"][k])
+    exp = matrix["entries"][k][0][0]
+    matrix["entries"][k][0][0] = [2 * e for e in exp]
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "ulrich", "verify", str(path))
+    i, j = divmod(k, matrix["cols"])
+    assert code == 1 and err == ""
+    assert out == (f"verification failed: candidate certificates failed: {key} entry "
+                   f"({i},{j}) is not linear\n")
+
+
 def test_ulrich_verify_coefficient_outside_field_exits_2(tmp_path, capsys):
     # the Q golden has coefficients with denominator 20, which vanishes in F_5
     code, out, err = verify_modified_golden(tmp_path, capsys, field="5")

@@ -61,6 +61,35 @@ def test_verify_mf_rejects_wrong_pair():
     assert "phi @ psi" in detail
 
 
+def two_sided_mf_failure(h, n, phi, psi):
+    """The reference: both phi @ psi and psi @ phi against f * id."""
+    fid = PolyMatrix.scalar_matrix(h.field, ST, h.f, n)
+    for name, prod in (("phi @ psi", phi @ psi), ("psi @ phi", psi @ phi)):
+        where = prod.first_mismatch(fid)
+        if where is not None:
+            return f"{name} != f*id at entry {where}"
+    return None
+
+
+@pytest.mark.parametrize("h", [H1, H2], ids=["g1", "g2"])
+def test_one_sided_mf_check_agrees_with_two_sided(h):
+    # phi is square and f != 0, so phi @ psi = f id implies psi @ phi = f id
+    rng = random.Random(h.genus)
+    for rep in mf.canonical_classes(h):
+        m = mf.line_bundle_mf(h, rep)
+        degrees = m.module.degrees
+        assert mf.verify_mf_data(h, degrees, m.phi, m.psi) == (True, "ok")
+        assert two_sided_mf_failure(h, len(degrees), m.phi, m.psi) is None
+        # one entry of psi scaled by 2: both checks name the same entry
+        i, j = rng.choice([(i, j) for i in range(2) for j in range(2)
+                           if not m.psi.entry(i, j).is_zero()])
+        rows = [list(row) for row in m.psi.entries]
+        rows[i][j] = rows[i][j].scale(2)
+        broken = PolyMatrix(h.field, ST, rows)
+        ok, detail = mf.verify_mf_data(h, degrees, m.phi, broken)
+        assert not ok and detail == two_sided_mf_failure(h, len(degrees), m.phi, broken)
+
+
 def test_verify_mf_rejects_wrong_variables():
     xy = ("x0", "y0")
     x = Poly.variable(F, xy, "x0")

@@ -239,6 +239,37 @@ def test_verify_diagonalization_rejects_perturbed_basis():
     pencil._verify_diagonalization(p, diag)
 
 
+def test_diagonalize_checks_the_congruence_it_read(monkeypatch):
+    # one congruence per diagonalization: the factors are read off its diagonal
+    # and the same product is checked, so a wrong off-diagonal entry still fails
+    field = PrimeField(13)
+    q1 = Poly.from_pairs(field, ("x", "y"), [((1, 1), 2)])
+    q2 = Poly.from_pairs(field, ("x", "y"), [((2, 0), 1), ((0, 2), -1)])
+    p = pencil.QuadricPencil.from_quadrics(q1, q2)
+    real = pencil.QuadricPencil.congruence
+    calls = []
+
+    def counted(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(pencil.QuadricPencil, "congruence", counted)
+    diag = pencil.simultaneous_diagonalize(p)
+    assert len(calls) == 1 and calls[0] == diag.basis
+
+    def off_diagonal_one(self, m):
+        conj = real(self, m)
+        rows = [list(row) for row in conj.entries]
+        rows[0][1] = rows[0][1] + binary.linear_form(field, 1, 0)
+        return PolyMatrix(field, ST, rows)
+
+    monkeypatch.setattr(pencil.QuadricPencil, "congruence", off_diagonal_one)
+    p._roots = None
+    with pytest.raises(pencil.PencilError,
+                       match=re.escape("diagonalization verification failed at entry (0, 1)")):
+        pencil.simultaneous_diagonalize(p)
+
+
 def test_diagonalize_rejects_square_discriminant():
     field = QQ
     b1 = [[field.of(1), field.of(0)], [field.of(0), field.of(1)]]
