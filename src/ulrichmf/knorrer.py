@@ -187,13 +187,25 @@ class UlrichCandidate:
     Each matrix is a coefficient tensor T of shape (len(variables), rows,
     cols): T[k] is the scalar matrix of variables[k], so the matrix is
     sum_k T[k] x_k; its scalars are int64 or Python ints over F_p and
-    Fractions over Q.  presentation: r x 2r matrix A; second_map B' with A @ B' = 0;
-    cert1, cert2 with A @ cert_l = q_l * id.  All three identities are
-    verified on construction.
+    Fractions over Q.  presentation: r x 2r matrix A; second_map B' with
+    A @ B' = 0; cert1, cert2 with A @ cert_l = q_l * id.  All three
+    identities are verified on construction.
     """
 
-    def __init__(self, field: Field, variables, n: int, q1: Poly, q2: Poly, presentation,
-                 second_map, cert1, cert2, dvals=None, provenance=""):
+    def __init__(
+        self,
+        field: Field,
+        variables,
+        n: int,
+        q1: Poly,
+        q2: Poly,
+        presentation,
+        second_map,
+        cert1,
+        cert2,
+        dvals=None,
+        provenance="",
+    ):
         self.field = field
         self.variables = tuple(variables)
         self.n = n
