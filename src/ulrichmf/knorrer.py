@@ -6,17 +6,16 @@ linear presentation A = (A1 | A2) with its exact annihilator certificates,
 hyperplane restriction hitting a prescribed set of discriminant roots, and
 the Artinian Hilbert-function certificate of the Ulrich property.
 
-The matrices of an Ulrich candidate are linear, and each is stored as its
-coefficient tensor T of shape (V, rows, cols): T[k] is the scalar matrix of
-the k-th variable.  A linear change of variables x = M z is then one scalar
-product, T'[k] = sum_j M[j][k] T[j].  A certificate is one product too:
-entry (i, j) of A B is the quadratic form with coefficient
+The matrices of an Ulrich candidate are linear, each stored as its
+coefficient tensor T of shape (V, rows, cols), T[k] the scalar matrix of
+the k-th variable.  A change of variables x = M z is one scalar product,
+T'[k] = sum_j M[j][k] T[j].  Entry (i, j) of A B has coefficient
 (A_k B_l + A_l B_k)[i][j] on x_k x_l (k < l) and (A_k B_k)[i][j] on x_k^2,
-so, p being odd, A B' = 0 exactly when A_k B'_l + A_l B'_k = 0 for all
-k <= l, and A C = q id exactly when A_k C_l + A_l C_k = 2 S[k][l] id for
-q = x^T S x.  All the A_k B_l are one product of A stacked by rows with B
-stacked by columns.  The Knorrer pair itself, the mixed identity and the
-quadrics q1, q2 stay polynomial.
+so, p being odd, A B' = 0 iff A_k B'_l + A_l B'_k = 0 for all k <= l, and
+A C = q id iff A_k C_l + A_l C_k = 2 S[k][l] id for q = x^T S x: all the
+A_k B_l come from A stacked by rows times B stacked by columns, in blocks
+of variables that bound its memory.  The Knorrer pair, the mixed identity
+and q1, q2 stay polynomial.
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
 discriminant roots are exactly the requested targets.  The ambient diagonal
@@ -36,8 +35,8 @@ from . import binary, graded, linalg
 from .fields import Field, NotASquare
 from .pencil import QuadricPencil, simultaneous_diagonalize, smoothness_check
 from .poly import Poly, PolyError
-from .polymatrix import (MatrixError, PolyMatrix, linear_tensor, substitute_tensors, tensor_json,
-                         tensor_mismatch)
+from .polymatrix import (MatrixError, PolyMatrix, linear_tensor, substitute_tensors,
+                         tensor_matrix, tensor_mismatch)
 
 
 class UlrichError(ValueError):
@@ -279,16 +278,15 @@ class UlrichCandidate:
         return out
 
     def to_json(self) -> dict:
+        tensors = (self.presentation, self.second_map, self.cert1, self.cert2)
         data = {
             "field": self.field.name,
             "variables": list(self.variables),
             "n": self.n,
             "q1": self.q1.to_json(),
             "q2": self.q2.to_json(),
-            "presentation": tensor_json(self.presentation),
-            "second_map": tensor_json(self.second_map),
-            "cert_q1": tensor_json(self.cert1),
-            "cert_q2": tensor_json(self.cert2),
+            **{key: tensor_matrix(self.field, self.variables, t).to_json()
+               for key, t in zip(MATRIX_KEYS, tensors)},
             "verification": {k: v for k, v in sorted(self.verification.items())},
             "provenance": self.provenance,
         }
@@ -303,8 +301,7 @@ class UlrichCandidate:
         # a plain ValueError: malformed input is not a failed verification
         if not isinstance(data, dict):
             raise ValueError(f"candidate must be a JSON object, not {type(data).__name__}")
-        for key in ("field", "variables", "n", "q1", "q2", "presentation", "second_map",
-                    "cert_q1", "cert_q2"):
+        for key in ("field", "variables", "n", "q1", "q2", *MATRIX_KEYS):
             if key not in data:
                 raise ValueError(f"candidate has no {key!r} key")
         field = field_from_name(data["field"])
@@ -382,9 +379,24 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
 
 
 def _diagonal_of(field, lam):
-    """Recover D when the skew lam is [[0, D], [-D, 0]] with diagonal D, else None."""
-    dvals = [lam[i][len(lam) // 2 + i] for i in range(len(lam) // 2)]
-    return dvals if [list(row) for row in lam] == diagonal_lambda(field, dvals) else None
+    """Recover D when lam = [[0, D], [-D, 0]] with diagonal D, else None."""
+    size = len(lam)
+    half = size // 2
+    dvals = []
+    for i in range(half):
+        for j in range(half):
+            expected_zero = (
+                lam[i][j],
+                lam[half + i][half + j],
+            )
+            if any(not field.is_zero(v) for v in expected_zero):
+                return None
+            if i != j and (
+                not field.is_zero(lam[i][half + j]) or not field.is_zero(lam[half + i][j])
+            ):
+                return None
+        dvals.append(lam[i][half + i])
+    return dvals
 
 
 def _proportional_quadrics(field, q1, q2) -> bool:
@@ -675,9 +687,9 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
     # x = M w with M the diagonalizing basis less the fresh root's column
     m = [row[:idx_fresh] + row[idx_fresh + 1 :] for row in diag.basis]
     new_names = tuple(f"w{k}" for k in range(len(m[0])))
-    candidate = odd_candidate.substitute(
-        m, new_names, provenance=f"ulrich_for_roots_even_ambient(g={g})"
-    )
+    candidate = odd_candidate._substituted(m, new_names, f"ulrich_for_roots_even_ambient(g={g})")
+    del odd_candidate  # its tensors are let go before the emitted ones are checked
+    candidate._require_certificates()
     candidate.verification["fresh_root"] = str(fresh)
     _verify_restricted(candidate, targets, seed)
     return candidate
@@ -711,7 +723,7 @@ def artinian_hilbert_check(candidate: UlrichCandidate, trials: int = 3, seed: in
         for attempt in range(25):
             # random u, v coefficients for all but the last two variables
             m = [[rng.randrange(size), rng.randrange(size)] for _ in candidate.variables[:-2]]
-            m = [[field.of(c) for c in row] for row in m + [[1, 0], [0, 1]]]
+            m += [[1, 0], [0, 1]]
             images = _linear_images(field, m, candidate.variables, uv)
             q1 = candidate.q1.substitute(images, uv)
             q2 = candidate.q2.substitute(images, uv)
@@ -748,14 +760,7 @@ def _cokernel_dims(candidate: UlrichCandidate, m, q1: Poly, q2: Poly) -> list:
     degree1 = a_uv[::-1].transpose(2, 1, 0).reshape(2 * r, 2 * r)
     if linalg.rank(field, degree1.tolist(), 2 * r) == 2 * r:
         return [r, 0, 0, 0]
-    uv = ("u", "v")
-    gens = [
-        [Poly.from_pairs(field, uv, [((1, 0), cu), ((0, 1), cv)]) for cu, cv in column]
-        for column in (zip(*pair) for pair in a_uv.transpose(2, 0, 1).tolist())
-    ]
-    for q in (q1, q2):
-        for i in range(r):
-            vec = [Poly.zero(field, uv)] * r
-            vec[i] = q
-            gens.append(vec)
-    return graded.graded_quotient_dims(field, uv, gens, range(4), rank=r)
+    a, zero = tensor_matrix(field, q1.vars, a_uv), Poly.zero(field, q1.vars)
+    gens = [list(a.column(j)) for j in range(2 * r)]
+    gens += [[q if k == i else zero for k in range(r)] for q in (q1, q2) for i in range(r)]
+    return graded.graded_quotient_dims(field, q1.vars, gens, range(4), rank=r)

@@ -36,106 +36,94 @@ def scalar_dtype(field: Field):
 def matmul(field: Field, a, b):
     """The exact product of two scalar matrices, lists of rows or 2-d arrays.
 
-    Over F_p the operands are reduced into [0, p) and every entry of the
-    product, a sum of len(b) products of residues, is reduced once at the end
-    (the delayed reduction of FFLAS-FFPACK and FLINT's nmod_mat).  The regime
-    follows from p and the inner dimension:
-
-    - float64 on BLAS while len(b) * (p - 1)^2 < 2^53, where every partial sum
-      is an integer that float64 holds exactly;
-    - int64 while 2 * len(b) * (p - 1)^2 < 2^63 (numpy multiplies integer
-      arrays without BLAS);
-    - object arrays of Python ints past that, computed by ``_int_matmul``.
-
-    Over Q the product is an object array of Fractions, read off
-    :func:`scaled_matmul`.  The result is an int64 array in the first two
-    regimes and an object array otherwise; a product with no inner dimension
-    has no columns.
+    Both operands are made integral by :func:`integral` and multiplied by
+    :func:`integer_matmul`.  Over F_p the result is an array of residues:
+    int64 while 2 * len(b) * (p - 1)^2 < 2^63, Python ints past that.  Over
+    Q it is an object array of Fractions, the integer product divided once
+    by the two common denominators.  A product with no inner dimension has
+    no columns.
     """
-    prod, d = scaled_matmul(field, a, b)
+    inner, ncols = len(b), len(b[0]) if len(b) else 0
+    dtype = scalar_dtype(field)
+    left, da = integral(field, np.asarray(a, dtype=dtype).reshape(len(a), inner))
+    right, db = integral(field, np.asarray(b, dtype=dtype).reshape(inner, ncols))
+    prod = integer_matmul(field, left, right)
     if isinstance(field, PrimeField):
         return prod
-    zero = field.zero
+    d, zero = da * db, field.zero
     return np.frompyfunc(lambda x: Fraction(x, d) if x else zero, 1, 1)(prod)
 
 
-def scaled_matmul(field: Field, a, b):
-    """(P, d) with a @ b = P / d exactly.
+def integral(field: Field, x):
+    """(X, d) with x = X / d for an array x of field scalars.
 
-    Over F_p, d = 1 and P is the product of :func:`matmul`.  Over Q each
-    operand is scaled by the common denominator of its entries, P is the
-    product of the integer matrices by ``_int_matmul``, an object array of
-    Python ints, and d is the product of the two denominators: no Fraction
-    is built.
+    Over F_p, X holds the residues of x in [0, p), x itself if it holds
+    nothing else, and d = 1.  Over Q, d is the least common denominator of
+    the entries and X an object array of Python ints.
     """
-    inner, ncols = len(b), len(b[0]) if len(b) else 0
-    if not isinstance(field, PrimeField):
-        (left, da), (right, db) = _integral(_shaped(a, inner)), _integral(_shaped(b, ncols))
-        top = max(np.abs(left).max(initial=0), np.abs(right).max(initial=0))
-        return _int_matmul(left, right, top), da * db
-    p, regime = field.p, _regime(field, inner)
-    if regime == "float64":
-        left = reduced(field, _shaped(a, inner, np.int64)).astype(np.float64)
-        right = reduced(field, _shaped(b, ncols, np.int64)).astype(np.float64)
-        prod = left @ right
-        return np.fmod(prod, p, out=prod).astype(np.int64), 1
-    if regime == "int64":
-        return reduced(field, reduced(field, _shaped(a, inner, np.int64))
-                       @ reduced(field, _shaped(b, ncols, np.int64))), 1
-    left, right = reduced(field, _shaped(a, inner)), reduced(field, _shaped(b, ncols))
-    return reduced(field, _int_matmul(left, right, p - 1)), 1
-
-
-def _regime(field: Field, inner: int) -> str:
-    """How :func:`matmul` multiplies over ``field`` with this inner dimension:
-    "float64", "int64" or "object"."""
-    if not isinstance(field, PrimeField):
-        return "object"
-    bound = inner * (field.p - 1) ** 2
-    return "float64" if bound < 2**53 else "int64" if 2 * bound < 2**63 else "object"
-
-
-def _shaped(x, ncols, dtype=object):
-    return np.asarray(x, dtype=dtype).reshape(len(x), ncols)
-
-
-def _integral(x):
-    """(d x, d) for d the least common denominator of the rationals in x."""
+    if isinstance(field, PrimeField):
+        # an array of residues, as every stored tensor is, is used as it is
+        if x.size == 0 or (x.min() >= 0 and x.max() < field.p):
+            return x, 1
+        return reduced(field, x), 1
     d = math.lcm(*{v.denominator for v in x.flat})
     return np.frompyfunc(lambda v: v.numerator * (d // v.denominator) if v else 0, 1, 1)(x), d
 
 
-def _int_matmul(a, b, top: int):
+def integer_matmul(field: Field, a, b):
+    """The product of two 2-d arrays of integers, as :func:`integral` gives them.
+
+    Over F_p the operands are residues and every entry of the product, a sum
+    of a.shape[1] products of residues, is reduced once at the end (the
+    delayed reduction of FFLAS-FFPACK and FLINT's nmod_mat); the result is
+    int64 while 2 * a.shape[1] * (p - 1)^2 < 2^63 and an object array of
+    Python ints past that.  Over Q the exact product is an object array of
+    Python ints.
+    """
+    if not isinstance(field, PrimeField):
+        top = max(np.abs(a).max(initial=0), np.abs(b).max(initial=0))
+        return _int_matmul(a, b, int(top), object)
+    p = field.p
+    dtype = np.int64 if 2 * a.shape[1] * (p - 1) ** 2 < 2**63 else object
+    prod = _int_matmul(a, b, p - 1, dtype)
+    return np.remainder(prod, p, out=prod)
+
+
+def _int_matmul(a, b, top: int, dtype):
     """The exact product of two integer matrices whose entries are at most top
-    in absolute value, as an object array of Python ints, from float64 BLAS
-    products of limbs.
+    in absolute value, from float64 BLAS products of limbs, as an array of
+    ``dtype``: int64 only where every entry of the product fits.
 
     Each entry is split into ``count`` signed limbs of ``bits`` bits, with
     count * inner * 2^(2 bits) < 2^53: every limb product, and every sum of
     the at most ``count`` limb products of one weight, is an integer that
-    float64 holds exactly.
+    float64 holds exactly.  One limb is the plain float64 product.
     """
     inner, width = a.shape[1], max(top, 1).bit_length()
     count = 1
     while count * inner * 4 ** -(-width // count) >= 2**53:
         count += 1
     bits = -(-width // count)
+    if top < 2**63:  # limbs of int64 entries are cut without Python ints
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
 
     def limbs(x):
-        negative = x < 0
-        magnitude = np.where(negative, -x, x)
-        out = []
-        for k in range(count):
-            limb = ((magnitude >> (bits * k)) & ((1 << bits) - 1)).astype(np.float64)
-            out.append(np.where(negative, -limb, limb))
-        return out
+        if count == 1:
+            return [x.astype(np.float64)]
+        sign, magnitude = np.sign(x).astype(np.float64), np.abs(x)
+        mask = (1 << bits) - 1
+        return [sign * ((magnitude >> (bits * k)) & mask).astype(np.float64)
+                for k in range(count)]
 
     la, lb = limbs(a), limbs(b)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    out = None
     for w in range(2 * count - 1):
-        weight = range(max(0, w - count + 1), min(w, count - 1) + 1)
-        same_weight = sum(la[k] @ lb[w - k] for k in weight)
-        out += same_weight.astype(np.int64).astype(object) << (bits * w)
+        part = sum(la[k] @ lb[w - k] for k in range(max(0, w - count + 1), min(w, count - 1) + 1))
+        part = part.astype(np.int64).astype(dtype, copy=False)
+        if out is None:
+            out = part
+        else:
+            out += part << (bits * w)
     return out
 
 

@@ -18,7 +18,7 @@ products (:func:`substitute_tensors`, :func:`tensor_mismatch`).
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -130,6 +130,9 @@ class PolyMatrix:
 
     def entry(self, i, j) -> Poly:
         return self.entries[i][j]
+
+    def row(self, i):
+        return self.entries[i]
 
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.nrows))
@@ -418,18 +421,35 @@ def linear_tensor(matrix: PolyMatrix, name="matrix"):
     return t
 
 
+def tensor_matrix(field, variables, t) -> PolyMatrix:
+    """The matrix sum_k T[k] x_k of a coefficient tensor, the inverse of
+    :func:`linear_tensor`; T holds the field's scalars."""
+    variables = tuple(variables)
+    v, nrows, ncols = t.shape
+    units = [tuple(int(i == k) for i in range(v)) for k in range(v)]
+    terms = [{} for _ in range(nrows * ncols)]
+    nonzero = t != 0
+    for (k, i, j), c in zip(np.argwhere(nonzero).tolist(), t[nonzero].tolist()):
+        terms[i * ncols + j][units[k]] = c
+    return PolyMatrix._make(field, variables, [
+        [Poly._make(field, variables, terms[i * ncols + j]) for j in range(ncols)]
+        for i in range(nrows)
+    ], ncols=ncols)
+
+
 def substitute_tensors(field, m, tensors):
-    """The tensors after the change of variables x = M z, by one product:
+    """The tensors after the change of variables x = M z, one product each:
     T'[k] = sum_j M[j][k] T[j].  Row j of M holds the coefficients of the
     image of variable j."""
-    flat = np.concatenate([t.reshape(len(t), -1) for t in tensors], axis=1)
-    image = linalg.matmul(field, [list(col) for col in zip(*m)], flat)
-    out, at = [], 0
-    for t in tensors:
-        _, rows, cols = t.shape
-        out.append(image[:, at : at + rows * cols].reshape(len(image), rows, cols))
-        at += rows * cols
-    return out
+    mt = [list(col) for col in zip(*m)]
+    return [linalg.matmul(field, mt, t.reshape(len(t), -1)).reshape(len(mt), *t.shape[1:])
+            for t in tensors]
+
+
+# the most entries of one block of products in tensor_mismatch: the check of a
+# candidate up to g = 5 is one block, and larger ones are split so that a block
+# of int64 products stays at 8 MB
+BLOCK_ENTRIES = 2**20
 
 
 def tensor_mismatch(field, a, b, q=None):
@@ -441,34 +461,49 @@ def tensor_mismatch(field, a, b, q=None):
     x_k x_l for k < l and (A_k B_k)[i][j] on x_k^2.  q = x^T S x has 2 S[k][l]
     on x_k x_l and S[k][k] on x_k^2.  p is odd, so A @ B = q * id exactly
     when A_k B_l + A_l B_k = 2 S[k][l] * id for all k <= l.  One product of A
-    stacked by rows with B stacked by columns gives every A_k B_l.
+    stacked by rows with B stacked by columns gives every A_k B_l; it is
+    taken in blocks of variables k in K, l in L of at most BLOCK_ENTRIES
+    products, each block with its mirror, l in L and k in K.
     """
     v, r, inner = a.shape
     _, b_rows, c = b.shape
     if inner != b_rows:
         raise MatrixError(f"dimension mismatch: {r}x{inner} @ {b_rows}x{c}")
-    # over Q the product is taken on integers, prod = d (A_k B_l), and q * id is scaled by d
-    blocks, scale = linalg.scaled_matmul(field, a.reshape(v * r, inner),
-                                         b.transpose(1, 0, 2).reshape(inner, v * c))
-    blocks = blocks.reshape(v, r, v, c)
-    # sym[k, i, l, j] = (A_k B_l + A_l B_k)[i][j]; the V^2 r c products are the
-    # largest arrays of the check, so the blocks are let go once summed
-    sym = blocks + blocks.transpose(2, 1, 0, 3)
-    del blocks
-    if q is None:
-        bad = (linalg.reduced(field, sym) != 0).any(axis=(0, 2))
-    else:
-        # q * id is r x r: the columns past min(r, c) are in one matrix only
-        square, (two_s, other) = min(r, c), _doubled_form(q)
-        diag = np.arange(square)
-        sym = sym[:, :, :, :square]
-        scale = field.of(scale)
-        sym[:, diag, :, diag] -= np.array([[field.mul(w, scale) for w in row] for row in two_s],
-                                          dtype=sym.dtype)
-        bad = np.ones((r, max(r, c)), dtype=bool)
-        bad[:, :square] = (linalg.reduced(field, sym) != 0).any(axis=(0, 2))
+    # over Q the products are taken on integers, d (A_k B_l), and q * id is scaled by d
+    (a, da), (b, db) = linalg.integral(field, a), linalg.integral(field, b)
+    square = min(r, c)
+    # q * id is r x r: the columns past min(r, c) are in one matrix only
+    bad = np.zeros((r, c if q is None else max(r, c)), dtype=bool)
+    if q is not None:
+        two_s, other = _doubled_form(q)
+        scale = field.of(da * db)
+        two_s = np.array([[field.mul(w, scale) for w in row] for row in two_s], dtype=object)
+        bad[:, square:] = True
         if other:  # q * id has a term of another degree on its diagonal
-            bad[diag, diag] = True
+            bad[np.arange(square), np.arange(square)] = True
+
+    def products(ks, ls):
+        """(A_k B_l)[i][j] at [k, i, l, j] for k in ks, l in ls."""
+        left, right = a[ks], b[ls]
+        prod = linalg.integer_matmul(field, left.reshape(len(left) * r, inner),
+                                     right.transpose(1, 0, 2).reshape(inner, len(right) * c))
+        return prod.reshape(len(left), r, len(right), c)
+
+    size = max(1, math.isqrt(BLOCK_ENTRIES // max(1, r * c)))
+    groups = [slice(k, min(k + size, v)) for k in range(0, v, size)]
+    for at, ks in enumerate(groups):
+        for ls in groups[at:]:
+            forward = products(ks, ls)
+            # sym[k, i, l, j] = (A_k B_l + A_l B_k)[i][j] for k in ks, l in ls
+            sym = forward + (forward if ks == ls else products(ls, ks)).transpose(2, 1, 0, 3)
+            del forward
+            if q is None:
+                bad |= (linalg.reduced(field, sym) != 0).any(axis=(0, 2))
+                continue
+            sym = sym[:, :, :, :square]
+            diag = np.arange(square)
+            sym[:, diag, :, diag] -= two_s[ks, ls].astype(sym.dtype)
+            bad[:, :square] |= (linalg.reduced(field, sym) != 0).any(axis=(0, 2))
     hits = np.argwhere(bad)
     return None if len(hits) == 0 else tuple(int(x) for x in hits[0])
 
@@ -490,17 +525,3 @@ def _doubled_form(q: Poly):
             k, l = support
             w[k][l] = w[l][k] = c
     return w, other
-
-
-def tensor_json(t) -> dict:
-    """``PolyMatrix.to_json`` of sum_k T[k] x_k, read off the tensor."""
-    v, nrows, ncols = t.shape
-    units = [[int(i == k) for i in range(v)] for k in range(v)]
-    entries = [[] for _ in range(nrows * ncols)]
-    # the variables last to first: Poly.to_json sorts the exponents ascending
-    ordered = t[::-1].transpose(1, 2, 0)
-    nonzero = ordered != 0
-    for (i, j, k), c in zip(np.argwhere(nonzero).tolist(), ordered[nonzero].tolist()):
-        num, den = (c.numerator, c.denominator) if isinstance(c, Fraction) else (int(c), 1)
-        entries[i * ncols + j].append([units[v - 1 - k], num, den])
-    return {"rows": nrows, "cols": ncols, "entries": entries}

@@ -379,7 +379,7 @@ def as_polymatrix(field, variables, t):
         [Poly.from_pairs(field, variables, [(units[k], t[k, i, j]) for k in range(v)])
          for j in range(ncols)]
         for i in range(nrows)
-    ])
+    ], ncols=ncols)
 
 
 def plus_one(field, t, at):
@@ -474,9 +474,24 @@ def test_tensor_substitution_matches_polymatrix(field):
 
 
 @pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=str)
-def test_tensor_certificates_match_polymatrix(field):
+def test_tensor_matrix_inverts_linear_tensor(field):
+    rng = random.Random(47)
+    names = tuple(f"x{k}" for k in range(4))
+    for shape in ((4, 3, 5), (4, 2, 0), (4, 0, 3)):
+        t = random_tensor(field, rng, shape)
+        m = polymatrix.tensor_matrix(field, names, t)
+        assert m == as_polymatrix(field, names, t) and (m.nrows, m.ncols) == shape[1:]
+        assert np.array_equal(polymatrix.linear_tensor(m), t)
+
+
+# every budget of products per block: one block, one variable a block, and
+# blocks of three variables, which leave a smaller last block
+@pytest.mark.parametrize("block_entries", [polymatrix.BLOCK_ENTRIES, 1, 100])
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=str)
+def test_tensor_certificates_match_polymatrix(field, block_entries, monkeypatch):
     # the symmetric identity against the PolyMatrix product and first_mismatch,
     # on random linear matrices and on true identities with one coefficient changed
+    monkeypatch.setattr(polymatrix, "BLOCK_ENTRIES", block_entries)
     rng = random.Random(59)
     names = tuple(f"x{k}" for k in range(4))
     cases = []
