@@ -3,8 +3,8 @@
 Everything here is exact integer arithmetic driven by the generator-degree
 data of the module F = Ext^ev(P_U, k): even-part generators sit in degree i
 with multiplicity C(g+2, 2i), odd-part generators with C(g+2, 2i+1).  The
-two-strand Tate shape, the Betti number formulas, the cohomology tables and
-the rank-parity obstruction for Ulrich modules all derive from these counts.
+two-strand Tate shape, the Betti number formulas and the rank-parity
+obstruction for Ulrich modules all derive from these counts.
 """
 
 from __future__ import annotations
@@ -28,24 +28,6 @@ def fu_even_degrees(g: int) -> dict[int, int]:
             out[i] = mult
         i += 1
     return out
-
-
-def fu_odd_degrees(g: int) -> dict[int, int]:
-    """Generator degrees of the odd part: degree i with multiplicity C(g+2, 2i+1)."""
-    if g < 1:
-        raise ValueError("genus must be at least 1")
-    out = {}
-    i = 0
-    while 2 * i + 1 <= g + 2:
-        mult = comb(g + 2, 2 * i + 1)
-        if mult:
-            out[i] = mult
-        i += 1
-    return out
-
-
-def _hilbert(degree_mults: dict[int, int], n: int) -> int:
-    return sum(m * max(0, n - d + 1) for d, m in degree_mults.items())
 
 
 def fu_module(g: int):
@@ -169,36 +151,6 @@ def chi_and_parity(g: int, r: int, d: int):
         rank_x = int(rank_x)
     admissible = (r * g) % 2 == 0
     return chi, rank_x, admissible
-
-
-def fu_h0(g: int, n: int) -> int:
-    """h^0 of the even Clifford bundle twisted by n ramification points."""
-    if n % 2 == 0:
-        return _hilbert(fu_even_degrees(g), n // 2)
-    return _hilbert(fu_odd_degrees(g), (n - 1) // 2)
-
-
-def fu_cohomology_table(g: int, n0: int, n1: int) -> CohomologyTable:
-    _, rank, degree = fu_module(g)
-    twists = list(range(n0, n1 + 1))
-    h0 = [fu_h0(g, n) for n in twists]
-    return CohomologyTable(twists, h0, rank, degree, g)
-
-
-def sum_with_shift_table(g: int, n0: int, n1: int, shift: int | None = None) -> CohomologyTable:
-    """Cohomology table of the direct sum of the bundle and its shift.
-
-    Models tensoring with (degree-0 line bundle) (+) (degree-g line bundle):
-    the second summand's table is the first one shifted by g twists.
-    """
-    if shift is None:
-        shift = g
-    _, rank, degree = fu_module(g)
-    twists = list(range(n0, n1 + 1))
-    h0 = [fu_h0(g, n) + fu_h0(g, n + shift) for n in twists]
-    rank2 = 2 * rank
-    degree2 = degree + (degree + shift * rank)
-    return CohomologyTable(twists, h0, rank2, degree2, g)
 
 
 def format_tate_style(table: CohomologyTable) -> str:

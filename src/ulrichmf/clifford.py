@@ -13,7 +13,6 @@ certificate.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from math import comb
 
 import numpy as np
 
@@ -388,10 +387,3 @@ def bgg_complex(window: CliffordModuleWindow, k_lo: int, k_hi: int) -> dict:
             raise CliffordError(f"d^2 certificate not checked at degree {k}")
     dims = {k: window.dim(k) for k in sorted(window.bases)}
     return {"dims": dims, "certificates": dict.fromkeys(certified, True)}
-
-
-def clifford_dimension(h_or_nbranch, k: int) -> int:
-    """dim_k C_k by direct basis-word enumeration: pairs (|I|, monomial in s,t)."""
-    r = h_or_nbranch if isinstance(h_or_nbranch, int) else h_or_nbranch.nbranch
-    sizes = range(k % 2, min(k, r) + 1, 2)
-    return sum(comb(r, size) * ((k - size) // 2 + 1) for size in sizes)

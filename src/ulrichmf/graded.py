@@ -55,24 +55,6 @@ def degree_basis(gen_degrees, d: int, nvars: int = 2):
     return basis
 
 
-def vector_coords(field: Field, vec, gen_degrees, d: int, basis=None, nvars: int = 2):
-    """Coordinates of a homogeneous degree-d module element in the degree-d basis.
-
-    ``vec`` is a list of Polys, entry j homogeneous of degree d - a_j (or zero).
-    """
-    if basis is None:
-        basis = degree_basis(gen_degrees, d, nvars)
-    index = {key: i for i, key in enumerate(basis)}
-    coords = [field.zero] * len(basis)
-    for j, p in enumerate(vec):
-        for exp, c in p.terms.items():
-            key = (j, exp)
-            if key not in index:
-                raise GradedError(f"entry {j} has a term of the wrong degree")
-            coords[index[key]] = c
-    return coords
-
-
 def coords_to_vector(field: Field, coords, basis, ncomponents: int, variables):
     """The module element with these coordinates in ``basis``: one Poly per component."""
     variables = tuple(variables)
@@ -253,10 +235,11 @@ def express_in_module(
     target_degree - e_g.  Returns the list of Poly coefficients h_g, or None
     when the element is not in the span.
     """
-    basis = degree_basis(module_degrees, target_degree, nvars)
     gens = list(zip(gen_degrees, gen_vectors))
     columns = multiples_coords(field, gens, module_degrees, target_degree, nvars)
-    rhs = vector_coords(field, target_vec, module_degrees, target_degree, basis, nvars)
+    # the target's coordinates: its degree-0 multiple
+    (rhs,) = multiples_coords(field, [(target_degree, target_vec)], module_degrees,
+                              target_degree, nvars)
     if not columns:
         return None if any(not field.is_zero(c) for c in rhs) else [
             Poly.zero(field, variables) for _ in gen_vectors

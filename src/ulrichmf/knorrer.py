@@ -14,8 +14,11 @@ T'[k] = sum_j M[j][k] T[j].  Entry (i, j) of A B has coefficient
 so, p being odd, A B' = 0 iff A_k B'_l + A_l B'_k = 0 for all k <= l, and
 A C = q id iff A_k C_l + A_l C_k = 2 S[k][l] id for q = x^T S x: all the
 A_k B_l come from A stacked by rows times B stacked by columns, in blocks
-of variables that bound its memory.  The Knorrer pair, the mixed identity
-and q1, q2 stay polynomial.
+of variables that bound its memory.  The Knorrer pair is a sparse
+``PolyMatrix`` built row by row, unchecked: ``build_candidate`` converts it
+to tensors under the ambient certificate, and ``suite knorrer`` checks its
+identity on ``PolyMatrix``, which measured faster there than the dense check.
+The mixed identity and q1, q2 stay polynomial.
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
 discriminant roots are exactly the requested targets.  The ambient diagonal
@@ -35,8 +38,8 @@ from . import binary, graded, linalg
 from .fields import Field, NotASquare
 from .pencil import QuadricPencil, simultaneous_diagonalize, smoothness_check
 from .poly import Poly, PolyError
-from .polymatrix import (MatrixError, PolyMatrix, linear_tensor, substitute_tensors,
-                         tensor_matrix, tensor_mismatch)
+from .polymatrix import (MatrixError, PolyMatrix, doubled_form, linear_tensor,
+                         substitute_tensors, tensor_matrix, tensor_mismatch)
 
 
 class UlrichError(ValueError):
@@ -47,36 +50,38 @@ def xy_variables(n: int):
     return tuple([f"x{i}" for i in range(n + 1)] + [f"y{i}" for i in range(n + 1)])
 
 
-def knorrer_pair(field: Field, n: int, verify: bool = True):
+def knorrer_pair(field: Field, n: int):
     """The recursive 2^n factorization (phi_n, psi_n) of q = sum x_i y_i.
 
-    Returns (phi, psi, q).  The defining identity phi @ psi = psi @ phi = q*id
-    is checked exactly unless verify is disabled.
+    Returns (phi, psi, q), unchecked: callers check what they need, through
+    ``knorrer_identity_failure`` or a certificate whose product contains
+    phi @ psi.  Step k builds phi_k = [[x_k id, phi], [psi, -y_k id]] and
+    psi_k = [[y_k id, phi], [psi, -x_k id]] row by row.
     """
     if n < 0:
         raise UlrichError("n must be nonnegative")
     names = xy_variables(n)
     xs = [Poly.variable(field, names, f"x{i}") for i in range(n + 1)]
     ys = [Poly.variable(field, names, f"y{i}") for i in range(n + 1)]
-    phi = PolyMatrix(field, names, [[xs[0]]])
-    psi = PolyMatrix(field, names, [[ys[0]]])
+    zero = Poly.zero(field, names)
+
+    def diagonal(f, i, size):
+        """Row i of f times the size x size identity."""
+        return (zero,) * i + (f,) + (zero,) * (size - 1 - i)
+
+    phi, psi = [(xs[0],)], [(ys[0],)]
     for k in range(1, n + 1):
-        size = phi.nrows
-        xk = PolyMatrix.scalar_matrix(field, names, xs[k], size)
-        yk = PolyMatrix.scalar_matrix(field, names, ys[k], size)
-        neg_yk = yk.scale_scalar(field.of(-1))
-        neg_xk = xk.scale_scalar(field.of(-1))
-        phi_next = xk.hstack(phi).vstack(psi.hstack(neg_yk))
-        psi_next = yk.hstack(phi).vstack(psi.hstack(neg_xk))
-        phi, psi = phi_next, psi_next
-    q = Poly.zero(field, names)
+        size, neg_x, neg_y = len(phi), -xs[k], -ys[k]
+        phi, psi = (
+            [diagonal(xs[k], i, size) + phi[i] for i in range(size)]
+            + [psi[i] + diagonal(neg_y, i, size) for i in range(size)],
+            [diagonal(ys[k], i, size) + phi[i] for i in range(size)]
+            + [psi[i] + diagonal(neg_x, i, size) for i in range(size)],
+        )
+    q = zero
     for x, y in zip(xs, ys):
         q = q + x * y
-    if verify:
-        failure = knorrer_identity_failure(n, phi, psi, q)
-        if failure is not None:
-            raise UlrichError(f"internal error: Knorrer identity failed: {failure}")
-    return phi, psi, q
+    return PolyMatrix._make(field, names, phi), PolyMatrix._make(field, names, psi), q
 
 
 def knorrer_identity_failure(n: int, phi: PolyMatrix, psi: PolyMatrix, q: Poly):
@@ -92,9 +97,10 @@ def knorrer_identity_failure(n: int, phi: PolyMatrix, psi: PolyMatrix, q: Poly):
     return None if where is None else f"phi @ psi != q*id at entry {where}"
 
 
-def mixed_identity_check(field: Field, n: int) -> bool:
-    """A(x,y) B(v,w) + A(v,w) B(x,y) = (sum x_i w_i + y_i v_i) * id, exactly."""
-    phi, psi, _ = knorrer_pair(field, n, verify=False)
+def mixed_identity_failure(field: Field, n: int):
+    """None if A(x,y) B(v,w) + A(v,w) B(x,y) = (sum x_i w_i + y_i v_i) * id for the
+    Knorrer pair (A, B) = (phi_n, psi_n), else the first failing entry."""
+    phi, psi, _ = knorrer_pair(field, n)
     names = tuple(
         [f"x{i}" for i in range(n + 1)]
         + [f"y{i}" for i in range(n + 1)]
@@ -118,7 +124,8 @@ def mixed_identity_check(field: Field, n: int) -> bool:
             + Poly.variable(field, names, f"y{i}") * Poly.variable(field, names, f"v{i}")
         )
     lhs = (a_xy @ b_vw) + (a_vw @ b_xy)
-    return lhs == PolyMatrix.scalar_matrix(field, names, qt, 2**n)
+    where = lhs.first_mismatch(PolyMatrix.scalar_matrix(field, names, qt, 2**n))
+    return None if where is None else f"A(x,y)B(v,w) + A(v,w)B(x,y) != qt*id at entry {where}"
 
 
 def check_skew(field: Field, lam) -> int:
@@ -252,19 +259,14 @@ class UlrichCandidate:
             self._pencil = QuadricPencil.from_quadrics(self.q1, self.q2)
         return self._pencil
 
-    def substitute(self, m, new_variables, provenance="") -> "UlrichCandidate":
-        """Apply the linear change of variables x = M z to every matrix and quadric.
+    def _substituted(self, m, new_variables, provenance="") -> "UlrichCandidate":
+        """The linear change of variables x = M z on every matrix and quadric.
 
         Row j of the scalar matrix M holds the coefficients of variables[j] in
-        new_variables, as in ``_linear_images``.
+        new_variables, as in ``_linear_images``.  The result is not verified: a
+        linear change of variables is a ring map, so A @ B' = 0 and
+        A @ C_l = q_l id carry over from a verified self.
         """
-        out = self._substituted(m, new_variables, provenance)
-        out._require_certificates()
-        return out
-
-    def _substituted(self, m, new_variables, provenance="") -> "UlrichCandidate":
-        """``substitute`` unverified: a linear change of variables is a ring map,
-        so A @ B' = 0 and A @ C_l = q_l id carry over from a verified self."""
         target = tuple(new_variables)
         out = copy.copy(self)
         out.variables = target
@@ -357,7 +359,7 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
         raise UlrichError(f"skew matrix must have size {2 * (n + 1)}")
     # the ambient candidate's A @ C1 = q1 id check covers phi @ psi = q1 id:
     # C1 = (psi; 0), so the top block of A @ C1 is phi @ psi
-    phi, psi, q1 = knorrer_pair(field, n, verify=False)
+    phi, psi, q1 = knorrer_pair(field, n)
     names = xy_variables(n)
     # (x|y) -> (x|y) G: variable k maps to column k of G
     m = list(zip(*g))
@@ -423,12 +425,10 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
     rng = random.Random(seed)
     names = candidate.variables
     m = len(candidate.dvals)
-    # the gradient of q = x^T B x is 2 B x, with B from pencil.bilinear_matrix
-    pencil = candidate.pencil()
-    gradients = [
-        _linear_images(field, [[field.add(c, c) for c in row] for row in b], names, names)
-        for b in (pencil.b1, pencil.b2)
-    ]
+    # the gradient of q = x^T S x is 2 S x; A @ C_l = q_l id with A and C_l
+    # linear makes the q_l of a verified candidate quadratic forms
+    gradients = [_linear_images(field, doubled_form(q)[0], names, names)
+                 for q in (candidate.q1, candidate.q2)]
     found = 0
     attempts = 0
     while found < samples and attempts < 40 * samples:
@@ -675,7 +675,7 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
         )
     a_targets = squares[: n + 1]
     c_targets = squares[n + 1 :] + non_squares
-    # not emitted: _verify_diagonalization certifies the restriction's pencil
+    # not emitted: simultaneous_diagonalize checks the restriction's pencil
     odd_candidate, odd_targets = _odd_restriction(field, a_targets, c_targets)
     odd_candidate.pencil().confirm_roots(odd_targets)
     diag = simultaneous_diagonalize(odd_candidate.pencil())

@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import binary, linalg
 from .fields import Field
 from .poly import Poly
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, doubled_form
 
 
 class PencilError(ValueError):
@@ -24,21 +24,12 @@ class PencilError(ValueError):
 
 def bilinear_matrix(q: Poly):
     """Symmetric scalar matrix B with x^T B x = q, for homogeneous quadratic q."""
-    if q.is_zero() or not q.is_homogeneous() or q.homogeneous_degree() != 2:
+    w, other = doubled_form(q)
+    if q.is_zero() or other:
         raise PencilError("bilinear_matrix needs a nonzero homogeneous quadratic")
     field = q.field
-    r = len(q.vars)
     half = field.inv(field.of(2))
-    b = [[field.zero] * r for _ in range(r)]
-    for exp, c in q.terms.items():
-        support = [i for i, e in enumerate(exp) if e]
-        if len(support) == 1:
-            i = support[0]
-            b[i][i] = c
-        else:
-            i, j = support
-            b[i][j] = b[j][i] = field.mul(c, half)
-    return b
+    return [[field.mul(c, half) for c in row] for row in w]
 
 
 class QuadricPencil:
@@ -290,11 +281,6 @@ def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
     )
     _check_diagonalization(pencil, result, conj)
     return result
-
-
-def _verify_diagonalization(pencil: QuadricPencil, diag: Diagonalization):
-    """Exact check: M^T (s B1 + t B2) M = diag(f_1, ..., f_r)."""
-    _check_diagonalization(pencil, diag, pencil.congruence(diag.basis))
 
 
 def _check_diagonalization(pencil: QuadricPencil, diag: Diagonalization, conj: PolyMatrix):

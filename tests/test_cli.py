@@ -1,9 +1,12 @@
 import contextlib
 import copy
 import functools
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -226,9 +229,9 @@ def test_suite_transcripts_deterministic(capsys):
 def test_suite_knorrer_fails_on_broken_phi(capsys, monkeypatch):
     real = knorrer.knorrer_pair
 
-    def broken(field, n, verify=True):
+    def broken(field, n):
         # one entry of phi gains x0: still linear, no longer a factorization
-        phi, psi, q = real(field, n, verify)
+        phi, psi, q = real(field, n)
         rows = [list(row) for row in phi.entries]
         rows[-1][-1] = rows[-1][-1] + Poly.variable(field, phi.vars, "x0")
         return PolyMatrix(field, phi.vars, rows), psi, q
@@ -239,6 +242,10 @@ def test_suite_knorrer_fails_on_broken_phi(capsys, monkeypatch):
     for n in range(4):
         # row 2^n - 1 of phi gained x0; its product with column 0 of psi is off
         assert f"knorrer-identity n={n}: FAIL - phi @ psi != q*id at entry ({2**n - 1}, 0)" in out
+        # the mixed identity reads the same pair: row 2^n - 1 of A(x,y) B(v,w) gains
+        # x0 times row 2^n - 1 of B(v,w), whose first nonzero entry is in column 0
+        assert (f"mixed-identity n={n}: FAIL - A(x,y)B(v,w) + A(v,w)B(x,y) != qt*id "
+                f"at entry ({2**n - 1}, 0)") in out
 
 
 def test_suite_seed_in_transcript(capsys):
@@ -853,3 +860,83 @@ def test_fuzzed_documents_exit_cleanly(tmp_path_factory, data):
             code = cli.main([str(path) if a == "{}" else a for a in argv])
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue()
+
+
+# -- fuzzing the value parsers: small integers mixed with text ------------------
+
+# no decimal digit and no "_": the only integers in a value are the drawn ones,
+# so every command stays small
+JUNK = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs"),
+                                      blacklist_characters="_"), max_size=3)
+ITEMS = st.one_of(
+    st.integers(-5, 5).map(str), JUNK,
+    st.tuples(st.integers(-5, 5), JUNK).map(lambda t: f"{t[0]}{t[1]}"),
+)
+VALUES = st.one_of(
+    st.tuples(st.lists(ITEMS, max_size=6), st.sampled_from([",", ":", ", ", ",,"])).map(
+        lambda t: t[1].join(t[0])),
+    st.tuples(ITEMS, ITEMS).map(":".join),  # the shape of --range and --window
+)
+VALUE_COMMANDS = [
+    ("--i", ["mf", "build-li", "--g", "1"]),
+    ("--i", ["clifford", "mul", "--g", "1", "--j", "1"]),
+    ("--j", ["mf", "grouplaw", "--g", "1", "--i", "1"]),
+    ("--roots", ["mf", "build-li", "--i", "1"]),
+    ("--roots", ["ulrich", "for-roots"]),
+    ("--d", ["ulrich", "construct"]),
+    ("--d", ["betti", "chi", "--g", "2"]),
+    ("--range", ["mf", "cohomology", "--g", "1", "--i", "1"]),
+    ("--window", ["clifford", "bgg", "--g", "1"]),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(VALUE_COMMANDS), VALUES, st.booleans())
+def test_fuzzed_option_values_exit_cleanly(command, value, joined):
+    option, argv = command
+    argv = argv + ([f"{option}={value}"] if joined else [option, value])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_every_package_error_exits_2():
+    # INPUT_ERRORS is (ValueError, OSError): every error class of the package must
+    # subclass ValueError, or its input errors would end in a traceback
+    found = {}
+    for info in pkgutil.iter_modules(ulrichmf.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"ulrichmf.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__):
+                found[name] = obj
+    assert set(found) == {"PolyError", "MatrixError", "PencilError", "UlrichError",
+                          "CliffordError", "MFError", "GradedError", "FieldError",
+                          "NotASquare"}
+    for name, cls in found.items():
+        assert issubclass(cls, ValueError) and issubclass(cls, cli.INPUT_ERRORS), name
+
+
+def test_text_for_roots_never_builds_the_json(capsys, monkeypatch, tmp_path):
+    calls = []
+    real = knorrer.UlrichCandidate.to_json
+    monkeypatch.setattr(knorrer.UlrichCandidate, "to_json",
+                        lambda self: calls.append(1) or real(self))
+    argv = ["ulrich", "for-roots", "--roots", "1,4,9,2,3"]
+    code, text, _ = run(capsys, *argv)
+    assert code == 0 and calls == []
+    assert text.startswith("variables: z0, z1, z2, z3, z4\n")
+    # JSON output and --out read it, once each run
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0 and calls == [1] and json.loads(out)["seed"] == 0
+    path = tmp_path / "cand.json"
+    code, again, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and calls == [1, 1] and again == text
+    assert json.loads(path.read_text()) == json.loads(out)

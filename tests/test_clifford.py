@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +16,12 @@ from ulrichmf.polymatrix import PolyMatrix
 ST = binary.ST
 F = PrimeField(10009)
 F13 = PrimeField(13)
+
+
+def clifford_dimension(h, k):
+    """dim_k C_k by direct basis-word enumeration: pairs (|I|, monomial in s,t)."""
+    sizes = range(k % 2, min(k, h.nbranch) + 1, 2)
+    return sum(comb(h.nbranch, size) * ((k - size) // 2 + 1) for size in sizes)
 
 
 def curve(genus, field=F, roots=None):
@@ -214,7 +221,7 @@ def test_epsilon_commutation_identity():
 def test_regular_module_dimensions():
     window = clifford.regular_module_window(H1, 0, 5)
     dims = [window.dim(k) for k in range(6)]
-    assert dims == [clifford.clifford_dimension(H1, k) for k in range(6)]
+    assert dims == [clifford_dimension(H1, k) for k in range(6)]
     assert dims == [1, 4, 8, 12, 16, 20]
 
 
@@ -344,7 +351,7 @@ def test_bgg_complex_genus3_window():
     window = clifford.regular_module_window(h, 0, 6)
     result = clifford.bgg_complex(window, 0, 3)
     assert result["certificates"] == {0: True, 1: True, 2: True}
-    assert result["dims"] == {k: clifford.clifford_dimension(h, k) for k in range(7)}
+    assert result["dims"] == {k: clifford_dimension(h, k) for k in range(7)}
     assert [differentials(window, 0, 3)[k].ncols for k in range(4)] == [1, 8, 30, 72]
 
 

@@ -20,6 +20,21 @@ def test_monomials():
     assert len(graded.monomials(4, 3)) == graded.dim_poly_ring(4, 3) == 20
 
 
+def vector_coords(field, vec, gen_degrees, d, basis=None, nvars=2):
+    """The reference: coordinates of a homogeneous degree-d module element,
+    entry j of degree d - a_j, in the degree-d basis, read term by term."""
+    if basis is None:
+        basis = graded.degree_basis(gen_degrees, d, nvars)
+    index = {key: i for i, key in enumerate(basis)}
+    coords = [field.zero] * len(basis)
+    for j, p in enumerate(vec):
+        for exp, c in p.terms.items():
+            if (j, exp) not in index:
+                raise graded.GradedError(f"entry {j} has a term of the wrong degree")
+            coords[index[(j, exp)]] = c
+    return coords
+
+
 def test_degree_basis_and_coords():
     f = PrimeField(13)
     degs = (0, 1)
@@ -27,8 +42,10 @@ def test_degree_basis_and_coords():
     assert basis == [(0, (0, 1)), (0, (1, 0)), (1, (0, 0))]
     s = Poly.variable(f, ST, "s")
     one = Poly.const(f, ST, 1)
-    coords = graded.vector_coords(f, [s, one], degs, 1)
+    coords = vector_coords(f, [s, one], degs, 1)
     assert coords == [0, 1, 1]
+    # express_in_module reads a target as its degree-0 multiple
+    assert graded.multiples_coords(f, [(1, [s, one])], degs, 1) == [coords]
     back = graded.coords_to_vector(f, coords, basis, 2, ST)
     assert back == [s, one]
 
@@ -110,7 +127,7 @@ def module_span_rank(field, gen_vectors, gen_degrees, target_degrees, d, nvars=2
         for mono in graded.monomials(nvars, d - e_g):
             mono_poly = Poly(field, variables, {mono: field.one})
             shifted = [p * mono_poly for p in vec]
-            ech.add(graded.vector_coords(field, shifted, target_degrees, d, basis, nvars))
+            ech.add(vector_coords(field, shifted, target_degrees, d, basis, nvars))
     return ech.rank
 
 
@@ -170,6 +187,12 @@ def test_express_in_module():
     assert rebuilt == target
     # something outside the span
     assert graded.express_in_module(field, [[t, zero]], [1], (0, 0), [zero, s], 1, ST) is None
+    # no multiple reaches the degree: only zero is in the span
+    assert graded.express_in_module(field, [[t, zero]], [1], (0, 0), [zero, zero], 0, ST) == [zero]
+    assert graded.express_in_module(field, [[t, zero]], [1], (0, 0), [one, zero], 0, ST) is None
+    # a target entry of the wrong degree is rejected, as before
+    with pytest.raises(graded.GradedError, match="^entry 1 has a term of the wrong degree$"):
+        graded.express_in_module(field, gens, [0, 1], (0, 0), [s * t, s], 2, ST)
 
 
 def test_quotient_dims_two_squares():

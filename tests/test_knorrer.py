@@ -30,6 +30,46 @@ def test_knorrer_n1_matrices():
     assert phi @ psi == qid
 
 
+def stacked_knorrer_pair(field, n):
+    """The reference: the recursion phi_k = [[x_k id, phi], [psi, -y_k id]],
+    psi_k = [[y_k id, phi], [psi, -x_k id]] by whole-matrix stacking."""
+    names = knorrer.xy_variables(n)
+    xs = [Poly.variable(field, names, f"x{i}") for i in range(n + 1)]
+    ys = [Poly.variable(field, names, f"y{i}") for i in range(n + 1)]
+    phi = PolyMatrix(field, names, [[xs[0]]])
+    psi = PolyMatrix(field, names, [[ys[0]]])
+    for k in range(1, n + 1):
+        size = phi.nrows
+        xk = PolyMatrix.scalar_matrix(field, names, xs[k], size)
+        yk = PolyMatrix.scalar_matrix(field, names, ys[k], size)
+        neg_yk = yk.scale_scalar(field.of(-1))
+        neg_xk = xk.scale_scalar(field.of(-1))
+        phi, psi = (vstack(hstack(xk, phi), hstack(psi, neg_yk)),
+                    vstack(hstack(yk, phi), hstack(psi, neg_xk)))
+    return phi, psi
+
+
+def hstack(a, b):
+    assert a.nrows == b.nrows
+    return PolyMatrix(a.field, a.vars, [r1 + r2 for r1, r2 in zip(a.entries, b.entries)])
+
+
+def vstack(a, b):
+    assert a.ncols == b.ncols
+    return PolyMatrix(a.field, a.vars, a.entries + b.entries)
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=str)
+def test_row_built_pair_matches_stacked_reference(field):
+    for n in range(8):
+        phi, psi, q = knorrer.knorrer_pair(field, n)
+        assert (phi, psi) == stacked_knorrer_pair(field, n), n
+        assert (phi.nrows, phi.ncols, psi.nrows, psi.ncols) == (2**n,) * 4
+        names = knorrer.xy_variables(n)
+        assert q == sum((Poly.variable(field, names, f"x{i}") * Poly.variable(field, names, f"y{i}")
+                         for i in range(n + 1)), Poly.zero(field, names))
+
+
 def test_knorrer_products_small_n():
     for n in range(0, 5):
         phi, psi, q = knorrer.knorrer_pair(F, n)
@@ -65,7 +105,7 @@ def two_sided_identity_failure(n, phi, psi, q):
 @pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
 def test_one_sided_identity_agrees_with_two_sided(field):
     for n in range(5):
-        phi, psi, q = knorrer.knorrer_pair(field, n, verify=False)
+        phi, psi, q = knorrer.knorrer_pair(field, n)
         assert knorrer.knorrer_identity_failure(n, phi, psi, q) is None
         assert two_sided_identity_failure(n, phi, psi, q) is None
 
@@ -102,8 +142,8 @@ def test_identity_needs_a_square_phi_and_nonzero_q():
 
 
 def test_mixed_identity():
-    assert knorrer.mixed_identity_check(QQ, 0)
-    assert knorrer.mixed_identity_check(F, 2)
+    assert knorrer.mixed_identity_failure(QQ, 0) is None
+    assert knorrer.mixed_identity_failure(F, 2) is None
 
 
 def test_g_lambda_diagonal():
@@ -166,7 +206,7 @@ def test_build_candidate_rejects_small_n():
 
 @pytest.mark.parametrize("n, dvals", [(10, [1]), (3, [1, 2, 3])])
 def test_build_candidate_checks_lambda_before_the_pair(monkeypatch, n, dvals):
-    def pair_not_expected(field, n, verify=True):
+    def pair_not_expected(field, n):
         raise AssertionError("knorrer_pair built before lambda was checked")
 
     monkeypatch.setattr(knorrer, "knorrer_pair", pair_not_expected)
@@ -368,7 +408,9 @@ def restricted_candidate(field=F):
     b = knorrer.solve_b_for_roots(
         field, [field.neg(field.of(a)) for a in (1, 4, 9)], [field.neg(field.of(c)) for c in (2, 3)]
     )
-    return cand.substitute(knorrer.restriction_matrix(field, b), tuple(f"z{k}" for k in range(5)))
+    out = cand._substituted(knorrer.restriction_matrix(field, b), tuple(f"z{k}" for k in range(5)))
+    out._require_certificates()
+    return out
 
 
 def as_polymatrix(field, variables, t):
@@ -528,13 +570,12 @@ def test_tensor_mismatch_reads_other_degrees_of_q():
 
 
 def test_build_candidate_rechecks_phi_psi_through_c1(monkeypatch):
-    # knorrer_pair runs unverified there: the ambient A @ C1 = q1 id check,
-    # whose top block is phi @ psi, catches a corrupted psi; 2 psi keeps A @ B' = 0
+    # knorrer_pair checks nothing: the ambient A @ C1 = q1 id check, whose
+    # top block is phi @ psi, catches a corrupted psi; 2 psi keeps A @ B' = 0
     real = knorrer.knorrer_pair
 
-    def doubled_psi(field, n, verify=True):
-        assert not verify
-        phi, psi, q = real(field, n, verify=False)
+    def doubled_psi(field, n):
+        phi, psi, q = real(field, n)
         return phi, psi.scale_scalar(field.of(2)), q
 
     monkeypatch.setattr(knorrer, "knorrer_pair", doubled_psi)
@@ -813,7 +854,7 @@ def test_linear_images_match_substitution_reference(field):
     phi, _, q1 = knorrer.knorrer_pair(field, 2)
     assert cand.q2 == q1.substitute(images, names)
     assert as_polymatrix(field, names, cand.presentation) == (
-        phi.hstack(phi.substitute(images, names)))
+        hstack(phi, phi.substitute(images, names)))
 
 
 def test_linear_images_need_the_transpose():
@@ -848,6 +889,7 @@ def test_restriction_images_match_reference(field):
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
 def test_gradient_is_twice_bilinear_matrix(field):
+    # jacobian_check's gradients are the rows of the doubled form
     from ulrichmf.pencil import bilinear_matrix
 
     rng = random.Random(41)
@@ -855,7 +897,9 @@ def test_gradient_is_twice_bilinear_matrix(field):
         names = tuple(f"x{i}" for i in range(nvars))
         for _ in range(4):
             q = random_quadric(field, names, rng)
-            twice = [[field.add(c, c) for c in row] for row in bilinear_matrix(q)]
+            twice, other = polymatrix.doubled_form(q)
+            assert not other
+            assert twice == [[field.add(c, c) for c in row] for row in bilinear_matrix(q)]
             got = knorrer._linear_images(field, twice, names, names)
             assert list(got.values()) == ref_gradients(q)
 

@@ -74,8 +74,11 @@ def test_bilinear_matches_polarization_formula():
 
 
 def test_bilinear_rejects_non_quadratic():
-    with pytest.raises(pencil.PencilError):
-        pencil.bilinear_matrix(Poly.variable(QQ, ("x",), "x"))
+    x = Poly.variable(QQ, ("x",), "x")
+    for q in (x, x * x + x, x * x * x, Poly.zero(QQ, ("x",))):
+        with pytest.raises(pencil.PencilError,
+                           match="^bilinear_matrix needs a nonzero homogeneous quadratic$"):
+            pencil.bilinear_matrix(q)
 
 
 def test_discriminant_two_squares():
@@ -214,6 +217,11 @@ def test_diagonalize_f13_example():
     assert binary.normalize(diag.product()) == p.discriminant()
 
 
+def verify_diagonalization(p, diag):
+    """The exact check M^T (s B1 + t B2) M = diag(f_1, ..., f_r) of diag's basis M."""
+    pencil._check_diagonalization(p, diag, p.congruence(diag.basis))
+
+
 def test_verify_diagonalization_rejects_perturbed_basis():
     field = PrimeField(13)
     q1 = Poly.from_pairs(field, ("x", "y"), [((1, 1), 2)])
@@ -234,9 +242,9 @@ def test_verify_diagonalization_rejects_perturbed_basis():
             assert j in where
             message = f"diagonalization verification failed at entry {where}"
             with pytest.raises(pencil.PencilError, match=re.escape(message) + "$"):
-                pencil._verify_diagonalization(p, diag)
+                verify_diagonalization(p, diag)
     diag.basis = good
-    pencil._verify_diagonalization(p, diag)
+    verify_diagonalization(p, diag)
 
 
 def test_diagonalize_checks_the_congruence_it_read(monkeypatch):

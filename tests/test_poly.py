@@ -114,11 +114,21 @@ def test_substitute():
     assert g == (s + t) * (s + t) + s * t
 
 
+def total_degree(f):
+    """Max total degree; the zero polynomial reports -1."""
+    return max((sum(e) for e in f.terms), default=-1)
+
+
 def test_graded_part_and_degrees():
     s, t = st_gens(QQ)
     f = s * s + t
-    assert f.total_degree() == 2
-    assert Poly.zero(QQ, ST).total_degree() == -1
+    assert total_degree(f) == 2
+    assert total_degree(Poly.zero(QQ, ST)) == -1
+    # on a homogeneous polynomial the total degree is the homogeneous degree
+    assert not f.is_homogeneous()
+    assert (s * s + s * t).homogeneous_degree() == total_degree(s * s + s * t) == 2
+    with pytest.raises(PolyError):
+        f.homogeneous_degree()
 
 
 def test_json_round_trip():
