@@ -11,6 +11,7 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -603,7 +604,10 @@ def _at_least(lo):
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it holds only module constants, and
+    parsing neither reads the environment nor changes the parser."""
     parser = argparse.ArgumentParser(
         prog="ulrichmf",
         description="Exact matrix factorizations, Clifford algebras and Ulrich "
@@ -621,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("action", choices=("disc", "diag", "smooth"))
     p.add_argument("file", help="pencil descriptor JSON ('-' for stdin)")
-    p.set_defaults(handler=cmd_pencil)
 
     p = sub.add_parser("mf", help="matrix factorizations on the curve", parents=[common])
     p.add_argument(
@@ -632,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", default="", help="subset I, comma separated 1-based")
     p.add_argument("--j", default="", help="subset J")
     p.add_argument("--range", default="0:4", help="twist range n0:n1 for cohomology")
-    p.set_defaults(handler=cmd_mf)
 
     p = sub.add_parser("clifford", help="Clifford algebra checks", parents=[common])
     p.add_argument("action", choices=("mul", "center", "decompose", "bgg"))
@@ -641,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", default="")
     p.add_argument("--j", default="")
     p.add_argument("--window", default="0:3")
-    p.set_defaults(handler=cmd_clifford)
 
     p = sub.add_parser("betti", help="Betti tables and parity obstruction", parents=[common])
     p.add_argument("action", choices=("table", "chi"))
@@ -649,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=None)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--d", type=int, default=0)
-    p.set_defaults(handler=cmd_betti)
 
     p = sub.add_parser("ulrich", help="Ulrich candidates and verification", parents=[common])
     p.add_argument("action", choices=("construct", "for-roots", "verify"))
@@ -658,7 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roots", help="target discriminant roots for for-roots")
     p.add_argument("--out", help="write candidate JSON here")
     p.add_argument("file", nargs="?", help="candidate JSON for verify")
-    p.set_defaults(handler=cmd_ulrich)
 
     p = sub.add_parser("suite", help="verification suites with transcripts", parents=[common])
     p.add_argument("name", choices=tuple(SUITES))
@@ -668,12 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triples", type=_at_least(1), default=None)
     p.add_argument("--max-n", dest="max_n", type=_at_least(0), default=None)
     p.add_argument("--roots")
-    p.set_defaults(handler=cmd_suite)
 
     p = sub.add_parser("export", help="canonical JSON / text re-encoding", parents=[common])
     p.add_argument("file")
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_export)
 
     return parser
 
@@ -695,7 +692,9 @@ def main(argv=None) -> int:
     try:
         _apply_environment(args)
         field = field_from_name(args.field)
-        code = args.handler(args, field, args.seed)
+        # by name per call: the cached parser must not pin the cmd_* it was
+        # built with, since a monkeypatch or a tracing wrapper rebinds them
+        code = globals()[f"cmd_{args.command}"](args, field, args.seed)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader went away: not bad input, and quiet at exit

@@ -6,7 +6,8 @@ the forward-only form of :func:`_echelon`.  Over a prime field both come from
 the numpy loops of :mod:`ulrichmf.modp`, on arrays of the element type that
 module picks for p; over Q both are eliminated directly on Fractions.  Rank
 and determinant are read off the forward form, kernel and solutions off the
-reduced form, once for both fields.
+reduced form, once for both fields; over Q, :func:`rank` tries one prime
+first.
 
 :func:`matmul` is the one exact product of scalar matrices, and
 :func:`scalar_dtype` the element type of stored scalar arrays.
@@ -201,11 +202,31 @@ def _echelon(field: Field, rows, ncols):
     return _forward_fraction(rows, ncols)
 
 
+# the prime of the rank test over Q, well inside the range modp runs on int64
+RANK_PRIME = 2**31 - 1
+
+
 def rank(field: Field, rows, ncols=None) -> int:
+    """The rank of a scalar matrix.
+
+    Over Q each row is first scaled by the lcm of its denominators, which
+    keeps the rank, and the integer rows are eliminated mod RANK_PRIME: an
+    integer matrix has rank mod p at most its rank over Q, so full rank mod p
+    proves full rank over Q.  Any other answer mod p is recomputed exactly.
+    """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows or ncols == 0:
         return 0
+    if not isinstance(field, PrimeField):
+        p = RANK_PRIME
+        cleared = []
+        for row in rows:
+            d = math.lcm(*(x.denominator for x in row))
+            cleared.append([x.numerator * (d // x.denominator) % p for x in row])
+        full = min(len(rows), ncols)
+        if len(modp.echelon(_to_array(cleared, ncols, p), p)[1]) == full:
+            return full
     return len(_echelon(field, rows, ncols)[1])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import functools
@@ -940,3 +941,77 @@ def test_text_for_roots_never_builds_the_json(capsys, monkeypatch, tmp_path):
     code, again, _ = run(capsys, *argv, "--out", str(path))
     assert code == 0 and calls == [1, 1] and again == text
     assert json.loads(path.read_text()) == json.loads(out)
+
+
+# -- one parser per process ------------------------------------------------------
+
+KNORRER = ("suite", "knorrer", "--max-n", "1")
+
+
+@pytest.fixture
+def no_env(monkeypatch):
+    for var in ("ULRICHMF_FIELD", "ULRICHMF_SEED", "ULRICHMF_FORMAT"):
+        monkeypatch.delenv(var, raising=False)
+    return monkeypatch
+
+
+def test_cached_parser_reads_the_environment_per_call(capsys, no_env):
+    no_env.setenv("ULRICHMF_FIELD", "13")
+    no_env.setenv("ULRICHMF_SEED", "5")
+    no_env.setenv("ULRICHMF_FORMAT", "json")
+    code, out, _ = run(capsys, *KNORRER)
+    data = json.loads(out)
+    assert code == 0 and (data["field"], data["seed"]) == ("13", 5)
+    no_env.setenv("ULRICHMF_FIELD", "Q")
+    no_env.setenv("ULRICHMF_SEED", "6")
+    no_env.setenv("ULRICHMF_FORMAT", "text")
+    code, out, _ = run(capsys, *KNORRER)
+    assert code == 0 and "# field: Q\n# seed: 6\n" in out
+
+
+def test_a_subcommand_flag_does_not_outlive_its_call(capsys, no_env):
+    code, out, _ = run(capsys, *KNORRER, "--field", "Q")
+    assert code == 0 and "# field: Q\n" in out
+    code, out, _ = run(capsys, *KNORRER)
+    assert code == 0 and "# field: 10009\n" in out
+
+
+def test_a_usage_error_leaves_the_next_call_as_it_was(capsys, no_env):
+    code, alone, _ = run(capsys, "--field", "13", *KNORRER)
+    assert code == 0
+    # fails in the subparser, after the root flags and two positionals are read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--field", "Q", "--format", "json", "suite", "knorrer", "--max-n", "x"])
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+    assert run(capsys, "--field", "13", *KNORRER) == (0, alone, "")
+
+
+def test_help_is_the_same_on_every_call(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == cli.build_parser.__wrapped__().format_help()
+    assert "usage: ulrichmf" in texts[0]
+
+
+def test_second_call_adds_no_argparse_action(capsys, no_env):
+    calls = []
+    real = argparse.ArgumentParser.add_argument
+    no_env.setattr(argparse.ArgumentParser, "add_argument",
+                   lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
+    cli.build_parser.cache_clear()
+    assert run(capsys, *KNORRER)[0] == 0
+    built = len(calls)
+    assert built > 40
+    assert run(capsys, *KNORRER)[0] == 0
+    assert len(calls) == built
+
+
+def test_cached_parser_runs_a_rebound_command(capsys, no_env):
+    assert run(capsys, "betti", "chi", "--g", "2")[0] == 0
+    no_env.setattr(cli, "cmd_betti", lambda args, field, seed: 7)
+    assert run(capsys, "betti", "chi", "--g", "2")[0] == 7

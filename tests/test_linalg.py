@@ -5,7 +5,8 @@
 substitution.  Both are checked against the Gauss-Jordan loop that
 ``_rref_fraction`` used before, and ``det`` against permutation expansion.
 On integer matrices the answers over Q and over F_p are checked against each
-other.
+other.  ``rank`` over Q, which first tries one prime, is checked against the
+forward pass, with negative controls whose rank drops mod that prime.
 """
 
 import itertools
@@ -59,12 +60,12 @@ ENTRIES = st.sampled_from([0, 0, 1, -1, 2]).map(Fraction) | st.fractions(
 
 
 @st.composite
-def rational_matrices(draw, square=False):
+def rational_matrices(draw, square=False, entries=ENTRIES):
     """A matrix of up to 6 x 6, with some rows replaced by combinations of
     earlier ones."""
     nrows = draw(st.integers(0, 6))
     ncols = nrows if square else draw(st.integers(0, 6))
-    rows = [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     for i in range(2, nrows):
         if draw(st.booleans()):
             a, b = draw(ENTRIES), draw(ENTRIES)
@@ -132,3 +133,64 @@ def test_prime_field_agrees_with_rationals(case, p):
         w = [int(x * scale) % p for x in v]
         assert all(sum(a * b for a, b in zip(row, w)) % p == 0 for row in rows)
         assert linalg.rank(field, kernel_p + [w], ncols) == len(kernel_p)
+
+
+# -- rank over Q through one prime ----------------------------------------------
+
+P = linalg.RANK_PRIME
+# multiples of the prime and denominators equal to it make the rank drop mod p
+PRIME_ENTRIES = ENTRIES | st.sampled_from([Fraction(P), Fraction(1, P), Fraction(2 * P, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(entries=PRIME_ENTRIES))
+def test_rank_over_q_matches_forward_elimination(case):
+    rows, ncols = case
+    copy = [row[:] for row in rows]
+    want = len(linalg._forward_fraction(rows, ncols)[1])
+    assert linalg.rank(QQ, rows, ncols) == want
+    assert rows == copy
+
+
+def exact_rank_calls(monkeypatch):
+    calls = []
+    real = linalg._forward_fraction
+    monkeypatch.setattr(linalg, "_forward_fraction",
+                        lambda rows, ncols: calls.append(1) or real(rows, ncols))
+    return calls
+
+
+def rank_mod_p(rows):
+    """The rank of the rows' cleared integer form mod the prime."""
+    cleared = [[x * math.lcm(*(y.denominator for y in row)) for x in row] for row in rows]
+    return linalg.rank(PrimeField(P), [[int(x) % P for x in row] for row in cleared])
+
+
+def test_full_rank_mod_the_prime_skips_exact_elimination(monkeypatch):
+    calls = exact_rank_calls(monkeypatch)
+    rows = [[Fraction(1, 2), Fraction(3), Fraction(-5, 7)], [Fraction(2), Fraction(0), Fraction(1, 9)]]
+    assert linalg.rank(QQ, rows) == 2 and calls == []
+
+
+def test_multiples_of_the_prime_fall_back_to_exact_rank(monkeypatch):
+    calls = exact_rank_calls(monkeypatch)
+    # full rank over Q; the cleared rows [5p, 6p] and [p, 7p] vanish mod p
+    rows = [[Fraction(P, 3), Fraction(2 * P, 5)], [Fraction(P), Fraction(7 * P)]]
+    assert rank_mod_p(rows) == 0
+    assert linalg.rank(QQ, rows) == 2 and calls == [1]
+
+
+def test_denominator_equal_to_the_prime_falls_back_to_exact_rank(monkeypatch):
+    calls = exact_rank_calls(monkeypatch)
+    # determinant 1/p; the cleared rows [1, p] and [1, 2p] agree mod p
+    rows = [[Fraction(1, P), Fraction(1)], [Fraction(1, P), Fraction(2)]]
+    assert rank_mod_p(rows) == 1
+    assert linalg.rank(QQ, rows) == 2 and calls == [1]
+
+
+def test_rank_deficient_matrix_is_never_read_off_the_prime(monkeypatch):
+    calls = exact_rank_calls(monkeypatch)
+    a, b = [Fraction(1, 3), Fraction(2), Fraction(-1)], [Fraction(5), Fraction(1, 4), Fraction(0)]
+    rows = [a, b, [x - 2 * y for x, y in zip(a, b)]]
+    assert rank_mod_p(rows) == 2
+    assert linalg.rank(QQ, rows) == 2 and calls == [1]
