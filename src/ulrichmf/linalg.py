@@ -4,10 +4,16 @@ Matrices at this level are lists of lists of field scalars.  Two echelon
 forms are the only field-specific code: the reduced form of :func:`rref` and
 the forward-only form of :func:`_echelon`.  Over a prime field both come from
 the numpy loops of :mod:`ulrichmf.modp`, on arrays of the element type that
-module picks for p; over Q both are eliminated directly on Fractions.  Rank
-and determinant are read off the forward form, kernel and solutions off the
-reduced form, once for both fields; over Q, :func:`rank` tries one prime
-first.
+module picks for p.  Rank and determinant are read off the forward form,
+kernel and solutions off the reduced form, once for both fields.
+
+Over Q the reduced form goes through the primes of :data:`PRIMES`: each
+row's denominators are cleared, the integer rows are reduced mod each prime
+in turn, the residues are combined by CRT and rationally reconstructed, and
+the result is returned only once one exact integer product proves it (see
+:func:`_rref_multimodular`).  Otherwise it is eliminated on Fractions.  Rank
+over Q is full when it is full mod the first prime; otherwise it, like det
+over Q, is read off the forward form on Fractions.
 
 :func:`matmul` is the one exact product of scalar matrices, and
 :func:`scalar_dtype` the element type of stored scalar arrays.
@@ -21,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import modp
-from .fields import Field, PrimeField
+from .fields import QQ, Field, PrimeField
 
 
 def _to_array(rows, ncols, p):
@@ -186,7 +192,141 @@ def rref(field: Field, rows, ncols=None):
     if isinstance(field, PrimeField):
         m, piv = modp.rref(_to_array(rows, ncols, field.p), field.p)
         return m.tolist(), piv.tolist()
-    return _rref_fraction(rows, ncols)
+    return _rref_multimodular(rows, ncols) or _rref_fraction(rows, ncols)
+
+
+# the primes of the elimination over Q, the largest below 2^31, on which modp
+# runs int64
+PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+
+# the reconstruction bound of all of PRIMES together: an entry of A past it
+# makes the reduced form, whose entries are ratios of minors of A, too large
+# for the primes in most cases, so such a matrix goes to Fractions directly
+ENTRY_BOUND = math.isqrt(math.prod(PRIMES) // 2)
+
+
+def _cleared(rows):
+    """Each row scaled by the lcm of its denominators, as lists of Python ints.
+
+    Scaling a row by a nonzero integer keeps the rank and the reduced form.
+    """
+    cleared = []
+    for row in rows:
+        dens = [x.denominator for x in row]
+        d = math.lcm(*dens)
+        if d == 1:
+            cleared.append([x.numerator for x in row])
+        else:
+            cleared.append([x.numerator * (d // e) for x, e in zip(row, dens)])
+    return cleared
+
+
+def _rref_multimodular(rows, ncols):
+    """The reduced form over Q through the primes of PRIMES, or None.
+
+    The cleared integer matrix A is reduced mod one prime after another; the
+    residues of the entries off the pivot columns are combined by CRT and,
+    after each prime, rationally reconstructed into R.  R is returned once
+    D A = A[:, P] (D R) holds exactly, for its pivot columns P and common
+    denominator D; in the pivot columns the identity holds by construction,
+    so one integer product over the other columns decides it.  That proves R
+    is the reduced form of A: the rank of A mod p is at most its rank over
+    Q, so rank(A) >= |P|, and the product puts every row of A in the span of
+    the |P| rows of R.
+
+    Pivots can only be lost or move right mod p, so a prime whose pivots
+    are more, or as many and lexicographically smaller, shows that the
+    primes before it were unlucky: their residues are dropped and the CRT
+    starts over from it.  A prime with worse pivots is skipped.
+
+    None, for the Fraction fallback, if an entry of A is past ENTRY_BOUND or
+    no prime proves its R.
+    """
+    if not rows or ncols == 0:
+        return None
+    cleared = _cleared(rows)
+    if max(max(map(abs, row)) for row in cleared) > ENTRY_BOUND:
+        return None
+    a = np.array(cleared, dtype=object).reshape(len(rows), ncols)
+    pivots = None
+    for p in PRIMES:
+        m, piv = modp.rref(a % p, p)
+        piv = piv.tolist()
+        if pivots is None or (-len(piv), piv) < (-len(pivots), pivots):
+            pivots = piv
+            pivot_set = set(pivots)
+            free = [c for c in range(ncols) if c not in pivot_set]
+            residues = m[:len(pivots), free].astype(object)
+            modulus = p
+        elif piv != pivots:
+            continue
+        else:
+            lift = (m[:len(pivots), free] - residues % p) * pow(modulus, -1, p) % p
+            residues = residues + modulus * lift
+            modulus *= p
+        found = _reconstruct(residues.ravel().tolist(), modulus)
+        if found is None:
+            continue
+        nums, dens, d = found
+        scaled = np.array([n * (d // e) for n, e in zip(nums, dens)], dtype=object)
+        prod = integer_matmul(QQ, a[:, pivots], scaled.reshape(len(pivots), len(free)))
+        if np.array_equal(prod, a[:, free] * d):
+            return _reduced_rows(len(rows), ncols, pivots, free, nums, dens), pivots
+    return None
+
+
+def _reconstruct(residues, modulus):
+    """Rational reconstruction of residues mod ``modulus``, in order.
+
+    Returns (numerators, denominators, d): each residue u as n / e with
+    n = e u mod modulus, every e dividing d.  Each u is first multiplied by
+    the denominator d found so far, since the entries of one reduced form
+    share most of their denominators: if u d, taken mod modulus between
+    -modulus/2 and modulus/2, is at most sqrt(modulus / 2) in absolute value,
+    it is n and e = d; otherwise extended Euclid finds a / b = u d with |a|
+    and b at most that bound, and d grows by b.  None at the first residue
+    that has neither.
+    """
+    bound = math.isqrt(modulus // 2)
+    half = modulus // 2
+    d = 1
+    nums, dens = [], []
+    for u in residues:
+        n = u * d % modulus
+        if n > half:
+            n -= modulus
+        if -bound <= n <= bound:
+            nums.append(n)
+            dens.append(d)
+            continue
+        r0, r1, t0, t1 = modulus, n % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) > bound:
+            return None
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        d *= t1
+        nums.append(r1)
+        dens.append(d)
+    return nums, dens, d
+
+
+def _reduced_rows(nrows, ncols, pivots, free, nums, dens):
+    """The reduced form as rows of Fractions: 1 at each pivot, the
+    reconstructed entries n / e row by row in the free columns, 0 elsewhere."""
+    zero, one = Fraction(0), Fraction(1)
+    out = [[zero] * ncols for _ in range(nrows)]
+    entries = iter(zip(nums, dens))
+    for i, c in enumerate(pivots):
+        row = out[i]
+        row[c] = one
+        for f in free:
+            n, e = next(entries)
+            if n:
+                row[f] = Fraction(n, e)
+    return out
 
 
 def _echelon(field: Field, rows, ncols):
@@ -202,28 +342,21 @@ def _echelon(field: Field, rows, ncols):
     return _forward_fraction(rows, ncols)
 
 
-# the prime of the rank test over Q, well inside the range modp runs on int64
-RANK_PRIME = 2**31 - 1
-
-
 def rank(field: Field, rows, ncols=None) -> int:
     """The rank of a scalar matrix.
 
-    Over Q each row is first scaled by the lcm of its denominators, which
-    keeps the rank, and the integer rows are eliminated mod RANK_PRIME: an
-    integer matrix has rank mod p at most its rank over Q, so full rank mod p
-    proves full rank over Q.  Any other answer mod p is recomputed exactly.
+    Over Q the cleared integer rows (see :func:`_cleared`) are first
+    eliminated mod the first of PRIMES: an integer matrix has rank mod p at
+    most its rank over Q, so full rank mod p proves full rank over Q.  Any
+    other answer is recomputed on Fractions by the forward pass.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows or ncols == 0:
         return 0
     if not isinstance(field, PrimeField):
-        p = RANK_PRIME
-        cleared = []
-        for row in rows:
-            d = math.lcm(*(x.denominator for x in row))
-            cleared.append([x.numerator * (d // x.denominator) % p for x in row])
+        p = PRIMES[0]
+        cleared = [[x % p for x in row] for row in _cleared(rows)]
         full = min(len(rows), ncols)
         if len(modp.echelon(_to_array(cleared, ncols, p), p)[1]) == full:
             return full

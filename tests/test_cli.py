@@ -671,6 +671,14 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         # g = 4: the Hilbert certificate runs on a 32 x 64 presentation
         ("ulrich_for_roots_g4",
          ["ulrich", "for-roots", "--roots", "1,4,9,16,25,2,3,5,6,7"]),
+        # roots up to 60, as in the rational benchmark workload: an odd-odd
+        # pair, which takes the H-twist, and a mixed pair
+        ("mf_grouplaw_g2_q_oddodd",
+         ["--field", "Q", "mf", "grouplaw", "--g", "2", "--roots", "7,13,22,31,44,58",
+          "--i", "1,3,5", "--j", "3,4,5"]),
+        ("mf_grouplaw_g2_q_mixed",
+         ["--field", "Q", "mf", "grouplaw", "--g", "2", "--roots", "5,17,23,38,49,60",
+          "--i", "1,2", "--j", "2,3,5"]),
     ],
 )
 def test_mf_json_matches_golden(capsys, name, argv):

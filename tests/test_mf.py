@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -290,6 +292,39 @@ def test_group_law_over_rationals():
         QQ, [binary.root_factor(QQ, c) for c in (1, 2, 3, 4)]
     )
     assert mf.verify_group_law(h, {1, 2}, {2, 3})["pass"]
+
+
+# roots whose pairwise differences are below 10009, so the discriminant of the
+# curve is a unit mod 10009 and the curve has good reduction there
+SMALL_ROOTS = (2, 3, 5, 7, 11, 13)
+
+
+@pytest.mark.parametrize("idx_i, idx_j", [
+    ({1, 3, 5}, {3, 4, 5}),  # odd-odd: the H-twist
+    ({1}, {2, 3, 4}),
+    ({1, 2}, {2, 3, 5}),  # mixed
+    ({1, 2}, {3, 4}),  # even-even
+])
+def test_group_law_over_q_agrees_with_f_p(idx_i, idx_j):
+    """mf grouplaw at g = 2 over Q and over F_10009: the same kernel
+    generator degrees of L_I (x) L_J and the same Hom dimensions to and from
+    the predicted L_{I delta J}."""
+    disc = math.prod(a - b for a, b in itertools.combinations(SMALL_ROOTS, 2))
+    assert disc % F.p != 0
+
+    def shape(field):
+        h = HyperellipticData.from_factors(field, [binary.root_factor(field, c) for c in SMALL_ROOTS])
+        law = mf.verify_group_law(h, idx_i, idx_j)
+        prod = mf.tensor_mf(mf.line_bundle_mf(h, idx_i), mf.line_bundle_mf(h, idx_j))
+        expected = mf.line_bundle_mf(h, law["delta"])
+        if law["h_twist"]:
+            expected = expected.twist_h(1)
+        homs = [mf.hom_space(a, b, t)[0] for a, b in ((prod, expected), (expected, prod)) for t in (0, 1)]
+        return law, tuple(prod.module.degrees), homs
+
+    law_q, degrees_q, homs_q = shape(QQ)
+    assert law_q["pass"] and homs_q[0] == homs_q[2] == 1
+    assert shape(F) == (law_q, degrees_q, homs_q)
 
 
 def test_tensor_commutative_up_to_isomorphism():
