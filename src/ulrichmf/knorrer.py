@@ -606,7 +606,8 @@ def _verify_restricted(candidate: UlrichCandidate, targets, seed) -> None:
     want = sorted((field.of(t) for t in targets), key=binary.root_sort_key)
     if inf_mult or not splits or root_multiset != want:
         raise UlrichError(
-            f"discriminant roots {root_multiset} differ from targets {want}"
+            f"discriminant roots [{', '.join(map(str, root_multiset))}] differ from targets "
+            f"[{', '.join(map(str, want))}]"
         )
     smooth, note = smoothness_check(p)
     if not smooth:

@@ -106,10 +106,6 @@ class MatrixFactorization:
             label=f"{self.label}({k}H)" if self.label else "",
         )
 
-    def h0(self, half_twist: int = 0) -> int:
-        """dim H^0 of the bundle twisted by H^half_twist."""
-        return self.module.hilbert(half_twist)
-
     def __repr__(self):
         name = self.label or "MF"
         return f"{name}(degrees={self.module.degrees})"
@@ -244,9 +240,6 @@ class CohomologyTable:
 
     def chi(self, n: int) -> int:
         return self.degree + n * self.rank + self.rank * (1 - self.genus)
-
-    def rows(self):
-        return self.h0, self.h1
 
     def __repr__(self):
         return f"CohomologyTable(twists={self.twists}, h0={self.h0}, h1={self.h1})"

@@ -13,7 +13,7 @@ usual f_I notation.
 from __future__ import annotations
 
 from . import binary, linalg
-from .fields import Field
+from .fields import Field, PrimeField
 from .poly import Poly
 from .polymatrix import PolyMatrix, doubled_form
 
@@ -73,15 +73,35 @@ class QuadricPencil:
             field, binary.ST, rows, row_degrees=[0] * self.dim, col_degrees=[1] * self.dim
         )
 
+    def at(self, x):
+        """The scalar matrix x*B1 + B2, the pencil at s = x, t = 1."""
+        field = self.field
+        return [
+            [field.add(field.mul(x, a), b) for a, b in zip(row1, row2)]
+            for row1, row2 in zip(self.b1, self.b2)
+        ]
+
     def discriminant(self) -> Poly:
         """det(s*B1 + t*B2), normalized so its first nonzero coefficient is 1.
+
+        det(x*B1 + B2) at x = 0 .. dim, interpolated and homogenized to degree
+        dim.  F_p with p < dim + 1 has too few points: there the determinant
+        of :meth:`matrix_poly` is taken by fraction-free elimination.
 
         The Hessian convention of the literature differs from this bilinear
         determinant by the fixed scalar 2^dim; the normalization makes the
         root set the actual contract.
         """
         if self._disc is None:
-            det = self.matrix_poly().determinant()
+            field, dim = self.field, self.dim
+            if isinstance(field, PrimeField) and field.p < dim + 1:
+                det = self.matrix_poly().determinant()
+            else:
+                points = [field.of(x) for x in field.elements(dim + 1)]
+                values = [linalg.det(field, self.at(x)) for x in points]
+                det = binary.homogenize(
+                    field, binary.interpolate_univariate(field, points, values), dim
+                )
             if det.is_zero():
                 raise PencilError("degenerate pencil: identically singular")
             self._disc = binary.normalize(det)
@@ -108,10 +128,13 @@ class QuadricPencil:
         self._roots = ([(lam, 1) for lam in roots], 0, True)
         return True
 
-    def congruence(self, m) -> PolyMatrix:
-        """M^T (s*B1 + t*B2) M for a square scalar matrix M."""
-        mp = PolyMatrix.from_scalars(self.field, binary.ST, m)
-        return mp.transpose() @ self.matrix_poly() @ mp
+    def congruence(self, m) -> "QuadricPencil":
+        """The congruent pencil (M^T B1 M, M^T B2 M) for a square scalar matrix M:
+        the pencil in the coordinates x = M z."""
+        field, mt = self.field, [list(col) for col in zip(*m)]
+        b1, b2 = (linalg.matmul(field, mt, linalg.matmul(field, b, m)).tolist()
+                  for b in (self.b1, self.b2))
+        return QuadricPencil(field, b1, b2)
 
     def to_json(self) -> dict:
         return {
@@ -151,7 +174,7 @@ def smoothness_check(pencil: QuadricPencil):
         if len(repeated) == len(found) and all(m == 2 for _, m in found) and splits:
             issues.append("all roots double")
         else:
-            issues.append(f"repeated roots {repeated}")
+            issues.append(f"repeated roots [{', '.join(map(str, repeated))}]")
     if not binary.squarefree_distinct(disc):
         if not issues:
             issues.append("repeated roots outside the base field")
@@ -175,10 +198,6 @@ class Diagonalization:
             for j in range(i + 1, n):
                 if _proportional(field, self.factors[i], self.factors[j]):
                     raise PencilError("diagonal factors must be pairwise non-proportional")
-
-    @property
-    def size(self) -> int:
-        return len(self.factors)
 
     def product(self) -> Poly:
         acc = Poly.const(self.field, binary.ST, 1)
@@ -250,28 +269,22 @@ def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
     if inf_mult:
         raise PencilError("discriminant has a root at infinity; renormalize the pencil")
     if not splits:
-        raise PencilError(
-            "discriminant does not split over the base field; change the prime"
-        )
+        advice = "; change the prime" if isinstance(field, PrimeField) else ""
+        raise PencilError(f"discriminant does not split over the base field{advice}")
     if any(mult > 1 for _, mult in found):
         raise PencilError("discriminant is not squarefree")
     basis_cols = []
     for lam_root, _ in found:
-        # mu is the eigenvalue of B1^-1 B2 attached to the factor (s - lam*t);
-        # B1 is invertible, so its eigenvectors are the kernel of B2 - mu B1
-        mu = field.neg(lam_root)
-        shifted = [
-            [field.sub(b2, field.mul(mu, b1)) for b1, b2 in zip(row1, row2)]
-            for row1, row2 in zip(pencil.b1, pencil.b2)
-        ]
-        ns = linalg.nullspace(field, shifted, pencil.dim)
+        # -lam is the eigenvalue of B1^-1 B2 attached to the factor (s - lam*t);
+        # B1 is invertible, so its eigenvectors are the kernel of lam*B1 + B2
+        ns = linalg.nullspace(field, pencil.at(lam_root), pencil.dim)
         if len(ns) != 1:
             raise PencilError("unexpected eigenspace dimension (repeated eigenvalue?)")
         basis_cols.append(ns[0])
     basis = [[basis_cols[j][i] for j in range(pencil.dim)] for i in range(pencil.dim)]
-    # f_i = v_i^T (s B1 + t B2) v_i, the diagonal of the congruence
+    # f_i = v_i^T (s B1 + t B2) v_i, the diagonal of the congruent pencil
     conj = pencil.congruence(basis)
-    factors = [conj.entry(i, i) for i in range(pencil.dim)]
+    factors = [binary.linear_form(field, conj.b1[i][i], conj.b2[i][i]) for i in range(conj.dim)]
     if any(f_i.is_zero() for f_i in factors):
         raise PencilError("isotropic eigenvector encountered; pencil is degenerate")
     result = (
@@ -283,15 +296,18 @@ def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
     return result
 
 
-def _check_diagonalization(pencil: QuadricPencil, diag: Diagonalization, conj: PolyMatrix):
-    """Exact check of diag against conj, its basis's congruence M^T (s B1 + t B2) M."""
-    zero = Poly.zero(pencil.field, binary.ST)
-    want = PolyMatrix(
-        pencil.field,
-        binary.ST,
-        [[f if i == j else zero for j in range(diag.size)] for i, f in enumerate(diag.factors)],
+def _check_diagonalization(pencil: QuadricPencil, diag: Diagonalization, conj: QuadricPencil):
+    """Exact check of diag against conj, the congruent pencil of its basis M:
+    both Gram matrices of M^T (s B1 + t B2) M against diag(f_1, ..., f_r).
+    The first mismatch, row by row, is named."""
+    field = pencil.field
+    zero = (field.zero, field.zero)
+    want = {i: (f.coefficient((1, 0)), f.coefficient((0, 1))) for i, f in enumerate(diag.factors)}
+    where = next(
+        ((i, j) for i in range(conj.dim) for j in range(conj.dim)
+         if (conj.b1[i][j], conj.b2[i][j]) != (want.get(i) if i == j else zero)),
+        None,
     )
-    where = conj.first_mismatch(want)
     if where is not None:
         raise PencilError(f"diagonalization verification failed at entry {where}")
     if binary.normalize(diag.product()) != pencil.discriminant():

@@ -5,9 +5,8 @@ modules (+)k[s,t](-a_j) -> (+)k[s,t](-b_i) carries col_degrees = (a_j) and
 row_degrees = (b_i); entry (i, j) must be zero or homogeneous of degree
 a_j - b_i.
 
-Determinants use evaluation/interpolation on P^1 when the matrix is a graded
-matrix of binary forms whose degree labels fix the degree of det.  Otherwise
-one fraction-free Bareiss elimination gives both the rank and the determinant.
+One fraction-free Bareiss elimination gives both the rank and the
+determinant.
 
 A matrix of linear forms in variables x_0 .. x_{V-1} can also be stored as
 its coefficient tensor T of shape (V, rows, cols), T[k] the scalar matrix of
@@ -22,8 +21,8 @@ import math
 
 import numpy as np
 
-from . import binary, linalg
-from .fields import Field, PrimeField
+from . import linalg
+from .fields import Field
 from .poly import Poly, _mul_into, _nonzero, _substitution
 
 
@@ -115,13 +114,6 @@ class PolyMatrix:
         rows = [[f if i == j else z for j in range(n)] for i in range(n)]
         return PolyMatrix._make(field, variables, rows)
 
-    @staticmethod
-    def from_scalars(field, variables, rows, row_degrees=None, col_degrees=None):
-        mk = lambda c: Poly.const(field, variables, c)
-        return PolyMatrix(
-            field, variables, [[mk(c) for c in row] for row in rows], row_degrees, col_degrees
-        )
-
     # -- basic structure -----------------------------------------------------
 
     def entry(self, i, j) -> Poly:
@@ -132,12 +124,6 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
-
-    def transpose(self) -> "PolyMatrix":
-        rows = [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return PolyMatrix._make(
-            self.field, self.vars, rows, self.col_degrees, self.row_degrees, self.nrows
-        )
 
     def relabel(self, row_degrees=None, col_degrees=None) -> "PolyMatrix":
         return PolyMatrix(
@@ -253,10 +239,6 @@ class PolyMatrix:
         sample_vars = rows[0][0].vars if rows and rows[0] else tuple(target_vars or self.vars)
         return PolyMatrix._make(self.field, sample_vars, rows)
 
-    def evaluate(self, values: dict):
-        """Evaluate every entry at scalars; returns a list-of-lists scalar matrix."""
-        return [[p.evaluate(values) for p in row] for row in self.entries]
-
     # -- grading ---------------------------------------------------------------
 
     def check_homogeneous(self) -> bool:
@@ -276,31 +258,10 @@ class PolyMatrix:
     # -- determinant -------------------------------------------------------------
 
     def determinant(self) -> Poly:
+        """det by one fraction-free elimination: 0 below full rank, else the
+        last pivot with the sign of the swaps."""
         if self.nrows != self.ncols:
             raise MatrixError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return Poly.const(self.field, self.vars, 1)
-        deg = self._graded_det_degree()
-        if deg is not None and self.vars == binary.ST:
-            enough_points = not isinstance(self.field, PrimeField) or self.field.p >= deg + 1
-            if enough_points:
-                return self._det_interpolate(deg)
-        return self._det_bareiss()
-
-    def _graded_det_degree(self):
-        """Degree of det read from the degree labels; None without labels or
-        when the entries do not match them."""
-        if self.row_degrees is None or self.col_degrees is None or not self.check_homogeneous():
-            return None
-        return sum(self.col_degrees) - sum(self.row_degrees)
-
-    def _det_interpolate(self, deg: int) -> Poly:
-        field = self.field
-        points = [field.of(x) for x in field.elements(deg + 1)]
-        values = [linalg.det(field, self.evaluate({"s": x, "t": field.one})) for x in points]
-        return binary.homogenize(field, binary.interpolate_univariate(field, points, values), deg)
-
-    def _det_bareiss(self) -> Poly:
         rank, sign, pivot = self._bareiss()
         if rank < self.nrows:
             return Poly.zero(self.field, self.vars)

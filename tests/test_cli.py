@@ -65,6 +65,30 @@ def test_pencil_smooth_failure_exit_code(tmp_path, capsys):
     assert "smooth: False" in out
 
 
+# q1 = x0^2 + x1^2 + x2^2 + x3^2, q2 = x0^2 + 2 x1^2 + x3^2: disc s (s + t)^2 (s + 2t)
+REPEATED_ROOT = {"vars": 4,
+                 "q1": [[[2, 0, 0, 0], 1, 1], [[0, 2, 0, 0], 1, 1], [[0, 0, 2, 0], 1, 1],
+                        [[0, 0, 0, 2], 1, 1]],
+                 "q2": [[[2, 0, 0, 0], 1, 1], [[0, 2, 0, 0], 2, 1], [[0, 0, 0, 2], 1, 1]]}
+
+
+@pytest.mark.parametrize("field, root", [("10009", "10008"), ("Q", "-1")])
+def test_pencil_smooth_prints_roots_as_the_field_does(tmp_path, capsys, field, root):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(REPEATED_ROOT))
+    code, out, err = run(capsys, "--field", field, "pencil", "smooth", str(path))
+    assert (code, err) == (1, "")
+    assert out == f"smooth: False\ndiagnosis: repeated roots [{root}]\n"
+
+
+@pytest.mark.parametrize("field, advice", [("10009", "; change the prime"), ("Q", "")])
+def test_pencil_diag_without_split_advises_a_prime_only_over_f_p(capsys, field, advice):
+    code, out, err = run(capsys, "--field", field, "pencil", "diag",
+                         os.path.join(GOLDEN, "pencil_disc_4.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: discriminant does not split over the base field{advice}\n"
+
+
 def test_mf_build_and_grouplaw(capsys):
     code, out, _ = run(capsys, "mf", "build-li", "--g", "1", "--i", "1")
     assert code == 0
@@ -755,6 +779,20 @@ def test_suite_matches_golden(capsys, name, argv):
 PENCILS = {"5_p": "10009", "5_q": "Q", "6_p": "10009", "6_q": "Q"}
 
 
+# F_3 has fewer than 4 + 1 points, so the determinant is taken by elimination;
+# F_5 has just enough to interpolate
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("prime", ["3", "5"])
+def test_pencil_disc_matches_golden_on_both_sides_of_the_point_count(capsys, prime, fmt):
+    code, out, err = run(
+        capsys, "--field", prime, "--format", "text" if fmt == "txt" else "json",
+        "pencil", "disc", os.path.join(GOLDEN, "pencil_disc_4.json"),
+    )
+    assert code == 0 and err == ""
+    with open(os.path.join(GOLDEN, f"pencil_disc_4_p{prime}.{fmt}")) as fh:
+        assert out == fh.read()
+
+
 # the pencils of ulrich for-roots on 1,4,9,2,3 and 1,4,9,16,2,3 over F_10009 and Q
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 @pytest.mark.parametrize("action", ["diag", "smooth"])
@@ -777,19 +815,25 @@ def test_pencil_matches_golden(capsys, pencil, action, fmt):
 ])
 def test_for_roots_splits_each_discriminant_once(capsys, monkeypatch, roots, splits,
                                                  determinants):
+    # a pencil determinant is one interpolation of det(x B1 + B2); at F_10009
+    # the pencil evaluates no Poly and takes no PolyMatrix product or determinant
     calls = {"roots": 0, "det": 0}
-    real_roots, real_det = binary.roots, PolyMatrix.determinant
 
-    def counted_roots(f):
-        calls["roots"] += 1
-        return real_roots(f)
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
 
-    def counted_det(m):
-        calls["det"] += 1
-        return real_det(m)
+    def unused(*args):
+        pytest.fail("the pencil left scalar linear algebra")
 
-    monkeypatch.setattr(binary, "roots", counted_roots)
-    monkeypatch.setattr(PolyMatrix, "determinant", counted_det)
+    monkeypatch.setattr(binary, "roots", counted("roots", binary.roots))
+    monkeypatch.setattr(binary, "interpolate_univariate",
+                        counted("det", binary.interpolate_univariate))
+    for name in ("determinant", "mul"):
+        monkeypatch.setattr(PolyMatrix, name, unused)
+    monkeypatch.setattr(Poly, "evaluate", unused)
     code, _, err = run(capsys, "ulrich", "for-roots", "--roots", roots)
     assert code == 0, err
     assert calls == {"roots": splits, "det": determinants}

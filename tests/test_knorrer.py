@@ -284,6 +284,12 @@ def test_solve_b_rejects_duplicates():
         knorrer.solve_b_for_roots(QQ, [QQ.of(0), QQ.of(1)], [QQ.of(3)])
 
 
+def constants(field, rows):
+    """The scalar matrix rows as a matrix of constant binary forms."""
+    return PolyMatrix(field, binary.ST, [[Poly.const(field, binary.ST, c) for c in row]
+                                         for row in rows])
+
+
 def restricted_hessian(field, a_vals, b):
     """B^T H B for H = [[0, D'], [D', 0]], D' = diag(s + a_i t), and its factorization.
 
@@ -304,8 +310,8 @@ def restricted_hessian(field, a_vals, b):
         h_entries[i][n + 1 + i] = ells[i]
         h_entries[n + 1 + i][i] = ells[i]
     h_mat = PolyMatrix(field, binary.ST, h_entries)
-    b_mat = PolyMatrix.from_scalars(field, binary.ST, knorrer.restriction_matrix(field, b))
-    restricted = b_mat.transpose() @ h_mat @ b_mat
+    b_rows = knorrer.restriction_matrix(field, b)
+    restricted = constants(field, list(zip(*b_rows))) @ h_mat @ constants(field, b_rows)
     restricted = restricted.relabel(
         row_degrees=[0] * (2 * n + 1), col_degrees=[1] * (2 * n + 1)
     )
@@ -696,9 +702,8 @@ def test_unemitted_intermediate_passes_every_check(field):
 
 @pytest.mark.parametrize("field, message", [
     (F, "discriminant roots [1, 2, 3, 4, 9] differ from targets [1, 2, 4, 5, 9]"),
-    (QQ, "discriminant roots [Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1), "
-         "Fraction(9, 1)] differ from targets [Fraction(1, 1), Fraction(2, 1), Fraction(4, 1), "
-         "Fraction(5, 1), Fraction(9, 1)]"),
+    # over Q the roots print as the field prints them, not as Fraction reprs
+    (QQ, "discriminant roots [1, 2, 3, 4, 9] differ from targets [1, 2, 4, 5, 9]"),
 ], ids=["F10009", "Q"])
 def test_wrong_targets_fall_back_to_the_split(field, message, monkeypatch):
     cand = knorrer.ulrich_for_roots_odd_ambient(field, [1, 4, 9], [2, 3], seed=7)

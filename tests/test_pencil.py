@@ -6,9 +6,6 @@ import pytest
 from ulrichmf import binary, pencil
 from ulrichmf.fields import QQ, PrimeField
 from ulrichmf.poly import Poly
-from ulrichmf.polymatrix import PolyMatrix
-
-ST = binary.ST
 
 
 def polarization_oracle(q):
@@ -111,6 +108,14 @@ def random_scalar(field, rng):
     return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
 
 
+def random_symmetric(field, rng, r):
+    b = [[field.zero] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            b[i][j] = b[j][i] = random_scalar(field, rng)
+    return b
+
+
 def random_invertible(field, rng, r):
     from ulrichmf import linalg
 
@@ -128,22 +133,78 @@ def test_congruence_matches_scalar_products(field, seed):
 
     rng = random.Random(seed)
     r = 2 + seed
-    sym = []
-    for _ in range(2):
-        b = [[field.zero] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(i, r):
-                b[i][j] = b[j][i] = random_scalar(field, rng)
-        sym.append(b)
+    sym = [random_symmetric(field, rng, r) for _ in range(2)]
     p = pencil.QuadricPencil(field, *sym)
     m = random_invertible(field, rng, r)
     mt = [list(row) for row in zip(*m)]
     c1, c2 = (_mat_mul(field, mt, _mat_mul(field, b, m)) for b in sym)
     conj = p.congruence(m)
-    assert (conj.nrows, conj.ncols) == (r, r)
-    for i in range(r):
-        for j in range(r):
-            assert conj.entry(i, j) == binary.linear_form(field, c1[i][j], c2[i][j])
+    assert (conj.b1, conj.b2) == (c1, c2)
+    # the field's own scalars, not numpy ones: str prints them as the field does
+    assert all(type(x) is type(field.zero) for b in (conj.b1, conj.b2) for row in b for x in row)
+
+
+def _kill_last(field, b):
+    """b with its last row and column zero: x_{r-1} in the kernel."""
+    r = len(b)
+    return [[field.zero if r - 1 in (i, j) else b[i][j] for j in range(r)] for i in range(r)]
+
+
+def test_discriminant_matches_bareiss_on_matrix_poly():
+    # the scalar path (det(x B1 + B2) at dim + 1 points, interpolated) against
+    # fraction-free elimination of the graded matrix s B1 + t B2; F_5 puts
+    # dim 4 on the interpolation side with p = dim + 1 and dims 5, 6 on Bareiss
+    import random
+
+    rng = random.Random(21)
+    for field in (PrimeField(10009), PrimeField(2**61 - 1), QQ, PrimeField(5)):
+        for r in range(1, 7):
+            b1, b2 = random_symmetric(field, rng, r), random_symmetric(field, rng, r)
+            for kind, pair in (("generic", (b1, b2)), ("singular B1", (_kill_last(field, b1), b2)),
+                               ("identically singular",
+                                (_kill_last(field, b1), _kill_last(field, b2)))):
+                p = pencil.QuadricPencil(field, *pair)
+                bareiss = p.matrix_poly().determinant()
+                if kind == "identically singular":
+                    assert bareiss.is_zero()
+                    with pytest.raises(pencil.PencilError, match="identically singular"):
+                        p.discriminant()
+                    continue
+                assert not bareiss.is_zero(), (field, r, kind)
+                assert p.discriminant() == binary.normalize(bareiss), (field, r, kind)
+                if kind == "singular B1":
+                    assert binary.t_valuation(p.discriminant()) > 0
+
+
+def test_rational_discriminant_reduces_to_the_prime_one():
+    # an integer pencil: its discriminant over Q, reduced mod p, is the one
+    # over F_p whenever the coefficient normalize divides by is a unit mod p
+    import random
+
+    rng = random.Random(8)
+    field = PrimeField(10009)
+    checked = 0
+    for r in range(1, 7):
+        for _ in range(3):
+            ints = [[[0] * r for _ in range(r)] for _ in range(2)]
+            for b in ints:
+                for i in range(r):
+                    for j in range(i, r):
+                        b[i][j] = b[j][i] = rng.randrange(-20, 21)
+            rational = pencil.QuadricPencil(QQ, *([[QQ.of(c) for c in row] for row in b]
+                                                   for b in ints))
+            prime = pencil.QuadricPencil(field, *([[field.of(c) for c in row] for row in b]
+                                                   for b in ints))
+            raw = rational.matrix_poly().determinant()
+            lead = next(raw.coefficient((i, r - i)) for i in range(r, -1, -1)
+                        if raw.coefficient((i, r - i)))
+            if lead.numerator % field.p == 0:
+                continue
+            # from_pairs coerces each Fraction into F_p
+            reduced = Poly.from_pairs(field, binary.ST, rational.discriminant().terms.items())
+            assert prime.discriminant() == reduced
+            checked += 1
+    assert checked >= 15
 
 
 def cofactor_det_scalarized(p):
@@ -222,6 +283,17 @@ def verify_diagonalization(p, diag):
     pencil._check_diagonalization(p, diag, p.congruence(diag.basis))
 
 
+def gram_mismatch(field, p, diag):
+    """The first (a, b), row by row, where the scalar products M^T B1 M and
+    M^T B2 M differ from the coefficients of diag(f_1, ..., f_r), or None."""
+    m = diag.basis
+    mt = [list(row) for row in zip(*m)]
+    c1, c2 = (_mat_mul(field, mt, _mat_mul(field, b, m)) for b in (p.b1, p.b2))
+    want = [(f.coefficient((1, 0)), f.coefficient((0, 1))) for f in diag.factors]
+    return next(((a, b) for a in range(p.dim) for b in range(p.dim)
+                 if (c1[a][b], c2[a][b]) != (want[a] if a == b else (0, 0))), None)
+
+
 def test_verify_diagonalization_rejects_perturbed_basis():
     field = PrimeField(13)
     q1 = Poly.from_pairs(field, ("x", "y"), [((1, 1), 2)])
@@ -229,17 +301,14 @@ def test_verify_diagonalization_rejects_perturbed_basis():
     p = pencil.QuadricPencil.from_quadrics(q1, q2)
     diag = pencil.simultaneous_diagonalize(p)
     good = [row[:] for row in diag.basis]
-    zero = Poly.zero(field, ST)
-    want = PolyMatrix(field, ST, [[diag.factors[0], zero], [zero, diag.factors[1]]])
+    assert gram_mismatch(field, p, diag) is None
     for i in range(2):
         for j in range(2):
             diag.basis = [row[:] for row in good]
             diag.basis[i][j] = field.add(diag.basis[i][j], field.one)
             # perturbing basis vector j moves only row j and column j of M^T B M
-            conj = p.congruence(diag.basis)
-            where = next((a, b) for a in range(2) for b in range(2)
-                         if conj.entry(a, b) != want.entry(a, b))
-            assert j in where
+            where = gram_mismatch(field, p, diag)
+            assert where is not None and j in where
             message = f"diagonalization verification failed at entry {where}"
             with pytest.raises(pencil.PencilError, match=re.escape(message) + "$"):
                 verify_diagonalization(p, diag)
@@ -267,9 +336,9 @@ def test_diagonalize_checks_the_congruence_it_read(monkeypatch):
 
     def off_diagonal_one(self, m):
         conj = real(self, m)
-        rows = [list(row) for row in conj.entries]
-        rows[0][1] = rows[0][1] + binary.linear_form(field, 1, 0)
-        return PolyMatrix(field, ST, rows)
+        b1 = [list(row) for row in conj.b1]
+        b1[0][1] = b1[1][0] = field.add(b1[0][1], field.one)
+        return pencil.QuadricPencil(field, b1, conj.b2)
 
     monkeypatch.setattr(pencil.QuadricPencil, "congruence", off_diagonal_one)
     p._roots = None
