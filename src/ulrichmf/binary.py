@@ -2,17 +2,21 @@
 
 A binary form is a homogeneous Poly in the fixed variables ("s", "t").
 Roots are reported as scalars lam with linear factor (s - lam*t); the factor
-t itself is the root at infinity and is tracked separately.
+t itself is the root at infinity and is tracked separately.  Over F_p the
+roots are found by Cantor-Zassenhaus (:func:`_roots_mod_p`); over Q the
+candidates are roots mod one prime, Newton-lifted far enough to read off the
+rational roots (:func:`_rational_candidates`), and both are kept only if the
+form vanishes there.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import linalg
-from .fields import Field, PrimeField, RationalField
+from .fields import QQ, Field, PrimeField, RationalField, _is_prime
 from .poly import Poly, PolyError
 
 ST = ("s", "t")
@@ -181,34 +185,55 @@ def _mul_mod(field: Field, a: list, b: list, m: list) -> list:
 
 
 def _rational_candidates(g: Poly):
-    """Rational root candidates of the dehomogenized form (includes 0)."""
+    """Rational root candidates of the dehomogenized form g(s, 1), 0 included.
+
+    A rational root n/d in lowest terms is a root of h, the squarefree part
+    of g with denominators cleared and the factor s taken out, so d | a and
+    n | h(0) for its leading coefficient a.  The roots of h mod a prime q
+    dividing neither a nor the discriminant of h (h stays squarefree mod q)
+    are Newton-lifted to roots x mod a power m of q past 2 |a h(0)|; then
+    the integer a n/d is a x mod m, taken between -m/2 and m/2.  Roots mod q
+    of no rational root give non-roots, which :func:`roots` drops.
+    """
+    yield QQ.zero
     coeffs = coeff_list(g)
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    h = _poly_divmod(QQ, coeffs, _gcd_univ(QQ, coeffs, _derivative(QQ, coeffs)))[0]
+    scale = lcm(*(c.denominator for c in h))
+    ints = [int(c * scale) for c in h]
     while ints and ints[0] == 0:
-        ints = ints[1:]
-    yield Fraction(0)
-    if not ints:
+        ints.pop(0)
+    if len(ints) < 2:
         return
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for r in _divisors(a0):
-        for q in _divisors(an):
-            yield Fraction(r, q)
-            yield Fraction(-r, q)
+    a, bound = ints[-1], 2 * abs(ints[-1] * ints[0])
+    q = 2**31 - 1
+    while True:
+        if _is_prime(q) and a % q:
+            field = PrimeField(q)
+            residues = [field.of(c) for c in ints]
+            if len(_gcd_univ(field, residues, _derivative(field, residues))) == 1:
+                break
+        q -= 2
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    for x in _roots_mod_p(field, residues):
+        m = q
+        while m <= bound:
+            m *= m
+            x = (x - _horner(ints, x) * pow(_horner(deriv, x), -1, m)) % m
+        n = a * x % m
+        yield Fraction(n - m if n > m // 2 else n, a)
 
 
-def _divisors(n: int):
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            out.append(n // i)
-        i += 1
-    return sorted(set(out))
+def _derivative(field: Field, coeffs: list) -> list:
+    """The derivative of an ascending coefficient list."""
+    return [field.mul(field.of(i), coeffs[i]) for i in range(1, len(coeffs))]
+
+
+def _horner(coeffs: list, x):
+    """The value at x of an ascending coefficient list."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
 
 
 def squarefree_distinct(f: Poly) -> bool:
@@ -225,8 +250,7 @@ def squarefree_distinct(f: Poly) -> bool:
     if t_valuation(f) == 1:
         g = g.divexact(tpoly)
     coeffs = coeff_list(g)
-    deriv = [field.mul(field.of(i), coeffs[i]) for i in range(1, len(coeffs))]
-    gc = _gcd_univ(field, coeffs, deriv)
+    gc = _gcd_univ(field, coeffs, _derivative(field, coeffs))
     return len(gc) == 1
 
 

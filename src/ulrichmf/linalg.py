@@ -1,19 +1,23 @@
 """Field-generic exact dense linear algebra.
 
-Matrices at this level are lists of lists of field scalars.  Two echelon
-forms are the only field-specific code: the reduced form of :func:`rref` and
-the forward-only form of :func:`_echelon`.  Over a prime field both come from
-the numpy loops of :mod:`ulrichmf.modp`, on arrays of the element type that
-module picks for p.  Rank and determinant are read off the forward form,
-kernel and solutions off the reduced form, once for both fields.
+Matrices at this level are lists of lists of field scalars.  Each field has
+one elimination, and kernel and solutions are read off its reduced form,
+rank and determinant off its forward form.  Over a prime field these are
+the numpy loops of :mod:`ulrichmf.modp`, ``rref`` and ``echelon``, on arrays
+of the element type that module picks for p.
 
-Over Q the reduced form goes through the primes of :data:`PRIMES`: each
-row's denominators are cleared, the integer rows are reduced mod each prime
-in turn, the residues are combined by CRT and rationally reconstructed, and
-the result is returned only once one exact integer product proves it (see
-:func:`_rref_multimodular`).  Otherwise it is eliminated on Fractions.  Rank
-over Q is full when it is full mod the first prime; otherwise it, like det
-over Q, is read off the forward form on Fractions.
+Over Q each row is scaled by the lcm of its denominators (:func:`_cleared`)
+and the integer rows are eliminated once, fraction-free (Bareiss; its
+Gauss-Jordan form for the reduced form, see :func:`_bareiss`).  Every
+division there is exact, by Sylvester's identity: after k pivots each entry
+is, up to sign, a minor of the cleared matrix (below the pivots the
+(k+1) x (k+1) minor that borders the k x k pivot minor by the entry's row
+and column, above them the pivot minor with the entry's column in place of
+the row's pivot column), and the identity writes each such minor as the
+update of the step divided by the pivot minor before it.  So the
+elimination needs no entry bound, no fallback and no proof afterwards.
+Rank over Q is full when it is full mod :data:`RANK_PRIME`; otherwise it is
+read off the forward pass.
 
 :func:`matmul` is the one exact product of scalar matrices, and
 :func:`scalar_dtype` the element type of stored scalar arrays.
@@ -27,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import modp
-from .fields import QQ, Field, PrimeField
+from .fields import Field, PrimeField
 
 
 def _to_array(rows, ncols, p):
@@ -139,52 +143,6 @@ def reduced(field: Field, x):
     return x % field.p if isinstance(field, PrimeField) else x
 
 
-def _forward_fraction(rows, ncols):
-    """Forward elimination over Q, on a copy of ``rows`` as Fractions.
-
-    Each pivot keeps its value and the rows below it are cleared, from the
-    pivot column on.  Returns (echelon rows, pivot columns, row swaps).
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    pivots = []
-    swaps = 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            swaps += 1
-        top = m[r][c:]
-        inv = 1 / top[0]
-        for i in range(r + 1, nrows):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i][c:] = [x - f * y for x, y in zip(m[i][c:], top)]
-        pivots.append(c)
-        r += 1
-    return m, pivots, swaps
-
-
-def _rref_fraction(rows, ncols):
-    """Reduced row echelon form over Q: the forward pass, then back substitution."""
-    m, pivots, _ = _forward_fraction(rows, ncols)
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        inv = 1 / m[k][c]
-        top = [x * inv for x in m[k][c:]]
-        m[k][c:] = top
-        for i in range(k):
-            if m[i][c] != 0:
-                f = m[i][c]
-                m[i][c:] = [x - f * y for x, y in zip(m[i][c:], top)]
-    return m, pivots
-
-
 def rref(field: Field, rows, ncols=None):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     if ncols is None:
@@ -192,175 +150,93 @@ def rref(field: Field, rows, ncols=None):
     if isinstance(field, PrimeField):
         m, piv = modp.rref(_to_array(rows, ncols, field.p), field.p)
         return m.tolist(), piv.tolist()
-    return _rref_multimodular(rows, ncols) or _rref_fraction(rows, ncols)
+    m, pivots, _ = _bareiss(_cleared(rows)[0], ncols, reduce=True)
+    # each row is d times its row of the reduced form, d the last pivot
+    d, zero = m[len(pivots) - 1, pivots[-1]] if pivots else 1, field.zero
+    return [[Fraction(x, d) if x else zero for x in row] for row in m.tolist()], pivots
 
 
-# the primes of the elimination over Q, the largest below 2^31, on which modp
-# runs int64
-PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
-
-# the reconstruction bound of all of PRIMES together: an entry of A past it
-# makes the reduced form, whose entries are ratios of minors of A, too large
-# for the primes in most cases, so such a matrix goes to Fractions directly
-ENTRY_BOUND = math.isqrt(math.prod(PRIMES) // 2)
+# the prime of rank's proof of full rank over Q, the largest below 2^31, on
+# which modp runs int64
+RANK_PRIME = 2147483647
 
 
 def _cleared(rows):
-    """Each row scaled by the lcm of its denominators, as lists of Python ints.
+    """(A, s): each row scaled by the lcm of its denominators, as lists of
+    Python ints, and s the product of those lcms.
 
-    Scaling a row by a nonzero integer keeps the rank and the reduced form.
+    Scaling a row by a nonzero integer keeps the rank and the reduced form,
+    and multiplies the determinant by it.
     """
-    cleared = []
+    cleared, scale = [], 1
     for row in rows:
         dens = [x.denominator for x in row]
         d = math.lcm(*dens)
+        scale *= d
         if d == 1:
             cleared.append([x.numerator for x in row])
         else:
             cleared.append([x.numerator * (d // e) for x, e in zip(row, dens)])
-    return cleared
+    return cleared, scale
 
 
-def _rref_multimodular(rows, ncols):
-    """The reduced form over Q through the primes of PRIMES, or None.
+def _bareiss(rows, ncols, reduce):
+    """Fraction-free elimination of integer ``rows``; returns (m, pivots, swaps).
 
-    The cleared integer matrix A is reduced mod one prime after another; the
-    residues of the entries off the pivot columns are combined by CRT and,
-    after each prime, rationally reconstructed into R.  R is returned once
-    D A = A[:, P] (D R) holds exactly, for its pivot columns P and common
-    denominator D; in the pivot columns the identity holds by construction,
-    so one integer product over the other columns decides it.  That proves R
-    is the reduced form of A: the rank of A mod p is at most its rank over
-    Q, so rank(A) >= |P|, and the product puts every row of A in the span of
-    the |P| rows of R.
-
-    Pivots can only be lost or move right mod p, so a prime whose pivots
-    are more, or as many and lexicographically smaller, shows that the
-    primes before it were unlucky: their residues are dropped and the CRT
-    starts over from it.  A prime with worse pivots is skipped.
-
-    None, for the Fraction fallback, if an entry of A is past ENTRY_BOUND or
-    no prime proves its R.
+    m is an object array of Python ints.  At the pivot piv of row r and
+    column c, with prev the pivot before it (1 at the first), each row i
+    below r, and with ``reduce`` also each row above it, becomes
+    (piv row_i - m[i, c] row_r) // prev, which clears m[i, c].  Without
+    ``reduce`` m is a row echelon form whose last pivot is, up to the sign of
+    the swaps, the minor of ``rows`` on the pivot rows and columns; with it,
+    every pivot ends equal to the last one, d, and row i is d times row i of
+    the reduced form.
     """
-    if not rows or ncols == 0:
-        return None
-    cleared = _cleared(rows)
-    if max(max(map(abs, row)) for row in cleared) > ENTRY_BOUND:
-        return None
-    a = np.array(cleared, dtype=object).reshape(len(rows), ncols)
-    pivots = None
-    for p in PRIMES:
-        m, piv = modp.rref(a % p, p)
-        piv = piv.tolist()
-        if pivots is None or (-len(piv), piv) < (-len(pivots), pivots):
-            pivots = piv
-            pivot_set = set(pivots)
-            free = [c for c in range(ncols) if c not in pivot_set]
-            residues = m[:len(pivots), free].astype(object)
-            modulus = p
-        elif piv != pivots:
+    m = np.array(rows, dtype=object).reshape(len(rows), ncols)
+    pivots, swaps, prev = [], 0, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
             continue
-        else:
-            lift = (m[:len(pivots), free] - residues % p) * pow(modulus, -1, p) % p
-            residues = residues + modulus * lift
-            modulus *= p
-        found = _reconstruct(residues.ravel().tolist(), modulus)
-        if found is None:
-            continue
-        nums, dens, d = found
-        scaled = np.array([n * (d // e) for n, e in zip(nums, dens)], dtype=object)
-        prod = integer_matmul(QQ, a[:, pivots], scaled.reshape(len(pivots), len(free)))
-        if np.array_equal(prod, a[:, free] * d):
-            return _reduced_rows(len(rows), ncols, pivots, free, nums, dens), pivots
-    return None
-
-
-def _reconstruct(residues, modulus):
-    """Rational reconstruction of residues mod ``modulus``, in order.
-
-    Returns (numerators, denominators, d): each residue u as n / e with
-    n = e u mod modulus, every e dividing d.  Each u is first multiplied by
-    the denominator d found so far, since the entries of one reduced form
-    share most of their denominators: if u d, taken mod modulus between
-    -modulus/2 and modulus/2, is at most sqrt(modulus / 2) in absolute value,
-    it is n and e = d; otherwise extended Euclid finds a / b = u d with |a|
-    and b at most that bound, and d grows by b.  None at the first residue
-    that has neither.
-    """
-    bound = math.isqrt(modulus // 2)
-    half = modulus // 2
-    d = 1
-    nums, dens = [], []
-    for u in residues:
-        n = u * d % modulus
-        if n > half:
-            n -= modulus
-        if -bound <= n <= bound:
-            nums.append(n)
-            dens.append(d)
-            continue
-        r0, r1, t0, t1 = modulus, n % modulus, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if abs(t1) > bound:
-            return None
-        if t1 < 0:
-            r1, t1 = -r1, -t1
-        d *= t1
-        nums.append(r1)
-        dens.append(d)
-    return nums, dens, d
-
-
-def _reduced_rows(nrows, ncols, pivots, free, nums, dens):
-    """The reduced form as rows of Fractions: 1 at each pivot, the
-    reconstructed entries n / e row by row in the free columns, 0 elsewhere."""
-    zero, one = Fraction(0), Fraction(1)
-    out = [[zero] * ncols for _ in range(nrows)]
-    entries = iter(zip(nums, dens))
-    for i, c in enumerate(pivots):
-        row = out[i]
-        row[c] = one
-        for f in free:
-            n, e = next(entries)
-            if n:
-                row[f] = Fraction(n, e)
-    return out
-
-
-def _echelon(field: Field, rows, ncols):
-    """Forward-only row echelon form; returns (rows, pivot columns, row swaps).
-
-    Below each pivot the column is cleared; the rows are not normalized, so
-    the form of a square matrix is upper triangular with its determinant, up
-    to the sign of the swaps, on the diagonal.
-    """
-    if isinstance(field, PrimeField):
-        m, pivots, swaps = modp.echelon(_to_array(rows, ncols, field.p), field.p)
-        return m.tolist(), pivots, swaps
-    return _forward_fraction(rows, ncols)
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+            swaps += 1
+        piv = m[r, c]
+        # rows below r and row r are 0 left of c
+        below = m[r + 1 :, c:]
+        below[...] = (piv * below - np.outer(below[:, 0], m[r, c:])) // prev
+        if reduce:
+            above = m[:r]
+            above[...] = (piv * above - np.outer(above[:, c], m[r])) // prev
+        pivots.append(c)
+        prev = piv
+    return m, pivots, swaps
 
 
 def rank(field: Field, rows, ncols=None) -> int:
     """The rank of a scalar matrix.
 
     Over Q the cleared integer rows (see :func:`_cleared`) are first
-    eliminated mod the first of PRIMES: an integer matrix has rank mod p at
-    most its rank over Q, so full rank mod p proves full rank over Q.  Any
-    other answer is recomputed on Fractions by the forward pass.
+    eliminated mod RANK_PRIME: an integer matrix has rank mod p at most its
+    rank over Q, so full rank mod p proves full rank over Q.  Any other
+    answer is recomputed by the forward pass of :func:`_bareiss`.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows or ncols == 0:
         return 0
-    if not isinstance(field, PrimeField):
-        p = PRIMES[0]
-        cleared = [[x % p for x in row] for row in _cleared(rows)]
-        full = min(len(rows), ncols)
-        if len(modp.echelon(_to_array(cleared, ncols, p), p)[1]) == full:
-            return full
-    return len(_echelon(field, rows, ncols)[1])
+    if isinstance(field, PrimeField):
+        return len(modp.echelon(_to_array(rows, ncols, field.p), field.p)[1])
+    cleared, _ = _cleared(rows)
+    p = RANK_PRIME
+    full = min(len(rows), ncols)
+    if len(modp.echelon(_to_array([[x % p for x in row] for row in cleared], ncols, p), p)[1]) == full:
+        return full
+    return len(_bareiss(cleared, ncols, reduce=False)[1])
 
 
 def nullspace(field: Field, rows, ncols):
@@ -396,12 +272,24 @@ def solve(field: Field, rows, rhs, ncols=None):
 
 
 def det(field: Field, rows) -> object:
-    """Determinant of a square scalar matrix."""
+    """Determinant of a square scalar matrix.
+
+    Over F_p it is the product of the pivots of ``modp.echelon``, up to the
+    sign of its swaps; over Q the last pivot of the forward pass of
+    :func:`_bareiss`, up to that sign, divided by the scales of
+    :func:`_cleared`.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("det expects a square matrix")
-    m, _, swaps = _echelon(field, rows, n)
-    result = field.neg(field.one) if swaps % 2 else field.one
-    for c in range(n):
-        result = field.mul(result, m[c][c])
-    return result
+    if isinstance(field, PrimeField):
+        m, _, swaps = modp.echelon(_to_array(rows, n, field.p), field.p)
+        result = field.neg(field.one) if swaps % 2 else field.one
+        for x in m.diagonal().tolist():
+            result = field.mul(result, x)
+        return result
+    cleared, scale = _cleared(rows)
+    m, _, swaps = _bareiss(cleared, n, reduce=False)
+    # the last row is 0 if the rank is below n
+    last = m[n - 1, n - 1] if n else 1
+    return Fraction(-last if swaps % 2 else last, scale)

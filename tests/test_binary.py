@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -180,3 +181,60 @@ def test_roots_skip_irreducible_quadratic():
     got = binary.roots(f)
     assert got == ([(3, 1), (77, 2), (10008, 1)], 0, False)
     assert got == scan_roots(field, f)
+
+
+# -- rational roots lifted from one prime against trial division ----------------
+
+
+def trial_division_candidates(g):
+    """Reference: every n/d with n dividing the constant term and d the leading
+    coefficient of g(s, 1) with its denominators cleared, 0 included."""
+    coeffs = binary.coeff_list(g)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    while ints and ints[0] == 0:
+        ints = ints[1:]
+    yield Fraction(0)
+    if not ints:
+        return
+    for r in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            yield Fraction(r, q)
+            yield Fraction(-r, q)
+
+
+def divisors(n):
+    n = abs(n)
+    return sorted({d for i in range(1, math.isqrt(n) + 1) if n % i == 0 for d in (i, n // i)})
+
+
+def test_rational_roots_match_trial_division(monkeypatch):
+    rng = random.Random(7)
+    fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(30)]
+    kinds = set()
+    for trial in range(30):
+        planted = {rng.choice(fractions): rng.randint(1, 3) for _ in range(rng.randint(1, 4))}
+        if trial % 3 == 0:
+            planted[Fraction(0)] = rng.randint(1, 2)  # a root at 0
+        # s^2 + k t^2 has no rational root
+        quad = binary.binary_form(QQ, [1, 0, rng.randint(1, 9)]) if trial % 2 else None
+        f = planted_form(QQ, Fraction(rng.randint(1, 20), rng.randint(1, 20)), planted.items(),
+                         rng.randint(0, 2), quad)
+        got = binary.roots(f)
+        assert got[0] == sorted(planted.items(), key=lambda item: binary.root_sort_key(item[0])), trial
+        assert got[2] == (quad is None)
+        kinds.add(got[2])
+        with monkeypatch.context() as m:
+            m.setattr(binary, "_rational_candidates", trial_division_candidates)
+            assert binary.roots(f) == got, trial
+    assert kinds == {True, False}
+
+
+def test_rational_roots_of_large_coefficients():
+    # a product of linear factors with 40-bit numerators and denominators,
+    # whose coefficients trial division could not factor
+    rng = random.Random(9)
+    planted = {Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40)): m for m in (1, 2, 1)}
+    f = planted_form(QQ, 3, planted.items(), cofactor=binary.binary_form(QQ, [1, 0, 2]))
+    want = sorted(planted.items(), key=lambda item: binary.root_sort_key(item[0]))
+    assert binary.roots(f) == (want, 0, False)

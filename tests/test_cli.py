@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import ulrichmf
 from ulrichmf import binary, cli, knorrer, mf
-from ulrichmf.fields import PrimeField
+from ulrichmf.fields import QQ, PrimeField
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
 
@@ -89,6 +89,21 @@ def test_pencil_diag_without_split_advises_a_prime_only_over_f_p(capsys, field, 
     assert err == f"error: discriminant does not split over the base field{advice}\n"
 
 
+
+# the F_10009 goldens read over Q: discriminants with coefficients near 10^23
+@pytest.mark.parametrize("name, code, diag", [
+    ("pencil_for_roots_5_p", 2, "error: discriminant does not split over the base field\n"),
+    ("pencil_for_roots_6_p", 0, "factors (6):"),
+], ids=["pencil_for_roots_5_p", "pencil_for_roots_6_p"])
+def test_pencil_over_q_with_large_discriminant_coefficients(capsys, name, code, diag):
+    path = os.path.join(GOLDEN, f"{name}.json")
+    assert run(capsys, "--field", "Q", "pencil", "smooth", path) == (
+        0, "smooth: True\ndiagnosis: smooth: discriminant squarefree of full degree\n", "")
+    got, out, err = run(capsys, "--field", "Q", "pencil", "diag", path)
+    assert got == code
+    assert (out + err).startswith(diag)
+
+
 def test_mf_build_and_grouplaw(capsys):
     code, out, _ = run(capsys, "mf", "build-li", "--g", "1", "--i", "1")
     assert code == 0
@@ -116,6 +131,34 @@ def test_mf_cohomology_and_raynaud(capsys):
     assert "h0:     1" in out
     code, out, _ = run(capsys, "mf", "raynaud", "--g", "2", "--i", "1,2")
     assert code == 0 and "raynaud: False" in out
+
+
+
+def test_mf_cohomology_over_q_agrees_with_f_p(capsys):
+    # the roots of test_group_law_over_q_agrees_with_f_p, whose discriminant
+    # is a unit mod 10009, and every class I of genus 2
+    roots = (2, 3, 5, 7, 11, 13)
+    h = mf.HyperellipticData.from_factors(QQ, [binary.root_factor(QQ, c) for c in roots])
+    classes = mf.canonical_classes(h)
+    assert len(classes) == 32
+    for subset in classes:
+        argv = ["mf", "cohomology", "--g", "2", "--roots", ",".join(map(str, roots)),
+                "--i", ",".join(map(str, sorted(subset)))]
+        over_q = run(capsys, "--field", "Q", *argv)
+        assert over_q[0] == 0 and over_q[1].startswith("twists: 0 1 2 3 4\n")
+        assert run(capsys, "--field", "10009", *argv) == over_q, sorted(subset)
+
+
+def test_rational_grouplaw_never_calls_modp(capsys, monkeypatch):
+    # the premise of the rational benchmark workload: over Q the group law
+    # runs on the one elimination of the cleared integer rows, without a prime
+    from test_linalg import modp_calls
+
+    calls = modp_calls(monkeypatch)
+    code, out, _ = run(capsys, "--field", "Q", "mf", "grouplaw", "--g", "2",
+                       "--roots", "7,13,22,31,44,58", "--i", "1,3,5", "--j", "3,4,5")
+    assert code == 0 and "pass: True" in out
+    assert calls == []
 
 
 def test_clifford_commands(capsys):

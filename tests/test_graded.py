@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulrichmf import binary, graded
+from ulrichmf import binary, graded, linalg
 from ulrichmf.fields import QQ, PrimeField
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
@@ -326,3 +326,44 @@ def test_quotient_dims_reference_on_both_shapes():
             assert (len(rows) > len(basis)) == taller
             want = quotient_dims_reference(field, uv, gens, range(5), rank)
             assert graded.graded_quotient_dims(field, uv, gens, range(5), rank=rank) == want
+
+
+def test_quotient_dims_over_q_agree_with_f_p_on_integer_quadrics(monkeypatch):
+    # integer quadrics in (u, v), read over Q and over F_10009; the pairs with
+    # a shared linear factor make the Macaulay matrices over Q rank-deficient
+    # from degree 3 on, so rank takes its elimination past the prime there
+    rng = random.Random(17)
+    fp = PrimeField(10009)
+    uv = ("u", "v")
+    monomials = [(2, 0), (1, 1), (0, 2)]
+
+    def linear():
+        return [rng.randint(-9, 9) or 1, rng.randint(-9, 9)]
+
+    def times(l, m):
+        return [l[0] * m[0], l[0] * m[1] + l[1] * m[0], l[1] * m[1]]
+
+    pairs = [([rng.randint(-20, 20) for _ in monomials], [rng.randint(-20, 20) for _ in monomials])
+             for _ in range(4)]
+    shared = []
+    for _ in range(3):
+        factor = linear()
+        shared.append((times(factor, [1, 2]), times(factor, [3, -1])))
+    pairs += shared
+    pairs.append(([1, 0, 0], [0, 0, 1]))  # u^2 and v^2
+
+    deficient = []
+    real = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss",
+                        lambda rows, ncols, reduce: deficient.append(ncols) or real(rows, ncols, reduce))
+    for coeffs1, coeffs2 in pairs:
+        dims = []
+        for field in (QQ, fp):
+            q1, q2 = (Poly.from_pairs(field, uv, [(e, field.of(c)) for e, c in zip(monomials, coeffs)])
+                      for coeffs in (coeffs1, coeffs2))
+            dims.append(graded.graded_quotient_dims(field, uv, [q1, q2], range(6)))
+        assert dims[0] == dims[1], (coeffs1, coeffs2)
+        if (coeffs1, coeffs2) in shared:
+            # S / l (m1, m2) = S / l S_1 is 1 in every degree from 2 on
+            assert dims[0] == [1, 2, 1, 1, 1, 1]
+    assert deficient

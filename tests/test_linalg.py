@@ -1,20 +1,15 @@
-"""Elimination over Q: the forward pass, the reduced form, and the reduced
-form through primes.
+"""Elimination over Q: one fraction-free elimination of the cleared integer rows.
 
-``rank`` and ``det`` over Q read the Fraction forward pass
-``_forward_fraction``; ``_rref_fraction`` adds back substitution.  Both are
-checked against the Gauss-Jordan loop that ``_rref_fraction`` used before,
-and ``det`` against permutation expansion.  On integer matrices the answers
-over Q and over F_p are checked against each other.
-
-``rref`` over Q goes through primes and keeps ``_rref_fraction`` as its
-fallback: ``rref``, ``nullspace`` and ``solve`` are checked against both
-references on entries that are multiples of the first prime, have it as a
-denominator or run to 200 bits.  Negative controls show that the exact check
-rejects a wrong reconstruction, that a reduced form too large for every
-prime falls back to Fractions, that entries past ``ENTRY_BOUND`` go there
-without trying a prime, and that a prime that loses pivots is replaced by a
-later one or skipped.  ``rank`` over Q, which first tries one prime and
+``rref``, ``nullspace`` and ``solve`` over Q read the reduced form of
+``linalg._bareiss``, ``rank`` and ``det`` its forward form.  They are checked
+against the Gauss-Jordan loop on Fractions, against the Fraction forward pass
+and back substitution that linalg used before (kept here as references), and
+``det`` against permutation expansion, on small entries, on entries that are
+multiples of the prime of ``rank`` or have it as a denominator, and on
+entries of 40 and 200 bits, where the integers of the elimination grow.
+Explicit matrices that once needed several primes, or too many, stay among
+the cases.  On integer matrices the answers over Q and over F_p are checked
+against each other.  ``rank`` over Q, which first tries one prime and
 otherwise takes the forward pass, is checked against that pass, with
 controls whose rank drops mod the prime.
 """
@@ -23,10 +18,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulrichmf import linalg
+from ulrichmf import linalg, modp
 from ulrichmf.fields import QQ, PrimeField
 
 
@@ -52,6 +48,52 @@ def gauss_jordan_reference(rows, ncols):
     return m, pivots
 
 
+def forward_fraction(rows, ncols):
+    """Forward elimination over Q, on a copy of ``rows`` as Fractions.
+
+    Each pivot keeps its value and the rows below it are cleared, from the
+    pivot column on.  Returns (echelon rows, pivot columns, row swaps).
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    pivots = []
+    swaps = 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        top = m[r][c:]
+        inv = 1 / top[0]
+        for i in range(r + 1, nrows):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i][c:] = [x - f * y for x, y in zip(m[i][c:], top)]
+        pivots.append(c)
+        r += 1
+    return m, pivots, swaps
+
+
+def rref_fraction(rows, ncols):
+    """Reduced row echelon form over Q: the forward pass, then back substitution."""
+    m, pivots, _ = forward_fraction(rows, ncols)
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        inv = 1 / m[k][c]
+        top = [x * inv for x in m[k][c:]]
+        m[k][c:] = top
+        for i in range(k):
+            if m[i][c] != 0:
+                f = m[i][c]
+                m[i][c:] = [x - f * y for x, y in zip(m[i][c:], top)]
+    return m, pivots
+
+
 def perm_det(rows):
     n = len(rows)
     total = Fraction(0)
@@ -67,6 +109,10 @@ def perm_det(rows):
 # small values make dependent rows and zero pivots common
 ENTRIES = st.sampled_from([0, 0, 1, -1, 2]).map(Fraction) | st.fractions(
     min_value=-20, max_value=20, max_denominator=7)
+# numerators and denominators of 40 and 20 bits, and of 200 bits, make the
+# integers of the elimination grow
+MID_ENTRIES = st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**20))
+BIG_ENTRIES = st.builds(Fraction, st.integers(-2**200, 2**200), st.integers(1, 2**200))
 
 
 @st.composite
@@ -90,14 +136,14 @@ def test_rref_and_rank_match_gauss_jordan(case):
     rows, ncols = case
     copy = [row[:] for row in rows]
     want, want_piv = gauss_jordan_reference(rows, ncols)
-    got, piv = linalg._rref_fraction(rows, ncols)
-    assert (got, piv) == (want, want_piv)
-    assert linalg.rank(QQ, rows, ncols) == len(piv)
+    assert linalg.rref(QQ, rows, ncols) == rref_fraction(rows, ncols) == (want, want_piv)
+    assert linalg.rank(QQ, rows, ncols) == len(want_piv)
     assert rows == copy
 
 
 @settings(max_examples=100, deadline=None)
-@given(rational_matrices(square=True))
+@given(st.sampled_from([ENTRIES, MID_ENTRIES, BIG_ENTRIES]).flatmap(
+    lambda entries: rational_matrices(square=True, entries=entries)))
 def test_det_matches_permutation_expansion(case):
     rows, n = case
     got = linalg.det(QQ, rows)
@@ -147,7 +193,7 @@ def test_prime_field_agrees_with_rationals(case, p):
 
 # -- rank over Q through one prime ----------------------------------------------
 
-P = linalg.PRIMES[0]
+P = linalg.RANK_PRIME
 # multiples of the prime and denominators equal to it make the rank drop mod p
 PRIME_ENTRIES = ENTRIES | st.sampled_from([Fraction(P), Fraction(1, P), Fraction(2 * P, 3)])
 
@@ -157,30 +203,42 @@ PRIME_ENTRIES = ENTRIES | st.sampled_from([Fraction(P), Fraction(1, P), Fraction
 def test_rank_over_q_matches_forward_elimination(case):
     rows, ncols = case
     copy = [row[:] for row in rows]
-    want = len(linalg._forward_fraction(rows, ncols)[1])
+    want = len(forward_fraction(rows, ncols)[1])
     assert linalg.rank(QQ, rows, ncols) == want
     assert rows == copy
 
 
-def spy(monkeypatch, name):
-    """Record the results of linalg.<name> in a list as it runs."""
-    results = []
-    real = getattr(linalg, name)
-
-    def recorded(*args):
-        results.append(real(*args))
-        return results[-1]
-
-    monkeypatch.setattr(linalg, name, recorded)
-    return results
-
-
 def exact_rank_calls(monkeypatch):
     calls = []
-    real = linalg._forward_fraction
-    monkeypatch.setattr(linalg, "_forward_fraction",
-                        lambda rows, ncols: calls.append(1) or real(rows, ncols))
+    real = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss",
+                        lambda rows, ncols, reduce: calls.append(reduce) or real(rows, ncols, reduce))
     return calls
+
+
+def modp_calls(monkeypatch):
+    """Record the name of every modp.rref and modp.echelon call."""
+    calls = []
+    for name in ("rref", "echelon"):
+        real = getattr(modp, name)
+        monkeypatch.setattr(modp, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    return calls
+
+
+def test_only_rank_over_q_calls_modp(monkeypatch):
+    calls = modp_calls(monkeypatch)
+    a, b = [Fraction(1, 3), Fraction(2), Fraction(-1)], [Fraction(5), Fraction(1, 4), Fraction(0)]
+    for rows in ([a, b, [Fraction(1), Fraction(1), Fraction(7, 2)]],  # full rank
+                 [a, b, [x - 2 * y for x, y in zip(a, b)]]):  # rank 2
+        linalg.rref(QQ, rows)
+        linalg.nullspace(QQ, rows, 3)
+        linalg.solve(QQ, rows, [Fraction(1), Fraction(0), Fraction(2)])
+        linalg.det(QQ, rows)
+        assert calls == []
+        # one elimination mod the prime, whatever it finds
+        linalg.rank(QQ, rows)
+        assert calls == ["echelon"]
+        calls.clear()
 
 
 def rank_mod_p(rows):
@@ -200,7 +258,7 @@ def test_multiples_of_the_prime_fall_back_to_exact_rank(monkeypatch):
     # full rank over Q; the cleared rows [5p, 6p] and [p, 7p] vanish mod p
     rows = [[Fraction(P, 3), Fraction(2 * P, 5)], [Fraction(P), Fraction(7 * P)]]
     assert rank_mod_p(rows) == 0
-    assert linalg.rank(QQ, rows) == 2 and calls == [1]
+    assert linalg.rank(QQ, rows) == 2 and calls == [False]
 
 
 def test_denominator_equal_to_the_prime_falls_back_to_exact_rank(monkeypatch):
@@ -208,7 +266,7 @@ def test_denominator_equal_to_the_prime_falls_back_to_exact_rank(monkeypatch):
     # determinant 1/p; the cleared rows [1, p] and [1, 2p] agree mod p
     rows = [[Fraction(1, P), Fraction(1)], [Fraction(1, P), Fraction(2)]]
     assert rank_mod_p(rows) == 1
-    assert linalg.rank(QQ, rows) == 2 and calls == [1]
+    assert linalg.rank(QQ, rows) == 2 and calls == [False]
 
 
 def test_rank_deficient_matrix_is_never_read_off_the_prime(monkeypatch):
@@ -216,16 +274,10 @@ def test_rank_deficient_matrix_is_never_read_off_the_prime(monkeypatch):
     a, b = [Fraction(1, 3), Fraction(2), Fraction(-1)], [Fraction(5), Fraction(1, 4), Fraction(0)]
     rows = [a, b, [x - 2 * y for x, y in zip(a, b)]]
     assert rank_mod_p(rows) == 2
-    assert linalg.rank(QQ, rows) == 2 and calls == [1]
+    assert linalg.rank(QQ, rows) == 2 and calls == [False]
 
 
-# -- the reduced form over Q through primes -------------------------------------
-
-# numerators and denominators of about 200 bits outrun every prime of the tuple;
-# those of 40 bits and 20 bits often need more than one prime
-BIG_ENTRIES = st.builds(Fraction, st.integers(-2**200, 2**200), st.integers(1, 2**200))
-MID_ENTRIES = st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**20))
-
+# -- rref, nullspace and solve over Q --------------------------------------------
 
 def canonical_solution(rows, rhs, ncols):
     """The solution of rows x = rhs with every free variable 0, read off the
@@ -239,13 +291,10 @@ def canonical_solution(rows, rhs, ncols):
     return x
 
 
-@settings(max_examples=200, deadline=None)
-@given(rational_matrices(entries=PRIME_ENTRIES | MID_ENTRIES | BIG_ENTRIES), st.data())
-def test_rref_nullspace_and_solve_over_q_match_the_references(case, data):
-    rows, ncols = case
+def check_against_the_references(rows, ncols, rhs):
     copy = [row[:] for row in rows]
     want, want_piv = gauss_jordan_reference(rows, ncols)
-    assert linalg.rref(QQ, rows, ncols) == linalg._rref_fraction(rows, ncols) == (want, want_piv)
+    assert linalg.rref(QQ, rows, ncols) == rref_fraction(rows, ncols) == (want, want_piv)
     assert rows == copy
     # the kernel basis is fixed by being 1 at its own free column, 0 at the others
     free = [c for c in range(ncols) if c not in want_piv]
@@ -254,90 +303,47 @@ def test_rref_nullspace_and_solve_over_q_match_the_references(case, data):
     for c, v in zip(free, kernel):
         assert [v[f] for f in free] == [int(f == c) for f in free]
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
-    entries = PRIME_ENTRIES | MID_ENTRIES | BIG_ENTRIES
-    rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-    if rows and data.draw(st.booleans()):
-        # a consistent right-hand side: a combination of the columns
-        coeffs = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
-        rhs = [sum((x * y for x, y in zip(row, coeffs)), Fraction(0)) for row in rows]
     x = linalg.solve(QQ, rows, rhs, ncols)
     assert x == canonical_solution(rows, rhs, ncols)
     if x is not None:
         assert [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows] == rhs
 
 
-def test_entries_past_the_first_prime_are_proven_without_fractions(monkeypatch):
-    fallbacks = spy(monkeypatch, "_rref_fraction")
-    attempts = spy(monkeypatch, "_reconstruct")
-    # the free column holds (2^40 + 1)/3 and -2^41/7: past the reconstruction
-    # bound of the first prime and of the first two, inside that of three;
-    # what the first one or two reconstruct, if anything, fails the product
-    rows = [[Fraction(3), Fraction(0), Fraction(2**40 + 1)], [Fraction(0), Fraction(7), Fraction(-2**41)]]
-    got = linalg.rref(QQ, rows)
-    assert got == gauss_jordan_reference(rows, 3)
-    assert len(attempts) == 3 and attempts[-1] is not None and fallbacks == []
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(entries=PRIME_ENTRIES | MID_ENTRIES | BIG_ENTRIES), st.data())
+def test_rref_nullspace_and_solve_over_q_match_the_references(case, data):
+    rows, ncols = case
+    entries = PRIME_ENTRIES | MID_ENTRIES | BIG_ENTRIES
+    rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    if rows and data.draw(st.booleans()):
+        # a consistent right-hand side: a combination of the columns
+        coeffs = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+        rhs = [sum((x * y for x, y in zip(row, coeffs)), Fraction(0)) for row in rows]
+    check_against_the_references(rows, ncols, rhs)
 
 
-def test_exact_check_rejects_a_wrong_reconstruction(monkeypatch):
-    rows = [[Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(1)],
-            [Fraction(2), Fraction(0), Fraction(1, 9), Fraction(4)]]
-    assert linalg._rref_multimodular(rows, 4) == gauss_jordan_reference(rows, 4)
-    real = linalg._reconstruct
+Q2 = linalg.RANK_PRIME - 18  # the prime below RANK_PRIME
 
-    def one_entry_off(residues, modulus):
-        nums, dens, d = real(residues, modulus)
-        return [nums[0] + dens[0]] + nums[1:], dens, d
-
-    monkeypatch.setattr(linalg, "_reconstruct", one_entry_off)
-    # every prime reconstructs, and every reconstruction fails the product
-    assert linalg._rref_multimodular(rows, 4) is None
-    fallbacks = spy(monkeypatch, "_rref_fraction")
-    assert linalg.rref(QQ, rows) == linalg._rref_fraction(rows, 4) == gauss_jordan_reference(rows, 4)
-    assert len(fallbacks) == 2
+# matrices that the reduced form through primes needed several primes for, or
+# too many: a free column past the reconstruction bound of one or two primes,
+# minors of about 115 bits, entries of up to 346 bits, a first column that
+# vanishes mod the first prime or mod the second
+EXPLICIT = {
+    "past_one_prime": [[3, 0, 2**40 + 1], [0, 7, -2**41]],
+    "minors_of_115_bits": [[3**37, 5**25, 1], [7**20, 11**16, 2]],
+    "entries_of_346_bits": [[3**150, 5**140, 1], [7**120, Fraction(11**100, 13), 2]],
+    "column_vanishes_mod_the_first_prime": [[P, 1, 5], [2 * P, 3, Fraction(-1, 2)]],
+    "column_vanishes_mod_the_second_prime": [[Q2, 0, 2**40 + 1], [0, 1, 0]],
+    "mixed_denominators": [[Fraction(1, 2), 3, Fraction(-5, 7), 1], [2, 0, Fraction(1, 9), 4]],
+}
 
 
-def test_reduced_form_too_large_for_every_prime_falls_back(monkeypatch):
-    fallbacks = spy(monkeypatch, "_rref_fraction")
-    attempts = spy(monkeypatch, "_reconstruct")
-    # entries of under 60 bits, inside ENTRY_BOUND, whose 2 x 2 minors run to
-    # about 115 bits: the free column needs twice the bits of the four primes
-    rows = [[Fraction(3**37), Fraction(5**25), Fraction(1)],
-            [Fraction(7**20), Fraction(11**16), Fraction(2)]]
-    assert linalg.rref(QQ, rows) == gauss_jordan_reference(rows, 3)
-    # every prime is tried, and nothing it reconstructs passes the product
-    assert len(attempts) == len(linalg.PRIMES) and len(fallbacks) == 1
-
-
-def test_entries_past_the_bound_go_to_fractions_directly(monkeypatch):
-    fallbacks = spy(monkeypatch, "_rref_fraction")
-    attempts = spy(monkeypatch, "_reconstruct")
-    rows = [[Fraction(3**150), Fraction(5**140), Fraction(1)],
-            [Fraction(7**120), Fraction(11**100, 13), Fraction(2)]]
-    assert 3**150 > linalg.ENTRY_BOUND
-    assert linalg.rref(QQ, rows) == gauss_jordan_reference(rows, 3)
-    assert attempts == [] and len(fallbacks) == 1
-
-
-def test_pivots_lost_mod_the_first_prime_restart_from_the_second(monkeypatch):
-    fallbacks = spy(monkeypatch, "_rref_fraction")
-    attempts = spy(monkeypatch, "_reconstruct")
-    # the first column vanishes mod p, so its pivot is missing there alone
-    rows = [[Fraction(P), Fraction(1), Fraction(5)], [Fraction(2 * P), Fraction(3), Fraction(-1, 2)]]
-    assert linalg.rref(PrimeField(P), [[int(x) % P for x in row] for row in rows])[1] == [1, 2]
-    assert linalg.rref(QQ, rows) == gauss_jordan_reference(rows, 3)
-    # the first prime's form fails the product; the second has more pivots,
-    # so the CRT starts over from it, and the fourth prime proves the form
-    assert len(attempts) == 4 and attempts[-1] is not None and fallbacks == []
-
-
-def test_a_later_prime_with_lost_pivots_is_skipped(monkeypatch):
-    fallbacks = spy(monkeypatch, "_rref_fraction")
-    attempts = spy(monkeypatch, "_reconstruct")
-    # the free column holds (2^40 + 1)/q for q the second prime, which needs
-    # three primes to reconstruct; mod q the first column vanishes
-    q = linalg.PRIMES[1]
-    rows = [[Fraction(q), Fraction(0), Fraction(2**40 + 1)], [Fraction(0), Fraction(1), Fraction(0)]]
-    assert linalg.rref(PrimeField(q), [[int(x) % q for x in row] for row in rows])[1] == [1, 2]
-    assert linalg.rref(QQ, rows) == gauss_jordan_reference(rows, 3)
-    # the first, third and fourth primes reconstruct; the second is skipped
-    assert len(attempts) == 3 and attempts[-1] is not None and fallbacks == []
+@pytest.mark.parametrize("name", EXPLICIT)
+def test_rref_nullspace_and_solve_over_q_on_explicit_matrices(name):
+    rows = [[Fraction(x) for x in row] for row in EXPLICIT[name]]
+    ncols = len(rows[0])
+    # a consistent right-hand side, the sum of the columns, and an inconsistent
+    # or arbitrary one
+    check_against_the_references(rows, ncols, [sum(row) for row in rows])
+    check_against_the_references(rows, ncols, [Fraction(1, i + 2) for i in range(len(rows))])
+    assert linalg.rank(QQ, rows, ncols) == len(forward_fraction(rows, ncols)[1])
