@@ -326,24 +326,48 @@ Q2 = linalg.RANK_PRIME - 18  # the prime below RANK_PRIME
 
 # matrices that the reduced form through primes needed several primes for, or
 # too many: a free column past the reconstruction bound of one or two primes,
-# minors of about 115 bits, entries of up to 346 bits, a first column that
-# vanishes mod the first prime or mod the second
+# minors of about 115 bits, entries of up to 346 bits
 EXPLICIT = {
     "past_one_prime": [[3, 0, 2**40 + 1], [0, 7, -2**41]],
     "minors_of_115_bits": [[3**37, 5**25, 1], [7**20, 11**16, 2]],
     "entries_of_346_bits": [[3**150, 5**140, 1], [7**120, Fraction(11**100, 13), 2]],
-    "column_vanishes_mod_the_first_prime": [[P, 1, 5], [2 * P, 3, Fraction(-1, 2)]],
-    "column_vanishes_mod_the_second_prime": [[Q2, 0, 2**40 + 1], [0, 1, 0]],
     "mixed_denominators": [[Fraction(1, 2), 3, Fraction(-5, 7), 1], [2, 0, Fraction(1, 9), 4]],
 }
 
 
-@pytest.mark.parametrize("name", EXPLICIT)
-def test_rref_nullspace_and_solve_over_q_on_explicit_matrices(name):
-    rows = [[Fraction(x) for x in row] for row in EXPLICIT[name]]
+def check_explicit_matrix(rows):
+    rows = [[Fraction(x) for x in row] for row in rows]
     ncols = len(rows[0])
     # a consistent right-hand side, the sum of the columns, and an inconsistent
     # or arbitrary one
     check_against_the_references(rows, ncols, [sum(row) for row in rows])
     check_against_the_references(rows, ncols, [Fraction(1, i + 2) for i in range(len(rows))])
     assert linalg.rank(QQ, rows, ncols) == len(forward_fraction(rows, ncols)[1])
+
+
+@pytest.mark.parametrize("name", EXPLICIT)
+def test_rref_nullspace_and_solve_over_q_on_explicit_matrices(name):
+    check_explicit_matrix(EXPLICIT[name])
+
+
+def check_pivots_lost_mod(q, rows, monkeypatch):
+    """The pivots of rows mod q are [1, 2]; over Q the first column has one, and
+    the reduced form over Q is found without any elimination mod a prime."""
+    fractions = [[Fraction(x) for x in row] for row in rows]
+    residues = [[x.numerator * pow(x.denominator, -1, q) % q for x in row] for row in fractions]
+    assert linalg.rref(PrimeField(q), residues)[1] == [1, 2]
+    calls = modp_calls(monkeypatch)
+    assert linalg.rref(QQ, fractions)[1] == [0, 1]
+    assert calls == []
+    check_explicit_matrix(rows)
+
+
+def test_pivots_lost_mod_the_first_prime_restart_from_the_second(monkeypatch):
+    # the first column vanishes mod the prime of rank
+    check_pivots_lost_mod(P, [[P, 1, 5], [2 * P, 3, Fraction(-1, 2)]], monkeypatch)
+
+
+def test_a_later_prime_with_lost_pivots_is_skipped(monkeypatch):
+    # the free column holds (2^40 + 1)/q, past the reconstruction bound of one
+    # prime, and the first column vanishes mod q
+    check_pivots_lost_mod(Q2, [[Q2, 0, 2**40 + 1], [0, 1, 0]], monkeypatch)
