@@ -223,6 +223,8 @@ def cmd_mf(args, field, seed) -> int:
         f"H twist: {report['h_twist']}",
         f"pass: {report['pass']}",
     ]
+    if "failure" in report:
+        lines.append(f"failure: {report['failure']}")
     emit(args, lines, report)
     return 0 if report["pass"] else 1
 

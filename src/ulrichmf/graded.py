@@ -3,6 +3,12 @@
 The central routine is :func:`graded_kernel`: minimal generators of the
 kernel of a homogeneous map of graded free k[s,t]-modules, computed by
 sweeping graded pieces and adjoining complement bases (graded Nakayama).
+In two variables that kernel is free (Hilbert's syzygy theorem), so the
+generators found so far are part of a basis: the dimension their multiples
+span in each degree is a count, not an elimination, and the sweep stops at
+the generator that reaches an upper bound on the kernel's rank, read off the
+map's value at (s, t) = (1, 0).  Only a sweep that reaches its degree cap
+below that bound takes the exact rank over k[s,t].
 Everything reduces to scalar rank/nullspace computations over the base
 field, routed through :mod:`ulrichmf.linalg`.
 """
@@ -150,62 +156,70 @@ def graded_kernel(m: PolyMatrix, degree_cap: int | None = None) -> PolyMatrix:
     The result's columns are homogeneous vectors in the source module; its
     row labels repeat the source generator degrees and its column labels are
     the kernel generator degrees.  Raises GradedError when the input is not
-    homogeneous or the degree cap is hit before the kernel stabilizes.
+    homogeneous or not in two variables, or when the degree cap is hit before
+    the kernel is generated.
+
+    The sweep stops at its last generator, by three facts.  The kernel K is
+    free over k[s, t] (Hilbert's syzygy theorem in two variables), of rank
+    kappa = ncols - rank(m), and a minimal homogeneous generating set of it is
+    a basis.  The value of m at (s, t) = (1, 0), entry (i, j) the coefficient
+    of s^(c_j - r_i), has rank at most rank(m), so ``ncols`` minus its rank
+    bounds kappa from above.  The generators found below degree d are part of
+    a basis, so their multiples span sum_e (d - e + 1) dimensions of K_d and
+    degree d adds dim K_d minus that many generators.  The sweep therefore
+    stops when the generators reach the bound, and only if degree_cap comes
+    first is the exact kappa taken (a fraction-free elimination over k[s, t])
+    to decide whether every generator was found.
     """
     if m.row_degrees is None or m.col_degrees is None:
         raise GradedError("graded_kernel needs degree labels")
     if not m.check_homogeneous():
         raise GradedError("matrix is not homogeneous for its degree labels")
+    if len(m.vars) != 2:
+        raise GradedError(f"graded_kernel needs two variables, got {m.vars}")
     field = m.field
-    nvars = len(m.vars)
-    kappa = m.ncols - m.rank()
-    if kappa == 0:
-        return PolyMatrix(
-            field,
-            m.vars,
-            [[] for _ in range(m.ncols)],
-            row_degrees=m.col_degrees,
-            col_degrees=(),
-        )
+    top = [
+        [p.terms.get((c - r, 0), field.zero) for p, c in zip(row, m.col_degrees)]
+        for row, r in zip(m.entries, m.row_degrees)
+    ]
+    # the pivots of rref: over Q, rank would first eliminate mod a prime, and
+    # the group law over Q stays off modp
+    bound = m.ncols - len(linalg.rref(field, top, m.ncols)[1])
     if degree_cap is None:
         degree_cap = sum(m.col_degrees) + 2
     gens: list[tuple[int, list[Poly]]] = []
-    confirmed = 0
-    # generators must appear by degree_cap; two confirmation degrees may follow
-    for d in range(min(m.col_degrees), degree_cap + 3):
+    for d in range(min(m.col_degrees, default=0), degree_cap + 1):
+        if len(gens) == bound:
+            break
         rows, src, _ = degree_map_matrix(m, d)
         if not src:
             continue
         ker_basis = linalg.nullspace(field, rows, len(src))
-        # few vectors per degree, each kernel vector tested against the span
-        # built so far: one add per vector beats a rank of the whole stack
-        span = IncrementalEchelon(field, len(src))
-        for row in multiples_coords(field, gens, m.col_degrees, d, nvars):
-            span.add(row)
-        if len(gens) < kappa:
-            for vec in ker_basis:
-                if span.add(vec):
-                    gens.append(
-                        (d, coords_to_vector(field, vec, src, m.ncols, m.vars))
-                    )
-            confirmed = 0
-            if len(gens) > kappa:
-                raise GradedError("found more kernel generators than the rank predicts")
+        new = len(ker_basis) - sum(d - e + 1 for e, _ in gens)
+        if new == 0:
+            continue
+        if gens:
+            # few vectors per degree, each kernel vector tested against the
+            # span built so far: one add per vector beats a rank of the stack
+            span = IncrementalEchelon(field, len(src))
+            for row in multiples_coords(field, gens, m.col_degrees, d, 2):
+                span.add(row)
+            picked = [vec for vec in ker_basis if span.add(vec)]
         else:
-            if span.rank != len(ker_basis):
-                raise GradedError("kernel generation gap after expected rank reached")
-            confirmed += 1
-            if confirmed == 2:
-                break
-    else:
+            picked = ker_basis
+        gens.extend((d, coords_to_vector(field, vec, src, m.ncols, m.vars)) for vec in picked)
+        if len(gens) > bound:
+            raise GradedError("found more kernel generators than the rank predicts")
+        if len(picked) != new:
+            raise GradedError(f"degree {d} adds {len(picked)} kernel generators, "
+                              f"the Hilbert count {new}")
+    if len(gens) < bound and len(gens) != m.ncols - m.rank():
         raise GradedError(
             f"kernel did not stabilize below degree cap {degree_cap} "
             "(inconsistent degree labels?)"
         )
-    if len(gens) != kappa:
-        raise GradedError("degree cap reached before all kernel generators appeared")
     cols = [vec for _, vec in gens]
-    entries = [[cols[k][j] for k in range(kappa)] for j in range(m.ncols)]
+    entries = [[col[j] for col in cols] for j in range(m.ncols)]
     result = PolyMatrix(
         field,
         m.vars,

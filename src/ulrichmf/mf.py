@@ -304,17 +304,29 @@ def hom_space(m1: MatrixFactorization, m2: MatrixFactorization, twist: int = 0):
     return len(witnesses), witnesses
 
 
-def is_isomorphic_line_bundle(m1: MatrixFactorization, m2: MatrixFactorization) -> bool:
-    """Isomorphism test for rank-1 factorizations of equal rank and degree."""
+def isomorphism_failure(m1: MatrixFactorization, m2: MatrixFactorization):
+    """None when two rank-1 factorizations are isomorphic, else the first
+    check that fails: equal rank and degree, Hom^0(m1, m2) != 0, or a witness
+    of full rank in it."""
     r1 = m1.rank_degree()
     r2 = m2.rank_degree()
     if r1[0] != 1 or r2[0] != 1:
         raise MFError("isomorphism test is restricted to rank-1 bundles")
+    names = f"{m1.label or 'M1'}, {m2.label or 'M2'}"
     if r1 != r2:
-        return False
+        return f"rank/degree of ({names}): {r1[:2]} != {r2[:2]}"
     # Hom between line bundles of one degree on a smooth curve has dimension <= 1
     _, basis = hom_space(m1, m2, 0)
-    return any(t.rank() == t.nrows for t in basis)
+    if not basis:
+        return f"Hom^0({names}) = 0"
+    if not any(t.rank() == t.nrows for t in basis):
+        return f"no witness in Hom^0({names}) has full rank"
+    return None
+
+
+def is_isomorphic_line_bundle(m1: MatrixFactorization, m2: MatrixFactorization) -> bool:
+    """Isomorphism test for rank-1 factorizations of equal rank and degree."""
+    return isomorphism_failure(m1, m2) is None
 
 
 def raynaud_check(m: MatrixFactorization) -> bool:
@@ -325,7 +337,10 @@ def raynaud_check(m: MatrixFactorization) -> bool:
 
 
 def verify_group_law(h: HyperellipticData, idx_i, idx_j) -> dict:
-    """Check L_I (x) L_J = L_{I delta J}, with an H-twist when |I|,|J| are both odd."""
+    """Check L_I (x) L_J = L_{I delta J}, with an H-twist when |I|,|J| are both odd.
+
+    A report that does not pass names its first failing check under "failure".
+    """
     key_i = subset_key(h, idx_i)
     key_j = subset_key(h, idx_j)
     li = line_bundle_mf(h, key_i)
@@ -336,13 +351,16 @@ def verify_group_law(h: HyperellipticData, idx_i, idx_j) -> dict:
     twisted = len(key_i) % 2 == 1 and len(key_j) % 2 == 1
     if twisted:
         expected = expected.twist_h(1)
-    ok = is_isomorphic_line_bundle(prod, expected)
-    return {
+    failure = isomorphism_failure(prod, expected)
+    report = {
         "I": sorted(key_i),
         "J": sorted(key_j),
         "delta": sorted(delta),
         "h_twist": twisted,
         "product_rank_degree": prod.rank_degree(),
         "expected_rank_degree": expected.rank_degree(),
-        "pass": ok,
+        "pass": failure is None,
     }
+    if failure is not None:
+        report["failure"] = failure
+    return report

@@ -120,7 +120,7 @@ def test_mf_grouplaw_exits_1_on_wrong_product(capsys, monkeypatch):
     )
     code, out, _ = run(capsys, "mf", "grouplaw", "--g", "2", "--i", "1,2", "--j", "2,3")
     assert code == 1
-    assert "pass: False" in out
+    assert out.endswith("pass: False\nfailure: Hom^0(L{1,4}, L{1,3}) = 0\n")
 
 
 def test_mf_cohomology_and_raynaud(capsys):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulrichmf import binary, graded, linalg
+from ulrichmf import binary, graded, linalg, mf
 from ulrichmf.fields import QQ, PrimeField
+from ulrichmf.pencil import HyperellipticData
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
 
@@ -153,6 +154,172 @@ def test_graded_kernel_properties_random():
                 field, gen_vecs, gen_degs, m.col_degrees, d
             ) if gen_vecs else 0
             assert got == expected
+
+
+# -- graded_kernel against the sweep it replaced ---------------------------------
+
+
+def graded_kernel_reference(m, degree_cap=None):
+    """The replaced sweep: kappa from the exact rank over k[s,t], the span of
+    the generators' multiples rebuilt at every degree, and two confirmation
+    degrees after the last generator."""
+    field = m.field
+    nvars = len(m.vars)
+    kappa = m.ncols - m.rank()
+    if kappa == 0:
+        return PolyMatrix(field, m.vars, [[] for _ in range(m.ncols)],
+                          row_degrees=m.col_degrees, col_degrees=())
+    if degree_cap is None:
+        degree_cap = sum(m.col_degrees) + 2
+    gens = []
+    confirmed = 0
+    for d in range(min(m.col_degrees), degree_cap + 3):
+        rows, src, _ = graded.degree_map_matrix(m, d)
+        if not src:
+            continue
+        ker_basis = linalg.nullspace(field, rows, len(src))
+        span = graded.IncrementalEchelon(field, len(src))
+        for row in graded.multiples_coords(field, gens, m.col_degrees, d, nvars):
+            span.add(row)
+        if len(gens) < kappa:
+            for vec in ker_basis:
+                if span.add(vec):
+                    gens.append((d, graded.coords_to_vector(field, vec, src, m.ncols, m.vars)))
+            confirmed = 0
+            if len(gens) > kappa:
+                raise graded.GradedError("found more kernel generators than the rank predicts")
+        else:
+            if span.rank != len(ker_basis):
+                raise graded.GradedError("kernel generation gap after expected rank reached")
+            confirmed += 1
+            if confirmed == 2:
+                break
+    else:
+        raise graded.GradedError(
+            f"kernel did not stabilize below degree cap {degree_cap} "
+            "(inconsistent degree labels?)"
+        )
+    cols = [vec for _, vec in gens]
+    entries = [[cols[k][j] for k in range(kappa)] for j in range(m.ncols)]
+    return PolyMatrix(field, m.vars, entries, row_degrees=m.col_degrees,
+                      col_degrees=[e for e, _ in gens])
+
+
+def kernel_outcome(kernel, m, degree_cap=None):
+    """(generator degrees, generator columns), or the GradedError message."""
+    try:
+        ker = kernel(m, degree_cap)
+    except graded.GradedError as exc:
+        return str(exc)
+    return ker.col_degrees, [ker.column(k) for k in range(ker.ncols)]
+
+
+def random_binary_matrix(rng, field):
+    """A homogeneous matrix over k[s,t] with sparse small coefficients; one in
+    three repeats a scaled first row, so that the rank drops."""
+    ncols = rng.randrange(1, 5)
+    col_deg = [rng.randrange(1, 3) for _ in range(ncols)]
+    row_deg = [rng.randrange(-1, 1) for _ in range(rng.randrange(1, 4))]
+
+    def form(degree):
+        coeffs = [field.of(rng.choice([0, 0, 1, -1, 2, rng.randrange(-9, 10)]))
+                  for _ in range(degree + 1)]
+        return binary.binary_form(field, coeffs)
+
+    rows = [[form(c - r) for c in col_deg] for r in row_deg]
+    if rng.randrange(3) == 0:
+        scale = field.of(rng.choice([1, -1, 3]))
+        rows.append([p.scale(scale) for p in rows[0]])
+        row_deg.append(row_deg[0])
+    return PolyMatrix(field, ST, rows, row_degrees=row_deg, col_degrees=col_deg)
+
+
+def exact_rank_calls(monkeypatch):
+    """Spy on the exact rank over k[s,t]: one entry per call."""
+    calls = []
+    real = PolyMatrix.rank
+    monkeypatch.setattr(PolyMatrix, "rank", lambda self: calls.append(self) or real(self))
+    return calls
+
+
+@pytest.mark.parametrize("field", [PrimeField(10009), PrimeField(3), QQ], ids=["p10009", "p3", "q"])
+def test_graded_kernel_matches_the_replaced_sweep(field, monkeypatch):
+    rng = random.Random(field.name)
+    generated = fallbacks = 0
+    for _ in range(60):
+        m = random_binary_matrix(rng, field)
+        want = kernel_outcome(graded_kernel_reference, m)
+        calls = exact_rank_calls(monkeypatch)
+        got = kernel_outcome(graded.graded_kernel, m)
+        monkeypatch.undo()
+        assert got == want, m
+        if not isinstance(got, str):
+            generated += bool(got[0])
+            fallbacks += bool(calls)
+    # kernels found, and values at (1, 0) of lower rank than m, where the
+    # exact rank decides
+    assert generated >= 20 and fallbacks >= 5
+
+
+def tensor_differences(h, pairs, monkeypatch):
+    """The (matrix, degree cap) that tensor_mf hands graded_kernel, per pair."""
+    seen = []
+    real = graded.graded_kernel
+    monkeypatch.setattr(graded, "graded_kernel",
+                        lambda m, degree_cap=None: seen.append((m, degree_cap)) or real(m, degree_cap))
+    for idx_i, idx_j in pairs:
+        mf.tensor_mf(mf.line_bundle_mf(h, idx_i), mf.line_bundle_mf(h, idx_j))
+    monkeypatch.undo()
+    return seen
+
+
+def curve(genus, field):
+    roots = range(1, 2 * genus + 3)
+    return HyperellipticData.from_factors(field, [binary.root_factor(field, c) for c in roots])
+
+
+TENSOR_PAIRS = {
+    1: [({1, 2}, {2, 3}), ({1, 2}, {1, 2}), ({1}, {2}), ({1}, {1}), ({1, 2}, {3}), (set(), {1})],
+    2: [({1, 2}, {2, 3}), ({1, 2}, {3, 4}), ({1}, {2, 3, 4}), ({1, 3, 5}, {3, 4, 5}),
+        ({1, 2}, {2, 3, 5}), ({1, 2, 3}, {4, 5})],
+}
+
+
+@pytest.mark.parametrize("genus, field", [(1, PrimeField(10009)), (2, PrimeField(10009)), (2, QQ)],
+                         ids=["g1", "g2", "g2q"])
+def test_graded_kernel_matches_the_replaced_sweep_on_tensors(genus, field, monkeypatch):
+    seen = tensor_differences(curve(genus, field), TENSOR_PAIRS[genus], monkeypatch)
+    assert len(seen) == len(TENSOR_PAIRS[genus])
+    for m, cap in seen:
+        calls = exact_rank_calls(monkeypatch)
+        got = kernel_outcome(graded.graded_kernel, m, cap)
+        monkeypatch.undo()
+        # f(1, 0) = 1, so the value at (1, 0) has the rank of m: the bound is kappa
+        assert not isinstance(got, str) and not calls
+        assert got == kernel_outcome(graded_kernel_reference, m, cap)
+
+
+@pytest.mark.parametrize("field", [PrimeField(10009), QQ], ids=["p10009", "q"])
+def test_graded_kernel_falls_back_to_the_exact_rank(field, monkeypatch):
+    # [[t, t], [s t, s t]] vanishes at (1, 0), so the bound there is 2, while
+    # kappa = 1: the sweep reaches the cap and the exact rank proves it done
+    s, t = (Poly.variable(field, ST, v) for v in ST)
+    m = PolyMatrix(field, ST, [[t, t], [s * t, s * t]], row_degrees=[0, -1], col_degrees=[1, 1])
+    calls = exact_rank_calls(monkeypatch)
+    ker = graded.graded_kernel(m)
+    assert len(calls) == 1
+    assert ker.col_degrees == (1,)
+    assert list(ker.column(0)) == [Poly.const(field, ST, -1), Poly.const(field, ST, 1)]
+    assert kernel_outcome(graded_kernel_reference, m) == (ker.col_degrees, [ker.column(0)])
+
+
+def test_graded_kernel_needs_two_variables():
+    field = PrimeField(10009)
+    stu = ("s", "t", "u")
+    s, t, u = (Poly.variable(field, stu, v) for v in stu)
+    m = PolyMatrix(field, stu, [[s, t, u]], row_degrees=[0], col_degrees=[1, 1, 1])
+    with pytest.raises(graded.GradedError, match="two variables"):
+        graded.graded_kernel(m)
 
 
 def test_poly_matrix_rank():

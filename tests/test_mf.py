@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ulrichmf import binary, graded, mf
+from ulrichmf import binary, graded, linalg, mf
 from ulrichmf.fields import QQ, PrimeField
 from ulrichmf.pencil import HyperellipticData
 from ulrichmf.poly import Poly
@@ -165,7 +165,15 @@ def test_tensor_odd_odd_gets_h_twist():
     twisted = plain.twist_h(1)
     assert prod.rank_degree() == twisted.rank_degree()
     assert mf.is_isomorphic_line_bundle(prod, twisted)
-    assert not mf.is_isomorphic_line_bundle(prod, mf.line_bundle_mf(H1, {1, 2}).twist_h(0)) or True
+    # negative controls: the untwisted L_{1,2} differs in degree, and L_{1,3}(H)
+    # has the degree of the product, so only Hom^0 = 0 tells them apart
+    plain_rd, twisted_rd = plain.rank_degree(), twisted.rank_degree()
+    assert (plain_rd, twisted_rd) == ((1, 0, 0), (1, 2, 2))
+    assert not mf.is_isomorphic_line_bundle(prod, plain)
+    other = mf.line_bundle_mf(H1, {1, 3}).twist_h(1)
+    assert other.rank_degree() == twisted_rd
+    assert mf.hom_space(prod, other, 0)[0] == 0
+    assert not mf.is_isomorphic_line_bundle(prod, other)
 
 
 def test_rank_degree_parities():
@@ -377,6 +385,54 @@ def test_group_law_fails_on_wrong_product(monkeypatch):
     monkeypatch.setattr(mf, "tensor_mf", lambda li, lj: mf.line_bundle_mf(H2, {1, 4}))
     report = mf.verify_group_law(H2, {1, 2}, {2, 3})
     assert report["delta"] == [1, 3] and report["pass"] is False
+    assert report["failure"] == "Hom^0(L{1,4}, L{1,3}) = 0"
+
+
+def test_group_law_names_its_first_failing_check(monkeypatch):
+    assert "failure" not in mf.verify_group_law(H2, {1, 2}, {2, 3})
+    # a product of the wrong degree fails before any Hom is taken
+    monkeypatch.setattr(mf, "tensor_mf", lambda li, lj: mf.line_bundle_mf(H2, {1, 3}).twist_h(1))
+    monkeypatch.setattr(mf, "hom_space", None)
+    report = mf.verify_group_law(H2, {1, 2}, {2, 3})
+    assert report["failure"] == "rank/degree of (L{1,3}(1H), L{1,3}): (1, 2) != (1, 0)"
+    # a Hom^0 whose one witness is singular
+    monkeypatch.setattr(mf, "tensor_mf", lambda li, lj: mf.line_bundle_mf(H2, {1, 3}))
+    zero = PolyMatrix(F, ST, [[Poly.zero(F, ST)] * 2] * 2)
+    monkeypatch.setattr(mf, "hom_space", lambda m1, m2, twist: (1, [zero]))
+    report = mf.verify_group_law(H2, {1, 2}, {2, 3})
+    assert report["pass"] is False
+    assert report["failure"] == "no witness in Hom^0(L{1,3}, L{1,3}) has full rank"
+
+
+def tensor_work(h, idx_i, idx_j, monkeypatch):
+    """(exact ranks over k[s,t] inside graded_kernel, the degree of each of
+    its nullspaces, the kernel generator degrees) of one tensor_mf."""
+    inside, ranks, degrees, nullspaces = [], [], [], []
+    real_kernel, real_rank = graded.graded_kernel, PolyMatrix.rank
+    real_map, real_nullspace = graded.degree_map_matrix, linalg.nullspace
+
+    def kernel(m, degree_cap=None):
+        inside.append(True)
+        try:
+            return real_kernel(m, degree_cap)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(graded, "graded_kernel", kernel)
+    monkeypatch.setattr(PolyMatrix, "rank", lambda self: ranks.extend(inside) or real_rank(self))
+    monkeypatch.setattr(graded, "degree_map_matrix", lambda m, d: degrees.append(d) or real_map(m, d))
+    monkeypatch.setattr(linalg, "nullspace", lambda *a: nullspaces.append(degrees[-1]) or real_nullspace(*a))
+    prod = mf.tensor_mf(mf.line_bundle_mf(h, idx_i), mf.line_bundle_mf(h, idx_j))
+    monkeypatch.undo()
+    return len(ranks), nullspaces, prod.module.degrees
+
+
+def test_tensor_kernel_sweep_stops_at_its_last_generator(monkeypatch):
+    # the bound read at (s, t) = (1, 0) is exact here, so no exact rank runs,
+    # and the sweep takes no nullspace past its last generator's degree
+    work = tensor_work(H2, {1, 2}, {2, 3}, monkeypatch)
+    assert work == (0, [-1, 0, 1, 2], (1, 2))
+    assert tensor_work(H2, {1, 2}, {2, 3}, monkeypatch) == work
 
 
 def test_graded_kernel_rejects_perturbed_generator(monkeypatch):
