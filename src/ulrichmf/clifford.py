@@ -65,10 +65,6 @@ class CliffordElement:
         self.terms = clean
 
     @staticmethod
-    def zero(h) -> "CliffordElement":
-        return CliffordElement(h, {})
-
-    @staticmethod
     def one(h) -> "CliffordElement":
         return CliffordElement(h, {frozenset(): Poly.const(h.field, ST, 1)})
 
@@ -87,14 +83,6 @@ class CliffordElement:
     def parity(self) -> str:
         sizes = {len(k) % 2 for k in self.terms}
         return "mixed" if len(sizes) > 1 else "odd" if sizes == {1} else "even"
-
-    def is_homogeneous(self) -> bool:
-        degs = set()
-        for subset, coeff in self.terms.items():
-            if not coeff.is_homogeneous():
-                return False
-            degs.add(len(subset) + 2 * coeff.homogeneous_degree())
-        return len(degs) <= 1
 
     def degree(self) -> int:
         """Degree of a homogeneous element (e_i has degree 1, s and t degree 2)."""

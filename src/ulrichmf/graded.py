@@ -5,10 +5,12 @@ kernel of a homogeneous map of graded free k[s,t]-modules, computed by
 sweeping graded pieces and adjoining complement bases (graded Nakayama).
 In two variables that kernel is free (Hilbert's syzygy theorem), so the
 generators found so far are part of a basis: the dimension their multiples
-span in each degree is a count, not an elimination, and the sweep stops at
+span in each degree is a count, not an elimination.  The sweep stops at
 the generator that reaches an upper bound on the kernel's rank, read off the
-map's value at (s, t) = (1, 0).  Only a sweep that reaches its degree cap
-below that bound takes the exact rank over k[s,t].
+map's value at (s, t) = (1, 0), or else at a cap on the generator degrees
+that the degree labels prove: the image of the map embeds in rho = rank(m)
+of the target's summands, so the generator degrees sum to at most the sum of
+the column degrees minus the rho smallest row degrees.
 Everything reduces to scalar rank/nullspace computations over the base
 field, routed through :mod:`ulrichmf.linalg`.
 """
@@ -150,30 +152,39 @@ class IncrementalEchelon:
         return len(self.rows)
 
 
-def graded_kernel(m: PolyMatrix, degree_cap: int | None = None) -> PolyMatrix:
+def graded_kernel(m: PolyMatrix) -> PolyMatrix:
     """Minimal generators of ker(m) for a homogeneous map of graded free modules.
 
     The result's columns are homogeneous vectors in the source module; its
     row labels repeat the source generator degrees and its column labels are
     the kernel generator degrees.  Raises GradedError when the input is not
-    homogeneous or not in two variables, or when the degree cap is hit before
-    the kernel is generated.
+    homogeneous or not in two variables.
 
-    The sweep stops at its last generator, by three facts.  The kernel K is
-    free over k[s, t] (Hilbert's syzygy theorem in two variables), of rank
-    kappa = ncols - rank(m), and a minimal homogeneous generating set of it is
-    a basis.  The value of m at (s, t) = (1, 0), entry (i, j) the coefficient
-    of s^(c_j - r_i), has rank at most rank(m), so ``ncols`` minus its rank
-    bounds kappa from above.  The generators found below degree d are part of
-    a basis, so their multiples span sum_e (d - e + 1) dimensions of K_d and
-    degree d adds dim K_d minus that many generators.  The sweep therefore
-    stops when the generators reach the bound, and only if degree_cap comes
-    first is the exact kappa taken (a fraction-free elimination over k[s, t])
-    to decide whether every generator was found.
+    The kernel K is free over k[s, t] (Hilbert's syzygy theorem in two
+    variables), of rank kappa = ncols - rho with rho = rank(m), and a minimal
+    homogeneous generating set of it is a basis, of degrees e_1 .. e_kappa.
+    The sweep stops at its last generator, or at a degree cap, by three facts.
+
+    - The generators found below degree d are part of a basis, so their
+      multiples span sum_e (d - e + 1) dimensions of K_d, and degree d adds
+      dim K_d minus that many generators.
+    - The value of m at (s, t) = (1, 0), entry (i, j) the coefficient of
+      s^(c_j - r_i), has rank rho_0 <= rho, so ``ncols - rho_0`` bounds kappa
+      from above.  The sweep stops when the generators reach that bound.
+    - Every e_k is at most the cap.  Take rho rows R on which m has a nonzero
+      rho x rho minor: projecting the image I = F / K onto them is injective,
+      since I is torsion-free of rank rho, and its cokernel has rank 0, so a
+      constant Hilbert polynomial of at least 0.  With the Hilbert polynomials
+      of free modules that gives sum e_k <= sum c_j - sum_R r_i, at most
+      sum c_j minus the sum of the rho smallest row degrees.  Each e_k is at
+      least c_min, the smallest column degree, so each is at most that bound
+      minus (kappa - 1) c_min.  rho is unknown between rho_0 and
+      min(nrows, ncols - 1) (K = 0 when rho = ncols), and the cap is the
+      largest of these bounds over that range.
     """
     if m.row_degrees is None or m.col_degrees is None:
         raise GradedError("graded_kernel needs degree labels")
-    if not m.check_homogeneous():
+    if m.first_inhomogeneous() is not None:
         raise GradedError("matrix is not homogeneous for its degree labels")
     if len(m.vars) != 2:
         raise GradedError(f"graded_kernel needs two variables, got {m.vars}")
@@ -184,11 +195,14 @@ def graded_kernel(m: PolyMatrix, degree_cap: int | None = None) -> PolyMatrix:
     ]
     # the pivots of rref: over Q, rank would first eliminate mod a prime, and
     # the group law over Q stays off modp
-    bound = m.ncols - len(linalg.rref(field, top, m.ncols)[1])
-    if degree_cap is None:
-        degree_cap = sum(m.col_degrees) + 2
+    rho_top = len(linalg.rref(field, top, m.ncols)[1])
+    bound = m.ncols - rho_top
+    c_min = min(m.col_degrees, default=0)
+    low_rows = sorted(m.row_degrees)
+    cap = max((sum(m.col_degrees) - sum(low_rows[:rho]) - (m.ncols - rho - 1) * c_min
+               for rho in range(rho_top, min(m.nrows, m.ncols - 1) + 1)), default=c_min)
     gens: list[tuple[int, list[Poly]]] = []
-    for d in range(min(m.col_degrees, default=0), degree_cap + 1):
+    for d in range(c_min, cap + 1):
         if len(gens) == bound:
             break
         rows, src, _ = degree_map_matrix(m, d)
@@ -213,11 +227,6 @@ def graded_kernel(m: PolyMatrix, degree_cap: int | None = None) -> PolyMatrix:
         if len(picked) != new:
             raise GradedError(f"degree {d} adds {len(picked)} kernel generators, "
                               f"the Hilbert count {new}")
-    if len(gens) < bound and len(gens) != m.ncols - m.rank():
-        raise GradedError(
-            f"kernel did not stabilize below degree cap {degree_cap} "
-            "(inconsistent degree labels?)"
-        )
     cols = [vec for _, vec in gens]
     entries = [[col[j] for col in cols] for j in range(m.ncols)]
     result = PolyMatrix(

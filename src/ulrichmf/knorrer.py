@@ -18,7 +18,8 @@ of variables that bound its memory.  The Knorrer pair is a sparse
 ``PolyMatrix`` built row by row, unchecked: ``build_candidate`` converts it
 to tensors under the ambient certificate, and ``suite knorrer`` checks its
 identity on ``PolyMatrix``, which measured faster there than the dense check.
-The mixed identity and q1, q2 stay polynomial.
+q1 and q2 stay polynomial, and the mixed identity is checked on the
+pair's tensors.
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
 discriminant roots are exactly the requested targets.  The ambient diagonal
@@ -99,32 +100,16 @@ def knorrer_identity_failure(n: int, phi: PolyMatrix, psi: PolyMatrix, q: Poly):
 
 def mixed_identity_failure(field: Field, n: int):
     """None if A(x,y) B(v,w) + A(v,w) B(x,y) = (sum x_i w_i + y_i v_i) * id for the
-    Knorrer pair (A, B) = (phi_n, psi_n), else the first failing entry."""
-    phi, psi, _ = knorrer_pair(field, n)
-    names = tuple(
-        [f"x{i}" for i in range(n + 1)]
-        + [f"y{i}" for i in range(n + 1)]
-        + [f"v{i}" for i in range(n + 1)]
-        + [f"w{i}" for i in range(n + 1)]
-    )
-    # (x|y) -> (x|y) and (x|y) -> (v|w) in the ring of all four blocks
-    xy = xy_variables(n)
-    eye = [[int(i == k) for k in range(len(names))] for i in range(len(names))]
-    lift = _linear_images(field, eye[: len(xy)], xy, names)
-    to_vw = _linear_images(field, eye[len(xy) :], xy, names)
-    a_xy = phi.substitute(lift, names)
-    b_xy = psi.substitute(lift, names)
-    a_vw = phi.substitute(to_vw, names)
-    b_vw = psi.substitute(to_vw, names)
-    qt = Poly.zero(field, names)
-    for i in range(n + 1):
-        qt = (
-            qt
-            + Poly.variable(field, names, f"x{i}") * Poly.variable(field, names, f"w{i}")
-            + Poly.variable(field, names, f"y{i}") * Poly.variable(field, names, f"v{i}")
-        )
-    lhs = (a_xy @ b_vw) + (a_vw @ b_xy)
-    where = lhs.first_mismatch(PolyMatrix.scalar_matrix(field, names, qt, 2**n))
+    Knorrer pair (A, B) = (phi_n, psi_n), else the first failing entry.
+
+    With z = (x|y), u = (v|w) and A = sum_k A_k z_k, the left side is the
+    polarization sum_{k,l} (A_k B_l + A_l B_k) z_k u_l, and the right side is
+    that of q = z^T S z, sum_{k,l} 2 S[k][l] z_k u_l.  Entry (i, j) fails
+    exactly where some A_k B_l + A_l B_k differs from 2 S[k][l] id, which is
+    what :func:`tensor_mismatch` checks of A @ B against q id.
+    """
+    phi, psi, q = knorrer_pair(field, n)
+    where = tensor_mismatch(field, linear_tensor(phi), linear_tensor(psi), q)
     return None if where is None else f"A(x,y)B(v,w) + A(v,w)B(x,y) != qt*id at entry {where}"
 
 

@@ -195,9 +195,38 @@ class Poly:
     def substitute(self, images: dict, target_vars=None) -> "Poly":
         """Map each variable to a Poly; unmapped variables keep their name.
 
-        All images must live in one ring, which also hosts the result.
+        All images must live in one ring, which also hosts the result.  The
+        powers of each image are built once, up to the highest exponent.
         """
-        return _substitution(self.field, self.vars, images, target_vars, [self])(self)
+        field = self.field
+        if target_vars is None:
+            sample = next((p for p in images.values()), None)
+            target_vars = sample.vars if sample is not None else self.vars
+        target_vars = tuple(target_vars)
+        tops = [max(e) for e in zip(*self.terms)] or [0] * len(self.vars)
+        powers = []
+        for v, top in zip(self.vars, tops):
+            if v in images:
+                img = images[v]
+                if img.vars != target_vars or img.field != field:
+                    raise PolyError("substitution images must share one target ring")
+            else:
+                img = Poly.variable(field, target_vars, v)
+            row = [None, img.terms]  # row[e] = terms of img**e for e >= 1
+            for _ in range(top - 1):
+                row.append(_nonzero(field, _mul_into(field, row[-1], img.terms, {})))
+            powers.append(row)
+        unit = (0,) * len(target_vars)
+        one = {unit: field.one}
+        acc: dict = {}
+        for exp, coeff in self.terms.items():
+            # coeff times the image powers, the last product summed straight into acc
+            factors = [row[e] for row, e in zip(powers, exp) if e] or [one]
+            term = {unit: coeff}
+            for t in factors[:-1]:
+                term = _mul_into(field, term, t, {})
+            _mul_into(field, term, factors[-1], acc)
+        return Poly._make(field, target_vars, _nonzero(field, acc))
 
     # -- exact division ------------------------------------------------------
 
@@ -299,43 +328,3 @@ def _mul_into(field: Field, t1: dict, t2: dict, out: dict) -> dict:
 def _nonzero(field: Field, terms: dict) -> dict:
     is_zero = field.is_zero
     return {e: c for e, c in terms.items() if not is_zero(c)}
-
-
-def _substitution(field: Field, variables, images: dict, target_vars, polys):
-    """The map p -> p(images) for polynomials in variables, with the power
-    lists of the images built once, up to the highest exponent in polys."""
-    if target_vars is None:
-        sample = next((p for p in images.values()), None)
-        target_vars = sample.vars if sample is not None else variables
-    target_vars = tuple(target_vars)
-    tops = [0] * len(variables)
-    for p in polys:
-        for exp in p.terms:
-            tops = list(map(max, tops, exp))
-    powers = []
-    for v, top in zip(variables, tops):
-        if v in images:
-            img = images[v]
-            if img.vars != target_vars or img.field != field:
-                raise PolyError("substitution images must share one target ring")
-        else:
-            img = Poly.variable(field, target_vars, v)
-        row = [None, img.terms]  # row[e] = terms of img**e for e >= 1
-        for _ in range(top - 1):
-            row.append(_nonzero(field, _mul_into(field, row[-1], img.terms, {})))
-        powers.append(row)
-    unit = (0,) * len(target_vars)
-    one = {unit: field.one}
-
-    def apply(p: Poly) -> Poly:
-        acc: dict = {}
-        for exp, coeff in p.terms.items():
-            # coeff times the image powers, the last product summed straight into acc
-            factors = [row[e] for row, e in zip(powers, exp) if e] or [one]
-            term = {unit: coeff}
-            for t in factors[:-1]:
-                term = _mul_into(field, term, t, {})
-            _mul_into(field, term, factors[-1], acc)
-        return Poly._make(field, target_vars, _nonzero(field, acc))
-
-    return apply

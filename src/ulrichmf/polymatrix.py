@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .fields import Field
-from .poly import Poly, _mul_into, _nonzero, _substitution
+from .poly import Poly, _mul_into, _nonzero
 
 
 class MatrixError(ValueError):
@@ -231,29 +231,18 @@ class PolyMatrix:
                 rows.append(row)
         return PolyMatrix._make(self.field, self.vars, rows)
 
-    def substitute(self, images: dict, target_vars=None) -> "PolyMatrix":
-        """Poly.substitute on every entry, with the image powers built once."""
-        polys = [p for row in self.entries for p in row]
-        apply = _substitution(self.field, self.vars, images, target_vars, polys)
-        rows = [[apply(p) for p in row] for row in self.entries]
-        sample_vars = rows[0][0].vars if rows and rows[0] else tuple(target_vars or self.vars)
-        return PolyMatrix._make(self.field, sample_vars, rows)
-
     # -- grading ---------------------------------------------------------------
 
-    def check_homogeneous(self) -> bool:
-        """Verify entry (i,j) is zero or homogeneous of degree col_deg[j] - row_deg[i]."""
+    def first_inhomogeneous(self):
+        """The first (i, j), row by row, whose entry is neither zero nor
+        homogeneous of degree col_degrees[j] - row_degrees[i], or None."""
         if self.row_degrees is None or self.col_degrees is None:
             raise MatrixError("matrix carries no degree labels")
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                p = self.entries[i][j]
-                if p.is_zero():
-                    continue
-                want = self.col_degrees[j] - self.row_degrees[i]
-                if not p.is_homogeneous() or p.homogeneous_degree() != want:
-                    return False
-        return True
+        for i, (row, r) in enumerate(zip(self.entries, self.row_degrees)):
+            for j, (p, c) in enumerate(zip(row, self.col_degrees)):
+                if any(sum(e) != c - r for e in p.terms):
+                    return (i, j)
+        return None
 
     # -- determinant -------------------------------------------------------------
 

@@ -637,7 +637,8 @@ def test_mf_tensor_command(capsys):
 
 
 def test_degree_cap_flag(capsys):
-    # no such flag: mf tensor passes graded_kernel a provable cap, argparse exits 2
+    # no such flag: graded_kernel proves its own cap from the degree labels, so
+    # argparse exits 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["mf", "tensor", "--g", "1", "--i", "1", "--j", "2", "--degree-cap", "30"])
     assert exc.value.code == 2

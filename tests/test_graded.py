@@ -74,11 +74,6 @@ def test_graded_kernel_koszul():
         assert ratio[0] * s == ratio[1] * t
 
 
-def test_graded_kernel_cap_too_small_fails():
-    with pytest.raises(graded.GradedError, match="degree cap -5"):
-        graded.graded_kernel(koszul_matrix(PrimeField(10009)), degree_cap=-5)
-
-
 def test_graded_kernel_invertible_is_empty():
     field = PrimeField(13)
     s = Poly.variable(field, ST, "s")
@@ -159,18 +154,16 @@ def test_graded_kernel_properties_random():
 # -- graded_kernel against the sweep it replaced ---------------------------------
 
 
-def graded_kernel_reference(m, degree_cap=None):
+def graded_kernel_reference(m, degree_cap=60):
     """The replaced sweep: kappa from the exact rank over k[s,t], the span of
     the generators' multiples rebuilt at every degree, and two confirmation
-    degrees after the last generator."""
+    degrees after the last generator, which must come by the degree cap."""
     field = m.field
     nvars = len(m.vars)
     kappa = m.ncols - m.rank()
     if kappa == 0:
         return PolyMatrix(field, m.vars, [[] for _ in range(m.ncols)],
                           row_degrees=m.col_degrees, col_degrees=())
-    if degree_cap is None:
-        degree_cap = sum(m.col_degrees) + 2
     gens = []
     confirmed = 0
     for d in range(min(m.col_degrees), degree_cap + 3):
@@ -205,12 +198,8 @@ def graded_kernel_reference(m, degree_cap=None):
                       col_degrees=[e for e, _ in gens])
 
 
-def kernel_outcome(kernel, m, degree_cap=None):
-    """(generator degrees, generator columns), or the GradedError message."""
-    try:
-        ker = kernel(m, degree_cap)
-    except graded.GradedError as exc:
-        return str(exc)
+def kernel_outcome(ker):
+    """(generator degrees, generator columns)."""
     return ker.col_degrees, [ker.column(k) for k in range(ker.ncols)]
 
 
@@ -242,31 +231,81 @@ def exact_rank_calls(monkeypatch):
     return calls
 
 
+def top_bound(m):
+    """ncols minus the rank of m's value at (s, t) = (1, 0): the bound on kappa
+    that ends the sweep unless the cap comes first."""
+    field = m.field
+    top = [[p.evaluate({"s": 1, "t": 0}) for p in row] for row in m.entries]
+    return m.ncols - linalg.rank(field, top, m.ncols)
+
+
+def checked_kernel(m, monkeypatch):
+    """graded_kernel(m), checked against the reference and the exact kappa,
+    with no exact rank over k[s,t] inside it."""
+    calls = exact_rank_calls(monkeypatch)
+    ker = graded.graded_kernel(m)
+    monkeypatch.undo()
+    assert not calls
+    assert kernel_outcome(ker) == kernel_outcome(graded_kernel_reference(m)), m
+    assert ker.ncols == m.ncols - m.rank()
+    return ker
+
+
 @pytest.mark.parametrize("field", [PrimeField(10009), PrimeField(3), QQ], ids=["p10009", "p3", "q"])
 def test_graded_kernel_matches_the_replaced_sweep(field, monkeypatch):
     rng = random.Random(field.name)
-    generated = fallbacks = 0
-    for _ in range(60):
+    generated = capped = 0
+    for _ in range(160):
         m = random_binary_matrix(rng, field)
-        want = kernel_outcome(graded_kernel_reference, m)
-        calls = exact_rank_calls(monkeypatch)
-        got = kernel_outcome(graded.graded_kernel, m)
-        monkeypatch.undo()
-        assert got == want, m
-        if not isinstance(got, str):
-            generated += bool(got[0])
-            fallbacks += bool(calls)
-    # kernels found, and values at (1, 0) of lower rank than m, where the
-    # exact rank decides
-    assert generated >= 20 and fallbacks >= 5
+        ker = checked_kernel(m, monkeypatch)
+        generated += bool(ker.ncols)
+        # values at (1, 0) of lower rank than m: the cap, not the bound, ends the sweep
+        capped += ker.ncols < top_bound(m)
+    assert generated >= 60 and capped >= 20
+
+
+# 3 x 4 over F_3 and 4 x 4 of rank 3 over F_10009 and Q, row degrees -1, each
+# with one kernel generator, of degree sum(c_j) + 3: entry (i, j) is a binary
+# form, its coefficients listed from s^(c_j + 1) down to t^(c_j + 1)
+OLD_CAP_CASES = {
+    "p3": (PrimeField(3), (1, 1, 1, 1), [
+        [[0, 0, 0], [0, 1, 0], [0, -1, -1], [-1, 0, 0]],
+        [[-1, 0, -1], [1, -1, 1], [-1, 0, -1], [-1, 0, 0]],
+        [[1, -1, 1], [0, 1, -1], [1, -1, 1], [1, 1, -1]],
+    ]),
+    "p10009": (PrimeField(10009), (1, 2, 2, 1), [
+        [[1, 0, 2], [0, 0, 0, -1], [0, 2, -1, -1], [-1, 1, 0]],
+        [[-2, -1, 3], [0, -1, -8, 1], [1, 0, 2, 1], [0, 2, 2]],
+        [[0, -1, 1], [1, 1, 0, -7], [-5, -1, -3, 0], [0, 0, 0]],
+        [[1, 0, 2], [0, 0, 0, -1], [0, 2, -1, -1], [-1, 1, 0]],
+    ]),
+    "q": (QQ, (2, 2, 2, 2), [
+        [[1, -8, 7, 1], [1, 2, 0, 1], [-1, 0, 1, 0], [-5, 2, 8, -4]],
+        [[0, -1, 0, 0], [-1, 0, 0, 1], [1, 0, 9, 9], [2, 0, 1, -3]],
+        [[0, 2, 0, 0], [0, 2, 1, -1], [-1, 0, -1, 1], [0, -3, 1, -3]],
+        [[-1, 8, -7, -1], [-1, -2, 0, -1], [1, 0, -1, 0], [5, -2, -8, 4]],
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", OLD_CAP_CASES)
+def test_graded_kernel_finds_the_generator_past_the_old_cap(case, monkeypatch):
+    # the old default cap sum(c_j) + 2 stopped one degree short of the generator;
+    # rho = 3 rows of degree -1 put the cap sum(c_j) + 3 right on it
+    field, col_deg, coeffs = OLD_CAP_CASES[case]
+    rows = [[binary.binary_form(field, [field.of(c) for c in form]) for form in row]
+            for row in coeffs]
+    m = PolyMatrix(field, ST, rows, row_degrees=[-1] * len(rows), col_degrees=col_deg)
+    assert m.rank() == 3 and top_bound(m) == 1
+    ker = checked_kernel(m, monkeypatch)
+    assert ker.col_degrees == (sum(col_deg) + 3,)
 
 
 def tensor_differences(h, pairs, monkeypatch):
-    """The (matrix, degree cap) that tensor_mf hands graded_kernel, per pair."""
+    """The matrix that tensor_mf hands graded_kernel, per pair."""
     seen = []
     real = graded.graded_kernel
-    monkeypatch.setattr(graded, "graded_kernel",
-                        lambda m, degree_cap=None: seen.append((m, degree_cap)) or real(m, degree_cap))
+    monkeypatch.setattr(graded, "graded_kernel", lambda m: seen.append(m) or real(m))
     for idx_i, idx_j in pairs:
         mf.tensor_mf(mf.line_bundle_mf(h, idx_i), mf.line_bundle_mf(h, idx_j))
     monkeypatch.undo()
@@ -290,27 +329,29 @@ TENSOR_PAIRS = {
 def test_graded_kernel_matches_the_replaced_sweep_on_tensors(genus, field, monkeypatch):
     seen = tensor_differences(curve(genus, field), TENSOR_PAIRS[genus], monkeypatch)
     assert len(seen) == len(TENSOR_PAIRS[genus])
-    for m, cap in seen:
-        calls = exact_rank_calls(monkeypatch)
-        got = kernel_outcome(graded.graded_kernel, m, cap)
-        monkeypatch.undo()
+    for m in seen:
+        ker = checked_kernel(m, monkeypatch)
         # f(1, 0) = 1, so the value at (1, 0) has the rank of m: the bound is kappa
-        assert not isinstance(got, str) and not calls
-        assert got == kernel_outcome(graded_kernel_reference, m, cap)
+        assert ker.ncols == top_bound(m)
 
 
 @pytest.mark.parametrize("field", [PrimeField(10009), QQ], ids=["p10009", "q"])
-def test_graded_kernel_falls_back_to_the_exact_rank(field, monkeypatch):
+def test_graded_kernel_sweeps_to_its_cap(field, monkeypatch):
     # [[t, t], [s t, s t]] vanishes at (1, 0), so the bound there is 2, while
-    # kappa = 1: the sweep reaches the cap and the exact rank proves it done
+    # kappa = 1: the generator comes at degree 1 and the sweep runs on to the
+    # cap 3, which rho = 1 and row degree -1 give, with no exact rank
     s, t = (Poly.variable(field, ST, v) for v in ST)
     m = PolyMatrix(field, ST, [[t, t], [s * t, s * t]], row_degrees=[0, -1], col_degrees=[1, 1])
+    degrees = []
+    real = graded.degree_map_matrix
+    monkeypatch.setattr(graded, "degree_map_matrix", lambda m, d: degrees.append(d) or real(m, d))
     calls = exact_rank_calls(monkeypatch)
     ker = graded.graded_kernel(m)
-    assert len(calls) == 1
+    monkeypatch.undo()
+    assert not calls and degrees == [1, 2, 3]
     assert ker.col_degrees == (1,)
     assert list(ker.column(0)) == [Poly.const(field, ST, -1), Poly.const(field, ST, 1)]
-    assert kernel_outcome(graded_kernel_reference, m) == (ker.col_degrees, [ker.column(0)])
+    assert kernel_outcome(graded_kernel_reference(m)) == kernel_outcome(ker)
 
 
 def test_graded_kernel_needs_two_variables():

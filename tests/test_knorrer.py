@@ -9,6 +9,8 @@ from ulrichmf.fields import NotASquare, QQ, PrimeField
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import MatrixError, PolyMatrix
 
+from tests.test_polymatrix import substitute_reference
+
 F = PrimeField(10009)
 
 
@@ -144,6 +146,51 @@ def test_identity_needs_a_square_phi_and_nonzero_q():
 def test_mixed_identity():
     assert knorrer.mixed_identity_failure(QQ, 0) is None
     assert knorrer.mixed_identity_failure(F, 2) is None
+
+
+def mixed_identity_reference(field, n, phi, psi):
+    """The replaced route: A(x,y) B(v,w) + A(v,w) B(x,y) by substitution into
+    the ring of all four variable blocks, against (sum x_i w_i + y_i v_i) * id."""
+    xy = knorrer.xy_variables(n)
+    vw = tuple(f"{c}{i}" for c in "vw" for i in range(n + 1))
+    names = xy + vw
+    eye = [[int(i == k) for k in range(len(names))] for i in range(len(names))]
+    lift = knorrer._linear_images(field, eye[: len(xy)], xy, names)
+    to_vw = knorrer._linear_images(field, eye[len(xy):], xy, names)
+    a_xy, b_xy = (substitute_reference(m, lift, names) for m in (phi, psi))
+    a_vw, b_vw = (substitute_reference(m, to_vw, names) for m in (phi, psi))
+    var = lambda name: Poly.variable(field, names, name)
+    qt = Poly.zero(field, names)
+    for i in range(n + 1):
+        qt = qt + var(f"x{i}") * var(f"w{i}") + var(f"y{i}") * var(f"v{i}")
+    lhs = (a_xy @ b_vw) + (a_vw @ b_xy)
+    where = lhs.first_mismatch(PolyMatrix.scalar_matrix(field, names, qt, 2**n))
+    return None if where is None else f"A(x,y)B(v,w) + A(v,w)B(x,y) != qt*id at entry {where}"
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(3), QQ], ids=str)
+def test_mixed_identity_matches_the_substitution_route(field, monkeypatch):
+    # one entry of phi or psi gains c z_k, z = (x|y): both routes name the same
+    # first failing entry
+    rng = random.Random(field.name)
+    real = knorrer.knorrer_pair
+    failures = 0
+    for rep in range(40):
+        n = rep % 5
+        phi, psi, q = real(field, n)
+        rows = [[list(row) for row in m.entries] for m in (phi, psi)]
+        which, i, j = rng.randrange(2), rng.randrange(2**n), rng.randrange(2**n)
+        c = field.of(rng.choice([1, -1, 2, 5]))
+        rows[which][i][j] = rows[which][i][j] + Poly.variable(
+            field, phi.vars, rng.choice(phi.vars)).scale(c)
+        pair = [PolyMatrix(field, phi.vars, r) for r in rows]
+        monkeypatch.setattr(knorrer, "knorrer_pair", lambda field, n: (*pair, q))
+        got = knorrer.mixed_identity_failure(field, n)
+        assert got == mixed_identity_reference(field, n, *pair)
+        failures += got is not None
+    monkeypatch.undo()
+    assert knorrer.mixed_identity_failure(field, 3) is None
+    assert failures >= 30
 
 
 def test_g_lambda_diagonal():
@@ -518,7 +565,7 @@ def test_tensor_substitution_matches_polymatrix(field):
         for t, image in zip(tensors, got):
             assert image.shape == (3,) + shape[1:]
             assert as_polymatrix(field, new, image) == (
-                as_polymatrix(field, names, t).substitute(images, new))
+                substitute_reference(as_polymatrix(field, names, t), images, new))
 
 
 @pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=str)
@@ -625,7 +672,8 @@ def four_degree_reference(cand, m):
 
     uv, field, r = ("u", "v"), cand.field, cand.generators
     images = knorrer._linear_images(field, m, cand.variables, uv)
-    a = as_polymatrix(field, cand.variables, cand.presentation).substitute(images, uv)
+    a = as_polymatrix(field, cand.variables, cand.presentation)
+    a = substitute_reference(a, images, uv)
     gens = [list(a.column(j)) for j in range(a.ncols)]
     for q in (cand.q1, cand.q2):
         for i in range(r):
@@ -859,7 +907,7 @@ def test_linear_images_match_substitution_reference(field):
     phi, _, q1 = knorrer.knorrer_pair(field, 2)
     assert cand.q2 == q1.substitute(images, names)
     assert as_polymatrix(field, names, cand.presentation) == (
-        hstack(phi, phi.substitute(images, names)))
+        hstack(phi, substitute_reference(phi, images, names)))
 
 
 def test_linear_images_need_the_transpose():

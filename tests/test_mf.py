@@ -411,10 +411,10 @@ def tensor_work(h, idx_i, idx_j, monkeypatch):
     real_kernel, real_rank = graded.graded_kernel, PolyMatrix.rank
     real_map, real_nullspace = graded.degree_map_matrix, linalg.nullspace
 
-    def kernel(m, degree_cap=None):
+    def kernel(m):
         inside.append(True)
         try:
-            return real_kernel(m, degree_cap)
+            return real_kernel(m)
         finally:
             inside.pop()
 

@@ -283,8 +283,10 @@ def test_substitute_matches_reference(data):
     images = {v: data.draw(polys(field, ST, max_deg=2, max_terms=3)) for v in ("x", "y")}
     if data.draw(st.booleans()):
         images["s"] = data.draw(polys(field, ST, max_deg=2, max_terms=3))
-    got = f.substitute(images, ST)
-    assert got == substitute_reference(f, images, ST)
+    # with no target ring given, the images' ring is the target
+    target = data.draw(st.sampled_from([None, ST]))
+    got = f.substitute(images, target)
+    assert got == substitute_reference(f, images, target)
     assert got.vars == ST
     assert_clean(got)
 
