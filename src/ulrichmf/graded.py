@@ -17,6 +17,7 @@ field, routed through :mod:`ulrichmf.linalg`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -32,10 +33,17 @@ class GradedError(ValueError):
 
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, in a fixed sorted order."""
+    return list(_sorted_monomials(nvars, degree))
+
+
+@functools.cache
+def _sorted_monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The monomials of one (nvars, degree), built and sorted once: the graded
+    sweeps ask for the same few pairs thousands of times."""
     if degree < 0:
-        return []
+        return ()
     if nvars == 0:
-        return [()] if degree == 0 else []
+        return ((),) if degree == 0 else ()
     out = []
     for bars in itertools.combinations(range(degree + nvars - 1), nvars - 1):
         prev = -1
@@ -45,7 +53,7 @@ def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
             prev = b
         exp.append(degree + nvars - 2 - prev)
         out.append(tuple(exp))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def dim_poly_ring(nvars: int, degree: int) -> int:

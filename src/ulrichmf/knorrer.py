@@ -18,8 +18,11 @@ of variables that bound its memory.  The Knorrer pair is a sparse
 ``PolyMatrix`` built row by row, unchecked: ``build_candidate`` converts it
 to tensors under the ambient certificate, and ``suite knorrer`` checks its
 identity on ``PolyMatrix``, which measured faster there than the dense check.
-q1 and q2 stay polynomial, and the mixed identity is checked on the
-pair's tensors.
+The mixed identity is checked on the pair's tensors.  The quadrics q1 and q2
+are kept as polynomials for the certificates and the JSON, but every change
+of variables acts on their Gram matrices, as the congruence M^T S M of
+``QuadricPencil.congruence``, and the matrices are written to JSON straight
+from their tensors.
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
 discriminant roots are exactly the requested targets.  The ambient diagonal
@@ -37,10 +40,11 @@ import numpy as np
 
 from . import binary, graded, linalg
 from .fields import Field, NotASquare
-from .pencil import QuadricPencil, simultaneous_diagonalize, smoothness_check
+from .pencil import (QuadricPencil, bilinear_matrix, congruent, simultaneous_diagonalize,
+                     smoothness_check)
 from .poly import Poly, PolyError
 from .polymatrix import (MatrixError, PolyMatrix, doubled_form, linear_tensor,
-                         substitute_tensors, tensor_matrix, tensor_mismatch)
+                         substitute_tensors, tensor_json, tensor_matrix, tensor_mismatch)
 
 
 class UlrichError(ValueError):
@@ -127,22 +131,20 @@ def check_skew(field: Field, lam) -> int:
 def g_lambda(field: Field, lam) -> list:
     """G = [[0, I], [I, 0]] Lambda, with the isotropy identity verified.
 
-    The identity (x|y) G (y|x)^T = (y|x) Lambda (y|x)^T = 0 is expanded as an
-    exact polynomial identity before returning.
+    With P the permutation matrix that swaps x and y, (y|x)^T = P (x|y)^T, so
+    (x|y) G (y|x)^T = (y|x) Lambda (y|x)^T is the quadratic form of G P.  p
+    is odd, so it is identically zero exactly when G P + (G P)^T = 0, which is
+    checked entry by entry before returning.
     """
     size = check_skew(field, lam)
     if size % 2:
         raise UlrichError("skew matrix must have even size 2(n+1)")
     half = size // 2
     g = [list(lam[half + i]) if i < half else list(lam[i - half]) for i in range(size)]
-    names = xy_variables(half - 1)
-    # ell_k, the k-th entry of (x|y) G, has row k of G^T as coefficients
-    ells = _linear_images(field, list(zip(*g)), names, names)
-    yx = names[half:] + names[:half]
-    acc = Poly.zero(field, names)
-    for ell, v in zip(ells.values(), yx):
-        acc = acc + ell * Poly.variable(field, names, v)
-    if not acc.is_zero():
+    # row i of G P is row i of G with its x and y halves swapped
+    gp = [row[half:] + row[:half] for row in g]
+    if any(not field.is_zero(field.add(gp[i][j], gp[j][i]))
+           for i in range(size) for j in range(i, size)):
         raise UlrichError("isotropy certificate failed: (x|y)G(y|x) != 0")
     return g
 
@@ -239,7 +241,9 @@ class UlrichCandidate:
         return True, "ok"
 
     def pencil(self) -> QuadricPencil:
-        """The pencil of (q1, q2), built once so its discriminant is split once."""
+        """The pencil of (q1, q2), built once so its discriminant is split once;
+        ``build_candidate`` and a change of variables hand it over with the
+        candidate."""
         if self._pencil is None:
             self._pencil = QuadricPencil.from_quadrics(self.q1, self.q2)
         return self._pencil
@@ -248,20 +252,21 @@ class UlrichCandidate:
         """The linear change of variables x = M z on every matrix and quadric.
 
         Row j of the scalar matrix M holds the coefficients of variables[j] in
-        new_variables, as in ``_linear_images``.  The result is not verified: a
+        new_variables, as in ``_linear_images``.  The quadrics are read off the
+        congruent pencil, which the result keeps.  The result is not verified: a
         linear change of variables is a ring map, so A @ B' = 0 and
         A @ C_l = q_l id carry over from a verified self.
         """
         target = tuple(new_variables)
         out = copy.copy(self)
         out.variables = target
-        images = _linear_images(self.field, m, self.variables, target)
-        out.q1, out.q2 = (q.substitute(images, target) for q in (self.q1, self.q2))
+        out._pencil = self.pencil().congruence(m, target)
+        out.q1, out.q2 = out._pencil.quadric(1), out._pencil.quadric(2)
         out.presentation, out.second_map, out.cert1, out.cert2 = substitute_tensors(
             self.field, m, (self.presentation, self.second_map, self.cert1, self.cert2)
         )
         out.provenance = provenance or self.provenance
-        out.verification, out._pencil = {}, None
+        out.verification = {}
         return out
 
     def to_json(self) -> dict:
@@ -272,8 +277,7 @@ class UlrichCandidate:
             "n": self.n,
             "q1": self.q1.to_json(),
             "q2": self.q2.to_json(),
-            **{key: tensor_matrix(self.field, self.variables, t).to_json()
-               for key, t in zip(MATRIX_KEYS, tensors)},
+            **{key: tensor_json(t) for key, t in zip(MATRIX_KEYS, tensors)},
             "verification": {k: v for k, v in sorted(self.verification.items())},
             "provenance": self.provenance,
         }
@@ -346,9 +350,12 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
     # C1 = (psi; 0), so the top block of A @ C1 is phi @ psi
     phi, psi, q1 = knorrer_pair(field, n)
     names = xy_variables(n)
-    # (x|y) -> (x|y) G: variable k maps to column k of G
+    # (x|y) -> (x|y) G: variable k maps to column k of G, and q2 has the Gram
+    # matrix M^T S1 M of q1's S1
     m = list(zip(*g))
-    q2 = q1.substitute(_linear_images(field, m, names, names), names)
+    s1 = bilinear_matrix(q1)
+    pencil = QuadricPencil(field, s1, congruent(field, s1, m), names)
+    q2 = pencil.quadric(2)
     if q2.is_zero():
         raise UlrichError("degenerate substitution: q2 = 0")
     if _proportional_quadrics(field, q1, q2):
@@ -357,12 +364,14 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
     a2, b2 = substitute_tensors(field, m, (phi, psi))
     zero = np.full_like(phi, field.zero)
     # A = (phi | A2), B' = (B2; psi), C1 = (psi; 0), C2 = (0; B2)
-    return UlrichCandidate(
+    candidate = UlrichCandidate(
         field, names, n, q1, q2,
         np.concatenate([phi, a2], axis=2), np.concatenate([b2, psi], axis=1),
         np.concatenate([psi, zero], axis=1), np.concatenate([zero, b2], axis=1),
         dvals=_diagonal_of(field, lam), provenance=f"build_candidate(n={n})",
     )
+    candidate._pencil = pencil
+    return candidate
 
 
 def _diagonal_of(field, lam):
@@ -611,19 +620,19 @@ def _verify_restricted(candidate: UlrichCandidate, targets, seed) -> None:
 
 
 def fresh_root_for(field, targets, needed_squares: int):
-    """Smallest positive field element outside targets, square if required."""
+    """Smallest positive field element outside targets, square if required.
+
+    Each of 1, 2, ... below the field size (below 2^20 over Q) is tried
+    once: over F_p those are the nonzero residues.
+    """
     taken = {field.of(t) for t in targets}
     square_count = sum(1 for t in taken if _is_square(field, t))
     need_square = square_count < needed_squares
-    k = 1
-    while True:
+    for k in range(1, _field_size(field)):
         cand = field.of(k)
-        if cand not in taken and not field.is_zero(cand):
-            if not need_square or _is_square(field, cand):
-                return cand
-        k += 1
-        if k > 10**6:
-            raise UlrichError("could not find a fresh root in the field")
+        if cand not in taken and (not need_square or _is_square(field, cand)):
+            return cand
+    raise UlrichError("could not find a fresh root in the field")
 
 
 def _is_square(field, v):
@@ -693,11 +702,15 @@ def artinian_hilbert_check(candidate: UlrichCandidate, trials: int = 3, seed: in
     """Hilbert-function certificate: specialize to two variables and check (r,0,0,0).
 
     Each trial substitutes all but two variables by random linear forms in
-    the survivors, demands the Artinian ring k[u,v]/(Q1,Q2) to have graded
-    dimensions 1,2,1,0 (retrying with fresh randomness otherwise), and then
-    computes the cokernel dimensions of the specialized presentation with
-    ``_cokernel_dims``.
+    the survivors (the quadrics by the congruence of the candidate's pencil
+    with the V x 2 matrix of the substitution), demands the Artinian ring
+    k[u,v]/(Q1,Q2) to have graded dimensions 1,2,1,0 (retrying with fresh
+    randomness otherwise), and then computes the cokernel dimensions of the
+    specialized presentation with ``_cokernel_dims``.
     """
+    # a zero quadric, which has no pencil, specializes to zero in every attempt
+    if trials > 0 and (candidate.q1.is_zero() or candidate.q2.is_zero()):
+        return False, "trial 0: no Artinian specialization found"
     field = candidate.field
     rng = random.Random(seed)
     r = candidate.generators
@@ -710,9 +723,8 @@ def artinian_hilbert_check(candidate: UlrichCandidate, trials: int = 3, seed: in
             # random u, v coefficients for all but the last two variables
             m = [[rng.randrange(size), rng.randrange(size)] for _ in candidate.variables[:-2]]
             m += [[1, 0], [0, 1]]
-            images = _linear_images(field, m, candidate.variables, uv)
-            q1 = candidate.q1.substitute(images, uv)
-            q2 = candidate.q2.substitute(images, uv)
+            specialized = candidate.pencil().congruence(m, uv)
+            q1, q2 = specialized.quadric(1), specialized.quadric(2)
             if q1.is_zero() or q2.is_zero():
                 continue
             ring_dims = graded.graded_quotient_dims(field, uv, [q1, q2], range(4))

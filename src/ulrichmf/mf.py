@@ -70,6 +70,17 @@ class MatrixFactorization:
         if not ok:
             raise MFError(f"invalid matrix factorization: {detail}")
 
+    @staticmethod
+    def _make(h: HyperellipticData, degrees, phi: PolyMatrix, psi=None, label=""):
+        """Trusted constructor for factorizations whose identity the caller has
+        already checked: phi and psi square of the module's rank, in (s, t), and
+        homogeneous of the degrees the module asks for."""
+        m = MatrixFactorization.__new__(MatrixFactorization)
+        m.h, m.module, m.label = h, GradedFreeModule(degrees), label
+        m.phi = phi
+        m.psi = phi if psi is None else psi
+        return m
+
     @property
     def field(self) -> Field:
         return self.h.field
@@ -140,16 +151,24 @@ def canonical_classes(h: HyperellipticData, parity=None):
 
 
 def line_bundle_mf(h: HyperellipticData, indices) -> MatrixFactorization:
-    """The rank-1 factorization with antidiagonal (f_{I^c}, f_I)."""
+    """The rank-1 factorization with antidiagonal (f_{I^c}, f_I).
+
+    phi @ phi is diag(f_{I^c} f_I, f_I f_{I^c}), so the one product
+    f_I f_{I^c} = f certifies it.  Entry (i, j) of phi must be homogeneous of
+    degree d_j - d_i + g + 1 for the degrees d = (|I| // 2, |I^c| // 2), and
+    |I| + |I^c| = 2g + 2 makes that |I^c| for f_{I^c} and |I| for f_I.
+    """
     key = subset_key(h, indices)
     comp = h.complement(key)
     f_i = h.subset_product(key)
     f_ic = h.subset_product(comp)
+    if f_i * f_ic != h.f:
+        raise MFError("invalid matrix factorization: phi @ psi != f*id at entry (0, 0)")
     zero = Poly.zero(h.field, ST)
-    phi = PolyMatrix(h.field, ST, [[zero, f_ic], [f_i, zero]])
+    phi = PolyMatrix._make(h.field, ST, [[zero, f_ic], [f_i, zero]])
     degrees = (len(key) // 2, len(comp) // 2)
     label = "L{" + ",".join(str(i) for i in sorted(key)) + "}"
-    return MatrixFactorization(h, degrees, phi, label=label)
+    return MatrixFactorization._make(h, degrees, phi, label=label)
 
 
 def tensor_mf(m1: MatrixFactorization, m2: MatrixFactorization) -> MatrixFactorization:

@@ -32,6 +32,13 @@ def bilinear_matrix(q: Poly):
     return [[field.mul(c, half) for c in row] for row in w]
 
 
+def congruent(field: Field, b, m):
+    """M^T B M as lists of the field's scalars, for a V x V scalar matrix B and a
+    V x W scalar matrix M: the Gram matrix of x^T B x in the coordinates x = M z."""
+    mt = [list(col) for col in zip(*m)]
+    return linalg.matmul(field, mt, linalg.matmul(field, b, m)).tolist()
+
+
 class QuadricPencil:
     """A pair of symmetric scalar matrices (B1, B2) for the pencil s*q1 + t*q2."""
 
@@ -128,13 +135,12 @@ class QuadricPencil:
         self._roots = ([(lam, 1) for lam in roots], 0, True)
         return True
 
-    def congruence(self, m) -> "QuadricPencil":
-        """The congruent pencil (M^T B1 M, M^T B2 M) for a square scalar matrix M:
-        the pencil in the coordinates x = M z."""
-        field, mt = self.field, [list(col) for col in zip(*m)]
-        b1, b2 = (linalg.matmul(field, mt, linalg.matmul(field, b, m)).tolist()
-                  for b in (self.b1, self.b2))
-        return QuadricPencil(field, b1, b2)
+    def congruence(self, m, variables=None) -> "QuadricPencil":
+        """The congruent pencil (M^T B1 M, M^T B2 M) for a dim x W scalar matrix
+        M, square or not: the pencil in the W coordinates z of x = M z, named by
+        variables (x0, x1, ... by default)."""
+        return QuadricPencil(self.field, congruent(self.field, self.b1, m),
+                             congruent(self.field, self.b2, m), variables)
 
     def to_json(self) -> dict:
         return {

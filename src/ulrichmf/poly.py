@@ -279,15 +279,8 @@ class Poly:
         return " + ".join(pieces)
 
     def to_json(self) -> list:
-        """Term list encoding: [[exponents], numerator, denominator]."""
-        out = []
-        for exp in sorted(self.terms):
-            c = self.terms[exp]
-            if isinstance(c, Fraction):
-                out.append([list(exp), c.numerator, c.denominator])
-            else:
-                out.append([list(exp), int(c), 1])
-        return out
+        """Term list encoding: one ``_json_term`` per term, exponents sorted."""
+        return [_json_term(exp, self.terms[exp]) for exp in sorted(self.terms)]
 
     @staticmethod
     def from_json(field: Field, variables, data) -> "Poly":
@@ -312,6 +305,14 @@ class Poly:
                     ) from None
             pairs.append((tuple(exp), value))
         return Poly.from_pairs(field, variables, pairs)
+
+
+def _json_term(exp, c) -> list:
+    """The JSON of one term, [[exponents], numerator, denominator], for a scalar
+    c that is a Fraction or an integer."""
+    if isinstance(c, Fraction):
+        return [list(exp), c.numerator, c.denominator]
+    return [list(exp), int(c), 1]
 
 
 def _mul_into(field: Field, t1: dict, t2: dict, out: dict) -> dict:

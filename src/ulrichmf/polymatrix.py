@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .fields import Field
-from .poly import Poly, _mul_into, _nonzero
+from .poly import Poly, _json_term, _mul_into, _nonzero
 
 
 class MatrixError(ValueError):
@@ -365,6 +365,22 @@ def tensor_matrix(field, variables, t) -> PolyMatrix:
         [Poly._make(field, variables, terms[i * ncols + j]) for j in range(ncols)]
         for i in range(nrows)
     ], ncols=ncols)
+
+
+def tensor_json(t) -> dict:
+    """``tensor_matrix(field, variables, t).to_json()``, written straight from
+    the coefficient tensor: the entries row by row, the terms of each in the
+    sorted exponent order of ``Poly.to_json``, which puts the last variable
+    first."""
+    v, nrows, ncols = t.shape
+    units = [tuple(int(i == k) for i in range(v)) for k in reversed(range(v))]
+    # by_entry[i * ncols + j, k] is the coefficient of units[k] in entry (i, j)
+    by_entry = t[::-1].reshape(v, nrows * ncols).T
+    at, ks = np.nonzero(by_entry)
+    entries = [[] for _ in range(nrows * ncols)]
+    for e, k, c in zip(at.tolist(), ks.tolist(), by_entry[at, ks].tolist()):
+        entries[e].append(_json_term(units[k], c))
+    return {"rows": nrows, "cols": ncols, "entries": entries}
 
 
 def substitute_tensors(field, m, tensors):

@@ -1,11 +1,14 @@
+import json
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ulrichmf import binary, knorrer, linalg, polymatrix
 from ulrichmf.fields import NotASquare, QQ, PrimeField
+from ulrichmf.pencil import QuadricPencil
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import MatrixError, PolyMatrix
 
@@ -1015,3 +1018,165 @@ def test_hilbert_specializations_keep_draw_order(field, monkeypatch):
         images[cand.variables[-2]] = u
         images[cand.variables[-1]] = v
         assert gens == [cand.q1.substitute(images, uv), cand.q2.substitute(images, uv)]
+
+
+FIELDS = [F, PrimeField(2**61 - 1), QQ]
+
+
+def wide_scalar(field, rng, zero_share):
+    """Zero, or a scalar spread over the field: any residue mod p, and over Q a
+    signed fraction whose denominator need not be 1."""
+    if rng.random() < zero_share:
+        return field.zero
+    if field is QQ:
+        return Fraction(rng.randrange(-99, 100), rng.randrange(1, 10))
+    return field.of(rng.randrange(field.p))
+
+
+def wide_quadric(field, names, rng):
+    """A nonzero quadric with wide_scalar coefficients, some of them zero."""
+    while True:
+        pairs = []
+        for i in range(len(names)):
+            for j in range(i, len(names)):
+                exp = [0] * len(names)
+                exp[i] += 1
+                exp[j] += 1
+                pairs.append((tuple(exp), wide_scalar(field, rng, 0.3)))
+        q = Poly.from_pairs(field, names, pairs)
+        if not q.is_zero():
+            return q
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_tensor_json_matches_the_polymatrix_writer(field):
+    # int64 at p = 10009, Python ints at 2^61 - 1, Fractions over Q; entries
+    # with no term, one variable, no entries, and one coefficient changed
+    rng = random.Random(61)
+    for shape in ((4, 3, 5), (1, 2, 3), (5, 0, 2), (3, 2, 2)):
+        names = tuple(f"x{k}" for k in range(shape[0]))
+        for zero_share in (0.0, 0.6, 1.0):
+            t = np.full(shape, field.zero, dtype=linalg.scalar_dtype(field))
+            for at in np.ndindex(*shape):
+                t[at] = wide_scalar(field, rng, zero_share)
+            assert t.dtype == (np.int64 if field is F else object)
+            got = polymatrix.tensor_json(t)
+            assert json.dumps(got) == json.dumps(polymatrix.tensor_matrix(field, names, t).to_json())
+            if t.size:
+                changed = plus_one(field, t, tuple(rng.randrange(n) for n in shape))
+                want = polymatrix.tensor_matrix(field, names, changed).to_json()
+                assert json.dumps(polymatrix.tensor_json(changed)) == json.dumps(want)
+                assert want != got
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_candidate_json_is_the_polymatrix_json(field):
+    cand = restricted_candidate(field)
+    data = cand.to_json()
+    tensors = (cand.presentation, cand.second_map, cand.cert1, cand.cert2)
+    for key, t in zip(knorrer.MATRIX_KEYS, tensors):
+        want = polymatrix.tensor_matrix(field, cand.variables, t).to_json()
+        assert json.dumps(data[key]) == json.dumps(want)
+    assert (data["q1"], data["q2"]) == (cand.q1.to_json(), cand.q2.to_json())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_congruence_quadrics_match_substitution(field):
+    # M is V x W, square or not, down to the W = 2 of the Hilbert check
+    rng = random.Random(67)
+    names = tuple(f"x{k}" for k in range(5))
+    for width in (2, 3, 5, 7):
+        new = tuple(f"z{k}" for k in range(width))
+        for _ in range(3):
+            q1, q2 = wide_quadric(field, names, rng), wide_quadric(field, names, rng)
+            m = [[wide_scalar(field, rng, 0.3) for _ in new] for _ in names]
+            images = knorrer._linear_images(field, m, names, new)
+            conj = QuadricPencil.from_quadrics(q1, q2).congruence(m, new)
+            assert conj.variables == new and conj.dim == width
+            assert conj.quadric(1) == q1.substitute(images, new)
+            assert conj.quadric(2) == q2.substitute(images, new)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_candidates_keep_the_pencil_of_their_quadrics(field):
+    lam = knorrer.diagonal_lambda(field, [field.of(d) for d in (1, 2, 3)])
+    for cand in (knorrer.build_candidate(field, 2, lam), restricted_candidate(field),
+                 knorrer.ulrich_for_roots(field, [1, 4, 9, 16, 2, 3], seed=1)):
+        kept = cand.pencil()
+        fresh = QuadricPencil.from_quadrics(cand.q1, cand.q2)
+        assert (kept.b1, kept.b2, kept.variables) == (fresh.b1, fresh.b2, cand.variables)
+        assert all(type(x) is type(field.zero) for b in (kept.b1, kept.b2) for row in b
+                   for x in row)
+
+
+def test_hilbert_check_of_a_zero_quadric_finds_no_ring():
+    # a verified candidate may have q2 = 0 (C2 = 0): it has no pencil
+    cand = restricted_candidate()
+    cand.q2 = Poly.zero(F, cand.variables)
+    cand.cert2 = np.zeros_like(cand.cert2)
+    assert cand.verify_certificates() == (True, "ok")
+    assert knorrer.artinian_hilbert_check(cand, trials=3, seed=3) == (
+        False, "trial 0: no Artinian specialization found")
+
+
+def isotropy_reference(field, g):
+    """(x|y) G (y|x)^T expanded as a polynomial, term by term."""
+    half = len(g) // 2
+    names = knorrer.xy_variables(half - 1)
+    z = [Poly.variable(field, names, v) for v in names]
+    yx = z[half:] + z[:half]
+    acc = Poly.zero(field, names)
+    for i, row in enumerate(g):
+        for j, c in enumerate(row):
+            acc = acc + (z[i] * yx[j]).scale(c)
+    return acc
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
+def test_isotropy_check_matches_the_polynomial_identity(field, monkeypatch):
+    # with the skew check bypassed, G P + (G P)^T = 0 must hold exactly when
+    # the polynomial (x|y) G (y|x)^T is zero
+    monkeypatch.setattr(knorrer, "check_skew", lambda field, lam: len(lam))
+    rng = random.Random(71)
+    verdicts = set()
+    for trial in range(30):
+        lam = [[field.zero] * 6 for _ in range(6)]
+        for i in range(6):
+            for j in range(i + 1, 6):
+                lam[i][j] = random_scalar(field, rng)
+                lam[j][i] = field.neg(lam[i][j])
+        if trial % 3:  # one diagonal or off-diagonal entry off
+            i, j = rng.randrange(6), rng.randrange(6)
+            lam[i][j] = field.add(lam[i][j], field.one)
+        g = [list(lam[3 + i]) if i < 3 else list(lam[i - 3]) for i in range(6)]
+        isotropic = isotropy_reference(field, g).is_zero()
+        verdicts.add(isotropic)
+        if isotropic:
+            assert knorrer.g_lambda(field, lam) == g
+        else:
+            with pytest.raises(knorrer.UlrichError,
+                               match=re.escape("isotropy certificate failed: (x|y)G(y|x) != 0")):
+                knorrer.g_lambda(field, lam)
+    assert verdicts == {True, False}
+
+
+class CountingField(PrimeField):
+    """F_p that records every value it is asked to coerce."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.coerced = []
+
+    def of(self, value):
+        self.coerced.append(value)
+        return super().of(value)
+
+
+@pytest.mark.parametrize("targets, squares", [([1, 2, 3, 4, 5, 6], 0), ([1, 2, 4], 4)])
+def test_fresh_root_tries_each_nonzero_residue_once(targets, squares):
+    # F_7 with every residue taken, and with every square taken when one more
+    # square is needed: the search gives up after 1, ..., 6
+    field = CountingField(7)
+    with pytest.raises(knorrer.UlrichError, match="could not find a fresh root in the field"):
+        knorrer.fresh_root_for(field, targets, needed_squares=squares)
+    assert field.coerced == targets + list(range(1, 7))

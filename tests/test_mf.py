@@ -453,3 +453,24 @@ def test_graded_kernel_rejects_perturbed_generator(monkeypatch):
     with pytest.raises(graded.GradedError, match="more kernel generators"):
         mf.tensor_mf(mf.line_bundle_mf(H2, {1, 2}), mf.line_bundle_mf(H2, {2, 3}))
     assert calls
+
+
+@pytest.mark.parametrize("h", [H1, H2], ids=["g1", "g2"])
+def test_line_bundle_is_certified_by_its_one_product(h):
+    # a cached f_I or f_{I^c} scaled by 2 fails the one product f_I f_{I^c} = f
+    # with the full check's message (f itself is cached as the product over
+    # all indices, which stays intact)
+    rng = random.Random(5)
+    for rep in mf.canonical_classes(h):
+        m = mf.line_bundle_mf(h, rep)
+        broken = curve(h.genus)
+        key = rng.choice([k for k in (frozenset(rep), h.complement(rep)) if len(k) < h.nbranch])
+        broken._subset_cache[key] = broken.subset_product(key).scale(2)
+        f_i, f_ic = broken.subset_product(rep), broken.subset_product(h.complement(rep))
+        zero = Poly.zero(F, ST)
+        phi = PolyMatrix(F, ST, [[zero, f_ic], [f_i, zero]])
+        ok, detail = mf.verify_mf_data(broken, m.module.degrees, phi, phi)
+        assert not ok
+        with pytest.raises(mf.MFError) as err:
+            mf.line_bundle_mf(broken, rep)
+        assert str(err.value) == f"invalid matrix factorization: {detail}"
