@@ -160,20 +160,6 @@ def diagonal_lambda(field: Field, dvals) -> list:
     return lam
 
 
-def _linear_images(field, m, variables, new_variables) -> dict:
-    """Images of the variables under the linear change of variables x = M z.
-
-    Row j of the scalar matrix M holds the coefficients of the image of
-    variables[j] in new_variables: x_j -> sum_k M[j][k] z_k.
-    """
-    width = len(new_variables)
-    units = [tuple(int(i == k) for i in range(width)) for k in range(width)]
-    return {
-        v: Poly.from_pairs(field, new_variables, zip(units, row, strict=True))
-        for v, row in zip(variables, m, strict=True)
-    }
-
-
 class UlrichCandidate:
     """A linear presentation with exact annihilator certificates.
 
@@ -252,7 +238,7 @@ class UlrichCandidate:
         """The linear change of variables x = M z on every matrix and quadric.
 
         Row j of the scalar matrix M holds the coefficients of variables[j] in
-        new_variables, as in ``_linear_images``.  The quadrics are read off the
+        new_variables: x_j -> sum_k M[j][k] z_k.  The quadrics are read off the
         congruent pencil, which the result keeps.  The result is not verified: a
         linear change of variables is a ring map, so A @ B' = 0 and
         A @ C_l = q_l id carry over from a verified self.
@@ -421,8 +407,7 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
     m = len(candidate.dvals)
     # the gradient of q = x^T S x is 2 S x; A @ C_l = q_l id with A and C_l
     # linear makes the q_l of a verified candidate quadratic forms
-    gradients = [_linear_images(field, doubled_form(q)[0], names, names)
-                 for q in (candidate.q1, candidate.q2)]
+    doubled = [row for q in (candidate.q1, candidate.q2) for row in doubled_form(q)[0]]
     found = 0
     attempts = 0
     while found < samples and attempts < 40 * samples:
@@ -444,7 +429,8 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
             candidate.q2.evaluate(point)
         ):
             continue
-        jac = [[p.evaluate(point) for p in grad.values()] for grad in gradients]
+        column = [[point[v]] for v in names]
+        jac = linalg.matmul(field, doubled, column).reshape(2, -1).tolist()
         if linalg.rank(field, jac) < 2:
             return False, "all 2x2 Jacobian minors vanish at a sampled smooth point"
         found += 1
@@ -671,9 +657,10 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
     a_targets = squares[: n + 1]
     c_targets = squares[n + 1 :] + non_squares
     # not emitted: simultaneous_diagonalize checks the restriction's pencil
+    # from its claimed roots, and the emitted pencil is diagonal, so neither
+    # discriminant is interpolated
     odd_candidate, odd_targets = _odd_restriction(field, a_targets, c_targets)
-    odd_candidate.pencil().confirm_roots(odd_targets)
-    diag = simultaneous_diagonalize(odd_candidate.pencil())
+    diag = simultaneous_diagonalize(odd_candidate.pencil(), odd_targets)
     # locate the diagonal coordinate carrying the fresh root
     roots = [_factor_root(field, factor) for factor in diag.factors]
     if fresh not in roots:

@@ -4,13 +4,19 @@ The diagonalization produces the hyperelliptic data consumed by the matrix
 factorization and Clifford modules: an ordered list of pairwise
 non-proportional linear forms f_1, ..., f_r with f = prod f_i equal to the
 pencil discriminant up to a scalar, together with the change of basis that
-diagonalizes both quadrics at once.
+diagonalizes both quadrics at once.  If M^T (s B1 + t B2) M = diag(f_1, ...,
+f_r) with det M != 0, then det(s B1 + t B2) = det(M)^-2 prod f_i: a diagonal
+pencil's discriminant is the product of its diagonal forms, and a
+diagonalization from claimed roots fills its pencil's discriminant without
+interpolating it.
 
 Subsets of branch indices are 1-based throughout the package, matching the
 usual f_I notation.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import binary, linalg
 from .fields import Field, PrimeField
@@ -88,12 +94,19 @@ class QuadricPencil:
             for row1, row2 in zip(self.b1, self.b2)
         ]
 
+    def _is_diagonal(self) -> bool:
+        field = self.field
+        return all(field.is_zero(b[i][j]) for b in (self.b1, self.b2)
+                   for i in range(self.dim) for j in range(self.dim) if i != j)
+
     def discriminant(self) -> Poly:
         """det(s*B1 + t*B2), normalized so its first nonzero coefficient is 1.
 
-        det(x*B1 + B2) at x = 0 .. dim, interpolated and homogenized to degree
-        dim.  F_p with p < dim + 1 has too few points: there the determinant
-        of :meth:`matrix_poly` is taken by fraction-free elimination.
+        A diagonal pencil's is the product of its diagonal forms B1[i][i]*s +
+        B2[i][i]*t.  Any other pencil's is det(x*B1 + B2) at x = 0 .. dim,
+        interpolated and homogenized to degree dim.  F_p with p < dim + 1 has
+        too few points: there the determinant of :meth:`matrix_poly` is taken
+        by fraction-free elimination.
 
         The Hessian convention of the literature differs from this bilinear
         determinant by the fixed scalar 2^dim; the normalization makes the
@@ -101,7 +114,9 @@ class QuadricPencil:
         """
         if self._disc is None:
             field, dim = self.field, self.dim
-            if isinstance(field, PrimeField) and field.p < dim + 1:
+            if self._is_diagonal():
+                det = _product_form(field, [(self.b1[i][i], self.b2[i][i]) for i in range(dim)])
+            elif isinstance(field, PrimeField) and field.p < dim + 1:
                 det = self.matrix_poly().determinant()
             else:
                 points = [field.of(x) for x in field.elements(dim + 1)]
@@ -127,10 +142,8 @@ class QuadricPencil:
         roots = sorted((field.of(lam) for lam in roots), key=binary.root_sort_key)
         if len(set(roots)) != len(roots):
             return False
-        product = Poly.const(field, binary.ST, 1)
-        for lam in roots:
-            product = product * binary.root_factor(field, lam)
-        if self.discriminant() != product:
+        if self.discriminant() != _product_form(field, [(field.one, field.neg(lam))
+                                                        for lam in roots]):
             return False
         self._roots = ([(lam, 1) for lam in roots], 0, True)
         return True
@@ -138,9 +151,15 @@ class QuadricPencil:
     def congruence(self, m, variables=None) -> "QuadricPencil":
         """The congruent pencil (M^T B1 M, M^T B2 M) for a dim x W scalar matrix
         M, square or not: the pencil in the W coordinates z of x = M z, named by
-        variables (x0, x1, ... by default)."""
-        return QuadricPencil(self.field, congruent(self.field, self.b1, m),
-                             congruent(self.field, self.b2, m), variables)
+        variables (x0, x1, ... by default).  Two products: (B1; B2) M, then
+        M^T (B1 M | B2 M)."""
+        field, dim = self.field, self.dim
+        bm = linalg.matmul(field, self.b1 + self.b2, m)
+        width = bm.shape[1]
+        mt = [list(col) for col in zip(*m)]
+        both = linalg.matmul(field, mt, np.hstack([bm[:dim], bm[dim:]])).tolist()
+        return QuadricPencil(field, [row[:width] for row in both],
+                             [row[width:] for row in both], variables)
 
     def to_json(self) -> dict:
         return {
@@ -161,6 +180,15 @@ class QuadricPencil:
                 exp[j] += 1
                 pairs.append((tuple(exp), c))
         return Poly.from_pairs(field, self.variables, pairs)
+
+
+def _product_form(field: Field, pairs) -> Poly:
+    """prod (a*s + b*t) over the (a, b) pairs, by convolving coefficient lists."""
+    coeffs = [field.one]
+    for a, b in pairs:
+        coeffs = [field.add(field.mul(a, x), field.mul(b, y))
+                  for x, y in zip(coeffs + [field.zero], [field.zero] + coeffs)]
+    return binary.binary_form(field, coeffs)
 
 
 def smoothness_check(pencil: QuadricPencil):
@@ -204,12 +232,6 @@ class Diagonalization:
             for j in range(i + 1, n):
                 if _proportional(field, self.factors[i], self.factors[j]):
                     raise PencilError("diagonal factors must be pairwise non-proportional")
-
-    def product(self) -> Poly:
-        acc = Poly.const(self.field, binary.ST, 1)
-        for f in self.factors:
-            acc = acc * f
-        return acc
 
 
 def _proportional(field, f, g) -> bool:
@@ -262,35 +284,49 @@ class HyperellipticData(Diagonalization):
         return frozenset(range(1, self.nbranch + 1)) - frozenset(indices)
 
 
-def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
+def simultaneous_diagonalize(pencil: QuadricPencil, roots=None) -> Diagonalization:
     """Diagonalize both quadrics at once.
 
     Requires the discriminant to be squarefree and fully split over the base
     field with no root at infinity.  (Absence of a root at infinity already
     forces B1 to be invertible: det B1 is the coefficient of s^r.)  No square
     roots are taken, so the diagonal entries need not be monic.
+
+    With claimed roots, exactly dim distinct scalars, the discriminant is not
+    split.  Each factor must read a_i (s - lam_i t) with a_i != 0, and the
+    rank of the basis M proves det M != 0; then det(s B1 + t B2) =
+    det(M)^-2 prod f_i, which fills the pencil's discriminant and roots.
     """
     field = pencil.field
-    found, inf_mult, splits = pencil.roots()
-    if inf_mult:
-        raise PencilError("discriminant has a root at infinity; renormalize the pencil")
-    if not splits:
-        advice = "; change the prime" if isinstance(field, PrimeField) else ""
-        raise PencilError(f"discriminant does not split over the base field{advice}")
-    if any(mult > 1 for _, mult in found):
-        raise PencilError("discriminant is not squarefree")
+    if roots is None:
+        found, inf_mult, splits = pencil.roots()
+        if inf_mult:
+            raise PencilError("discriminant has a root at infinity; renormalize the pencil")
+        if not splits:
+            advice = "; change the prime" if isinstance(field, PrimeField) else ""
+            raise PencilError(f"discriminant does not split over the base field{advice}")
+        if any(mult > 1 for _, mult in found):
+            raise PencilError("discriminant is not squarefree")
+        found = [lam for lam, _ in found]
+    else:
+        found = sorted({field.of(lam) for lam in roots}, key=binary.root_sort_key)
+        if len(found) != len(roots) or len(found) != pencil.dim:
+            raise PencilError(f"need {pencil.dim} distinct claimed roots, got "
+                              f"{len(found)} distinct of {len(roots)}")
     basis_cols = []
-    for lam_root, _ in found:
+    for lam_root in found:
         # -lam is the eigenvalue of B1^-1 B2 attached to the factor (s - lam*t);
         # B1 is invertible, so its eigenvectors are the kernel of lam*B1 + B2
         ns = linalg.nullspace(field, pencil.at(lam_root), pencil.dim)
         if len(ns) != 1:
-            raise PencilError("unexpected eigenspace dimension (repeated eigenvalue?)")
+            raise PencilError(f"lam*B1 + B2 has a {len(ns)}-dimensional kernel at lam = "
+                              f"{lam_root}, not 1")
         basis_cols.append(ns[0])
     basis = [[basis_cols[j][i] for j in range(pencil.dim)] for i in range(pencil.dim)]
     # f_i = v_i^T (s B1 + t B2) v_i, the diagonal of the congruent pencil
     conj = pencil.congruence(basis)
-    factors = [binary.linear_form(field, conj.b1[i][i], conj.b2[i][i]) for i in range(conj.dim)]
+    pairs = [(conj.b1[i][i], conj.b2[i][i]) for i in range(conj.dim)]
+    factors = [binary.linear_form(field, a, b) for a, b in pairs]
     if any(f_i.is_zero() for f_i in factors):
         raise PencilError("isotropic eigenvector encountered; pencil is degenerate")
     result = (
@@ -299,6 +335,18 @@ def simultaneous_diagonalize(pencil: QuadricPencil) -> Diagonalization:
         else Diagonalization(field, factors, basis, pencil)
     )
     _check_diagonalization(pencil, result, conj)
+    product = binary.normalize(_product_form(field, pairs))
+    if roots is None:
+        if product != pencil.discriminant():
+            raise PencilError("product of diagonal factors does not match the discriminant")
+        return result
+    for i, (lam, (a, b)) in enumerate(zip(found, pairs)):
+        if field.is_zero(a) or b != field.neg(field.mul(lam, a)):
+            raise PencilError(f"claimed root {lam} is not the root of factor {i + 1}")
+    if linalg.rank(field, basis, pencil.dim) != pencil.dim:
+        raise PencilError("diagonalizing basis is singular")
+    pencil._disc = product
+    pencil._roots = ([(lam, 1) for lam in found], 0, True)
     return result
 
 
@@ -316,5 +364,3 @@ def _check_diagonalization(pencil: QuadricPencil, diag: Diagonalization, conj: Q
     )
     if where is not None:
         raise PencilError(f"diagonalization verification failed at entry {where}")
-    if binary.normalize(diag.product()) != pencil.discriminant():
-        raise PencilError("product of diagonal factors does not match the discriminant")

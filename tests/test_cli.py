@@ -853,14 +853,17 @@ def test_pencil_matches_golden(capsys, pencil, action, fmt):
 
 @pytest.mark.parametrize("roots, splits, determinants", [
     # each discriminant is checked against the product of its known roots,
-    # so no pencil splits one
+    # so no pencil splits one; the even-ambient pipeline reads both of its
+    # discriminants off diagonalizations, the odd restriction's from its
+    # claimed roots and the emitted diagonal pencil's from its diagonal
     ("1,4,9,2,3", 0, 1),
-    ("1,4,9,16,2,3", 0, 2),
+    ("1,4,9,16,2,3", 0, 0),
 ])
 def test_for_roots_splits_each_discriminant_once(capsys, monkeypatch, roots, splits,
                                                  determinants):
-    # a pencil determinant is one interpolation of det(x B1 + B2); at F_10009
-    # the pencil evaluates no Poly and takes no PolyMatrix product or determinant
+    # an interpolated pencil determinant is one interpolation of det(x B1 + B2);
+    # at F_10009 the pencil evaluates no Poly and takes no PolyMatrix product
+    # or determinant
     calls = {"roots": 0, "det": 0}
 
     def counted(name, real):

@@ -17,6 +17,20 @@ from tests.test_polymatrix import substitute_reference
 F = PrimeField(10009)
 
 
+def linear_images(field, m, variables, new_variables) -> dict:
+    """The reference images of the variables under x = M z, as polynomials.
+
+    Row j of the scalar matrix M holds the coefficients of the image of
+    variables[j] in new_variables: x_j -> sum_k M[j][k] z_k.
+    """
+    width = len(new_variables)
+    units = [tuple(int(i == k) for i in range(width)) for k in range(width)]
+    return {
+        v: Poly.from_pairs(field, new_variables, zip(units, row, strict=True))
+        for v, row in zip(variables, m, strict=True)
+    }
+
+
 def test_knorrer_base_case():
     phi, psi, q = knorrer.knorrer_pair(QQ, 0)
     names = knorrer.xy_variables(0)
@@ -158,8 +172,8 @@ def mixed_identity_reference(field, n, phi, psi):
     vw = tuple(f"{c}{i}" for c in "vw" for i in range(n + 1))
     names = xy + vw
     eye = [[int(i == k) for k in range(len(names))] for i in range(len(names))]
-    lift = knorrer._linear_images(field, eye[: len(xy)], xy, names)
-    to_vw = knorrer._linear_images(field, eye[len(xy):], xy, names)
+    lift = linear_images(field, eye[: len(xy)], xy, names)
+    to_vw = linear_images(field, eye[len(xy):], xy, names)
     a_xy, b_xy = (substitute_reference(m, lift, names) for m in (phi, psi))
     a_vw, b_vw = (substitute_reference(m, to_vw, names) for m in (phi, psi))
     var = lambda name: Poly.variable(field, names, name)
@@ -563,7 +577,7 @@ def test_tensor_substitution_matches_polymatrix(field):
     for shape in ((5, 3, 4), (5, 1, 6), (5, 4, 0)):
         tensors = [random_tensor(field, rng, shape) for _ in range(2)]
         m = [[random_scalar(field, rng, 0.3) for _ in new] for _ in names]
-        images = knorrer._linear_images(field, m, names, new)
+        images = linear_images(field, m, names, new)
         got = polymatrix.substitute_tensors(field, m, tensors)
         for t, image in zip(tensors, got):
             assert image.shape == (3,) + shape[1:]
@@ -674,7 +688,7 @@ def four_degree_reference(cand, m):
     from ulrichmf import graded
 
     uv, field, r = ("u", "v"), cand.field, cand.generators
-    images = knorrer._linear_images(field, m, cand.variables, uv)
+    images = linear_images(field, m, cand.variables, uv)
     a = as_polymatrix(field, cand.variables, cand.presentation)
     a = substitute_reference(a, images, uv)
     gens = [list(a.column(j)) for j in range(a.ncols)]
@@ -798,7 +812,7 @@ def test_even_ambient_negative_targets_genus2():
     assert got == sorted(int(t) for t in targets)
 
 
-# -- references: the hand-written image builders that _linear_images replaced --
+# -- references: the hand-written image builders that linear_images replaced --
 
 
 def ref_substitution_images(field, g, names):
@@ -893,7 +907,7 @@ def test_linear_images_match_substitution_reference(field):
         size = len(names)
         for _ in range(4):
             g = [[random_scalar(field, rng) for _ in range(size)] for _ in range(size)]
-            assert knorrer._linear_images(field, list(zip(*g)), names, names) == (
+            assert linear_images(field, list(zip(*g)), names, names) == (
                 ref_substitution_images(field, g, names)
             )
     # the G of a random skew Lambda, as build_candidate uses it
@@ -905,7 +919,7 @@ def test_linear_images_match_substitution_reference(field):
     g = knorrer.g_lambda(field, lam)
     names = knorrer.xy_variables(2)
     images = ref_substitution_images(field, g, names)
-    assert knorrer._linear_images(field, list(zip(*g)), names, names) == images
+    assert linear_images(field, list(zip(*g)), names, names) == images
     cand = knorrer.build_candidate(field, 2, lam)
     phi, _, q1 = knorrer.knorrer_pair(field, 2)
     assert cand.q2 == q1.substitute(images, names)
@@ -918,16 +932,16 @@ def test_linear_images_need_the_transpose():
     names = knorrer.xy_variables(1)
     g = [[F.of(i * 4 + j + 1) for j in range(4)] for i in range(4)]
     want = ref_substitution_images(F, g, names)
-    assert knorrer._linear_images(F, list(zip(*g)), names, names) == want
-    assert knorrer._linear_images(F, g, names, names) != want
+    assert linear_images(F, list(zip(*g)), names, names) == want
+    assert linear_images(F, g, names, names) != want
 
 
 def test_linear_images_reject_wrong_shape():
     names = knorrer.xy_variables(0)
     with pytest.raises(ValueError):
-        knorrer._linear_images(F, [[1, 0]], names, names)
+        linear_images(F, [[1, 0]], names, names)
     with pytest.raises(ValueError):
-        knorrer._linear_images(F, [[1, 0, 0], [0, 1, 0]], names, names)
+        linear_images(F, [[1, 0, 0], [0, 1, 0]], names, names)
 
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
@@ -937,7 +951,7 @@ def test_restriction_images_match_reference(field):
         for z_names in (None, tuple(f"w{k}" for k in range(2 * n + 1))):
             b = [random_scalar(field, rng) for _ in range(2 * n + 1)]
             images, z_names = ref_restriction_images(field, b, z_names)
-            got = knorrer._linear_images(
+            got = linear_images(
                 field, knorrer.restriction_matrix(field, b), knorrer.xy_variables(n), z_names
             )
             assert got == images
@@ -956,8 +970,10 @@ def test_gradient_is_twice_bilinear_matrix(field):
             twice, other = polymatrix.doubled_form(q)
             assert not other
             assert twice == [[field.add(c, c) for c in row] for row in bilinear_matrix(q)]
-            got = knorrer._linear_images(field, twice, names, names)
-            assert list(got.values()) == ref_gradients(q)
+            # jacobian_check reads the gradient at x as the product 2 S x
+            x = {v: random_scalar(field, rng, zero_share=0) for v in names}
+            got = linalg.matmul(field, twice, [[x[v]] for v in names])[:, 0].tolist()
+            assert got == [grad.evaluate(x) for grad in ref_gradients(q)]
 
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
@@ -1090,7 +1106,7 @@ def test_congruence_quadrics_match_substitution(field):
         for _ in range(3):
             q1, q2 = wide_quadric(field, names, rng), wide_quadric(field, names, rng)
             m = [[wide_scalar(field, rng, 0.3) for _ in new] for _ in names]
-            images = knorrer._linear_images(field, m, names, new)
+            images = linear_images(field, m, names, new)
             conj = QuadricPencil.from_quadrics(q1, q2).congruence(m, new)
             assert conj.variables == new and conj.dim == width
             assert conj.quadric(1) == q1.substitute(images, new)

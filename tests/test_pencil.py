@@ -275,7 +275,7 @@ def test_diagonalize_f13_example():
     assert len(diag.factors) == 2
     assert not pencil._proportional(field, diag.factors[0], diag.factors[1])
     # conjugation identity already verified inside; factors rebuild the discriminant
-    assert binary.normalize(diag.product()) == p.discriminant()
+    assert binary.normalize(diag.factors[0] * diag.factors[1]) == p.discriminant()
 
 
 def verify_diagonalization(p, diag):
@@ -458,3 +458,188 @@ def test_quadric_round_trip():
     assert pencil.bilinear_matrix(q1) == p.b1
     q2 = p.quadric(2)
     assert pencil.bilinear_matrix(q2) == p.b2
+
+
+# -- discriminants read off diagonalizations ---------------------------------
+
+
+def interpolated_discriminant(p):
+    """The reference: det(x B1 + B2) at x = 0 .. dim, interpolated and
+    homogenized, as a non-diagonal pencil over a large enough field takes it;
+    the zero form for an identically singular pencil."""
+    from ulrichmf import linalg
+
+    field = p.field
+    points = [field.of(x) for x in range(p.dim + 1)]
+    values = [linalg.det(field, p.at(x)) for x in points]
+    det = binary.homogenize(field, binary.interpolate_univariate(field, points, values), p.dim)
+    return det if det.is_zero() else binary.normalize(det)
+
+
+def random_diagonal(field, rng, r, zero_form=False):
+    """A diagonal pencil of size r, the diagonal form of index 0 zero if asked."""
+    b1, b2 = ([[field.zero] * r for _ in range(r)] for _ in range(2))
+    for i in range(r):
+        if not (zero_form and i == 0):
+            b1[i][i], b2[i][i] = random_scalar(field, rng), random_scalar(field, rng)
+    return pencil.QuadricPencil(field, b1, b2)
+
+
+def no_interpolation(monkeypatch):
+    monkeypatch.setattr(binary, "interpolate_univariate",
+                        lambda *args: pytest.fail("a discriminant was interpolated"))
+    monkeypatch.setattr(binary, "roots", lambda f: pytest.fail("a discriminant was split"))
+
+
+FIELDS = [PrimeField(10009), PrimeField(2**61 - 1), QQ]
+FIELD_IDS = ["p10009", "p2^61-1", "Q"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_diagonal_discriminant_matches_interpolation(field, monkeypatch):
+    import random
+
+    rng = random.Random(71)
+    for r in range(1, 8):
+        for zero_form in (False, True):
+            for _ in range(3):
+                p = random_diagonal(field, rng, r, zero_form)
+                want = interpolated_discriminant(p)
+                with monkeypatch.context() as patch:
+                    no_interpolation(patch)
+                    if zero_form:
+                        assert want.is_zero()
+                        with pytest.raises(pencil.PencilError, match="identically singular"):
+                            p.discriminant()
+                    else:
+                        assert p.discriminant() == want, (r, p.b1, p.b2)
+
+
+@pytest.mark.parametrize("p_small", [3, 5])
+def test_diagonal_discriminant_below_the_point_count_matches_bareiss(p_small):
+    # p < dim + 1: too few points to interpolate, and a diagonal pencil needs none
+    import random
+
+    field = PrimeField(p_small)
+    rng = random.Random(p_small)
+    for r in range(p_small, p_small + 4):
+        for zero_form in (False, True):
+            for _ in range(4):
+                p = random_diagonal(field, rng, r, zero_form)
+                bareiss = p.matrix_poly().determinant()
+                if bareiss.is_zero():
+                    with pytest.raises(pencil.PencilError, match="identically singular"):
+                        p.discriminant()
+                else:
+                    assert p.discriminant() == binary.normalize(bareiss)
+                assert bareiss.is_zero() or not zero_form
+
+
+def diagonalizable(field, rng, lams):
+    """M^T diag(a_i) M and M^T diag(-lam_i a_i) M for random a_i != 0 and a
+    random invertible M: a pencil with discriminant prod (s - lam_i t) whose
+    Gram matrices are, for r > 1, not diagonal."""
+    r = len(lams)
+    a = [random_scalar(field, rng) for _ in lams]
+    while any(field.is_zero(x) for x in a):
+        a = [random_scalar(field, rng) for _ in lams]
+    d1 = [[a[i] if i == j else field.zero for j in range(r)] for i in range(r)]
+    d2 = [[field.neg(field.mul(field.of(lams[i]), a[i])) if i == j else field.zero
+           for j in range(r)] for i in range(r)]
+    return pencil.QuadricPencil(field, d1, d2).congruence(random_invertible(field, rng, r))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_claimed_roots_fill_the_interpolated_discriminant(field, monkeypatch):
+    import random
+
+    rng = random.Random(73)
+    for r in range(1, 8):
+        lams = rng.sample(range(-40, 40), r)
+        claimed = diagonalizable(field, rng, lams)
+        fresh = pencil.QuadricPencil(field, claimed.b1, claimed.b2)
+        assert r == 1 or not fresh._is_diagonal()
+        shuffled = rng.sample(lams, r)
+        with monkeypatch.context() as patch:
+            no_interpolation(patch)
+            diag = pencil.simultaneous_diagonalize(claimed, shuffled)
+        # the same diagonalization, discriminant and roots as the split path
+        split = pencil.simultaneous_diagonalize(fresh)
+        assert (diag.factors, diag.basis) == (split.factors, split.basis)
+        assert claimed.discriminant() == fresh.discriminant() == interpolated_discriminant(fresh)
+        assert claimed.roots() == fresh.roots() == binary.roots(fresh.discriminant())
+
+
+def singular_b1_pencil(field):
+    """B1 = diag(0, 1), B2 = diag(1, -2): discriminant t (s - 2t), a root at infinity."""
+    return pencil.QuadricPencil(field, [[field.zero, field.zero], [field.zero, field.one]],
+                                [[field.one, field.zero], [field.zero, field.of(-2)]])
+
+
+def perturbed(p):
+    """p with one Gram entry of B2, (0, 1) and so (1, 0), moved by one."""
+    field = p.field
+    b2 = [list(row) for row in p.b2]
+    b2[0][1] = b2[1][0] = field.add(b2[0][1], field.one)
+    return pencil.QuadricPencil(field, p.b1, b2)
+
+
+@pytest.mark.parametrize("case", ["non-root", "repeated", "too few", "infinity", "perturbed"])
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_claimed_roots_negative_controls(field, case):
+    import random
+
+    lams = [5, 1, 7, 3]
+    p = diagonalizable(field, random.Random(79), lams)
+    claimed, message = {
+        "non-root": ([5, 1, 7, 4], "0-dimensional kernel at lam = 4,"),
+        "repeated": ([5, 1, 7, 7], "need 4 distinct claimed roots, got 3 distinct of 4"),
+        "too few": ([5, 1, 7], "need 4 distinct claimed roots, got 3 distinct of 3"),
+        # 2 is the one finite root; no claim of two finite roots can hold
+        "infinity": ([2, 9], "0-dimensional kernel at lam = 9,"),
+        "perturbed": (lams, "0-dimensional kernel at lam = "),
+    }[case]
+    if case == "infinity":
+        p = singular_b1_pencil(field)
+    elif case == "perturbed":
+        p = perturbed(p)
+    with pytest.raises(pencil.PencilError, match=re.escape(message)):
+        pencil.simultaneous_diagonalize(p, claimed)
+    assert p._disc is None and p._roots is None
+
+
+def test_claimed_roots_need_a_nonsingular_basis(monkeypatch):
+    # the rank of the basis is the proof of det M != 0: a basis it calls
+    # singular is refused, and no discriminant is filled
+    import random
+
+    from ulrichmf import linalg
+
+    field = PrimeField(10009)
+    p = diagonalizable(field, random.Random(83), [5, 1, 7, 3])
+    monkeypatch.setattr(linalg, "rank", lambda field, rows, ncols=None: len(rows) - 1)
+    with pytest.raises(pencil.PencilError, match="diagonalizing basis is singular"):
+        pencil.simultaneous_diagonalize(p, [5, 1, 7, 3])
+    assert p._disc is None and p._roots is None
+
+
+def test_claimed_roots_check_each_factor(monkeypatch):
+    # a congruence whose diagonal entry of B2 is off by one is still diagonal,
+    # and its factors are read off it: the factor of root 1 no longer vanishes there
+    import random
+
+    field = PrimeField(10009)
+    p = diagonalizable(field, random.Random(89), [5, 1, 7, 3])
+    real = pencil.QuadricPencil.congruence
+
+    def off_by_one(self, m):
+        conj = real(self, m)
+        b2 = [list(row) for row in conj.b2]
+        b2[0][0] = field.add(b2[0][0], field.one)
+        return pencil.QuadricPencil(field, conj.b1, b2)
+
+    monkeypatch.setattr(pencil.QuadricPencil, "congruence", off_by_one)
+    message = "claimed root 1 is not the root of factor 1"
+    with pytest.raises(pencil.PencilError, match=re.escape(message)):
+        pencil.simultaneous_diagonalize(p, [5, 1, 7, 3])
+    assert p._disc is None and p._roots is None
