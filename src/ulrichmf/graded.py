@@ -21,6 +21,8 @@ import functools
 import itertools
 from math import comb
 
+import numpy as np
+
 from . import linalg
 from .fields import Field
 from .poly import Poly
@@ -56,6 +58,26 @@ def _sorted_monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+@functools.cache
+def _monomial_index(nvars: int, degree: int) -> dict:
+    """Position of each exponent tuple in ``monomials(nvars, degree)``."""
+    return {exp: i for i, exp in enumerate(_sorted_monomials(nvars, degree))}
+
+
+@functools.cache
+def _shift_table(nvars: int, degree: int, shift: int) -> np.ndarray:
+    """Entry (i, r) is the position of u_i + x_r in ``monomials(nvars, degree
+    + shift)``, for u_i the i-th monomial of the given degree and x_r the r-th
+    of degree ``shift``.  In two variables it is i + r."""
+    index = _monomial_index(nvars, degree + shift)
+    shifts = _sorted_monomials(nvars, shift)
+    table = [[index[tuple(a + b for a, b in zip(u, x))] for x in shifts]
+             for u in _sorted_monomials(nvars, degree)]
+    table = np.array(table, dtype=np.intp).reshape(len(table), len(shifts))
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
 def dim_poly_ring(nvars: int, degree: int) -> int:
     if degree < 0:
         return 0
@@ -87,23 +109,65 @@ def multiples_coords(field: Field, gens, target_degrees, d: int, nvars: int = 2)
     ``gens`` holds (degree, vector) pairs, each vector a list of Polys with
     entry j homogeneous of degree e_g - a_j (or zero).  Rows come generator
     by generator, monomials in :func:`monomials` order, in the basis
-    ``degree_basis(target_degrees, d, nvars)``.  Exponents are shifted and
-    looked up; no Poly is built or multiplied.
+    ``degree_basis(target_degrees, d, nvars)``, as lists of the field's
+    scalars.  No Poly is built or multiplied: each generator's terms are read
+    once as (position, coefficient) pairs, and one numpy assignment writes
+    all of its multiples, the positions of the shifted exponents coming from
+    :func:`_shift_table`.
     """
-    basis = degree_basis(target_degrees, d, nvars)
-    index = {key: i for i, key in enumerate(basis)}
-    zero = field.zero
-    out = []
-    for e_g, vec in gens:
-        for mono in monomials(nvars, d - e_g):
-            coords = [zero] * len(basis)
-            for j, p in enumerate(vec):
-                for exp, c in p.terms.items():
-                    i = index.get((j, tuple(a + b for a, b in zip(exp, mono))))
-                    if i is None:
-                        raise GradedError(f"entry {j} has a term of the wrong degree")
-                    coords[i] = c
-            out.append(coords)
+    return _multiples_array(field, gens, target_degrees, d, nvars).tolist()
+
+
+@functools.cache
+def _multiple_positions(nvars: int, target_degrees: tuple, d: int, e_g: int):
+    """Where the multiples of a degree-e_g generator put each of its terms.
+
+    Returns (table, entries).  ``entries[j]`` is (index, base): a term u of
+    entry j is row ``base + index[u]`` of ``table``, and that row holds the
+    flat positions of x_r * u in the block of the generator's multiples,
+    one row per x_r, in the degree-d basis of the targets."""
+    shift = d - e_g
+    count = dim_poly_ring(nvars, shift)
+    width = sum(dim_poly_ring(nvars, d - a) for a in target_degrees)
+    strides = np.arange(count) * width
+    parts, entries, base, offset = [], [], 0, 0
+    for a in target_degrees:
+        index = _monomial_index(nvars, e_g - a)
+        entries.append((index, base))
+        if index:
+            parts.append(_shift_table(nvars, e_g - a, shift) + (strides + offset))
+            base += len(index)
+        offset += dim_poly_ring(nvars, d - a)
+    table = np.concatenate(parts) if parts else np.zeros((0, count), dtype=np.intp)
+    table.flags.writeable = False
+    return table, entries
+
+
+def _multiples_array(field: Field, gens, target_degrees, d: int, nvars: int):
+    """The rows of :func:`multiples_coords` as one array of
+    ``linalg.scalar_dtype(field)``."""
+    dtype = linalg.scalar_dtype(field)
+    targets = tuple(target_degrees)
+    width = sum(dim_poly_ring(nvars, d - a) for a in targets)
+    counts = [dim_poly_ring(nvars, d - e) for e, _ in gens]
+    out = np.full((sum(counts), width), field.zero, dtype=dtype)
+    top = 0
+    for (e_g, vec), count in zip(gens, counts):
+        if not count:
+            continue
+        table, entries = _multiple_positions(nvars, targets, d, e_g)
+        rows, coeffs = [], []
+        for j, p in enumerate(vec):
+            if p.terms:
+                try:
+                    index, base = entries[j]
+                    rows += [base + index[exp] for exp in p.terms]
+                except (IndexError, KeyError):
+                    raise GradedError(f"entry {j} has a term of the wrong degree") from None
+                coeffs += p.terms.values()
+        if coeffs:
+            out[top:top + count].reshape(-1)[table[rows]] = np.array(coeffs, dtype=dtype)[:, None]
+        top += count
     return out
 
 
@@ -119,8 +183,7 @@ def degree_map_matrix(m: PolyMatrix, d: int):
     src = degree_basis(m.col_degrees, d, nvars)
     tgt = degree_basis(m.row_degrees, d, nvars)
     gens = [(c, m.column(j)) for j, c in enumerate(m.col_degrees)]
-    cols = multiples_coords(m.field, gens, m.row_degrees, d, nvars)
-    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in tgt]
+    rows = _multiples_array(m.field, gens, m.row_degrees, d, nvars).T.tolist()
     return rows, src, tgt
 
 

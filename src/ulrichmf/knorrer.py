@@ -160,6 +160,19 @@ def diagonal_lambda(field: Field, dvals) -> list:
     return lam
 
 
+def _quadric_attribute(which: int):
+    """q1 or q2 of a candidate: a Poly, assignable, that a change of variables
+    leaves unset until first use, then reads off the kept pencil."""
+    slot = f"_q{which}"
+
+    def get(self) -> Poly:
+        if getattr(self, slot) is None:
+            setattr(self, slot, self._pencil.quadric(which))
+        return getattr(self, slot)
+
+    return property(get, lambda self, q: setattr(self, slot, q))
+
+
 class UlrichCandidate:
     """A linear presentation with exact annihilator certificates.
 
@@ -200,6 +213,9 @@ class UlrichCandidate:
         self._pencil = None
         self._require_certificates()
 
+    q1 = _quadric_attribute(1)
+    q2 = _quadric_attribute(2)
+
     def _require_certificates(self) -> None:
         ok, detail = self.verify_certificates()
         if not ok:
@@ -238,8 +254,9 @@ class UlrichCandidate:
         """The linear change of variables x = M z on every matrix and quadric.
 
         Row j of the scalar matrix M holds the coefficients of variables[j] in
-        new_variables: x_j -> sum_k M[j][k] z_k.  The quadrics are read off the
-        congruent pencil, which the result keeps.  The result is not verified: a
+        new_variables: x_j -> sum_k M[j][k] z_k.  The result keeps the congruent
+        pencil and reads its quadrics off it on first use: the odd intermediate
+        of ``ulrich_for_roots_even_ambient`` never reads them.  It is not verified: a
         linear change of variables is a ring map, so A @ B' = 0 and
         A @ C_l = q_l id carry over from a verified self.
         """
@@ -247,7 +264,7 @@ class UlrichCandidate:
         out = copy.copy(self)
         out.variables = target
         out._pencil = self.pencil().congruence(m, target)
-        out.q1, out.q2 = out._pencil.quadric(1), out._pencil.quadric(2)
+        out.q1 = out.q2 = None
         out.presentation, out.second_map, out.cert1, out.cert2 = substitute_tensors(
             self.field, m, (self.presentation, self.second_map, self.cert1, self.cert2)
         )

@@ -183,12 +183,15 @@ class QuadricPencil:
 
 
 def _product_form(field: Field, pairs) -> Poly:
-    """prod (a*s + b*t) over the (a, b) pairs, by convolving coefficient lists."""
+    """prod (a*s + b*t) over the (a, b) pairs of field scalars, by convolving
+    coefficient lists; coeffs[i] multiplies s^(d-i) t^i."""
     coeffs = [field.one]
     for a, b in pairs:
         coeffs = [field.add(field.mul(a, x), field.mul(b, y))
                   for x, y in zip(coeffs + [field.zero], [field.zero] + coeffs)]
-    return binary.binary_form(field, coeffs)
+    d = len(coeffs) - 1
+    return Poly._make(field, binary.ST, {(d - i, i): c for i, c in enumerate(coeffs)
+                                         if not field.is_zero(c)})
 
 
 def smoothness_check(pencil: QuadricPencil):
@@ -269,15 +272,16 @@ class HyperellipticData(Diagonalization):
         return self.factors[i - 1]
 
     def subset_product(self, indices) -> Poly:
-        """f_I = prod_{i in I} f_i for 1-based indices."""
+        """f_I = prod_{i in I} f_i for 1-based indices, cached per subset: the
+        linear factors' coefficients convolved by ``_product_form`` (f_emptyset = 1)."""
         key = frozenset(indices)
         if any(i < 1 or i > self.nbranch for i in key):
             raise PencilError(f"subset {sorted(key)} out of range 1..{self.nbranch}")
         if key not in self._subset_cache:
-            acc = Poly.const(self.field, binary.ST, 1)
-            for i in sorted(key):
-                acc = acc * self.factors[i - 1]
-            self._subset_cache[key] = acc
+            self._subset_cache[key] = _product_form(self.field, [
+                (f.coefficient((1, 0)), f.coefficient((0, 1)))
+                for f in (self.factors[i - 1] for i in sorted(key))
+            ])
         return self._subset_cache[key]
 
     def complement(self, indices) -> frozenset:

@@ -1125,6 +1125,39 @@ def test_candidates_keep_the_pencil_of_their_quadrics(field):
                    for x in row)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_substituted_quadrics_are_read_off_the_pencil_on_first_use(field):
+    lam = knorrer.diagonal_lambda(field, [field.of(d) for d in (1, 2, 3)])
+    cand = knorrer.build_candidate(field, 2, lam)
+    b = knorrer.solve_b_for_roots(
+        field, [field.neg(field.of(a)) for a in (1, 4, 9)], [field.neg(field.of(c)) for c in (2, 3)]
+    )
+    m = knorrer.restriction_matrix(field, b)
+    names = tuple(f"z{k}" for k in range(5))
+    out = cand._substituted(m, names)
+    assert (out._q1, out._q2) == (None, None)
+    images = linear_images(field, m, cand.variables, names)
+    assert out.q1 == cand.q1.substitute(images, names)
+    assert out.q2 == cand.q2.substitute(images, names)
+    assert (out._q1, out._q2) == (out.pencil().quadric(1), out.pencil().quadric(2))
+    assert out.verify_certificates() == (True, "ok")
+    # the source keeps its own quadrics, and an assigned quadric replaces the lazy one
+    assert cand.q1 != out.q1 and cand.q1.vars == cand.variables
+    out.q2 = Poly.zero(field, names)
+    assert out.q2.is_zero() and out.verify_certificates()[0] is False
+
+
+def test_even_ambient_never_reads_the_intermediate_quadrics(monkeypatch):
+    made = []
+    real = knorrer._odd_restriction
+    monkeypatch.setattr(knorrer, "_odd_restriction", lambda *args: made.append(real(*args)) or made[-1])
+    cand = knorrer.ulrich_for_roots(F, [1, 4, 9, 16, 2, 3], seed=1)
+    ((odd, _),) = made
+    assert (odd._q1, odd._q2) == (None, None)
+    # the emitted candidate was verified, which read both of its quadrics
+    assert cand._q1 is not None and cand._q2 is not None
+
+
 def test_hilbert_check_of_a_zero_quadric_finds_no_ring():
     # a verified candidate may have q2 = 0 (C2 = 0): it has no pencil
     cand = restricted_candidate()

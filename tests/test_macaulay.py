@@ -1,6 +1,8 @@
 """The one Macaulay-matrix builder, `graded.multiples_coords`, against the
 per-entry and equation-dictionary builders it replaced, kept here as
-independent references."""
+independent references.  The builder writes numpy arrays of the field's
+scalar type (int64 at p = 10009, Python ints at p = 2^61 - 1, Fractions over
+Q) and hands back lists, so the rows are compared value and type."""
 
 import random
 from fractions import Fraction
@@ -14,7 +16,8 @@ from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
 
 ST = binary.ST
-FIELDS = [PrimeField(10009), QQ]
+FIELDS = [PrimeField(10009), PrimeField(2**61 - 1), QQ]
+VARIABLE_SETS = [ST, ("x", "y", "z")]
 
 
 def vector_coords(field, vec, basis):
@@ -125,12 +128,13 @@ def random_graded_matrix(rng, field, variables):
 def test_degree_map_matrix_matches_per_entry_reference(field):
     rng = random.Random(11)
     seen_empty_src = seen_empty_tgt = 0
-    for variables in (ST, ("x", "y", "z")):
+    for variables in VARIABLE_SETS:
         for _ in range(40):
             m = random_graded_matrix(rng, field, variables)
             for d in range(-3, 5):
                 got = graded.degree_map_matrix(m, d)
                 assert got == ref_degree_map_matrix(m, d)
+                assert_field_lists(field, got[0])
                 seen_empty_src += not got[1]
                 seen_empty_tgt += not got[2]
     assert seen_empty_src and seen_empty_tgt
@@ -148,23 +152,74 @@ def test_degree_map_matrix_empty_bases():
     assert graded.degree_map_matrix(no_cols, 1) == ([[], []], [], t_and_s)
 
 
+def assert_field_lists(field, rows):
+    """Rows are lists of the field's own scalars, not numpy arrays or numpy ints."""
+    assert type(rows) is list and all(type(row) is list for row in rows)
+    assert all(type(c) is type(field.zero) for row in rows for c in row)
+
+
 def test_multiples_coords_matches_multiply_then_read():
     rng = random.Random(3)
+    seen = dict.fromkeys(("empty basis", "no multiples", "zero generator", "rows"), 0)
     for field in FIELDS:
-        for _ in range(20):
-            targets = [rng.randrange(-1, 2) for _ in range(rng.randrange(1, 4))]
-            gens = []
-            for _ in range(rng.randrange(0, 4)):
-                e = rng.randrange(-1, 3)
-                gens.append((e, [random_form(rng, field, ST, e - a) for a in targets]))
-            for d in range(-2, 5):
-                basis = graded.degree_basis(targets, d)
-                want = []
-                for e, vec in gens:
-                    for mono in graded.monomials(2, d - e):
-                        x = Poly(field, ST, {mono: field.one})
-                        want.append(vector_coords(field, [p * x for p in vec], basis))
-                assert graded.multiples_coords(field, gens, targets, d, 2) == want
+        for variables in VARIABLE_SETS:
+            nvars = len(variables)
+            for _ in range(20):
+                targets = [rng.randrange(-1, 2) for _ in range(rng.randrange(0, 4))]
+                gens = []
+                for _ in range(rng.randrange(0, 4)):
+                    e = rng.randrange(-1, 3)
+                    vec = [random_form(rng, field, variables, e - a) for a in targets]
+                    if rng.random() < 0.2:
+                        vec = [Poly.zero(field, variables) for _ in targets]
+                    gens.append((e, vec))
+                for d in range(-2, 5):
+                    basis = graded.degree_basis(targets, d, nvars)
+                    want = []
+                    for e, vec in gens:
+                        for mono in graded.monomials(nvars, d - e):
+                            x = Poly(field, variables, {mono: field.one})
+                            want.append(vector_coords(field, [p * x for p in vec], basis))
+                            seen["zero generator"] += all(p.is_zero() for p in vec)
+                    got = graded.multiples_coords(field, gens, targets, d, nvars)
+                    assert got == want
+                    assert_field_lists(field, got)
+                    seen["empty basis"] += not basis
+                    seen["no multiples"] += bool(gens) and not want
+                    seen["rows"] += len(want)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("variables", VARIABLE_SETS, ids=len)
+def test_multiples_coords_names_the_entry_of_a_wrong_degree_term(field, variables):
+    rng = random.Random(5)
+    nvars = len(variables)
+    raised = 0
+    for _ in range(30):
+        targets = [rng.randrange(-1, 2) for _ in range(rng.randrange(1, 4))]
+        e = rng.randrange(0, 3)
+        vec = [random_form(rng, field, variables, e - a) for a in targets]
+        j = rng.randrange(len(targets))
+        wrong = graded.monomials(nvars, max(e - targets[j], 0) + 1)[0]
+        bad = list(vec)
+        bad[j] = vec[j] + Poly(field, variables, {wrong: field.one})
+        for d in range(-1, 5):
+            assert_field_lists(field, graded.multiples_coords(field, [(e, vec)], targets, d, nvars))
+            if d < e:
+                # no multiples in degree d: the generator is not read
+                assert graded.multiples_coords(field, [(e, bad)], targets, d, nvars) == []
+                continue
+            with pytest.raises(graded.GradedError,
+                               match=f"^entry {j} has a term of the wrong degree$"):
+                graded.multiples_coords(field, [(e, vec), (e, bad)], targets, d, nvars)
+            # an entry past the targets has no degree to be right in
+            extra = vec + [Poly.const(field, variables, 1)]
+            with pytest.raises(graded.GradedError,
+                               match=f"^entry {len(targets)} has a term of the wrong degree$"):
+                graded.multiples_coords(field, [(e, extra)], targets, d, nvars)
+            raised += 1
+    assert raised
 
 
 def test_multiples_coords_rejects_wrong_degree_term():

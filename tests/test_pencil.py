@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -449,6 +450,29 @@ def test_hyperelliptic_subset_products():
     assert h.f == h.subset_product({1, 2, 3, 4})
     with pytest.raises(pencil.PencilError):
         h.subset_product({0})
+
+
+@pytest.mark.parametrize("field", [PrimeField(10009), PrimeField(2**61 - 1), QQ], ids=str)
+def test_subset_product_matches_the_poly_product_chain(field):
+    """Every f_I at g <= 3 against the chain of Poly products it replaced, term
+    order included; the factors mix monic roots, a scaled factor and t."""
+    for genus in (0, 1, 2, 3):
+        factors = [binary.root_factor(field, field.of(r)) for r in range(1, 2 * genus + 2)]
+        factors.append(binary.linear_form(field, field.of(0), field.of(3)))
+        if genus:
+            factors[0] = factors[0].scale(field.of(-2))
+        h = pencil.HyperellipticData.from_factors(field, factors)
+        branches = range(1, h.nbranch + 1)
+        for size in range(h.nbranch + 1):
+            for subset in itertools.combinations(branches, size):
+                want = Poly.const(field, binary.ST, 1)
+                for i in subset:
+                    want = want * h.factor(i)
+                got = h.subset_product(subset)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert all(type(c) is type(field.zero) for c in got.terms.values())
+        assert h.subset_product(()) == Poly.const(field, binary.ST, 1)
+        assert h.f is h.subset_product(branches)
 
 
 def test_quadric_round_trip():
