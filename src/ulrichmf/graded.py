@@ -174,7 +174,8 @@ def _multiples_array(field: Field, gens, target_degrees, d: int, nvars: int):
 def degree_map_matrix(m: PolyMatrix, d: int):
     """Scalar matrix of the degree-d piece of a homogeneous map.
 
-    Returns (rows, src_basis, tgt_basis); rows are indexed by tgt_basis and
+    Returns (rows, src_basis, tgt_basis); rows is a 2-d array of
+    ``linalg.scalar_dtype(m.field)``, its rows indexed by tgt_basis and its
     columns by src_basis.  Column (j, x^e) holds the coordinates of x^e times
     column j of m, so the matrix is the transpose of the multiples of m's
     columns.
@@ -183,7 +184,7 @@ def degree_map_matrix(m: PolyMatrix, d: int):
     src = degree_basis(m.col_degrees, d, nvars)
     tgt = degree_basis(m.row_degrees, d, nvars)
     gens = [(c, m.column(j)) for j, c in enumerate(m.col_degrees)]
-    rows = _multiples_array(m.field, gens, m.row_degrees, d, nvars).T.tolist()
+    rows = _multiples_array(m.field, gens, m.row_degrees, d, nvars).T
     return rows, src, tgt
 
 
@@ -330,16 +331,15 @@ def express_in_module(
     when the element is not in the span.
     """
     gens = list(zip(gen_degrees, gen_vectors))
-    columns = multiples_coords(field, gens, module_degrees, target_degree, nvars)
+    columns = _multiples_array(field, gens, module_degrees, target_degree, nvars)
     # the target's coordinates: its degree-0 multiple
-    (rhs,) = multiples_coords(field, [(target_degree, target_vec)], module_degrees,
+    (rhs,) = _multiples_array(field, [(target_degree, target_vec)], module_degrees,
                               target_degree, nvars)
-    if not columns:
-        return None if any(not field.is_zero(c) for c in rhs) else [
+    if not len(columns):
+        return None if any(not field.is_zero(c) for c in rhs.tolist()) else [
             Poly.zero(field, variables) for _ in gen_vectors
         ]
-    rows = [list(row) for row in zip(*columns)]
-    solution = linalg.solve(field, rows, rhs, len(columns))
+    solution = linalg.solve(field, columns.T, rhs, len(columns))
     if solution is None:
         return None
     # the unknowns are the multiples x^m * g, in the order multiples_coords made them
@@ -371,6 +371,6 @@ def graded_quotient_dims(field: Field, variables, generators, degrees, rank: int
     out = []
     for d in degrees:
         width = rank * dim_poly_ring(nvars, d)
-        rows = multiples_coords(field, gens, [0] * rank, d, nvars)
+        rows = _multiples_array(field, gens, [0] * rank, d, nvars)
         out.append(width - linalg.rank(field, rows, width))
     return out

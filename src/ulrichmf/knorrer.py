@@ -760,7 +760,7 @@ def _cokernel_dims(candidate: UlrichCandidate, m, q1: Poly, q2: Poly) -> list:
     (a_uv,) = substitute_tensors(field, m, (candidate.presentation,))
     # row j holds column j of A, coordinates (i, v) and (i, u) in graded.degree_basis order
     degree1 = a_uv[::-1].transpose(2, 1, 0).reshape(2 * r, 2 * r)
-    if linalg.rank(field, degree1.tolist(), 2 * r) == 2 * r:
+    if linalg.rank(field, degree1, 2 * r) == 2 * r:
         return [r, 0, 0, 0]
     a, zero = tensor_matrix(field, q1.vars, a_uv), Poly.zero(field, q1.vars)
     gens = [list(a.column(j)) for j in range(2 * r)]

@@ -1,21 +1,23 @@
 """Field-generic exact dense linear algebra.
 
-Matrices at this level are lists of lists of field scalars.  Each field has
-one elimination, and kernel and solutions are read off its reduced form,
-rank and determinant off its forward form.  Over a prime field these are
-the numpy loops of :mod:`ulrichmf.modp`, ``rref`` and ``echelon``, on arrays
-of the element type that module picks for p.
+Matrices at this level are lists of rows of field scalars or 2-d arrays of
+them.  Each field has one elimination, and kernel and solutions are read off
+its reduced form, rank and determinant off its forward form.  Over a prime
+field these are the numpy loops of :mod:`ulrichmf.modp`, ``rref`` and
+``echelon``, on arrays of the element type that module picks for p; an array
+of that type is handed to them as it is, without a copy.
 
-Over Q each row is scaled by the lcm of its denominators (:func:`_cleared`)
-and the integer rows are eliminated once, fraction-free (Bareiss; its
-Gauss-Jordan form for the reduced form, see :func:`_bareiss`).  Every
-division there is exact, by Sylvester's identity: after k pivots each entry
-is, up to sign, a minor of the cleared matrix (below the pivots the
-(k+1) x (k+1) minor that borders the k x k pivot minor by the entry's row
-and column, above them the pivot minor with the entry's column in place of
-the row's pivot column), and the identity writes each such minor as the
-update of the step divided by the pivot minor before it.  So the
-elimination needs no entry bound, no fallback and no proof afterwards.
+Over Q each row is scaled by the lcm of its denominators (:func:`_cleared`,
+where an array becomes lists once) and the integer rows are eliminated once,
+fraction-free (Bareiss; its Gauss-Jordan form for the reduced form, see
+:func:`_bareiss`).  Every division there is exact, by Sylvester's identity:
+after k pivots each entry is, up to sign, a minor of the cleared matrix
+(below the pivots the (k+1) x (k+1) minor that borders the k x k pivot minor
+by the entry's row and column, above them the pivot minor with the entry's
+column in place of the row's pivot column), and the identity writes each
+such minor as the update of the step divided by the pivot minor before it.
+So the elimination needs no entry bound, no fallback and no proof
+afterwards.
 Rank over Q is full when it is full mod :data:`RANK_PRIME`; otherwise it is
 read off the forward pass.
 
@@ -35,7 +37,7 @@ from .fields import Field, PrimeField
 
 
 def _to_array(rows, ncols, p):
-    return np.array(rows, dtype=modp._dtype(p)).reshape(len(rows), ncols)
+    return np.asarray(rows, dtype=modp._dtype(p)).reshape(len(rows), ncols)
 
 
 def scalar_dtype(field: Field):
@@ -145,15 +147,40 @@ def reduced(field: Field, x):
 
 def rref(field: Field, rows, ncols=None):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+    m, pivots, d = _reduced(field, rows, _width(rows, ncols))
+    return _scalars(field, m, d), pivots
+
+
+def _width(rows, ncols):
+    """ncols if given, else the length of the rows of ``rows``."""
+    if ncols is not None:
+        return ncols
+    if isinstance(rows, np.ndarray):
+        return rows.shape[1]
+    return len(rows[0]) if rows else 0
+
+
+def _reduced(field: Field, rows, ncols):
+    """(R, pivots, d): the reduced row echelon form of ``rows`` is R / d, for
+    R a 2-d array of integers, and its pivot columns are a list.  Over F_p, R
+    holds residues and d = 1; over Q, R is the fraction-free form of
+    :func:`_bareiss`, and d its last pivot."""
     if isinstance(field, PrimeField):
         m, piv = modp.rref(_to_array(rows, ncols, field.p), field.p)
-        return m.tolist(), piv.tolist()
+        return m, piv.tolist(), 1
     m, pivots, _ = _bareiss(_cleared(rows)[0], ncols, reduce=True)
     # each row is d times its row of the reduced form, d the last pivot
-    d, zero = m[len(pivots) - 1, pivots[-1]] if pivots else 1, field.zero
-    return [[Fraction(x, d) if x else zero for x in row] for row in m.tolist()], pivots
+    return m, pivots, m[len(pivots) - 1, pivots[-1]] if pivots else 1
+
+
+def _scalars(field: Field, x, d):
+    """The 2-d integer array x / d as lists of rows of field scalars: residues
+    over F_p, where d = 1; over Q, Fractions where x is nonzero and
+    ``field.zero`` elsewhere."""
+    if isinstance(field, PrimeField):
+        return (x % field.p).tolist()
+    zero = field.zero
+    return [[Fraction(v, d) if v else zero for v in row] for row in x.tolist()]
 
 
 # the prime of rank's proof of full rank over Q, the largest below 2^31, on
@@ -163,11 +190,14 @@ RANK_PRIME = 2147483647
 
 def _cleared(rows):
     """(A, s): each row scaled by the lcm of its denominators, as lists of
-    Python ints, and s the product of those lcms.
+    Python ints, and s the product of those lcms.  An array of Fractions is
+    turned into lists once, here.
 
     Scaling a row by a nonzero integer keeps the rank and the reduced form,
     and multiplies the determinant by it.
     """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     cleared, scale = [], 1
     for row in rows:
         dens = [x.denominator for x in row]
@@ -225,9 +255,8 @@ def rank(field: Field, rows, ncols=None) -> int:
     rank over Q, so full rank mod p proves full rank over Q.  Any other
     answer is recomputed by the forward pass of :func:`_bareiss`.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows or ncols == 0:
+    ncols = _width(rows, ncols)
+    if not len(rows) or ncols == 0:
         return 0
     if isinstance(field, PrimeField):
         return len(modp.echelon(_to_array(rows, ncols, field.p), field.p)[1])
@@ -240,35 +269,35 @@ def rank(field: Field, rows, ncols=None) -> int:
 
 
 def nullspace(field: Field, rows, ncols):
-    """Canonical basis of the right kernel, as a list of vectors."""
-    r, piv = rref(field, rows, ncols) if rows else ([], [])
+    """Canonical basis of the right kernel, as a list of vectors.
+
+    Basis vector k is 1 at the k-th free column of the reduced form R / d and
+    holds -R[i, free column] / d at pivot column i; it is 0 everywhere else.
+    """
+    r, piv, d = _reduced(field, rows, ncols)
     pivot_set = set(piv)
-    basis = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[c] = field.one
-        for i, pc in enumerate(piv):
-            v[pc] = field.neg(r[i][c])
-        basis.append(v)
-    return basis
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = np.zeros((len(free), ncols), dtype=r.dtype)
+    basis[np.arange(len(free)), free] = d
+    basis[:, piv] = -r[: len(piv), free].T
+    return _scalars(field, basis, d)
 
 
 def solve(field: Field, rows, rhs, ncols=None):
     """One solution x of A x = b (b a vector), or None if inconsistent."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows:
+    ncols = _width(rows, ncols)
+    if not len(rows):
         return [field.zero] * ncols
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    r, piv = rref(field, aug, ncols + 1)
+    dtype = scalar_dtype(field)
+    aug = np.empty((len(rows), ncols + 1), dtype=dtype)
+    aug[:, :ncols] = np.asarray(rows, dtype=dtype).reshape(len(rows), ncols)
+    aug[:, ncols] = np.asarray(rhs, dtype=dtype)
+    r, piv, d = _reduced(field, aug, ncols + 1)
     if ncols in piv:
         return None
-    x = [field.zero] * ncols
-    for i, c in enumerate(piv):
-        x[c] = r[i][ncols]
-    return x
+    x = np.zeros((1, ncols), dtype=r.dtype)
+    x[0, piv] = r[: len(piv), ncols]
+    return _scalars(field, x, d)[0]
 
 
 def det(field: Field, rows) -> object:

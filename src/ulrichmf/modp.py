@@ -3,9 +3,13 @@
 Every graded computation (syzygy kernels, Hom spaces, Macaulay-matrix ranks,
 determinant interpolation) reduces to row echelon forms of scalar matrices
 over F_p, computed here by Python loops over pivots with vectorized row
-updates: the Gauss-Jordan loop of :func:`rref` and the forward-only loop of
-:func:`echelon`.  Rank, kernel, solve and determinant are read off these two
-forms once for every field, in :mod:`ulrichmf.linalg`.
+updates: the Gauss-Jordan loop of :func:`rref`, one broadcast update of
+every row per pivot, and the forward-only loop of :func:`echelon`, which
+updates only the rows below a pivot that have a nonzero entry under it (on
+large sparse matrices that mask saves more than it costs).  Both take a 2-d
+array, or anything ``np.asarray`` makes one of.  Rank, kernel, solve and
+determinant are read off these two forms once for every field, in
+:mod:`ulrichmf.linalg`.
 
 The element type is chosen from p by :func:`_dtype` and nowhere else.  The
 kernel only ever multiplies two residues in [0, p) and subtracts the product
@@ -27,7 +31,11 @@ def _dtype(p: int):
 def rref(a: np.ndarray, p: int):
     """Canonical reduced row echelon form of ``a`` mod p, by Gauss-Jordan.
 
-    Returns (rref matrix, pivot column array).  ``a`` is not modified.
+    The rows from the pivot row down are 0 left of the pivot column c, so a
+    step changes columns c and up only: it normalizes the pivot row there
+    and clears column c in every row at once, by one broadcast product (a
+    row whose entry in column c is 0 is left as it is).  Returns (rref
+    matrix, pivot column array).  ``a`` is not modified.
     """
     m = np.asarray(a, dtype=_dtype(p)) % p
     if m.ndim != 2:
@@ -38,19 +46,18 @@ def rref(a: np.ndarray, p: int):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        nz = m[r:, c].nonzero()[0]
+        if not len(nz):
             continue
+        block = m[:, c:]
         i = r + int(nz[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        col = m[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            m[mask] = (m[mask] - np.outer(col[mask], m[r])) % p
+            block[[r, i]] = block[[i, r]]
+        row = block[r] * pow(int(block[r, 0]), -1, p) % p
+        # block - col * row >= -(p - 1)^2: exact wherever _dtype picked int64
+        block -= block[:, :1] * row
+        block %= p
+        block[r] = row
         pivots.append(c)
         r += 1
     return m, np.array(pivots, dtype=np.int64)

@@ -2,14 +2,17 @@
 per-entry and equation-dictionary builders it replaced, kept here as
 independent references.  The builder writes numpy arrays of the field's
 scalar type (int64 at p = 10009, Python ints at p = 2^61 - 1, Fractions over
-Q) and hands back lists, so the rows are compared value and type."""
+Q); `multiples_coords` hands back lists and `degree_map_matrix` the
+transposed array, so the rows are compared value, type and shape.  The
+modp eliminations of one `mf grouplaw --g 3` are pinned by their shapes."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ulrichmf import binary, graded, linalg, mf
+from ulrichmf import binary, cli, graded, linalg, mf, modp
 from ulrichmf.fields import QQ, PrimeField
 from ulrichmf.pencil import HyperellipticData
 from ulrichmf.poly import Poly
@@ -133,8 +136,10 @@ def test_degree_map_matrix_matches_per_entry_reference(field):
             m = random_graded_matrix(rng, field, variables)
             for d in range(-3, 5):
                 got = graded.degree_map_matrix(m, d)
-                assert got == ref_degree_map_matrix(m, d)
-                assert_field_lists(field, got[0])
+                want = ref_degree_map_matrix(m, d)
+                assert_scalar_array(field, got[0], len(want[2]), len(want[1]))
+                assert (got[0].tolist(), got[1], got[2]) == want
+                assert_field_lists(field, got[0].tolist())
                 seen_empty_src += not got[1]
                 seen_empty_tgt += not got[2]
     assert seen_empty_src and seen_empty_tgt
@@ -144,12 +149,25 @@ def test_degree_map_matrix_empty_bases():
     field = PrimeField(10009)
     s = Poly.variable(field, ST, "s")
     m = PolyMatrix(field, ST, [[s]], row_degrees=[0], col_degrees=[1])
-    assert graded.degree_map_matrix(m, 0) == ([[]], [], [(0, (0, 0))])
-    assert graded.degree_map_matrix(m, -1) == ([], [], [])
     t_and_s = [(0, (0, 1)), (0, (1, 0))]
-    assert graded.degree_map_matrix(m, 1) == ([[0], [1]], [(0, (0, 0))], t_and_s)
     no_cols = PolyMatrix(field, ST, [[]], row_degrees=[0], col_degrees=[])
-    assert graded.degree_map_matrix(no_cols, 1) == ([[], []], [], t_and_s)
+    for (matrix, d), want in [
+        ((m, 0), ([[]], [], [(0, (0, 0))])),
+        ((m, -1), ([], [], [])),
+        ((m, 1), ([[0], [1]], [(0, (0, 0))], t_and_s)),
+        ((no_cols, 1), ([[], []], [], t_and_s)),
+    ]:
+        rows, src, tgt = graded.degree_map_matrix(matrix, d)
+        assert_scalar_array(field, rows, len(tgt), len(src))
+        assert (rows.tolist(), src, tgt) == want
+
+
+def assert_scalar_array(field, rows, nrows, ncols):
+    """A 2-d array of the field's stored scalar type, one row per target
+    coordinate and one column per source coordinate."""
+    assert isinstance(rows, np.ndarray)
+    assert rows.shape == (nrows, ncols)
+    assert rows.dtype == linalg.scalar_dtype(field)
 
 
 def assert_field_lists(field, rows):
@@ -262,3 +280,27 @@ def test_hom_space_matches_equation_reference(field):
             assert [t.to_json() for t in basis] == [t.to_json() for t in want_basis]
             nonzero += dim > 0
     assert nonzero
+
+
+# the modp eliminations of `mf grouplaw --g 3` (default roots, I and J), as
+# (function, rows, columns), in order, recorded before the Gauss-Jordan step
+# of modp.rref became one broadcast update: that change makes each
+# elimination cheaper and must not change which ones run
+GROUPLAW_G3_ELIMINATIONS = [
+    ("rref", 4, 4), ("rref", 7, 1), ("rref", 10, 2), ("rref", 13, 3), ("rref", 16, 4),
+    ("rref", 20, 7), ("rref", 24, 10), ("rref", 28, 13), ("rref", 32, 16), ("rref", 36, 20),
+    ("rref", 20, 7), ("rref", 36, 15), ("rref", 20, 7),
+]
+
+
+def test_grouplaw_g3_runs_the_recorded_eliminations(monkeypatch, capsys):
+    calls = []
+    for name in ("rref", "echelon"):
+        def record(a, p, name=name, real=getattr(modp, name)):
+            calls.append((name, *np.shape(a)))
+            assert p == 10009
+            return real(a, p)
+        monkeypatch.setattr(modp, name, record)
+    assert cli.main(["mf", "grouplaw", "--g", "3"]) == 0
+    assert "pass: True" in capsys.readouterr().out
+    assert calls == GROUPLAW_G3_ELIMINATIONS

@@ -5,16 +5,24 @@ determinant off them; both are tested here through ``linalg`` over
 ``PrimeField(p)``, and the forward form through ``modp.echelon`` directly.
 The loops run on int64 while (p - 1)^2 < 2^63 and on object arrays of Python
 ints past that bound; the primes below sit on either side of it.
+
+``modp.rref`` is also checked against ``rref_reference``, the masked
+outer-product Gauss-Jordan loop its broadcast step replaced: same array, same
+element type, same pivots, input untouched.  ``linalg`` takes a matrix as a
+list of rows or as a 2-d array, and the two give the same answers over
+F_10009, F_(2^61 - 1) and Q.
 """
 
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ulrichmf import linalg, modp
-from ulrichmf.fields import PrimeField
+from ulrichmf.fields import QQ, PrimeField
 
 
 def random_matrix(rng, rows, cols, p):
@@ -300,3 +308,147 @@ def test_det_matches_permutation_oracle_on_deficient(p):
         got = linalg.det(field, rows)
         assert got == perm_det(as_input(rows, len(rows), p), p)
         assert (got == 0) == (linalg.rank(field, rows) < len(rows))
+
+
+# -- the Gauss-Jordan step against the loop it replaced ---------------------------
+
+def rref_reference(a, p):
+    """The Gauss-Jordan loop ``modp.rref`` ran before its one broadcast step:
+    the pivot row normalized in full, then subtracted, as an outer product,
+    from the rows with a nonzero entry in the pivot column only."""
+    m = np.asarray(a, dtype=modp._dtype(p)) % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        inv = pow(int(m[r, c]), p - 2, p)
+        m[r] = m[r] * inv % p
+        col = m[:, c].copy()
+        col[r] = 0
+        mask = col != 0
+        if mask.any():
+            m[mask] = (m[mask] - np.outer(col[mask], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, np.array(pivots, dtype=np.int64)
+
+
+GJ_PRIMES = [3, 13, 10009, 2**31 - 1, 2**61 - 1]
+
+
+def shaped_cases(p, seed):
+    """Arrays of the element type of p: tall, wide and square, 0 x k and
+    k x 0, with zero rows, zero columns, entries p - 1 and products of rank
+    below full."""
+    rng = np.random.default_rng(seed)
+    dtype = modp._dtype(p)
+
+    def rand(nrows, ncols, top=p):
+        return np.array([[int(x) % top for x in row]
+                         for row in rng.integers(0, 2**62, (nrows, ncols)).tolist()],
+                        dtype=dtype).reshape(nrows, ncols)
+
+    def low_rank(nrows, ncols, k):
+        return (rand(nrows, k).astype(object) @ rand(k, ncols).astype(object) % p).astype(dtype)
+
+    out = [rand(0, 4), rand(4, 0), rand(0, 0), np.zeros((3, 5), dtype=dtype),
+           np.full((4, 4), p - 1, dtype=dtype)]
+    for nrows, ncols in ((28, 12), (32, 16), (12, 1), (3, 9), (1, 6), (7, 7), (16, 16)):
+        out.append(rand(nrows, ncols))
+        out.append(rand(nrows, ncols, top=2))  # mostly zeros and ones
+    for nrows, ncols, k in ((20, 8, 3), (6, 10, 4), (9, 9, 8), (12, 5, 0)):
+        out.append(low_rank(nrows, ncols, k))
+    with_zero_rows = rand(10, 6)
+    with_zero_rows[[0, 4, 9]] = 0
+    with_zero_rows[:, 2] = 0
+    out.append(with_zero_rows)
+    return out
+
+
+@pytest.mark.parametrize("p", GJ_PRIMES)
+def test_rref_matches_the_replaced_loop(p):
+    for a in shaped_cases(p, p % 1000):
+        before = a.copy()
+        m, piv = modp.rref(a, p)
+        want, want_piv = rref_reference(a, p)
+        assert np.array_equal(a, before) and a.dtype == before.dtype
+        assert m.dtype == want.dtype == modp._dtype(p)
+        assert m.shape == a.shape
+        assert m.tolist() == want.tolist()
+        assert piv.dtype == want_piv.dtype and piv.tolist() == want_piv.tolist()
+        assert m.tolist() == ref_rref(a.tolist(), a.shape[1], p)[0]
+
+
+# -- linalg on lists of rows and on 2-d arrays ---------------------------------
+
+def list_and_array_cases(field, seed):
+    """(rows as lists, ncols) on F_p or Q: random, rank-deficient and
+    square matrices, with zero rows."""
+    rng = random.Random(seed)
+    if isinstance(field, PrimeField):
+        def scalar():
+            return rng.choice([0, 0, 1, field.p - 1, rng.randrange(field.p)])
+    else:
+        def scalar():
+            return Fraction(rng.choice([0, 0, 1, -1, rng.randrange(-50, 50)]), rng.randrange(1, 9))
+
+    out = []
+    for nrows, ncols in ((1, 1), (3, 3), (5, 5), (6, 3), (3, 6), (2, 0), (4, 4)):
+        rows = [[scalar() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2:
+            rows[-1] = [field.add(x, y) for x, y in zip(rows[0], rows[1])]
+            rows[1] = [field.zero] * ncols
+        out.append((rows, ncols))
+    return out
+
+
+LIST_ARRAY_FIELDS = [PrimeField(10009), PrimeField(2**61 - 1), QQ]
+
+
+@pytest.mark.parametrize("field", LIST_ARRAY_FIELDS, ids=str)
+def test_linalg_agrees_on_lists_and_arrays(field):
+    rng = random.Random(8)
+    dtype = linalg.scalar_dtype(field)
+    for rows, ncols in list_and_array_cases(field, 4):
+        arrays = [np.array(rows, dtype=dtype).reshape(len(rows), ncols)]
+        if dtype is object and isinstance(field, PrimeField):
+            # residues below 2^63 held in int64 by the caller
+            arrays.append(np.array(rows, dtype=np.int64).reshape(len(rows), ncols))
+        for a in arrays:
+            before = a.copy()
+            assert linalg.rref(field, a, ncols) == linalg.rref(field, rows, ncols)
+            assert linalg.rref(field, a) == linalg.rref(field, rows, ncols)
+            assert linalg.nullspace(field, a, ncols) == linalg.nullspace(field, rows, ncols)
+            assert linalg.rank(field, a, ncols) == linalg.rank(field, rows, ncols)
+            assert linalg.rank(field, a) == linalg.rank(field, rows, ncols)
+            x = [rng.choice([field.zero, field.one]) for _ in range(ncols)]
+            consistent = [functools.reduce(field.add, map(field.mul, row, x), field.zero)
+                          for row in rows]
+            for rhs in (consistent, [field.one] * len(rows)):
+                got = linalg.solve(field, a, np.array(rhs, dtype=dtype), ncols)
+                assert got == linalg.solve(field, rows, rhs, ncols)
+            if len(rows) == ncols:
+                assert linalg.det(field, a) == linalg.det(field, rows)
+            assert np.array_equal(a, before)
+        assert linalg.solve(field, rows, consistent, ncols) is not None
+
+
+@pytest.mark.parametrize("field", LIST_ARRAY_FIELDS, ids=str)
+def test_inconsistent_system_is_none_on_lists_and_arrays(field):
+    dtype = linalg.scalar_dtype(field)
+    one, zero = field.one, field.zero
+    rows, rhs = [[one, one], [one, one], [zero, zero]], [zero, one, zero]
+    assert linalg.solve(field, rows, rhs) is None
+    assert linalg.solve(field, np.array(rows, dtype=dtype), np.array(rhs, dtype=dtype)) is None
+    # the nullspace of the empty-row matrix is the identity, on both inputs
+    empty = np.zeros((0, 3), dtype=dtype)
+    identity = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    assert linalg.nullspace(field, empty, 3) == linalg.nullspace(field, [], 3) == identity
