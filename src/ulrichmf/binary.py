@@ -56,10 +56,6 @@ def coeff_list(f: Poly) -> list:
     return [f.coefficient((i, d - i)) for i in range(d + 1)]
 
 
-def evaluate(f: Poly, s_val, t_val):
-    return f.evaluate({"s": s_val, "t": t_val})
-
-
 def t_valuation(f: Poly) -> int:
     check_binary(f)
     return min(e[1] for e in f.terms)
@@ -81,33 +77,38 @@ def roots(f: Poly):
     Returns (root_list, infinity_multiplicity, splits) where root_list holds
     (lam, multiplicity) pairs for factors (s - lam*t), infinity_multiplicity
     is the multiplicity of the factor t, and splits reports whether the found
-    factors account for f up to a nonzero scalar.
+    factors account for f up to a nonzero scalar.  The work is on f(s, 1),
+    whose multiplicities come from dividing by s - lam.
     """
     field = f.field
-    d = check_binary(f)
-    k = t_valuation(f)
-    g = f
-    tpoly = Poly.variable(field, ST, "t")
-    for _ in range(k):
-        g = g.divexact(tpoly)
+    g, k = _dehomogenized(f)
+    degree = len(g) - 1
     found = []
     for lam in _root_candidates(field, g):
         lam = field.of(lam)
-        if not field.is_zero(evaluate(g, lam, field.one)):
-            continue
-        factor = root_factor(field, lam)
+        factor = [field.neg(lam), field.one]
         mult = 0
         while True:
-            try:
-                g2 = g.divexact(factor)
-            except PolyError:
+            quo, rem = _poly_divmod(field, g, factor)
+            if rem:
                 break
-            g, mult = g2, mult + 1
+            g, mult = quo, mult + 1
         if mult:
             found.append((lam, mult))
     found.sort(key=lambda item: root_sort_key(item[0]))
-    splits = k + sum(m for _, m in found) == d
+    splits = sum(m for _, m in found) == degree
     return found, k, splits
+
+
+def _dehomogenized(f: Poly):
+    """(ascending coefficients of f(s, 1), k) for a nonzero binary form f = t^k g
+    with t not dividing g: k counts the vanishing top coefficients."""
+    coeffs = coeff_list(f)
+    k = 0
+    while f.field.is_zero(coeffs[-1]):
+        coeffs.pop()
+        k += 1
+    return coeffs, k
 
 
 def root_sort_key(lam):
@@ -117,11 +118,11 @@ def root_sort_key(lam):
     return (int(lam), 1)
 
 
-def _root_candidates(field: Field, g: Poly):
+def _root_candidates(field: Field, coeffs: list):
     if isinstance(field, PrimeField):
-        return _roots_mod_p(field, coeff_list(g))
+        return _roots_mod_p(field, coeffs)
     if isinstance(field, RationalField):
-        return _rational_candidates(g)
+        return _rational_candidates(coeffs)
     raise PolyError("root search supports F_p and Q only")
 
 
@@ -184,8 +185,8 @@ def _mul_mod(field: Field, a: list, b: list, m: list) -> list:
     return _poly_mod(field, out, m)
 
 
-def _rational_candidates(g: Poly):
-    """Rational root candidates of the dehomogenized form g(s, 1), 0 included.
+def _rational_candidates(coeffs: list):
+    """Rational root candidates of an ascending coefficient list g, 0 included.
 
     A rational root n/d in lowest terms is a root of h, the squarefree part
     of g with denominators cleared and the factor s taken out, so d | a and
@@ -196,7 +197,6 @@ def _rational_candidates(g: Poly):
     of no rational root give non-roots, which :func:`roots` drops.
     """
     yield QQ.zero
-    coeffs = coeff_list(g)
     h = _poly_divmod(QQ, coeffs, _gcd_univ(QQ, coeffs, _derivative(QQ, coeffs)))[0]
     scale = lcm(*(c.denominator for c in h))
     ints = [int(c * scale) for c in h]
@@ -242,16 +242,8 @@ def squarefree_distinct(f: Poly) -> bool:
     The factor t (root at infinity) participates: t^2 | f fails the test.
     """
     field = f.field
-    check_binary(f)
-    if t_valuation(f) > 1:
-        return False
-    g = f
-    tpoly = Poly.variable(field, ST, "t")
-    if t_valuation(f) == 1:
-        g = g.divexact(tpoly)
-    coeffs = coeff_list(g)
-    gc = _gcd_univ(field, coeffs, _derivative(field, coeffs))
-    return len(gc) == 1
+    g, k = _dehomogenized(f)
+    return k < 2 and len(_gcd_univ(field, g, _derivative(field, g))) == 1
 
 
 def _trim(field: Field, c: list) -> list:

@@ -198,8 +198,10 @@ def even_decomposition_check(h: HyperellipticData, subset) -> dict:
     beta = img_ic.coefficient(key)
     f_i = h.subset_product(key)
     f_ic = h.subset_product(comp)
-    c1 = alpha.divexact(f_i).constant_value()
-    c2 = beta.divexact(f_ic).constant_value()
+    c1, c2 = alpha.ratio(f_i), beta.ratio(f_ic)
+    if c1 is None or c2 is None:
+        report["detail"] = "y-multiplication entries are not scalar multiples of (f_I, f_I^c)"
+        return report
     report["c"] = c1
     report["c_prime"] = c2
     if not field.is_zero(field.sub(field.mul(c1, c2), field.one)):

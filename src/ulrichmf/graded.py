@@ -219,10 +219,6 @@ class IncrementalEchelon:
         self.pivots.append(piv)
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
 
 def graded_kernel(m: PolyMatrix) -> PolyMatrix:
     """Minimal generators of ker(m) for a homogeneous map of graded free modules.

@@ -39,7 +39,7 @@ import random
 import numpy as np
 
 from . import binary, graded, linalg
-from .fields import Field, NotASquare
+from .fields import Field, NotASquare, PrimeField
 from .pencil import (QuadricPencil, bilinear_matrix, congruent, simultaneous_diagonalize,
                      smoothness_check)
 from .poly import Poly, PolyError
@@ -361,7 +361,7 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
     q2 = pencil.quadric(2)
     if q2.is_zero():
         raise UlrichError("degenerate substitution: q2 = 0")
-    if _proportional_quadrics(field, q1, q2):
+    if q2.ratio(q1) is not None:
         raise UlrichError("degenerate substitution: q2 proportional to q1")
     phi, psi = linear_tensor(phi), linear_tensor(psi)
     a2, b2 = substitute_tensors(field, m, (phi, psi))
@@ -396,12 +396,6 @@ def _diagonal_of(field, lam):
                 return None
         dvals.append(lam[i][half + i])
     return dvals
-
-
-def _proportional_quadrics(field, q1, q2) -> bool:
-    """q2 = c q1 for some scalar c, for nonzero q1 and q2."""
-    exp, c1 = next(iter(q1.terms.items()))
-    return q2 == q1.scale(field.div(q2.coefficient(exp), c1))
 
 
 def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
@@ -575,9 +569,9 @@ def _odd_restriction(field, a_targets, c_targets):
     try:
         dvals = [field.sqrt(a) for a in a_targets]
     except NotASquare as exc:
+        advice = " or change the prime" if isinstance(field, PrimeField) else ""
         raise NotASquare(
-            f"{exc}; the first n+1 targets must be squares: reorder targets or "
-            "change the prime"
+            f"{exc}; the first n+1 targets must be squares: reorder targets{advice}"
         ) from exc
     lam = diagonal_lambda(field, dvals)
     ambient = build_candidate(field, n, lam)
@@ -667,9 +661,10 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
     squares = [t for t in pool if _is_square(field, t)]
     non_squares = [t for t in pool if not _is_square(field, t)]
     if len(squares) < n + 1:
+        advice = "the prime or the targets" if isinstance(field, PrimeField) else "the targets"
         raise UlrichError(
             f"need {n + 1} square targets for the chart roots, found {len(squares)}: "
-            "change the prime or the targets"
+            f"change {advice}"
         )
     a_targets = squares[: n + 1]
     c_targets = squares[n + 1 :] + non_squares

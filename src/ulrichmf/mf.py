@@ -315,7 +315,8 @@ def isomorphism_failure(m1: MatrixFactorization, m2: MatrixFactorization):
     _, basis = hom_space(m1, m2, 0)
     if not basis:
         return f"Hom^0({names}) = 0"
-    if not any(t.rank() == t.nrows for t in basis):
+    # both modules have rank 2: a 2 x 2 witness has full rank iff its determinant is nonzero
+    if all((a * d - b * c).is_zero() for (a, b), (c, d) in (t.entries for t in basis)):
         return f"no witness in Hom^0({names}) has full rank"
     return None
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import binary, linalg
-from .fields import Field, PrimeField
+from .fields import QQ, Field, PrimeField
 from .poly import Poly
-from .polymatrix import PolyMatrix, doubled_form
+from .polymatrix import doubled_form
 
 
 class PencilError(ValueError):
@@ -71,21 +71,6 @@ class QuadricPencil:
             raise PencilError("quadrics must live in one ring")
         return QuadricPencil(q1.field, bilinear_matrix(q1), bilinear_matrix(q2), q1.vars)
 
-    def matrix_poly(self) -> PolyMatrix:
-        """s*B1 + t*B2 as a graded matrix of linear binary forms."""
-        field = self.field
-        rows = []
-        for i in range(self.dim):
-            rows.append(
-                [
-                    binary.linear_form(field, self.b1[i][j], self.b2[i][j])
-                    for j in range(self.dim)
-                ]
-            )
-        return PolyMatrix(
-            field, binary.ST, rows, row_degrees=[0] * self.dim, col_degrees=[1] * self.dim
-        )
-
     def at(self, x):
         """The scalar matrix x*B1 + B2, the pencil at s = x, t = 1."""
         field = self.field
@@ -105,8 +90,9 @@ class QuadricPencil:
         A diagonal pencil's is the product of its diagonal forms B1[i][i]*s +
         B2[i][i]*t.  Any other pencil's is det(x*B1 + B2) at x = 0 .. dim,
         interpolated and homogenized to degree dim.  F_p with p < dim + 1 has
-        too few points: there the determinant of :meth:`matrix_poly` is taken
-        by fraction-free elimination.
+        too few points; det(x*B1 + B2) is an integer polynomial in the
+        entries, so there it is interpolated over Q on the integer residues
+        and its coefficients are reduced mod p.
 
         The Hessian convention of the literature differs from this bilinear
         determinant by the fixed scalar 2^dim; the normalization makes the
@@ -117,17 +103,24 @@ class QuadricPencil:
             if self._is_diagonal():
                 det = _product_form(field, [(self.b1[i][i], self.b2[i][i]) for i in range(dim)])
             elif isinstance(field, PrimeField) and field.p < dim + 1:
-                det = self.matrix_poly().determinant()
+                lift = QuadricPencil(QQ, *([[QQ.of(c) for c in row] for row in b]
+                                           for b in (self.b1, self.b2)))
+                coeffs = [field.of(c) for c in lift._det_coefficients()]
+                det = binary.homogenize(field, coeffs, dim)
             else:
-                points = [field.of(x) for x in field.elements(dim + 1)]
-                values = [linalg.det(field, self.at(x)) for x in points]
-                det = binary.homogenize(
-                    field, binary.interpolate_univariate(field, points, values), dim
-                )
+                det = binary.homogenize(field, self._det_coefficients(), dim)
             if det.is_zero():
                 raise PencilError("degenerate pencil: identically singular")
             self._disc = binary.normalize(det)
         return self._disc
+
+    def _det_coefficients(self) -> list:
+        """Ascending coefficients of det(x*B1 + B2): its values at x = 0 .. dim,
+        interpolated."""
+        field = self.field
+        points = [field.of(x) for x in field.elements(self.dim + 1)]
+        values = [linalg.det(field, self.at(x)) for x in points]
+        return binary.interpolate_univariate(field, points, values)
 
     def roots(self):
         """binary.roots of the discriminant, split once per pencil."""

@@ -97,16 +97,15 @@ class Poly:
     def coefficient(self, exp) -> object:
         return self.terms.get(tuple(exp), self.field.zero)
 
-    def constant_value(self):
-        """The scalar value of a constant polynomial (raises if nonconstant)."""
-        if not self.terms:
-            return self.field.zero
-        if len(self.terms) != 1:
-            raise PolyError("polynomial is not constant")
-        ((exp, coeff),) = self.terms.items()
-        if any(exp):
-            raise PolyError("polynomial is not constant")
-        return coeff
+    def ratio(self, other: "Poly"):
+        """The scalar c with self = c * other for nonzero other, or None if
+        self is no scalar multiple of other."""
+        self._check(other)
+        if other.is_zero():
+            raise PolyError("ratio to the zero polynomial")
+        exp, c = next(iter(other.terms.items()))
+        ratio = self.field.div(self.coefficient(exp), c)
+        return ratio if self == other.scale(ratio) else None
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -227,34 +226,6 @@ class Poly:
                 term = _mul_into(field, term, t, {})
             _mul_into(field, term, factors[-1], acc)
         return Poly._make(field, target_vars, _nonzero(field, acc))
-
-    # -- exact division ------------------------------------------------------
-
-    def divexact(self, divisor: "Poly") -> "Poly":
-        """Exact quotient self / divisor; raises PolyError if not divisible."""
-        self._check(divisor)
-        if divisor.is_zero():
-            raise PolyError("division by zero polynomial")
-        f = self.field
-        lead = max(divisor.terms)
-        lead_c = divisor.terms[lead]
-        rem = dict(self.terms)
-        quo: dict = {}
-        while rem:
-            exp = max(rem)
-            diff = tuple(a - b for a, b in zip(exp, lead))
-            if any(d < 0 for d in diff):
-                raise PolyError("polynomials do not divide exactly")
-            c = f.div(rem[exp], lead_c)
-            quo[diff] = c
-            for dexp, dc in divisor.terms.items():
-                tgt = tuple(a + b for a, b in zip(diff, dexp))
-                s = f.sub(rem.get(tgt, f.zero), f.mul(c, dc))
-                if f.is_zero(s):
-                    rem.pop(tgt, None)
-                else:
-                    rem[tgt] = s
-        return Poly._make(f, self.vars, quo)
 
     # -- rendering and JSON ---------------------------------------------------
 

@@ -1,12 +1,12 @@
-"""Matrices of polynomials, graded free modules, and exact determinants.
+"""Matrices of polynomials and graded free modules.
 
 Grading convention, fixed repo-wide: a homogeneous map between graded free
 modules (+)k[s,t](-a_j) -> (+)k[s,t](-b_i) carries col_degrees = (a_j) and
 row_degrees = (b_i); entry (i, j) must be zero or homogeneous of degree
 a_j - b_i.
 
-One fraction-free Bareiss elimination gives both the rank and the
-determinant.
+No elimination runs over k[vars]: each rank or determinant the package
+needs is a scalar question for :mod:`ulrichmf.linalg`.
 
 A matrix of linear forms in variables x_0 .. x_{V-1} can also be stored as
 its coefficient tensor T of shape (V, rows, cols), T[k] the scalar matrix of
@@ -243,56 +243,6 @@ class PolyMatrix:
                 if any(sum(e) != c - r for e in p.terms):
                     return (i, j)
         return None
-
-    # -- determinant -------------------------------------------------------------
-
-    def determinant(self) -> Poly:
-        """det by one fraction-free elimination: 0 below full rank, else the
-        last pivot with the sign of the swaps."""
-        if self.nrows != self.ncols:
-            raise MatrixError("determinant of a non-square matrix")
-        rank, sign, pivot = self._bareiss()
-        if rank < self.nrows:
-            return Poly.zero(self.field, self.vars)
-        return pivot.scale(self.field.of(sign))
-
-    def rank(self) -> int:
-        """Rank over the fraction field of k[vars]."""
-        return self._bareiss()[0]
-
-    def _bareiss(self):
-        """Fraction-free elimination with full pivoting; every division is exact.
-
-        Returns (rank r, sign of the row and column swaps, last pivot).  The last
-        pivot is the r x r minor on the pivot rows and columns, 1 when r = 0.
-        """
-        work = [list(row) for row in self.entries]
-        nrows, ncols = self.nrows, self.ncols
-        zero = Poly.zero(self.field, self.vars)
-        prev = Poly.const(self.field, self.vars, 1)
-        sign = 1
-        for r in range(min(nrows, ncols)):
-            pivot = next(
-                ((i, j) for i in range(r, nrows) for j in range(r, ncols) if work[i][j].terms),
-                None,
-            )
-            if pivot is None:
-                return r, sign, prev
-            pi, pj = pivot
-            if pi != r:
-                work[pi], work[r] = work[r], work[pi]
-                sign = -sign
-            if pj != r:
-                for row in work[r:]:
-                    row[pj], row[r] = row[r], row[pj]
-                sign = -sign
-            top = work[r]
-            for row in work[r + 1 :]:
-                for j in range(r + 1, ncols):
-                    row[j] = (top[r] * row[j] - row[r] * top[j]).divexact(prev)
-                row[r] = zero
-            prev = top[r]
-        return min(nrows, ncols), sign, prev
 
     # -- JSON ---------------------------------------------------------------------
 

@@ -1,0 +1,110 @@
+"""Reference eliminations over k[vars], kept as test oracles.
+
+The package answers every rank and determinant with scalar linear algebra.
+This module keeps the polynomial-matrix routines that did it before: one
+fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) whose
+divisions are exact multivariate divisions, the rank and determinant read
+off it, and the pencil s*B1 + t*B2 as a matrix of linear forms.
+"""
+
+from ulrichmf import binary
+from ulrichmf.poly import Poly, PolyError
+from ulrichmf.polymatrix import MatrixError, PolyMatrix
+
+
+def divexact(a: Poly, b: Poly) -> Poly:
+    """The exact quotient a / b; raises PolyError if b does not divide a."""
+    if a.vars != b.vars or a.field != b.field:
+        raise PolyError("mixed rings")
+    if b.is_zero():
+        raise PolyError("division by zero polynomial")
+    f = a.field
+    lead = max(b.terms)
+    lead_c = b.terms[lead]
+    rem = dict(a.terms)
+    quo = {}
+    while rem:
+        exp = max(rem)
+        diff = tuple(x - y for x, y in zip(exp, lead))
+        if any(d < 0 for d in diff):
+            raise PolyError("polynomials do not divide exactly")
+        c = f.div(rem[exp], lead_c)
+        quo[diff] = c
+        for dexp, dc in b.terms.items():
+            tgt = tuple(x + y for x, y in zip(diff, dexp))
+            s = f.sub(rem.get(tgt, f.zero), f.mul(c, dc))
+            if f.is_zero(s):
+                rem.pop(tgt, None)
+            else:
+                rem[tgt] = s
+    return Poly(f, a.vars, quo)
+
+
+def constant_value(p: Poly):
+    """The scalar of a constant polynomial; raises PolyError if it is not constant."""
+    if any(any(exp) for exp in p.terms):
+        raise PolyError("polynomial is not constant")
+    return p.coefficient((0,) * len(p.vars))
+
+
+def bareiss(m: PolyMatrix):
+    """Fraction-free elimination with full pivoting; every division is exact.
+
+    Returns (rank r, sign of the row and column swaps, last pivot).  The last
+    pivot is the r x r minor on the pivot rows and columns, 1 when r = 0.
+    """
+    work = [list(row) for row in m.entries]
+    nrows, ncols = m.nrows, m.ncols
+    zero = Poly.zero(m.field, m.vars)
+    prev = Poly.const(m.field, m.vars, 1)
+    sign = 1
+    for r in range(min(nrows, ncols)):
+        pivot = next(
+            ((i, j) for i in range(r, nrows) for j in range(r, ncols) if work[i][j].terms),
+            None,
+        )
+        if pivot is None:
+            return r, sign, prev
+        pi, pj = pivot
+        if pi != r:
+            work[pi], work[r] = work[r], work[pi]
+            sign = -sign
+        if pj != r:
+            for row in work[r:]:
+                row[pj], row[r] = row[r], row[pj]
+            sign = -sign
+        top = work[r]
+        for row in work[r + 1:]:
+            for j in range(r + 1, ncols):
+                row[j] = divexact(top[r] * row[j] - row[r] * top[j], prev)
+            row[r] = zero
+        prev = top[r]
+    return min(nrows, ncols), sign, prev
+
+
+def determinant(m: PolyMatrix) -> Poly:
+    """det m: 0 below full rank, else the last pivot with the sign of the swaps."""
+    if m.nrows != m.ncols:
+        raise MatrixError("determinant of a non-square matrix")
+    rank, sign, pivot = bareiss(m)
+    if rank < m.nrows:
+        return Poly.zero(m.field, m.vars)
+    return pivot.scale(m.field.of(sign))
+
+
+def rank(m: PolyMatrix) -> int:
+    """The rank of m over the fraction field of k[vars]."""
+    return bareiss(m)[0]
+
+
+def matrix_poly(p) -> PolyMatrix:
+    """s*B1 + t*B2 of a QuadricPencil as a graded matrix of linear binary forms."""
+    rows = [[binary.linear_form(p.field, a, b) for a, b in zip(row1, row2)]
+            for row1, row2 in zip(p.b1, p.b2)]
+    return PolyMatrix(p.field, binary.ST, rows, row_degrees=[0] * p.dim,
+                      col_degrees=[1] * p.dim)
+
+
+def pencil_determinant(p) -> Poly:
+    """det(s*B1 + t*B2) of a QuadricPencil by elimination over k[s, t]."""
+    return determinant(matrix_poly(p))

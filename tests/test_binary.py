@@ -81,7 +81,7 @@ def test_interpolation_round_trip():
         for deg in range(9):
             f = binary.binary_form(field, [rng.randrange(-20, 20) for _ in range(deg + 1)])
             pts = [field.of(k) for k in rng.sample(range(-6, 7), deg + 1)]
-            vals = [binary.evaluate(f, lam, 1) for lam in pts]
+            vals = [f.evaluate({"s": lam, "t": 1}) for lam in pts]
             coeffs = binary.interpolate_univariate(field, pts, vals)
             assert len(coeffs) == deg + 1
             assert binary.homogenize(field, coeffs, deg) == f
@@ -186,10 +186,10 @@ def test_roots_skip_irreducible_quadratic():
 # -- rational roots lifted from one prime against trial division ----------------
 
 
-def trial_division_candidates(g):
+def trial_division_candidates(coeffs):
     """Reference: every n/d with n dividing the constant term and d the leading
-    coefficient of g(s, 1) with its denominators cleared, 0 included."""
-    coeffs = binary.coeff_list(g)
+    coefficient of the ascending list g(s, 1) with its denominators cleared, 0
+    included."""
     scale = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
     while ints and ints[0] == 0:

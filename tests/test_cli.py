@@ -89,6 +89,22 @@ def test_pencil_diag_without_split_advises_a_prime_only_over_f_p(capsys, field, 
     assert err == f"error: discriminant does not split over the base field{advice}\n"
 
 
+# 7 is a square in neither field; 1, 4, 9 are squares in both
+@pytest.mark.parametrize("field, roots, err", [
+    ("10009", "1,4,7,11,14,19", "error: need 4 square targets for the chart roots, found 3: "
+                                "change the prime or the targets\n"),
+    ("Q", "1,4,7,11,14,19", "error: need 4 square targets for the chart roots, found 3: "
+                            "change the targets\n"),
+    ("10009", "1,7,4,9,11,14,19", "error: 7 is not a square mod 10009; choose a different prime "
+                                  "or input; the first n+1 targets must be squares: reorder "
+                                  "targets or change the prime\n"),
+    ("Q", "1,7,4,9,11,14,19", "error: 7 is not a rational square; the first n+1 targets must be "
+                              "squares: reorder targets\n"),
+], ids=["even-p10009", "even-Q", "odd-p10009", "odd-Q"])
+def test_ulrich_without_square_targets_advises_a_prime_only_over_f_p(capsys, field, roots, err):
+    assert run(capsys, "--field", field, "ulrich", "for-roots", "--roots", roots) == (2, "", err)
+
+
 
 # the F_10009 goldens read over Q: discriminants with coefficients near 10^23
 @pytest.mark.parametrize("name, code, diag", [
@@ -870,7 +886,6 @@ def test_for_roots_splits_each_discriminant_once(capsys, monkeypatch, roots, spl
                                                  determinants):
     # an interpolated pencil determinant is one interpolation of det(x B1 + B2);
     # at F_10009 the pencil evaluates no Poly and takes no PolyMatrix product
-    # or determinant
     calls = {"roots": 0, "det": 0}
 
     def counted(name, real):
@@ -885,8 +900,7 @@ def test_for_roots_splits_each_discriminant_once(capsys, monkeypatch, roots, spl
     monkeypatch.setattr(binary, "roots", counted("roots", binary.roots))
     monkeypatch.setattr(binary, "interpolate_univariate",
                         counted("det", binary.interpolate_univariate))
-    for name in ("determinant", "mul"):
-        monkeypatch.setattr(PolyMatrix, name, unused)
+    monkeypatch.setattr(PolyMatrix, "mul", unused)
     monkeypatch.setattr(Poly, "evaluate", unused)
     code, _, err = run(capsys, "ulrich", "for-roots", "--roots", roots)
     assert code == 0, err

@@ -13,6 +13,8 @@ from ulrichmf.pencil import HyperellipticData
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
 
+from tests.poly_reference import constant_value
+
 ST = binary.ST
 F = PrimeField(10009)
 F13 = PrimeField(13)
@@ -162,7 +164,7 @@ def test_central_element_even_genus_needs_sqrt_minus_one():
     y = clifford.central_element_y(curve(2, F13, [1, 2, 3, 4, 5, 6]))
     coeff = y.coefficient(frozenset(range(1, 7)))
     # sqrt(-1) = 5 mod 13; the canonical root is used
-    assert coeff.constant_value() in (5, 8)
+    assert constant_value(coeff) in (5, 8)
     h_bad = curve(2, PrimeField(10007), [1, 2, 3, 4, 5, 6])
     with pytest.raises(NotASquare):
         clifford.central_element_y(h_bad)
@@ -200,6 +202,20 @@ def test_even_decomposition_all_even_subsets_small_genus():
         for rep in mf.canonical_classes(h, parity=0):
             report = clifford.even_decomposition_check(h, rep)
             assert report["pass"], report
+
+
+def test_even_decomposition_fails_on_an_entry_off_f_i(monkeypatch):
+    # negative control: y with coefficient s c instead of the scalar c keeps
+    # y-multiplication antidiagonal, but its entries are s c f_I and s c f_I^c
+    h = curve(1)
+    real = clifford.central_element_y(h)
+    top = frozenset(range(1, h.nbranch + 1))
+    s = Poly.variable(F, ST, "s")
+    monkeypatch.setattr(clifford, "central_element_y", lambda h: clifford.CliffordElement.basis(
+        h, top, real.coefficient(top) * s))
+    report = clifford.even_decomposition_check(h, {1, 2})
+    assert report == {"I": [1, 2], "pass": False, "detail":
+                      "y-multiplication entries are not scalar multiples of (f_I, f_I^c)"}
 
 
 def test_even_decomposition_rejects_odd():

@@ -3,13 +3,15 @@
 Every rank, kernel, solve and determinant in the package is read off the two
 echelon forms that ``linalg`` dispatches per field.  A second module reaching
 into ``modp`` would be a second elimination path; this parses the sources and
-fails on one.
+fails on one.  Below the polynomial layer, the scalar modules and the pencil
+(its two Gram matrices) use no ``PolyMatrix`` either.
 """
 
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ulrichmf"
+SCALAR_MODULES = ("fields", "modp", "linalg", "binary", "pencil")
 
 
 def imports_modp(tree) -> bool:
@@ -39,3 +41,28 @@ def test_import_check_sees_each_form():
         assert imports_modp(ast.parse(source)), source
     for source in ("from . import linalg", "from .fields import PrimeField"):
         assert not imports_modp(ast.parse(source)), source
+
+
+def uses_polymatrix(tree) -> bool:
+    """An import of the name PolyMatrix, or an attribute polymatrix.PolyMatrix."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "PolyMatrix" for a in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "PolyMatrix":
+            return True
+    return False
+
+
+def test_scalar_modules_use_no_polymatrix():
+    users = [name for name in SCALAR_MODULES
+             if uses_polymatrix(ast.parse((PACKAGE / f"{name}.py").read_text()))]
+    assert users == []
+
+
+def test_polymatrix_check_sees_each_form():
+    for source in ("from .polymatrix import PolyMatrix", "from .polymatrix import doubled_form, "
+                   "PolyMatrix", "from . import polymatrix\npolymatrix.PolyMatrix(f, v, [])",
+                   "import ulrichmf.polymatrix\nulrichmf.polymatrix.PolyMatrix"):
+        assert uses_polymatrix(ast.parse(source)), source
+    for source in ("from .polymatrix import doubled_form", "from . import linalg"):
+        assert not uses_polymatrix(ast.parse(source)), source

@@ -10,6 +10,8 @@ from ulrichmf.pencil import HyperellipticData
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
 
+from tests.poly_reference import rank
+
 ST = binary.ST
 F = PrimeField(10009)
 
@@ -239,7 +241,7 @@ def test_hom_space_endomorphisms_of_unit():
     dim, basis = mf.hom_space(unit, unit, 0)
     assert dim == 1
     t = basis[0]
-    assert t.rank() == 2
+    assert rank(t) == 2
 
 
 def test_hom_space_distinct_two_torsion_vanishes():
@@ -395,43 +397,38 @@ def test_group_law_names_its_first_failing_check(monkeypatch):
     monkeypatch.setattr(mf, "hom_space", None)
     report = mf.verify_group_law(H2, {1, 2}, {2, 3})
     assert report["failure"] == "rank/degree of (L{1,3}(1H), L{1,3}): (1, 2) != (1, 0)"
-    # a Hom^0 whose one witness is singular
+    # a Hom^0 whose one witness is singular: zero, or nonzero of rank 1
     monkeypatch.setattr(mf, "tensor_mf", lambda li, lj: mf.line_bundle_mf(H2, {1, 3}))
+    f, g = H2.factor(1), H2.factor(2) * H2.factor(3)
     zero = PolyMatrix(F, ST, [[Poly.zero(F, ST)] * 2] * 2)
-    monkeypatch.setattr(mf, "hom_space", lambda m1, m2, twist: (1, [zero]))
-    report = mf.verify_group_law(H2, {1, 2}, {2, 3})
-    assert report["pass"] is False
-    assert report["failure"] == "no witness in Hom^0(L{1,3}, L{1,3}) has full rank"
+    for witness in (zero, PolyMatrix(F, ST, [[f, f], [g, g]])):
+        monkeypatch.setattr(mf, "hom_space", lambda m1, m2, twist: (1, [witness]))
+        report = mf.verify_group_law(H2, {1, 2}, {2, 3})
+        assert report["pass"] is False
+        assert report["failure"] == "no witness in Hom^0(L{1,3}, L{1,3}) has full rank"
+    # and a nonsingular one passes
+    nonsingular = PolyMatrix(F, ST, [[f, g], [g, f]])
+    monkeypatch.setattr(mf, "hom_space", lambda m1, m2, twist: (1, [nonsingular]))
+    assert mf.verify_group_law(H2, {1, 2}, {2, 3})["pass"] is True
 
 
 def tensor_work(h, idx_i, idx_j, monkeypatch):
-    """(exact ranks over k[s,t] inside graded_kernel, the degree of each of
-    its nullspaces, the kernel generator degrees) of one tensor_mf."""
-    inside, ranks, degrees, nullspaces = [], [], [], []
-    real_kernel, real_rank = graded.graded_kernel, PolyMatrix.rank
+    """(the degree of each nullspace graded_kernel takes, the kernel generator
+    degrees) of one tensor_mf."""
+    degrees, nullspaces = [], []
     real_map, real_nullspace = graded.degree_map_matrix, linalg.nullspace
-
-    def kernel(m):
-        inside.append(True)
-        try:
-            return real_kernel(m)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(graded, "graded_kernel", kernel)
-    monkeypatch.setattr(PolyMatrix, "rank", lambda self: ranks.extend(inside) or real_rank(self))
     monkeypatch.setattr(graded, "degree_map_matrix", lambda m, d: degrees.append(d) or real_map(m, d))
     monkeypatch.setattr(linalg, "nullspace", lambda *a: nullspaces.append(degrees[-1]) or real_nullspace(*a))
     prod = mf.tensor_mf(mf.line_bundle_mf(h, idx_i), mf.line_bundle_mf(h, idx_j))
     monkeypatch.undo()
-    return len(ranks), nullspaces, prod.module.degrees
+    return nullspaces, prod.module.degrees
 
 
 def test_tensor_kernel_sweep_stops_at_its_last_generator(monkeypatch):
-    # the bound read at (s, t) = (1, 0) is exact here, so no exact rank runs,
-    # and the sweep takes no nullspace past its last generator's degree
+    # the bound read at (s, t) = (1, 0) is exact here, so the sweep takes no
+    # nullspace past its last generator's degree
     work = tensor_work(H2, {1, 2}, {2, 3}, monkeypatch)
-    assert work == (0, [-1, 0, 1, 2], (1, 2))
+    assert work == ([-1, 0, 1, 2], (1, 2))
     assert tensor_work(H2, {1, 2}, {2, 3}, monkeypatch) == work
 
 

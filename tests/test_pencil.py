@@ -8,6 +8,8 @@ from ulrichmf import binary, pencil
 from ulrichmf.fields import QQ, PrimeField
 from ulrichmf.poly import Poly
 
+from tests.poly_reference import matrix_poly, pencil_determinant
+
 
 def polarization_oracle(q):
     """Entrywise b_{i,j} = (q(x_i + x_j) - q(x_i) - q(x_j)) / 2, by direct evaluation."""
@@ -154,7 +156,8 @@ def _kill_last(field, b):
 def test_discriminant_matches_bareiss_on_matrix_poly():
     # the scalar path (det(x B1 + B2) at dim + 1 points, interpolated) against
     # fraction-free elimination of the graded matrix s B1 + t B2; F_5 puts
-    # dim 4 on the interpolation side with p = dim + 1 and dims 5, 6 on Bareiss
+    # dim 4 on the interpolation side with p = dim + 1 and dims 5, 6 on the
+    # lift to Q
     import random
 
     rng = random.Random(21)
@@ -165,7 +168,7 @@ def test_discriminant_matches_bareiss_on_matrix_poly():
                                ("identically singular",
                                 (_kill_last(field, b1), _kill_last(field, b2)))):
                 p = pencil.QuadricPencil(field, *pair)
-                bareiss = p.matrix_poly().determinant()
+                bareiss = pencil_determinant(p)
                 if kind == "identically singular":
                     assert bareiss.is_zero()
                     with pytest.raises(pencil.PencilError, match="identically singular"):
@@ -175,6 +178,39 @@ def test_discriminant_matches_bareiss_on_matrix_poly():
                 assert p.discriminant() == binary.normalize(bareiss), (field, r, kind)
                 if kind == "singular B1":
                     assert binary.t_valuation(p.discriminant()) > 0
+
+
+@pytest.mark.parametrize("p_small", [3, 5, 7])
+def test_small_prime_discriminant_matches_bareiss(p_small, monkeypatch):
+    # p < dim + 1: det(x B1 + B2) is interpolated over Q on the integer
+    # residues and reduced mod p, against elimination over F_p[s, t]
+    import random
+
+    field = PrimeField(p_small)
+    rng = random.Random(p_small + 100)
+    lifted = []
+    real = pencil.QuadricPencil._det_coefficients
+    monkeypatch.setattr(pencil.QuadricPencil, "_det_coefficients",
+                        lambda self: lifted.append(self.field) or real(self))
+    nonzero = 0
+    for r in range(p_small, 11):
+        for _ in range(2):
+            b1, b2 = random_symmetric(field, rng, r), random_symmetric(field, rng, r)
+            for kind, pair in (("generic", (b1, b2)), ("singular B1", (_kill_last(field, b1), b2)),
+                               ("identically singular",
+                                (_kill_last(field, b1), _kill_last(field, b2)))):
+                p = pencil.QuadricPencil(field, *pair)
+                bareiss = pencil_determinant(p)
+                if bareiss.is_zero():
+                    with pytest.raises(pencil.PencilError, match="identically singular"):
+                        p.discriminant()
+                    continue
+                assert kind != "identically singular"
+                assert p.discriminant() == binary.normalize(bareiss), (r, kind)
+                if kind == "singular B1":
+                    assert binary.t_valuation(p.discriminant()) > 0
+                nonzero += 1
+    assert nonzero >= 3 * (11 - p_small) and set(lifted) == {QQ}
 
 
 def test_rational_discriminant_reduces_to_the_prime_one():
@@ -196,7 +232,7 @@ def test_rational_discriminant_reduces_to_the_prime_one():
                                                    for b in ints))
             prime = pencil.QuadricPencil(field, *([[field.of(c) for c in row] for row in b]
                                                    for b in ints))
-            raw = rational.matrix_poly().determinant()
+            raw = pencil_determinant(rational)
             lead = next(raw.coefficient((i, r - i)) for i in range(r, -1, -1)
                         if raw.coefficient((i, r - i)))
             if lead.numerator % field.p == 0:
@@ -212,7 +248,7 @@ def cofactor_det_scalarized(p):
     """Independent full-expansion discriminant oracle via the cofactor rule."""
     from tests.test_polymatrix import cofactor_det
 
-    return cofactor_det(p.matrix_poly())
+    return cofactor_det(matrix_poly(p))
 
 
 def test_discriminant_diagonal_family_oracle():
@@ -550,7 +586,7 @@ def test_diagonal_discriminant_below_the_point_count_matches_bareiss(p_small):
         for zero_form in (False, True):
             for _ in range(4):
                 p = random_diagonal(field, rng, r, zero_form)
-                bareiss = p.matrix_poly().determinant()
+                bareiss = pencil_determinant(p)
                 if bareiss.is_zero():
                     with pytest.raises(pencil.PencilError, match="identically singular"):
                         p.discriminant()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ulrichmf.fields import QQ, PrimeField
 from ulrichmf.poly import Poly, PolyError
 
+from tests.poly_reference import constant_value, divexact
 
 ST = ("s", "t")
 
@@ -92,16 +93,16 @@ def test_homogeneity():
 def test_divexact():
     s, t = st_gens(QQ)
     f = (s + t) ** 2 * (s - t)
-    assert f.divexact(s + t) == (s + t) * (s - t)
+    assert divexact(f, s + t) == (s + t) * (s - t)
     with pytest.raises(PolyError):
-        (s + t).divexact(s * s)
+        divexact(s + t, s * s)
     rng = random.Random(3)
     for _ in range(20):
         a = random_poly(rng, PrimeField(101), ("x", "y", "z"), 2, 3)
         b = random_poly(rng, PrimeField(101), ("x", "y", "z"), 2, 3)
         if a.is_zero() or b.is_zero():
             continue
-        assert (a * b).divexact(b) == a
+        assert divexact(a * b, b) == a
 
 
 def test_substitute():
@@ -298,8 +299,6 @@ def test_arithmetic_results_are_clean(data):
     a, b = data.draw(polys(field, ST)), data.draw(polys(field, ST))
     c = data.draw(scalars(field))
     results = [a + b, a - b, a - a, -a, a * b, a.scale(c), a.scale(0), a ** 3, a ** 0]
-    if not b.is_zero():
-        results.append((a * b).divexact(b))
     for r in results:
         assert_clean(r)
         # the validating constructor keeps every term of a trusted result
@@ -330,4 +329,29 @@ def test_ring_axioms(data):
     assert a * (b + c) == a * b + a * c
     assert (a - a).is_zero()
     if not b.is_zero():
-        assert (a * b).divexact(b) == a
+        assert divexact(a * b, b) == a
+
+
+def reference_ratio(a, b):
+    """The scalar a / b by exact division, None unless the quotient is constant."""
+    try:
+        return constant_value(divexact(a, b))
+    except PolyError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ratio_matches_exact_division(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    a, b = data.draw(polys(field, ST)), data.draw(polys(field, ST))
+    c = field.of(data.draw(scalars(field)))
+    if b.is_zero():
+        with pytest.raises(PolyError, match="zero polynomial"):
+            a.ratio(b)
+        return
+    for top in (a, a * b, b.scale(c), b + a.scale(c)):
+        assert top.ratio(b) == reference_ratio(top, b), (top, b)
+    assert b.scale(c).ratio(b) == c
+    if any(any(exp) for exp in a.terms):
+        assert (a * b).ratio(b) is None
