@@ -442,8 +442,8 @@ def suite_betti(field, seed, args):
 def suite_knorrer(field, seed, args):
     max_n = 8 if args.max_n is None else args.max_n
     for n in range(max_n + 1):
-        phi, psi, q = knorrer.knorrer_pair(field, n)
-        failure = knorrer.knorrer_identity_failure(n, phi, psi, q)
+        phi, psi, _ = knorrer.knorrer_pair(field, n)
+        failure = knorrer.knorrer_identity_failure(field, phi, psi)
         yield f"knorrer-identity n={n}", failure is None, failure or f"size {2 ** n}"
     for n in range(min(max_n, 6) + 1):
         failure = knorrer.mixed_identity_failure(field, n)

@@ -14,15 +14,15 @@ T'[k] = sum_j M[j][k] T[j].  Entry (i, j) of A B has coefficient
 so, p being odd, A B' = 0 iff A_k B'_l + A_l B'_k = 0 for all k <= l, and
 A C = q id iff A_k C_l + A_l C_k = 2 S[k][l] id for q = x^T S x: all the
 A_k B_l come from A stacked by rows times B stacked by columns, in blocks
-of variables that bound its memory.  The Knorrer pair is a sparse
-``PolyMatrix`` built row by row, unchecked: ``build_candidate`` converts it
-to tensors under the ambient certificate, and ``suite knorrer`` checks its
-identity on ``PolyMatrix``, which measured faster there than the dense check.
-The mixed identity is checked on the pair's tensors.  The quadrics q1 and q2
-are kept as polynomials for the certificates and the JSON, but every change
-of variables acts on their Gram matrices, as the congruence M^T S M of
-``QuadricPencil.congruence``, and the matrices are written to JSON straight
-from their tensors.
+of variables that bound its memory.  Each variable's matrix in the Knorrer
+pair is a signed partial permutation, and the pair is built as one in index
+arrays, unchecked: ``build_candidate`` scatters it into tensors under the
+ambient certificate, and ``suite knorrer`` checks phi @ psi = q id by
+composing the permutations.  The mixed identity is checked on the pair's
+tensors.  The quadrics q1 and q2 are kept as polynomials for the
+certificates and the JSON, but every change of variables acts on their Gram
+matrices, as the congruence M^T S M of ``QuadricPencil.congruence``, and the
+matrices are written to JSON straight from their tensors.
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
 discriminant roots are exactly the requested targets.  The ambient diagonal
@@ -60,46 +60,83 @@ def knorrer_pair(field: Field, n: int):
 
     Returns (phi, psi, q), unchecked: callers check what they need, through
     ``knorrer_identity_failure`` or a certificate whose product contains
-    phi @ psi.  Step k builds phi_k = [[x_k id, phi], [psi, -y_k id]] and
-    psi_k = [[y_k id, phi], [psi, -x_k id]] row by row.
+    phi @ psi.  Each variable's matrix is a signed partial permutation, so
+    phi and psi are pairs (cols, signs) of (2n+2) x 2^n integer arrays: row i
+    of phi holds signs[k, i] x_k in column cols[k, i], and no x_k term where
+    cols[k, i] is -1; the variables are ordered as ``xy_variables(n)``.  Step k
+    builds phi_k = [[x_k id, phi], [psi, -y_k id]] and
+    psi_k = [[y_k id, phi], [psi, -x_k id]] on the arrays.
     """
     if n < 0:
         raise UlrichError("n must be nonnegative")
-    names = xy_variables(n)
-    xs = [Poly.variable(field, names, f"x{i}") for i in range(n + 1)]
-    ys = [Poly.variable(field, names, f"y{i}") for i in range(n + 1)]
-    zero = Poly.zero(field, names)
+    v = 2 * n + 2
 
-    def diagonal(f, i, size):
-        """Row i of f times the size x size identity."""
-        return (zero,) * i + (f,) + (zero,) * (size - 1 - i)
+    def unit(k):
+        cols, signs = np.full((v, 1), -1), np.zeros((v, 1), dtype=np.int64)
+        cols[k, 0], signs[k, 0] = 0, 1
+        return cols, signs
 
-    phi, psi = [(xs[0],)], [(ys[0],)]
+    def stacked(phi, psi, top, bottom):
+        """[[top id, phi], [psi, -bottom id]] for the variables top and bottom."""
+        size = phi[0].shape[1]
+        cols = np.hstack([np.where(phi[0] < 0, -1, phi[0] + size), psi[0]])
+        signs = np.hstack([phi[1], psi[1]])
+        cols[top, :size], signs[top, :size] = np.arange(size), 1
+        cols[bottom, size:], signs[bottom, size:] = np.arange(size, 2 * size), -1
+        return cols, signs
+
+    phi, psi = unit(0), unit(n + 1)
     for k in range(1, n + 1):
-        size, neg_x, neg_y = len(phi), -xs[k], -ys[k]
-        phi, psi = (
-            [diagonal(xs[k], i, size) + phi[i] for i in range(size)]
-            + [psi[i] + diagonal(neg_y, i, size) for i in range(size)],
-            [diagonal(ys[k], i, size) + phi[i] for i in range(size)]
-            + [psi[i] + diagonal(neg_x, i, size) for i in range(size)],
-        )
-    q = zero
-    for x, y in zip(xs, ys):
-        q = q + x * y
-    return PolyMatrix._make(field, names, phi), PolyMatrix._make(field, names, psi), q
+        phi, psi = stacked(phi, psi, k, n + 1 + k), stacked(phi, psi, n + 1 + k, k)
+    q = Poly._make(field, xy_variables(n), {
+        tuple(int(j in (k, n + 1 + k)) for j in range(v)): field.one for k in range(n + 1)})
+    return phi, psi, q
 
 
-def knorrer_identity_failure(n: int, phi: PolyMatrix, psi: PolyMatrix, q: Poly):
-    """None if phi @ psi = psi @ phi = q * id of size 2^n, else the first failing entry.
+def pair_tensor(field: Field, matrix):
+    """The coefficient tensor (V, 2^n, 2^n) of a pair matrix (cols, signs),
+    with the dtype and zero of ``polymatrix.linear_tensor``."""
+    cols, signs = matrix
+    v, size = cols.shape
+    t = np.full((v, size, size), field.zero, dtype=linalg.scalar_dtype(field))
+    k, i = np.nonzero(cols >= 0)
+    units = np.array([field.of(-1), field.zero, field.of(1)], dtype=object)
+    t[k, i, cols[k, i]] = units[signs[k, i] + 1]
+    return t
+
+
+def knorrer_identity_failure(field: Field, phi, psi):
+    """None if phi @ psi = psi @ phi = q * id for q = sum x_i y_i and a pair of
+    2^n x 2^n matrices (cols, signs), else the first failing entry of
+    phi @ psi, row by row.
 
     One product suffices: for a square phi over the domain k[vars] and
     q != 0, phi @ psi = q * id gives det phi != 0, hence psi = q * phi^-1
-    over the fraction field and psi @ phi = q * id.
+    over the fraction field and psi @ phi = q * id.  The product is composed
+    term by term: x_k in column m of row i of phi meets each x_l of row m of
+    psi, in column j, and adds the product of their signs to the coefficient
+    of x_k x_l in entry (i, j); q * id subtracts 1 from that of each x_a y_a
+    in each (j, j).  An entry fails where one of its integer sums is nonzero
+    in the field: a sum of 3 is 0 over F_3, as in the polynomial product.
     """
-    if phi.nrows != phi.ncols or q.is_zero():
-        return f"phi is {phi.nrows}x{phi.ncols} with q = {q}: need a square phi and q != 0"
-    where = (phi @ psi).first_mismatch(PolyMatrix.scalar_matrix(q.field, q.vars, q, 2**n))
-    return None if where is None else f"phi @ psi != q*id at entry {where}"
+    (phi_cols, phi_signs), (psi_cols, psi_signs) = phi, psi
+    v, size = phi_cols.shape
+    k, i = np.nonzero(phi_cols >= 0)
+    m = phi_cols[k, i]
+    l, t = np.nonzero(psi_cols[:, m] >= 0)
+    k, i, m = k[t], i[t], m[t]
+    half, diagonal = v // 2, np.arange(size) * (size + 1)
+    # one key per (i, j, x_a x_b), a <= b, in row-by-row order of (i, j)
+    keys = np.concatenate([
+        (i * size + psi_cols[l, m]) * v * v + np.minimum(k, l) * v + np.maximum(k, l),
+        (diagonal[:, None] * v * v + np.arange(half) * (v + 1) + half).ravel()])
+    signs = np.concatenate([phi_signs[k, i] * psi_signs[l, m], np.full(size * half, -1)])
+    keys, at = np.unique(keys, return_inverse=True)
+    bad = keys[linalg.reduced(field, np.bincount(at, signs).astype(np.int64)) != 0]
+    if len(bad) == 0:
+        return None
+    i, j = divmod(int(bad[0]) // (v * v), size)
+    return f"phi @ psi != q*id at entry ({i}, {j})"
 
 
 def mixed_identity_failure(field: Field, n: int):
@@ -113,7 +150,7 @@ def mixed_identity_failure(field: Field, n: int):
     what :func:`tensor_mismatch` checks of A @ B against q id.
     """
     phi, psi, q = knorrer_pair(field, n)
-    where = tensor_mismatch(field, linear_tensor(phi), linear_tensor(psi), q)
+    where = tensor_mismatch(field, pair_tensor(field, phi), pair_tensor(field, psi), q)
     return None if where is None else f"A(x,y)B(v,w) + A(v,w)B(x,y) != qt*id at entry {where}"
 
 
@@ -363,7 +400,7 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
         raise UlrichError("degenerate substitution: q2 = 0")
     if q2.ratio(q1) is not None:
         raise UlrichError("degenerate substitution: q2 proportional to q1")
-    phi, psi = linear_tensor(phi), linear_tensor(psi)
+    phi, psi = pair_tensor(field, phi), pair_tensor(field, psi)
     a2, b2 = substitute_tensors(field, m, (phi, psi))
     zero = np.full_like(phi, field.zero)
     # A = (phi | A2), B' = (B2; psi), C1 = (psi; 0), C2 = (0; B2)
@@ -379,23 +416,9 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
 
 def _diagonal_of(field, lam):
     """Recover D when lam = [[0, D], [-D, 0]] with diagonal D, else None."""
-    size = len(lam)
-    half = size // 2
-    dvals = []
-    for i in range(half):
-        for j in range(half):
-            expected_zero = (
-                lam[i][j],
-                lam[half + i][half + j],
-            )
-            if any(not field.is_zero(v) for v in expected_zero):
-                return None
-            if i != j and (
-                not field.is_zero(lam[i][half + j]) or not field.is_zero(lam[half + i][j])
-            ):
-                return None
-        dvals.append(lam[i][half + i])
-    return dvals
+    half = len(lam) // 2
+    dvals = [lam[i][half + i] for i in range(half)]
+    return dvals if diagonal_lambda(field, dvals) == lam else None
 
 
 def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
@@ -454,70 +477,35 @@ def _field_size(field) -> int:
     return field.p if hasattr(field, "p") else 2**20
 
 
-def elementary_symmetric(field, values, k: int):
-    """e_k of the values, by the standard in-place recursion."""
-    if k < 0 or k > len(values):
-        return field.zero
-    e = [field.one] + [field.zero] * len(values)
-    count = 0
-    for v in values:
-        count += 1
-        for i in range(count, 0, -1):
-            e[i] = field.add(e[i], field.mul(v, e[i - 1]))
-    return e[k]
-
-
-def symmetric_matrix_e(field, a_vals):
-    """E with row i listing the coefficients of prod_{j != i}(X + a_j), X^n .. X^0."""
-    n = len(a_vals) - 1
-    rows = []
-    for i in range(n + 1):
-        others = [field.of(v) for k, v in enumerate(a_vals) if k != i]
-        rows.append([elementary_symmetric(field, others, k) for k in range(n + 1)])
-    return rows
-
-
-def vandermonde_product(field, a_vals):
-    acc = field.one
-    for i in range(len(a_vals)):
-        for j in range(i + 1, len(a_vals)):
-            acc = field.mul(acc, field.sub(field.of(a_vals[i]), field.of(a_vals[j])))
-    return acc
-
-
 def solve_b_for_roots(field, a_vals, c_vals):
-    """Restriction row b making the chart polynomial h equal prod (X + c_i).
+    """Restriction row b making the chart polynomial h equal prod (X + c_k).
 
     a_vals has length n+1, c_vals length n; all 2n+1 values must be distinct
-    and nonzero.  Solves u E = coefficients(h) and splits u into the b row:
-    b_i = u_i and b_{n+1+i} = 1 for i < n, b_n = -u_n.
+    and nonzero.  The u with sum_i u_i prod_{j != i} (X + a_j) = h are read
+    off at X = -a_i: u_i = prod_k (c_k - a_i) / prod_{j != i} (a_j - a_i).
+    u splits into the b row: b_i = u_i and b_{n+1+i} = 1 for i < n,
+    b_n = -u_n.
     """
     n = len(a_vals) - 1
     if len(c_vals) != n:
         raise UlrichError("expected n+1 chart values and n complementary values")
-    pool = [field.of(v) for v in list(a_vals) + list(c_vals)]
+    a_vals = [field.of(v) for v in a_vals]
+    c_vals = [field.of(v) for v in c_vals]
+    pool = a_vals + c_vals
     if len(set(pool)) != len(pool):
         raise UlrichError("target values must be pairwise distinct")
     if any(field.is_zero(v) for v in pool):
         raise UlrichError("target values must be nonzero")
-    e_matrix = symmetric_matrix_e(field, a_vals)
-    det_e = linalg.det(field, e_matrix)
-    if det_e != vandermonde_product(field, a_vals):
-        raise UlrichError("internal error: det E != Vandermonde product")
-    if field.is_zero(det_e):
-        raise UlrichError("internal error: E singular despite distinct values")
-    cs = [field.of(v) for v in c_vals]
-    target = [elementary_symmetric(field, cs, k) for k in range(n + 1)]
-    e_t = [list(row) for row in zip(*e_matrix)]
-    u = linalg.solve(field, e_t, target, n + 1)
-    if u is None:
-        raise UlrichError("internal error: E-solve failed")
-    b = [field.zero] * (2 * n + 1)
-    for i in range(n):
-        b[i] = u[i]
-        b[n + 1 + i] = field.one
-    b[n] = field.neg(u[n])
-    return b
+
+    def product(values, a):
+        out = field.one
+        for v in values:
+            out = field.mul(out, field.sub(v, a))
+        return out
+
+    u = [field.div(product(c_vals, a), product(a_vals[:i] + a_vals[i + 1:], a))
+         for i, a in enumerate(a_vals)]
+    return u[:n] + [field.neg(u[n])] + [field.one] * n
 
 
 def restriction_matrix(field, b):

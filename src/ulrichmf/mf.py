@@ -89,10 +89,6 @@ class MatrixFactorization:
     def genus(self) -> int:
         return self.h.genus
 
-    @property
-    def f(self) -> Poly:
-        return self.h.f
-
     def rank_degree(self):
         """(rank, degree, chi) of the bundle on the curve."""
         n = self.module.rank

@@ -154,13 +154,6 @@ class QuadricPencil:
         return QuadricPencil(field, [row[:width] for row in both],
                              [row[width:] for row in both], variables)
 
-    def to_json(self) -> dict:
-        return {
-            "vars": self.dim,
-            "q1": self.quadric(1).to_json(),
-            "q2": self.quadric(2).to_json(),
-        }
-
     def quadric(self, which: int) -> Poly:
         b = self.b1 if which == 1 else self.b2
         field = self.field

@@ -20,6 +20,8 @@ from ulrichmf.fields import DEFAULT_PRIME, PrimeField
 from ulrichmf.pencil import HyperellipticData
 from ulrichmf.polymatrix import PolyMatrix
 
+from tests.test_knorrer import pair_polymatrix
+
 F = PrimeField(DEFAULT_PRIME)
 
 
@@ -45,6 +47,7 @@ def test_criterion_01_knorrer_identity():
     start = time.perf_counter()
     for n in range(0, 9):
         phi, psi, q = knorrer.knorrer_pair(F, n)
+        phi, psi = pair_polymatrix(F, phi), pair_polymatrix(F, psi)
         qid = PolyMatrix.scalar_matrix(F, knorrer.xy_variables(n), q, 2**n)
         assert phi @ psi == qid, f"phi psi != q id at n={n}"
         assert psi @ phi == qid, f"psi phi != q id at n={n}"

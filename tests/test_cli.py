@@ -21,6 +21,10 @@ from ulrichmf.fields import QQ, PrimeField
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
 
+from tests.test_knorrer import knorrer_identity_reference, pair_polymatrix
+
+F = PrimeField(10009)
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -314,22 +318,42 @@ def test_suite_knorrer_fails_on_broken_phi(capsys, monkeypatch):
     real = knorrer.knorrer_pair
 
     def broken(field, n):
-        # one entry of phi gains x0: still linear, no longer a factorization
+        # the last row of phi holds -x0 in its last column: still a signed
+        # partial permutation, no longer a factorization.  For n >= 1 that row
+        # had no x0 term; for n = 0 it is x0 itself, flipped
         phi, psi, q = real(field, n)
-        rows = [list(row) for row in phi.entries]
-        rows[-1][-1] = rows[-1][-1] + Poly.variable(field, phi.vars, "x0")
-        return PolyMatrix(field, phi.vars, rows), psi, q
+        cols, signs = (a.copy() for a in phi)
+        cols[0, -1], signs[0, -1] = 2**n - 1, -1
+        return (cols, signs), psi, q
 
     monkeypatch.setattr(knorrer, "knorrer_pair", broken)
     code, out, _ = run(capsys, "suite", "knorrer", "--max-n", "3")
     assert code == 1
     for n in range(4):
-        # row 2^n - 1 of phi gained x0; its product with column 0 of psi is off
-        assert f"knorrer-identity n={n}: FAIL - phi @ psi != q*id at entry ({2**n - 1}, 0)" in out
-        # the mixed identity reads the same pair: row 2^n - 1 of A(x,y) B(v,w) gains
+        phi, psi, q = broken(F, n)
+        phi, psi = pair_polymatrix(F, phi), pair_polymatrix(F, psi)
+        # row 2^n - 1 of phi changed by -x0 (by -2 x0 at n = 0); its product
+        # with column 0 of psi is off, in both products of the reference
+        want = f"phi @ psi != q*id at entry ({2**n - 1}, 0)"
+        assert f"knorrer-identity n={n}: FAIL - {want}" in out
+        assert knorrer_identity_reference(n, phi, psi, q) == want
+        assert (psi @ phi).first_mismatch(PolyMatrix.scalar_matrix(F, q.vars, q, 2**n)) \
+            is not None
+        # the mixed identity reads the same pair: row 2^n - 1 of A(x,y) B(v,w) changes by
         # x0 times row 2^n - 1 of B(v,w), whose first nonzero entry is in column 0
         assert (f"mixed-identity n={n}: FAIL - A(x,y)B(v,w) + A(v,w)B(x,y) != qt*id "
                 f"at entry ({2**n - 1}, 0)") in out
+
+
+def test_suite_knorrer_multiplies_no_polynomials(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("polynomial product in suite knorrer")
+
+    monkeypatch.setattr(PolyMatrix, "mul", refuse)
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    code, out, err = run(capsys, "suite", "knorrer", "--max-n", "8")
+    assert code == 0 and err == ""
+    assert "result: PASS (16 checks)" in out
 
 
 def test_suite_seed_in_transcript(capsys):

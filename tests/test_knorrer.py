@@ -32,8 +32,63 @@ def linear_images(field, m, variables, new_variables) -> dict:
     }
 
 
+def knorrer_pair_reference(field, n):
+    """The replaced builder: (phi, psi, q) as PolyMatrix rows of Polys, step k
+    putting phi_k = [[x_k id, phi], [psi, -y_k id]] and
+    psi_k = [[y_k id, phi], [psi, -x_k id]] together row by row."""
+    names = knorrer.xy_variables(n)
+    xs = [Poly.variable(field, names, f"x{i}") for i in range(n + 1)]
+    ys = [Poly.variable(field, names, f"y{i}") for i in range(n + 1)]
+    zero = Poly.zero(field, names)
+
+    def diagonal(f, i, size):
+        return (zero,) * i + (f,) + (zero,) * (size - 1 - i)
+
+    phi, psi = [(xs[0],)], [(ys[0],)]
+    for k in range(1, n + 1):
+        size, neg_x, neg_y = len(phi), -xs[k], -ys[k]
+        phi, psi = (
+            [diagonal(xs[k], i, size) + phi[i] for i in range(size)]
+            + [psi[i] + diagonal(neg_y, i, size) for i in range(size)],
+            [diagonal(ys[k], i, size) + phi[i] for i in range(size)]
+            + [psi[i] + diagonal(neg_x, i, size) for i in range(size)],
+        )
+    q = zero
+    for x, y in zip(xs, ys):
+        q = q + x * y
+    return PolyMatrix(field, names, phi), PolyMatrix(field, names, psi), q
+
+
+def pair_polymatrix(field, matrix):
+    """The PolyMatrix of a pair matrix (cols, signs): row i holds signs[k, i] x_k
+    in column cols[k, i], term by term."""
+    cols, signs = matrix
+    v, size = cols.shape
+    names = knorrer.xy_variables(v // 2 - 1)
+    rows = [[Poly.zero(field, names)] * size for _ in range(size)]
+    for k, i in zip(*np.nonzero(cols >= 0)):
+        term = Poly.variable(field, names, names[k]).scale(field.of(int(signs[k, i])))
+        rows[i][cols[k, i]] = rows[i][cols[k, i]] + term
+    return PolyMatrix(field, names, rows)
+
+
+def polymatrix_pair(field, n):
+    """knorrer_pair with phi and psi as PolyMatrix."""
+    phi, psi, q = knorrer.knorrer_pair(field, n)
+    return pair_polymatrix(field, phi), pair_polymatrix(field, psi), q
+
+
+def knorrer_identity_reference(n, phi, psi, q):
+    """The replaced route: the PolyMatrix product phi @ psi against q * id of
+    size 2^n, with the first failing entry, row by row."""
+    if phi.nrows != phi.ncols or q.is_zero():
+        return f"phi is {phi.nrows}x{phi.ncols} with q = {q}: need a square phi and q != 0"
+    where = (phi @ psi).first_mismatch(PolyMatrix.scalar_matrix(q.field, q.vars, q, 2**n))
+    return None if where is None else f"phi @ psi != q*id at entry {where}"
+
+
 def test_knorrer_base_case():
-    phi, psi, q = knorrer.knorrer_pair(QQ, 0)
+    phi, psi, q = polymatrix_pair(QQ, 0)
     names = knorrer.xy_variables(0)
     assert phi.entry(0, 0) == Poly.variable(QQ, names, "x0")
     assert psi.entry(0, 0) == Poly.variable(QQ, names, "y0")
@@ -41,7 +96,7 @@ def test_knorrer_base_case():
 
 
 def test_knorrer_n1_matrices():
-    phi, psi, q = knorrer.knorrer_pair(QQ, 1)
+    phi, psi, q = polymatrix_pair(QQ, 1)
     names = knorrer.xy_variables(1)
     x0, x1, y0, y1 = (Poly.variable(QQ, names, v) for v in ("x0", "x1", "y0", "y1"))
     assert phi.entries == ((x1, x0), (y0, -y1))
@@ -82,34 +137,61 @@ def vstack(a, b):
 @pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=str)
 def test_row_built_pair_matches_stacked_reference(field):
     for n in range(8):
-        phi, psi, q = knorrer.knorrer_pair(field, n)
+        phi, psi, q = polymatrix_pair(field, n)
         assert (phi, psi) == stacked_knorrer_pair(field, n), n
+        assert (phi, psi, q) == knorrer_pair_reference(field, n), n
         assert (phi.nrows, phi.ncols, psi.nrows, psi.ncols) == (2**n,) * 4
         names = knorrer.xy_variables(n)
         assert q == sum((Poly.variable(field, names, f"x{i}") * Poly.variable(field, names, f"y{i}")
                          for i in range(n + 1)), Poly.zero(field, names))
+        # q's exponents are tuples of Python ints, as Poly stores them
+        assert all(type(e) is int for exp in q.terms for e in exp)
+
+
+FIELDS = [PrimeField(3), F, PrimeField(2**61 - 1), QQ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_pair_tensors_match_the_reference_pair(field):
+    for n in range(8):
+        pair = knorrer.knorrer_pair(field, n)
+        for got, want in zip(pair[:2], knorrer_pair_reference(field, n)):
+            got, want = knorrer.pair_tensor(field, got), polymatrix.linear_tensor(want)
+            assert got.dtype == want.dtype and got.shape == want.shape, n
+            assert (got == want).all(), n
+            assert [type(c) for c in got.flat] == [type(c) for c in want.flat], n
 
 
 def test_knorrer_products_small_n():
     for n in range(0, 5):
-        phi, psi, q = knorrer.knorrer_pair(F, n)
+        phi, psi, q = polymatrix_pair(F, n)
         qid = PolyMatrix.scalar_matrix(F, knorrer.xy_variables(n), q, 2**n)
         assert phi @ psi == qid
         assert psi @ phi == qid
 
 
+def with_term(matrix, k, i, col, sign):
+    """A copy of a pair matrix whose row i holds sign x_k in column col; col -1
+    drops the x_k term of row i."""
+    cols, signs = (a.copy() for a in matrix)
+    cols[k, i], signs[k, i] = col, sign if col >= 0 else 0
+    return cols, signs
+
+
 def test_knorrer_identity_failure_names_entry():
     phi, psi, q = knorrer.knorrer_pair(F, 2)
-    assert knorrer.knorrer_identity_failure(2, phi, psi, q) is None
-    rows = [list(row) for row in psi.entries]
-    rows[1][2] = rows[1][2] + Poly.variable(F, psi.vars, "y0")
-    broken = PolyMatrix(F, psi.vars, rows)
-    # column 2 of the product moves by y0 * (column 1 of phi), first nonzero in row 1
-    assert knorrer.knorrer_identity_failure(2, phi, broken, q) == (
-        "phi @ psi != q*id at entry (1, 2)"
-    )
-    # a 4 x 4 product is not q times the 2 x 2 identity
-    assert knorrer.knorrer_identity_failure(1, phi, psi, q) == "phi @ psi != q*id at entry (0, 2)"
+    assert knorrer.knorrer_identity_failure(F, phi, psi) is None
+    # entry (1, 2) of psi is y0: flipped, column 2 of the product moves by
+    # -2 y0 * (column 1 of phi), first nonzero in row 1
+    y0 = knorrer.xy_variables(2).index("y0")
+    assert psi[0][y0, 1] == 2 and psi[1][y0, 1] == 1
+    broken = with_term(psi, y0, 1, 2, -1)
+    assert knorrer.knorrer_identity_failure(F, phi, broken) == "phi @ psi != q*id at entry (1, 2)"
+    assert knorrer_identity_reference(2, pair_polymatrix(F, phi), pair_polymatrix(F, broken),
+                                      q) == "phi @ psi != q*id at entry (1, 2)"
+    # the reference reads its size off n: a 4 x 4 product is not q times the 2 x 2 identity
+    phi, psi = pair_polymatrix(F, phi), pair_polymatrix(F, psi)
+    assert knorrer_identity_reference(1, phi, psi, q) == "phi @ psi != q*id at entry (0, 2)"
 
 
 def two_sided_identity_failure(n, phi, psi, q):
@@ -126,39 +208,103 @@ def two_sided_identity_failure(n, phi, psi, q):
 def test_one_sided_identity_agrees_with_two_sided(field):
     for n in range(5):
         phi, psi, q = knorrer.knorrer_pair(field, n)
-        assert knorrer.knorrer_identity_failure(n, phi, psi, q) is None
-        assert two_sided_identity_failure(n, phi, psi, q) is None
+        assert knorrer.knorrer_identity_failure(field, phi, psi) is None
+        assert two_sided_identity_failure(n, pair_polymatrix(field, phi),
+                                          pair_polymatrix(field, psi), q) is None
 
 
 @pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (3, 3)])
 def test_one_changed_entry_of_phi_is_caught_by_phi_psi(i, j):
     phi, psi, q = knorrer.knorrer_pair(F, 2)
-    rows = [list(row) for row in phi.entries]
-    rows[i][j] = rows[i][j] + Poly.variable(F, phi.vars, "x0")
-    broken = PolyMatrix(F, phi.vars, rows)
-    # row i of phi @ psi moves by x0 * (row j of psi), whose first nonzero entry is
+    # the first variable with no term in row i of phi gains one in column j
+    k = min(np.nonzero(phi[0][:, i] < 0)[0])
+    broken = with_term(phi, k, i, j, 1)
+    # row i of phi @ psi moves by x_k * (row j of psi), whose first nonzero entry is
     # where the failure is named
-    col = min(c for c in range(psi.ncols) if not psi.entry(j, c).is_zero())
-    assert knorrer.knorrer_identity_failure(2, broken, psi, q) == (
+    ref_psi = pair_polymatrix(F, psi)
+    col = min(c for c in range(ref_psi.ncols) if not ref_psi.entry(j, c).is_zero())
+    assert knorrer.knorrer_identity_failure(F, broken, psi) == (
         f"phi @ psi != q*id at entry ({i}, {col})"
     )
-    assert two_sided_identity_failure(2, broken, psi, q) == (
+    assert two_sided_identity_failure(2, pair_polymatrix(F, broken), ref_psi, q) == (
         f"phi @ psi != q*id at entry ({i}, {col})"
     )
 
 
 def test_identity_needs_a_square_phi_and_nonzero_q():
-    phi, psi, q = knorrer.knorrer_pair(F, 1)
-    # a 2 x 3 phi with psi 3 x 2 can give phi @ psi = q * id while psi @ phi is 3 x 3
+    phi, psi, q = polymatrix_pair(F, 1)
+    # a 2 x 3 phi with psi 3 x 2 can give phi @ psi = q * id while psi @ phi is 3 x 3;
+    # pair matrices are square, so only the reference is given this shape
     wide = PolyMatrix(F, phi.vars, [list(row) + [Poly.zero(F, phi.vars)] for row in phi.entries])
     tall = PolyMatrix(F, psi.vars, [list(row) for row in psi.entries]
                       + [[Poly.zero(F, psi.vars)] * 2])
     assert wide @ tall == PolyMatrix.scalar_matrix(F, phi.vars, q, 2)
-    assert knorrer.knorrer_identity_failure(1, wide, tall, q).startswith("phi is 2x3")
+    assert knorrer_identity_reference(1, wide, tall, q).startswith("phi is 2x3")
     # with q = 0 a singular phi can have phi @ psi = 0 and psi @ phi != 0
-    assert knorrer.knorrer_identity_failure(1, phi, psi, Poly.zero(F, phi.vars)).endswith(
+    assert knorrer_identity_reference(1, phi, psi, Poly.zero(F, phi.vars)).endswith(
         "need a square phi and q != 0"
     )
+    # the composed check compares with q = sum x_i y_i != 0, on square pair matrices
+    pair_phi, pair_psi, _ = knorrer.knorrer_pair(F, 1)
+    assert pair_phi[0].shape == pair_psi[0].shape == (4, 2)
+
+
+def perturbed_pairs(field, seed, count, max_n):
+    """(n, phi, psi, q) with one change within the form to phi or psi: a
+    flipped sign, a moved column, a dropped entry, or an entry added in an
+    empty slot."""
+    rng = random.Random(seed)
+    for rep in range(count):
+        n = rep % (max_n + 1)
+        phi, psi, q = knorrer.knorrer_pair(field, n)
+        pair = [phi, psi]
+        which, size = rng.randrange(2), 2**n
+        cols, signs = pair[which]
+        kind = rep // (max_n + 1) % 4
+        filled = np.argwhere(cols >= 0)
+        if kind == 3:
+            empty = np.argwhere(cols < 0)
+            k, i = empty[rng.randrange(len(empty))]
+            change = (i, rng.randrange(size), rng.choice([1, -1]))
+        else:
+            k, i = filled[rng.randrange(len(filled))]
+            change = [(i, cols[k, i], -signs[k, i]),
+                      (i, rng.randrange(size), signs[k, i]),
+                      (i, -1, 0)][kind]
+        pair[which] = with_term(pair[which], k, *change)
+        yield n, *pair, q
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_composed_identity_matches_dense_and_polymatrix_routes(field):
+    failures = 0
+    for n, phi, psi, q in perturbed_pairs(field, field.name, 48, 5):
+        got = knorrer.knorrer_identity_failure(field, phi, psi)
+        dense = polymatrix.tensor_mismatch(field, knorrer.pair_tensor(field, phi),
+                                           knorrer.pair_tensor(field, psi), q)
+        ref = knorrer_identity_reference(n, pair_polymatrix(field, phi),
+                                         pair_polymatrix(field, psi), q)
+        assert got == ref
+        assert got == (None if dense is None else f"phi @ psi != q*id at entry {dense}")
+        failures += got is not None
+    # a moved column may land where it was
+    assert failures >= 40
+
+
+@pytest.mark.parametrize("field, where", [(PrimeField(3), (1, 1)), (F, (0, 0)), (QQ, (0, 0))],
+                         ids=str)
+def test_composed_identity_reduces_its_sums_in_the_field(field, where):
+    # 2 x 2 matrices in x0, y0: row 0 of phi is -x0 in column 0 and -y0 in
+    # column 1, psi maps row 0 to y0 and row 1 to x0 in column 0, so entry
+    # (0, 0) of phi @ psi is -2 x0 y0, which is q = x0 y0 over F_3 only; row 1
+    # of phi is empty, so (1, 1) fails everywhere
+    phi = np.array([[0, -1], [1, -1]]), np.array([[-1, 0], [-1, 0]])
+    psi = np.array([[-1, 0], [0, -1]]), np.array([[0, 1], [1, 0]])
+    q = Poly.variable(field, ("x0", "y0"), "x0") * Poly.variable(field, ("x0", "y0"), "y0")
+    want = f"phi @ psi != q*id at entry {where}"
+    assert knorrer.knorrer_identity_failure(field, phi, psi) == want
+    assert knorrer_identity_reference(1, pair_polymatrix(field, phi),
+                                      pair_polymatrix(field, psi), q) == want
 
 
 def test_mixed_identity():
@@ -188,23 +334,15 @@ def mixed_identity_reference(field, n, phi, psi):
 
 @pytest.mark.parametrize("field", [F, PrimeField(3), QQ], ids=str)
 def test_mixed_identity_matches_the_substitution_route(field, monkeypatch):
-    # one entry of phi or psi gains c z_k, z = (x|y): both routes name the same
+    # one change within the form to phi or psi: both routes name the same
     # first failing entry
-    rng = random.Random(field.name)
-    real = knorrer.knorrer_pair
     failures = 0
-    for rep in range(40):
-        n = rep % 5
-        phi, psi, q = real(field, n)
-        rows = [[list(row) for row in m.entries] for m in (phi, psi)]
-        which, i, j = rng.randrange(2), rng.randrange(2**n), rng.randrange(2**n)
-        c = field.of(rng.choice([1, -1, 2, 5]))
-        rows[which][i][j] = rows[which][i][j] + Poly.variable(
-            field, phi.vars, rng.choice(phi.vars)).scale(c)
-        pair = [PolyMatrix(field, phi.vars, r) for r in rows]
-        monkeypatch.setattr(knorrer, "knorrer_pair", lambda field, n: (*pair, q))
+    # drawn before knorrer_pair is patched
+    for n, phi, psi, q in list(perturbed_pairs(field, field.name, 40, 4)):
+        monkeypatch.setattr(knorrer, "knorrer_pair", lambda field, n: (phi, psi, q))
         got = knorrer.mixed_identity_failure(field, n)
-        assert got == mixed_identity_reference(field, n, *pair)
+        assert got == mixed_identity_reference(field, n, pair_polymatrix(field, phi),
+                                               pair_polymatrix(field, psi))
         failures += got is not None
     monkeypatch.undo()
     assert knorrer.mixed_identity_failure(field, 3) is None
@@ -315,18 +453,82 @@ def test_jacobian_check_fails_on_proportional_quadrics(field):
         False, "all 2x2 Jacobian minors vanish at a sampled smooth point")
 
 
+def elementary_symmetric(field, values, k: int):
+    """e_k of the values, by the standard in-place recursion."""
+    if k < 0 or k > len(values):
+        return field.zero
+    e = [field.one] + [field.zero] * len(values)
+    count = 0
+    for v in values:
+        count += 1
+        for i in range(count, 0, -1):
+            e[i] = field.add(e[i], field.mul(v, e[i - 1]))
+    return e[k]
+
+
+def symmetric_matrix_e(field, a_vals):
+    """E with row i listing the coefficients of prod_{j != i}(X + a_j), X^n .. X^0."""
+    n = len(a_vals) - 1
+    rows = []
+    for i in range(n + 1):
+        others = [field.of(v) for k, v in enumerate(a_vals) if k != i]
+        rows.append([elementary_symmetric(field, others, k) for k in range(n + 1)])
+    return rows
+
+
+def vandermonde_product(field, a_vals):
+    acc = field.one
+    for i in range(len(a_vals)):
+        for j in range(i + 1, len(a_vals)):
+            acc = field.mul(acc, field.sub(field.of(a_vals[i]), field.of(a_vals[j])))
+    return acc
+
+
+def solve_b_reference(field, a_vals, c_vals):
+    """The replaced route to the restriction row: solve u E = coefficients of
+    prod (X + c_k), with det E checked against the Vandermonde product."""
+    n = len(a_vals) - 1
+    e_matrix = symmetric_matrix_e(field, a_vals)
+    assert linalg.det(field, e_matrix) == vandermonde_product(field, a_vals) != 0
+    target = [elementary_symmetric(field, [field.of(v) for v in c_vals], k)
+              for k in range(n + 1)]
+    u = linalg.solve(field, [list(row) for row in zip(*e_matrix)], target, n + 1)
+    return list(u[:n]) + [field.neg(u[n])] + [field.one] * n
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(7), PrimeField(2**61 - 1), QQ], ids=str)
+def test_closed_form_restriction_row_matches_the_e_solve(field):
+    rng = random.Random(field.name)
+    size = 14 if field == PrimeField(7) else 10**6
+    checked = 0
+    while checked < 60:
+        n = rng.randrange(1, 6)
+        values = rng.sample(range(1, size), 2 * n + 1)
+        residues = {v % field.p for v in values} - {0} if field != QQ else values
+        if len(residues) < 2 * n + 1:
+            continue
+        if field is QQ and rng.random() < 0.5:
+            values = [Fraction(v, rng.randrange(1, 30)) for v in values]
+            if len(set(values)) < 2 * n + 1:
+                continue
+        a_vals, c_vals = values[: n + 1], values[n + 1:]
+        got = knorrer.solve_b_for_roots(field, a_vals, c_vals)
+        assert got == solve_b_reference(field, [field.of(v) for v in a_vals], c_vals)
+        checked += 1
+
+
 def test_elementary_symmetric():
     vals = [QQ.of(v) for v in (1, 2, 3)]
-    assert knorrer.elementary_symmetric(QQ, vals, 0) == 1
-    assert knorrer.elementary_symmetric(QQ, vals, 1) == 6
-    assert knorrer.elementary_symmetric(QQ, vals, 2) == 11
-    assert knorrer.elementary_symmetric(QQ, vals, 3) == 6
+    assert elementary_symmetric(QQ, vals, 0) == 1
+    assert elementary_symmetric(QQ, vals, 1) == 6
+    assert elementary_symmetric(QQ, vals, 2) == 11
+    assert elementary_symmetric(QQ, vals, 3) == 6
 
 
 def test_solve_b_example():
     b = knorrer.solve_b_for_roots(QQ, [QQ.of(1), QQ.of(2)], [QQ.of(3)])
     assert b == [QQ.of(2), QQ.of(1), QQ.of(1)]
-    e = knorrer.symmetric_matrix_e(QQ, [QQ.of(1), QQ.of(2)])
+    e = symmetric_matrix_e(QQ, [QQ.of(1), QQ.of(2)])
     assert e == [[1, 2], [1, 1]]
 
 
@@ -338,8 +540,8 @@ def test_det_e_is_vandermonde():
         for n in range(1, 6):
             vals = rng.sample(range(1, 60), n + 1)
             a = [field.of(v) for v in vals]
-            e = knorrer.symmetric_matrix_e(field, a)
-            assert linalg.det(field, e) == knorrer.vandermonde_product(field, a)
+            e = symmetric_matrix_e(field, a)
+            assert linalg.det(field, e) == vandermonde_product(field, a)
 
 
 def test_solve_b_rejects_duplicates():
@@ -642,14 +844,14 @@ def test_tensor_mismatch_reads_other_degrees_of_q():
 
 def test_build_candidate_rechecks_phi_psi_through_c1(monkeypatch):
     # knorrer_pair checks nothing: the ambient A @ C1 = q1 id check, whose
-    # top block is phi @ psi, catches a corrupted psi; 2 psi keeps A @ B' = 0
+    # top block is phi @ psi, catches a corrupted psi; -psi keeps A @ B' = 0
     real = knorrer.knorrer_pair
 
-    def doubled_psi(field, n):
-        phi, psi, q = real(field, n)
-        return phi, psi.scale_scalar(field.of(2)), q
+    def negated_psi(field, n):
+        phi, (cols, signs), q = real(field, n)
+        return phi, (cols, -signs), q
 
-    monkeypatch.setattr(knorrer, "knorrer_pair", doubled_psi)
+    monkeypatch.setattr(knorrer, "knorrer_pair", negated_psi)
     lam = knorrer.diagonal_lambda(F, [F.of(d) for d in (1, 2, 3)])
     with pytest.raises(knorrer.UlrichError, match=r"^candidate certificates failed: "
                                                   r"A @ C != q1 \* id at entry \(0, 0\)$"):
@@ -922,7 +1124,7 @@ def test_linear_images_match_substitution_reference(field):
     images = ref_substitution_images(field, g, names)
     assert linear_images(field, list(zip(*g)), names, names) == images
     cand = knorrer.build_candidate(field, 2, lam)
-    phi, _, q1 = knorrer.knorrer_pair(field, 2)
+    phi, _, q1 = polymatrix_pair(field, 2)
     assert cand.q2 == q1.substitute(images, names)
     assert as_polymatrix(field, names, cand.presentation) == (
         hstack(phi, substitute_reference(phi, images, names)))
