@@ -794,6 +794,11 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         ("mf_tensor_g3_p61", ["--field", "2305843009213693951", "mf", "tensor", "--g", "3",
                               "--i", "1,2", "--j", "3,4"]),
         ("mf_tensor_g3_q", ["--field", "Q", "mf", "tensor", "--g", "3", "--i", "1,2", "--j", "1,3"]),
+        # Q transcripts no other golden pins
+        ("mf_cohomology_g2_q",
+         ["--field", "Q", "mf", "cohomology", "--g", "2", "--i", "1,2", "--range=-2:4"]),
+        ("ulrich_construct_n3_q",
+         ["--field", "Q", "ulrich", "construct", "--n", "3", "--d", "1,2,3,5"]),
     ],
 )
 def test_mf_json_matches_golden(capsys, name, argv):
@@ -812,6 +817,7 @@ def test_mf_json_matches_golden(capsys, name, argv):
         # degrees -2 and -1 have dimension 0 and still print ok
         ("clifford_bgg_g2_negative.txt",
          ["--field", "2147483647", "clifford", "bgg", "--g", "2", "--window=-2:2"]),
+        ("clifford_bgg_g2_q.txt", ["--field", "Q", "clifford", "bgg", "--g", "2", "--window", "0:2"]),
     ],
 )
 def test_clifford_bgg_matches_golden(capsys, name, argv):
@@ -858,6 +864,9 @@ def test_suite_knorrer_text_matches_golden(capsys):
          ["--field", "Q", "--format", "json", "suite", "ulrich-e2e", "--n", "2"]),
         ("suite_clifford_g1_q.json",
          ["--field", "Q", "--format", "json", "suite", "clifford", "--g", "1", "--triples", "20"]),
+        ("suite_grouplaw_g2_q_pairs6.txt", ["--field", "Q", "suite", "grouplaw", "--g", "2", "--pairs", "6"]),
+        # the text transcript of verifying the Q candidate golden
+        ("ulrich_verify_q.txt", ["ulrich", "verify", os.path.join(GOLDEN, "ulrich_for_roots_q.json")]),
     ],
 )
 def test_suite_matches_golden(capsys, name, argv):
