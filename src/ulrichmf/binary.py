@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .fields import QQ, Field, PrimeField, RationalField, _is_prime
+from .fields import QQ, Field, PrimeField, RationalField, _is_prime, rational
 from .poly import Poly, PolyError
 
 ST = ("s", "t")
@@ -220,7 +220,7 @@ def _rational_candidates(coeffs: list):
             m *= m
             x = (x - _horner(ints, x) * pow(_horner(deriv, x), -1, m)) % m
         n = a * x % m
-        yield Fraction(n - m if n > m // 2 else n, a)
+        yield rational(n - m if n > m // 2 else n, a)
 
 
 def _derivative(field: Field, coeffs: list) -> list:

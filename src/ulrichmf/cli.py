@@ -328,6 +328,14 @@ def cmd_ulrich(args, field, seed) -> int:
         if args.file is None:
             raise ValueError("ulrich verify needs a candidate JSON file")
         data = load_json(args.file)
+        # a candidate is verified over its own field: a different one named
+        # by the user is refused, not silently replaced
+        if args.field_given and isinstance(data, dict) and "field" in data:
+            own = field_from_name(data["field"])
+            if own != field:
+                raise ValueError(f"--field/ULRICHMF_FIELD {field.name} differs from the candidate's "
+                                 f"field {own.name}: ulrich verify checks a candidate over its own "
+                                 "field")
         try:
             cand = knorrer.UlrichCandidate.from_json(data)
         except knorrer.UlrichError as exc:
@@ -577,7 +585,9 @@ def _apply_environment(args) -> None:
     """Fill unset global flags from ULRICHMF_* or the built-in defaults.
 
     argparse never type-checks a default, so the values are checked here.
+    ``args.field_given`` records whether the user named a field at all.
     """
+    args.field_given = args.field is not None or "ULRICHMF_FIELD" in os.environ
     if args.field is None:
         args.field = os.environ.get("ULRICHMF_FIELD", str(DEFAULT_PRIME))
     if args.seed is None:

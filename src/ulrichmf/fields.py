@@ -1,8 +1,10 @@
 """Exact coefficient fields: prime fields F_p (p an odd prime) and the rationals.
 
-Scalars are plain Python values: ints in [0, p) for a prime field, Fraction
-for the rationals.  A Field object supplies the arithmetic; every computation
-carries exactly one Field and mixing fields is an error.
+Scalars are plain Python values: ints in [0, p) for a prime field; over the
+rationals an int when the value is integral and a Fraction with denominator
+greater than 1 otherwise (:func:`rational` is the one normalization).  A
+Field object supplies the arithmetic; every computation carries exactly one
+Field and mixing fields is an error.
 """
 
 from __future__ import annotations
@@ -162,12 +164,30 @@ class PrimeField(Field):
         return iter(range(n))
 
 
+def rational(n, d=1):
+    """The canonical Q scalar of n / d: an int when it is integral, else a
+    Fraction, whose denominator is then greater than 1.
+
+    n and d are ints with d != 0, or d = 1 and n an int or a Fraction.  An
+    integral quotient is found by one divmod, without the gcd of a Fraction.
+    """
+    if d != 1:
+        q, r = divmod(n, d)
+        return Fraction(n, d) if r else q
+    if type(n) is not int and n.denominator == 1:
+        return n.numerator
+    return n
+
+
 class RationalField(Field):
-    """The rationals; scalars are Fraction instances."""
+    """The rationals.  A scalar is an int when it is integral and a Fraction
+    otherwise, so the integer arithmetic most of a construction does builds
+    no Fraction; each result goes through :func:`rational`.  An int n and
+    Fraction(n) compare and hash equal, and print the same."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __repr__(self):
         return "RationalField()"
@@ -179,16 +199,20 @@ class RationalField(Field):
         return hash("RationalField")
 
     def of(self, value):
-        return Fraction(value)
+        if type(value) is int:
+            return value
+        # int(): the numerator of Fraction(np.int64(3)) is still a numpy int
+        value = Fraction(value)
+        return rational(int(value.numerator), int(value.denominator))
 
     def add(self, a, b):
-        return a + b
+        return rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return rational(a * b)
 
     def neg(self, a):
         return -a
@@ -196,7 +220,7 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return 1 / Fraction(a)
+        return rational(a.denominator, a.numerator)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -209,11 +233,11 @@ class RationalField(Field):
         rd = _isqrt_exact(a.denominator)
         if rn is None or rd is None:
             raise NotASquare(f"{a} is not a rational square")
-        return Fraction(rn, rd)
+        return rational(rn, rd)
 
     def elements(self, limit=None):
-        n = 100 if limit is None else limit
-        return (Fraction(k) for k in range(n))
+        # small integers, canonical as they are
+        return iter(range(100 if limit is None else limit))
 
 
 QQ = RationalField()

@@ -215,10 +215,11 @@ class UlrichCandidate:
 
     Each matrix is a coefficient tensor T of shape (len(variables), rows,
     cols): T[k] is the scalar matrix of variables[k], so the matrix is
-    sum_k T[k] x_k; its scalars are int64 or Python ints over F_p and
-    Fractions over Q.  presentation: r x 2r matrix A; second_map B' with
-    A @ B' = 0; cert1, cert2 with A @ cert_l = q_l * id.  All three
-    identities are verified on construction.
+    sum_k T[k] x_k; its scalars are int64 or Python ints over F_p, and over
+    Q ints where integral and Fractions elsewhere.  presentation: r x 2r
+    matrix A; second_map B' with A @ B' = 0; cert1, cert2 with
+    A @ cert_l = q_l * id.  All three identities are verified on
+    construction.
     """
 
     def __init__(

@@ -28,12 +28,11 @@ read off the forward pass.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from . import modp
-from .fields import Field, PrimeField
+from .fields import Field, PrimeField, rational
 
 
 def _to_array(rows, ncols, p):
@@ -42,7 +41,8 @@ def _to_array(rows, ncols, p):
 
 def scalar_dtype(field: Field):
     """The numpy element type of an array of field scalars: the one :mod:`modp`
-    picks for p (int64 or Python ints), and Fractions over Q."""
+    picks for p (int64 or Python ints), and over Q objects, each an int or a
+    Fraction (see :func:`ulrichmf.fields.rational`)."""
     return modp._dtype(field.p) if isinstance(field, PrimeField) else object
 
 
@@ -52,19 +52,19 @@ def matmul(field: Field, a, b):
     Both operands are made integral by :func:`integral` and multiplied by
     :func:`integer_matmul`.  Over F_p the result is an array of residues:
     int64 while 2 * len(b) * (p - 1)^2 < 2^63, Python ints past that.  Over
-    Q it is an object array of Fractions, the integer product divided once
-    by the two common denominators.  A product with no inner dimension has
-    no columns.
+    Q it is an object array of canonical scalars: the integer product itself
+    when both operands are integral, else each entry of it divided by the two
+    common denominators.  A product with no inner dimension has no columns.
     """
     inner, ncols = len(b), len(b[0]) if len(b) else 0
     dtype = scalar_dtype(field)
     left, da = integral(field, np.asarray(a, dtype=dtype).reshape(len(a), inner))
     right, db = integral(field, np.asarray(b, dtype=dtype).reshape(inner, ncols))
     prod = integer_matmul(field, left, right)
-    if isinstance(field, PrimeField):
+    d = da * db
+    if d == 1:
         return prod
-    d, zero = da * db, field.zero
-    return np.frompyfunc(lambda x: Fraction(x, d) if x else zero, 1, 1)(prod)
+    return np.frompyfunc(lambda x: rational(x, d) if x else 0, 1, 1)(prod)
 
 
 def integral(field: Field, x):
@@ -72,13 +72,16 @@ def integral(field: Field, x):
 
     Over F_p, X holds the residues of x in [0, p), x itself if it holds
     nothing else, and d = 1.  Over Q, d is the least common denominator of
-    the entries and X an object array of Python ints.
+    the entries and X an object array of Python ints: x itself when its
+    entries are all ints, the integral scalars, so d = 1.
     """
     if isinstance(field, PrimeField):
         # an array of residues, as every stored tensor is, is used as it is
         if x.size == 0 or (x.min() >= 0 and x.max() < field.p):
             return x, 1
         return reduced(field, x), 1
+    if set(map(type, x.flat)) <= {int}:
+        return x, 1
     d = math.lcm(*{v.denominator for v in x.flat})
     return np.frompyfunc(lambda v: v.numerator * (d // v.denominator) if v else 0, 1, 1)(x), d
 
@@ -175,12 +178,13 @@ def _reduced(field: Field, rows, ncols):
 
 def _scalars(field: Field, x, d):
     """The 2-d integer array x / d as lists of rows of field scalars: residues
-    over F_p, where d = 1; over Q, Fractions where x is nonzero and
-    ``field.zero`` elsewhere."""
+    over F_p, where d = 1; over Q, the canonical scalars of
+    :func:`ulrichmf.fields.rational`."""
     if isinstance(field, PrimeField):
         return (x % field.p).tolist()
-    zero = field.zero
-    return [[Fraction(v, d) if v else zero for v in row] for row in x.tolist()]
+    if d == 1:
+        return x.tolist()
+    return [[rational(v, d) if v else 0 for v in row] for row in x.tolist()]
 
 
 # the prime of rank's proof of full rank over Q, the largest below 2^31, on
@@ -321,4 +325,4 @@ def det(field: Field, rows) -> object:
     m, _, swaps = _bareiss(cleared, n, reduce=False)
     # the last row is 0 if the rank is below n
     last = m[n - 1, n - 1] if n else 1
-    return Fraction(-last if swaps % 2 else last, scale)
+    return rational(-last if swaps % 2 else last, scale)

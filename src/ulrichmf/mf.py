@@ -123,26 +123,28 @@ def subset_key(h: HyperellipticData, indices) -> frozenset:
     return key
 
 
-def canonical_subset(h: HyperellipticData, indices) -> frozenset:
-    """The lex-smaller of I and its complement: one name per line bundle."""
-    key = subset_key(h, indices)
-    comp = frozenset(range(1, h.nbranch + 1)) - key
-    return min(key, comp, key=lambda k: sorted(k) + [len(k)])
-
-
 def canonical_classes(h: HyperellipticData, parity=None):
-    """All canonical subset representatives, optionally filtered by |I| parity."""
-    seen = set()
-    out = []
-    universe = range(1, h.nbranch + 1)
-    for size in range(h.nbranch + 1):
+    """One name per line bundle L_I = L_(I^c), optionally only those with |I|
+    of the given parity: the lex-smaller of I and its complement, which is
+    the empty set or the one of the two that holds 1.
+
+    The classes come in the order in which the subsets I, by size and
+    lexicographic within a size, first meet them.  The complement of I has
+    the parity of I, as there are 2g + 2 branch points.  Each I below half
+    the size meets a new class, named by I or its complement, whichever
+    holds 1; at half the size only the I that hold 1 do, and past it none.
+    """
+    n = h.nbranch
+    universe = frozenset(range(1, n + 1))
+    out = [frozenset()] if parity in (None, 0) else []
+    for size in range(1, n // 2 + 1):
         if parity is not None and size % 2 != parity:
             continue
-        for combo in combinations(universe, size):
-            rep = canonical_subset(h, combo)
-            if rep not in seen:
-                seen.add(rep)
-                out.append(rep)
+        if 2 * size == n:
+            out.extend(frozenset((1, *rest)) for rest in combinations(range(2, n + 1), size - 1))
+            continue
+        out.extend(frozenset(combo) if combo[0] == 1 else universe - frozenset(combo)
+                   for combo in combinations(range(1, n + 1), size))
     return out
 
 

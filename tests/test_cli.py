@@ -615,6 +615,34 @@ def test_golden_candidates_keep_n_consistent(capsys):
         assert code == 0 and out.endswith("pass: True\n"), name
 
 
+# a candidate golden over each of the four fields the goldens use
+CANDIDATE_FIELDS = {
+    "Q": "ulrich_for_roots_q",
+    "10009": "ulrich_for_roots_even",
+    "2147483647": "ulrich_for_roots_p31",
+    "2305843009213693951": "ulrich_for_roots_p61",
+}
+
+
+@pytest.mark.parametrize("own", sorted(CANDIDATE_FIELDS))
+def test_ulrich_verify_refuses_a_field_other_than_the_candidates(capsys, monkeypatch, own):
+    path = os.path.join(GOLDEN, CANDIDATE_FIELDS[own] + ".json")
+    code, plain, err = run(capsys, "ulrich", "verify", path)
+    assert code == 0 and err == "" and plain.endswith("pass: True\n")
+    # naming the candidate's own field, by flag or environment, changes nothing
+    assert run(capsys, "--field", own, "ulrich", "verify", path) == (0, plain, "")
+    monkeypatch.setenv("ULRICHMF_FIELD", own)
+    assert run(capsys, "ulrich", "verify", path) == (0, plain, "")
+    for other in sorted(CANDIDATE_FIELDS.keys() - {own}):
+        want = (f"error: --field/ULRICHMF_FIELD {other} differs from the candidate's field "
+                f"{own}: ulrich verify checks a candidate over its own field\n")
+        monkeypatch.setenv("ULRICHMF_FIELD", other)
+        assert run(capsys, "ulrich", "verify", path) == (2, "", want)
+        monkeypatch.delenv("ULRICHMF_FIELD")
+        assert run(capsys, "--field", other, "ulrich", "verify", path) == (2, "", want)
+        assert run(capsys, "ulrich", "verify", path, "--field", other) == (2, "", want)
+
+
 def test_grouplaw_suite_g1(capsys):
     code, out, _ = run(capsys, "suite", "grouplaw", "--g", "1")
     assert code == 0

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from ulrichmf.fields import (
@@ -8,6 +11,8 @@ from ulrichmf.fields import (
     PrimeField,
     field_from_name,
 )
+
+from tests.scalars import assert_field_scalar
 
 
 def test_default_prime_is_1_mod_4():
@@ -96,3 +101,16 @@ def test_prime_field_accepts_kernel_test_primes():
     assert max(PRIMES) == 2**64 + 13
     for p in PRIMES:
         assert PrimeField(p).p == p
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10009)], ids=str)
+def test_field_scalar_check_rejects_every_other_form(field):
+    assert_field_scalar(field, 3)
+    for bad in (Fraction(3, 1), np.int64(3), 3.0, Fraction(0)):
+        with pytest.raises(AssertionError):
+            assert_field_scalar(field, bad)
+    if field is QQ:
+        assert_field_scalar(field, Fraction(1, 2))
+    else:
+        with pytest.raises(AssertionError):
+            assert_field_scalar(field, Fraction(1, 2))

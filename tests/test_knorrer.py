@@ -13,6 +13,7 @@ from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import MatrixError, PolyMatrix
 
 from tests.poly_reference import determinant, divexact
+from tests.scalars import assert_field_scalar
 from tests.test_polymatrix import substitute_reference
 
 F = PrimeField(10009)
@@ -1322,8 +1323,8 @@ def test_candidates_keep_the_pencil_of_their_quadrics(field):
         kept = cand.pencil()
         fresh = QuadricPencil.from_quadrics(cand.q1, cand.q2)
         assert (kept.b1, kept.b2, kept.variables) == (fresh.b1, fresh.b2, cand.variables)
-        assert all(type(x) is type(field.zero) for b in (kept.b1, kept.b2) for row in b
-                   for x in row)
+        for x in (x for b in (kept.b1, kept.b2) for row in b for x in row):
+            assert_field_scalar(field, x)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

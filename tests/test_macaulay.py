@@ -18,6 +18,8 @@ from ulrichmf.pencil import HyperellipticData
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
 
+from tests.scalars import assert_field_scalar
+
 ST = binary.ST
 FIELDS = [PrimeField(10009), PrimeField(2**61 - 1), QQ]
 VARIABLE_SETS = [ST, ("x", "y", "z")]
@@ -173,7 +175,9 @@ def assert_scalar_array(field, rows, nrows, ncols):
 def assert_field_lists(field, rows):
     """Rows are lists of the field's own scalars, not numpy arrays or numpy ints."""
     assert type(rows) is list and all(type(row) is list for row in rows)
-    assert all(type(c) is type(field.zero) for row in rows for c in row)
+    for row in rows:
+        for c in row:
+            assert_field_scalar(field, c)
 
 
 def test_multiples_coords_matches_multiply_then_read():

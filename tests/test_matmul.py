@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from ulrichmf import linalg
 from ulrichmf.fields import QQ, PrimeField
 
+from tests.scalars import assert_field_scalar
+
 
 def triple_loop(field, a, b):
     """The reference product: sum_k a[i][k] b[k][j] with the field's scalars."""
@@ -115,7 +117,8 @@ def test_rationals_are_scaled_to_integers():
     assert linalg.integer_matmul(QQ, left, right).tolist() == [[19], [60]]
     got = linalg.matmul(QQ, a, b)
     assert got.tolist() == [[Fraction(19, 72)], [Fraction(5, 6)]]
-    assert all(type(x) is Fraction for x in got.flat)
+    for x in got.flat:
+        assert_field_scalar(QQ, x)
 
 
 @settings(max_examples=60, deadline=None)
