@@ -323,21 +323,22 @@ def _candidate_report(cand) -> list[str]:
     return lines
 
 
+def load_candidate(args, field, data, command) -> knorrer.UlrichCandidate:
+    """The candidate in data, verified over its own field, not one the user names."""
+    if args.field_given and isinstance(data, dict) and "field" in data:
+        own = field_from_name(data["field"])
+        if own != field:
+            raise ValueError(f"--field/ULRICHMF_FIELD {field.name} differs from the candidate's "
+                             f"field {own.name}: {command} checks a candidate over its own field")
+    return knorrer.UlrichCandidate.from_json(data)
+
+
 def cmd_ulrich(args, field, seed) -> int:
     if args.action == "verify":
         if args.file is None:
             raise ValueError("ulrich verify needs a candidate JSON file")
-        data = load_json(args.file)
-        # a candidate is verified over its own field: a different one named
-        # by the user is refused, not silently replaced
-        if args.field_given and isinstance(data, dict) and "field" in data:
-            own = field_from_name(data["field"])
-            if own != field:
-                raise ValueError(f"--field/ULRICHMF_FIELD {field.name} differs from the candidate's "
-                                 f"field {own.name}: ulrich verify checks a candidate over its own "
-                                 "field")
         try:
-            cand = knorrer.UlrichCandidate.from_json(data)
+            cand = load_candidate(args, field, load_json(args.file), "ulrich verify")
         except knorrer.UlrichError as exc:
             emit(args, [f"verification failed: {exc}"], {"pass": False, "error": str(exc)})
             return 1
@@ -552,7 +553,7 @@ def cmd_export(args, field, seed) -> int:
             text = table.render() + "\n"
         elif isinstance(data, dict) and {"presentation", "q1", "q2"} <= set(data):
             # loading re-verifies every certificate
-            cand = knorrer.UlrichCandidate.from_json(data)
+            cand = load_candidate(args, field, data, "export")
             text = "\n".join(_candidate_report(cand)) + "\n"
         else:
             print("error: no text rendering for this object", file=sys.stderr)

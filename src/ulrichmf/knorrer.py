@@ -22,7 +22,7 @@ composing the permutations.  The mixed identity is checked on the pair's
 tensors.  The quadrics q1 and q2 are kept as polynomials for the
 certificates and the JSON, but every change of variables acts on their Gram
 matrices, as the congruence M^T S M of ``QuadricPencil.congruence``, and the
-matrices are written to JSON straight from their tensors.
+matrices go to JSON and back as tensors (``tensor_json``, ``tensor_from_json``).
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
 discriminant roots are exactly the requested targets.  The ambient diagonal
@@ -39,12 +39,12 @@ import random
 import numpy as np
 
 from . import binary, graded, linalg
-from .fields import Field, NotASquare, PrimeField
+from .fields import Field, NotASquare, PrimeField, field_from_name
 from .pencil import (QuadricPencil, bilinear_matrix, congruent, simultaneous_diagonalize,
                      smoothness_check)
 from .poly import Poly, PolyError
-from .polymatrix import (MatrixError, PolyMatrix, doubled_form, linear_tensor,
-                         substitute_tensors, tensor_json, tensor_matrix, tensor_mismatch)
+from .polymatrix import (NotLinearError, doubled_form, substitute_tensors, tensor_from_json,
+                         tensor_json, tensor_matrix, tensor_mismatch)
 
 
 class UlrichError(ValueError):
@@ -95,7 +95,7 @@ def knorrer_pair(field: Field, n: int):
 
 def pair_tensor(field: Field, matrix):
     """The coefficient tensor (V, 2^n, 2^n) of a pair matrix (cols, signs),
-    with the dtype and zero of ``polymatrix.linear_tensor``."""
+    with the dtype and zero of ``linalg.scalar_dtype``."""
     cols, signs = matrix
     v, size = cols.shape
     t = np.full((v, size, size), field.zero, dtype=linalg.scalar_dtype(field))
@@ -328,8 +328,6 @@ class UlrichCandidate:
 
     @staticmethod
     def from_json(data: dict) -> "UlrichCandidate":
-        from .fields import field_from_name
-
         # a plain ValueError: malformed input is not a failed verification
         if not isinstance(data, dict):
             raise ValueError(f"candidate must be a JSON object, not {type(data).__name__}")
@@ -343,7 +341,6 @@ class UlrichCandidate:
                 "candidate key 'variables' must be a list of variable names, "
                 f"not {type(variables).__name__}"
             )
-        variables = tuple(variables)
         n, dvals = data["n"], data.get("d_values")
         if type(n) is not int:
             raise ValueError(f"candidate key 'n' must be an integer, not {type(n).__name__}")
@@ -353,18 +350,18 @@ class UlrichCandidate:
             raise ValueError(f"candidate key 'd_values' must be null or a list of n + 1 = "
                              f"{n + 1} integers")
 
-        def load(key, kind):
+        def load(key, read):
             try:
-                return kind.from_json(field, variables, data[key])
+                return read(field, variables, data[key])
             except PolyError as exc:
                 raise PolyError(f"candidate key {key!r}: {exc}") from None
+            except NotLinearError as exc:  # raised once every matrix is read
+                return UlrichError(f"candidate certificates failed: {key} {exc}")
 
-        q1, q2 = load("q1", Poly), load("q2", Poly)
-        matrices = {key: load(key, PolyMatrix) for key in MATRIX_KEYS}
-        try:
-            tensors = [linear_tensor(matrices[key], key) for key in MATRIX_KEYS]
-        except MatrixError as exc:
-            raise UlrichError(f"candidate certificates failed: {exc}") from None
+        q1, q2 = load("q1", Poly.from_json), load("q2", Poly.from_json)
+        tensors = [load(key, tensor_from_json) for key in MATRIX_KEYS]
+        for failure in (t for t in tensors if isinstance(t, UlrichError)):
+            raise failure
         return UlrichCandidate(
             field, variables, n, q1, q2, *tensors, dvals=dvals,
             provenance=data.get("provenance", ""),

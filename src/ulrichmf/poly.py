@@ -3,8 +3,8 @@
 A polynomial stores an ordered variable tuple and a dict mapping exponent
 tuples to nonzero scalars.  All arithmetic is exact; zero terms are pruned
 eagerly so equality is plain dict comparison.  Polynomials are immutable by
-convention: no method mutates self.  ``Poly(...)`` validates outside input;
-results of internal arithmetic, already clean, go through ``Poly._make``.
+convention: no method mutates self.  ``Poly(...)`` and ``terms_from_json``
+validate outside input; internal results, already clean, use ``Poly._make``.
 """
 
 from __future__ import annotations
@@ -255,27 +255,36 @@ class Poly:
 
     @staticmethod
     def from_json(field: Field, variables, data) -> "Poly":
-        if not isinstance(data, list):
-            raise PolyError(f"polynomial JSON must be a list of terms, not {type(data).__name__}")
-        pairs = []
-        for term in data:
-            if not (
-                isinstance(term, list) and len(term) == 3 and isinstance(term[0], list)
-                and all(type(x) is int for x in (*term[0], term[1], term[2])) and term[2]
-            ):
-                raise PolyError("polynomial term must be [[exponents], numerator, "
-                                f"nonzero denominator] of integers, not {term!r}")
-            exp, num, den = term
-            value = num
-            if den != 1:
-                try:
-                    value = field.of(Fraction(num, den))
-                except ZeroDivisionError:
-                    raise PolyError(
-                        f"coefficient {num}/{den} has no value in F_{field.name}"
-                    ) from None
-            pairs.append((tuple(exp), value))
-        return Poly.from_pairs(field, variables, pairs)
+        return Poly._make(field, tuple(variables), terms_from_json(field, variables, data))
+
+
+def terms_from_json(field: Field, variables, data) -> dict:
+    """The terms {exponents: nonzero scalar} of a JSON term list, the one term
+    decoder: duplicates are summed, and zero sums dropped before widths are checked."""
+    if not isinstance(data, list):
+        raise PolyError(f"polynomial JSON must be a list of terms, not {type(data).__name__}")
+    out: dict = {}
+    for term in data:
+        if not (
+            isinstance(term, list) and len(term) == 3 and isinstance(term[0], list)
+            and all(type(x) is int for x in (*term[0], term[1], term[2])) and term[2]
+        ):
+            raise PolyError("polynomial term must be [[exponents], numerator, "
+                            f"nonzero denominator] of integers, not {term!r}")
+        exp, num, den = tuple(term[0]), term[1], term[2]
+        if min(exp, default=0) < 0:
+            raise PolyError(f"polynomial term {term!r} has a negative exponent")
+        try:
+            value = field.of(num if den == 1 else Fraction(num, den))
+        except ZeroDivisionError:
+            raise PolyError(f"coefficient {num}/{den} has no value in F_{field.name}") from None
+        out[exp] = field.add(out.get(exp, field.zero), value)
+        if field.is_zero(out[exp]):
+            del out[exp]
+    for exp in out:
+        if len(exp) != len(variables):
+            raise PolyError(f"exponent {exp} does not match variables {tuple(variables)}")
+    return out
 
 
 def _json_term(exp, c) -> list:

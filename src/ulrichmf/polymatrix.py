@@ -12,7 +12,8 @@ A matrix of linear forms in variables x_0 .. x_{V-1} can also be stored as
 its coefficient tensor T of shape (V, rows, cols), T[k] the scalar matrix of
 x_k, with scalars of the type ``linalg.scalar_dtype`` picks.  A linear change
 of variables and the product identities of such matrices are then scalar
-products (:func:`substitute_tensors`, :func:`tensor_mismatch`).
+products (:func:`substitute_tensors`, :func:`tensor_mismatch`), and its JSON is
+written from T and read back into T (:func:`tensor_json`, :func:`tensor_from_json`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .fields import Field
-from .poly import Poly, _json_term, _mul_into, _nonzero
+from .poly import Poly, _json_term, _mul_into, _nonzero, terms_from_json
 
 
 class MatrixError(ValueError):
@@ -258,52 +259,12 @@ class PolyMatrix:
             data["col_degrees"] = list(self.col_degrees)
         return data
 
-    @staticmethod
-    def from_json(field, variables, data) -> "PolyMatrix":
-        if not isinstance(data, dict):
-            raise MatrixError(f"matrix JSON must be an object, not {type(data).__name__}")
-        nrows, ncols, entries = data.get("rows"), data.get("cols"), data.get("entries")
-        if not (type(nrows) is int and type(ncols) is int and min(nrows, ncols) >= 0
-                and isinstance(entries, list)):
-            raise MatrixError("matrix JSON needs 'rows' and 'cols' counts and an 'entries' list")
-        for key in ("row_degrees", "col_degrees"):
-            labels = data.get(key)
-            if not (labels is None
-                    or isinstance(labels, list) and all(type(d) is int for d in labels)):
-                raise MatrixError(f"matrix JSON {key!r} must be a list of integers")
-        flat = [Poly.from_json(field, variables, t) for t in entries]
-        if len(flat) != nrows * ncols:
-            raise MatrixError("entry count mismatch in matrix JSON")
-        rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
-        return PolyMatrix(
-            field, variables, rows, data.get("row_degrees"), data.get("col_degrees"), ncols
-        )
-
 
 # -- linear matrices as coefficient tensors ------------------------------------------
 
 
-def linear_tensor(matrix: PolyMatrix, name="matrix"):
-    """The coefficient tensor of a matrix of linear forms.
-
-    Raises MatrixError naming the first entry, row by row, with a term of
-    degree other than 1.
-    """
-    field = matrix.field
-    t = np.full((len(matrix.vars), matrix.nrows, matrix.ncols), field.zero,
-                dtype=linalg.scalar_dtype(field))
-    for i, row in enumerate(matrix.entries):
-        for j, entry in enumerate(row):
-            for exp, c in entry.terms.items():
-                if sum(exp) != 1:
-                    raise MatrixError(f"{name} entry ({i},{j}) is not linear")
-                t[exp.index(1), i, j] = c
-    return t
-
-
 def tensor_matrix(field, variables, t) -> PolyMatrix:
-    """The matrix sum_k T[k] x_k of a coefficient tensor, the inverse of
-    :func:`linear_tensor`; T holds the field's scalars."""
+    """The matrix sum_k T[k] x_k of a coefficient tensor T of field scalars."""
     variables = tuple(variables)
     v, nrows, ncols = t.shape
     units = [tuple(int(i == k) for i in range(v)) for k in range(v)]
@@ -331,6 +292,38 @@ def tensor_json(t) -> dict:
     for e, k, c in zip(at.tolist(), ks.tolist(), by_entry[at, ks].tolist()):
         entries[e].append(_json_term(units[k], c))
     return {"rows": nrows, "cols": ncols, "entries": entries}
+
+
+class NotLinearError(MatrixError):
+    pass
+
+
+def tensor_from_json(field, variables, data):
+    """The coefficient tensor of a matrix JSON of linear forms, the inverse of :func:`tensor_json`;
+    once every entry is read, NotLinearError names the first non-linear entry, row by row."""
+    if not isinstance(data, dict):
+        raise MatrixError(f"matrix JSON must be an object, not {type(data).__name__}")
+    nrows, ncols, entries = data.get("rows"), data.get("cols"), data.get("entries")
+    if not (type(nrows) is int and type(ncols) is int and min(nrows, ncols) >= 0
+            and isinstance(entries, list)):
+        raise MatrixError("matrix JSON needs 'rows' and 'cols' counts and an 'entries' list")
+    for key in ("row_degrees", "col_degrees"):
+        labels = data.get(key)
+        if not (labels is None or isinstance(labels, list) and all(type(d) is int for d in labels)):
+            raise MatrixError(f"matrix JSON {key!r} must be a list of integers")
+    flat = [terms_from_json(field, variables, entry) for entry in entries]
+    if len(flat) != nrows * ncols:  # before a tensor of rows x cols is allocated
+        raise MatrixError("entry count mismatch in matrix JSON")
+    for key, count in (("row_degrees", nrows), ("col_degrees", ncols)):
+        if data.get(key) is not None and len(data[key]) != count:
+            raise MatrixError(f"{key[:3]} degree label count mismatch")
+    t = np.full((len(variables), nrows, ncols), field.zero, dtype=linalg.scalar_dtype(field))
+    for (i, j), terms in zip(np.ndindex(nrows, ncols), flat):
+        for exp, c in terms.items():
+            if sum(exp) != 1:
+                raise NotLinearError(f"entry ({i},{j}) is not linear")
+            t[exp.index(1), i, j] = c
+    return t
 
 
 def substitute_tensors(field, m, tensors):

@@ -1,13 +1,21 @@
-"""Reference eliminations over k[vars], kept as test oracles.
+"""Reference eliminations over k[vars] and the reference matrix reader, kept
+as test oracles.
 
 The package answers every rank and determinant with scalar linear algebra.
 This module keeps the polynomial-matrix routines that did it before: one
 fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) whose
 divisions are exact multivariate divisions, the rank and determinant read
 off it, and the pencil s*B1 + t*B2 as a matrix of linear forms.
+
+The package reads a matrix JSON of linear forms straight into its
+coefficient tensor (``polymatrix.tensor_from_json``).  The route it replaced
+is kept here: one Poly per entry, a PolyMatrix of them
+(:func:`matrix_from_json`), then the tensor (:func:`linear_tensor`).
 """
 
-from ulrichmf import binary
+import numpy as np
+
+from ulrichmf import binary, linalg
 from ulrichmf.poly import Poly, PolyError
 from ulrichmf.polymatrix import MatrixError, PolyMatrix
 
@@ -108,3 +116,43 @@ def matrix_poly(p) -> PolyMatrix:
 def pencil_determinant(p) -> Poly:
     """det(s*B1 + t*B2) of a QuadricPencil by elimination over k[s, t]."""
     return determinant(matrix_poly(p))
+
+
+def matrix_from_json(field, variables, data) -> PolyMatrix:
+    """The PolyMatrix of a matrix JSON, each entry read by ``Poly.from_json``."""
+    if not isinstance(data, dict):
+        raise MatrixError(f"matrix JSON must be an object, not {type(data).__name__}")
+    nrows, ncols, entries = data.get("rows"), data.get("cols"), data.get("entries")
+    if not (type(nrows) is int and type(ncols) is int and min(nrows, ncols) >= 0
+            and isinstance(entries, list)):
+        raise MatrixError("matrix JSON needs 'rows' and 'cols' counts and an 'entries' list")
+    for key in ("row_degrees", "col_degrees"):
+        labels = data.get(key)
+        if not (labels is None
+                or isinstance(labels, list) and all(type(d) is int for d in labels)):
+            raise MatrixError(f"matrix JSON {key!r} must be a list of integers")
+    flat = [Poly.from_json(field, variables, t) for t in entries]
+    if len(flat) != nrows * ncols:
+        raise MatrixError("entry count mismatch in matrix JSON")
+    rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+    return PolyMatrix(
+        field, variables, rows, data.get("row_degrees"), data.get("col_degrees"), ncols
+    )
+
+
+def linear_tensor(matrix: PolyMatrix, name="matrix"):
+    """The coefficient tensor of a matrix of linear forms.
+
+    Raises MatrixError naming the first entry, row by row, with a term of
+    degree other than 1.
+    """
+    field = matrix.field
+    t = np.full((len(matrix.vars), matrix.nrows, matrix.ncols), field.zero,
+                dtype=linalg.scalar_dtype(field))
+    for i, row in enumerate(matrix.entries):
+        for j, entry in enumerate(row):
+            for exp, c in entry.terms.items():
+                if sum(exp) != 1:
+                    raise MatrixError(f"{name} entry ({i},{j}) is not linear")
+                t[exp.index(1), i, j] = c
+    return t

@@ -643,6 +643,65 @@ def test_ulrich_verify_refuses_a_field_other_than_the_candidates(capsys, monkeyp
         assert run(capsys, "ulrich", "verify", path, "--field", other) == (2, "", want)
 
 
+@pytest.mark.parametrize("own", sorted(CANDIDATE_FIELDS))
+def test_export_refuses_a_field_other_than_the_candidates(capsys, monkeypatch, own):
+    # the text rendering re-verifies the candidate, so it does so over its own field
+    path = os.path.join(GOLDEN, CANDIDATE_FIELDS[own] + ".json")
+    code, plain, err = run(capsys, "export", path)
+    assert code == 0 and err == "" and plain.endswith("certificates: pass\n")
+    assert run(capsys, "--field", own, "export", path) == (0, plain, "")
+    monkeypatch.setenv("ULRICHMF_FIELD", own)
+    assert run(capsys, "export", path) == (0, plain, "")
+    canonical = run(capsys, "export", path, "--format", "json")
+    assert canonical[0] == 0 and canonical[2] == ""
+    for other in sorted(CANDIDATE_FIELDS.keys() - {own}):
+        want = (f"error: --field/ULRICHMF_FIELD {other} differs from the candidate's field "
+                f"{own}: export checks a candidate over its own field\n")
+        monkeypatch.setenv("ULRICHMF_FIELD", other)
+        assert run(capsys, "export", path) == (2, "", want)
+        # the canonical re-encoding verifies nothing and reads no field
+        assert run(capsys, "export", path, "--format", "json") == canonical
+        monkeypatch.delenv("ULRICHMF_FIELD")
+        assert run(capsys, "--field", other, "export", path) == (2, "", want)
+        assert run(capsys, "export", path, "--field", other) == (2, "", want)
+
+
+# entry (0,0) of the F_10009 golden's presentation holds 7700 w2; a Laurent term
+# 7700 w2 w3 / w4 has exponents summing to 1 as well
+LAURENT_TERM = [[0, 0, 1, 1, -1, 0], 7700, 1]
+
+
+def golden_with_laurent_term(tmp_path):
+    with open(os.path.join(GOLDEN, "ulrich_for_roots_even.json")) as fh:
+        data = json.load(fh)
+    assert data["presentation"]["entries"][0][1] == [[0, 0, 1, 0, 0, 0], 7700, 1]
+    data["presentation"]["entries"][0][1] = LAURENT_TERM
+    path = tmp_path / "laurent.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["ulrich", "verify"], ["export"]])
+def test_negative_exponent_in_a_candidate_exits_2(tmp_path, capsys, argv):
+    want = ("error: candidate key 'presentation': polynomial term [[0, 0, 1, 1, -1, 0], 7700, 1] "
+            "has a negative exponent\n")
+    assert run(capsys, *argv, golden_with_laurent_term(tmp_path)) == (2, "", want)
+    # the negative control: the golden itself passes
+    code, out, err = run(capsys, *argv, os.path.join(GOLDEN, "ulrich_for_roots_even.json"))
+    assert code == 0 and err == "" and "Traceback" not in out
+
+
+def test_negative_exponent_in_a_pencil_descriptor_exits_2(tmp_path, capsys):
+    # x0^3 / x1 has degree 2: read as x0 x1, it gave the discriminant of q1 = x0 x1
+    q2 = [[[2, 0], 1, 1], [[0, 2], 1, 1]]
+    laurent, plain = tmp_path / "laurent.json", tmp_path / "plain.json"
+    laurent.write_text(json.dumps({"vars": 2, "q1": [[[3, -1], 1, 1]], "q2": q2}))
+    plain.write_text(json.dumps({"vars": 2, "q1": [[[1, 1], 1, 1]], "q2": q2}))
+    want = "error: polynomial term [[3, -1], 1, 1] has a negative exponent\n"
+    assert run(capsys, "pencil", "disc", str(laurent)) == (2, "", want)
+    assert run(capsys, "pencil", "disc", str(plain)) == (0, "s^2 + 10005*t^2\n", "")
+
+
 def test_grouplaw_suite_g1(capsys):
     code, out, _ = run(capsys, "suite", "grouplaw", "--g", "1")
     assert code == 0
@@ -1099,9 +1158,9 @@ def test_every_package_error_exits_2():
             if (inspect.isclass(obj) and issubclass(obj, Exception)
                     and obj.__module__ == module.__name__):
                 found[name] = obj
-    assert set(found) == {"PolyError", "MatrixError", "PencilError", "UlrichError",
-                          "CliffordError", "MFError", "GradedError", "FieldError",
-                          "NotASquare"}
+    assert set(found) == {"PolyError", "MatrixError", "NotLinearError", "PencilError",
+                          "UlrichError", "CliffordError", "MFError", "GradedError",
+                          "FieldError", "NotASquare"}
     for name, cls in found.items():
         assert issubclass(cls, ValueError) and issubclass(cls, cli.INPUT_ERRORS), name
 

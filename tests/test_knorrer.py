@@ -12,7 +12,7 @@ from ulrichmf.pencil import QuadricPencil
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import MatrixError, PolyMatrix
 
-from tests.poly_reference import determinant, divexact
+from tests.poly_reference import determinant, divexact, linear_tensor
 from tests.scalars import assert_field_scalar
 from tests.test_polymatrix import substitute_reference
 
@@ -157,7 +157,7 @@ def test_pair_tensors_match_the_reference_pair(field):
     for n in range(8):
         pair = knorrer.knorrer_pair(field, n)
         for got, want in zip(pair[:2], knorrer_pair_reference(field, n)):
-            got, want = knorrer.pair_tensor(field, got), polymatrix.linear_tensor(want)
+            got, want = knorrer.pair_tensor(field, got), linear_tensor(want)
             assert got.dtype == want.dtype and got.shape == want.shape, n
             assert (got == want).all(), n
             assert [type(c) for c in got.flat] == [type(c) for c in want.flat], n
@@ -797,7 +797,7 @@ def test_tensor_matrix_inverts_linear_tensor(field):
         t = random_tensor(field, rng, shape)
         m = polymatrix.tensor_matrix(field, names, t)
         assert m == as_polymatrix(field, names, t) and (m.nrows, m.ncols) == shape[1:]
-        assert np.array_equal(polymatrix.linear_tensor(m), t)
+        assert np.array_equal(linear_tensor(m), t)
 
 
 # every budget of products per block: one block, one variable a block, and
@@ -865,12 +865,12 @@ def test_linear_tensor_rejects_other_degrees(field):
     x, y = (Poly.variable(field, names, v) for v in names)
     one = Poly.const(field, names, 1)
     m = PolyMatrix(field, names, [[x, y + x], [x.scale(field.of(3)), Poly.zero(field, names)]])
-    t = polymatrix.linear_tensor(m)
+    t = linear_tensor(m)
     assert as_polymatrix(field, names, t) == m
     for bad, at in ((x * y, "(0,1)"), (one, "(0,1)"), (x + one, "(0,1)")):
         rows = [[x, bad], [x, x]]
         with pytest.raises(MatrixError, match=rf"^B entry {re.escape(at)} is not linear$"):
-            polymatrix.linear_tensor(PolyMatrix(field, names, rows), "B")
+            linear_tensor(PolyMatrix(field, names, rows), "B")
 
 
 def spy_cokernel_dims(monkeypatch):

@@ -4,7 +4,10 @@ Every rank, kernel, solve and determinant in the package is read off the two
 echelon forms that ``linalg`` dispatches per field.  A second module reaching
 into ``modp`` would be a second elimination path; this parses the sources and
 fails on one.  Below the polynomial layer, the scalar modules and the pencil
-(its two Gram matrices) use no ``PolyMatrix`` either.
+(its two Gram matrices) use no ``PolyMatrix`` either, and neither does
+``knorrer``: its matrices are coefficient tensors, read from and written to
+JSON as such, and only the Hilbert check's fallback gets a PolyMatrix, from
+``polymatrix.tensor_matrix``, without naming the class.
 """
 
 import ast
@@ -57,6 +60,10 @@ def test_scalar_modules_use_no_polymatrix():
     users = [name for name in SCALAR_MODULES
              if uses_polymatrix(ast.parse((PACKAGE / f"{name}.py").read_text()))]
     assert users == []
+
+
+def test_knorrer_uses_no_polymatrix():
+    assert not uses_polymatrix(ast.parse((PACKAGE / "knorrer.py").read_text()))
 
 
 def test_polymatrix_check_sees_each_form():
