@@ -28,7 +28,7 @@ from .pencil import (
     simultaneous_diagonalize,
     smoothness_check,
 )
-from .poly import Poly
+from .poly import Poly, PolyError
 
 CERTIFICATES = {
     "artinian-hilbert": 1,
@@ -92,10 +92,13 @@ def pencil_from_descriptor(field, data) -> QuadricPencil:
         raise ValueError(
             f"pencil descriptor key 'vars' must be an integer, not {type(r).__name__}"
         )
-    names = tuple(f"x{i}" for i in range(r))
-    q1 = Poly.from_json(field, names, data["q1"])
-    q2 = Poly.from_json(field, names, data["q2"])
-    return QuadricPencil.from_quadrics(q1, q2)
+    names, quadrics = tuple(f"x{i}" for i in range(r)), []
+    for key in ("q1", "q2"):
+        try:
+            quadrics.append(Poly.from_json(field, names, data[key]))
+        except PolyError as exc:
+            raise PolyError(f"pencil descriptor key {key!r}: {exc}") from None
+    return QuadricPencil.from_quadrics(*quadrics)
 
 
 def transcript_header(kind: str, name: str, field, seed) -> list[str]:

@@ -271,11 +271,13 @@ class CliffordModuleWindow:
             stack_l = [list(chain(*rows)) for rows in zip(*(self.e_action[(i, k)] for i in gens))]
             prod = _mat_mul_scalar(field, stack_h, stack_l)
             blocks = prod.reshape(r, d2, r, d0)
-            # f_i = a_i s + b_i t acts as a_i T1 + b_i T2; on int64 each entry
-            # is at most 2 (p - 1)^2, within the bound linalg.matmul checked
+            # f_i = a_i s + b_i t acts as a_i T1 + b_i T2; each product, up to
+            # (p - 1)^2, is reduced before the sum, since prod is int64 as long
+            # as (p - 1)^2 fits and 2 (p - 1)^2 may not
             ts = np.array([self.t_action[(1, k)], self.t_action[(2, k)]], dtype=prod.dtype)
             ts = linalg.reduced(field, ts.reshape(2, d2, d0))
-            want = np.tensordot(np.array(f_coeffs, dtype=prod.dtype), ts, axes=1)
+            a, b = np.array(f_coeffs, dtype=prod.dtype).T[:, :, None, None]
+            want = linalg.reduced(field, a * ts[0]) + linalg.reduced(field, b * ts[1])
             diag = np.arange(r)
             sums = linalg.reduced(field, blocks + blocks.transpose(2, 1, 0, 3))
             bad = (sums != 0).any(axis=(1, 3))

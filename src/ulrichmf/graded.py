@@ -1,6 +1,8 @@
-"""Degree-by-degree exact linear algebra for graded modules.
+"""Degree-by-degree exact linear algebra for graded modules over k[s,t].
 
-The central routine is :func:`graded_kernel`: minimal generators of the
+Monomial i of degree d is s^i t^(d-i), so every position in a graded piece
+is index arithmetic: s^r t^(m-r) times monomial i is monomial i + r.  The
+central routine is :func:`graded_kernel`: minimal generators of the
 kernel of a homogeneous map of graded free k[s,t]-modules, computed by
 sweeping graded pieces and adjoining complement bases (graded Nakayama).
 In two variables that kernel is free (Hilbert's syzygy theorem), so the
@@ -17,10 +19,6 @@ field, routed through :mod:`ulrichmf.linalg`.
 
 from __future__ import annotations
 
-import functools
-import itertools
-from math import comb
-
 import numpy as np
 
 from . import linalg
@@ -33,64 +31,19 @@ class GradedError(ValueError):
     pass
 
 
-def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given total degree, in a fixed sorted order."""
-    return list(_sorted_monomials(nvars, degree))
+def monomials(degree: int) -> list[tuple[int, int]]:
+    """The exponents of the monomials of k[s,t] of this degree d: (i, d - i) for s^i t^(d-i)."""
+    return [(i, degree - i) for i in range(degree + 1)]
 
 
-@functools.cache
-def _sorted_monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """The monomials of one (nvars, degree), built and sorted once: the graded
-    sweeps ask for the same few pairs thousands of times."""
-    if degree < 0:
-        return ()
-    if nvars == 0:
-        return ((),) if degree == 0 else ()
-    out = []
-    for bars in itertools.combinations(range(degree + nvars - 1), nvars - 1):
-        prev = -1
-        exp = []
-        for b in bars:
-            exp.append(b - prev - 1)
-            prev = b
-        exp.append(degree + nvars - 2 - prev)
-        out.append(tuple(exp))
-    return tuple(sorted(out))
+def dim_poly_ring(degree: int) -> int:
+    return max(degree + 1, 0)
 
 
-@functools.cache
-def _monomial_index(nvars: int, degree: int) -> dict:
-    """Position of each exponent tuple in ``monomials(nvars, degree)``."""
-    return {exp: i for i, exp in enumerate(_sorted_monomials(nvars, degree))}
-
-
-@functools.cache
-def _shift_table(nvars: int, degree: int, shift: int) -> np.ndarray:
-    """Entry (i, r) is the position of u_i + x_r in ``monomials(nvars, degree
-    + shift)``, for u_i the i-th monomial of the given degree and x_r the r-th
-    of degree ``shift``.  In two variables it is i + r."""
-    index = _monomial_index(nvars, degree + shift)
-    shifts = _sorted_monomials(nvars, shift)
-    table = [[index[tuple(a + b for a, b in zip(u, x))] for x in shifts]
-             for u in _sorted_monomials(nvars, degree)]
-    table = np.array(table, dtype=np.intp).reshape(len(table), len(shifts))
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
-
-
-def dim_poly_ring(nvars: int, degree: int) -> int:
-    if degree < 0:
-        return 0
-    return comb(degree + nvars - 1, nvars - 1)
-
-
-def degree_basis(gen_degrees, d: int, nvars: int = 2):
-    """Basis of the degree-d piece of (+)_j k[vars](-a_j): pairs (j, exponent)."""
-    basis = []
-    for j, a in enumerate(gen_degrees):
-        for exp in monomials(nvars, d - a):
-            basis.append((j, exp))
-    return basis
+def degree_basis(gen_degrees, d: int):
+    """Basis of the degree-d piece of (+)_j k[s,t](-a_j): pairs (j, exponent),
+    exponents in :func:`monomials` order."""
+    return [(j, (i, d - a - i)) for j, a in enumerate(gen_degrees) for i in range(d - a + 1)]
 
 
 def coords_to_vector(field: Field, coords, basis, ncomponents: int, variables):
@@ -103,76 +56,60 @@ def coords_to_vector(field: Field, coords, basis, ncomponents: int, variables):
     return [Poly._make(field, variables, t) for t in terms]
 
 
-def multiples_coords(field: Field, gens, target_degrees, d: int, nvars: int = 2):
+def multiples_coords(field: Field, gens, target_degrees, d: int):
     """Coordinate rows of every degree-d multiple x^m * g of the generators.
 
-    ``gens`` holds (degree, vector) pairs, each vector a list of Polys with
-    entry j homogeneous of degree e_g - a_j (or zero).  Rows come generator
-    by generator, monomials in :func:`monomials` order, in the basis
-    ``degree_basis(target_degrees, d, nvars)``, as lists of the field's
-    scalars.  No Poly is built or multiplied: each generator's terms are read
-    once as (position, coefficient) pairs, and one numpy assignment writes
-    all of its multiples, the positions of the shifted exponents coming from
-    :func:`_shift_table`.
+    ``gens`` holds (degree, vector) pairs, each vector a list of Polys over
+    k[s,t] with entry j homogeneous of degree e_g - a_j (or zero).  Rows come
+    generator by generator, monomials in :func:`monomials` order, in the basis
+    ``degree_basis(target_degrees, d)``, as lists of the field's scalars.  No
+    Poly is built or multiplied: multiple r of a term s^i t^k of entry j is
+    coordinate i + r of that entry, and one numpy assignment per generator
+    writes all of its multiples.
     """
-    return _multiples_array(field, gens, target_degrees, d, nvars).tolist()
+    return _multiples_array(field, gens, target_degrees, d).tolist()
 
 
-@functools.cache
-def _multiple_positions(nvars: int, target_degrees: tuple, d: int, e_g: int):
-    """Where the multiples of a degree-e_g generator put each of its terms.
-
-    Returns (table, entries).  ``entries[j]`` is (index, base): a term u of
-    entry j is row ``base + index[u]`` of ``table``, and that row holds the
-    flat positions of x_r * u in the block of the generator's multiples,
-    one row per x_r, in the degree-d basis of the targets."""
-    shift = d - e_g
-    count = dim_poly_ring(nvars, shift)
-    width = sum(dim_poly_ring(nvars, d - a) for a in target_degrees)
-    strides = np.arange(count) * width
-    parts, entries, base, offset = [], [], 0, 0
-    for a in target_degrees:
-        index = _monomial_index(nvars, e_g - a)
-        entries.append((index, base))
-        if index:
-            parts.append(_shift_table(nvars, e_g - a, shift) + (strides + offset))
-            base += len(index)
-        offset += dim_poly_ring(nvars, d - a)
-    table = np.concatenate(parts) if parts else np.zeros((0, count), dtype=np.intp)
-    table.flags.writeable = False
-    return table, entries
-
-
-def _multiples_array(field: Field, gens, target_degrees, d: int, nvars: int):
+def _multiples_array(field: Field, gens, target_degrees, d: int):
     """The rows of :func:`multiples_coords` as one array of
     ``linalg.scalar_dtype(field)``."""
     dtype = linalg.scalar_dtype(field)
-    targets = tuple(target_degrees)
-    width = sum(dim_poly_ring(nvars, d - a) for a in targets)
-    counts = [dim_poly_ring(nvars, d - e) for e, _ in gens]
+    offsets, width = [], 0
+    for a in target_degrees:
+        offsets.append(width)
+        width += dim_poly_ring(d - a)
+    counts = [dim_poly_ring(d - e) for e, _ in gens]
     out = np.full((sum(counts), width), field.zero, dtype=dtype)
-    top = 0
+    # multiple r of term s^i t^k of entry j: row top + r, column offsets[j] + i + r,
+    # so a term's multiples step by width + 1 through the flat array
+    starts, coeffs, spans, top = [], [], [], 0
     for (e_g, vec), count in zip(gens, counts):
         if not count:
             continue
-        table, entries = _multiple_positions(nvars, targets, d, e_g)
-        rows, coeffs = [], []
+        lo = len(starts)
         for j, p in enumerate(vec):
             if p.terms:
-                try:
-                    index, base = entries[j]
-                    rows += [base + index[exp] for exp in p.terms]
-                except (IndexError, KeyError):
-                    raise GradedError(f"entry {j} has a term of the wrong degree") from None
+                n = len(starts)
+                if j < len(offsets):
+                    base, deg = top * width + offsets[j], e_g - target_degrees[j]
+                    starts += [base + i for i, k in p.terms if i + k == deg]
+                if len(starts) - n != len(p.terms):
+                    raise GradedError(f"entry {j} has a term of the wrong degree")
                 coeffs += p.terms.values()
-        if coeffs:
-            out[top:top + count].reshape(-1)[table[rows]] = np.array(coeffs, dtype=dtype)[:, None]
+        if len(starts) > lo:
+            spans.append((lo, len(starts), count))
         top += count
+    if spans:
+        cells = np.array(starts)[:, None] + np.arange(0, max(counts) * (width + 1), width + 1)
+        values = np.array(coeffs, dtype=dtype)[:, None]
+        flat = out.reshape(-1)
+        for lo, hi, count in spans:
+            flat[cells[lo:hi, :count]] = values[lo:hi]
     return out
 
 
 def degree_map_matrix(m: PolyMatrix, d: int):
-    """Scalar matrix of the degree-d piece of a homogeneous map.
+    """Scalar matrix of the degree-d piece of a homogeneous map over k[s,t].
 
     Returns (rows, src_basis, tgt_basis); rows is a 2-d array of
     ``linalg.scalar_dtype(m.field)``, its rows indexed by tgt_basis and its
@@ -180,11 +117,12 @@ def degree_map_matrix(m: PolyMatrix, d: int):
     column j of m, so the matrix is the transpose of the multiples of m's
     columns.
     """
-    nvars = len(m.vars)
-    src = degree_basis(m.col_degrees, d, nvars)
-    tgt = degree_basis(m.row_degrees, d, nvars)
+    if len(m.vars) != 2:
+        raise GradedError(f"degree_map_matrix needs two variables, got {m.vars}")
+    src = degree_basis(m.col_degrees, d)
+    tgt = degree_basis(m.row_degrees, d)
     gens = [(c, m.column(j)) for j, c in enumerate(m.col_degrees)]
-    rows = _multiples_array(m.field, gens, m.row_degrees, d, nvars).T
+    rows = _multiples_array(m.field, gens, m.row_degrees, d).T
     return rows, src, tgt
 
 
@@ -284,7 +222,7 @@ def graded_kernel(m: PolyMatrix) -> PolyMatrix:
             # few vectors per degree, each kernel vector tested against the
             # span built so far: one add per vector beats a rank of the stack
             span = IncrementalEchelon(field, len(src))
-            for row in multiples_coords(field, gens, m.col_degrees, d, 2):
+            for row in multiples_coords(field, gens, m.col_degrees, d):
                 span.add(row)
             picked = [vec for vec in ker_basis if span.add(vec)]
         else:
@@ -310,16 +248,8 @@ def graded_kernel(m: PolyMatrix) -> PolyMatrix:
     return result
 
 
-def express_in_module(
-    field: Field,
-    gen_vectors,
-    gen_degrees,
-    module_degrees,
-    target_vec,
-    target_degree: int,
-    variables,
-    nvars: int = 2,
-):
+def express_in_module(field: Field, gen_vectors, gen_degrees, module_degrees, target_vec,
+                      target_degree: int, variables):
     """Write a homogeneous element as a combination of module generators.
 
     Solves target = sum_g h_g * gen_g with h_g homogeneous of degree
@@ -327,10 +257,9 @@ def express_in_module(
     when the element is not in the span.
     """
     gens = list(zip(gen_degrees, gen_vectors))
-    columns = _multiples_array(field, gens, module_degrees, target_degree, nvars)
+    columns = _multiples_array(field, gens, module_degrees, target_degree)
     # the target's coordinates: its degree-0 multiple
-    (rhs,) = _multiples_array(field, [(target_degree, target_vec)], module_degrees,
-                              target_degree, nvars)
+    (rhs,) = _multiples_array(field, [(target_degree, target_vec)], module_degrees, target_degree)
     if not len(columns):
         return None if any(not field.is_zero(c) for c in rhs.tolist()) else [
             Poly.zero(field, variables) for _ in gen_vectors
@@ -339,20 +268,21 @@ def express_in_module(
     if solution is None:
         return None
     # the unknowns are the multiples x^m * g, in the order multiples_coords made them
-    unknowns = degree_basis(gen_degrees, target_degree, nvars)
+    unknowns = degree_basis(gen_degrees, target_degree)
     return coords_to_vector(field, solution, unknowns, len(gen_vectors), variables)
 
 
 def graded_quotient_dims(field: Field, variables, generators, degrees, rank: int = 1):
-    """Graded dimensions of S^rank / <generators> over S = k[variables].
+    """Graded dimensions of S^rank / <generators> over S = k[variables], in two
+    variables.
 
     ``generators`` holds homogeneous Polys (ideal case, rank 1) or lists of
     Polys of length ``rank`` (column vectors of a module presentation).  The
     dimension in each degree is rank * dim S_d minus the rank of the Macaulay
     matrix of monomial multiples of the generators.
     """
-    variables = tuple(variables)
-    nvars = len(variables)
+    if len(variables) != 2:
+        raise GradedError(f"graded_quotient_dims needs two variables, got {tuple(variables)}")
     gens = []
     for g in generators:
         vec = [g] if isinstance(g, Poly) else list(g)
@@ -366,7 +296,7 @@ def graded_quotient_dims(field: Field, variables, generators, degrees, rank: int
         gens.append((degs.pop(), vec))
     out = []
     for d in degrees:
-        width = rank * dim_poly_ring(nvars, d)
-        rows = _multiples_array(field, gens, [0] * rank, d, nvars)
+        width = rank * dim_poly_ring(d)
+        rows = _multiples_array(field, gens, [0] * rank, d)
         out.append(width - linalg.rank(field, rows, width))
     return out

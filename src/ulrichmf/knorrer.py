@@ -739,7 +739,8 @@ def _cokernel_dims(candidate: UlrichCandidate, m, q1: Poly, q2: Poly) -> list:
     """
     field, r = candidate.field, candidate.generators
     (a_uv,) = substitute_tensors(field, m, (candidate.presentation,))
-    # row j holds column j of A, coordinates (i, v) and (i, u) in graded.degree_basis order
+    # row j holds column j of A, coordinates (i, v) and (i, u): graded.degree_basis
+    # order, in which monomial k of degree 1 is u^k v^(1-k)
     degree1 = a_uv[::-1].transpose(2, 1, 0).reshape(2 * r, 2 * r)
     if linalg.rank(field, degree1, 2 * r) == 2 * r:
         return [r, 0, 0, 0]

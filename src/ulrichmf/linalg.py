@@ -50,9 +50,9 @@ def matmul(field: Field, a, b):
     """The exact product of two scalar matrices, lists of rows or 2-d arrays.
 
     Both operands are made integral by :func:`integral` and multiplied by
-    :func:`integer_matmul`.  Over F_p the result is an array of residues:
-    int64 while 2 * len(b) * (p - 1)^2 < 2^63, Python ints past that.  Over
-    Q it is an object array of canonical scalars: the integer product itself
+    :func:`integer_matmul`.  Over F_p the result is an array of residues of
+    :func:`scalar_dtype`, the type every stored scalar array has.  Over Q it
+    is an object array of canonical scalars: the integer product itself
     when both operands are integral, else each entry of it divided by the two
     common denominators.  A product with no inner dimension has no columns.
     """
@@ -91,10 +91,10 @@ def integer_matmul(field: Field, a, b):
 
     Over F_p the operands are residues and every entry of the product, a sum
     of a.shape[1] products of residues, is reduced once at the end (the
-    delayed reduction of FFLAS-FFPACK and FLINT's nmod_mat); the result is
-    int64 while 2 * a.shape[1] * (p - 1)^2 < 2^63 and an object array of
-    Python ints past that.  Over Q the exact product is an object array of
-    Python ints.
+    delayed reduction of FFLAS-FFPACK and FLINT's nmod_mat).  The unreduced
+    product is int64 while 2 * a.shape[1] * (p - 1)^2 < 2^63 and Python ints
+    past that; the residues come back as :func:`scalar_dtype`.  Over Q the
+    exact product is an object array of Python ints.
     """
     if not isinstance(field, PrimeField):
         top = max(np.abs(a).max(initial=0), np.abs(b).max(initial=0))
@@ -102,7 +102,7 @@ def integer_matmul(field: Field, a, b):
     p = field.p
     dtype = np.int64 if 2 * a.shape[1] * (p - 1) ** 2 < 2**63 else object
     prod = _int_matmul(a, b, p - 1, dtype)
-    return np.remainder(prod, p, out=prod)
+    return np.remainder(prod, p, out=prod).astype(scalar_dtype(field), copy=False)
 
 
 def _int_matmul(a, b, top: int, dtype):

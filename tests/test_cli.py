@@ -527,6 +527,7 @@ class WrongKey:
     (WrongKey(), "key 'va"),
 ])
 def test_malformed_descriptor_exits_2(tmp_path, capsys, argv, payload, named):
+    shaped = isinstance(payload, WrongShape)
     if isinstance(payload, (WrongShape, WrongKey)):
         payload = payload.inside(argv)
     path = tmp_path / "bad.json"
@@ -534,6 +535,9 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys, argv, payload, named):
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+    if shaped:  # the error names the key that holds the bad polynomial
+        key = "pencil descriptor key 'q1'" if argv[0] == "pencil" else "candidate key 'presentation'"
+        assert err.startswith(f"error: {key}: "), err
 
 
 @pytest.mark.parametrize("presentation", [5, [1, 2], {"rows": 8, "cols": 16}])
@@ -697,7 +701,7 @@ def test_negative_exponent_in_a_pencil_descriptor_exits_2(tmp_path, capsys):
     laurent, plain = tmp_path / "laurent.json", tmp_path / "plain.json"
     laurent.write_text(json.dumps({"vars": 2, "q1": [[[3, -1], 1, 1]], "q2": q2}))
     plain.write_text(json.dumps({"vars": 2, "q1": [[[1, 1], 1, 1]], "q2": q2}))
-    want = "error: polynomial term [[3, -1], 1, 1] has a negative exponent\n"
+    want = "error: pencil descriptor key 'q1': polynomial term [[3, -1], 1, 1] has a negative exponent\n"
     assert run(capsys, "pencil", "disc", str(laurent)) == (2, "", want)
     assert run(capsys, "pencil", "disc", str(plain)) == (0, "s^2 + 10005*t^2\n", "")
 

@@ -396,6 +396,21 @@ def test_relations_reject_broken_anticommutator_at_top_degree():
         window.verify_relations()
 
 
+def test_relations_hold_where_two_products_overflow_int64():
+    # at p = 3037000493, (p - 1)^2 fits int64 and 2 (p - 1)^2 does not, so the
+    # products come back as int64: the relations still hold with large
+    # residues b_i = -lambda_i, and a broken T2 entry is still caught
+    field = PrimeField(3037000493)
+    h = curve(1, field, roots=[1, field.p - 2, 10**9, 3 * 10**9])
+    window = clifford.regular_module_window(h, 0, 4)
+    assert window.verify_relations() == {0, 1, 2}
+    ts = [row[:] for row in window.t_action[(2, 1)]]
+    ts[0][0] = field.add(ts[0][0], field.one)
+    window.t_action[(2, 1)] = ts
+    with pytest.raises(clifford.CliffordError, match=r"\(e_1, e_1\) at degree 1$"):
+        window.verify_relations()
+
+
 def naive_product(field, a, b):
     ncols = len(b[0]) if b else 0
     out = []
@@ -440,8 +455,10 @@ def test_mat_mul_scalar_int64_boundary():
     # 4 (p - 1)^2 overflows int64, so naive int64 arithmetic is wrong here
     naive = (np.array(top, dtype=np.int64) @ np.array(top, dtype=np.int64)) % p
     assert naive[0, 0] != 4
+    # the product is taken on Python ints, and its residues come back as
+    # int64, the stored scalar type at this prime
     got = clifford._mat_mul_scalar(field, top, top)
-    assert got.dtype == object
+    assert got.dtype == np.int64
     assert got.tolist() == [[4] * 4] * 4  # (p - 1)^2 = 1 mod p
     # one term: 2 (p - 1)^2 < 2^63 still holds, and int64 is exact
     one = clifford._mat_mul_scalar(field, [[p - 1]], [[p - 1]])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,17 +18,21 @@ ST = binary.ST
 
 
 def test_monomials():
-    assert graded.monomials(2, 2) == [(0, 2), (1, 1), (2, 0)]
-    assert graded.monomials(2, -1) == []
-    assert graded.monomials(3, 0) == [(0, 0, 0)]
-    assert len(graded.monomials(4, 3)) == graded.dim_poly_ring(4, 3) == 20
+    assert graded.monomials(2) == [(0, 2), (1, 1), (2, 0)]
+    assert graded.monomials(-1) == []
+    assert graded.monomials(0) == [(0, 0)]
+    for d in range(-2, 6):
+        # the exponent pairs of degree d in sorted order: monomial i is s^i t^(d-i)
+        pairs = sorted(e for e in itertools.product(range(max(d + 1, 0)), repeat=2) if sum(e) == d)
+        assert graded.monomials(d) == pairs
+        assert graded.dim_poly_ring(d) == len(pairs)
 
 
-def vector_coords(field, vec, gen_degrees, d, basis=None, nvars=2):
+def vector_coords(field, vec, gen_degrees, d, basis=None):
     """The reference: coordinates of a homogeneous degree-d module element,
     entry j of degree d - a_j, in the degree-d basis, read term by term."""
     if basis is None:
-        basis = graded.degree_basis(gen_degrees, d, nvars)
+        basis = graded.degree_basis(gen_degrees, d)
     index = {key: i for i, key in enumerate(basis)}
     coords = [field.zero] * len(basis)
     for j, p in enumerate(vec):
@@ -115,17 +120,17 @@ def random_homogeneous_matrix(rng, field, nrows, ncols):
     return PolyMatrix(field, ST, rows, row_degrees=row_deg, col_degrees=col_deg)
 
 
-def module_span_rank(field, gen_vectors, gen_degrees, target_degrees, d, nvars=2):
+def module_span_rank(field, gen_vectors, gen_degrees, target_degrees, d):
     """The reference: rank of the degree-d span of module elements inside
-    (+)k[vars](-a_j), one IncrementalEchelon row per monomial multiple."""
-    basis = graded.degree_basis(target_degrees, d, nvars)
+    (+)k[s,t](-a_j), one IncrementalEchelon row per monomial multiple."""
+    basis = graded.degree_basis(target_degrees, d)
     ech = graded.IncrementalEchelon(field, len(basis))
     variables = gen_vectors[0][0].vars if gen_vectors else None
     for e_g, vec in zip(gen_degrees, gen_vectors):
-        for mono in graded.monomials(nvars, d - e_g):
+        for mono in graded.monomials(d - e_g):
             mono_poly = Poly(field, variables, {mono: field.one})
             shifted = [p * mono_poly for p in vec]
-            ech.add(vector_coords(field, shifted, target_degrees, d, basis, nvars))
+            ech.add(vector_coords(field, shifted, target_degrees, d, basis))
     return len(ech.rows)
 
 
@@ -161,7 +166,6 @@ def graded_kernel_reference(m, degree_cap=60):
     the generators' multiples rebuilt at every degree, and two confirmation
     degrees after the last generator, which must come by the degree cap."""
     field = m.field
-    nvars = len(m.vars)
     kappa = m.ncols - rank(m)
     if kappa == 0:
         return PolyMatrix(field, m.vars, [[] for _ in range(m.ncols)],
@@ -174,7 +178,7 @@ def graded_kernel_reference(m, degree_cap=60):
             continue
         ker_basis = linalg.nullspace(field, rows, len(src))
         span = graded.IncrementalEchelon(field, len(src))
-        for row in graded.multiples_coords(field, gens, m.col_degrees, d, nvars):
+        for row in graded.multiples_coords(field, gens, m.col_degrees, d):
             span.add(row)
         if len(gens) < kappa:
             for vec in ker_basis:
@@ -352,6 +356,23 @@ def test_graded_kernel_needs_two_variables():
         graded.graded_kernel(m)
 
 
+def test_degree_map_matrix_needs_two_variables():
+    field = PrimeField(10009)
+    uvw = ("u", "v", "w")
+    u, v, w = (Poly.variable(field, uvw, x) for x in uvw)
+    m = PolyMatrix(field, uvw, [[u, v, w]], row_degrees=[0], col_degrees=[1, 1, 1])
+    with pytest.raises(graded.GradedError, match="two variables"):
+        graded.degree_map_matrix(m, 1)
+
+
+def test_quotient_dims_needs_two_variables():
+    field = QQ
+    uvw = ("u", "v", "w")
+    u, v, w = (Poly.variable(field, uvw, x) for x in uvw)
+    with pytest.raises(graded.GradedError, match="two variables"):
+        graded.graded_quotient_dims(field, uvw, [u * u, v * v, w * w], range(4))
+
+
 def test_poly_matrix_rank():
     field = PrimeField(13)
     s = Poly.variable(field, ST, "s")
@@ -440,7 +461,6 @@ def test_quotient_dims_module_presentation():
 
 def quotient_dims_reference(field, variables, generators, degrees, rank=1):
     """The replaced loop: one IncrementalEchelon.add per Macaulay row."""
-    nvars = len(variables)
     gens = []
     for g in generators:
         vec = [g] if isinstance(g, Poly) else list(g)
@@ -449,9 +469,9 @@ def quotient_dims_reference(field, variables, generators, degrees, rank=1):
             gens.append((nonzero[0].homogeneous_degree(), vec))
     out = []
     for d in degrees:
-        width = rank * graded.dim_poly_ring(nvars, d)
+        width = rank * graded.dim_poly_ring(d)
         ech = graded.IncrementalEchelon(field, width)
-        for row in graded.multiples_coords(field, gens, [0] * rank, d, nvars):
+        for row in graded.multiples_coords(field, gens, [0] * rank, d):
             ech.add(row)
         out.append(width - len(ech.rows))
     return out
@@ -473,13 +493,13 @@ def presentations(draw):
     """(field, variables, generators, rank): homogeneous generators, some zero,
     some duplicated or scaled, as bare Polys (the ideal case) or vectors."""
     field = draw(st.sampled_from(QUOTIENT_FIELDS))
-    variables = ("u", "v", "w")[: draw(st.integers(2, 3))]
+    variables = ("u", "v")
     ideal = draw(st.booleans())
     rank = 1 if ideal else draw(st.integers(1, 3))
     coeff = quotient_scalars(field)
 
     def form(e):
-        pairs = [(m, draw(coeff)) for m in graded.monomials(len(variables), e)]
+        pairs = [(m, draw(coeff)) for m in graded.monomials(e)]
         return Poly.from_pairs(field, variables, pairs)
 
     gens = []
@@ -516,10 +536,10 @@ def test_quotient_dims_reference_on_both_shapes():
         many = [u, v, u + v, u.scale(half), v, u * u + v * v]
         one = [[u * v, v * v]]
         for gens, rank, d, taller in ((many, 1, 3, True), (one, 2, 3, False)):
-            basis = graded.degree_basis([0] * rank, d, 2)
+            basis = graded.degree_basis([0] * rank, d)
             gen_list = [(g.homogeneous_degree(), [g]) if isinstance(g, Poly)
                         else (g[0].homogeneous_degree(), g) for g in gens]
-            rows = graded.multiples_coords(field, gen_list, [0] * rank, d, 2)
+            rows = graded.multiples_coords(field, gen_list, [0] * rank, d)
             assert (len(rows) > len(basis)) == taller
             want = quotient_dims_reference(field, uv, gens, range(5), rank)
             assert graded.graded_quotient_dims(field, uv, gens, range(5), rank=rank) == want

@@ -999,6 +999,18 @@ def test_candidate_json_round_trip():
     assert back.dvals == cand.dvals
 
 
+def test_candidate_at_the_int64_prime_keeps_its_scalar_type():
+    # at p = 2^31 - 1 the substitution's products are taken on Python ints;
+    # they are stored as int64, the type the JSON reader gives them too
+    field = PrimeField(2**31 - 1)
+    cand = knorrer.ulrich_for_roots(field, (1, 4, 9, 2, 3))
+    back = knorrer.UlrichCandidate.from_json(cand.to_json())
+    for attr in ("presentation", "second_map", "cert1", "cert2"):
+        got, want = getattr(cand, attr), getattr(back, attr)
+        assert got.dtype == want.dtype == linalg.scalar_dtype(field), attr
+        assert np.array_equal(got, want), attr
+
+
 def test_odd_ambient_pipeline_over_rationals():
     cand = knorrer.ulrich_for_roots_odd_ambient(QQ, [1, 4, 9], [2, 3], seed=2)
     roots = sorted(int(QQ.of(v)) for v in cand.verification["discriminant_roots"])

@@ -7,7 +7,9 @@ fails on one.  Below the polynomial layer, the scalar modules and the pencil
 (its two Gram matrices) use no ``PolyMatrix`` either, and neither does
 ``knorrer``: its matrices are coefficient tensors, read from and written to
 JSON as such, and only the Hilbert check's fallback gets a PolyMatrix, from
-``polymatrix.tensor_matrix``, without naming the class.
+``polymatrix.tensor_matrix``, without naming the class.  No function but the
+CLI's parser is memoized: a cache on a computation would be state that grows
+for the life of the process.
 """
 
 import ast
@@ -73,3 +75,33 @@ def test_polymatrix_check_sees_each_form():
         assert uses_polymatrix(ast.parse(source)), source
     for source in ("from .polymatrix import doubled_form", "from . import linalg"):
         assert not uses_polymatrix(ast.parse(source)), source
+
+
+MEMOIZERS = ("cache", "lru_cache")
+
+
+def memoized_functions(tree) -> list[str]:
+    """Functions decorated with functools.cache or lru_cache, by any spelling."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(target, "attr", getattr(target, "id", None)) in MEMOIZERS:
+                    found.append(node.name)
+    return found
+
+
+def test_only_the_parser_is_memoized():
+    memoized = sorted(f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+                      for name in memoized_functions(ast.parse(path.read_text())))
+    assert memoized == ["cli.build_parser"]
+
+
+def test_memoizer_check_sees_each_form():
+    for deco in ("functools.cache", "cache", "functools.lru_cache", "lru_cache",
+                 "functools.lru_cache(maxsize=None)", "lru_cache(8)"):
+        for source in (f"@{deco}\ndef f(): pass", f"class C:\n    @{deco}\n    def f(self): pass"):
+            assert memoized_functions(ast.parse(source)) == ["f"], source
+    for source in ("def f(): pass", "@staticmethod\ndef f(): pass", "@functools.wraps(g)\ndef f(): pass"):
+        assert memoized_functions(ast.parse(source)) == [], source

@@ -1,8 +1,9 @@
 """The one exact scalar product, ``linalg.matmul``, against a triple loop.
 
 Every product is taken on float64 BLAS, on as many limbs of each entry as
-keep the partial sums exact.  Over F_p the result is int64 while
-2 k (p - 1)^2 < 2^63 for the inner dimension k, and Python ints past that.
+keep the partial sums exact.  Over F_p the unreduced product is int64 while
+2 k (p - 1)^2 < 2^63 for the inner dimension k, and Python ints past that;
+the reduced result has the field's stored scalar type, ``scalar_dtype``.
 Both bounds, the dtype's and the number of limbs', are tested on both sides
 with the largest residues, where an overflow or a rounded float would show.
 Over Q the operands are scaled to integers.
@@ -40,7 +41,8 @@ def largest_inner(p, limit):
     return (limit - 1) // (p - 1) ** 2
 
 
-# (p, inner, dtype): the int64 bound 2 k (p - 1)^2 < 2^63 on its last and first side
+# (p, inner, dtype): the int64 bound 2 k (p - 1)^2 < 2^63 on its last and first
+# side, dtype the type of the unreduced product
 DTYPE_BOUNDARIES = [
     (67108859, largest_inner(67108859, 2**62), np.int64),
     (67108859, largest_inner(67108859, 2**62) + 1, object),
@@ -64,14 +66,19 @@ def test_int64_bound_at_the_default_prime():
 
 
 @pytest.mark.parametrize("p, inner, dtype", DTYPE_BOUNDARIES)
-def test_dtype_boundaries(p, inner, dtype):
+def test_dtype_boundaries(p, inner, dtype, monkeypatch):
     field = PrimeField(p)
     top = p - 1
     # one row and one column of p - 1: the largest entry sum the bound allows for
     a = [[top] * inner, [top - 1] * inner]
     b = [[top, top - 1] for _ in range(inner)]
+    unreduced = []
+    real = linalg._int_matmul
+    monkeypatch.setattr(linalg, "_int_matmul",
+                        lambda a, b, top, dtype: unreduced.append(dtype) or real(a, b, top, dtype))
     got = linalg.matmul(field, a, b)
-    assert got.dtype == dtype and got.shape == (2, 2 if inner else 0)
+    assert unreduced == [dtype]
+    assert got.dtype == linalg.scalar_dtype(field) and got.shape == (2, 2 if inner else 0)
     if inner:
         # inner (p - 1)^2 = inner mod p, and so on
         assert got.tolist() == [[inner % p, 2 * inner % p], [2 * inner % p, 4 * inner % p]]
@@ -86,7 +93,7 @@ def test_boundaries_match_triple_loop(p, inner):
          for _ in range(5)]
     b = [[rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(4)] for _ in range(inner)]
     got = linalg.matmul(field, a, b)
-    assert got.dtype == (np.int64 if 2 * inner * (p - 1) ** 2 < 2**63 else object)
+    assert got.dtype == linalg.scalar_dtype(field)
     assert got.tolist() == triple_loop(field, a, b)
 
 
