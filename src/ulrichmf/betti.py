@@ -109,18 +109,7 @@ class BettiTable:
         return top, bottom
 
     def render(self) -> str:
-        top, bottom = self.columns()
-        shown = [v for v in top + bottom if v is not None]
-        w = max(len(str(v)) for v in shown)
-        blank = " " * w
-
-        def fmt(row, lead, tail):
-            cells = [str(v).rjust(w) if v is not None else blank for v in row]
-            return (lead + " ".join(cells) + tail).rstrip()
-
-        return "\n".join(
-            [fmt(top, "... ", ""), fmt(bottom, "    ", " ...")]
-        )
+        return _two_rows(*self.columns())
 
 
 def tate_shape(g: int, n_terms: int | None = None) -> BettiTable:
@@ -154,16 +143,22 @@ def chi_and_parity(g: int, r: int, d: int):
 
 
 def format_tate_style(table: CohomologyTable) -> str:
-    """Staggered two-row rendering: column j holds h1(j p) over h0((j+1) p)."""
+    """Staggered two-row rendering: column j holds h1(j p) over h0((j+1) p),
+    zeros left blank."""
     cols = table.twists[:-1]
-    top = [table.h1[table.twists.index(j)] for j in cols]
-    bottom = [table.h0[table.twists.index(j + 1)] for j in cols]
-    shown = [v for v in top + bottom if v]
-    w = max(len(str(v)) for v in shown) if shown else 1
-    blank = " " * w
+    top = [table.h1[table.twists.index(j)] or None for j in cols]
+    bottom = [table.h0[table.twists.index(j + 1)] or None for j in cols]
+    return _two_rows(top, bottom)
+
+
+def _two_rows(top, bottom) -> str:
+    """The two rows of a staggered table, "... " before the top one and " ..."
+    after the bottom one, every cell right-aligned to the widest value and
+    None left blank."""
+    w = max((len(str(v)) for v in top + bottom if v is not None), default=1)
 
     def fmt(row, lead, tail):
-        cells = [str(v).rjust(w) if v else blank for v in row]
+        cells = [" " * w if v is None else str(v).rjust(w) for v in row]
         return (lead + " ".join(cells) + tail).rstrip()
 
-    return "\n".join([fmt(top, "... ", ""), fmt(bottom, "    ", " ...")])
+    return fmt(top, "... ", "") + "\n" + fmt(bottom, "    ", " ...")

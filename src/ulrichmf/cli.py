@@ -494,7 +494,19 @@ def _random_scalar(field, rng, lo=0):
 
 
 def _random_targets(field, rng, count):
-    """Distinct nonzero targets; the first half (rounded up) are squares."""
+    """Distinct nonzero targets; the first half (rounded up) are squares.
+
+    A count the draws cannot always meet is refused before the first draw.
+    F_p has (p - 1)/2 nonzero squares and p - 1 nonzero elements, so up to
+    p - 1 targets are always drawn.  Over Q the squares are those of 2..99
+    and the rest come from 1..99, where the 8 squares 4..81 may already be
+    taken: the (count - 1)//2 + 1 squares need count <= 196, and the
+    count//2 others need count//2 <= 99 - 8, so at most 183.
+    """
+    most = field.p - 1 if isinstance(field, PrimeField) else 183
+    if count > most:
+        raise ValueError(f"cannot draw {count} distinct targets over field {field.name}, "
+                         f"the first half squares: at most {most}")
     n_squares = (count + 1) // 2
     picked = []
     seen = set()

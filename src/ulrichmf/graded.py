@@ -56,17 +56,26 @@ def coords_to_vector(field: Field, coords, basis, ncomponents: int, variables):
     return [Poly._make(field, variables, t) for t in terms]
 
 
+def _require_two_variables(caller: str, variables) -> None:
+    if len(variables) != 2:
+        raise GradedError(f"{caller} needs two variables, got {tuple(variables)}")
+
+
 def multiples_coords(field: Field, gens, target_degrees, d: int):
     """Coordinate rows of every degree-d multiple x^m * g of the generators.
 
     ``gens`` holds (degree, vector) pairs, each vector a list of Polys over
-    k[s,t] with entry j homogeneous of degree e_g - a_j (or zero).  Rows come
+    k[s,t] with entry j homogeneous of degree e_g - a_j (or zero); a ring in
+    another number of variables raises GradedError.  Rows come
     generator by generator, monomials in :func:`monomials` order, in the basis
     ``degree_basis(target_degrees, d)``, as lists of the field's scalars.  No
     Poly is built or multiplied: multiple r of a term s^i t^k of entry j is
     coordinate i + r of that entry, and one numpy assignment per generator
     writes all of its multiples.
     """
+    first = next((p for _, vec in gens for p in vec), None)
+    if first is not None:
+        _require_two_variables("multiples_coords", first.vars)
     return _multiples_array(field, gens, target_degrees, d).tolist()
 
 
@@ -117,8 +126,7 @@ def degree_map_matrix(m: PolyMatrix, d: int):
     column j of m, so the matrix is the transpose of the multiples of m's
     columns.
     """
-    if len(m.vars) != 2:
-        raise GradedError(f"degree_map_matrix needs two variables, got {m.vars}")
+    _require_two_variables("degree_map_matrix", m.vars)
     src = degree_basis(m.col_degrees, d)
     tgt = degree_basis(m.row_degrees, d)
     gens = [(c, m.column(j)) for j, c in enumerate(m.col_degrees)]
@@ -192,8 +200,7 @@ def graded_kernel(m: PolyMatrix) -> PolyMatrix:
         raise GradedError("graded_kernel needs degree labels")
     if m.first_inhomogeneous() is not None:
         raise GradedError("matrix is not homogeneous for its degree labels")
-    if len(m.vars) != 2:
-        raise GradedError(f"graded_kernel needs two variables, got {m.vars}")
+    _require_two_variables("graded_kernel", m.vars)
     field = m.field
     top = [
         [p.terms.get((c - r, 0), field.zero) for p, c in zip(row, m.col_degrees)]
@@ -254,8 +261,10 @@ def express_in_module(field: Field, gen_vectors, gen_degrees, module_degrees, ta
 
     Solves target = sum_g h_g * gen_g with h_g homogeneous of degree
     target_degree - e_g.  Returns the list of Poly coefficients h_g, or None
-    when the element is not in the span.
+    when the element is not in the span.  The module is over k[variables],
+    in two variables.
     """
+    _require_two_variables("express_in_module", variables)
     gens = list(zip(gen_degrees, gen_vectors))
     columns = _multiples_array(field, gens, module_degrees, target_degree)
     # the target's coordinates: its degree-0 multiple
@@ -281,8 +290,7 @@ def graded_quotient_dims(field: Field, variables, generators, degrees, rank: int
     dimension in each degree is rank * dim S_d minus the rank of the Macaulay
     matrix of monomial multiples of the generators.
     """
-    if len(variables) != 2:
-        raise GradedError(f"graded_quotient_dims needs two variables, got {tuple(variables)}")
+    _require_two_variables("graded_quotient_dims", variables)
     gens = []
     for g in generators:
         vec = [g] if isinstance(g, Poly) else list(g)

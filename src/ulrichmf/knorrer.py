@@ -19,9 +19,11 @@ pair is a signed partial permutation, and the pair is built as one in index
 arrays, unchecked: ``build_candidate`` scatters it into tensors under the
 ambient certificate, and ``suite knorrer`` checks phi @ psi = q id by
 composing the permutations.  The mixed identity is checked on the pair's
-tensors.  The quadrics q1 and q2 are kept as polynomials for the
-certificates and the JSON, but every change of variables acts on their Gram
-matrices, as the congruence M^T S M of ``QuadricPencil.congruence``, and the
+tensors.  A candidate holds q1 and q2 once, as the Gram matrices of its
+pencil: the certificates compare A C_l with 2 S_l id, a change of variables
+is the congruence M^T S M of ``QuadricPencil.congruence``, and each pipeline
+changes the ambient candidate's variables once.  q1 and q2 are read off the
+pencil as polynomials only for the JSON and the Jacobian check, and the
 matrices go to JSON and back as tensors (``tensor_json``, ``tensor_from_json``).
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
@@ -33,15 +35,13 @@ pipeline hands it negated values.
 
 from __future__ import annotations
 
-import copy
 import random
 
 import numpy as np
 
 from . import binary, graded, linalg
 from .fields import Field, NotASquare, PrimeField, field_from_name
-from .pencil import (QuadricPencil, bilinear_matrix, congruent, simultaneous_diagonalize,
-                     smoothness_check)
+from .pencil import QuadricPencil, congruent, simultaneous_diagonalize, smoothness_check
 from .poly import Poly, PolyError
 from .polymatrix import (NotLinearError, doubled_form, substitute_tensors, tensor_from_json,
                          tensor_json, tensor_matrix, tensor_mismatch)
@@ -58,9 +58,10 @@ def xy_variables(n: int):
 def knorrer_pair(field: Field, n: int):
     """The recursive 2^n factorization (phi_n, psi_n) of q = sum x_i y_i.
 
-    Returns (phi, psi, q), unchecked: callers check what they need, through
+    Returns (phi, psi, S), unchecked: callers check what they need, through
     ``knorrer_identity_failure`` or a certificate whose product contains
-    phi @ psi.  Each variable's matrix is a signed partial permutation, so
+    phi @ psi.  S is the Gram matrix of q = x^T S x, 1/2 at (x_k, y_k) and
+    (y_k, x_k).  Each variable's matrix is a signed partial permutation, so
     phi and psi are pairs (cols, signs) of (2n+2) x 2^n integer arrays: row i
     of phi holds signs[k, i] x_k in column cols[k, i], and no x_k term where
     cols[k, i] is -1; the variables are ordered as ``xy_variables(n)``.  Step k
@@ -88,9 +89,9 @@ def knorrer_pair(field: Field, n: int):
     phi, psi = unit(0), unit(n + 1)
     for k in range(1, n + 1):
         phi, psi = stacked(phi, psi, k, n + 1 + k), stacked(phi, psi, n + 1 + k, k)
-    q = Poly._make(field, xy_variables(n), {
-        tuple(int(j in (k, n + 1 + k)) for j in range(v)): field.one for k in range(n + 1)})
-    return phi, psi, q
+    half = field.inv(field.of(2))
+    s = [[half if abs(i - j) == n + 1 else field.zero for j in range(v)] for i in range(v)]
+    return phi, psi, s
 
 
 def pair_tensor(field: Field, matrix):
@@ -149,8 +150,8 @@ def mixed_identity_failure(field: Field, n: int):
     exactly where some A_k B_l + A_l B_k differs from 2 S[k][l] id, which is
     what :func:`tensor_mismatch` checks of A @ B against q id.
     """
-    phi, psi, q = knorrer_pair(field, n)
-    where = tensor_mismatch(field, pair_tensor(field, phi), pair_tensor(field, psi), q)
+    phi, psi, s = knorrer_pair(field, n)
+    where = tensor_mismatch(field, pair_tensor(field, phi), pair_tensor(field, psi), s)
     return None if where is None else f"A(x,y)B(v,w) + A(v,w)B(x,y) != qt*id at entry {where}"
 
 
@@ -197,29 +198,17 @@ def diagonal_lambda(field: Field, dvals) -> list:
     return lam
 
 
-def _quadric_attribute(which: int):
-    """q1 or q2 of a candidate: a Poly, assignable, that a change of variables
-    leaves unset until first use, then reads off the kept pencil."""
-    slot = f"_q{which}"
-
-    def get(self) -> Poly:
-        if getattr(self, slot) is None:
-            setattr(self, slot, self._pencil.quadric(which))
-        return getattr(self, slot)
-
-    return property(get, lambda self, q: setattr(self, slot, q))
-
-
 class UlrichCandidate:
     """A linear presentation with exact annihilator certificates.
 
     Each matrix is a coefficient tensor T of shape (len(variables), rows,
     cols): T[k] is the scalar matrix of variables[k], so the matrix is
     sum_k T[k] x_k; its scalars are int64 or Python ints over F_p, and over
-    Q ints where integral and Fractions elsewhere.  presentation: r x 2r
-    matrix A; second_map B' with A @ B' = 0; cert1, cert2 with
-    A @ cert_l = q_l * id.  All three identities are verified on
-    construction.
+    Q ints where integral and Fractions elsewhere.  pencil: the
+    ``QuadricPencil`` of (q1, q2) in these variables, the one copy of the
+    quadrics.  presentation: r x 2r matrix A; second_map B' with A @ B' = 0;
+    cert1, cert2 with A @ cert_l = q_l * id.  All three identities are
+    verified on construction.
     """
 
     def __init__(
@@ -227,8 +216,7 @@ class UlrichCandidate:
         field: Field,
         variables,
         n: int,
-        q1: Poly,
-        q2: Poly,
+        pencil: QuadricPencil,
         presentation,
         second_map,
         cert1,
@@ -239,8 +227,7 @@ class UlrichCandidate:
         self.field = field
         self.variables = tuple(variables)
         self.n = n
-        self.q1 = q1
-        self.q2 = q2
+        self.pencil = pencil
         self.presentation = presentation
         self.second_map = second_map
         self.cert1 = cert1
@@ -248,11 +235,17 @@ class UlrichCandidate:
         self.dvals = list(dvals) if dvals is not None else None
         self.provenance = provenance
         self.verification: dict = {}
-        self._pencil = None
         self._require_certificates()
 
-    q1 = _quadric_attribute(1)
-    q2 = _quadric_attribute(2)
+    @property
+    def q1(self) -> Poly:
+        """q1 as a polynomial, read off the pencil on each call."""
+        return self.pencil.quadric(1)
+
+    @property
+    def q2(self) -> Poly:
+        """q2 as a polynomial, read off the pencil on each call."""
+        return self.pencil.quadric(2)
 
     def _require_certificates(self) -> None:
         ok, detail = self.verify_certificates()
@@ -273,42 +266,30 @@ class UlrichCandidate:
         where = tensor_mismatch(self.field, self.presentation, self.second_map)
         if where is not None:
             return False, f"A @ B' != 0 at entry {where}"
-        for q, cert, name in ((self.q1, self.cert1, "q1"), (self.q2, self.cert2, "q2")):
-            where = tensor_mismatch(self.field, self.presentation, cert, q)
+        grams = ((self.pencil.b1, self.cert1, "q1"), (self.pencil.b2, self.cert2, "q2"))
+        for s, cert, name in grams:
+            where = tensor_mismatch(self.field, self.presentation, cert, s)
             if where is not None:
                 return False, f"A @ C != {name} * id at entry {where}"
         self.verification["certificates"] = "pass"
         return True, "ok"
 
-    def pencil(self) -> QuadricPencil:
-        """The pencil of (q1, q2), built once so its discriminant is split once;
-        ``build_candidate`` and a change of variables hand it over with the
-        candidate."""
-        if self._pencil is None:
-            self._pencil = QuadricPencil.from_quadrics(self.q1, self.q2)
-        return self._pencil
-
-    def _substituted(self, m, new_variables, provenance="") -> "UlrichCandidate":
-        """The linear change of variables x = M z on every matrix and quadric.
+    def _substituted(self, m, new_variables, provenance) -> "UlrichCandidate":
+        """The candidate in the coordinates z of x = M z, verified as it is built.
 
         Row j of the scalar matrix M holds the coefficients of variables[j] in
-        new_variables: x_j -> sum_k M[j][k] z_k.  The result keeps the congruent
-        pencil and reads its quadrics off it on first use: the odd intermediate
-        of ``ulrich_for_roots_even_ambient`` never reads them.  It is not verified: a
-        linear change of variables is a ring map, so A @ B' = 0 and
-        A @ C_l = q_l id carry over from a verified self.
+        new_variables: x_j -> sum_k M[j][k] z_k.  Each matrix is one product
+        (``substitute_tensors``) and the pencil is the congruence M^T S M.  A
+        linear change of variables is a ring map, so the certificates carry
+        over from a verified self; the constructor checks them again on what
+        the pipelines emit.
         """
         target = tuple(new_variables)
-        out = copy.copy(self)
-        out.variables = target
-        out._pencil = self.pencil().congruence(m, target)
-        out.q1 = out.q2 = None
-        out.presentation, out.second_map, out.cert1, out.cert2 = substitute_tensors(
+        tensors = substitute_tensors(
             self.field, m, (self.presentation, self.second_map, self.cert1, self.cert2)
         )
-        out.provenance = provenance or self.provenance
-        out.verification = {}
-        return out
+        return UlrichCandidate(self.field, target, self.n, self.pencil.congruence(m, target),
+                               *tensors, dvals=self.dvals, provenance=provenance)
 
     def to_json(self) -> dict:
         tensors = (self.presentation, self.second_map, self.cert1, self.cert2)
@@ -355,21 +336,33 @@ class UlrichCandidate:
                 return read(field, variables, data[key])
             except PolyError as exc:
                 raise PolyError(f"candidate key {key!r}: {exc}") from None
-            except NotLinearError as exc:  # raised once every matrix is read
+            except NotLinearError as exc:  # raised once every key is read
                 return UlrichError(f"candidate certificates failed: {key} {exc}")
 
-        q1, q2 = load("q1", Poly.from_json), load("q2", Poly.from_json)
-        tensors = [load(key, tensor_from_json) for key in MATRIX_KEYS]
-        for failure in (t for t in tensors if isinstance(t, UlrichError)):
+        loaded = [load(key, _gram_from_json) for key in ("q1", "q2")]
+        loaded += [load(key, tensor_from_json) for key in MATRIX_KEYS]
+        for failure in (x for x in loaded if isinstance(x, UlrichError)):
             raise failure
+        s1, s2, *tensors = loaded
         return UlrichCandidate(
-            field, variables, n, q1, q2, *tensors, dvals=dvals,
-            provenance=data.get("provenance", ""),
+            field, variables, n, QuadricPencil(field, s1, s2, variables), *tensors,
+            dvals=dvals, provenance=data.get("provenance", ""),
         )
 
 
 # the JSON keys of the presentation, B', C1 and C2, in the constructor's order
 MATRIX_KEYS = ("presentation", "second_map", "cert_q1", "cert_q2")
+
+
+def _gram_from_json(field, variables, data):
+    """The Gram matrix S of a quadric's JSON, q = x^T S x, zero for q = 0; a
+    term of another degree raises NotLinearError, as a non-linear matrix
+    entry does."""
+    w, other = doubled_form(Poly.from_json(field, variables, data))
+    if other:
+        raise NotLinearError("is not a quadratic form")
+    half = field.inv(field.of(2))
+    return [[field.mul(c, half) for c in row] for row in w]
 
 
 def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
@@ -386,30 +379,28 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
         raise UlrichError(f"skew matrix must have size {2 * (n + 1)}")
     # the ambient candidate's A @ C1 = q1 id check covers phi @ psi = q1 id:
     # C1 = (psi; 0), so the top block of A @ C1 is phi @ psi
-    phi, psi, q1 = knorrer_pair(field, n)
+    phi, psi, s1 = knorrer_pair(field, n)
     names = xy_variables(n)
     # (x|y) -> (x|y) G: variable k maps to column k of G, and q2 has the Gram
     # matrix M^T S1 M of q1's S1
     m = list(zip(*g))
-    s1 = bilinear_matrix(q1)
     pencil = QuadricPencil(field, s1, congruent(field, s1, m), names)
-    q2 = pencil.quadric(2)
-    if q2.is_zero():
+    flat1, flat2 = ([c for row in b for c in row] for b in (pencil.b1, pencil.b2))
+    if all(field.is_zero(c) for c in flat2):
         raise UlrichError("degenerate substitution: q2 = 0")
-    if q2.ratio(q1) is not None:
+    # q1 != 0, so a nonzero q2 is proportional to q1 exactly when S1 and S2 span a line
+    if linalg.rank(field, [flat1, flat2], len(flat1)) < 2:
         raise UlrichError("degenerate substitution: q2 proportional to q1")
     phi, psi = pair_tensor(field, phi), pair_tensor(field, psi)
     a2, b2 = substitute_tensors(field, m, (phi, psi))
     zero = np.full_like(phi, field.zero)
     # A = (phi | A2), B' = (B2; psi), C1 = (psi; 0), C2 = (0; B2)
-    candidate = UlrichCandidate(
-        field, names, n, q1, q2,
+    return UlrichCandidate(
+        field, names, n, pencil,
         np.concatenate([phi, a2], axis=2), np.concatenate([b2, psi], axis=1),
         np.concatenate([psi, zero], axis=1), np.concatenate([zero, b2], axis=1),
         dvals=_diagonal_of(field, lam), provenance=f"build_candidate(n={n})",
     )
-    candidate._pencil = pencil
-    return candidate
 
 
 def _diagonal_of(field, lam):
@@ -437,9 +428,10 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
     rng = random.Random(seed)
     names = candidate.variables
     m = len(candidate.dvals)
-    # the gradient of q = x^T S x is 2 S x; A @ C_l = q_l id with A and C_l
-    # linear makes the q_l of a verified candidate quadratic forms
-    doubled = [row for q in (candidate.q1, candidate.q2) for row in doubled_form(q)[0]]
+    # the gradient of q = x^T S x is 2 S x
+    pencil = candidate.pencil
+    doubled = [[field.add(c, c) for c in row] for b in (pencil.b1, pencil.b2) for row in b]
+    q1, q2 = candidate.q1, candidate.q2
     found = 0
     attempts = 0
     while found < samples and attempts < 40 * samples:
@@ -457,9 +449,7 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
         nonzero = sum(1 for v in point.values() if not field.is_zero(v))
         if nonzero <= 1:
             continue  # coordinate point: singular by design
-        if not field.is_zero(candidate.q1.evaluate(point)) or not field.is_zero(
-            candidate.q2.evaluate(point)
-        ):
+        if not field.is_zero(q1.evaluate(point)) or not field.is_zero(q2.evaluate(point)):
             continue
         column = [[point[v]] for v in names]
         jac = linalg.matmul(field, doubled, column).reshape(2, -1).tolist()
@@ -536,15 +526,17 @@ def ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed: int = 0) -> 
     along with the complex certificates, smoothness, and the Artinian
     Hilbert-function certificate.
     """
-    candidate, targets = _odd_restriction(field, a_targets, c_targets)
-    candidate._require_certificates()
-    _verify_restricted(candidate, targets, seed)
+    ambient, r = _odd_restriction(field, a_targets, c_targets)
+    z_names = tuple(f"z{k}" for k in range(len(r[0])))
+    candidate = ambient._substituted(r, z_names, f"ulrich_for_roots_odd_ambient(n={ambient.n})")
+    _verify_restricted(candidate, [*a_targets, *c_targets], seed)
     return candidate
 
 
 def _odd_restriction(field, a_targets, c_targets):
-    """The odd-ambient candidate and its 2n+1 targets: the verified ambient
-    candidate restricted by ``_substituted``, so callers verify what they emit."""
+    """The verified ambient candidate of the odd-ambient pipeline and its
+    restriction matrix R: in the 2n+1 coordinates z of x = R z its pencil's
+    discriminant roots are the targets."""
     n = len(a_targets) - 1
     if n < 2:
         raise UlrichError("need n >= 2 (at least 3 chart roots)")
@@ -564,17 +556,12 @@ def _odd_restriction(field, a_targets, c_targets):
     # chart machinery runs on negated values: ell_i = s + (-a_i) t has root a_i
     neg_a = [field.neg(v) for v in a_targets]
     neg_c = [field.neg(v) for v in c_targets]
-    b = solve_b_for_roots(field, neg_a, neg_c)
-    z_names = tuple(f"z{k}" for k in range(2 * n + 1))
-    candidate = ambient._substituted(
-        restriction_matrix(field, b), z_names, provenance=f"ulrich_for_roots_odd_ambient(n={n})"
-    )
-    return candidate, list(a_targets) + list(c_targets)
+    return ambient, restriction_matrix(field, solve_b_for_roots(field, neg_a, neg_c))
 
 
 def _verify_restricted(candidate: UlrichCandidate, targets, seed) -> None:
     field = candidate.field
-    p = candidate.pencil()
+    p = candidate.pencil
     p.confirm_roots(targets)
     found, inf_mult, splits = p.roots()
     root_multiset = sorted(
@@ -629,11 +616,13 @@ def _is_square(field, v):
 def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandidate:
     """Rank 2^(g-1) Ulrich candidate on the (2g+2)-variable pencil with given roots.
 
-    Runs the odd-ambient pipeline one dimension up with a fresh extra root,
-    diagonalizes the restricted pencil, and sets the coordinate of the fresh
-    root to zero.  The resulting pencil has exactly the 2g+2 targets as
-    discriminant roots; every certificate is verified on the emitted
-    restriction, none on the odd-ambient intermediate.
+    Takes the odd-ambient pipeline's ambient candidate one dimension up, with
+    a fresh extra root, and its restriction matrix R; diagonalizes the
+    restricted pencil by a basis M and sets the coordinate of the fresh root
+    to zero.  The ambient matrices are substituted once, by R M less that
+    column, so no odd-ambient candidate is built.  The resulting pencil has
+    exactly the 2g+2 targets as discriminant roots, and every certificate is
+    verified on it.
     """
     targets = [field.of(t) for t in targets]
     if len(targets) % 2:
@@ -654,22 +643,21 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
         )
     a_targets = squares[: n + 1]
     c_targets = squares[n + 1 :] + non_squares
-    # not emitted: simultaneous_diagonalize checks the restriction's pencil
-    # from its claimed roots, and the emitted pencil is diagonal, so neither
-    # discriminant is interpolated
-    odd_candidate, odd_targets = _odd_restriction(field, a_targets, c_targets)
-    diag = simultaneous_diagonalize(odd_candidate.pencil(), odd_targets)
+    # simultaneous_diagonalize checks the restriction's pencil from its claimed
+    # roots, and the emitted pencil is diagonal, so neither discriminant is
+    # interpolated
+    ambient, r = _odd_restriction(field, a_targets, c_targets)
+    diag = simultaneous_diagonalize(ambient.pencil.congruence(r), a_targets + c_targets)
     # locate the diagonal coordinate carrying the fresh root
     roots = [_factor_root(field, factor) for factor in diag.factors]
     if fresh not in roots:
         raise UlrichError("fresh root not found among diagonal factors")
     idx_fresh = roots.index(fresh)
-    # x = M w with M the diagonalizing basis less the fresh root's column
+    # x = R M w with M the diagonalizing basis less the fresh root's column
     m = [row[:idx_fresh] + row[idx_fresh + 1 :] for row in diag.basis]
     new_names = tuple(f"w{k}" for k in range(len(m[0])))
-    candidate = odd_candidate._substituted(m, new_names, f"ulrich_for_roots_even_ambient(g={g})")
-    del odd_candidate  # its tensors are let go before the emitted ones are checked
-    candidate._require_certificates()
+    candidate = ambient._substituted(linalg.matmul(field, r, m).tolist(), new_names,
+                                     f"ulrich_for_roots_even_ambient(g={g})")
     candidate.verification["fresh_root"] = str(fresh)
     _verify_restricted(candidate, targets, seed)
     return candidate
@@ -692,10 +680,12 @@ def artinian_hilbert_check(candidate: UlrichCandidate, trials: int = 3, seed: in
     k[u,v]/(Q1,Q2) to have graded dimensions 1,2,1,0 (retrying with fresh
     randomness otherwise), and then computes the cokernel dimensions of the
     specialized presentation with ``_cokernel_dims``.
+
+    The ring check reads degree 3 alone.  With no generator below degree 2,
+    degrees 0 and 1 are 1 and 2.  Degree 3 is 0 exactly when u Q1, v Q1,
+    u Q2, v Q2 span the 4-dimensional S_3, which makes Q1 and Q2 independent,
+    so degree 2 is 3 - 2 = 1.  A zero quadric leaves degree 3 nonzero.
     """
-    # a zero quadric, which has no pencil, specializes to zero in every attempt
-    if trials > 0 and (candidate.q1.is_zero() or candidate.q2.is_zero()):
-        return False, "trial 0: no Artinian specialization found"
     field = candidate.field
     rng = random.Random(seed)
     r = candidate.generators
@@ -708,12 +698,9 @@ def artinian_hilbert_check(candidate: UlrichCandidate, trials: int = 3, seed: in
             # random u, v coefficients for all but the last two variables
             m = [[rng.randrange(size), rng.randrange(size)] for _ in candidate.variables[:-2]]
             m += [[1, 0], [0, 1]]
-            specialized = candidate.pencil().congruence(m, uv)
+            specialized = candidate.pencil.congruence(m, uv)
             q1, q2 = specialized.quadric(1), specialized.quadric(2)
-            if q1.is_zero() or q2.is_zero():
-                continue
-            ring_dims = graded.graded_quotient_dims(field, uv, [q1, q2], range(4))
-            if ring_dims == [1, 2, 1, 0]:
+            if graded.graded_quotient_dims(field, uv, [q1, q2], [3]) == [0]:
                 ring_ok = True
                 break
         if not ring_ok:
@@ -734,8 +721,7 @@ def _cokernel_dims(candidate: UlrichCandidate, m, q1: Poly, q2: Poly) -> list:
     columns of A reach degree 1: there M has dimension 2r minus the rank of
     the 2r x 2r slice of the substituted tensor.  So (r, 0) in degrees 0 and 1
     proves (r, 0, 0, 0); any other answer is recomputed in all four degrees
-    for the transcript.  (The ring check keeps its four degrees: k[u,v] is
-    generated in degree 1, not 0.)
+    for the transcript.
     """
     field, r = candidate.field, candidate.generators
     (a_uv,) = substitute_tensors(field, m, (candidate.presentation,))

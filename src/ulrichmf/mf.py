@@ -1,9 +1,10 @@
 """Vector bundles on the hyperelliptic curve y^2 = f as matrix factorizations.
 
-A matrix factorization here is a pair (phi, psi) of graded matrices over
-k[s,t] with phi @ psi = psi @ phi = f * id, f of degree 2g+2.  The module
-records the generator degrees of the pushforward to P^1; phi is homogeneous
-of degree g+1 as a map module -> module(g+1).
+A matrix factorization here is one graded matrix phi over k[s,t] with
+phi @ phi = f * id, f of degree 2g+2: the action of y on the pushforward
+to P^1, the pair (phi, phi).  The module records the generator degrees of
+the pushforward; phi is homogeneous of degree g+1 as a map module ->
+module(g+1).
 
 Subsets of branch indices are 1-based frozensets.  The distinguished
 ramification point p is the root of the first diagonal factor f_1, so odd
@@ -27,7 +28,7 @@ class MFError(ValueError):
     pass
 
 
-def verify_mf_data(h: HyperellipticData, degrees, phi: PolyMatrix, psi: PolyMatrix):
+def verify_mf_data(h: HyperellipticData, degrees, phi: PolyMatrix):
     """Check the matrix factorization conditions; returns (ok, detail)."""
     f = h.f
     g = h.genus
@@ -36,49 +37,41 @@ def verify_mf_data(h: HyperellipticData, degrees, phi: PolyMatrix, psi: PolyMatr
         check_binary(f, 2 * (g + 1))
     except Exception as exc:  # malformed curve data
         return False, f"bad curve polynomial: {exc}"
-    for name, m in (("phi", phi), ("psi", psi)):
-        if m.vars != ST:
-            return False, f"{name} lives in variables {m.vars}, expected {ST}"
-        if (m.nrows, m.ncols) != (n, n):
-            return False, f"{name} is {m.nrows}x{m.ncols}, expected {n}x{n}"
-    for name, m in (("phi", phi), ("psi", psi)):
-        # phi maps the module to module(g + 1)
-        where = m.relabel([a - (g + 1) for a in degrees], degrees).first_inhomogeneous()
-        if where is not None:
-            i, j = where
-            want = degrees[j] - degrees[i] + (g + 1)
-            return False, f"{name}[{i}][{j}] is not homogeneous of degree {want}"
-    # one product suffices: phi is square over the domain k[s,t] and f != 0 (a
-    # binary form of degree 2g + 2), so phi @ psi = f id gives det phi != 0,
-    # hence psi = f phi^-1 over the fraction field and psi @ phi = f id
-    where = (phi @ psi).first_mismatch(PolyMatrix.scalar_matrix(h.field, ST, f, n))
+    if phi.vars != ST:
+        return False, f"phi lives in variables {phi.vars}, expected {ST}"
+    if (phi.nrows, phi.ncols) != (n, n):
+        return False, f"phi is {phi.nrows}x{phi.ncols}, expected {n}x{n}"
+    # phi maps the module to module(g + 1)
+    where = phi.relabel([a - (g + 1) for a in degrees], degrees).first_inhomogeneous()
     if where is not None:
-        return False, f"phi @ psi != f*id at entry {where}"
+        i, j = where
+        want = degrees[j] - degrees[i] + (g + 1)
+        return False, f"phi[{i}][{j}] is not homogeneous of degree {want}"
+    where = (phi @ phi).first_mismatch(PolyMatrix.scalar_matrix(h.field, ST, f, n))
+    if where is not None:
+        return False, f"phi @ phi != f*id at entry {where}"
     return True, "ok"
 
 
 class MatrixFactorization:
     """A verified matrix factorization of f over k[s,t]."""
 
-    def __init__(self, h: HyperellipticData, degrees, phi: PolyMatrix, psi=None, label=""):
+    def __init__(self, h: HyperellipticData, degrees, phi: PolyMatrix, label=""):
         self.h = h
         self.module = GradedFreeModule(degrees)
         self.phi = phi
-        self.psi = phi if psi is None else psi
         self.label = label
-        ok, detail = verify_mf_data(h, self.module.degrees, self.phi, self.psi)
+        ok, detail = verify_mf_data(h, self.module.degrees, self.phi)
         if not ok:
             raise MFError(f"invalid matrix factorization: {detail}")
 
     @staticmethod
-    def _make(h: HyperellipticData, degrees, phi: PolyMatrix, psi=None, label=""):
+    def _make(h: HyperellipticData, degrees, phi: PolyMatrix, label=""):
         """Trusted constructor for factorizations whose identity the caller has
-        already checked: phi and psi square of the module's rank, in (s, t), and
+        already checked: phi square of the module's rank, in (s, t), and
         homogeneous of the degrees the module asks for."""
         m = MatrixFactorization.__new__(MatrixFactorization)
-        m.h, m.module, m.label = h, GradedFreeModule(degrees), label
-        m.phi = phi
-        m.psi = phi if psi is None else psi
+        m.h, m.module, m.label, m.phi = h, GradedFreeModule(degrees), label, phi
         return m
 
     @property
@@ -104,7 +97,7 @@ class MatrixFactorization:
         """Tensor with H^k (pullback of O(1) from P^1): degrees drop by k.
 
         A uniform shift keeps every entry degree a_j - a_i + g + 1, so the
-        verified phi and psi are kept without a second check.
+        verified phi is kept without a second check.
         """
         out = copy.copy(self)
         out.module = GradedFreeModule([a - k for a in self.module.degrees])
@@ -161,7 +154,7 @@ def line_bundle_mf(h: HyperellipticData, indices) -> MatrixFactorization:
     f_i = h.subset_product(key)
     f_ic = h.subset_product(comp)
     if f_i * f_ic != h.f:
-        raise MFError("invalid matrix factorization: phi @ psi != f*id at entry (0, 0)")
+        raise MFError("invalid matrix factorization: phi @ phi != f*id at entry (0, 0)")
     zero = Poly.zero(h.field, ST)
     phi = PolyMatrix._make(h.field, ST, [[zero, f_ic], [f_i, zero]])
     degrees = (len(key) // 2, len(comp) // 2)

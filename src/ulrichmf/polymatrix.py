@@ -341,13 +341,14 @@ def substitute_tensors(field, m, tensors):
 BLOCK_ENTRIES = 2**20
 
 
-def tensor_mismatch(field, a, b, q=None):
-    """The first (i, j), row by row, where A @ B differs from q * id (from 0
-    when q is None), or None; an entry only one of the two has differs.
+def tensor_mismatch(field, a, b, s=None):
+    """The first (i, j), row by row, where A @ B differs from q * id for the
+    quadratic form q = x^T S x of a symmetric scalar matrix S (from 0 when S
+    is None), or None; an entry only one of the two has differs.
 
     A = sum_k A_k x_k and B = sum_l B_l x_l are linear, so entry (i, j) of
     A @ B is the quadratic form with coefficient (A_k B_l + A_l B_k)[i][j] on
-    x_k x_l for k < l and (A_k B_k)[i][j] on x_k^2.  q = x^T S x has 2 S[k][l]
+    x_k x_l for k < l and (A_k B_k)[i][j] on x_k^2.  q has 2 S[k][l]
     on x_k x_l and S[k][k] on x_k^2.  p is odd, so A @ B = q * id exactly
     when A_k B_l + A_l B_k = 2 S[k][l] * id for all k <= l.  One product of A
     stacked by rows with B stacked by columns gives every A_k B_l; it is
@@ -362,14 +363,11 @@ def tensor_mismatch(field, a, b, q=None):
     (a, da), (b, db) = linalg.integral(field, a), linalg.integral(field, b)
     square = min(r, c)
     # q * id is r x r: the columns past min(r, c) are in one matrix only
-    bad = np.zeros((r, c if q is None else max(r, c)), dtype=bool)
-    if q is not None:
-        two_s, other = doubled_form(q)
-        scale = field.of(da * db)
-        two_s = np.array([[field.mul(w, scale) for w in row] for row in two_s], dtype=object)
+    bad = np.zeros((r, c if s is None else max(r, c)), dtype=bool)
+    if s is not None:
+        scale = field.of(2 * da * db)
+        two_s = np.array([[field.mul(w, scale) for w in row] for row in s], dtype=object)
         bad[:, square:] = True
-        if other:  # q * id has a term of another degree on its diagonal
-            bad[np.arange(square), np.arange(square)] = True
 
     def products(ks, ls):
         """(A_k B_l)[i][j] at [k, i, l, j] for k in ks, l in ls."""
@@ -386,7 +384,7 @@ def tensor_mismatch(field, a, b, q=None):
             # sym[k, i, l, j] = (A_k B_l + A_l B_k)[i][j] for k in ks, l in ls
             sym = forward + (forward if ks == ls else products(ls, ks)).transpose(2, 1, 0, 3)
             del forward
-            if q is None:
+            if s is None:
                 bad |= (linalg.reduced(field, sym) != 0).any(axis=(0, 2))
                 continue
             sym = sym[:, :, :, :square]
@@ -401,7 +399,8 @@ def doubled_form(q: Poly):
     """(W, other): W[k][l] is the coefficient of 2 q on x_k x_l as a symmetric
     form, so W = 2 S with q = x^T S x on q's quadratic terms; other says
     whether q has a term of another degree.  The one reader of a quadric's
-    Gram matrix: ``pencil.bilinear_matrix`` halves W."""
+    Gram matrix: ``pencil.bilinear_matrix`` and the Ulrich candidate reader
+    halve W."""
     field = q.field
     w = [[field.zero] * len(q.vars) for _ in q.vars]
     other = False

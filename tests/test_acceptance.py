@@ -18,6 +18,7 @@ from math import comb
 from ulrichmf import betti, binary, clifford, knorrer, mf
 from ulrichmf.fields import DEFAULT_PRIME, PrimeField
 from ulrichmf.pencil import HyperellipticData
+from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
 
 from tests.test_knorrer import pair_polymatrix
@@ -46,9 +47,13 @@ def clifford_dimension(h, k):
 def test_criterion_01_knorrer_identity():
     start = time.perf_counter()
     for n in range(0, 9):
-        phi, psi, q = knorrer.knorrer_pair(F, n)
+        phi, psi, _ = knorrer.knorrer_pair(F, n)
         phi, psi = pair_polymatrix(F, phi), pair_polymatrix(F, psi)
-        qid = PolyMatrix.scalar_matrix(F, knorrer.xy_variables(n), q, 2**n)
+        names = knorrer.xy_variables(n)
+        q = Poly.zero(F, names)
+        for i in range(n + 1):
+            q = q + Poly.variable(F, names, f"x{i}") * Poly.variable(F, names, f"y{i}")
+        qid = PolyMatrix.scalar_matrix(F, names, q, 2**n)
         assert phi @ psi == qid, f"phi psi != q id at n={n}"
         assert psi @ phi == qid, f"psi phi != q id at n={n}"
     elapsed = time.perf_counter() - start

@@ -204,3 +204,15 @@ def test_format_tate_style_g3_golden():
     table = fu_cohomology_table(3, -4, 3)
     expected = "... 36 28 20 12  5  1\n              1  5 12 20 ..."
     assert betti.format_tate_style(table) == expected
+
+
+def test_betti_rows_show_zeros_and_tate_rows_leave_them_blank():
+    # one formatter serves both: a Betti table prints its zeros, the Tate
+    # rows pass theirs as blanks, and the cells share the widest value's width
+    assert betti.BettiTable([1, 0, 12], [12, 0, 1], overlap=1).render() == (
+        "... 12  0  1\n           1  0 12 ...")
+    # rank 1, degree 0, genus 1: chi(n) = n, so h1 = h0 - n
+    table = CohomologyTable([0, 1, 2, 3], [0, 10, 2, 3], 1, 0, 1)
+    assert table.h1 == [0, 9, 0, 0]
+    assert betti.format_tate_style(table) == "...     9\n    10  2  3 ..."
+    assert betti.format_tate_style(CohomologyTable([0, 1], [0, 1], 1, 0, 1)) == "...\n    1 ..."

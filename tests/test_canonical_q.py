@@ -186,7 +186,7 @@ def test_constructions_hold_canonical_scalars(roots):
 
 def test_ulrich_for_roots_holds_canonical_scalars():
     cand = knorrer.ulrich_for_roots(QQ, [1, 4, 9, 2, 3], seed=0)
-    obj = (cand, cand.pencil(), cand.to_json())
+    obj = (cand, cand.pencil, cand.to_json())
     found = reachable_scalars(obj)
     assert not integral_fractions(obj)
     assert any(type(x) is Fraction for x in found) and any(type(x) is int for x in found)

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 
@@ -21,7 +22,7 @@ from ulrichmf.fields import QQ, PrimeField
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import PolyMatrix
 
-from tests.test_knorrer import knorrer_identity_reference, pair_polymatrix
+from tests.test_knorrer import gram_quadric, knorrer_identity_reference, pair_polymatrix
 
 F = PrimeField(10009)
 
@@ -330,8 +331,9 @@ def test_suite_knorrer_fails_on_broken_phi(capsys, monkeypatch):
     code, out, _ = run(capsys, "suite", "knorrer", "--max-n", "3")
     assert code == 1
     for n in range(4):
-        phi, psi, q = broken(F, n)
+        phi, psi, s = broken(F, n)
         phi, psi = pair_polymatrix(F, phi), pair_polymatrix(F, psi)
+        q = gram_quadric(F, knorrer.xy_variables(n), s)
         # row 2^n - 1 of phi changed by -x0 (by -2 x0 at n = 0); its product
         # with column 0 of psi is off, in both products of the reference
         want = f"phi @ psi != q*id at entry ({2**n - 1}, 0)"
@@ -740,6 +742,57 @@ def test_suite_ulrich_e2e_prime_field_draws_unchanged(capsys):
     code, out, _ = run(capsys, "suite", "ulrich-e2e", "--n", "2", "--seed", "9")
     assert code == 0
     assert "discriminant-roots: PASS - 2270,3050,6273,810,9658" in out
+
+
+@pytest.mark.parametrize("argv, count, most", [
+    (("--field", "3", "suite", "ulrich-e2e"), 5, 2),
+    (("--field", "5", "suite", "ulrich-e2e"), 5, 4),
+    (("--field", "7", "suite", "ulrich-e2e", "--n", "3"), 7, 6),
+])
+def test_suite_ulrich_e2e_refuses_more_targets_than_the_field_gives(capsys, argv, count, most):
+    # these drew forever: F_p has (p - 1)/2 nonzero squares and p - 1 nonzero elements
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot draw {count} distinct targets over field {argv[1]}, "
+                   f"the first half squares: at most {most}\n")
+
+
+class AscendingDraws:
+    """A stand-in for random.Random whose randrange(lo, hi) walks lo, lo + 1, ...
+    round [lo, hi): over Q its squares 4, 9, ..., 81 are drawn first, the
+    draws that leave the fewest values for the second half."""
+
+    def __init__(self):
+        self.calls = 0
+        self.next = {}
+
+    def randrange(self, lo, hi):
+        self.calls += 1
+        v = self.next.get((lo, hi), lo)
+        self.next[(lo, hi)] = lo + (v + 1 - lo) % (hi - lo)
+        return v
+
+
+@pytest.mark.parametrize("field, most", [(QQ, 183), (PrimeField(7), 6), (PrimeField(3), 2)],
+                         ids=str)
+def test_random_targets_meet_every_count_up_to_the_bound(field, most):
+    targets = cli._random_targets(field, AscendingDraws(), most)
+    assert len(set(targets)) == most and not any(field.is_zero(t) for t in targets)
+    squares = {field.mul(field.of(r), field.of(r)) for r in range(1, 100)}
+    assert all(t in squares for t in targets[: (most + 1) // 2])
+    # one more is refused before any draw
+    draws = AscendingDraws()
+    with pytest.raises(ValueError, match=rf"^cannot draw {most + 1} distinct targets over field "
+                                         rf"{field.name}, the first half squares: at most {most}$"):
+        cli._random_targets(field, draws, most + 1)
+    assert draws.calls == 0
+
+
+@pytest.mark.parametrize("count", [184, 195, 197])
+def test_random_targets_over_q_refuse_what_can_hang(count):
+    # 195 and 197 drew forever; at 184 the ascending draws leave 91 values for 92 targets
+    with pytest.raises(ValueError, match=f"^cannot draw {count} distinct targets over field Q"):
+        cli._random_targets(QQ, random.Random(1), count)
 
 
 @pytest.mark.parametrize(

@@ -373,6 +373,24 @@ def test_quotient_dims_needs_two_variables():
         graded.graded_quotient_dims(field, uvw, [u * u, v * v, w * w], range(4))
 
 
+def test_multiples_coords_needs_two_variables():
+    field = PrimeField(10009)
+    uvw = ("u", "v", "w")
+    u, v, w = (Poly.variable(field, uvw, x) for x in uvw)
+    with pytest.raises(graded.GradedError, match=r"^multiples_coords needs two variables, "
+                                                 r"got \('u', 'v', 'w'\)$"):
+        graded.multiples_coords(field, [(1, [u, v + w])], [0, 0], 2)
+
+
+def test_express_in_module_needs_two_variables():
+    field = QQ
+    uvw = ("u", "v", "w")
+    u, v, w = (Poly.variable(field, uvw, x) for x in uvw)
+    with pytest.raises(graded.GradedError, match=r"^express_in_module needs two variables, "
+                                                 r"got \('u', 'v', 'w'\)$"):
+        graded.express_in_module(field, [[u, v]], [1], [0, 0], [u * w, v * w], 2, uvw)
+
+
 def test_poly_matrix_rank():
     field = PrimeField(13)
     s = Poly.variable(field, ST, "s")

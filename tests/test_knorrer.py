@@ -8,7 +8,7 @@ import pytest
 
 from ulrichmf import binary, knorrer, linalg, polymatrix
 from ulrichmf.fields import NotASquare, QQ, PrimeField
-from ulrichmf.pencil import QuadricPencil
+from ulrichmf.pencil import QuadricPencil, bilinear_matrix, simultaneous_diagonalize
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import MatrixError, PolyMatrix
 
@@ -60,6 +60,16 @@ def knorrer_pair_reference(field, n):
     return PolyMatrix(field, names, phi), PolyMatrix(field, names, psi), q
 
 
+def gram_quadric(field, names, s):
+    """The quadric x^T S x of a Gram matrix S, term by term."""
+    xs = [Poly.variable(field, names, v) for v in names]
+    q = Poly.zero(field, names)
+    for i, row in enumerate(s):
+        for j, c in enumerate(row):
+            q = q + (xs[i] * xs[j]).scale(c)
+    return q
+
+
 def pair_polymatrix(field, matrix):
     """The PolyMatrix of a pair matrix (cols, signs): row i holds signs[k, i] x_k
     in column cols[k, i], term by term."""
@@ -74,8 +84,9 @@ def pair_polymatrix(field, matrix):
 
 
 def polymatrix_pair(field, n):
-    """knorrer_pair with phi and psi as PolyMatrix."""
-    phi, psi, q = knorrer.knorrer_pair(field, n)
+    """knorrer_pair with phi and psi as PolyMatrix and q as a Poly."""
+    phi, psi, s = knorrer.knorrer_pair(field, n)
+    q = gram_quadric(field, knorrer.xy_variables(n), s)
     return pair_polymatrix(field, phi), pair_polymatrix(field, psi), q
 
 
@@ -145,8 +156,12 @@ def test_row_built_pair_matches_stacked_reference(field):
         names = knorrer.xy_variables(n)
         assert q == sum((Poly.variable(field, names, f"x{i}") * Poly.variable(field, names, f"y{i}")
                          for i in range(n + 1)), Poly.zero(field, names))
-        # q's exponents are tuples of Python ints, as Poly stores them
-        assert all(type(e) is int for exp in q.terms for e in exp)
+        # the Gram matrix is the pencil's: the one bilinear_matrix reads off q,
+        # in the field's scalars
+        s = knorrer.knorrer_pair(field, n)[2]
+        assert s == bilinear_matrix(q)
+        for c in (c for row in s for c in row):
+            assert_field_scalar(field, c)
 
 
 FIELDS = [PrimeField(3), F, PrimeField(2**61 - 1), QQ]
@@ -180,7 +195,8 @@ def with_term(matrix, k, i, col, sign):
 
 
 def test_knorrer_identity_failure_names_entry():
-    phi, psi, q = knorrer.knorrer_pair(F, 2)
+    phi, psi, s = knorrer.knorrer_pair(F, 2)
+    q = gram_quadric(F, knorrer.xy_variables(2), s)
     assert knorrer.knorrer_identity_failure(F, phi, psi) is None
     # entry (1, 2) of psi is y0: flipped, column 2 of the product moves by
     # -2 y0 * (column 1 of phi), first nonzero in row 1
@@ -208,15 +224,17 @@ def two_sided_identity_failure(n, phi, psi, q):
 @pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
 def test_one_sided_identity_agrees_with_two_sided(field):
     for n in range(5):
-        phi, psi, q = knorrer.knorrer_pair(field, n)
+        phi, psi, s = knorrer.knorrer_pair(field, n)
         assert knorrer.knorrer_identity_failure(field, phi, psi) is None
+        q = gram_quadric(field, knorrer.xy_variables(n), s)
         assert two_sided_identity_failure(n, pair_polymatrix(field, phi),
                                           pair_polymatrix(field, psi), q) is None
 
 
 @pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (3, 3)])
 def test_one_changed_entry_of_phi_is_caught_by_phi_psi(i, j):
-    phi, psi, q = knorrer.knorrer_pair(F, 2)
+    phi, psi, s = knorrer.knorrer_pair(F, 2)
+    q = gram_quadric(F, knorrer.xy_variables(2), s)
     # the first variable with no term in row i of phi gains one in column j
     k = min(np.nonzero(phi[0][:, i] < 0)[0])
     broken = with_term(phi, k, i, j, 1)
@@ -251,13 +269,13 @@ def test_identity_needs_a_square_phi_and_nonzero_q():
 
 
 def perturbed_pairs(field, seed, count, max_n):
-    """(n, phi, psi, q) with one change within the form to phi or psi: a
+    """(n, phi, psi, S) with one change within the form to phi or psi: a
     flipped sign, a moved column, a dropped entry, or an entry added in an
     empty slot."""
     rng = random.Random(seed)
     for rep in range(count):
         n = rep % (max_n + 1)
-        phi, psi, q = knorrer.knorrer_pair(field, n)
+        phi, psi, s = knorrer.knorrer_pair(field, n)
         pair = [phi, psi]
         which, size = rng.randrange(2), 2**n
         cols, signs = pair[which]
@@ -273,18 +291,18 @@ def perturbed_pairs(field, seed, count, max_n):
                       (i, rng.randrange(size), signs[k, i]),
                       (i, -1, 0)][kind]
         pair[which] = with_term(pair[which], k, *change)
-        yield n, *pair, q
+        yield n, *pair, s
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_composed_identity_matches_dense_and_polymatrix_routes(field):
     failures = 0
-    for n, phi, psi, q in perturbed_pairs(field, field.name, 48, 5):
+    for n, phi, psi, s in perturbed_pairs(field, field.name, 48, 5):
         got = knorrer.knorrer_identity_failure(field, phi, psi)
         dense = polymatrix.tensor_mismatch(field, knorrer.pair_tensor(field, phi),
-                                           knorrer.pair_tensor(field, psi), q)
-        ref = knorrer_identity_reference(n, pair_polymatrix(field, phi),
-                                         pair_polymatrix(field, psi), q)
+                                           knorrer.pair_tensor(field, psi), s)
+        ref = knorrer_identity_reference(n, pair_polymatrix(field, phi), pair_polymatrix(field, psi),
+                                         gram_quadric(field, knorrer.xy_variables(n), s))
         assert got == ref
         assert got == (None if dense is None else f"phi @ psi != q*id at entry {dense}")
         failures += got is not None
@@ -339,8 +357,8 @@ def test_mixed_identity_matches_the_substitution_route(field, monkeypatch):
     # first failing entry
     failures = 0
     # drawn before knorrer_pair is patched
-    for n, phi, psi, q in list(perturbed_pairs(field, field.name, 40, 4)):
-        monkeypatch.setattr(knorrer, "knorrer_pair", lambda field, n: (phi, psi, q))
+    for n, phi, psi, s in list(perturbed_pairs(field, field.name, 40, 4)):
+        monkeypatch.setattr(knorrer, "knorrer_pair", lambda field, n: (phi, psi, s))
         got = knorrer.mixed_identity_failure(field, n)
         assert got == mixed_identity_reference(field, n, pair_polymatrix(field, phi),
                                                pair_polymatrix(field, psi))
@@ -449,7 +467,11 @@ def test_jacobian_check():
 def test_jacobian_check_fails_on_proportional_quadrics(field):
     lam = knorrer.diagonal_lambda(field, [field.of(d) for d in (1, 2, 3)])
     cand = knorrer.build_candidate(field, 2, lam)
-    cand.q2 = cand.q1.scale(3)  # the gradients are then parallel everywhere
+    # q2 = 3 q1: the gradients are then parallel everywhere
+    b1 = cand.pencil.b1
+    cand.pencil = QuadricPencil(field, b1, [[field.mul(3, c) for c in row] for row in b1],
+                                cand.variables)
+    assert cand.q2 == cand.q1.scale(3)
     assert knorrer.jacobian_check(cand, seed=5) == (
         False, "all 2x2 Jacobian minors vanish at a sampled smooth point")
 
@@ -682,9 +704,8 @@ def restricted_candidate(field=F):
     b = knorrer.solve_b_for_roots(
         field, [field.neg(field.of(a)) for a in (1, 4, 9)], [field.neg(field.of(c)) for c in (2, 3)]
     )
-    out = cand._substituted(knorrer.restriction_matrix(field, b), tuple(f"z{k}" for k in range(5)))
-    out._require_certificates()
-    return out
+    return cand._substituted(knorrer.restriction_matrix(field, b), tuple(f"z{k}" for k in range(5)),
+                             cand.provenance)
 
 
 def as_polymatrix(field, variables, t):
@@ -745,8 +766,15 @@ def test_one_changed_coefficient_fails_the_certificates(field, attr):
     cand = restricted_candidate(field)
     rng = random.Random(attr)
     if attr in ("q1", "q2"):
+        # q + z0 z1: S[0][1] and S[1][0] gain 1/2
+        pen = cand.pencil
+        grams = {"q1": [list(row) for row in pen.b1], "q2": [list(row) for row in pen.b2]}
+        b = grams[attr]
+        b[0][1] = b[1][0] = field.add(b[0][1], field.inv(field.of(2)))
         z0, z1 = (Poly.variable(field, cand.variables, v) for v in ("z0", "z1"))
-        setattr(cand, attr, getattr(cand, attr) + z0 * z1)
+        want = getattr(cand, attr) + z0 * z1
+        cand.pencil = QuadricPencil(field, grams["q1"], grams["q2"], cand.variables)
+        assert getattr(cand, attr) == want
     else:
         t = getattr(cand, attr)
         setattr(cand, attr, plus_one(field, t, tuple(rng.randrange(n) for n in t.shape)))
@@ -832,15 +860,25 @@ def test_tensor_certificates_match_polymatrix(field, block_entries, monkeypatch)
             want = PolyMatrix.zero(field, variables, prod.nrows, prod.ncols)
         else:
             want = PolyMatrix.scalar_matrix(field, variables, q, a.shape[1])
-        assert polymatrix.tensor_mismatch(field, a, b, q) == prod.first_mismatch(want)
+        s = None if q is None else bilinear_matrix(q)
+        assert polymatrix.tensor_mismatch(field, a, b, s) == prod.first_mismatch(want)
 
 
-def test_tensor_mismatch_reads_other_degrees_of_q():
-    # q * id with a linear term can never equal A @ C: the diagonal differs
-    cand = restricted_candidate()
-    z0 = Poly.variable(F, cand.variables, "z0")
-    assert polymatrix.tensor_mismatch(F, cand.presentation, cand.cert1, cand.q1 + z0) == (0, 0)
-    assert polymatrix.tensor_mismatch(F, cand.presentation, cand.cert1, cand.q1) is None
+@pytest.mark.parametrize("key", ["q1", "q2"])
+@pytest.mark.parametrize("term", ["linear", "constant"])
+def test_reader_refuses_a_quadric_with_a_term_of_another_degree(key, term):
+    # such a q * id can never equal A @ C; the reader says so as it says a
+    # matrix entry is not linear, once every key is read
+    data = json.loads(json.dumps(restricted_candidate().to_json()))
+    width = len(data["variables"])
+    data[key].append([[1] + [0] * (width - 1) if term == "linear" else [0] * width, 5, 1])
+    with pytest.raises(knorrer.UlrichError, match=rf"^candidate certificates failed: "
+                                                  rf"{key} is not a quadratic form$"):
+        knorrer.UlrichCandidate.from_json(data)
+    # a malformed matrix read after it is reported first
+    data["cert_q2"]["entries"].pop()
+    with pytest.raises(MatrixError, match="^entry count mismatch in matrix JSON$"):
+        knorrer.UlrichCandidate.from_json(data)
 
 
 def test_build_candidate_rechecks_phi_psi_through_c1(monkeypatch):
@@ -930,13 +968,13 @@ def test_hilbert_failure_lists_all_four_degrees(monkeypatch):
     assert note == f"trial 0: coker dims {dims}; expected [4, 0, 0, 0]"
 
 
-def test_emitted_candidate_catches_a_corrupted_intermediate(monkeypatch):
+def test_emitted_candidate_catches_a_corrupted_ambient(monkeypatch):
     real = knorrer._odd_restriction
 
     def corrupted(*args):
-        cand, targets = real(*args)
-        cand.cert1 = plus_one(cand.field, cand.cert1, (0, 5, 2))  # + z0 at (5, 2)
-        return cand, targets
+        ambient, r = real(*args)
+        ambient.cert1 = plus_one(ambient.field, ambient.cert1, (0, 5, 2))  # + x0 at (5, 2)
+        return ambient, r
 
     monkeypatch.setattr(knorrer, "_odd_restriction", corrupted)
     with pytest.raises(knorrer.UlrichError, match=r"^candidate certificates failed: "
@@ -947,26 +985,40 @@ def test_emitted_candidate_catches_a_corrupted_intermediate(monkeypatch):
         knorrer.ulrich_for_roots_odd_ambient(F, [1, 4, 9], [2, 3], seed=7)
 
 
-@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
-def test_unemitted_intermediate_passes_every_check(field):
-    # the differential check on substitute: the even-ambient pipeline's odd
-    # restriction, left unverified there, passes every check the emitted one does
+@pytest.mark.parametrize("field", [F, PrimeField(2**31 - 1), PrimeField(2**61 - 1), QQ], ids=str)
+def test_one_substitution_matches_the_odd_restriction_then_the_diagonal_basis(field):
+    # the even-ambient pipeline substitutes its ambient candidate once, by R M;
+    # the two-step route restricts by R to the odd pipeline's candidate, which
+    # passes every check, and then substitutes by M
     targets = [field.of(v) for v in (1, 4, 9, 16, 2, 3)]
     fresh = knorrer.fresh_root_for(field, targets, needed_squares=4)
     pool = targets + [fresh]
     squares = [t for t in pool if knorrer._is_square(field, t)]
     a_targets = squares[:4]
     c_targets = squares[4:] + [t for t in pool if not knorrer._is_square(field, t)]
-    cand, odd_targets = knorrer._odd_restriction(field, a_targets, c_targets)
-    assert cand.verification == {}
-    assert cand.verify_certificates() == (True, "ok")
-    knorrer._verify_restricted(cand, odd_targets, seed=0)
-    assert "pass" in cand.verification["hilbert"]
-    assert sorted(cand.verification["discriminant_roots"]) == sorted(
-        str(v) for v in odd_targets
-    )
+    ambient, r = knorrer._odd_restriction(field, a_targets, c_targets)
+    odd = ambient._substituted(r, tuple(f"z{k}" for k in range(7)),
+                               "ulrich_for_roots_odd_ambient(n=3)")
+    knorrer._verify_restricted(odd, a_targets + c_targets, seed=0)
+    assert "pass" in odd.verification["hilbert"]
     checked = knorrer.ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed=0)
-    assert checked.to_json() == cand.to_json()
+    assert checked.to_json() == odd.to_json()
+    diag = simultaneous_diagonalize(odd.pencil, a_targets + c_targets)
+    at = [knorrer._factor_root(field, f) for f in diag.factors].index(fresh)
+    m = [row[:at] + row[at + 1:] for row in diag.basis]
+    two_steps = odd._substituted(m, tuple(f"w{k}" for k in range(6)),
+                                 "ulrich_for_roots_even_ambient(g=2)")
+    two_steps.verification["fresh_root"] = str(fresh)
+    knorrer._verify_restricted(two_steps, targets, seed=5)
+    once = knorrer.ulrich_for_roots_even_ambient(field, targets, seed=5)
+    assert once.to_json() == two_steps.to_json()
+    for attr in ("presentation", "second_map", "cert1", "cert2"):
+        got, want = getattr(once, attr), getattr(two_steps, attr)
+        assert got.dtype == want.dtype and np.array_equal(got, want), attr
+        assert [type(c) for c in got.flat] == [type(c) for c in want.flat], attr
+    for got, want in ((once.pencil.b1, two_steps.pencil.b1), (once.pencil.b2, two_steps.pencil.b2)):
+        assert got == want
+        assert [type(c) for row in got for c in row] == [type(c) for row in want for c in row]
 
 
 @pytest.mark.parametrize("field, message", [
@@ -976,7 +1028,8 @@ def test_unemitted_intermediate_passes_every_check(field):
 ], ids=["F10009", "Q"])
 def test_wrong_targets_fall_back_to_the_split(field, message, monkeypatch):
     cand = knorrer.ulrich_for_roots_odd_ambient(field, [1, 4, 9], [2, 3], seed=7)
-    cand._pencil = None
+    # a pencil of the same Gram matrices, with nothing split or confirmed yet
+    cand.pencil = QuadricPencil(field, cand.pencil.b1, cand.pencil.b2, cand.variables)
     splits = []
     real = binary.roots
     monkeypatch.setattr(binary, "roots", lambda f: splits.append(f) or real(f))
@@ -1332,7 +1385,7 @@ def test_candidates_keep_the_pencil_of_their_quadrics(field):
     lam = knorrer.diagonal_lambda(field, [field.of(d) for d in (1, 2, 3)])
     for cand in (knorrer.build_candidate(field, 2, lam), restricted_candidate(field),
                  knorrer.ulrich_for_roots(field, [1, 4, 9, 16, 2, 3], seed=1)):
-        kept = cand.pencil()
+        kept = cand.pencil
         fresh = QuadricPencil.from_quadrics(cand.q1, cand.q2)
         assert (kept.b1, kept.b2, kept.variables) == (fresh.b1, fresh.b2, cand.variables)
         for x in (x for b in (kept.b1, kept.b2) for row in b for x in row):
@@ -1340,7 +1393,7 @@ def test_candidates_keep_the_pencil_of_their_quadrics(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_substituted_quadrics_are_read_off_the_pencil_on_first_use(field):
+def test_substituted_quadrics_match_the_polynomial_substitution(field):
     lam = knorrer.diagonal_lambda(field, [field.of(d) for d in (1, 2, 3)])
     cand = knorrer.build_candidate(field, 2, lam)
     b = knorrer.solve_b_for_roots(
@@ -1348,38 +1401,85 @@ def test_substituted_quadrics_are_read_off_the_pencil_on_first_use(field):
     )
     m = knorrer.restriction_matrix(field, b)
     names = tuple(f"z{k}" for k in range(5))
-    out = cand._substituted(m, names)
-    assert (out._q1, out._q2) == (None, None)
+    out = cand._substituted(m, names, cand.provenance)
     images = linear_images(field, m, cand.variables, names)
     assert out.q1 == cand.q1.substitute(images, names)
     assert out.q2 == cand.q2.substitute(images, names)
-    assert (out._q1, out._q2) == (out.pencil().quadric(1), out.pencil().quadric(2))
     assert out.verify_certificates() == (True, "ok")
-    # the source keeps its own quadrics, and an assigned quadric replaces the lazy one
+    # the source keeps its own pencil
     assert cand.q1 != out.q1 and cand.q1.vars == cand.variables
-    out.q2 = Poly.zero(field, names)
-    assert out.q2.is_zero() and out.verify_certificates()[0] is False
 
 
-def test_even_ambient_never_reads_the_intermediate_quadrics(monkeypatch):
-    made = []
-    real = knorrer._odd_restriction
-    monkeypatch.setattr(knorrer, "_odd_restriction", lambda *args: made.append(real(*args)) or made[-1])
-    cand = knorrer.ulrich_for_roots(F, [1, 4, 9, 16, 2, 3], seed=1)
-    ((odd, _),) = made
-    assert (odd._q1, odd._q2) == (None, None)
-    # the emitted candidate was verified, which read both of its quadrics
-    assert cand._q1 is not None and cand._q2 is not None
+@pytest.mark.parametrize("targets", [(1, 4, 9, 2, 3), (1, 4, 9, 16, 2, 3)], ids=["odd", "even"])
+def test_each_pipeline_substitutes_the_four_matrices_once(targets, monkeypatch):
+    calls = []
+    real = knorrer.substitute_tensors
+
+    def spy(field, m, tensors):
+        calls.append(len(tensors))
+        return real(field, m, tensors)
+
+    monkeypatch.setattr(knorrer, "substitute_tensors", spy)
+    knorrer.ulrich_for_roots(F, targets, seed=1)
+    # build_candidate substitutes the pair (phi, psi), and each Hilbert trial
+    # the presentation alone
+    assert calls.count(4) == 1
+    assert calls[0] == 2 and set(calls) == {1, 2, 4}
 
 
 def test_hilbert_check_of_a_zero_quadric_finds_no_ring():
-    # a verified candidate may have q2 = 0 (C2 = 0): it has no pencil
+    # a verified candidate may have q2 = 0 (C2 = 0): its pencil has a zero Gram matrix
     cand = restricted_candidate()
-    cand.q2 = Poly.zero(F, cand.variables)
+    zero = [[F.zero] * len(cand.variables) for _ in cand.variables]
+    cand.pencil = QuadricPencil(F, cand.pencil.b1, zero, cand.variables)
     cand.cert2 = np.zeros_like(cand.cert2)
+    assert cand.q2.is_zero()
     assert cand.verify_certificates() == (True, "ok")
     assert knorrer.artinian_hilbert_check(cand, trials=3, seed=3) == (
         False, "trial 0: no Artinian specialization found")
+    # the same candidate read from JSON, where q2 is an empty term list
+    data = json.loads(json.dumps(cand.to_json()))
+    assert data["q2"] == []
+    back = knorrer.UlrichCandidate.from_json(data)
+    assert back.pencil.b2 == zero
+    assert knorrer.artinian_hilbert_check(back, trials=3, seed=3) == (
+        False, "trial 0: no Artinian specialization found")
+    # with C2 left nonzero the certificate against 0 * id fails
+    data["cert_q2"] = restricted_candidate().to_json()["cert_q2"]
+    with pytest.raises(knorrer.UlrichError, match=r"^candidate certificates failed: "
+                                                  r"A @ C != q2 \* id at entry"):
+        knorrer.UlrichCandidate.from_json(data)
+
+
+def binary_quadric(field, rng):
+    """A random quadric in (u, v): zero, a multiple of a fixed one, or any."""
+    uv = ("u", "v")
+    return Poly.from_pairs(field, uv, [((2 - k, k), wide_scalar(field, rng, 0.3)) for k in range(3)])
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), PrimeField(7), F,
+                                   PrimeField(2**61 - 1), QQ], ids=str)
+def test_ring_check_in_degree_three_agrees_with_four_degrees(field):
+    # k[u,v]/(q1, q2) has dimensions 1, 2, 1, 0 exactly when its degree 3 is 0
+    from ulrichmf import graded
+
+    rng = random.Random(field.name)
+    uv = ("u", "v")
+    verdicts = {True: 0, False: 0}
+    for trial in range(240):
+        q1 = binary_quadric(field, rng)
+        kind = trial % 4
+        if kind == 0:
+            q2 = Poly.zero(field, uv)
+        elif kind == 1:
+            q2 = q1.scale(wide_scalar(field, rng, 0.2))
+        else:
+            q2 = binary_quadric(field, rng)
+        four = graded.graded_quotient_dims(field, uv, [q1, q2], range(4)) == [1, 2, 1, 0]
+        three = graded.graded_quotient_dims(field, uv, [q1, q2], [3]) == [0]
+        assert three == four, (q1, q2)
+        verdicts[four] += 1
+    assert min(verdicts.values()) >= 40, verdicts
 
 
 def isotropy_reference(field, g):

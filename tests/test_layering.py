@@ -7,7 +7,8 @@ fails on one.  Below the polynomial layer, the scalar modules and the pencil
 (its two Gram matrices) use no ``PolyMatrix`` either, and neither does
 ``knorrer``: its matrices are coefficient tensors, read from and written to
 JSON as such, and only the Hilbert check's fallback gets a PolyMatrix, from
-``polymatrix.tensor_matrix``, without naming the class.  No function but the
+``polymatrix.tensor_matrix``, without naming the class.  An Ulrich candidate
+keeps its quadrics only as its pencil's Gram matrices.  No function but the
 CLI's parser is memoized: a cache on a computation would be state that grows
 for the life of the process.
 """
@@ -75,6 +76,26 @@ def test_polymatrix_check_sees_each_form():
         assert uses_polymatrix(ast.parse(source)), source
     for source in ("from .polymatrix import doubled_form", "from . import linalg"):
         assert not uses_polymatrix(ast.parse(source)), source
+
+
+def test_ulrich_candidates_hold_their_quadrics_only_in_the_pencil():
+    # q1 and q2 are read off the pencil's Gram matrices; no candidate keeps a Poly
+    import json
+
+    from ulrichmf import knorrer
+    from ulrichmf.fields import PrimeField
+    from ulrichmf.poly import Poly
+
+    field = PrimeField(10009)
+    lam = knorrer.diagonal_lambda(field, [field.of(d) for d in (1, 2, 3)])
+    built = knorrer.build_candidate(field, 2, lam)
+    odd = knorrer.ulrich_for_roots(field, [1, 4, 9, 2, 3], seed=1)
+    even = knorrer.ulrich_for_roots(field, [1, 4, 9, 16, 2, 3], seed=1)
+    read = knorrer.UlrichCandidate.from_json(json.loads(json.dumps(even.to_json())))
+    for cand in (built, odd, even, read):
+        assert not [key for key, value in vars(cand).items() if isinstance(value, Poly)]
+        assert isinstance(cand.q1, Poly) and isinstance(cand.q2, Poly)
+        assert cand.pencil.variables == cand.variables
 
 
 MEMOIZERS = ("cache", "lru_cache")

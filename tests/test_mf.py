@@ -56,42 +56,35 @@ def test_line_bundle_complement_isomorphic():
 def test_verify_mf_rejects_wrong_pair():
     f = H1.f
     zero = Poly.zero(F, ST)
-    one = Poly.const(F, ST, 1)
     two = Poly.const(F, ST, 2)
-    phi = PolyMatrix(F, ST, [[zero, f], [one, zero]])
-    psi = PolyMatrix(F, ST, [[zero, f], [two, zero]])
-    ok, detail = mf.verify_mf_data(H1, (0, 2), phi, psi)
-    assert not ok
-    assert "phi @ psi" in detail
+    # phi @ phi = diag(2 f, 2 f)
+    phi = PolyMatrix(F, ST, [[zero, f], [two, zero]])
+    ok, detail = mf.verify_mf_data(H1, (0, 2), phi)
+    assert (ok, detail) == (False, "phi @ phi != f*id at entry (0, 0)")
 
 
-def two_sided_mf_failure(h, n, phi, psi):
-    """The reference: both phi @ psi and psi @ phi against f * id."""
-    fid = PolyMatrix.scalar_matrix(h.field, ST, h.f, n)
-    for name, prod in (("phi @ psi", phi @ psi), ("psi @ phi", psi @ phi)):
-        where = prod.first_mismatch(fid)
-        if where is not None:
-            return f"{name} != f*id at entry {where}"
-    return None
+def square_mf_failure(h, n, phi):
+    """The reference: the PolyMatrix product phi @ phi against f * id."""
+    where = (phi @ phi).first_mismatch(PolyMatrix.scalar_matrix(h.field, ST, h.f, n))
+    return None if where is None else f"phi @ phi != f*id at entry {where}"
 
 
 @pytest.mark.parametrize("h", [H1, H2], ids=["g1", "g2"])
-def test_one_sided_mf_check_agrees_with_two_sided(h):
-    # phi is square and f != 0, so phi @ psi = f id implies psi @ phi = f id
+def test_mf_check_names_the_entry_of_phi_phi(h):
     rng = random.Random(h.genus)
     for rep in mf.canonical_classes(h):
         m = mf.line_bundle_mf(h, rep)
         degrees = m.module.degrees
-        assert mf.verify_mf_data(h, degrees, m.phi, m.psi) == (True, "ok")
-        assert two_sided_mf_failure(h, len(degrees), m.phi, m.psi) is None
-        # one entry of psi scaled by 2: both checks name the same entry
+        assert mf.verify_mf_data(h, degrees, m.phi) == (True, "ok")
+        assert square_mf_failure(h, len(degrees), m.phi) is None
+        # one entry of phi scaled by 2: the check names the entry the reference does
         i, j = rng.choice([(i, j) for i in range(2) for j in range(2)
-                           if not m.psi.entry(i, j).is_zero()])
-        rows = [list(row) for row in m.psi.entries]
+                           if not m.phi.entry(i, j).is_zero()])
+        rows = [list(row) for row in m.phi.entries]
         rows[i][j] = rows[i][j].scale(2)
         broken = PolyMatrix(h.field, ST, rows)
-        ok, detail = mf.verify_mf_data(h, degrees, m.phi, broken)
-        assert not ok and detail == two_sided_mf_failure(h, len(degrees), m.phi, broken)
+        ok, detail = mf.verify_mf_data(h, degrees, broken)
+        assert not ok and detail == square_mf_failure(h, len(degrees), broken)
 
 
 def test_verify_mf_rejects_wrong_variables():
@@ -99,7 +92,7 @@ def test_verify_mf_rejects_wrong_variables():
     x = Poly.variable(F, xy, "x0")
     y = Poly.variable(F, xy, "y0")
     phi = PolyMatrix(F, xy, [[x]])
-    ok, detail = mf.verify_mf_data(H1, (0,), phi, phi)
+    ok, detail = mf.verify_mf_data(H1, (0,), phi)
     assert not ok
     assert "variables" in detail
     with pytest.raises(mf.MFError):
@@ -499,7 +492,7 @@ def test_line_bundle_is_certified_by_its_one_product(h):
         f_i, f_ic = broken.subset_product(rep), broken.subset_product(h.complement(rep))
         zero = Poly.zero(F, ST)
         phi = PolyMatrix(F, ST, [[zero, f_ic], [f_i, zero]])
-        ok, detail = mf.verify_mf_data(broken, m.module.degrees, phi, phi)
+        ok, detail = mf.verify_mf_data(broken, m.module.degrees, phi)
         assert not ok
         with pytest.raises(mf.MFError) as err:
             mf.line_bundle_mf(broken, rep)
