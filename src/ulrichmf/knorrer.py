@@ -20,11 +20,14 @@ arrays, unchecked: ``build_candidate`` scatters it into tensors under the
 ambient certificate, and ``suite knorrer`` checks phi @ psi = q id by
 composing the permutations.  The mixed identity is checked on the pair's
 tensors.  A candidate holds q1 and q2 once, as the Gram matrices of its
-pencil: the certificates compare A C_l with 2 S_l id, a change of variables
-is the congruence M^T S M of ``QuadricPencil.congruence``, and each pipeline
-changes the ambient candidate's variables once.  q1 and q2 are read off the
-pencil as polynomials only for the JSON and the Jacobian check, and the
-matrices go to JSON and back as tensors (``tensor_json``, ``tensor_from_json``).
+pencil: the certificates compare A C_l with 2 S_l id, and a change of
+variables is the congruence M^T S M of ``QuadricPencil.congruence``.  Each
+pipeline changes the variables of its ambient presentation once, unchecked,
+and verifies the candidate it emits; the even pipeline reads the emitted
+pencil off its diagonalization.  q1 and q2 are read off the pencil as
+polynomials only for the JSON, the Jacobian check and a failing Hilbert
+transcript, and the matrices go to JSON and back as tensors (``tensor_json``,
+``tensor_from_json``).
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
 discriminant roots are exactly the requested targets.  The ambient diagonal
@@ -198,8 +201,9 @@ def diagonal_lambda(field: Field, dvals) -> list:
     return lam
 
 
-class UlrichCandidate:
-    """A linear presentation with exact annihilator certificates.
+class LinearPresentation:
+    """A linear presentation, its second map and its certificate matrices, as
+    given: nothing is checked.
 
     Each matrix is a coefficient tensor T of shape (len(variables), rows,
     cols): T[k] is the scalar matrix of variables[k], so the matrix is
@@ -207,8 +211,8 @@ class UlrichCandidate:
     Q ints where integral and Fractions elsewhere.  pencil: the
     ``QuadricPencil`` of (q1, q2) in these variables, the one copy of the
     quadrics.  presentation: r x 2r matrix A; second_map B' with A @ B' = 0;
-    cert1, cert2 with A @ cert_l = q_l * id.  All three identities are
-    verified on construction.
+    cert1, cert2 with A @ cert_l = q_l * id.  The ambient presentation of a
+    pipeline is one of these: only the candidate it emits is verified.
     """
 
     def __init__(
@@ -234,8 +238,6 @@ class UlrichCandidate:
         self.cert2 = cert2
         self.dvals = list(dvals) if dvals is not None else None
         self.provenance = provenance
-        self.verification: dict = {}
-        self._require_certificates()
 
     @property
     def q1(self) -> Poly:
@@ -247,14 +249,14 @@ class UlrichCandidate:
         """q2 as a polynomial, read off the pencil on each call."""
         return self.pencil.quadric(2)
 
-    def _require_certificates(self) -> None:
-        ok, detail = self.verify_certificates()
-        if not ok:
-            raise UlrichError(f"candidate certificates failed: {detail}")
-
     @property
     def generators(self) -> int:
         return self.presentation.shape[1]
+
+    @property
+    def tensors(self) -> tuple:
+        """A, B', C1 and C2, in the constructor's order."""
+        return self.presentation, self.second_map, self.cert1, self.cert2
 
     def verify_certificates(self):
         """A @ B' = 0 and A @ C_l = q_l id, recomputed exactly."""
@@ -271,35 +273,51 @@ class UlrichCandidate:
             where = tensor_mismatch(self.field, self.presentation, cert, s)
             if where is not None:
                 return False, f"A @ C != {name} * id at entry {where}"
-        self.verification["certificates"] = "pass"
         return True, "ok"
 
-    def _substituted(self, m, new_variables, provenance) -> "UlrichCandidate":
+    def _substituted(self, m, new_variables, provenance, pencil=None) -> "UlrichCandidate":
         """The candidate in the coordinates z of x = M z, verified as it is built.
 
         Row j of the scalar matrix M holds the coefficients of variables[j] in
         new_variables: x_j -> sum_k M[j][k] z_k.  Each matrix is one product
-        (``substitute_tensors``) and the pencil is the congruence M^T S M.  A
-        linear change of variables is a ring map, so the certificates carry
-        over from a verified self; the constructor checks them again on what
-        the pipelines emit.
+        (``substitute_tensors``).  The pencil is the congruence M^T S M, or,
+        when given, a pencil the caller has already proved equal to it.  The
+        source is not verified; the ``UlrichCandidate`` constructor checks
+        A @ B' = 0 and A @ C_l = q_l id on the result, so a fault in the
+        source shows there.
         """
         target = tuple(new_variables)
-        tensors = substitute_tensors(
-            self.field, m, (self.presentation, self.second_map, self.cert1, self.cert2)
-        )
-        return UlrichCandidate(self.field, target, self.n, self.pencil.congruence(m, target),
-                               *tensors, dvals=self.dvals, provenance=provenance)
+        tensors = substitute_tensors(self.field, m, self.tensors)
+        if pencil is None:
+            pencil = self.pencil.congruence(m, target)
+        return UlrichCandidate(self.field, target, self.n, pencil, *tensors,
+                               dvals=self.dvals, provenance=provenance)
+
+
+class UlrichCandidate(LinearPresentation):
+    """A ``LinearPresentation`` whose three identities A @ B' = 0 and
+    A @ C_l = q_l id are verified on construction: what ``build_candidate``
+    and the pipelines emit, and what ``from_json`` reads."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.verification: dict = {}
+        self._require_certificates()
+
+    def _require_certificates(self) -> None:
+        ok, detail = self.verify_certificates()
+        if not ok:
+            raise UlrichError(f"candidate certificates failed: {detail}")
+        self.verification["certificates"] = "pass"
 
     def to_json(self) -> dict:
-        tensors = (self.presentation, self.second_map, self.cert1, self.cert2)
         data = {
             "field": self.field.name,
             "variables": list(self.variables),
             "n": self.n,
             "q1": self.q1.to_json(),
             "q2": self.q2.to_json(),
-            **{key: tensor_json(t) for key, t in zip(MATRIX_KEYS, tensors)},
+            **{key: tensor_json(t) for key, t in zip(MATRIX_KEYS, self.tensors)},
             "verification": {k: v for k, v in sorted(self.verification.items())},
             "provenance": self.provenance,
         }
@@ -366,7 +384,15 @@ def _gram_from_json(field, variables, data):
 
 
 def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
-    """A = (A1 | A2) from the Knorrer pair and its isotropic substitute.
+    """A = (A1 | A2) from the Knorrer pair and its isotropic substitute,
+    verified: the ambient presentation of :func:`_ambient_presentation`."""
+    a = _ambient_presentation(field, n, lam)
+    return UlrichCandidate(field, a.variables, n, a.pencil, *a.tensors, dvals=a.dvals,
+                           provenance=a.provenance)
+
+
+def _ambient_presentation(field: Field, n: int, lam) -> LinearPresentation:
+    """A = (A1 | A2) from the Knorrer pair and its isotropic substitute, unchecked.
 
     Requires n >= 2 (the module rank 2^(n-2) must be a positive integer) and
     a skew lam whose quadric q2 is neither zero nor proportional to q1.
@@ -377,8 +403,8 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
     g = g_lambda(field, lam)
     if len(lam) != 2 * (n + 1):
         raise UlrichError(f"skew matrix must have size {2 * (n + 1)}")
-    # the ambient candidate's A @ C1 = q1 id check covers phi @ psi = q1 id:
-    # C1 = (psi; 0), so the top block of A @ C1 is phi @ psi
+    # a verified A @ C1 = q1 id covers phi @ psi = q1 id: C1 = (psi; 0), so the
+    # top block of A @ C1 is phi @ psi
     phi, psi, s1 = knorrer_pair(field, n)
     names = xy_variables(n)
     # (x|y) -> (x|y) G: variable k maps to column k of G, and q2 has the Gram
@@ -395,7 +421,7 @@ def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
     a2, b2 = substitute_tensors(field, m, (phi, psi))
     zero = np.full_like(phi, field.zero)
     # A = (phi | A2), B' = (B2; psi), C1 = (psi; 0), C2 = (0; B2)
-    return UlrichCandidate(
+    return LinearPresentation(
         field, names, n, pencil,
         np.concatenate([phi, a2], axis=2), np.concatenate([b2, psi], axis=1),
         np.concatenate([psi, zero], axis=1), np.concatenate([zero, b2], axis=1),
@@ -534,9 +560,10 @@ def ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed: int = 0) -> 
 
 
 def _odd_restriction(field, a_targets, c_targets):
-    """The verified ambient candidate of the odd-ambient pipeline and its
+    """The ambient presentation of the odd-ambient pipeline, unchecked, and its
     restriction matrix R: in the 2n+1 coordinates z of x = R z its pencil's
-    discriminant roots are the targets."""
+    discriminant roots are the targets.  Only the candidate a pipeline emits
+    from it is verified."""
     n = len(a_targets) - 1
     if n < 2:
         raise UlrichError("need n >= 2 (at least 3 chart roots)")
@@ -552,7 +579,7 @@ def _odd_restriction(field, a_targets, c_targets):
             f"{exc}; the first n+1 targets must be squares: reorder targets{advice}"
         ) from exc
     lam = diagonal_lambda(field, dvals)
-    ambient = build_candidate(field, n, lam)
+    ambient = _ambient_presentation(field, n, lam)
     # chart machinery runs on negated values: ell_i = s + (-a_i) t has root a_i
     neg_a = [field.neg(v) for v in a_targets]
     neg_c = [field.neg(v) for v in c_targets]
@@ -589,18 +616,20 @@ def _verify_restricted(candidate: UlrichCandidate, targets, seed) -> None:
     )
 
 
-def fresh_root_for(field, targets, needed_squares: int):
+def fresh_root_for(field, targets, needed_squares: int, is_square=None):
     """Smallest positive field element outside targets, square if required.
 
     Each of 1, 2, ... below the field size (below 2^20 over Q) is tried
-    once: over F_p those are the nonzero residues.
+    once: over F_p those are the nonzero residues.  is_square(v) says
+    whether the field element v is a square, by default ``_is_square``.
     """
+    is_square = is_square or (lambda v: _is_square(field, v))
     taken = {field.of(t) for t in targets}
-    square_count = sum(1 for t in taken if _is_square(field, t))
+    square_count = sum(1 for t in taken if is_square(t))
     need_square = square_count < needed_squares
     for k in range(1, _field_size(field)):
         cand = field.of(k)
-        if cand not in taken and (not need_square or _is_square(field, cand)):
+        if cand not in taken and (not need_square or is_square(cand)):
             return cand
     raise UlrichError("could not find a fresh root in the field")
 
@@ -616,13 +645,15 @@ def _is_square(field, v):
 def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandidate:
     """Rank 2^(g-1) Ulrich candidate on the (2g+2)-variable pencil with given roots.
 
-    Takes the odd-ambient pipeline's ambient candidate one dimension up, with
-    a fresh extra root, and its restriction matrix R; diagonalizes the
+    Takes the odd-ambient pipeline's ambient presentation one dimension up,
+    with a fresh extra root, and its restriction matrix R; diagonalizes the
     restricted pencil by a basis M and sets the coordinate of the fresh root
     to zero.  The ambient matrices are substituted once, by R M less that
-    column, so no odd-ambient candidate is built.  The resulting pencil has
-    exactly the 2g+2 targets as discriminant roots, and every certificate is
-    verified on it.
+    column, so no odd-ambient candidate is built.  The emitted pencil is
+    read off the diagonalization, which has checked M^T S_R M = diag(f_i)
+    exactly: it is (R M')^T S (R M') = M'^T S_R M', the f_i less the fresh
+    root's.  Its discriminant roots are exactly the 2g+2 targets, and every
+    certificate is verified on the emitted candidate.
     """
     targets = [field.of(t) for t in targets]
     if len(targets) % 2:
@@ -631,10 +662,17 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
     if g < 1:
         raise UlrichError("need at least 4 targets (genus >= 1)")
     n = g + 1
-    fresh = fresh_root_for(field, targets, needed_squares=n + 1)
+    square = {}  # each value of the pool is classified once
+
+    def is_square(v):
+        if v not in square:
+            square[v] = _is_square(field, v)
+        return square[v]
+
+    fresh = fresh_root_for(field, targets, needed_squares=n + 1, is_square=is_square)
     pool = targets + [fresh]
-    squares = [t for t in pool if _is_square(field, t)]
-    non_squares = [t for t in pool if not _is_square(field, t)]
+    squares = [t for t in pool if is_square(t)]
+    non_squares = [t for t in pool if not is_square(t)]
     if len(squares) < n + 1:
         advice = "the prime or the targets" if isinstance(field, PrimeField) else "the targets"
         raise UlrichError(
@@ -648,27 +686,22 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
     # interpolated
     ambient, r = _odd_restriction(field, a_targets, c_targets)
     diag = simultaneous_diagonalize(ambient.pencil.congruence(r), a_targets + c_targets)
-    # locate the diagonal coordinate carrying the fresh root
-    roots = [_factor_root(field, factor) for factor in diag.factors]
-    if fresh not in roots:
-        raise UlrichError("fresh root not found among diagonal factors")
-    idx_fresh = roots.index(fresh)
+    # factor i is a_i s + b_i t = a_i (s - lam_i t), a_i != 0, for a claimed root
+    # lam_i; the fresh root's coordinate is the one set to zero
+    pairs = [(f.coefficient((1, 0)), f.coefficient((0, 1))) for f in diag.factors]
+    at = [field.neg(field.div(b, a)) for a, b in pairs].index(fresh)
+    del pairs[at]
     # x = R M w with M the diagonalizing basis less the fresh root's column
-    m = [row[:idx_fresh] + row[idx_fresh + 1 :] for row in diag.basis]
+    m = [row[:at] + row[at + 1 :] for row in diag.basis]
     new_names = tuple(f"w{k}" for k in range(len(m[0])))
+    grams = ([[ab[side] if i == j else field.zero for j in range(len(pairs))]
+              for i, ab in enumerate(pairs)] for side in (0, 1))
     candidate = ambient._substituted(linalg.matmul(field, r, m).tolist(), new_names,
-                                     f"ulrich_for_roots_even_ambient(g={g})")
+                                     f"ulrich_for_roots_even_ambient(g={g})",
+                                     QuadricPencil(field, *grams, new_names))
     candidate.verification["fresh_root"] = str(fresh)
     _verify_restricted(candidate, targets, seed)
     return candidate
-
-
-def _factor_root(field, factor: Poly):
-    alpha = factor.coefficient((1, 0))
-    beta = factor.coefficient((0, 1))
-    if field.is_zero(alpha):
-        raise UlrichError("factor has its root at infinity")
-    return field.neg(field.div(beta, alpha))
 
 
 def artinian_hilbert_check(candidate: UlrichCandidate, trials: int = 3, seed: int = 0):
@@ -679,58 +712,94 @@ def artinian_hilbert_check(candidate: UlrichCandidate, trials: int = 3, seed: in
     with the V x 2 matrix of the substitution), demands the Artinian ring
     k[u,v]/(Q1,Q2) to have graded dimensions 1,2,1,0 (retrying with fresh
     randomness otherwise), and then computes the cokernel dimensions of the
-    specialized presentation with ``_cokernel_dims``.
+    specialized presentation with ``_cokernel_dims``.  Every trial is drawn
+    first, in that order; then one product substitutes the presentation for
+    all of them, and the trials are read in order, so a transcript names the
+    first failing trial as a trial-by-trial check would.
 
-    The ring check reads degree 3 alone.  With no generator below degree 2,
+    The ring check is a resultant.  With no generator below degree 2,
     degrees 0 and 1 are 1 and 2.  Degree 3 is 0 exactly when u Q1, v Q1,
     u Q2, v Q2 span the 4-dimensional S_3, which makes Q1 and Q2 independent,
-    so degree 2 is 3 - 2 = 1.  A zero quadric leaves degree 3 nonzero.
+    so degree 2 is 3 - 2 = 1.  Those four span S_3 exactly when their 4 x 4
+    coordinate matrix, the Sylvester matrix of Q1 and Q2, is invertible, that
+    is when the resultant of Q1 and Q2 is nonzero (``_resultant``).  A zero
+    quadric makes it 0.
     """
     field = candidate.field
-    rng = random.Random(seed)
     r = candidate.generators
-    uv = ("u", "v")
+    drawn, stuck = _specializations(candidate, trials, random.Random(seed))
+    if drawn:
+        # trial t substitutes by columns 2t and 2t + 1 of this V x 2T matrix
+        wide = [[c for m, _ in drawn for c in m[j]] for j in range(len(candidate.variables))]
+        (a_uv,) = substitute_tensors(field, wide, (candidate.presentation,))
     lines = []
-    size = _field_size(field)
-    for trial in range(trials):
-        ring_ok = False
-        for attempt in range(25):
-            # random u, v coefficients for all but the last two variables
-            m = [[rng.randrange(size), rng.randrange(size)] for _ in candidate.variables[:-2]]
-            m += [[1, 0], [0, 1]]
-            specialized = candidate.pencil.congruence(m, uv)
-            q1, q2 = specialized.quadric(1), specialized.quadric(2)
-            if graded.graded_quotient_dims(field, uv, [q1, q2], [3]) == [0]:
-                ring_ok = True
-                break
-        if not ring_ok:
-            return False, f"trial {trial}: no Artinian specialization found"
-        expected = [r, 0, 0, 0]
-        dims = _cokernel_dims(candidate, m, q1, q2)
+    expected = [r, 0, 0, 0]
+    for trial, (_, specialized) in enumerate(drawn):
+        dims = _cokernel_dims(candidate, a_uv[2 * trial : 2 * trial + 2], specialized)
         lines.append(f"trial {trial}: coker dims {dims}")
         if dims != expected:
             return False, "; ".join(lines + [f"expected {expected}"])
+    if stuck is not None:
+        return False, f"trial {stuck}: no Artinian specialization found"
     return True, "; ".join(lines + [f"pass: ({r},0,0,0) on {trials} trials"])
 
 
-def _cokernel_dims(candidate: UlrichCandidate, m, q1: Poly, q2: Poly) -> list:
+def _specializations(candidate: UlrichCandidate, trials: int, rng):
+    """(drawn, stuck): drawn lists (M, pencil) for the trials in order, M the
+    V x 2 matrix of x = M (u, v) and pencil the congruent pencil in (u, v),
+    whose ring k[u,v]/(Q1,Q2) is Artinian; stuck is the first trial that
+    found none in 25 draws, where the drawing stops, or None.  For each draw
+    and each variable but the last two, rng gives the u coefficient, then
+    the v one."""
+    size = _field_size(candidate.field)
+    drawn = []
+    for trial in range(trials):
+        for _ in range(25):
+            m = [[rng.randrange(size), rng.randrange(size)] for _ in candidate.variables[:-2]]
+            m += [[1, 0], [0, 1]]
+            specialized = candidate.pencil.congruence(m, ("u", "v"))
+            if not candidate.field.is_zero(_resultant(candidate.field, specialized)):
+                drawn.append((m, specialized))
+                break
+        else:
+            return drawn, trial
+    return drawn, None
+
+
+def _resultant(field, pencil: QuadricPencil):
+    """The resultant of the binary quadrics Q_l = a_l u^2 + 2 b_l uv + c_l v^2
+    of a pencil in two variables, from the Gram matrices [[a_l, b_l],
+    [b_l, c_l]]: (a1 c2 - a2 c1)^2 - 4 (a1 b2 - a2 b1)(b1 c2 - b2 c1), the
+    determinant of the Sylvester matrix of Q1 and Q2, exactly."""
+    (a1, b1), (_, c1) = pencil.b1
+    (a2, b2), (_, c2) = pencil.b2
+    mul, sub = field.mul, field.sub
+    ac = sub(mul(a1, c2), mul(a2, c1))
+    ab = sub(mul(a1, b2), mul(a2, b1))
+    bc = sub(mul(b1, c2), mul(b2, c1))
+    return sub(mul(ac, ac), mul(field.of(4), mul(ab, bc)))
+
+
+def _cokernel_dims(candidate: UlrichCandidate, a_uv, specialized: QuadricPencil) -> list:
     """Degrees 0..3 of M = S^r / (columns of A, q1 S^r, q2 S^r) over S = k[u,v],
-    for A the presentation specialized by x = M (u, v) and q_l so specialized.
+    for a_uv the tensor of the presentation specialized by x = M (u, v) and
+    specialized the pencil of q1 and q2 so specialized.
 
     M is generated in degree 0, so M_{d+1} = S_1 M_d, and only the 2r linear
     columns of A reach degree 1: there M has dimension 2r minus the rank of
     the 2r x 2r slice of the substituted tensor.  So (r, 0) in degrees 0 and 1
     proves (r, 0, 0, 0); any other answer is recomputed in all four degrees
-    for the transcript.
+    for the transcript, and only then are q1 and q2 built as polynomials.
     """
     field, r = candidate.field, candidate.generators
-    (a_uv,) = substitute_tensors(field, m, (candidate.presentation,))
     # row j holds column j of A, coordinates (i, v) and (i, u): graded.degree_basis
     # order, in which monomial k of degree 1 is u^k v^(1-k)
     degree1 = a_uv[::-1].transpose(2, 1, 0).reshape(2 * r, 2 * r)
     if linalg.rank(field, degree1, 2 * r) == 2 * r:
         return [r, 0, 0, 0]
-    a, zero = tensor_matrix(field, q1.vars, a_uv), Poly.zero(field, q1.vars)
+    uv = specialized.variables
+    q1, q2 = specialized.quadric(1), specialized.quadric(2)
+    a, zero = tensor_matrix(field, uv, a_uv), Poly.zero(field, uv)
     gens = [list(a.column(j)) for j in range(2 * r)]
     gens += [[q if k == i else zero for k in range(r)] for q in (q1, q2) for i in range(r)]
-    return graded.graded_quotient_dims(field, q1.vars, gens, range(4), rank=r)
+    return graded.graded_quotient_dims(field, uv, gens, range(4), rank=r)

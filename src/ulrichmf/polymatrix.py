@@ -282,15 +282,17 @@ def tensor_json(t) -> dict:
     """``tensor_matrix(field, variables, t).to_json()``, written straight from
     the coefficient tensor: the entries row by row, the terms of each in the
     sorted exponent order of ``Poly.to_json``, which puts the last variable
-    first."""
+    first.  Each term is [exponents, numerator, denominator] (``_json_term``
+    for a scalar that is not an int), and the terms of one variable share
+    one exponent list."""
     v, nrows, ncols = t.shape
-    units = [tuple(int(i == k) for i in range(v)) for k in reversed(range(v))]
+    units = [[int(i == k) for i in range(v)] for k in reversed(range(v))]
     # by_entry[i * ncols + j, k] is the coefficient of units[k] in entry (i, j)
     by_entry = t[::-1].reshape(v, nrows * ncols).T
     at, ks = np.nonzero(by_entry)
     entries = [[] for _ in range(nrows * ncols)]
     for e, k, c in zip(at.tolist(), ks.tolist(), by_entry[at, ks].tolist()):
-        entries[e].append(_json_term(units[k], c))
+        entries[e].append([units[k], c, 1] if type(c) is int else _json_term(units[k], c))
     return {"rows": nrows, "cols": ncols, "entries": entries}
 
 

@@ -347,6 +347,21 @@ def test_suite_knorrer_fails_on_broken_phi(capsys, monkeypatch):
                 f"at entry ({2**n - 1}, 0)") in out
 
 
+def test_ulrich_construct_fails_on_a_corrupted_build(capsys, monkeypatch):
+    # build_candidate's output is what construct emits, so it is verified:
+    # -psi keeps A @ B' = 0 and breaks the top block phi @ psi of A @ C1
+    real = knorrer.knorrer_pair
+
+    def negated_psi(field, n):
+        phi, (cols, signs), q = real(field, n)
+        return phi, (cols, -signs), q
+
+    monkeypatch.setattr(knorrer, "knorrer_pair", negated_psi)
+    code, out, err = run(capsys, "ulrich", "construct", "--n", "2", "--d", "1,2,3")
+    assert code != 0 and out == ""
+    assert "candidate certificates failed: A @ C != q1 * id at entry (0, 0)" in err
+
+
 def test_suite_knorrer_multiplies_no_polynomials(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("polynomial product in suite knorrer")

@@ -10,7 +10,7 @@ from ulrichmf import binary, knorrer, linalg, polymatrix
 from ulrichmf.fields import NotASquare, QQ, PrimeField
 from ulrichmf.pencil import QuadricPencil, bilinear_matrix, simultaneous_diagonalize
 from ulrichmf.poly import Poly
-from ulrichmf.polymatrix import MatrixError, PolyMatrix
+from ulrichmf.polymatrix import MatrixError, PolyMatrix, substitute_tensors
 
 from tests.poly_reference import determinant, divexact, linear_tensor
 from tests.scalars import assert_field_scalar
@@ -912,15 +912,28 @@ def test_linear_tensor_rejects_other_degrees(field):
 
 
 def spy_cokernel_dims(monkeypatch):
-    """Record (specialization, answer) of every _cokernel_dims call."""
-    seen = []
-    real = knorrer._cokernel_dims
+    """Record (specialization M, answer) of every _cokernel_dims call of one
+    artinian_hilbert_check: the M are the drawn trials, in order, and each
+    trial's slice of the one substitution must be its own."""
+    seen, drawn = [], []
+    real_draw, real_dims = knorrer._specializations, knorrer._cokernel_dims
 
-    def spy(candidate, m, q1, q2):
-        dims = real(candidate, m, q1, q2)
+    def draw(candidate, trials, rng):
+        out = real_draw(candidate, trials, rng)
+        drawn.extend(m for m, _ in out[0])
+        return out
+
+    def spy(candidate, a_uv, specialized):
+        m = drawn[len(seen)]
+        (own,) = substitute_tensors(candidate.field, m, (candidate.presentation,))
+        assert a_uv.dtype == own.dtype and np.array_equal(a_uv, own)
+        assert specialized.b1 == candidate.pencil.congruence(m).b1
+        assert specialized.b2 == candidate.pencil.congruence(m).b2
+        dims = real_dims(candidate, a_uv, specialized)
         seen.append((m, dims))
         return dims
 
+    monkeypatch.setattr(knorrer, "_specializations", draw)
     monkeypatch.setattr(knorrer, "_cokernel_dims", spy)
     return seen
 
@@ -985,6 +998,55 @@ def test_emitted_candidate_catches_a_corrupted_ambient(monkeypatch):
         knorrer.ulrich_for_roots_odd_ambient(F, [1, 4, 9], [2, 3], seed=7)
 
 
+@pytest.mark.parametrize("targets", [(1, 4, 9, 2, 3), (1, 4, 9, 16, 2, 3)], ids=["odd", "even"])
+def test_only_the_emitted_candidate_is_certified(targets, monkeypatch):
+    # the ambient presentation is substituted unchecked: the three certificate
+    # products are the emitted candidate's A @ B', A @ C1 and A @ C2
+    calls = []
+    real = knorrer.tensor_mismatch
+
+    def spy(field, a, b, s=None):
+        calls.append((a.shape, b.shape, s is None))
+        return real(field, a, b, s)
+
+    monkeypatch.setattr(knorrer, "tensor_mismatch", spy)
+    cand = knorrer.ulrich_for_roots(F, targets, seed=1)
+    v, r = len(cand.variables), cand.generators
+    shapes = ((v, r, 2 * r), (v, 2 * r, r))
+    assert calls == [(*shapes, True), (*shapes, False), (*shapes, False)]
+
+
+def test_even_pipeline_reads_its_pencil_off_the_diagonalization(monkeypatch):
+    # congruences: the ambient pencil by R, the restricted one by its
+    # diagonalizing basis M, and one V x 2 specialization per Hilbert draw;
+    # none by R M', whose pencil is the diagonal less the fresh root's entry
+    shapes = []
+    real = QuadricPencil.congruence
+
+    def spy(self, m, variables=None):
+        shapes.append((len(m), len(m[0])))
+        return real(self, m, variables)
+
+    monkeypatch.setattr(QuadricPencil, "congruence", spy)
+    cand = knorrer.ulrich_for_roots_even_ambient(F, [1, 4, 9, 16, 2, 3], seed=1)
+    w = len(cand.variables)
+    assert shapes[:2] == [(w + 2, w + 1), (w + 1, w + 1)]
+    assert len(shapes) >= 5 and set(shapes[2:]) == {(w, 2)}
+    assert cand.pencil._is_diagonal()
+    b1, b2 = cand.pencil.b1, cand.pencil.b2
+    roots = [F.neg(F.div(b2[i][i], b1[i][i])) for i in range(w)]
+    assert sorted(roots) == sorted(F.of(t) for t in (1, 4, 9, 16, 2, 3))
+
+
+def test_even_pipeline_classifies_each_pool_value_once(monkeypatch):
+    seen = []
+    real = knorrer._is_square
+    monkeypatch.setattr(knorrer, "_is_square", lambda field, v: seen.append(v) or real(field, v))
+    cand = knorrer.ulrich_for_roots_even_ambient(F, [1, 4, 9, 16, 2, 3], seed=1)
+    fresh = F.of(int(cand.verification["fresh_root"]))
+    assert sorted(seen) == sorted(F.of(t) for t in (1, 4, 9, 16, 2, 3, fresh))
+
+
 @pytest.mark.parametrize("field", [F, PrimeField(2**31 - 1), PrimeField(2**61 - 1), QQ], ids=str)
 def test_one_substitution_matches_the_odd_restriction_then_the_diagonal_basis(field):
     # the even-ambient pipeline substitutes its ambient candidate once, by R M;
@@ -1004,7 +1066,8 @@ def test_one_substitution_matches_the_odd_restriction_then_the_diagonal_basis(fi
     checked = knorrer.ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed=0)
     assert checked.to_json() == odd.to_json()
     diag = simultaneous_diagonalize(odd.pencil, a_targets + c_targets)
-    at = [knorrer._factor_root(field, f) for f in diag.factors].index(fresh)
+    at = [field.neg(field.div(f.coefficient((0, 1)), f.coefficient((1, 0))))
+          for f in diag.factors].index(fresh)
     m = [row[:at] + row[at + 1:] for row in diag.basis]
     two_steps = odd._substituted(m, tuple(f"w{k}" for k in range(6)),
                                  "ulrich_for_roots_even_ambient(g=2)")
@@ -1273,19 +1336,17 @@ def test_proportional_quadrics_match_reference(field):
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
 def test_hilbert_specializations_keep_draw_order(field, monkeypatch):
-    # replay the old loop: per variable, the u coefficient, then the v one
-    from ulrichmf import graded
-
+    # replay the old loop: per variable, the u coefficient, then the v one;
+    # every draw meets the ring check once, as its specialized pencil
     cand = knorrer.ulrich_for_roots_odd_ambient(field, [1, 4, 9], [2, 3], seed=3)
     seen = []
-    real = graded.graded_quotient_dims
+    real = knorrer._resultant
 
-    def spy(f, variables, gens, degrees, rank=1):
-        if rank == 1:
-            seen.append(list(gens))
-        return real(f, variables, gens, degrees, rank=rank)
+    def spy(f, pencil):
+        seen.append([pencil.quadric(1), pencil.quadric(2)])
+        return real(f, pencil)
 
-    monkeypatch.setattr(graded, "graded_quotient_dims", spy)
+    monkeypatch.setattr(knorrer, "_resultant", spy)
     ok, _ = knorrer.artinian_hilbert_check(cand, trials=3, seed=17)
     assert ok and len(seen) >= 3
     rng = random.Random(17)
@@ -1449,6 +1510,49 @@ def test_hilbert_check_of_a_zero_quadric_finds_no_ring():
     with pytest.raises(knorrer.UlrichError, match=r"^candidate certificates failed: "
                                                   r"A @ C != q2 \* id at entry"):
         knorrer.UlrichCandidate.from_json(data)
+
+
+def gram(field, q):
+    """The Gram matrix S of a quadric q = x^T S x, zero for q = 0."""
+    half = field.inv(field.of(2))
+    return [[field.mul(c, half) for c in row] for row in polymatrix.doubled_form(q)[0]]
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), F, PrimeField(2**61 - 1), QQ], ids=str)
+def test_resultant_ring_check_agrees_with_degree_three(field):
+    # Res(Q1, Q2) != 0 exactly when degree 3 of k[u,v]/(Q1, Q2) is 0; negative
+    # controls: Q2 = 0, Q2 = c Q1 and a common linear factor
+    from ulrichmf import graded
+
+    rng = random.Random(field.name)
+    uv = ("u", "v")
+    verdicts = {True: 0, False: 0}
+    for trial in range(400):
+        q1 = binary_quadric(field, rng)
+        kind = trial % 5
+        if kind == 0:
+            q2 = Poly.zero(field, uv)
+        elif kind == 1:
+            q2 = q1.scale(wide_scalar(field, rng, 0.2))
+        elif kind == 2:
+            line = Poly.from_pairs(field, uv, [((1, 0), wide_scalar(field, rng, 0.2)),
+                                               ((0, 1), wide_scalar(field, rng, 0.2))])
+            q1 = line * Poly.from_pairs(field, uv, [((1, 0), wide_scalar(field, rng, 0.2)),
+                                                    ((0, 1), wide_scalar(field, rng, 0.2))])
+            q2 = line * Poly.from_pairs(field, uv, [((1, 0), wide_scalar(field, rng, 0.2)),
+                                                    ((0, 1), wide_scalar(field, rng, 0.2))])
+        else:
+            q2 = binary_quadric(field, rng)
+        pencil = QuadricPencil(field, gram(field, q1), gram(field, q2), uv)
+        assert (pencil.quadric(1), pencil.quadric(2)) == (q1, q2)
+        resultant = knorrer._resultant(field, pencil)
+        assert_field_scalar(field, resultant)
+        three = graded.graded_quotient_dims(field, uv, [q1, q2], [3]) == [0]
+        assert (not field.is_zero(resultant)) == three, (q1, q2)
+        if kind in (0, 1, 2):
+            assert field.is_zero(resultant), (kind, q1, q2)
+        verdicts[three] += 1
+    assert min(verdicts.values()) >= 40, verdicts
 
 
 def binary_quadric(field, rng):
