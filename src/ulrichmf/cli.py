@@ -25,6 +25,8 @@ from .pencil import (
     HyperellipticData,
     PencilError,
     QuadricPencil,
+    gram_matrix,
+    quadric_terms,
     simultaneous_diagonalize,
     smoothness_check,
 )
@@ -95,10 +97,13 @@ def pencil_from_descriptor(field, data) -> QuadricPencil:
     names, quadrics = tuple(f"x{i}" for i in range(r)), []
     for key in ("q1", "q2"):
         try:
-            quadrics.append(Poly.from_json(field, names, data[key]))
+            quadrics.append(quadric_terms(field, names, data[key]))
         except PolyError as exc:
             raise PolyError(f"pencil descriptor key {key!r}: {exc}") from None
-    return QuadricPencil.from_quadrics(*quadrics)
+    # both are decoded before either is judged, and judged before S is allocated
+    if not all(quadrics):
+        raise PencilError("bilinear_matrix needs a nonzero homogeneous quadratic")
+    return QuadricPencil(field, *(gram_matrix(field, r, q) for q in quadrics), names)
 
 
 def transcript_header(kind: str, name: str, field, seed) -> list[str]:

@@ -24,9 +24,11 @@ pencil: the certificates compare A C_l with 2 S_l id, and a change of
 variables is the congruence M^T S M of ``QuadricPencil.congruence``.  Each
 pipeline changes the variables of its ambient presentation once, unchecked,
 and verifies the candidate it emits; the even pipeline reads the emitted
-pencil off its diagonalization.  q1 and q2 are read off the pencil as
-polynomials only for the JSON, the Jacobian check and a failing Hilbert
-transcript, and the matrices go to JSON and back as tensors (``tensor_json``,
+pencil off its diagonalization.  q1 and q2 go to JSON and back as Gram
+matrices (``pencil.quadric_json``, ``pencil.quadric_terms``), the Jacobian
+check reads q_l(x) off the gradient 2 S_l x, and only a failing Hilbert
+transcript builds them as polynomials, binary ones in two variables.  The
+matrices go to JSON and back as tensors (``tensor_json``,
 ``tensor_from_json``).
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
@@ -44,10 +46,11 @@ import numpy as np
 
 from . import binary, graded, linalg
 from .fields import Field, NotASquare, PrimeField, field_from_name
-from .pencil import QuadricPencil, congruent, simultaneous_diagonalize, smoothness_check
+from .pencil import (QuadricPencil, congruent, gram_matrix, quadric_json, quadric_terms,
+                     simultaneous_diagonalize, smoothness_check)
 from .poly import Poly, PolyError
-from .polymatrix import (NotLinearError, doubled_form, substitute_tensors, tensor_from_json,
-                         tensor_json, tensor_matrix, tensor_mismatch)
+from .polymatrix import (NotLinearError, substitute_tensors, tensor_from_json, tensor_json,
+                         tensor_matrix, tensor_mismatch)
 
 
 class UlrichError(ValueError):
@@ -240,16 +243,6 @@ class LinearPresentation:
         self.provenance = provenance
 
     @property
-    def q1(self) -> Poly:
-        """q1 as a polynomial, read off the pencil on each call."""
-        return self.pencil.quadric(1)
-
-    @property
-    def q2(self) -> Poly:
-        """q2 as a polynomial, read off the pencil on each call."""
-        return self.pencil.quadric(2)
-
-    @property
     def generators(self) -> int:
         return self.presentation.shape[1]
 
@@ -315,8 +308,8 @@ class UlrichCandidate(LinearPresentation):
             "field": self.field.name,
             "variables": list(self.variables),
             "n": self.n,
-            "q1": self.q1.to_json(),
-            "q2": self.q2.to_json(),
+            "q1": quadric_json(self.field, self.pencil.b1),
+            "q2": quadric_json(self.field, self.pencil.b2),
             **{key: tensor_json(t) for key, t in zip(MATRIX_KEYS, self.tensors)},
             "verification": {k: v for k, v in sorted(self.verification.items())},
             "provenance": self.provenance,
@@ -351,36 +344,28 @@ class UlrichCandidate(LinearPresentation):
 
         def load(key, read):
             try:
-                return read(field, variables, data[key])
+                value = read(field, variables, data[key])
             except PolyError as exc:
                 raise PolyError(f"candidate key {key!r}: {exc}") from None
             except NotLinearError as exc:  # raised once every key is read
                 return UlrichError(f"candidate certificates failed: {key} {exc}")
+            if value is None:  # a quadric with a term of another degree, likewise
+                return UlrichError(f"candidate certificates failed: {key} is not a quadratic form")
+            return value
 
-        loaded = [load(key, _gram_from_json) for key in ("q1", "q2")]
+        loaded = [load(key, quadric_terms) for key in ("q1", "q2")]
         loaded += [load(key, tensor_from_json) for key in MATRIX_KEYS]
         for failure in (x for x in loaded if isinstance(x, UlrichError)):
             raise failure
-        s1, s2, *tensors = loaded
-        return UlrichCandidate(
-            field, variables, n, QuadricPencil(field, s1, s2, variables), *tensors,
-            dvals=dvals, provenance=data.get("provenance", ""),
-        )
+        q1, q2, *tensors = loaded
+        pencil = QuadricPencil(field, gram_matrix(field, len(variables), q1),
+                               gram_matrix(field, len(variables), q2), variables)
+        return UlrichCandidate(field, variables, n, pencil, *tensors, dvals=dvals,
+                               provenance=data.get("provenance", ""))
 
 
 # the JSON keys of the presentation, B', C1 and C2, in the constructor's order
 MATRIX_KEYS = ("presentation", "second_map", "cert_q1", "cert_q2")
-
-
-def _gram_from_json(field, variables, data):
-    """The Gram matrix S of a quadric's JSON, q = x^T S x, zero for q = 0; a
-    term of another degree raises NotLinearError, as a non-linear matrix
-    entry does."""
-    w, other = doubled_form(Poly.from_json(field, variables, data))
-    if other:
-        raise NotLinearError("is not a quadratic form")
-    half = field.inv(field.of(2))
-    return [[field.mul(c, half) for c in row] for row in w]
 
 
 def build_candidate(field: Field, n: int, lam) -> UlrichCandidate:
@@ -441,7 +426,9 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
 
     Verifies that the squares d_i^2 are pairwise distinct, then samples
     points of V(q1, q2) away from the coordinate points and checks that the
-    2x2 minors of the Jacobian do not vanish simultaneously.
+    2x2 minors of the Jacobian do not vanish simultaneously.  The Jacobian
+    at x is (2 S_1 x, 2 S_2 x), and x^T (2 S_l x) = 2 q_l(x); p is odd, so x
+    lies on V(q1, q2) exactly when both products with x vanish.
     """
     if candidate.dvals is None:
         raise UlrichError("jacobian_check needs a diagonal-Lambda candidate")
@@ -452,12 +439,9 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
             if squares[i] == squares[j]:
                 return False, f"d_{i}^2 = d_{j}^2: coordinate singularities collide"
     rng = random.Random(seed)
-    names = candidate.variables
     m = len(candidate.dvals)
-    # the gradient of q = x^T S x is 2 S x
     pencil = candidate.pencil
     doubled = [[field.add(c, c) for c in row] for b in (pencil.b1, pencil.b2) for row in b]
-    q1, q2 = candidate.q1, candidate.q2
     found = 0
     attempts = 0
     while found < samples and attempts < 40 * samples:
@@ -471,14 +455,13 @@ def jacobian_check(candidate: UlrichCandidate, seed: int = 0, samples: int = 5):
         ys = [field.zero] * m
         for c, vec in zip(coeffs, ns):
             ys = [field.add(y, field.mul(c, v)) for y, v in zip(ys, vec)]
-        point = dict(zip(names, list(xs) + list(ys)))
-        nonzero = sum(1 for v in point.values() if not field.is_zero(v))
+        column = [[v] for v in xs + ys]
+        nonzero = sum(1 for (v,) in column if not field.is_zero(v))
         if nonzero <= 1:
             continue  # coordinate point: singular by design
-        if not field.is_zero(q1.evaluate(point)) or not field.is_zero(q2.evaluate(point)):
-            continue
-        column = [[point[v]] for v in names]
         jac = linalg.matmul(field, doubled, column).reshape(2, -1).tolist()
+        if any(not field.is_zero(v) for v in linalg.matmul(field, jac, column).flat):
+            continue  # off V(q1, q2)
         if linalg.rank(field, jac) < 2:
             return False, "all 2x2 Jacobian minors vanish at a sampled smooth point"
         found += 1
@@ -789,7 +772,9 @@ def _cokernel_dims(candidate: UlrichCandidate, a_uv, specialized: QuadricPencil)
     columns of A reach degree 1: there M has dimension 2r minus the rank of
     the 2r x 2r slice of the substituted tensor.  So (r, 0) in degrees 0 and 1
     proves (r, 0, 0, 0); any other answer is recomputed in all four degrees
-    for the transcript, and only then are q1 and q2 built as polynomials.
+    for the transcript, and only then are q1 and q2 built as binary forms,
+    read off the 2 x 2 Gram matrices [[a, b], [b, c]] as a u^2 + 2b uv + c v^2
+    (u, v named s, t).
     """
     field, r = candidate.field, candidate.generators
     # row j holds column j of A, coordinates (i, v) and (i, u): graded.degree_basis
@@ -797,9 +782,9 @@ def _cokernel_dims(candidate: UlrichCandidate, a_uv, specialized: QuadricPencil)
     degree1 = a_uv[::-1].transpose(2, 1, 0).reshape(2 * r, 2 * r)
     if linalg.rank(field, degree1, 2 * r) == 2 * r:
         return [r, 0, 0, 0]
-    uv = specialized.variables
-    q1, q2 = specialized.quadric(1), specialized.quadric(2)
-    a, zero = tensor_matrix(field, uv, a_uv), Poly.zero(field, uv)
+    quadrics = [binary.binary_form(field, [s[0][0], field.add(s[0][1], s[0][1]), s[1][1]])
+                for s in (specialized.b1, specialized.b2)]
+    a, zero = tensor_matrix(field, binary.ST, a_uv), Poly.zero(field, binary.ST)
     gens = [list(a.column(j)) for j in range(2 * r)]
-    gens += [[q if k == i else zero for k in range(r)] for q in (q1, q2) for i in range(r)]
-    return graded.graded_quotient_dims(field, uv, gens, range(4), rank=r)
+    gens += [[q if k == i else zero for k in range(r)] for q in quadrics for i in range(r)]
+    return graded.graded_quotient_dims(field, binary.ST, gens, range(4), rank=r)

@@ -10,6 +10,11 @@ pencil's discriminant is the product of its diagonal forms, and a
 diagonalization from claimed roots fills its pencil's discriminant without
 interpolating it.
 
+A quadric is its Gram matrix S, q = x^T S x, from JSON to JSON: this module
+holds the one codec of a quadric's term list.  ``quadric_json`` writes the
+terms straight from S, and ``quadric_terms`` with ``gram_matrix`` reads them
+straight back into S, judging the terms before S is allocated.
+
 Subsets of branch indices are 1-based throughout the package, matching the
 usual f_I notation.
 """
@@ -20,22 +25,51 @@ import numpy as np
 
 from . import binary, linalg
 from .fields import QQ, Field, PrimeField
-from .poly import Poly
-from .polymatrix import doubled_form
+from .poly import Poly, _json_term, terms_from_json
 
 
 class PencilError(ValueError):
     pass
 
 
-def bilinear_matrix(q: Poly):
-    """Symmetric scalar matrix B with x^T B x = q, for homogeneous quadratic q."""
-    w, other = doubled_form(q)
-    if q.is_zero() or other:
-        raise PencilError("bilinear_matrix needs a nonzero homogeneous quadratic")
-    field = q.field
+def quadric_json(field: Field, s) -> list:
+    """The JSON term list of q = x^T S x for a symmetric V x V scalar matrix S:
+    S[i][i] on x_i^2 and 2 S[i][j] on x_i x_j, zeros skipped, each term a
+    ``poly._json_term``, in the sorted exponent order of ``Poly.to_json``:
+    i descending, then j descending from V - 1 to i."""
+    v, out = len(s), []
+    for i in range(v - 1, -1, -1):
+        for j in range(v - 1, i - 1, -1):
+            c = s[i][i] if i == j else field.add(s[i][j], s[i][j])
+            if not field.is_zero(c):
+                exp = [0] * v
+                exp[i] += 1
+                exp[j] += 1
+                out.append(_json_term(exp, c))
+    return out
+
+
+def quadric_terms(field: Field, variables, data):
+    """The terms {exponents: nonzero scalar} of a quadric's JSON term list,
+    decoded by ``poly.terms_from_json``, or None if a term has a degree other
+    than 2.  No V x V matrix is built, so a reader judges q before
+    ``gram_matrix`` allocates its S."""
+    terms = terms_from_json(field, variables, data)
+    return terms if all(sum(exp) == 2 for exp in terms) else None
+
+
+def gram_matrix(field: Field, dim: int, terms) -> list:
+    """S with x^T S x = q for the ``quadric_terms`` of q in dim variables: the
+    coefficient of x_k^2 at S[k][k], half that of x_k x_l at S[k][l] and S[l][k]."""
     half = field.inv(field.of(2))
-    return [[field.mul(c, half) for c in row] for row in w]
+    s = [[field.zero] * dim for _ in range(dim)]
+    for exp, c in terms.items():
+        k, l = (k for k, e in enumerate(exp) for _ in range(e))
+        if k == l:
+            s[k][k] = c
+        else:
+            s[k][l] = s[l][k] = field.mul(c, half)
+    return s
 
 
 def congruent(field: Field, b, m):
@@ -64,12 +98,6 @@ class QuadricPencil:
         self.variables = tuple(variables) if variables else tuple(f"x{i}" for i in range(r))
         self._disc = None
         self._roots = None
-
-    @staticmethod
-    def from_quadrics(q1: Poly, q2: Poly) -> "QuadricPencil":
-        if q1.vars != q2.vars or q1.field != q2.field:
-            raise PencilError("quadrics must live in one ring")
-        return QuadricPencil(q1.field, bilinear_matrix(q1), bilinear_matrix(q2), q1.vars)
 
     def at(self, x):
         """The scalar matrix x*B1 + B2, the pencil at s = x, t = 1."""
@@ -153,19 +181,6 @@ class QuadricPencil:
         both = linalg.matmul(field, mt, np.hstack([bm[:dim], bm[dim:]])).tolist()
         return QuadricPencil(field, [row[:width] for row in both],
                              [row[width:] for row in both], variables)
-
-    def quadric(self, which: int) -> Poly:
-        b = self.b1 if which == 1 else self.b2
-        field = self.field
-        pairs = []
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                c = b[i][j] if i == j else field.mul(b[i][j], field.of(2))
-                exp = [0] * self.dim
-                exp[i] += 1
-                exp[j] += 1
-                pairs.append((tuple(exp), c))
-        return Poly.from_pairs(field, self.variables, pairs)
 
 
 def _product_form(field: Field, pairs) -> Poly:

@@ -14,6 +14,8 @@ x_k, with scalars of the type ``linalg.scalar_dtype`` picks.  A linear change
 of variables and the product identities of such matrices are then scalar
 products (:func:`substitute_tensors`, :func:`tensor_mismatch`), and its JSON is
 written from T and read back into T (:func:`tensor_json`, :func:`tensor_from_json`).
+A quadric's JSON is not read here: it goes to and from its Gram matrix in
+:mod:`ulrichmf.pencil`.
 """
 
 from __future__ import annotations
@@ -395,24 +397,3 @@ def tensor_mismatch(field, a, b, s=None):
             bad[:, :square] |= (linalg.reduced(field, sym) != 0).any(axis=(0, 2))
     hits = np.argwhere(bad)
     return None if len(hits) == 0 else tuple(int(x) for x in hits[0])
-
-
-def doubled_form(q: Poly):
-    """(W, other): W[k][l] is the coefficient of 2 q on x_k x_l as a symmetric
-    form, so W = 2 S with q = x^T S x on q's quadratic terms; other says
-    whether q has a term of another degree.  The one reader of a quadric's
-    Gram matrix: ``pencil.bilinear_matrix`` and the Ulrich candidate reader
-    halve W."""
-    field = q.field
-    w = [[field.zero] * len(q.vars) for _ in q.vars]
-    other = False
-    for exp, c in q.terms.items():
-        support = [k for k, e in enumerate(exp) if e]
-        if sum(exp) != 2:
-            other = True
-        elif len(support) == 1:
-            w[support[0]][support[0]] = field.add(c, c)
-        else:
-            k, l = support
-            w[k][l] = w[l][k] = c
-    return w, other

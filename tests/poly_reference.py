@@ -11,11 +11,19 @@ The package reads a matrix JSON of linear forms straight into its
 coefficient tensor (``polymatrix.tensor_from_json``).  The route it replaced
 is kept here: one Poly per entry, a PolyMatrix of them
 (:func:`matrix_from_json`), then the tensor (:func:`linear_tensor`).
+
+The package also reads and writes a quadric's JSON straight from and into
+its Gram matrix (``pencil.quadric_json``, ``pencil.quadric_terms``).  The
+route that went through a multivariate Poly is kept here too: the Poly of a
+Gram matrix (:func:`quadric`), 2 S read off a Poly (:func:`doubled_form`) and
+halved (:func:`bilinear_matrix`), and the pencil of two Polys
+(:func:`pencil_from_quadrics`).
 """
 
 import numpy as np
 
 from ulrichmf import binary, linalg
+from ulrichmf.pencil import PencilError, QuadricPencil
 from ulrichmf.poly import Poly, PolyError
 from ulrichmf.polymatrix import MatrixError, PolyMatrix
 
@@ -156,3 +164,55 @@ def linear_tensor(matrix: PolyMatrix, name="matrix"):
                     raise MatrixError(f"{name} entry ({i},{j}) is not linear")
                 t[exp.index(1), i, j] = c
     return t
+
+
+def quadric(p: QuadricPencil, which: int) -> Poly:
+    """q_which = x^T B x of a pencil as a Poly in its variables: B[i][i] on
+    x_i^2 and 2 B[i][j] on x_i x_j."""
+    b = p.b1 if which == 1 else p.b2
+    field = p.field
+    pairs = []
+    for i in range(p.dim):
+        for j in range(i, p.dim):
+            c = b[i][j] if i == j else field.mul(b[i][j], field.of(2))
+            exp = [0] * p.dim
+            exp[i] += 1
+            exp[j] += 1
+            pairs.append((tuple(exp), c))
+    return Poly.from_pairs(field, p.variables, pairs)
+
+
+def doubled_form(q: Poly):
+    """(W, other): W[k][l] is the coefficient of 2 q on x_k x_l as a symmetric
+    form, so W = 2 S with q = x^T S x on q's quadratic terms; other says
+    whether q has a term of another degree."""
+    field = q.field
+    w = [[field.zero] * len(q.vars) for _ in q.vars]
+    other = False
+    for exp, c in q.terms.items():
+        support = [k for k, e in enumerate(exp) if e]
+        if sum(exp) != 2:
+            other = True
+        elif len(support) == 1:
+            w[support[0]][support[0]] = field.add(c, c)
+        else:
+            k, l = support
+            w[k][l] = w[l][k] = c
+    return w, other
+
+
+def bilinear_matrix(q: Poly):
+    """Symmetric scalar matrix B with x^T B x = q, for homogeneous quadratic q."""
+    w, other = doubled_form(q)
+    if q.is_zero() or other:
+        raise PencilError("bilinear_matrix needs a nonzero homogeneous quadratic")
+    field = q.field
+    half = field.inv(field.of(2))
+    return [[field.mul(c, half) for c in row] for row in w]
+
+
+def pencil_from_quadrics(q1: Poly, q2: Poly) -> QuadricPencil:
+    """The pencil of two nonzero quadrics of one ring, in its variables."""
+    if q1.vars != q2.vars or q1.field != q2.field:
+        raise PencilError("quadrics must live in one ring")
+    return QuadricPencil(q1.field, bilinear_matrix(q1), bilinear_matrix(q2), q1.vars)

@@ -11,6 +11,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -722,6 +723,89 @@ def test_negative_exponent_in_a_pencil_descriptor_exits_2(tmp_path, capsys):
     assert run(capsys, "pencil", "disc", str(laurent)) == (2, "", want)
     assert run(capsys, "pencil", "disc", str(plain)) == (0, "s^2 + 10005*t^2\n", "")
 
+
+REFUSE = "error: bilinear_matrix needs a nonzero homogeneous quadratic\n"
+NOT_QUADRATIC = "verification failed: candidate certificates failed: q1 is not a quadratic form\n"
+
+
+def unit_exponent(width, *at):
+    return [sum(1 for k in at if k == i) for i in range(width)]
+
+
+# each bad q1 through both readers of a quadric: the pencil descriptor of
+# pencil disc, with q1 = x0 x1 in 2 variables, and the candidate of ulrich
+# verify, the Q golden in 5; the messages and exit codes are the ones the
+# Poly route gave.  'out' marks the output of the unchanged input
+@pytest.mark.parametrize("change, pencil, candidate", [
+    (lambda w: [[unit_exponent(w, 0), 5, 1]], (2, "", REFUSE), (1, NOT_QUADRATIC, "")),
+    (lambda w: [[unit_exponent(w, 0, 0, 1), 5, 1]], (2, "", REFUSE), (1, NOT_QUADRATIC, "")),
+    (lambda w: [[unit_exponent(w, 0, 0) + [0], 5, 1]],
+     (2, "", "error: pencil descriptor key 'q1': exponent (2, 0, 0) does not match variables "
+             "('x0', 'x1')\n"),
+     (2, "", "error: candidate key 'q1': exponent (2, 0, 0, 0, 0, 0) does not match variables "
+             "('z0', 'z1', 'z2', 'z3', 'z4')\n")),
+    (lambda w: [[[3, -1] + [0] * (w - 2), 5, 1]],
+     (2, "", "error: pencil descriptor key 'q1': polynomial term [[3, -1], 5, 1] has a negative "
+             "exponent\n"),
+     (2, "", "error: candidate key 'q1': polynomial term [[3, -1, 0, 0, 0], 5, 1] has a negative "
+             "exponent\n")),
+    # duplicates that cancel are dropped before their width is judged
+    (lambda w: [[unit_exponent(w, 0) + [1], 5, 1], [unit_exponent(w, 0) + [1], -5, 1]],
+     "out", "out"),
+], ids=["degree 1", "degree 3", "width", "negative exponent", "cancelling duplicates"])
+def test_bad_quadric_terms_through_both_readers(tmp_path, capsys, change, pencil, candidate):
+    descriptor = {"vars": 2, "q1": [[[1, 1], 1, 1]], "q2": [[[2, 0], 1, 1], [[0, 2], -1, 1]]}
+    with open(os.path.join(GOLDEN, "ulrich_for_roots_q.json")) as fh:
+        stored = json.load(fh)
+    for argv, data, want in ((["pencil", "disc"], descriptor, pencil),
+                             (["ulrich", "verify"], stored, candidate)):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(data))
+        if want == "out":
+            want = run(capsys, *argv, str(path))
+            assert want[0] == 0
+        bad = copy.deepcopy(data)
+        bad["q1"] += change(len(data["q1"][0][0]))
+        path.write_text(json.dumps(bad))
+        assert run(capsys, *argv, str(path)) == want, argv
+
+
+@pytest.mark.parametrize("argv", [["pencil", "disc"], ["ulrich", "verify"]])
+def test_quadric_of_cancelling_terms_is_zero(tmp_path, capsys, argv):
+    # q1 of one term and its negative: the pencil refuses the zero quadric, and
+    # a candidate reads S1 = 0, which fails the certificate A @ C1 = q1 id
+    if argv[0] == "pencil":
+        data = {"vars": 2, "q1": [], "q2": [[[2, 0], 1, 1]]}
+        want = (2, "", REFUSE)
+    else:
+        with open(os.path.join(GOLDEN, "ulrich_for_roots_q.json")) as fh:
+            data = json.load(fh)
+        want = (1, "verification failed: candidate certificates failed: "
+                   "A @ C != q1 * id at entry (0, 0)\n", "")
+    term = data["q2"][0]
+    data["q1"] = [term, [term[0], -term[1], term[2]]]
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, *argv, str(path)) == want
+
+
+@pytest.mark.parametrize("q1, q2", [
+    ([], []),
+    ([[[2] + [0] * 7999, 1, 1]], [[[3] + [0] * 7999, 1, 1]]),
+], ids=["zero", "degree 3"])
+def test_wide_pencil_quadric_is_refused_before_its_gram_matrix(tmp_path, capsys, q1, q2):
+    # both quadrics are judged on their terms before a Gram matrix is
+    # allocated: an 8000 x 8000 one would take some 500 MB
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"vars": 8000, "q1": q1, "q2": q2}))
+    tracemalloc.start()
+    try:
+        code = cli.main(["pencil", "disc", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, *capsys.readouterr()) == (2, "", REFUSE)
+    assert peak < 16 * 2**20, peak
 
 def test_grouplaw_suite_g1(capsys):
     code, out, _ = run(capsys, "suite", "grouplaw", "--g", "1")

@@ -8,15 +8,21 @@ import pytest
 
 from ulrichmf import binary, knorrer, linalg, polymatrix
 from ulrichmf.fields import NotASquare, QQ, PrimeField
-from ulrichmf.pencil import QuadricPencil, bilinear_matrix, simultaneous_diagonalize
+from ulrichmf.pencil import QuadricPencil, simultaneous_diagonalize
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import MatrixError, PolyMatrix, substitute_tensors
 
-from tests.poly_reference import determinant, divexact, linear_tensor
+from tests.poly_reference import (bilinear_matrix, determinant, divexact, doubled_form,
+                                  linear_tensor, pencil_from_quadrics, quadric)
 from tests.scalars import assert_field_scalar
 from tests.test_polymatrix import substitute_reference
 
 F = PrimeField(10009)
+
+
+def quadrics(cand):
+    """A candidate's q1 and q2 as Polys, written from its pencil by the reference."""
+    return quadric(cand.pencil, 1), quadric(cand.pencil, 2)
 
 
 def linear_images(field, m, variables, new_variables) -> dict:
@@ -417,7 +423,7 @@ def test_build_candidate_diagonal():
         expect = expect + Poly.variable(F, names, f"x{i}") * Poly.variable(
             F, names, f"y{i}"
         ).scale(F.neg(F.of(a)))
-    assert cand.q2 == expect
+    assert quadric(cand.pencil, 2) == expect
 
 
 def test_build_candidate_rejects_small_n():
@@ -471,9 +477,22 @@ def test_jacobian_check_fails_on_proportional_quadrics(field):
     b1 = cand.pencil.b1
     cand.pencil = QuadricPencil(field, b1, [[field.mul(3, c) for c in row] for row in b1],
                                 cand.variables)
-    assert cand.q2 == cand.q1.scale(3)
+    assert quadric(cand.pencil, 2) == quadric(cand.pencil, 1).scale(3)
     assert knorrer.jacobian_check(cand, seed=5) == (
         False, "all 2x2 Jacobian minors vanish at a sampled smooth point")
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+def test_jacobian_check_samples_only_points_of_both_quadrics(field):
+    # negative control of the point test: the sampler draws points of V(q1, q2)
+    # for the diagonal q2, and x0 y0 in q2's Gram matrix moves q2 off every one
+    lam = knorrer.diagonal_lambda(field, [field.of(d) for d in (1, 2, 3)])
+    cand = knorrer.build_candidate(field, 2, lam)
+    assert knorrer.jacobian_check(cand, seed=5)[0]
+    b2 = [list(row) for row in cand.pencil.b2]
+    b2[0][1] = b2[1][0] = field.add(b2[0][1], field.one)
+    cand.pencil = QuadricPencil(field, cand.pencil.b1, b2, cand.variables)
+    assert knorrer.jacobian_check(cand, seed=5) == (False, "could only sample 0 of 5 points")
 
 
 def elementary_symmetric(field, values, k: int):
@@ -772,9 +791,10 @@ def test_one_changed_coefficient_fails_the_certificates(field, attr):
         b = grams[attr]
         b[0][1] = b[1][0] = field.add(b[0][1], field.inv(field.of(2)))
         z0, z1 = (Poly.variable(field, cand.variables, v) for v in ("z0", "z1"))
-        want = getattr(cand, attr) + z0 * z1
+        which = int(attr[1])
+        want = quadric(cand.pencil, which) + z0 * z1
         cand.pencil = QuadricPencil(field, grams["q1"], grams["q2"], cand.variables)
-        assert getattr(cand, attr) == want
+        assert quadric(cand.pencil, which) == want
     else:
         t = getattr(cand, attr)
         setattr(cand, attr, plus_one(field, t, tuple(rng.randrange(n) for n in t.shape)))
@@ -786,7 +806,7 @@ def test_one_changed_coefficient_fails_the_certificates(field, attr):
     if where is not None:
         assert detail == f"A @ B' != 0 at entry {where}"
         return
-    for q, cert, name in ((cand.q1, cand.cert1, "q1"), (cand.q2, cand.cert2, "q2")):
+    for q, cert, name in zip(quadrics(cand), (cand.cert1, cand.cert2), ("q1", "q2")):
         want = PolyMatrix.scalar_matrix(field, names, q, 4)
         where = (a @ as_polymatrix(field, names, cert)).first_mismatch(want)
         if where is not None:
@@ -848,10 +868,10 @@ def test_tensor_certificates_match_polymatrix(field, block_entries, monkeypatch)
     for _ in range(12):
         which = rng.choice(["second_map", "cert1", "cert2"])
         t = getattr(cand, which)
-        q = {"second_map": None, "cert1": cand.q1, "cert2": cand.q2}[which]
+        q = dict(zip(["second_map", "cert1", "cert2"], [None, *quadrics(cand)]))[which]
         at = tuple(rng.randrange(n) for n in t.shape)
         cases.append((cand.presentation, plus_one(field, t, at), q))
-    cases.append((cand.presentation, cand.cert1, cand.q1))
+    cases.append((cand.presentation, cand.cert1, quadric(cand.pencil, 1)))
     cases.append((cand.presentation, cand.second_map, None))
     for a, b, q in cases:
         variables = names if a.shape[0] == 4 else names5
@@ -947,7 +967,7 @@ def four_degree_reference(cand, m):
     a = as_polymatrix(field, cand.variables, cand.presentation)
     a = substitute_reference(a, images, uv)
     gens = [list(a.column(j)) for j in range(a.ncols)]
-    for q in (cand.q1, cand.q2):
+    for q in quadrics(cand):
         for i in range(r):
             vec = [Poly.zero(field, uv)] * r
             vec[i] = q.substitute(images, uv)
@@ -1110,7 +1130,7 @@ def test_candidate_json_round_trip():
     back = knorrer.UlrichCandidate.from_json(data)
     for attr in ("presentation", "second_map", "cert1", "cert2"):
         assert np.array_equal(getattr(back, attr), getattr(cand, attr)), attr
-    assert back.q1 == cand.q1 and back.q2 == cand.q2
+    assert quadrics(back) == quadrics(cand)
     assert back.to_json() == data
     assert back.dvals == cand.dvals
 
@@ -1254,7 +1274,7 @@ def test_linear_images_match_substitution_reference(field):
     assert linear_images(field, list(zip(*g)), names, names) == images
     cand = knorrer.build_candidate(field, 2, lam)
     phi, _, q1 = polymatrix_pair(field, 2)
-    assert cand.q2 == q1.substitute(images, names)
+    assert quadric(cand.pencil, 2) == q1.substitute(images, names)
     assert as_polymatrix(field, names, cand.presentation) == (
         hstack(phi, substitute_reference(phi, images, names)))
 
@@ -1292,14 +1312,12 @@ def test_restriction_images_match_reference(field):
 @pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
 def test_gradient_is_twice_bilinear_matrix(field):
     # jacobian_check's gradients are the rows of the doubled form
-    from ulrichmf.pencil import bilinear_matrix
-
     rng = random.Random(41)
     for nvars in range(1, 7):
         names = tuple(f"x{i}" for i in range(nvars))
         for _ in range(4):
             q = random_quadric(field, names, rng)
-            twice, other = polymatrix.doubled_form(q)
+            twice, other = doubled_form(q)
             assert not other
             assert twice == [[field.add(c, c) for c in row] for row in bilinear_matrix(q)]
             # jacobian_check reads the gradient at x as the product 2 S x
@@ -1343,7 +1361,7 @@ def test_hilbert_specializations_keep_draw_order(field, monkeypatch):
     real = knorrer._resultant
 
     def spy(f, pencil):
-        seen.append([pencil.quadric(1), pencil.quadric(2)])
+        seen.append([quadric(pencil, 1), quadric(pencil, 2)])
         return real(f, pencil)
 
     monkeypatch.setattr(knorrer, "_resultant", spy)
@@ -1361,7 +1379,7 @@ def test_hilbert_specializations_keep_draw_order(field, monkeypatch):
             )
         images[cand.variables[-2]] = u
         images[cand.variables[-1]] = v
-        assert gens == [cand.q1.substitute(images, uv), cand.q2.substitute(images, uv)]
+        assert gens == [q.substitute(images, uv) for q in quadrics(cand)]
 
 
 FIELDS = [F, PrimeField(2**61 - 1), QQ]
@@ -1421,7 +1439,7 @@ def test_candidate_json_is_the_polymatrix_json(field):
     for key, t in zip(knorrer.MATRIX_KEYS, tensors):
         want = polymatrix.tensor_matrix(field, cand.variables, t).to_json()
         assert json.dumps(data[key]) == json.dumps(want)
-    assert (data["q1"], data["q2"]) == (cand.q1.to_json(), cand.q2.to_json())
+    assert [data["q1"], data["q2"]] == [q.to_json() for q in quadrics(cand)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -1435,10 +1453,10 @@ def test_congruence_quadrics_match_substitution(field):
             q1, q2 = wide_quadric(field, names, rng), wide_quadric(field, names, rng)
             m = [[wide_scalar(field, rng, 0.3) for _ in new] for _ in names]
             images = linear_images(field, m, names, new)
-            conj = QuadricPencil.from_quadrics(q1, q2).congruence(m, new)
+            conj = pencil_from_quadrics(q1, q2).congruence(m, new)
             assert conj.variables == new and conj.dim == width
-            assert conj.quadric(1) == q1.substitute(images, new)
-            assert conj.quadric(2) == q2.substitute(images, new)
+            assert quadric(conj, 1) == q1.substitute(images, new)
+            assert quadric(conj, 2) == q2.substitute(images, new)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -1447,7 +1465,7 @@ def test_candidates_keep_the_pencil_of_their_quadrics(field):
     for cand in (knorrer.build_candidate(field, 2, lam), restricted_candidate(field),
                  knorrer.ulrich_for_roots(field, [1, 4, 9, 16, 2, 3], seed=1)):
         kept = cand.pencil
-        fresh = QuadricPencil.from_quadrics(cand.q1, cand.q2)
+        fresh = pencil_from_quadrics(*quadrics(cand))
         assert (kept.b1, kept.b2, kept.variables) == (fresh.b1, fresh.b2, cand.variables)
         for x in (x for b in (kept.b1, kept.b2) for row in b for x in row):
             assert_field_scalar(field, x)
@@ -1464,11 +1482,11 @@ def test_substituted_quadrics_match_the_polynomial_substitution(field):
     names = tuple(f"z{k}" for k in range(5))
     out = cand._substituted(m, names, cand.provenance)
     images = linear_images(field, m, cand.variables, names)
-    assert out.q1 == cand.q1.substitute(images, names)
-    assert out.q2 == cand.q2.substitute(images, names)
+    assert quadrics(out) == tuple(q.substitute(images, names) for q in quadrics(cand))
     assert out.verify_certificates() == (True, "ok")
     # the source keeps its own pencil
-    assert cand.q1 != out.q1 and cand.q1.vars == cand.variables
+    q1 = quadrics(cand)[0]
+    assert q1 != quadrics(out)[0] and q1.vars == cand.variables
 
 
 @pytest.mark.parametrize("targets", [(1, 4, 9, 2, 3), (1, 4, 9, 16, 2, 3)], ids=["odd", "even"])
@@ -1494,7 +1512,7 @@ def test_hilbert_check_of_a_zero_quadric_finds_no_ring():
     zero = [[F.zero] * len(cand.variables) for _ in cand.variables]
     cand.pencil = QuadricPencil(F, cand.pencil.b1, zero, cand.variables)
     cand.cert2 = np.zeros_like(cand.cert2)
-    assert cand.q2.is_zero()
+    assert quadric(cand.pencil, 2).is_zero()
     assert cand.verify_certificates() == (True, "ok")
     assert knorrer.artinian_hilbert_check(cand, trials=3, seed=3) == (
         False, "trial 0: no Artinian specialization found")
@@ -1515,7 +1533,7 @@ def test_hilbert_check_of_a_zero_quadric_finds_no_ring():
 def gram(field, q):
     """The Gram matrix S of a quadric q = x^T S x, zero for q = 0."""
     half = field.inv(field.of(2))
-    return [[field.mul(c, half) for c in row] for row in polymatrix.doubled_form(q)[0]]
+    return [[field.mul(c, half) for c in row] for row in doubled_form(q)[0]]
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), F, PrimeField(2**61 - 1), QQ], ids=str)
@@ -1544,7 +1562,7 @@ def test_resultant_ring_check_agrees_with_degree_three(field):
         else:
             q2 = binary_quadric(field, rng)
         pencil = QuadricPencil(field, gram(field, q1), gram(field, q2), uv)
-        assert (pencil.quadric(1), pencil.quadric(2)) == (q1, q2)
+        assert (quadric(pencil, 1), quadric(pencil, 2)) == (q1, q2)
         resultant = knorrer._resultant(field, pencil)
         assert_field_scalar(field, resultant)
         three = graded.graded_quotient_dims(field, uv, [q1, q2], [3]) == [0]

@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 import re
 from fractions import Fraction
 
@@ -6,9 +8,10 @@ import pytest
 
 from ulrichmf import binary, pencil
 from ulrichmf.fields import QQ, PrimeField
-from ulrichmf.poly import Poly
+from ulrichmf.poly import Poly, PolyError
 
-from tests.poly_reference import matrix_poly, pencil_determinant
+from tests.poly_reference import (bilinear_matrix, matrix_poly, pencil_determinant,
+                                  pencil_from_quadrics, quadric)
 from tests.scalars import assert_field_scalar
 
 
@@ -52,26 +55,26 @@ def diagonal_pencil_matrices(field, n, dvals):
         pairs2.append((tuple(exp), field.neg(d2)))
     q1 = Poly.from_pairs(field, names, pairs1)
     q2 = Poly.from_pairs(field, names, pairs2)
-    return pencil.QuadricPencil.from_quadrics(q1, q2)
+    return pencil_from_quadrics(q1, q2)
 
 
 def test_bilinear_polarization_example():
     q = Poly.from_pairs(QQ, ("x0", "y0"), [((1, 1), 1)])
-    b = pencil.bilinear_matrix(q)
+    b = bilinear_matrix(q)
     assert b == [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]
     assert b == polarization_oracle(q)
 
 
 def test_bilinear_single_square():
     q = Poly.from_pairs(QQ, ("x",), [((2,), 1)])
-    assert pencil.bilinear_matrix(q) == [[Fraction(1)]]
+    assert bilinear_matrix(q) == [[Fraction(1)]]
 
 
 def test_bilinear_matches_polarization_formula():
     field = PrimeField(13)
     names = ("x0", "x1", "y0", "y1")
     q = Poly.from_pairs(field, names, [((1, 0, 1, 0), 1), ((0, 1, 0, 1), 1)])
-    assert pencil.bilinear_matrix(q) == polarization_oracle(q)
+    assert bilinear_matrix(q) == polarization_oracle(q)
 
 
 def test_bilinear_rejects_non_quadratic():
@@ -79,13 +82,13 @@ def test_bilinear_rejects_non_quadratic():
     for q in (x, x * x + x, x * x * x, Poly.zero(QQ, ("x",))):
         with pytest.raises(pencil.PencilError,
                            match="^bilinear_matrix needs a nonzero homogeneous quadratic$"):
-            pencil.bilinear_matrix(q)
+            bilinear_matrix(q)
 
 
 def test_discriminant_two_squares():
     q1 = Poly.from_pairs(QQ, ("x", "y"), [((2, 0), 1), ((0, 2), 1)])
     q2 = Poly.from_pairs(QQ, ("x", "y"), [((2, 0), 1), ((0, 2), -1)])
-    p = pencil.QuadricPencil.from_quadrics(q1, q2)
+    p = pencil_from_quadrics(q1, q2)
     disc = p.discriminant()
     expect = binary.normalize(
         binary.linear_form(QQ, 1, 1) * binary.linear_form(QQ, 1, -1)
@@ -309,7 +312,7 @@ def test_diagonalize_f13_example():
     # q1 = 2xy, q2 = x^2 - y^2: split pencil over F_13
     q1 = Poly.from_pairs(field, ("x", "y"), [((1, 1), 2)])
     q2 = Poly.from_pairs(field, ("x", "y"), [((2, 0), 1), ((0, 2), -1)])
-    p = pencil.QuadricPencil.from_quadrics(q1, q2)
+    p = pencil_from_quadrics(q1, q2)
     diag = pencil.simultaneous_diagonalize(p)
     assert len(diag.factors) == 2
     assert not pencil._proportional(field, diag.factors[0], diag.factors[1])
@@ -337,7 +340,7 @@ def test_verify_diagonalization_rejects_perturbed_basis():
     field = PrimeField(13)
     q1 = Poly.from_pairs(field, ("x", "y"), [((1, 1), 2)])
     q2 = Poly.from_pairs(field, ("x", "y"), [((2, 0), 1), ((0, 2), -1)])
-    p = pencil.QuadricPencil.from_quadrics(q1, q2)
+    p = pencil_from_quadrics(q1, q2)
     diag = pencil.simultaneous_diagonalize(p)
     good = [row[:] for row in diag.basis]
     assert gram_mismatch(field, p, diag) is None
@@ -361,7 +364,7 @@ def test_diagonalize_checks_the_congruence_it_read(monkeypatch):
     field = PrimeField(13)
     q1 = Poly.from_pairs(field, ("x", "y"), [((1, 1), 2)])
     q2 = Poly.from_pairs(field, ("x", "y"), [((2, 0), 1), ((0, 2), -1)])
-    p = pencil.QuadricPencil.from_quadrics(q1, q2)
+    p = pencil_from_quadrics(q1, q2)
     real = pencil.QuadricPencil.congruence
     calls = []
 
@@ -517,10 +520,69 @@ def test_subset_product_matches_the_poly_product_chain(field):
 def test_quadric_round_trip():
     field = PrimeField(13)
     p = diagonal_pencil_matrices(field, 1, [1, 2])
-    q1 = p.quadric(1)
-    assert pencil.bilinear_matrix(q1) == p.b1
-    q2 = p.quadric(2)
-    assert pencil.bilinear_matrix(q2) == p.b2
+    for which, b in ((1, p.b1), (2, p.b2)):
+        assert bilinear_matrix(quadric(p, which)) == b
+        data = pencil.quadric_json(field, b)
+        assert data == quadric(p, which).to_json()
+        assert pencil.gram_matrix(field, p.dim, pencil.quadric_terms(field, p.variables, data)) == b
+
+
+CODEC_FIELDS = [PrimeField(3), PrimeField(10009), PrimeField(2**61 - 1), QQ]
+
+
+def random_gram(field, rng, dim, zero_share):
+    """A random symmetric dim x dim scalar matrix, about zero_share of it zero:
+    residues spread over F_p, and signed fractions over Q."""
+    s = [[field.zero] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.random() >= zero_share:
+                c = (Fraction(rng.randrange(-99, 100), rng.randrange(1, 10)) if field is QQ
+                     else rng.randrange(field.p))
+                s[i][j] = s[j][i] = field.of(c)
+    return s
+
+
+@pytest.mark.parametrize("field", CODEC_FIELDS, ids=str)
+def test_quadric_codec_matches_the_poly_route(field):
+    # the writer against Poly.to_json of the quadric's Poly, byte for byte, and
+    # the reader against the Poly reader with 2 S halved; S = 0 included
+    rng = random.Random(f"quadric codec {field.name}")
+    for trial in range(200):
+        dim = rng.randrange(1, 9)
+        s = random_gram(field, rng, dim, (0.0, 0.5, 0.9, 1.0)[trial % 4])
+        names = tuple(f"x{i}" for i in range(dim))
+        poly = quadric(pencil.QuadricPencil(field, s, s, names), 1)
+        data = pencil.quadric_json(field, s)
+        assert json.dumps(data) == json.dumps(poly.to_json())
+        terms = pencil.quadric_terms(field, names, json.loads(json.dumps(data)))
+        read = pencil.gram_matrix(field, dim, terms)
+        assert read == s
+        for c in (c for row in read for c in row):
+            assert_field_scalar(field, c)
+        if poly.is_zero():
+            assert data == [] and terms == {}
+        else:
+            assert bilinear_matrix(Poly.from_json(field, names, data)) == read
+
+
+@pytest.mark.parametrize("field", CODEC_FIELDS, ids=str)
+def test_quadric_reader_judges_the_terms(field):
+    # a term of another degree gives None, a malformed term the Poly reader's
+    # error, and terms that cancel are dropped before their width is judged
+    names = ("x0", "x1")
+    for data in ([[[1, 0], 1, 1]], [[[2, 1], 1, 1]], [[[0, 0], 1, 1]],
+                 [[[2, 0], 1, 1], [[0, 1], 1, 1]]):
+        assert pencil.quadric_terms(field, names, data) is None
+    for data, message in (([[[2, 0, 0], 1, 1]], "does not match variables"),
+                          ([[[3, -1], 1, 1]], "has a negative exponent"),
+                          (5, "must be a list of terms")):
+        with pytest.raises(PolyError, match=message):
+            pencil.quadric_terms(field, names, data)
+    cancel = [[[1, 1, 0], 1, 1], [[1, 1, 0], -1, 1]]
+    assert pencil.quadric_terms(field, names, cancel) == {}
+    terms = pencil.quadric_terms(field, names, [[[1, 1], 3, 1], [[1, 1], 1, 1]] + cancel)
+    assert pencil.gram_matrix(field, 2, terms) == [[0, 2], [2, 0]]
 
 
 # -- discriminants read off diagonalizations ---------------------------------
