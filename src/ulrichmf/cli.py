@@ -17,6 +17,7 @@ import os
 import random
 import re
 import sys
+from collections.abc import Sequence
 from itertools import combinations
 
 from . import __version__, betti, binary, clifford, knorrer, mf
@@ -50,7 +51,8 @@ INPUT_ERRORS = (ValueError, OSError)
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    # payloads are trees built fresh per call, so no cycle check is needed
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def parse_subset(text: str):
@@ -83,6 +85,23 @@ def curve_from_args(field, args) -> HyperellipticData:
     return curve_from_roots(field, range(1, 2 * args.g + 3))
 
 
+class _VariableNames(Sequence):
+    """x0, ..., x(r-1), each name built when it is read: a descriptor's terms
+    are checked against the count r, and only a message or a pencil reads
+    the names."""
+
+    def __init__(self, r: int):
+        self.r = max(r, 0)
+
+    def __len__(self):
+        return self.r
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.r:
+            raise IndexError(i)
+        return f"x{i}"
+
+
 def pencil_from_descriptor(field, data) -> QuadricPencil:
     if not isinstance(data, dict):
         raise ValueError(f"pencil descriptor must be a JSON object, not {type(data).__name__}")
@@ -94,7 +113,7 @@ def pencil_from_descriptor(field, data) -> QuadricPencil:
         raise ValueError(
             f"pencil descriptor key 'vars' must be an integer, not {type(r).__name__}"
         )
-    names, quadrics = tuple(f"x{i}" for i in range(r)), []
+    names, quadrics = _VariableNames(r), []
     for key in ("q1", "q2"):
         try:
             quadrics.append(quadric_terms(field, names, data[key]))

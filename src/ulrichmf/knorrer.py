@@ -23,8 +23,10 @@ tensors.  A candidate holds q1 and q2 once, as the Gram matrices of its
 pencil: the certificates compare A C_l with 2 S_l id, and a change of
 variables is the congruence M^T S M of ``QuadricPencil.congruence``.  Each
 pipeline changes the variables of its ambient presentation once, unchecked,
-and verifies the candidate it emits; the even pipeline reads the emitted
-pencil off its diagonalization.  q1 and q2 go to JSON and back as Gram
+and verifies the candidate it emits.  Both diagonalize the restricted pencil
+by the closed-form basis of ``hyperbolic_restriction_basis``, certified by
+the congruence, which fills its discriminant; the even pipeline reads the
+emitted pencil off that diagonalization.  q1 and q2 go to JSON and back as Gram
 matrices (``pencil.quadric_json``, ``pencil.quadric_terms``), the Jacobian
 check reads q_l(x) off the gradient 2 S_l x, and only a failing Hilbert
 transcript builds them as polynomials, binary ones in two variables.  The
@@ -46,8 +48,8 @@ import numpy as np
 
 from . import binary, graded, linalg
 from .fields import Field, NotASquare, PrimeField, field_from_name
-from .pencil import (QuadricPencil, congruent, gram_matrix, quadric_json, quadric_terms,
-                     simultaneous_diagonalize, smoothness_check)
+from .pencil import (QuadricPencil, congruent, gram_matrix, hyperbolic_restriction_basis,
+                     quadric_json, quadric_terms, simultaneous_diagonalize, smoothness_check)
 from .poly import Poly, PolyError
 from .polymatrix import (NotLinearError, substitute_tensors, tensor_from_json, tensor_json,
                          tensor_matrix, tensor_mismatch)
@@ -535,18 +537,20 @@ def ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed: int = 0) -> 
     along with the complex certificates, smoothness, and the Artinian
     Hilbert-function certificate.
     """
-    ambient, r = _odd_restriction(field, a_targets, c_targets)
-    z_names = tuple(f"z{k}" for k in range(len(r[0])))
-    candidate = ambient._substituted(r, z_names, f"ulrich_for_roots_odd_ambient(n={ambient.n})")
+    ambient, r, diag = _odd_restriction(field, a_targets, c_targets)
+    candidate = ambient._substituted(r, diag.pencil.variables,
+                                     f"ulrich_for_roots_odd_ambient(n={ambient.n})", diag.pencil)
     _verify_restricted(candidate, [*a_targets, *c_targets], seed)
     return candidate
 
 
 def _odd_restriction(field, a_targets, c_targets):
-    """The ambient presentation of the odd-ambient pipeline, unchecked, and its
-    restriction matrix R: in the 2n+1 coordinates z of x = R z its pencil's
-    discriminant roots are the targets.  Only the candidate a pipeline emits
-    from it is verified."""
+    """The ambient presentation of the odd-ambient pipeline, unchecked, its
+    restriction matrix R, and the diagonalization of its pencil in the 2n+1
+    coordinates z of x = R z from the targets, its discriminant roots, by the
+    closed-form basis of ``hyperbolic_restriction_basis``: certified, so the
+    restricted pencil's discriminant and roots are filled.  Only the
+    candidate a pipeline emits from the presentation is verified."""
     n = len(a_targets) - 1
     if n < 2:
         raise UlrichError("need n >= 2 (at least 3 chart roots)")
@@ -566,7 +570,11 @@ def _odd_restriction(field, a_targets, c_targets):
     # chart machinery runs on negated values: ell_i = s + (-a_i) t has root a_i
     neg_a = [field.neg(v) for v in a_targets]
     neg_c = [field.neg(v) for v in c_targets]
-    return ambient, restriction_matrix(field, solve_b_for_roots(field, neg_a, neg_c))
+    r = restriction_matrix(field, solve_b_for_roots(field, neg_a, neg_c))
+    restricted = ambient.pencil.congruence(r, tuple(f"z{k}" for k in range(2 * n + 1)))
+    targets = a_targets + c_targets
+    basis = hyperbolic_restriction_basis(field, a_targets, r[-1], targets)
+    return ambient, r, simultaneous_diagonalize(restricted, targets, basis)
 
 
 def _verify_restricted(candidate: UlrichCandidate, targets, seed) -> None:
@@ -664,11 +672,9 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
         )
     a_targets = squares[: n + 1]
     c_targets = squares[n + 1 :] + non_squares
-    # simultaneous_diagonalize checks the restriction's pencil from its claimed
-    # roots, and the emitted pencil is diagonal, so neither discriminant is
-    # interpolated
-    ambient, r = _odd_restriction(field, a_targets, c_targets)
-    diag = simultaneous_diagonalize(ambient.pencil.congruence(r), a_targets + c_targets)
+    # the restriction's pencil is diagonalized from its claimed roots, and the
+    # emitted pencil is diagonal, so neither discriminant is interpolated
+    ambient, r, diag = _odd_restriction(field, a_targets, c_targets)
     # factor i is a_i s + b_i t = a_i (s - lam_i t), a_i != 0, for a claimed root
     # lam_i; the fresh root's coordinate is the one set to zero
     pairs = [(f.coefficient((1, 0)), f.coefficient((0, 1))) for f in diag.factors]

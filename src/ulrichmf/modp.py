@@ -6,7 +6,8 @@ over F_p, computed here by Python loops over pivots with vectorized row
 updates: the Gauss-Jordan loop of :func:`rref`, one broadcast update of
 every row per pivot, and the forward-only loop of :func:`echelon`, which
 updates only the rows below a pivot that have a nonzero entry under it (on
-large sparse matrices that mask saves more than it costs).  Both take a 2-d
+large sparse matrices that mask saves more than it costs), and updates them
+in place, as :func:`rref` does, when every row below has one.  Both take a 2-d
 array, or anything ``np.asarray`` makes one of.  Rank, kernel, solve and
 determinant are read off these two forms once for every field, in
 :mod:`ulrichmf.linalg`.
@@ -90,8 +91,14 @@ def echelon(a: np.ndarray, p: int):
         below = m[r + 1 :, c:]
         hit = np.nonzero(below[:, 0])[0]
         if hit.size:
-            factors = below[hit, 0] * pow(int(m[r, c]), p - 2, p) % p
-            below[hit] = (below[hit] - np.outer(factors, m[r, c:])) % p
+            inv = pow(int(m[r, c]), p - 2, p)
+            if hit.size == len(below):
+                # every row below is hit: one broadcast update in place, as in rref
+                below -= below[:, :1] * (m[r, c:] * inv % p)
+                below %= p
+            else:
+                factors = below[hit, 0] * inv % p
+                below[hit] = (below[hit] - np.outer(factors, m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, pivots, swaps

@@ -289,7 +289,7 @@ class HyperellipticData(Diagonalization):
         return frozenset(range(1, self.nbranch + 1)) - frozenset(indices)
 
 
-def simultaneous_diagonalize(pencil: QuadricPencil, roots=None) -> Diagonalization:
+def simultaneous_diagonalize(pencil: QuadricPencil, roots=None, basis=None) -> Diagonalization:
     """Diagonalize both quadrics at once.
 
     Requires the discriminant to be squarefree and fully split over the base
@@ -297,10 +297,14 @@ def simultaneous_diagonalize(pencil: QuadricPencil, roots=None) -> Diagonalizati
     forces B1 to be invertible: det B1 is the coefficient of s^r.)  No square
     roots are taken, so the diagonal entries need not be monic.
 
-    With claimed roots, exactly dim distinct scalars, the discriminant is not
-    split.  Each factor must read a_i (s - lam_i t) with a_i != 0, and the
-    rank of the basis M proves det M != 0; then det(s B1 + t B2) =
-    det(M)^-2 prod f_i, which fills the pencil's discriminant and roots.
+    The basis M is claimed, or else column i is the kernel of lam_i B1 + B2
+    for the i-th root lam_i; a claimed M is certified like a found one.
+
+    With claimed roots, exactly dim distinct scalars in ``binary.root_sort_key``
+    order, the discriminant is not split.  Each factor must read
+    a_i (s - lam_i t) with a_i != 0; M^T B1 M = diag(a_i) then gives
+    det(M)^2 det B1 = prod a_i != 0, so det(s B1 + t B2) = det(M)^-2 prod f_i,
+    which fills the pencil's discriminant and roots.
     """
     field = pencil.field
     if roots is None:
@@ -318,16 +322,19 @@ def simultaneous_diagonalize(pencil: QuadricPencil, roots=None) -> Diagonalizati
         if len(found) != len(roots) or len(found) != pencil.dim:
             raise PencilError(f"need {pencil.dim} distinct claimed roots, got "
                               f"{len(found)} distinct of {len(roots)}")
-    basis_cols = []
-    for lam_root in found:
-        # -lam is the eigenvalue of B1^-1 B2 attached to the factor (s - lam*t);
-        # B1 is invertible, so its eigenvectors are the kernel of lam*B1 + B2
-        ns = linalg.nullspace(field, pencil.at(lam_root), pencil.dim)
-        if len(ns) != 1:
-            raise PencilError(f"lam*B1 + B2 has a {len(ns)}-dimensional kernel at lam = "
-                              f"{lam_root}, not 1")
-        basis_cols.append(ns[0])
-    basis = [[basis_cols[j][i] for j in range(pencil.dim)] for i in range(pencil.dim)]
+    if basis is None:
+        basis_cols = []
+        for lam_root in found:
+            # -lam is the eigenvalue of B1^-1 B2 attached to the factor (s - lam*t);
+            # B1 is invertible, so its eigenvectors are the kernel of lam*B1 + B2
+            ns = linalg.nullspace(field, pencil.at(lam_root), pencil.dim)
+            if len(ns) != 1:
+                raise PencilError(f"lam*B1 + B2 has a {len(ns)}-dimensional kernel at lam = "
+                                  f"{lam_root}, not 1")
+            basis_cols.append(ns[0])
+        basis = [[basis_cols[j][i] for j in range(pencil.dim)] for i in range(pencil.dim)]
+    elif len(basis) != pencil.dim or any(len(row) != pencil.dim for row in basis):
+        raise PencilError(f"a claimed basis must be {pencil.dim} x {pencil.dim}")
     # f_i = v_i^T (s B1 + t B2) v_i, the diagonal of the congruent pencil
     conj = pencil.congruence(basis)
     pairs = [(conj.b1[i][i], conj.b2[i][i]) for i in range(conj.dim)]
@@ -348,11 +355,44 @@ def simultaneous_diagonalize(pencil: QuadricPencil, roots=None) -> Diagonalizati
     for i, (lam, (a, b)) in enumerate(zip(found, pairs)):
         if field.is_zero(a) or b != field.neg(field.mul(lam, a)):
             raise PencilError(f"claimed root {lam} is not the root of factor {i + 1}")
-    if linalg.rank(field, basis, pencil.dim) != pencil.dim:
-        raise PencilError("diagonalizing basis is singular")
     pencil._disc = product
     pencil._roots = ([(lam, 1) for lam in found], 0, True)
     return result
+
+
+def hyperbolic_restriction_basis(field: Field, a, b, roots) -> list:
+    """The eigenbasis, for ``simultaneous_diagonalize``, of the pencil
+    sum_i (s - a_i t) x_i y_i (i = 0..n) restricted by y_n = b . z, in the
+    coordinates z = (x_0..x_n, y_0..y_(n-1)), at its claimed roots: nothing
+    is checked here, the diagonalization certifies it.
+
+    With beta = b[:n+1] and gamma = b[n+1:], the kernel of lam B1 + B2 is
+    e_(x_n) at lam = a_n; gamma_j e_(x_j) - beta_j e_(y_j) at lam = a_j, j < n;
+    and otherwise x_i = -gamma_i / c_i, y_i = -beta_i / c_i (i < n) and
+    x_n = 1 / c_n for c_i = lam - a_i, since (lam B1 + B2) R v must lie in
+    ker R^T = span(-b, 1), and the ambient form at lam swaps x_i and y_i and
+    scales by 2 / c_i in each plane.  Each column is scaled to 1 at its last
+    nonzero entry, as ``linalg.nullspace`` gives a 1-dimensional kernel.
+    """
+    a, n = [field.of(v) for v in a], len(a) - 1
+    beta, gamma = b[: n + 1], b[n + 1 :]
+    cols = []
+    for lam in sorted((field.of(v) for v in roots), key=binary.root_sort_key):
+        v = [field.zero] * (2 * n + 1)
+        if lam == a[n]:
+            v[n] = field.one
+        elif lam in a:
+            j = a.index(lam)
+            v[j], v[n + 1 + j] = gamma[j], field.neg(beta[j])
+        else:
+            for i in range(n):
+                c = field.sub(lam, a[i])
+                v[i] = field.neg(field.div(gamma[i], c))
+                v[n + 1 + i] = field.neg(field.div(beta[i], c))
+            v[n] = field.inv(field.sub(lam, a[n]))
+        last = field.inv(next(x for x in reversed(v) if not field.is_zero(x)))
+        cols.append([field.mul(x, last) for x in v])
+    return [list(row) for row in zip(*cols)]
 
 
 def _check_diagonalization(pencil: QuadricPencil, diag: Diagonalization, conj: QuadricPencil):

@@ -807,6 +807,27 @@ def test_wide_pencil_quadric_is_refused_before_its_gram_matrix(tmp_path, capsys,
     assert (code, *capsys.readouterr()) == (2, "", REFUSE)
     assert peak < 16 * 2**20, peak
 
+
+@pytest.mark.parametrize("q1, message", [
+    ([], REFUSE),
+    ([["a"]], "error: pencil descriptor key 'q1': polynomial term must be [[exponents], "
+              "numerator, nonzero denominator] of integers, not ['a']\n"),
+], ids=["zero", "malformed"])
+def test_huge_vars_is_refused_before_its_names(tmp_path, capsys, q1, message):
+    # the terms are checked against the integer 'vars': its million names, some
+    # 60 MiB, are never built for a refusal that does not print them
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vars": 1000000, "q1": q1, "q2": []}))
+    tracemalloc.start()
+    try:
+        code = cli.main(["pencil", "disc", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, *capsys.readouterr()) == (2, "", message)
+    assert peak < 4 * 2**20, peak
+
+
 def test_grouplaw_suite_g1(capsys):
     code, out, _ = run(capsys, "suite", "grouplaw", "--g", "1")
     assert code == 0
@@ -1152,10 +1173,10 @@ def test_pencil_matches_golden(capsys, pencil, action, fmt):
 
 @pytest.mark.parametrize("roots, splits, determinants", [
     # each discriminant is checked against the product of its known roots,
-    # so no pencil splits one; the even-ambient pipeline reads both of its
-    # discriminants off diagonalizations, the odd restriction's from its
-    # claimed roots and the emitted diagonal pencil's from its diagonal
-    ("1,4,9,2,3", 0, 1),
+    # so no pencil splits one, and none is interpolated: both pipelines read
+    # the odd restriction's off its diagonalization from claimed roots, and
+    # the even-ambient pipeline the emitted diagonal pencil's off its diagonal
+    ("1,4,9,2,3", 0, 0),
     ("1,4,9,16,2,3", 0, 0),
 ])
 def test_for_roots_splits_each_discriminant_once(capsys, monkeypatch, roots, splits,

@@ -1005,9 +1005,9 @@ def test_emitted_candidate_catches_a_corrupted_ambient(monkeypatch):
     real = knorrer._odd_restriction
 
     def corrupted(*args):
-        ambient, r = real(*args)
+        ambient, r, diag = real(*args)
         ambient.cert1 = plus_one(ambient.field, ambient.cert1, (0, 5, 2))  # + x0 at (5, 2)
-        return ambient, r
+        return ambient, r, diag
 
     monkeypatch.setattr(knorrer, "_odd_restriction", corrupted)
     with pytest.raises(knorrer.UlrichError, match=r"^candidate certificates failed: "
@@ -1067,6 +1067,68 @@ def test_even_pipeline_classifies_each_pool_value_once(monkeypatch):
     assert sorted(seen) == sorted(F.of(t) for t in (1, 4, 9, 16, 2, 3, fresh))
 
 
+Q_FRACTIONS = (Fraction(1, 4), Fraction(9, 4), Fraction(4, 9), 2, Fraction(2, 3), 5, 7,
+               Fraction(1, 3))
+SQUARES, OTHERS = (1, 4, 9, 16, 25, 36), (2, 3, 5, 6, 7, 8)
+# genus g = 1..4 on both pipelines: 2g + 2 targets, or 2n + 1 with n = g + 1
+CLOSED_FORM_CASES = [(PrimeField(7), (1, 2, 4, 3)), (PrimeField(7), (1, 2, 4, 3, 5))] + [
+    (field, SQUARES[: g + 1 + odd] + OTHERS[: g + 1])
+    for field in (F, PrimeField(2**61 - 1), QQ) for g in range(1, 5) for odd in (0, 1)
+] + [(QQ, Q_FRACTIONS[:5]), (QQ, Q_FRACTIONS[:3] + Q_FRACTIONS[5:8])]
+
+
+@pytest.mark.parametrize("field, targets", CLOSED_FORM_CASES,
+                         ids=[f"{field.name}-{','.join(map(str, t))}" for field, t in CLOSED_FORM_CASES])
+def test_closed_form_basis_is_the_nullspace_basis(field, targets, monkeypatch):
+    # both pipelines diagonalize the restricted pencil by the closed-form basis:
+    # it is, entry for entry and scalar type for scalar type, the per-root
+    # nullspace basis of the same pencil
+    seen = []
+
+    def spy(p, roots=None, basis=None):
+        split = simultaneous_diagonalize(QuadricPencil(p.field, p.b1, p.b2), roots).basis
+        assert basis == split
+        assert [type(c) for row in basis for c in row] == [type(c) for row in split for c in row]
+        seen.append(len(basis))
+        return simultaneous_diagonalize(p, roots, basis)
+
+    monkeypatch.setattr(knorrer, "simultaneous_diagonalize", spy)
+    knorrer.ulrich_for_roots(field, targets, seed=3)
+    assert seen == [len(targets) + (len(targets) + 1) % 2]
+
+
+def count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+@pytest.mark.parametrize("targets", [(1, 4, 9, 2, 3), (1, 4, 9, 16, 2, 3)], ids=["odd", "even"])
+def test_pipelines_take_no_nullspace_and_no_determinant(field, targets, monkeypatch):
+    # the restricted pencil's basis is in closed form, and its discriminant is
+    # filled by the diagonalization: nothing is eliminated per root or interpolated
+    calls = count_calls(monkeypatch, linalg, ("nullspace", "det"))
+    knorrer.ulrich_for_roots(field, targets, seed=3)
+    assert calls == {"nullspace": 0, "det": 0}
+
+
+def test_nullspace_spy_sees_the_per_root_path(monkeypatch):
+    # negative control: without the closed form, the 2n + 1 = 7 roots of the
+    # even pipeline's restriction take one nullspace each
+    calls = count_calls(monkeypatch, linalg, ("nullspace", "det"))
+    monkeypatch.setattr(knorrer, "hyperbolic_restriction_basis", lambda *args: None)
+    knorrer.ulrich_for_roots(F, (1, 4, 9, 16, 2, 3), seed=3)
+    assert calls == {"nullspace": 7, "det": 0}
+
+
 @pytest.mark.parametrize("field", [F, PrimeField(2**31 - 1), PrimeField(2**61 - 1), QQ], ids=str)
 def test_one_substitution_matches_the_odd_restriction_then_the_diagonal_basis(field):
     # the even-ambient pipeline substitutes its ambient candidate once, by R M;
@@ -1078,7 +1140,7 @@ def test_one_substitution_matches_the_odd_restriction_then_the_diagonal_basis(fi
     squares = [t for t in pool if knorrer._is_square(field, t)]
     a_targets = squares[:4]
     c_targets = squares[4:] + [t for t in pool if not knorrer._is_square(field, t)]
-    ambient, r = knorrer._odd_restriction(field, a_targets, c_targets)
+    ambient, r, _ = knorrer._odd_restriction(field, a_targets, c_targets)
     odd = ambient._substituted(r, tuple(f"z{k}" for k in range(7)),
                                "ulrich_for_roots_odd_ambient(n=3)")
     knorrer._verify_restricted(odd, a_targets + c_targets, seed=0)

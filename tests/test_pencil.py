@@ -733,18 +733,59 @@ def test_claimed_roots_negative_controls(field, case):
     assert p._disc is None and p._roots is None
 
 
-def test_claimed_roots_need_a_nonsingular_basis(monkeypatch):
-    # the rank of the basis is the proof of det M != 0: a basis it calls
-    # singular is refused, and no discriminant is filled
+def split_basis(p):
+    """The basis the nullspace path finds for p, from a fresh pencil of its
+    Gram matrices, so p's discriminant and roots stay unfilled."""
+    return pencil.simultaneous_diagonalize(pencil.QuadricPencil(p.field, p.b1, p.b2)).basis
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_claimed_roots_need_a_nonsingular_basis(field):
+    # M^T B1 M = diag(a_i) with every a_i != 0 proves det M != 0, so a singular
+    # claimed basis, column 3 the sum of columns 1 and 2, is refused by the
+    # congruence, and no discriminant is filled
     import random
 
-    from ulrichmf import linalg
-
-    field = PrimeField(10009)
     p = diagonalizable(field, random.Random(83), [5, 1, 7, 3])
-    monkeypatch.setattr(linalg, "rank", lambda field, rows, ncols=None: len(rows) - 1)
-    with pytest.raises(pencil.PencilError, match="diagonalizing basis is singular"):
-        pencil.simultaneous_diagonalize(p, [5, 1, 7, 3])
+    basis = [row[:2] + [field.add(row[0], row[1])] + row[3:] for row in split_basis(p)]
+    with pytest.raises(pencil.PencilError, match=re.escape("verification failed at entry (0, 2)")):
+        pencil.simultaneous_diagonalize(p, [5, 1, 7, 3], basis)
+    assert p._disc is None and p._roots is None
+
+
+@pytest.mark.parametrize("case", ["changed entry", "repeated column", "zero column",
+                                  "swapped columns", "not square"])
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_claimed_basis_negative_controls(field, case):
+    # a claimed basis is trusted for nothing: each fault is refused with its
+    # message, and no discriminant is filled
+    import random
+
+    lams = [5, 1, 7, 3]
+    p = diagonalizable(field, random.Random(97), lams)
+    basis = split_basis(p)
+    assert pencil.simultaneous_diagonalize(pencil.QuadricPencil(field, p.b1, p.b2), lams,
+                                           basis).basis == basis
+    message = {
+        "changed entry": "diagonalization verification failed at entry (0, 1)",
+        # the factors are compared before the entries
+        "repeated column": "diagonal factors must be pairwise non-proportional",
+        "zero column": "isotropic eigenvector encountered",
+        "swapped columns": "claimed root 1 is not the root of factor 1",
+        "not square": "a claimed basis must be 4 x 4",
+    }[case]
+    if case == "changed entry":
+        basis[0][0] = field.add(basis[0][0], field.one)
+    elif case == "repeated column":
+        basis = [row[:3] + row[2:3] for row in basis]
+    elif case == "zero column":
+        basis = [[field.zero] + row[1:] for row in basis]
+    elif case == "swapped columns":
+        basis = [row[1:2] + row[:1] + row[2:] for row in basis]
+    else:
+        basis = [row[:3] for row in basis]
+    with pytest.raises(pencil.PencilError, match=re.escape(message)):
+        pencil.simultaneous_diagonalize(p, lams, basis)
     assert p._disc is None and p._roots is None
 
 
