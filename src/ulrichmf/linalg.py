@@ -9,15 +9,15 @@ of that type is handed to them as it is, without a copy.
 
 Over Q each row is scaled by the lcm of its denominators (:func:`_cleared`,
 where an array becomes lists once) and the integer rows are eliminated once,
-fraction-free (Bareiss; its Gauss-Jordan form for the reduced form, see
-:func:`_bareiss`).  Every division there is exact, by Sylvester's identity:
-after k pivots each entry is, up to sign, a minor of the cleared matrix
-(below the pivots the (k+1) x (k+1) minor that borders the k x k pivot minor
-by the entry's row and column, above them the pivot minor with the entry's
-column in place of the row's pivot column), and the identity writes each
-such minor as the update of the step divided by the pivot minor before it.
-So the elimination needs no entry bound, no fallback and no proof
-afterwards.
+fraction-free, on lists (Bareiss; its Gauss-Jordan form for the reduced
+form, see :func:`_bareiss`).  Every division there is exact, by Sylvester's
+identity: after k pivots each entry is, up to sign, a minor of the cleared
+matrix (below the pivots the (k+1) x (k+1) minor that borders the k x k
+pivot minor by the entry's row and column, above them the pivot minor with
+the entry's column in place of the row's pivot column), and the identity
+writes each such minor as the update of the step divided by the pivot minor
+before it.  So the elimination needs no entry bound, no fallback and no
+proof afterwards.
 Rank over Q is full when it is full mod :data:`RANK_PRIME`; otherwise it is
 read off the forward pass.
 
@@ -195,7 +195,7 @@ RANK_PRIME = 2147483647
 def _cleared(rows):
     """(A, s): each row scaled by the lcm of its denominators, as lists of
     Python ints, and s the product of those lcms.  An array of Fractions is
-    turned into lists once, here.
+    turned into lists once, here; a row of ints is taken as it is.
 
     Scaling a row by a nonzero integer keeps the rank and the reduced form,
     and multiplies the determinant by it.
@@ -204,13 +204,12 @@ def _cleared(rows):
         rows = rows.tolist()
     cleared, scale = [], 1
     for row in rows:
-        dens = [x.denominator for x in row]
-        d = math.lcm(*dens)
-        scale *= d
-        if d == 1:
-            cleared.append([x.numerator for x in row])
-        else:
-            cleared.append([x.numerator * (d // e) for x, e in zip(row, dens)])
+        if any(type(x) is not int for x in row):
+            dens = [x.denominator for x in row]
+            d = math.lcm(*dens)
+            scale *= d
+            row = [x.numerator * (d // e) for x, e in zip(row, dens)]
+        cleared.append(row)
     return cleared, scale
 
 
@@ -220,35 +219,44 @@ def _bareiss(rows, ncols, reduce):
     m is an object array of Python ints.  At the pivot piv of row r and
     column c, with prev the pivot before it (1 at the first), each row i
     below r, and with ``reduce`` also each row above it, becomes
-    (piv row_i - m[i, c] row_r) // prev, which clears m[i, c].  Without
-    ``reduce`` m is a row echelon form whose last pivot is, up to the sign of
-    the swaps, the minor of ``rows`` on the pivot rows and columns; with it,
-    every pivot ends equal to the last one, d, and row i is d times row i of
-    the reduced form.
+    (piv row_i - a_ic row_r) // prev.  Without ``reduce`` m is a row echelon
+    form whose last pivot is, up to the sign of the swaps, the minor of
+    ``rows`` on the pivot rows and columns; with it, every pivot ends equal
+    to the last one, d, and row i is d times row i of the reduced form.
+
+    A row is rewritten, as a list, only where a_ic != 0.  Each step it skips
+    would multiply it by piv / prev, and these factors telescope to prev / s,
+    s the pivot of its last rewrite (1 if never); so it becomes
+    (piv row_i - a_ic row_r) // s, the same integers.  Row r is first
+    brought to prev, and with ``reduce`` every row to d at the end.
     """
-    m = np.array(rows, dtype=object).reshape(len(rows), ncols)
+    m, held = list(rows), [1] * len(rows)  # held[i]: the s of row i
     pivots, swaps, prev = [], 0, 1
     for c in range(ncols):
         r = len(pivots)
-        if r == len(m):
-            break
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
+            m[r], m[i], held[r], held[i] = m[i], m[r], held[i], held[r]
             swaps += 1
-        piv = m[r, c]
-        # rows below r and row r are 0 left of c
-        below = m[r + 1 :, c:]
-        below[...] = (piv * below - np.outer(below[:, 0], m[r, c:])) // prev
-        if reduce:
-            above = m[:r]
-            above[...] = (piv * above - np.outer(above[:, c], m[r])) // prev
+        if held[r] != prev:
+            m[r] = [x * prev // held[r] for x in m[r]]
+        held[r] = piv = m[r][c]
+        tail = m[r][c:]
+        for i in range(0 if reduce else r + 1, len(m)):
+            row, s = m[i], held[i]
+            f = row[c]
+            if f and i != r:
+                # rows below r are 0 left of c
+                head = [0] * c if i > r else [piv * x // s for x in row[:c]]
+                m[i] = head + [(piv * x - f * y) // s for x, y in zip(row[c:], tail)]
+                held[i] = piv
         pivots.append(c)
         prev = piv
-    return m, pivots, swaps
+    if reduce:
+        m = [row if s == prev else [x * prev // s for x in row] for row, s in zip(m, held)]
+    return np.array(m, dtype=object).reshape(len(m), ncols), pivots, swaps
 
 
 def rank(field: Field, rows, ncols=None) -> int:

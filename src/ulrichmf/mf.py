@@ -14,7 +14,8 @@ twists are realized by tensoring with the index-{1} line bundle.
 from __future__ import annotations
 
 import copy
-from itertools import combinations
+from collections.abc import Sequence
+from math import comb
 
 from . import graded, linalg
 from .binary import ST, check_binary
@@ -116,7 +117,7 @@ def subset_key(h: HyperellipticData, indices) -> frozenset:
     return key
 
 
-def canonical_classes(h: HyperellipticData, parity=None):
+def canonical_classes(h: HyperellipticData, parity=None) -> Sequence[frozenset]:
     """One name per line bundle L_I = L_(I^c), optionally only those with |I|
     of the given parity: the lex-smaller of I and its complement, which is
     the empty set or the one of the two that holds 1.
@@ -125,20 +126,37 @@ def canonical_classes(h: HyperellipticData, parity=None):
     lexicographic within a size, first meet them.  The complement of I has
     the parity of I, as there are 2g + 2 branch points.  Each I below half
     the size meets a new class, named by I or its complement, whichever
-    holds 1; at half the size only the I that hold 1 do, and past it none.
+    holds 1; at half the size only the I that hold 1, the first half, do,
+    and past it none.  Nothing is listed: item k is unranked when read.
     """
-    n = h.nbranch
-    universe = frozenset(range(1, n + 1))
-    out = [frozenset()] if parity in (None, 0) else []
-    for size in range(1, n // 2 + 1):
-        if parity is not None and size % 2 != parity:
-            continue
-        if 2 * size == n:
-            out.extend(frozenset((1, *rest)) for rest in combinations(range(2, n + 1), size - 1))
-            continue
-        out.extend(frozenset(combo) if combo[0] == 1 else universe - frozenset(combo)
-                   for combo in combinations(range(1, n + 1), size))
-    return out
+    return _Classes(h.nbranch, parity)
+
+
+class _Classes(Sequence):
+    def __init__(self, n, parity):
+        self.n = n
+        # (size, how many classes the subsets of that size first meet)
+        self.sizes = [(k, comb(n, k) // (1 + (2 * k == n))) for k in range(n // 2 + 1)
+                      if parity is None or k % 2 == parity]
+
+    def __len__(self):
+        return sum(count for _, count in self.sizes)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        for size, count in self.sizes:
+            if k < count:
+                break
+            k -= count
+        key, x = set(), 1  # the k-th subset of that size, lexicographic
+        while len(key) < size:
+            after = comb(self.n - x, size - len(key) - 1)  # those that take x next
+            if k < after:
+                key.add(x)
+            else:
+                k -= after
+            x += 1
+        return frozenset(key) if not key or 1 in key else frozenset(range(1, self.n + 1)) - key
 
 
 def line_bundle_mf(h: HyperellipticData, indices) -> MatrixFactorization:

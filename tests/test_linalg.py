@@ -11,13 +11,17 @@ Explicit matrices that once needed several primes, or too many, stay among
 the cases.  On integer matrices the answers over Q and over F_p are checked
 against each other.  ``rank`` over Q, which first tries one prime and
 otherwise takes the forward pass, is checked against that pass, with
-controls whose rank drops mod the prime.
+controls whose rank drops mod the prime.  ``_bareiss``, which rewrites
+only the rows a pivot hits, is checked entry for entry against the
+elimination it replaced, one numpy object-array update of every row per
+pivot (``bareiss_reference``), on sparse integer matrices.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +178,7 @@ def integer_matrices(draw):
 @given(integer_matrices(), st.sampled_from([3, 5, 7, 10009, 2**61 - 1]))
 def test_prime_field_agrees_with_rationals(case, p):
     rows, ncols = case
+    copy = [row[:] for row in rows]
     field = PrimeField(p)
     residues = [[x % p for x in row] for row in rows]
     rank_q = linalg.rank(QQ, rows, ncols)
@@ -189,6 +194,86 @@ def test_prime_field_agrees_with_rationals(case, p):
         w = [int(x * scale) % p for x in v]
         assert all(sum(a * b for a, b in zip(row, w)) % p == 0 for row in rows)
         assert linalg.rank(field, kernel_p + [w], ncols) == len(kernel_p)
+    # rows of ints are eliminated without a copy of their own; none is changed
+    assert rows == copy
+
+
+# -- the lazy fraction-free elimination ------------------------------------------
+
+def bareiss_reference(rows, ncols, reduce):
+    """Fraction-free elimination on a numpy object array, every row updated at
+    every pivot: (piv row_i - m[i, c] row_r) // prev for each row i below the
+    pivot row r, and with ``reduce`` also above it.  Returns (m, pivots, swaps)."""
+    m = np.array(rows, dtype=object).reshape(len(rows), ncols)
+    pivots, swaps, prev = [], 0, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+            swaps += 1
+        piv = m[r, c]
+        # rows below r and row r are 0 left of c
+        below = m[r + 1 :, c:]
+        below[...] = (piv * below - np.outer(below[:, 0], m[r, c:])) // prev
+        if reduce:
+            above = m[:r]
+            above[...] = (piv * above - np.outer(above[:, c], m[r])) // prev
+        pivots.append(c)
+        prev = piv
+    return m, pivots, swaps
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Tall (up to three times as many rows as columns), wide and square
+    integer matrices, empty ones among them, with 50-80% zeros, entries of a
+    few bits or of 40 or 200, some rows combinations of earlier ones, and a
+    zero row or column now and then."""
+    ncols = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(["tall", "wide", "square"]))
+    if shape == "tall":
+        nrows = draw(st.integers(ncols, max(3 * ncols, 3)))
+    else:
+        nrows = draw(st.integers(0, ncols)) if shape == "wide" else ncols
+    bits = draw(st.sampled_from([3, 40, 200]))
+    entries = st.integers(-2**bits, 2**bits)
+    nonzero = draw(st.integers(2, 5))  # tenths of the entries
+    rows = [[draw(entries) if draw(st.integers(0, 9)) < nonzero else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    for i in range(2, nrows):
+        if draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if ncols and draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[c] = 0
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_integer_matrices())
+def test_bareiss_matches_the_object_array_reference(case):
+    rows, ncols = case
+    copy = [row[:] for row in rows]
+    for reduce in (False, True):
+        m, pivots, swaps = linalg._bareiss(rows, ncols, reduce)
+        want, want_pivots, want_swaps = bareiss_reference(rows, ncols, reduce)
+        assert m.dtype == object and m.shape == want.shape
+        assert m.tolist() == want.tolist()
+        assert (pivots, swaps) == (want_pivots, want_swaps)
+        assert rows == copy
+        # _cleared hands on a row of ints as it is, so a tuple can arrive
+        assert linalg._bareiss([tuple(row) for row in rows], ncols, reduce)[0].tolist() == m.tolist()
 
 
 # -- rank over Q through one prime ----------------------------------------------

@@ -125,10 +125,18 @@ def canonical_classes_reference(h, parity=None):
 
 @pytest.mark.parametrize("genus", range(6))
 def test_canonical_classes_match_the_enumeration(genus):
-    # suite grouplaw draws its pairs from this list, so the order matters too
+    # suite grouplaw draws its pairs from this sequence, so the order matters
+    # too, read both by iterating and by unranking each index
     h = curve(genus)
     for parity in (None, 0, 1):
-        assert mf.canonical_classes(h, parity) == canonical_classes_reference(h, parity)
+        classes = mf.canonical_classes(h, parity)
+        want = canonical_classes_reference(h, parity)
+        assert len(classes) == len(want)
+        assert list(classes) == [classes[k] for k in range(len(classes))] == want
+        assert [classes[k] for k in range(-len(want), 0)] == want
+        for k in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                classes[k]
     assert len(mf.canonical_classes(h)) == 2 ** (2 * genus + 1)
 
 
