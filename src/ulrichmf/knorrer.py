@@ -25,13 +25,13 @@ variables is the congruence M^T S M of ``QuadricPencil.congruence``.  Each
 pipeline changes the variables of its ambient presentation once, unchecked,
 and verifies the candidate it emits.  Both diagonalize the restricted pencil
 by the closed-form basis of ``hyperbolic_restriction_basis``, certified by
-the congruence, which fills its discriminant; the even pipeline reads the
-emitted pencil off that diagonalization.  q1 and q2 go to JSON and back as Gram
-matrices (``pencil.quadric_json``, ``pencil.quadric_terms``), the Jacobian
-check reads q_l(x) off the gradient 2 S_l x, and only a failing Hilbert
-transcript builds them as polynomials, binary ones in two variables.  The
-matrices go to JSON and back as tensors (``tensor_json``,
-``tensor_from_json``).
+the congruence, and read off it the emitted pencil's roots, which are
+distinct, so the pencil is smooth; the even pipeline reads the emitted pencil
+itself off it too.  q1 and q2 go to JSON and back as Gram matrices
+(``pencil.quadric_json``, ``pencil.quadric_terms``), the Jacobian check reads
+q_l(x) off the gradient 2 S_l x, and only a failing Hilbert transcript builds
+them as polynomials, binary ones in two variables.  The matrices go to JSON
+and back as tensors (``tensor_json``, ``tensor_from_json``).
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
 discriminant roots are exactly the requested targets.  The ambient diagonal
@@ -48,8 +48,8 @@ import numpy as np
 
 from . import binary, graded, linalg
 from .fields import Field, NotASquare, PrimeField, field_from_name
-from .pencil import (QuadricPencil, congruent, gram_matrix, hyperbolic_restriction_basis,
-                     quadric_json, quadric_terms, simultaneous_diagonalize, smoothness_check)
+from .pencil import (SMOOTH, QuadricPencil, congruent, gram_matrix, hyperbolic_restriction_basis,
+                     quadric_json, quadric_terms, simultaneous_diagonalize)
 from .poly import Poly, PolyError
 from .polymatrix import (NotLinearError, substitute_tensors, tensor_from_json, tensor_json,
                          tensor_matrix, tensor_mismatch)
@@ -335,6 +335,9 @@ class UlrichCandidate(LinearPresentation):
                 "candidate key 'variables' must be a list of variable names, "
                 f"not {type(variables).__name__}"
             )
+        repeated = next((v for i, v in enumerate(variables) if v in variables[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"candidate key 'variables' repeats the name {repeated!r}")
         n, dvals = data["n"], data.get("d_values")
         if type(n) is not int:
             raise ValueError(f"candidate key 'n' must be an integer, not {type(n).__name__}")
@@ -533,24 +536,24 @@ def ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed: int = 0) -> 
 
     a_targets (length n+1) must be squares in the field (they become d_i^2);
     c_targets (length n).  The output candidate lives in 2n+1 variables and
-    its pencil discriminant has exactly the 2n+1 targets as roots, verified
-    along with the complex certificates, smoothness, and the Artinian
-    Hilbert-function certificate.
+    its pencil discriminant has exactly the 2n+1 targets as roots, read off
+    the certified diagonalization, which proves the pencil smooth; the complex
+    and Artinian Hilbert-function certificates are verified on the candidate.
     """
-    ambient, r, diag = _odd_restriction(field, a_targets, c_targets)
+    ambient, r, diag, roots = _odd_restriction(field, a_targets, c_targets)
     candidate = ambient._substituted(r, diag.pencil.variables,
                                      f"ulrich_for_roots_odd_ambient(n={ambient.n})", diag.pencil)
-    _verify_restricted(candidate, [*a_targets, *c_targets], seed)
+    _verify_restricted(candidate, roots, [*a_targets, *c_targets], seed)
     return candidate
 
 
 def _odd_restriction(field, a_targets, c_targets):
     """The ambient presentation of the odd-ambient pipeline, unchecked, its
-    restriction matrix R, and the diagonalization of its pencil in the 2n+1
-    coordinates z of x = R z from the targets, its discriminant roots, by the
-    closed-form basis of ``hyperbolic_restriction_basis``: certified, so the
-    restricted pencil's discriminant and roots are filled.  Only the
-    candidate a pipeline emits from the presentation is verified."""
+    restriction matrix R, the certified diagonalization of its pencil in the
+    2n+1 coordinates z of x = R z from the targets, its discriminant roots, by
+    the closed-form basis of ``hyperbolic_restriction_basis``, which fills the
+    pencil's discriminant and roots, and the root -b_i/a_i of each of its
+    forms a_i s + b_i t.  Only the candidate a pipeline emits is verified."""
     n = len(a_targets) - 1
     if n < 2:
         raise UlrichError("need n >= 2 (at least 3 chart roots)")
@@ -574,36 +577,27 @@ def _odd_restriction(field, a_targets, c_targets):
     restricted = ambient.pencil.congruence(r, tuple(f"z{k}" for k in range(2 * n + 1)))
     targets = a_targets + c_targets
     basis = hyperbolic_restriction_basis(field, a_targets, r[-1], targets)
-    return ambient, r, simultaneous_diagonalize(restricted, targets, basis)
+    diag = simultaneous_diagonalize(restricted, targets, basis)
+    return ambient, r, diag, [field.neg(field.div(f.coefficient((0, 1)), f.coefficient((1, 0))))
+                              for f in diag.factors]
 
 
-def _verify_restricted(candidate: UlrichCandidate, targets, seed) -> None:
+def _verify_restricted(candidate: UlrichCandidate, roots, targets, seed) -> None:
+    """Check roots, those of a certified diagonalization, against the targets."""
     field = candidate.field
-    p = candidate.pencil
-    p.confirm_roots(targets)
-    found, inf_mult, splits = p.roots()
-    root_multiset = sorted(
-        (lam for lam, mult in found for _ in range(mult)), key=binary.root_sort_key
-    )
+    roots = sorted(roots, key=binary.root_sort_key)
     want = sorted((field.of(t) for t in targets), key=binary.root_sort_key)
-    if inf_mult or not splits or root_multiset != want:
+    if roots != want:
         raise UlrichError(
-            f"discriminant roots [{', '.join(map(str, root_multiset))}] differ from targets "
+            f"discriminant roots [{', '.join(map(str, roots))}] differ from targets "
             f"[{', '.join(map(str, want))}]"
         )
-    smooth, note = smoothness_check(p)
-    if not smooth:
-        raise UlrichError(f"restricted pencil is not smooth: {note}")
     ok, transcript = artinian_hilbert_check(candidate, trials=3, seed=seed)
     if not ok:
         raise UlrichError(f"Artinian Hilbert certificate failed: {transcript}")
     candidate.verification.update(
-        {
-            "discriminant_roots": [str(v) for v in root_multiset],
-            "smooth": note,
-            "hilbert": transcript,
-            "seed": seed,
-        }
+        {"discriminant_roots": [str(v) for v in roots], "smooth": SMOOTH,
+         "hilbert": transcript, "seed": seed}
     )
 
 
@@ -643,8 +637,8 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
     column, so no odd-ambient candidate is built.  The emitted pencil is
     read off the diagonalization, which has checked M^T S_R M = diag(f_i)
     exactly: it is (R M')^T S (R M') = M'^T S_R M', the f_i less the fresh
-    root's.  Its discriminant roots are exactly the 2g+2 targets, and every
-    certificate is verified on the emitted candidate.
+    root's.  Its discriminant roots, read off those f_i, are the 2g+2 targets,
+    and every certificate is verified on the emitted candidate.
     """
     targets = [field.of(t) for t in targets]
     if len(targets) % 2:
@@ -674,12 +668,12 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
     c_targets = squares[n + 1 :] + non_squares
     # the restriction's pencil is diagonalized from its claimed roots, and the
     # emitted pencil is diagonal, so neither discriminant is interpolated
-    ambient, r, diag = _odd_restriction(field, a_targets, c_targets)
+    ambient, r, diag, roots = _odd_restriction(field, a_targets, c_targets)
     # factor i is a_i s + b_i t = a_i (s - lam_i t), a_i != 0, for a claimed root
     # lam_i; the fresh root's coordinate is the one set to zero
     pairs = [(f.coefficient((1, 0)), f.coefficient((0, 1))) for f in diag.factors]
-    at = [field.neg(field.div(b, a)) for a, b in pairs].index(fresh)
-    del pairs[at]
+    at = roots.index(fresh)
+    del pairs[at], roots[at]
     # x = R M w with M the diagonalizing basis less the fresh root's column
     m = [row[:at] + row[at + 1 :] for row in diag.basis]
     new_names = tuple(f"w{k}" for k in range(len(m[0])))
@@ -689,7 +683,7 @@ def ulrich_for_roots_even_ambient(field, targets, seed: int = 0) -> UlrichCandid
                                      f"ulrich_for_roots_even_ambient(g={g})",
                                      QuadricPencil(field, *grams, new_names))
     candidate.verification["fresh_root"] = str(fresh)
-    _verify_restricted(candidate, targets, seed)
+    _verify_restricted(candidate, roots, targets, seed)
     return candidate
 
 

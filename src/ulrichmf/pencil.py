@@ -156,19 +156,6 @@ class QuadricPencil:
             self._roots = binary.roots(self.discriminant())
         return self._roots
 
-    def confirm_roots(self, roots) -> bool:
-        """Fill the roots() cache from known distinct roots if the normalized
-        discriminant is exactly prod (s - lam_i t); else roots() still splits it."""
-        field = self.field
-        roots = sorted((field.of(lam) for lam in roots), key=binary.root_sort_key)
-        if len(set(roots)) != len(roots):
-            return False
-        if self.discriminant() != _product_form(field, [(field.one, field.neg(lam))
-                                                        for lam in roots]):
-            return False
-        self._roots = ([(lam, 1) for lam in roots], 0, True)
-        return True
-
     def congruence(self, m, variables=None) -> "QuadricPencil":
         """The congruent pencil (M^T B1 M, M^T B2 M) for a dim x W scalar matrix
         M, square or not: the pencil in the W coordinates z of x = M z, named by
@@ -195,10 +182,14 @@ def _product_form(field: Field, pairs) -> Poly:
                                          if not field.is_zero(c)})
 
 
+# the diagnosis of a smooth pencil: its discriminant has dim distinct roots
+SMOOTH = "smooth: discriminant squarefree of full degree"
+
+
 def smoothness_check(pencil: QuadricPencil):
     """True iff the pencil discriminant is squarefree with no root at infinity.
 
-    Returns (flag, diagnosis string).
+    Returns (flag, diagnosis string), the diagnosis ``SMOOTH`` if smooth.
     """
     disc = pencil.discriminant()
     issues = []
@@ -217,7 +208,7 @@ def smoothness_check(pencil: QuadricPencil):
         if not issues:
             issues.append("repeated roots outside the base field")
     elif not issues:
-        return True, "smooth: discriminant squarefree of full degree"
+        return True, SMOOTH
     return False, "; ".join(issues)
 
 

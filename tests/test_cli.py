@@ -713,6 +713,26 @@ def test_negative_exponent_in_a_candidate_exits_2(tmp_path, capsys, argv):
     assert code == 0 and err == "" and "Traceback" not in out
 
 
+@pytest.mark.parametrize("argv", [["ulrich", "verify"], ["export"]])
+@pytest.mark.parametrize("names, repeated", [
+    (["w0"] * 6, "w0"),
+    (["w0", "w1", "w2", "w2", "w1", "w5"], "w2"),
+])
+def test_repeated_variable_names_in_a_candidate_exit_2(tmp_path, capsys, monkeypatch, argv,
+                                                       names, repeated):
+    # read with six names "w0", the F_10009 golden passed every certificate
+    with open(os.path.join(GOLDEN, "ulrich_for_roots_even.json")) as fh:
+        data = json.load(fh)
+    assert len(data["variables"]) == len(names)
+    data["variables"] = names
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data))
+    # refused before any tensor is read
+    monkeypatch.setattr(knorrer, "tensor_from_json", lambda *args: pytest.fail("tensor read"))
+    want = f"error: candidate key 'variables' repeats the name {repeated!r}\n"
+    assert run(capsys, *argv, str(path)) == (2, "", want)
+
+
 def test_negative_exponent_in_a_pencil_descriptor_exits_2(tmp_path, capsys):
     # x0^3 / x1 has degree 2: read as x0 x1, it gave the discriminant of q1 = x0 x1
     q2 = [[[2, 0], 1, 1], [[0, 2], 1, 1]]
@@ -1172,10 +1192,9 @@ def test_pencil_matches_golden(capsys, pencil, action, fmt):
 
 
 @pytest.mark.parametrize("roots, splits, determinants", [
-    # each discriminant is checked against the product of its known roots,
-    # so no pencil splits one, and none is interpolated: both pipelines read
-    # the odd restriction's off its diagonalization from claimed roots, and
-    # the even-ambient pipeline the emitted diagonal pencil's off its diagonal
+    # both pipelines read the emitted pencil's roots, and so its smoothness,
+    # off the certified diagonalization of the restriction from its claimed
+    # roots: no discriminant is split, tested squarefree or interpolated
     ("1,4,9,2,3", 0, 0),
     ("1,4,9,16,2,3", 0, 0),
 ])
@@ -1183,7 +1202,7 @@ def test_for_roots_splits_each_discriminant_once(capsys, monkeypatch, roots, spl
                                                  determinants):
     # an interpolated pencil determinant is one interpolation of det(x B1 + B2);
     # at F_10009 the pencil evaluates no Poly and takes no PolyMatrix product
-    calls = {"roots": 0, "det": 0}
+    calls = {"roots": 0, "det": 0, "squarefree": 0}
 
     def counted(name, real):
         def call(*args):
@@ -1195,13 +1214,15 @@ def test_for_roots_splits_each_discriminant_once(capsys, monkeypatch, roots, spl
         pytest.fail("the pencil left scalar linear algebra")
 
     monkeypatch.setattr(binary, "roots", counted("roots", binary.roots))
+    monkeypatch.setattr(binary, "squarefree_distinct",
+                        counted("squarefree", binary.squarefree_distinct))
     monkeypatch.setattr(binary, "interpolate_univariate",
                         counted("det", binary.interpolate_univariate))
     monkeypatch.setattr(PolyMatrix, "mul", unused)
     monkeypatch.setattr(Poly, "evaluate", unused)
     code, _, err = run(capsys, "ulrich", "for-roots", "--roots", roots)
     assert code == 0, err
-    assert calls == {"roots": splits, "det": determinants}
+    assert calls == {"roots": splits, "det": determinants, "squarefree": 0}
 
 
 @pytest.mark.parametrize("modulus", ["318665857834031151167461", "3317044064679887385961981"])

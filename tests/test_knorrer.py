@@ -8,7 +8,7 @@ import pytest
 
 from ulrichmf import binary, knorrer, linalg, polymatrix
 from ulrichmf.fields import NotASquare, QQ, PrimeField
-from ulrichmf.pencil import QuadricPencil, simultaneous_diagonalize
+from ulrichmf.pencil import QuadricPencil, simultaneous_diagonalize, smoothness_check
 from ulrichmf.poly import Poly
 from ulrichmf.polymatrix import MatrixError, PolyMatrix, substitute_tensors
 
@@ -1005,9 +1005,9 @@ def test_emitted_candidate_catches_a_corrupted_ambient(monkeypatch):
     real = knorrer._odd_restriction
 
     def corrupted(*args):
-        ambient, r, diag = real(*args)
+        ambient, r, diag, roots = real(*args)
         ambient.cert1 = plus_one(ambient.field, ambient.cert1, (0, 5, 2))  # + x0 at (5, 2)
-        return ambient, r, diag
+        return ambient, r, diag, roots
 
     monkeypatch.setattr(knorrer, "_odd_restriction", corrupted)
     with pytest.raises(knorrer.UlrichError, match=r"^candidate certificates failed: "
@@ -1140,21 +1140,23 @@ def test_one_substitution_matches_the_odd_restriction_then_the_diagonal_basis(fi
     squares = [t for t in pool if knorrer._is_square(field, t)]
     a_targets = squares[:4]
     c_targets = squares[4:] + [t for t in pool if not knorrer._is_square(field, t)]
-    ambient, r, _ = knorrer._odd_restriction(field, a_targets, c_targets)
+    ambient, r, _, roots = knorrer._odd_restriction(field, a_targets, c_targets)
     odd = ambient._substituted(r, tuple(f"z{k}" for k in range(7)),
                                "ulrich_for_roots_odd_ambient(n=3)")
-    knorrer._verify_restricted(odd, a_targets + c_targets, seed=0)
+    knorrer._verify_restricted(odd, roots, a_targets + c_targets, seed=0)
     assert "pass" in odd.verification["hilbert"]
     checked = knorrer.ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed=0)
     assert checked.to_json() == odd.to_json()
     diag = simultaneous_diagonalize(odd.pencil, a_targets + c_targets)
-    at = [field.neg(field.div(f.coefficient((0, 1)), f.coefficient((1, 0))))
-          for f in diag.factors].index(fresh)
+    roots = [field.neg(field.div(f.coefficient((0, 1)), f.coefficient((1, 0))))
+             for f in diag.factors]
+    at = roots.index(fresh)
+    del roots[at]
     m = [row[:at] + row[at + 1:] for row in diag.basis]
     two_steps = odd._substituted(m, tuple(f"w{k}" for k in range(6)),
                                  "ulrich_for_roots_even_ambient(g=2)")
     two_steps.verification["fresh_root"] = str(fresh)
-    knorrer._verify_restricted(two_steps, targets, seed=5)
+    knorrer._verify_restricted(two_steps, roots, targets, seed=5)
     once = knorrer.ulrich_for_roots_even_ambient(field, targets, seed=5)
     assert once.to_json() == two_steps.to_json()
     for attr in ("presentation", "second_map", "cert1", "cert2"):
@@ -1166,23 +1168,56 @@ def test_one_substitution_matches_the_odd_restriction_then_the_diagonal_basis(fi
         assert [type(c) for row in got for c in row] == [type(c) for row in want for c in row]
 
 
-@pytest.mark.parametrize("field, message", [
-    (F, "discriminant roots [1, 2, 3, 4, 9] differ from targets [1, 2, 4, 5, 9]"),
-    # over Q the roots print as the field prints them, not as Fraction reprs
-    (QQ, "discriminant roots [1, 2, 3, 4, 9] differ from targets [1, 2, 4, 5, 9]"),
-], ids=["F10009", "Q"])
-def test_wrong_targets_fall_back_to_the_split(field, message, monkeypatch):
+@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
+def test_wrong_targets_name_the_certified_roots(field):
+    roots = knorrer._odd_restriction(field, [1, 4, 9], [2, 3])[-1]
     cand = knorrer.ulrich_for_roots_odd_ambient(field, [1, 4, 9], [2, 3], seed=7)
-    # a pencil of the same Gram matrices, with nothing split or confirmed yet
-    cand.pencil = QuadricPencil(field, cand.pencil.b1, cand.pencil.b2, cand.variables)
-    splits = []
-    real = binary.roots
-    monkeypatch.setattr(binary, "roots", lambda f: splits.append(f) or real(f))
-    # the message is the one the split path gave before the product check existed
+    # over Q the roots print as the field prints them, not as Fraction reprs
     with pytest.raises(knorrer.UlrichError) as err:
-        knorrer._verify_restricted(cand, [1, 4, 9, 2, 5], seed=7)
+        knorrer._verify_restricted(cand, roots, [1, 4, 9, 2, 5], seed=7)
+    assert str(err.value) == ("discriminant roots [1, 2, 3, 4, 9] differ from targets "
+                              "[1, 2, 4, 5, 9]")
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["F10009", "Q"])
+@pytest.mark.parametrize("targets, message", [
+    ((1, 4, 9, 2, 3), "discriminant roots [2, 3, 4, 7, 9] differ from targets [1, 2, 3, 4, 9]"),
+    # the even pipeline's fresh root 5 is dropped before the comparison
+    ((1, 4, 9, 16, 2, 3),
+     "discriminant roots [2, 3, 4, 7, 9, 16] differ from targets [1, 2, 3, 4, 9, 16]"),
+], ids=["odd", "even"])
+def test_a_corrupted_certified_root_fails_each_pipeline(field, targets, message, monkeypatch):
+    real = knorrer._odd_restriction
+
+    def corrupted(field, *args):
+        ambient, r, diag, roots = real(field, *args)
+        return ambient, r, diag, [field.of(7)] + roots[1:]
+
+    monkeypatch.setattr(knorrer, "_odd_restriction", corrupted)
+    with pytest.raises(knorrer.UlrichError) as err:
+        knorrer.ulrich_for_roots(field, targets, seed=3)
     assert str(err.value) == message
-    assert len(splits) == 1
+
+
+# the odd pipeline at n = 2 and 3, the even one at g = 1, 2 and 3
+REFERENCE_TARGETS = [(1, 4, 9, 2, 3), (1, 4, 9, 16, 2, 3, 5), (1, 4, 9, 2), (1, 4, 9, 16, 2, 3),
+                     (1, 4, 9, 16, 25, 2, 3, 5)]
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=str)
+@pytest.mark.parametrize("targets", REFERENCE_TARGETS, ids=lambda t: ",".join(map(str, t)))
+def test_recorded_roots_and_smoothness_match_a_fresh_split(field, targets):
+    # the pipelines read both off the certified diagonalization; a pencil read
+    # back from the emitted JSON, with nothing cached, splits its discriminant
+    data = json.loads(json.dumps(knorrer.ulrich_for_roots(field, targets, seed=1).to_json()))
+    p = pencil_from_quadrics(*(Poly.from_json(field, data["variables"], data[key])
+                               for key in ("q1", "q2")))
+    assert p._disc is None and p._roots is None
+    found, inf_mult, splits = binary.roots(p.discriminant())
+    assert inf_mult == 0 and splits
+    split = sorted((lam for lam, mult in found for _ in range(mult)), key=binary.root_sort_key)
+    assert [str(lam) for lam in split] == data["verification"]["discriminant_roots"]
+    assert smoothness_check(p) == (True, data["verification"]["smooth"])
 
 
 def test_candidate_json_round_trip():
