@@ -32,6 +32,7 @@ from .pencil import (
     smoothness_check,
 )
 from .poly import Poly, PolyError
+from .polymatrix import RawJSON
 
 CERTIFICATES = {
     "artinian-hilbert": 1,
@@ -51,8 +52,37 @@ INPUT_ERRORS = (ValueError, OSError)
 
 
 def canonical_json(obj) -> str:
-    # payloads are trees built fresh per call, so no cycle check is needed
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    """The one JSON writer of the package: sorted keys, no spaces, a final
+    newline.  A ``RawJSON`` value, text rendered ahead, is written verbatim
+    where it stands."""
+    fragments = []
+
+    def hold(value):
+        if not isinstance(value, RawJSON):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        fragments.append(value.text)
+        return marker
+
+    # Each fragment goes in as the string token of a marker, and the text is
+    # cut at each token.  A payload string may write the same token (a NUL is
+    # written \u0000), so the marker grows until the token occurs once per
+    # fragment; holding no quote or separator inside, a payload's token cannot
+    # overlap a placed one.
+    marker = "\0"
+    while True:
+        fragments.clear()
+        # payloads are trees built fresh per call, so no cycle check is needed
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False,
+                          default=hold)
+        pieces = text.split(json.dumps(marker))
+        if len(pieces) == len(fragments) + 1:
+            break
+        marker += "\0"
+    out = [pieces[0]]
+    for fragment, piece in zip(fragments, pieces[1:]):
+        out += (fragment, piece)
+    out.append("\n")
+    return "".join(out)
 
 
 def parse_subset(text: str):
@@ -728,10 +758,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_dash_values(argv) -> list:
-    """``--range -1:4`` as ``--range=-1:4``: argparse takes a lone "-1:4" for an option."""
+    """``--range -1:4`` as ``--range=-1:4``, and ``--roots -1,4`` as ``--roots=-1,4``:
+    argparse takes a lone "-1:4" or "-1,4" for an option."""
     out = []
     for arg in argv:
-        if out and out[-1] in ("--range", "--window") and re.match(r"-\d", arg):
+        if out and out[-1] in ("--range", "--window", "--roots", "--d") and re.match(r"-\d", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -30,8 +30,10 @@ distinct, so the pencil is smooth; the even pipeline reads the emitted pencil
 itself off it too.  q1 and q2 go to JSON and back as Gram matrices
 (``pencil.quadric_json``, ``pencil.quadric_terms``), the Jacobian check reads
 q_l(x) off the gradient 2 S_l x, and only a failing Hilbert transcript builds
-them as polynomials, binary ones in two variables.  The matrices go to JSON
-and back as tensors (``tensor_json``, ``tensor_from_json``).
+them as polynomials, binary ones in two variables.  The matrices' JSON is
+text rendered from the tensors (``tensor_json``), which ``cli.canonical_json``
+places in the candidate's payload, and is read back into tensors
+(``tensor_from_json``).
 
 Root convention, frozen: ``ulrich_for_roots_*`` produce pencils whose
 discriminant roots are exactly the requested targets.  The ambient diagonal
@@ -306,6 +308,8 @@ class UlrichCandidate(LinearPresentation):
         self.verification["certificates"] = "pass"
 
     def to_json(self) -> dict:
+        """The candidate's JSON payload for ``cli.canonical_json``; each matrix
+        is the ``RawJSON`` text of ``tensor_json``."""
         data = {
             "field": self.field.name,
             "variables": list(self.variables),

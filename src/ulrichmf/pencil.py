@@ -222,17 +222,12 @@ class Diagonalization:
         self.pencil = pencil
         for f in self.factors:
             binary.check_binary(f, 1)
-        n = len(self.factors)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _proportional(field, self.factors[i], self.factors[j]):
-                    raise PencilError("diagonal factors must be pairwise non-proportional")
-
-
-def _proportional(field, f, g) -> bool:
-    a1, b1 = f.coefficient((1, 0)), f.coefficient((0, 1))
-    a2, b2 = g.coefficient((1, 0)), g.coefficient((0, 1))
-    return field.is_zero(field.sub(field.mul(a1, b2), field.mul(a2, b1)))
+        # nonzero a s + b t are proportional iff their points (a : b) of P^1
+        # agree: b / a, or None at infinity (a = 0)
+        points = {None if field.is_zero(a) else field.div(b, a) for a, b in (
+            (f.coefficient((1, 0)), f.coefficient((0, 1))) for f in self.factors)}
+        if len(points) < len(self.factors):
+            raise PencilError("diagonal factors must be pairwise non-proportional")
 
 
 class HyperellipticData(Diagonalization):

@@ -12,8 +12,10 @@ A matrix of linear forms in variables x_0 .. x_{V-1} can also be stored as
 its coefficient tensor T of shape (V, rows, cols), T[k] the scalar matrix of
 x_k, with scalars of the type ``linalg.scalar_dtype`` picks.  A linear change
 of variables and the product identities of such matrices are then scalar
-products (:func:`substitute_tensors`, :func:`tensor_mismatch`), and its JSON is
-written from T and read back into T (:func:`tensor_json`, :func:`tensor_from_json`).
+products (:func:`substitute_tensors`, :func:`tensor_mismatch`).  Its JSON is
+rendered from T as text in one pass over the nonzeros (:func:`tensor_json`),
+for ``cli.canonical_json``, the one writer, to place, and read back into T
+(:func:`tensor_from_json`).
 A quadric's JSON is not read here: it goes to and from its Gram matrix in
 :mod:`ulrichmf.pencil`.
 """
@@ -280,22 +282,41 @@ def tensor_matrix(field, variables, t) -> PolyMatrix:
     ], ncols=ncols)
 
 
-def tensor_json(t) -> dict:
-    """``tensor_matrix(field, variables, t).to_json()``, written straight from
-    the coefficient tensor: the entries row by row, the terms of each in the
-    sorted exponent order of ``Poly.to_json``, which puts the last variable
-    first.  Each term is [exponents, numerator, denominator] (``_json_term``
-    for a scalar that is not an int), and the terms of one variable share
-    one exponent list."""
+class RawJSON:
+    """JSON text rendered ahead of ``cli.canonical_json``, which writes it
+    verbatim where this value stands."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def tensor_json(t) -> RawJSON:
+    """The text of ``tensor_matrix(field, variables, t).to_json()`` as
+    ``cli.canonical_json`` writes it, {"cols", "entries", "rows"}, rendered in
+    one pass over the nonzeros of the coefficient tensor: the entries row by
+    row, the terms of each in the sorted exponent order of ``Poly.to_json``,
+    which puts the last variable first.  Each term is [exponents, numerator,
+    denominator] (``_json_term`` for a scalar that is not an int), and each
+    variable's exponent list is rendered once."""
     v, nrows, ncols = t.shape
-    units = [[int(i == k) for i in range(v)] for k in reversed(range(v))]
-    # by_entry[i * ncols + j, k] is the coefficient of units[k] in entry (i, j)
+    heads = [f"[[{'0,' * i}1{',0' * (v - 1 - i)}]," for i in reversed(range(v))]
+    # by_entry[i * ncols + j, k] is the coefficient of heads[k] in entry (i, j)
     by_entry = t[::-1].reshape(v, nrows * ncols).T
     at, ks = np.nonzero(by_entry)
-    entries = [[] for _ in range(nrows * ncols)]
-    for e, k, c in zip(at.tolist(), ks.tolist(), by_entry[at, ks].tolist()):
-        entries[e].append([units[k], c, 1] if type(c) is int else _json_term(units[k], c))
-    return {"rows": nrows, "cols": ncols, "entries": entries}
+    coefficients = by_entry[at, ks].tolist()
+    at = at.tolist()
+    # before each term: "," within an entry, else "],[" per entry boundary passed
+    terms = [f"{'],[' * (e - d) if e != d else ','}{heads[k]}{c},1]" if type(c) is int
+             else f"{'],[' * (e - d) if e != d else ','}{heads[k]}"
+             + "{1},{2}]".format(*_json_term((), c))
+             for d, e, k, c in zip([0, *at], at, ks.tolist(), coefficients)]
+    if at and not at[0]:  # the first term of entry 0 follows no term
+        terms[0] = terms[0][1:]
+    tail = "],[" * (nrows * ncols - 1 - (at[-1] if at else 0))
+    entries = f"[[{''.join(terms)}{tail}]]" if nrows * ncols else "[]"
+    return RawJSON(f'{{"cols":{ncols},"entries":{entries},"rows":{nrows}}}')
 
 
 class NotLinearError(MatrixError):

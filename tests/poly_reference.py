@@ -18,13 +18,21 @@ route that went through a multivariate Poly is kept here too: the Poly of a
 Gram matrix (:func:`quadric`), 2 S read off a Poly (:func:`doubled_form`) and
 halved (:func:`bilinear_matrix`), and the pencil of two Polys
 (:func:`pencil_from_quadrics`).
+
+The package renders a matrix's JSON as text in one pass over its coefficient
+tensor (``polymatrix.tensor_json``), and ``cli.canonical_json`` places that
+text where it stands.  The writer it replaced is kept here: one list per
+term in a dict (:func:`tensor_json_reference`), and ``json.dumps`` of the
+whole payload (:func:`canonical_json_reference`).
 """
+
+import json
 
 import numpy as np
 
 from ulrichmf import binary, linalg
 from ulrichmf.pencil import PencilError, QuadricPencil
-from ulrichmf.poly import Poly, PolyError
+from ulrichmf.poly import Poly, PolyError, _json_term
 from ulrichmf.polymatrix import MatrixError, PolyMatrix
 
 
@@ -216,3 +224,23 @@ def pencil_from_quadrics(q1: Poly, q2: Poly) -> QuadricPencil:
     if q1.vars != q2.vars or q1.field != q2.field:
         raise PencilError("quadrics must live in one ring")
     return QuadricPencil(q1.field, bilinear_matrix(q1), bilinear_matrix(q2), q1.vars)
+
+
+def tensor_json_reference(t) -> dict:
+    """The matrix JSON of a coefficient tensor as a dict: the entries row by
+    row, the terms of each in the sorted exponent order of ``Poly.to_json``,
+    last variable first, each [exponents, numerator, denominator]."""
+    v, nrows, ncols = t.shape
+    units = [[int(i == k) for i in range(v)] for k in reversed(range(v))]
+    # by_entry[i * ncols + j, k] is the coefficient of units[k] in entry (i, j)
+    by_entry = t[::-1].reshape(v, nrows * ncols).T
+    at, ks = np.nonzero(by_entry)
+    entries = [[] for _ in range(nrows * ncols)]
+    for e, k, c in zip(at.tolist(), ks.tolist(), by_entry[at, ks].tolist()):
+        entries[e].append([units[k], c, 1] if type(c) is int else _json_term(units[k], c))
+    return {"rows": nrows, "cols": ncols, "entries": entries}
+
+
+def canonical_json_reference(obj) -> str:
+    """Sorted keys, no spaces, a final newline, by one ``json.dumps``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"

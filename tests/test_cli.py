@@ -469,6 +469,25 @@ def test_value_starting_with_minus_may_follow_its_flag(capsys, argv, flag, value
     assert run(capsys, *argv, flag, value) == joined
 
 
+@pytest.mark.parametrize("argv, flag, value, code", [
+    (["ulrich", "for-roots"], "--roots", "-1,4,9,-2,3", 0),
+    (["--format", "json", "ulrich", "for-roots"], "--roots", "-1,4,9,-2,3", 0),
+    (["--field", "Q", "ulrich", "for-roots"], "--roots", "-2,1,4,9,3,5", 0),
+    (["--field", "Q", "--format", "json", "ulrich", "for-roots"], "--roots", "-2,1,4,9,3,5", 0),
+    # -1 is no square in Q: the same refusal in both spellings
+    (["--field", "Q", "ulrich", "for-roots"], "--roots", "-1,4,9,-2,3", 2),
+    (["ulrich", "construct", "--n", "2"], "--d", "-1,2,3", 0),
+    (["mf", "grouplaw", "--g", "1", "--i", "1", "--j", "2"], "--roots", "-3,-1,2,5", 0),
+    (["--field", "Q", "mf", "grouplaw", "--g", "1", "--i", "1", "--j", "2"], "--roots",
+     "-3,-1,2,5", 0),
+])
+def test_list_starting_with_minus_may_follow_its_flag(capsys, argv, flag, value, code):
+    # argparse alone reads "-1,4,9,-2,3" as an option: "expected one argument"
+    joined = run(capsys, *argv, f"{flag}={value}")
+    assert joined[0] == code and "expected one argument" not in joined[2]
+    assert run(capsys, *argv, flag, value) == joined
+
+
 def test_option_after_range_is_still_an_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["mf", "cohomology", "--range", "--g", "1"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ulrichmf import binary, knorrer, linalg, polymatrix
+from ulrichmf import binary, cli, knorrer, linalg, polymatrix
 from ulrichmf.fields import NotASquare, QQ, PrimeField
 from ulrichmf.pencil import QuadricPencil, simultaneous_diagonalize, smoothness_check
 from ulrichmf.poly import Poly
@@ -18,6 +18,16 @@ from tests.scalars import assert_field_scalar
 from tests.test_polymatrix import substitute_reference
 
 F = PrimeField(10009)
+
+
+def written(cand) -> str:
+    """The candidate's JSON as ``ulrich for-roots --format json`` writes it, less the seed."""
+    return cli.canonical_json(cand.to_json())
+
+
+def dumped(data) -> str:
+    """A dict of lists as ``cli.canonical_json`` writes it, less the newline."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def quadrics(cand):
@@ -690,13 +700,13 @@ def test_odd_ambient_pipeline_known_roots():
 
 def test_ulrich_for_roots_dispatches_on_parity():
     odd = knorrer.ulrich_for_roots(F, [1, 4, 9, 2, 3], seed=7)
-    assert odd.to_json() == knorrer.ulrich_for_roots_odd_ambient(
+    assert written(odd) == written(knorrer.ulrich_for_roots_odd_ambient(
         F, [1, 4, 9], [2, 3], seed=7
-    ).to_json()
+    ))
     even = knorrer.ulrich_for_roots(F, [1, 4, 2, 3], seed=11)
-    assert even.to_json() == knorrer.ulrich_for_roots_even_ambient(
+    assert written(even) == written(knorrer.ulrich_for_roots_even_ambient(
         F, [1, 4, 2, 3], seed=11
-    ).to_json()
+    ))
     with pytest.raises(knorrer.UlrichError, match="at least 4 targets"):
         knorrer.ulrich_for_roots(F, [1, 4], seed=0)
 
@@ -889,7 +899,7 @@ def test_tensor_certificates_match_polymatrix(field, block_entries, monkeypatch)
 def test_reader_refuses_a_quadric_with_a_term_of_another_degree(key, term):
     # such a q * id can never equal A @ C; the reader says so as it says a
     # matrix entry is not linear, once every key is read
-    data = json.loads(json.dumps(restricted_candidate().to_json()))
+    data = json.loads(written(restricted_candidate()))
     width = len(data["variables"])
     data[key].append([[1] + [0] * (width - 1) if term == "linear" else [0] * width, 5, 1])
     with pytest.raises(knorrer.UlrichError, match=rf"^candidate certificates failed: "
@@ -1146,7 +1156,7 @@ def test_one_substitution_matches_the_odd_restriction_then_the_diagonal_basis(fi
     knorrer._verify_restricted(odd, roots, a_targets + c_targets, seed=0)
     assert "pass" in odd.verification["hilbert"]
     checked = knorrer.ulrich_for_roots_odd_ambient(field, a_targets, c_targets, seed=0)
-    assert checked.to_json() == odd.to_json()
+    assert written(checked) == written(odd)
     diag = simultaneous_diagonalize(odd.pencil, a_targets + c_targets)
     roots = [field.neg(field.div(f.coefficient((0, 1)), f.coefficient((1, 0))))
              for f in diag.factors]
@@ -1158,7 +1168,7 @@ def test_one_substitution_matches_the_odd_restriction_then_the_diagonal_basis(fi
     two_steps.verification["fresh_root"] = str(fresh)
     knorrer._verify_restricted(two_steps, roots, targets, seed=5)
     once = knorrer.ulrich_for_roots_even_ambient(field, targets, seed=5)
-    assert once.to_json() == two_steps.to_json()
+    assert written(once) == written(two_steps)
     for attr in ("presentation", "second_map", "cert1", "cert2"):
         got, want = getattr(once, attr), getattr(two_steps, attr)
         assert got.dtype == want.dtype and np.array_equal(got, want), attr
@@ -1209,7 +1219,7 @@ REFERENCE_TARGETS = [(1, 4, 9, 2, 3), (1, 4, 9, 16, 2, 3, 5), (1, 4, 9, 2), (1, 
 def test_recorded_roots_and_smoothness_match_a_fresh_split(field, targets):
     # the pipelines read both off the certified diagonalization; a pencil read
     # back from the emitted JSON, with nothing cached, splits its discriminant
-    data = json.loads(json.dumps(knorrer.ulrich_for_roots(field, targets, seed=1).to_json()))
+    data = json.loads(written(knorrer.ulrich_for_roots(field, targets, seed=1)))
     p = pencil_from_quadrics(*(Poly.from_json(field, data["variables"], data[key])
                                for key in ("q1", "q2")))
     assert p._disc is None and p._roots is None
@@ -1223,12 +1233,12 @@ def test_recorded_roots_and_smoothness_match_a_fresh_split(field, targets):
 def test_candidate_json_round_trip():
     lam = knorrer.diagonal_lambda(F, [F.of(d) for d in (1, 2, 3)])
     cand = knorrer.build_candidate(F, 2, lam)
-    data = cand.to_json()
-    back = knorrer.UlrichCandidate.from_json(data)
+    text = written(cand)
+    back = knorrer.UlrichCandidate.from_json(json.loads(text))
     for attr in ("presentation", "second_map", "cert1", "cert2"):
         assert np.array_equal(getattr(back, attr), getattr(cand, attr)), attr
     assert quadrics(back) == quadrics(cand)
-    assert back.to_json() == data
+    assert written(back) == text
     assert back.dvals == cand.dvals
 
 
@@ -1237,7 +1247,7 @@ def test_candidate_at_the_int64_prime_keeps_its_scalar_type():
     # they are stored as int64, the type the JSON reader gives them too
     field = PrimeField(2**31 - 1)
     cand = knorrer.ulrich_for_roots(field, (1, 4, 9, 2, 3))
-    back = knorrer.UlrichCandidate.from_json(cand.to_json())
+    back = knorrer.UlrichCandidate.from_json(json.loads(written(cand)))
     for attr in ("presentation", "second_map", "cert1", "cert2"):
         got, want = getattr(cand, attr), getattr(back, attr)
         assert got.dtype == want.dtype == linalg.scalar_dtype(field), attr
@@ -1519,12 +1529,12 @@ def test_tensor_json_matches_the_polymatrix_writer(field):
             for at in np.ndindex(*shape):
                 t[at] = wide_scalar(field, rng, zero_share)
             assert t.dtype == (np.int64 if field is F else object)
-            got = polymatrix.tensor_json(t)
-            assert json.dumps(got) == json.dumps(polymatrix.tensor_matrix(field, names, t).to_json())
+            got = polymatrix.tensor_json(t).text
+            assert got == dumped(polymatrix.tensor_matrix(field, names, t).to_json())
             if t.size:
                 changed = plus_one(field, t, tuple(rng.randrange(n) for n in shape))
-                want = polymatrix.tensor_matrix(field, names, changed).to_json()
-                assert json.dumps(polymatrix.tensor_json(changed)) == json.dumps(want)
+                want = dumped(polymatrix.tensor_matrix(field, names, changed).to_json())
+                assert polymatrix.tensor_json(changed).text == want
                 assert want != got
 
 
@@ -1535,7 +1545,7 @@ def test_candidate_json_is_the_polymatrix_json(field):
     tensors = (cand.presentation, cand.second_map, cand.cert1, cand.cert2)
     for key, t in zip(knorrer.MATRIX_KEYS, tensors):
         want = polymatrix.tensor_matrix(field, cand.variables, t).to_json()
-        assert json.dumps(data[key]) == json.dumps(want)
+        assert data[key].text == dumped(want)
     assert [data["q1"], data["q2"]] == [q.to_json() for q in quadrics(cand)]
 
 
@@ -1614,14 +1624,14 @@ def test_hilbert_check_of_a_zero_quadric_finds_no_ring():
     assert knorrer.artinian_hilbert_check(cand, trials=3, seed=3) == (
         False, "trial 0: no Artinian specialization found")
     # the same candidate read from JSON, where q2 is an empty term list
-    data = json.loads(json.dumps(cand.to_json()))
+    data = json.loads(written(cand))
     assert data["q2"] == []
     back = knorrer.UlrichCandidate.from_json(data)
     assert back.pencil.b2 == zero
     assert knorrer.artinian_hilbert_check(back, trials=3, seed=3) == (
         False, "trial 0: no Artinian specialization found")
     # with C2 left nonzero the certificate against 0 * id fails
-    data["cert_q2"] = restricted_candidate().to_json()["cert_q2"]
+    data["cert_q2"] = json.loads(written(restricted_candidate()))["cert_q2"]
     with pytest.raises(knorrer.UlrichError, match=r"^candidate certificates failed: "
                                                   r"A @ C != q2 \* id at entry"):
         knorrer.UlrichCandidate.from_json(data)

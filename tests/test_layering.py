@@ -14,7 +14,9 @@ and only the Hilbert check's fallback gets a PolyMatrix, from
 keeps its quadrics only as its pencil's Gram matrices, and no command of
 ``pencil`` or ``ulrich`` builds a ``Poly`` in more than two variables.  No
 function but the CLI's parser is memoized: a cache on a computation would be
-state that grows for the life of the process.
+state that grows for the life of the process.  And no module but the CLI
+writes JSON text: ``cli.canonical_json`` is the one writer, and places the
+matrix text that ``polymatrix.tensor_json`` renders ahead.
 """
 
 import ast
@@ -102,7 +104,7 @@ def test_ulrich_candidates_hold_their_quadrics_only_in_the_pencil():
     # q1 and q2 are written from the pencil's Gram matrices; no candidate keeps a Poly
     import json
 
-    from ulrichmf import knorrer
+    from ulrichmf import cli, knorrer
     from ulrichmf.fields import PrimeField
     from ulrichmf.pencil import quadric_json
     from ulrichmf.poly import Poly
@@ -112,7 +114,7 @@ def test_ulrich_candidates_hold_their_quadrics_only_in_the_pencil():
     built = knorrer.build_candidate(field, 2, lam)
     odd = knorrer.ulrich_for_roots(field, [1, 4, 9, 2, 3], seed=1)
     even = knorrer.ulrich_for_roots(field, [1, 4, 9, 16, 2, 3], seed=1)
-    read = knorrer.UlrichCandidate.from_json(json.loads(json.dumps(even.to_json())))
+    read = knorrer.UlrichCandidate.from_json(json.loads(cli.canonical_json(even.to_json())))
     for cand in (built, odd, even, read):
         assert not [key for key, value in vars(cand).items() if isinstance(value, Poly)]
         data = cand.to_json()
@@ -183,6 +185,57 @@ def test_poly_spy_sees_a_multivariate_poly(poly_widths):
     Poly.from_json(QQ, [f"z{k}" for k in range(5)], [[[1, 1, 0, 0, 0], 1, 1]])
     Poly(QQ, ("x", "y", "z"), {})
     assert poly_widths == {5: 1, 3: 1}
+
+
+JSON_WRITERS = ("dump", "dumps", "JSONEncoder")
+
+
+def json_writers(tree) -> list[str]:
+    """The function around each use of ``json.dump``, ``json.dumps`` or
+    ``json.JSONEncoder``, imported by module, alias or name ("<module>" at
+    the top level)."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == "json"}
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "json"
+             for alias in node.names if alias.name in JSON_WRITERS}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr in JSON_WRITERS
+                    and isinstance(child.value, ast.Name) and child.value.id in modules
+                    or isinstance(child, ast.Name) and child.id in names):
+                found.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_canonical_json_writes_json():
+    # every JSON text of the package comes out of one writer, which places
+    # the fragments that polymatrix.tensor_json renders ahead
+    writers = {f"{path.stem}.{where}" for path in PACKAGE.glob("*.py")
+               for where in json_writers(ast.parse(path.read_text()))}
+    assert writers == {"cli.canonical_json"}
+
+
+def test_json_writer_check_sees_each_form():
+    for source in ("import json\ndef f(x): return json.dumps(x)",
+                   "import json\ndef f(x, fh): json.dump(x, fh)",
+                   "import json as j\ndef f(x): return j.dumps(x)",
+                   "from json import dumps\ndef f(x): return dumps(x)",
+                   "from json import dump as d\ndef f(x, fh): d(x, fh)",
+                   "import json\ndef f(x): return json.JSONEncoder().encode(x)",
+                   "import json\nclass C:\n    def f(self, x): return json.dumps(x)"):
+        assert json_writers(ast.parse(source)) == ["f"], source
+    assert json_writers(ast.parse("import json\nTEXT = json.dumps([])")) == ["<module>"]
+    for source in ("import json\ndef f(fh): return json.load(fh)",
+                   "import json\ndef f(s): return json.loads(s)",
+                   "def f(x): return x.dumps()", "from pickle import dumps\ndef f(x): dumps(x)"):
+        assert json_writers(ast.parse(source)) == [], source
 
 
 MEMOIZERS = ("cache", "lru_cache")

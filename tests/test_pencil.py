@@ -315,9 +315,54 @@ def test_diagonalize_f13_example():
     p = pencil_from_quadrics(q1, q2)
     diag = pencil.simultaneous_diagonalize(p)
     assert len(diag.factors) == 2
-    assert not pencil._proportional(field, diag.factors[0], diag.factors[1])
+    assert not proportional_reference(field, diag.factors[0], diag.factors[1])
     # conjugation identity already verified inside; factors rebuild the discriminant
     assert binary.normalize(diag.factors[0] * diag.factors[1]) == p.discriminant()
+
+
+def proportional_reference(field, f, g) -> bool:
+    """The pairwise test that the distinct-points check of ``Diagonalization``
+    replaced: a1 b2 - a2 b1 = 0 for f = a1 s + b1 t and g = a2 s + b2 t."""
+    a1, b1 = f.coefficient((1, 0)), f.coefficient((0, 1))
+    a2, b2 = g.coefficient((1, 0)), g.coefficient((0, 1))
+    return field.is_zero(field.sub(field.mul(a1, b2), field.mul(a2, b1)))
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), PrimeField(10009),
+                                   PrimeField(2**61 - 1), QQ], ids=str)
+def test_factors_are_refused_iff_two_are_proportional(field):
+    # small coefficients, so that over F_3 and F_5 many lists repeat a point
+    # of P^1; a = 0 is the point at infinity
+    rng = random.Random(101)
+    verdicts = set()
+    for _ in range(300):
+        forms, size = [], rng.randrange(1, 7)
+        while len(forms) < size:
+            a, b = field.of(rng.choice([0, 0, *range(-5, 6)])), field.of(rng.randrange(-5, 6))
+            if not (field.is_zero(a) and field.is_zero(b)):
+                forms.append(binary.linear_form(field, a, b))
+        refused = any(proportional_reference(field, f, g)
+                      for f, g in itertools.combinations(forms, 2))
+        verdicts.add(refused)
+        if refused:
+            with pytest.raises(pencil.PencilError,
+                               match="^diagonal factors must be pairwise non-proportional$"):
+                pencil.Diagonalization(field, forms, None)
+        else:
+            assert pencil.Diagonalization(field, forms, None).factors == forms
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("field", [PrimeField(10009), QQ], ids=str)
+def test_a_zero_or_nonlinear_factor_is_refused_before_any_pair(field):
+    # s + t appears twice, yet the malformed factor is named
+    form = binary.linear_form(field, field.one, field.one)
+    bad = {"zero binary form": Poly(field, binary.ST, {}),
+           "expected degree 1, got 2": form * form}
+    for message, factor in bad.items():
+        for factors in ([factor], [form, form, factor], [factor, form, form]):
+            with pytest.raises(PolyError, match=f"^{message}$"):
+                pencil.Diagonalization(field, factors, None)
 
 
 def verify_diagonalization(p, diag):
